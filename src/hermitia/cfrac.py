@@ -26,12 +26,9 @@ GL_2(O_d) (det = +-1) and map z to the remainder z_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
-from .field import FieldSpec, QuadElem, QuadInt, nearest_int
+from .field import FieldSpec, QuadElem, QuadInt, ZLike, nearest_int
 from .forms import GroupElement, HermitianForm, act
-
-ZLike = Union[QuadElem, complex]
 
 
 @dataclass(frozen=True)

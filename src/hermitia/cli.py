@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 
 import mpmath
@@ -201,9 +201,7 @@ def cmd_hconst(args) -> list[dict]:
 
 def cmd_average(args) -> list[dict]:
     f = field(args.d)
-    rep = hsum.average_quadrature(
-        f, args.k, args.delta, grid=args.grid, a_max=args.a_max, engine=args.engine
-    )
+    rep = hsum.average_quadrature(f, args.k, args.delta, grid=args.grid, a_max=args.a_max)
     return [
         {
             "d": args.d,
@@ -261,24 +259,19 @@ def cmd_dims(args) -> list[dict]:
 def cmd_basis(args) -> list[dict]:
     f = field(args.d)
     rep = polyspace.wkk(f, args.k, method="exact")
+    # the basis lists each eigenspace's vectors in label order
+    basis = iter(rep.basis)
     rows = []
-    labels = polyspace.eigen_labels(f)
-    idx = 0
-    per_label: dict[str, int] = {}
-    for lab in labels:
-        per_label[lab] = rep.dims[lab]
-    want = args.eigen
-    pos = 0
-    for lab in labels:
-        for _ in range(per_label[lab]):
-            poly = rep.basis[pos]
-            pos += 1
-            if want and lab != want:
-                continue
-            rows.append({"d": args.d, "k": args.k, "eigen": lab, "index": idx, "poly": str(poly)})
-            idx += 1
+    for lab in polyspace.eigen_labels(f):
+        for poly in itertools.islice(basis, rep.dims[lab]):
+            if not args.eigen or lab == args.eigen:
+                rows.append(
+                    {"d": args.d, "k": args.k, "eigen": lab, "index": len(rows), "poly": str(poly)}
+                )
     if not rows:
-        rows.append({"d": args.d, "k": args.k, "eigen": want or "-", "index": "-", "poly": "(empty)"})
+        rows.append(
+            {"d": args.d, "k": args.k, "eigen": args.eigen or "-", "index": "-", "poly": "(empty)"}
+        )
     return rows
 
 
@@ -434,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--a-max", type=int, default=200)
-    p.add_argument("--engine", choices=("numpy", "python"), default="numpy")
 
     p = add("cfrac", "nearest-integer continued fraction of z", cmd_cfrac)
     p.add_argument("-z", required=True, help="point 'u,v' = u + v*theta")

@@ -90,6 +90,8 @@ class FieldSpec:
     omega_shift: int           # conventional generator = omega + omega_shift
     covering_radius_sq: Fraction
     generator_name: str
+    unit: tuple[int, int]      # a primitive unit u on the internal basis
+    unit_labels: tuple[str, ...]  # names of u^0, u^1, ...; one per unit
 
     @property
     def abs_disc(self) -> int:
@@ -139,15 +141,9 @@ class FieldSpec:
         return QuadInt(self, self.omega_shift, 1)
 
     def units(self) -> tuple["QuadInt", ...]:
-        """Unit group, listed as consecutive powers of a primitive unit."""
-        if self.d == 1:
-            i = self.theta
-            return (self.one, i, -self.one, -i)
-        if self.d == 3:
-            # zeta6 = 1 + omega on the internal basis has norm 1, order 6.
-            z6 = QuadInt(self, 2, 1)
-            return (self.one, z6, z6 * z6, -self.one, -z6, -(z6 * z6))
-        return (self.one, -self.one)
+        """Unit group, listed as consecutive powers of the primitive unit."""
+        u = QuadInt(self, *self.unit)
+        return tuple(u**e for e in range(len(self.unit_labels)))
 
     def norm_int(self, x: int, y: int) -> int:
         return x * x + self.disc * x * y + self.norm_coeff * y * y
@@ -155,12 +151,15 @@ class FieldSpec:
 
 EUCLIDEAN_DS = (1, 2, 3, 7, 11)
 
+# Primitive units: i = 2 + omega for d = 1, the sixth root of unity
+# zeta6 = 2 + omega = (1 + sqrt(-3))/2 for d = 3, and -1 otherwise.
 FIELDS: dict[int, FieldSpec] = {
-    1: FieldSpec(1, -4, 5, 2, Fraction(1, 2), "i"),
-    2: FieldSpec(2, -8, 18, 4, Fraction(3, 4), "√-2"),
-    3: FieldSpec(3, -3, 3, 1, Fraction(1, 3), "ω"),
-    7: FieldSpec(7, -7, 14, 4, Fraction(1, 2) + Fraction(1, 14), "ω"),
-    11: FieldSpec(11, -11, 33, 6, Fraction(9, 11), "ω"),
+    1: FieldSpec(1, -4, 5, 2, Fraction(1, 2), "i", (2, 1), ("1", "i", "-1", "-i")),
+    2: FieldSpec(2, -8, 18, 4, Fraction(3, 4), "√-2", (-1, 0), ("1", "-1")),
+    3: FieldSpec(3, -3, 3, 1, Fraction(1, 3), "ω", (2, 1),
+                 ("1", "z6", "z6^2", "-1", "z6^4", "z6^5")),
+    7: FieldSpec(7, -7, 14, 4, Fraction(1, 2) + Fraction(1, 14), "ω", (-1, 0), ("1", "-1")),
+    11: FieldSpec(11, -11, 33, 6, Fraction(9, 11), "ω", (-1, 0), ("1", "-1")),
 }
 
 

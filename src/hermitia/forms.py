@@ -33,12 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
-from .field import FieldSpec, QuadElem, QuadInt, is_norm, lattice_points_with_norm_below
+from .field import (
+    FieldSpec,
+    QuadElem,
+    QuadInt,
+    ZLike,
+    is_norm,
+    lattice_points_with_norm_below,
+)
 from .intarith import divisor_power_sum, divisors
-
-ZLike = Union[QuadElem, complex]
 
 
 # --------------------------------------------------------------- matrix group
@@ -258,9 +263,12 @@ def alpha_direct(f: FieldSpec, k: int, delta: int) -> int:
     return sum(h.c**k for h in delta_forms(f, delta, "negative_a"))
 
 
-def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianForm]:
+def window_scan(
+    f: FieldSpec, delta: int, z: QuadElem
+) -> Iterator[tuple[int, int, int, int]]:
     """The finitely many forms h of discriminant delta with a < 0 and
-    h(z, 1) > 0, for exact z in K.
+    h(z, 1) > 0, for exact z in K, as integer tuples (a, vx, vy, h(z,1)*den^2)
+    with conj(b) = vx + vy*omega, in scan order.
 
     Completeness: write z = (zx + zy*omega)/den in lowest terms.  Then
     h(z,1)*den^2 is a positive integer for every contributing form, and
@@ -274,34 +282,42 @@ def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianFor
     """
     check_delta(f, delta)
     if not isinstance(z, QuadElem):
-        raise TypeError("enumerate_window needs an exact field element")
+        raise TypeError("the window scan needs an exact field element")
     t, n, m = f.disc, f.norm_coeff, f.abs_disc
     zx, zy, den = z.num.x, z.num.y, z.den
     dd = delta * den * den
-    out = []
-    for a in range(-delta * den * den, 0):
+    ymax_num = math.isqrt(4 * dd // m)
+    for a in range(-dd, 0):
         # v = conj(b): scan integer pairs with N(v*den + a*z_num) < delta*den^2
-        axy, ayy = a * zx, a * zy
-        ymax_num = math.isqrt(4 * dd // m)
-        ylo = (-ymax_num - ayy) // den - 1
-        yhi = (ymax_num - ayy) // den + 1
+        ax, ay = a * zx, a * zy
+        ylo = (-ymax_num - ay) // den - 1
+        yhi = (ymax_num - ay) // den + 1
         for vy in range(ylo, yhi + 1):
-            yy = vy * den + ayy
+            yy = vy * den + ay
             disc4 = 4 * dd - m * yy * yy
             if disc4 < 0:
                 continue
             s = math.isqrt(disc4)
-            xlo = (-s - t * yy - 2 * axy) // (2 * den) - 1
-            xhi = (s - t * yy - 2 * axy) // (2 * den) + 1
+            xlo = (-s - t * yy - 2 * ax) // (2 * den) - 1
+            xhi = (s - t * yy - 2 * ax) // (2 * den) + 1
+            tyy = t * yy
             for vx in range(xlo, xhi + 1):
-                xx = vx * den + axy
-                if xx * xx + t * xx * yy + n * yy * yy >= dd:
+                xx = vx * den + ax
+                nxy = xx * xx + tyy * xx + n * yy * yy
+                if nxy >= dd:
                     continue
-                v = QuadInt(f, vx, vy)
-                if (v.norm() - delta) % a != 0:
+                if (vx * vx + t * vx * vy + n * vy * vy - delta) % a:
                     continue
-                b = v.conj()
-                out.append(HermitianForm(a, b, (v.norm() - delta) // a))
+                yield a, vx, vy, (nxy - dd) // a
+
+
+def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianForm]:
+    """The forms of `window_scan` as HermitianForms, sorted by a, then by
+    the trace and omega coordinate of b."""
+    out = []
+    for a, vx, vy, _ in window_scan(f, delta, z):
+        v = QuadInt(f, vx, vy)
+        out.append(HermitianForm(a, v.conj(), (v.norm() - delta) // a))
     out.sort(key=lambda h: (h.a, h.b.trace(), h.b.y))
     return out
 
@@ -359,10 +375,6 @@ class BiPoly:
         return BiPoly.make(
             self.field, self.n, {k: v * c for k, v in self.coeffs.items()}
         )
-
-    def swap_args(self) -> "BiPoly":
-        """The polynomial P(zbar, z), i.e. monomial (i, j) -> (j, i)."""
-        return BiPoly(self.field, self.n, {(j, i): v for (i, j), v in self.coeffs.items()})
 
     def eval_exact(self, z: QuadElem, zbar: QuadElem | None = None) -> QuadElem:
         if zbar is None:

@@ -5,11 +5,12 @@ For a positive non-norm Delta and odd k, the object of study is
     H_{k,Delta}(z) = sum over forms h with a < 0, h(z,1) > 0 of h(z,1)^k .
 
 At exact z in K the positive terms have |a| <= Delta*den(z)^2, so the sum
-is a finite exact rational; `eval_exact` computes it with an all-integer
-inner loop.  For floating z the series is absolutely convergent for k >= 3
-and `eval_truncated` returns the partial sum over |a| <= a_max together
-with a rigorous bound on the discarded tail (for k = 1 the full sum only
-converges on K, where it has finite support, so truncation is refused).
+is a finite exact rational; `eval_exact` sums it over the all-integer
+window scan `forms.window_scan`.  For floating z the series is absolutely
+convergent for k >= 3 and `eval_truncated` returns the partial sum over
+|a| <= a_max together with a rigorous bound on the discarded tail (for
+k = 1 the full sum only converges on K, where it has finite support, so
+truncation is refused).
 
 The sum satisfies the reduction identity
 
@@ -33,49 +34,16 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldSpec, QuadElem, lattice_points_with_norm_below
-from .forms import check_delta, expand_P
+from .forms import check_delta, expand_P, window_scan
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
-    """H_{k,Delta}(z) as an exact rational, z in K.
-
-    Completeness of the window: h(z,1)*den^2 is a positive integer for each
-    contributing form and Delta = N(conj(b) + a z) - a*h(z,1), so
-    |a| <= Delta*den^2; for each a the admissible b sweep a disk of radius
-    sqrt(Delta) around -a*z.
-    """
-    check_delta(f, delta)
+    """H_{k,Delta}(z) as an exact rational, z in K: the sum of h(z,1)^k over
+    the window of `forms.window_scan`, which yields h(z,1)*den^2."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not isinstance(z, QuadElem):
-        raise TypeError("eval_exact needs an exact field element")
-    t, n, m = f.disc, f.norm_coeff, f.abs_disc
-    zx, zy, den = z.num.x, z.num.y, z.den
-    dd = delta * den * den
-    ymax_num = math.isqrt(4 * dd // m)
-    total = 0
-    for a in range(-dd, 0):
-        ax, ay = a * zx, a * zy
-        ylo = (-ymax_num - ay) // den - 1
-        yhi = (ymax_num - ay) // den + 1
-        for vy in range(ylo, yhi + 1):
-            yy = vy * den + ay
-            disc4 = 4 * dd - m * yy * yy
-            if disc4 < 0:
-                continue
-            s = math.isqrt(disc4)
-            xlo = (-s - t * yy - 2 * ax) // (2 * den) - 1
-            xhi = (s - t * yy - 2 * ax) // (2 * den) + 1
-            tyy = t * yy
-            for vx in range(xlo, xhi + 1):
-                xx = vx * den + ax
-                nxy = xx * xx + tyy * xx + n * yy * yy
-                if nxy >= dd:
-                    continue
-                if (vx * vx + t * vx * vy + n * vy * vy - delta) % a:
-                    continue
-                total += ((nxy - dd) // a) ** k
-    return Fraction(total, den ** (2 * k))
+    total = sum(h**k for _, _, _, h in window_scan(f, delta, z))
+    return Fraction(total, z.den ** (2 * k))
 
 
 @dataclass(frozen=True)
@@ -248,36 +216,16 @@ def average_quadrature(
     delta: int,
     grid: int = 64,
     a_max: int = 300,
-    engine: str = "numpy",
 ) -> AverageReport:
     """Midpoint-rule average of H_{k,Delta} over the cell {u + v*theta},
     u, v in [0, 1), on a grid x grid lattice of midpoints, truncating each
-    evaluation at a_max.  Summation order is fixed (row-major over the
-    grid); the numpy engine vectorizes over grid points per (a, offset)
-    stencil and the python engine evaluates points one at a time.
+    evaluation at a_max.  The partial sums are vectorized over the grid
+    points per (a, offset) stencil; the grid is row-major.
     """
     check_delta(f, delta)
     if k < 3:
         raise ValueError("averages are computed for k >= 3 only")
-    if engine == "python":
-        theta = f.theta_complex
-        acc = 0.0
-        for i in range(grid):
-            for j in range(grid):
-                zc = (i + 0.5) / grid + (j + 0.5) / grid * theta
-                acc += eval_truncated(f, k, delta, zc, a_max).value
-        quad = acc / (grid * grid)
-    elif engine == "numpy":
-        quad = _average_quadrature_numpy(f, k, delta, grid, a_max)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return AverageReport(f.d, k, delta, grid, a_max, quad, formula_average(f, k, delta))
-
-
-def _average_quadrature_numpy(
-    f: FieldSpec, k: int, delta: int, grid: int, a_max: int
-) -> float:
-    t, n, m = f.disc, f.norm_coeff, f.abs_disc
+    t, n = f.disc, f.norm_coeff
     half_sqm = f.sqrt_abs_disc / 2.0
     theta = f.theta_complex
     idx = (np.arange(grid) + 0.5) / grid
@@ -302,4 +250,5 @@ def _average_quadrature_numpy(
             mask = divisible & (h > 0.0)
             if mask.any():
                 total = total + np.where(mask, h, 0.0) ** k
-    return float(total.sum()) / (grid * grid)
+    quad = float(total.sum()) / (grid * grid)
+    return AverageReport(f.d, k, delta, grid, a_max, quad, formula_average(f, k, delta))

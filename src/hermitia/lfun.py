@@ -40,13 +40,14 @@ sums; both serve as oracles here.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
-from .field import FieldSpec, field
+from .field import FieldSpec, field, kronecker, smallest_nonnorm
 from .forms import alpha
 from .intarith import factorize, smallest_prime_factor_sieve
 
@@ -99,8 +100,6 @@ def local_factor(f: FieldSpec, delta: int, p: int) -> list[int]:
     """
     if delta == 0:
         raise ValueError("local factors need delta != 0")
-    from .field import kronecker
-
     d_K = f.disc
     t_val = 0
     delta0 = delta
@@ -375,8 +374,6 @@ def l_closed_form(f: FieldSpec, s: int, delta: int | None = None) -> LValue:
     """
     k = _scope_k(f, s)
     if delta is None:
-        from .field import smallest_nonnorm
-
         delta = smallest_nonnorm(f.d)
     al = alpha(f, k, delta)
     th = theta(f, delta, k + 1)
@@ -419,8 +416,6 @@ def bench_negative(
     """Time the closed-form evaluation of L(chi, s), s < 0, against the
     character-sum baseline pushed through the functional equation at the
     same working precision.  Reports the best of `repeats` runs each."""
-    import time
-
     if s >= 0:
         raise ValueError("the benchmark compares evaluations at negative s")
     sigma = 1 - s
@@ -445,8 +440,6 @@ def bench_negative(
 
 
 def _time_once(fn) -> float:
-    import time
-
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0

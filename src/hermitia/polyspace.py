@@ -22,6 +22,7 @@ eigenvalue-1 part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field import FieldSpec, QuadElem, QuadInt
@@ -93,29 +94,33 @@ def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]
 
 
 def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
-    """(P|g), computed directly by binomial substitution."""
+    """(P|g), applying the two factors of `operator_matrix` separably: the
+    z substitution matrix along z, then its conjugate along zbar.  The
+    arithmetic runs on integral numerators over the lcm of the coefficient
+    denominators, so each output coefficient is reduced once."""
     f = P.field
     k = P.n
-    a, b, c, e = g.entries()
-    top = _binomial_powers(f, b, a, k)
-    bot = _binomial_powers(f, e, c, k)
-    gc = g.conj()
-    ac, bc, cc, ec = gc.entries()
-    topc = _binomial_powers(f, bc, ac, k)
-    botc = _binomial_powers(f, ec, cc, k)
+    az = one_var_matrix(f, g, k)
+    azb = one_var_matrix(f, g.conj(), k)
+    den = math.lcm(*(c.den for c in P.coeffs.values()))
+    # half[p][j] = numerator of the z^p zbar^j coefficient after the z step
+    half = [[f.zero] * (k + 1) for _ in range(k + 1)]
+    for (i, j), c in P.coeffs.items():
+        num = c.num * (den // c.den)
+        for p in range(k + 1):
+            if not az[p][i].is_zero():
+                half[p][j] = half[p][j] + az[p][i] * num
     out: dict[tuple[int, int], QuadElem] = {}
-    for (i, j), coeff in P.coeffs.items():
-        zpart = _poly_mul(f, top[i], bot[k - i])
-        wpart = _poly_mul(f, topc[j], botc[k - j])
-        for p, zp in enumerate(zpart):
-            if zp.is_zero():
+    for p, row in enumerate(half):
+        acc = [f.zero] * (k + 1)
+        for j, h in enumerate(row):
+            if h.is_zero():
                 continue
-            for q, wq in enumerate(wpart):
-                if wq.is_zero():
-                    continue
-                key = (p, q)
-                term = coeff * (zp * wq)
-                out[key] = out[key] + term if key in out else term
+            for q in range(k + 1):
+                if not azb[q][j].is_zero():
+                    acc[q] = acc[q] + azb[q][j] * h
+        for q, v in enumerate(acc):
+            out[(p, q)] = QuadElem.make(f, v.x, v.y, den)
     return BiPoly.make(f, k, out)
 
 
@@ -146,13 +151,8 @@ def unit_diagonal(f: FieldSpec, u: QuadInt) -> GroupElement:
 
 
 def primitive_unit(f: FieldSpec) -> QuadInt:
-    """A generator of the unit group: i for d=1, a sixth root for d=3,
-    -1 otherwise."""
-    if f.d == 1:
-        return f.theta
-    if f.d == 3:
-        return f.quad(2, 1)
-    return f.quad(-1)
+    """The generator of the unit group recorded on the ring."""
+    return QuadInt(f, *f.unit)
 
 
 def epsilon(f: FieldSpec) -> GroupElement:
@@ -161,15 +161,11 @@ def epsilon(f: FieldSpec) -> GroupElement:
 
 
 def eigen_order(f: FieldSpec) -> int:
-    return {1: 4, 3: 6}.get(f.d, 2)
+    return len(f.unit_labels)
 
 
 def eigen_labels(f: FieldSpec) -> list[str]:
-    if f.d == 1:
-        return ["1", "i", "-1", "-i"]
-    if f.d == 3:
-        return ["1", "z6", "z6^2", "-1", "z6^4", "z6^5"]
-    return ["1", "-1"]
+    return list(f.unit_labels)
 
 
 def eigen_exponent(f: FieldSpec, i: int, j: int) -> int:
@@ -195,14 +191,12 @@ def kernel_words(f: FieldSpec) -> list[Word]:
         [(1, I), (1, S)],
         [(1, I), (1, U), (1, U @ U)],
     ]
-    if f.d == 1:
-        L = GroupElement.make(f, [[f.theta, 0], [0, -f.theta]])
-        E = Tw @ S @ L
-        words.insert(1, [(1, I), (-1, L)])
-        words.append([(1, I), (1, E), (1, E @ E)])
-    elif f.d == 3:
-        z3 = f.quad(1, 1)
-        L = GroupElement.make(f, [[z3 * z3, 0], [0, z3]])
+    if f.d in (1, 3):
+        u = f.units()
+        # diag(i, -i) for d = 1; diag(zeta3^2, zeta3) with zeta3 = u^2 for d = 3
+        L = GroupElement.make(
+            f, [[u[1], 0], [0, u[3]]] if f.d == 1 else [[u[4], 0], [0, u[2]]]
+        )
         E = Tw @ S @ L
         words.insert(1, [(1, I), (-1, L)])
         words.append([(1, I), (1, E), (1, E @ E)])
@@ -281,13 +275,19 @@ class SubspaceReport:
         return sum(self.dims.values())
 
 
-def _eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
-    return [
+def _eigen_block(
+    f: FieldSpec, k: int, exponent: int, rows: list[list[QuadInt]]
+) -> tuple[list[int], list[list[QuadInt]]]:
+    """The columns of one eigenspace, and the rows restricted to those
+    columns without the rows that vanish there."""
+    cols = [
         flat_index(k, i, j)
         for i in range(k + 1)
         for j in range(k + 1)
         if eigen_exponent(f, i, j) == exponent
     ]
+    sub = [[row[c] for c in cols] for row in rows]
+    return cols, [r for r in sub if any(not e.is_zero() for e in r)]
 
 
 def eigen_kernel(
@@ -301,9 +301,7 @@ def eigen_kernel(
     """
     if rows is None:
         rows = stacked_word_matrix(f, k)
-    cols = _eigen_columns(f, k, exponent)
-    sub = [[row[c] for c in cols] for row in rows]
-    sub = [r for r in sub if any(not e.is_zero() for e in r)]
+    cols, sub = _eigen_block(f, k, exponent, rows)
     if not sub:
         sub = [[f.zero for _ in cols]]
     zero = QuadElem.from_quadint(f.zero)
@@ -332,9 +330,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     if method == "modular":
         total = linalg.quad_rank_modular(f, rows).kernel_dim
         for e, lab in enumerate(labels):
-            cols = _eigen_columns(f, k, e)
-            sub = [[row[c] for c in cols] for row in rows]
-            sub = [r for r in sub if any(not x.is_zero() for x in r)]
+            cols, sub = _eigen_block(f, k, e, rows)
             if not sub:
                 dims[lab] = len(cols)
                 continue
