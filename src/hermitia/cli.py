@@ -5,8 +5,9 @@ table|json|csv) and uses three exit codes:
 
   0  success
   2  precondition violation (unknown ring, norm discriminant,
-     out-of-scope s, malformed z, ...)
-  3  internal oracle mismatch discovered by `selftest`
+     out-of-scope s, malformed z, a numeric flag out of range, ...)
+  3  an internal cross-check or certificate failed (`selftest`, `--check`,
+     or an exact result that did not pass its own verification)
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
 environment variable, or 128.
@@ -27,6 +28,7 @@ from fractions import Fraction
 import mpmath
 
 from .field import (
+    CertificateError,
     QuadElem,
     field,
     nonnorm_deltas,
@@ -38,9 +40,28 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_ORACLE = 3
 
+# Below this, the printed digits of `lvalue` can be wrong and `bench`'s
+# agreement test (to 2^-(bits-8)) says nothing.
+MIN_BITS = 16
+
 
 def default_bits() -> int:
     return int(os.environ.get("HERMITIA_PRECISION", "128"))
+
+
+def int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_z(f, text: str) -> QuadElem:
@@ -132,7 +153,7 @@ def cmd_rcount(args) -> list[dict]:
 
 def cmd_lvalue(args) -> list[dict]:
     f = field(args.d)
-    bits = args.bits or default_bits()
+    bits = default_bits() if args.bits is None else args.bits
     value = lfun.l_closed_form(f, args.s, args.delta)
     numeric = value.numeric(bits)
     return [
@@ -149,7 +170,7 @@ def cmd_lvalue(args) -> list[dict]:
 
 def cmd_bench(args) -> list[dict]:
     f = field(args.d)
-    bits = args.bits or default_bits()
+    bits = default_bits() if args.bits is None else args.bits
     rep = lfun.bench_negative(f, args.s, bits, args.repeats)
     return [
         {
@@ -258,11 +279,17 @@ def cmd_dims(args) -> list[dict]:
 
 def cmd_basis(args) -> list[dict]:
     f = field(args.d)
+    labels = polyspace.eigen_labels(f)
+    if args.eigen is not None and args.eigen not in labels:
+        raise ValueError(
+            f"--eigen must be an eigenvalue label of O_{args.d}: "
+            f"one of {', '.join(labels)}; got {args.eigen!r}"
+        )
     rep = polyspace.wkk(f, args.k, method="exact")
     # the basis lists each eigenspace's vectors in label order
     basis = iter(rep.basis)
     rows = []
-    for lab in polyspace.eigen_labels(f):
+    for lab in labels:
         for poly in itertools.islice(basis, rep.dims[lab]):
             if not args.eigen or lab == args.eigen:
                 rows.append(
@@ -393,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("alpha", "the integer constants alpha_{k,Delta}", cmd_alpha)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--delta", type=int)
-    p.add_argument("--count", type=int, default=3, help="how many non-norm deltas")
+    p.add_argument("--count", type=int_at_least(1), default=3, help="how many non-norm deltas")
 
     p = add("theta", "exact local correction factor theta(delta, s)", cmd_theta)
     p.add_argument("--delta", type=int, required=True)
@@ -407,25 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lvalue", "special values L(chi, s) in closed form", cmd_lvalue)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--delta", type=int)
-    p.add_argument("--bits", type=int)
+    p.add_argument("--bits", type=int_at_least(MIN_BITS))
 
     p = add("bench", "closed form vs character-sum baseline", cmd_bench)
     p.add_argument("-s", type=int, default=-2)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--bits", type=int_at_least(MIN_BITS))
+    p.add_argument("--repeats", type=int_at_least(1), default=5)
 
     p = add("hconst", "evaluate the sum H_{k,Delta} at exact points", cmd_hconst)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)")
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--den", type=int, default=8)
+    p.add_argument("--den", type=int_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("average", "cell average: quadrature vs closed form", cmd_average)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=int_at_least(1), default=32)
     p.add_argument("--a-max", type=int, default=200)
 
     p = add("cfrac", "nearest-integer continued fraction of z", cmd_cfrac)
@@ -433,11 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=40)
 
     p = add("dims", "dimensions of the cocycle spaces W_{k,k}", cmd_dims)
-    p.add_argument("--kmax", type=int, default=11)
+    p.add_argument("--kmax", type=int_at_least(1), default=11)
     p.add_argument("--method", choices=("exact", "modular"), default="exact")
 
     p = add("basis", "exact basis of W_{k,k}", cmd_basis)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int_at_least(1), required=True)
     p.add_argument("--eigen", help="restrict to one eigenvalue label")
 
     p = add("expandp", "the transfer polynomial P_{k,Delta}", cmd_expandp)
@@ -456,6 +483,9 @@ def main(argv=None) -> int:
         rows = args.fn(args)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    except CertificateError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,11 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 
+class CertificateError(ArithmeticError):
+    """An internal certificate failed: an exact result did not pass its own
+    verification.  It signals a bug, never bad input."""
+
+
 def _jacobi(a: int, b: int) -> int:
     """Jacobi symbol (a/b) for odd positive b."""
     a %= b

@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .field import (
+    CertificateError,
     FieldSpec,
     QuadElem,
     QuadInt,
@@ -204,7 +205,7 @@ def act(g: GroupElement, h: HermitianForm) -> HermitianForm:
     new_b = r00 * g.b + r01 * g.e
     new_c = r10 * g.b + r11 * g.e
     if new_a.y != 0 or new_c.y != 0:
-        raise AssertionError("form action produced a non-Hermitian matrix")
+        raise CertificateError("form action produced a non-Hermitian matrix")
     return HermitianForm(new_a.x, new_b, new_c.x)
 
 

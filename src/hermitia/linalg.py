@@ -1,41 +1,64 @@
 """Exact nullspaces of matrices over the rings O_d.
 
 The polynomial cocycle spaces are cut out as kernels of integral matrices
-whose entries live in O_d.  Two routes are provided:
+whose entries live in O_d.  The pieces:
+
+* `echelon_mod` -- row reduction of an int64 numpy matrix modulo a prime
+  p; it returns the rank and the pivot columns mod p.  The primes used are
+  ~2^30 primes that split in the ring (so O_d/p = Z/p via an integer image
+  of the generator), and entries stay below p < 2^31, so every product
+  fits in int64.
 
 * `quad_kernel` -- fraction-free (Bareiss) Gaussian elimination directly
   over O_d: cross-multiply with the current pivot and divide exactly by
   the previous one, which keeps entries at determinant-minor size instead
   of growing exponentially.  Exact back substitution then produces
   integral, content-free kernel vectors, and every vector is re-checked
-  against the input matrix, so the result is proven.
+  against every input row on integer pairs, so the result is proven.
 
-* `quad_rank_modular` -- ranks modulo ~2^30 primes that split in the ring
-  (so O_d/p = Z/p via an integer image of the generator).  Reduction mod p
-  can only lower the rank, hence can only raise the kernel dimension:
-  every single prime yields a true upper bound on the kernel dimension.
-  The report is accepted once several primes agree on the full pivot
-  pattern, which pins the dimension down with overwhelming probability;
-  combined with an exact lower bound (independent verified kernel
-  vectors) the bound becomes an unconditional certificate.
+* `certified_kernel` -- the kernel of a matrix M that is never built
+  exactly as a whole: it is given by its reduction mod p, its rows on
+  demand, and an exact test of M v = 0.  The pivot columns of M^T mod p
+  name rows that are independent mod p, hence independent over O_d;
+  Bareiss runs on those rows only.  Their kernel contains ker M, so once
+  every basis vector passes the exact test the two kernels are equal.  If
+  a vector fails (the rank dropped mod p), Bareiss runs on all rows.
+
+* `quad_rank_modular` -- ranks modulo several split primes.  Reduction
+  mod p can only lower the rank, hence can only raise the kernel
+  dimension: every single prime yields a true upper bound on the kernel
+  dimension (`kernel_dim_upper_bound`).  The report is accepted once
+  several primes agree on the full pivot pattern, which pins the
+  dimension down with overwhelming probability; combined with an exact
+  lower bound (independent verified kernel vectors) the bound becomes an
+  unconditional certificate.
+
+Matrices enter the modular functions either as rows of `QuadInt` or as a
+function from a split prime p to the matrix mod p, so a caller that can
+reduce its matrix directly never builds it over O_d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import FieldSpec, QuadElem, QuadInt, kronecker
+from .field import CertificateError, FieldSpec, QuadElem, QuadInt, kronecker
 from .intarith import is_probable_prime, sqrt_mod_prime
 
 Pair = tuple[int, int]
+Rows = Sequence[Sequence[QuadInt]]
+# a matrix over O_d given by its reductions: split prime p -> int64 array mod p
+Reductions = Callable[[int], np.ndarray]
+
+ZERO: Pair = (0, 0)
 
 
-def _mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
-    # (x1 + y1 w)(x2 + y2 w) with w^2 = t w - n
+def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
+    """(x1 + y1 w)(x2 + y2 w) with w^2 = t w - n, on integer pairs."""
     x1, y1 = a
     x2, y2 = b
     yy = y1 * y2
@@ -69,32 +92,44 @@ def _strip(row: list[Pair]) -> list[Pair]:
     return row
 
 
-def quad_kernel(
-    f: FieldSpec, rows: Sequence[Sequence[QuadInt]]
-) -> list[list[QuadElem]]:
+def _annihilates(f: FieldSpec, rows: list[list[Pair]], vec: list[Pair]) -> bool:
+    support = [(c, v) for c, v in enumerate(vec) if v != ZERO]
+    for row in rows:
+        x = y = 0
+        for c, v in support:
+            e = row[c]
+            if e != ZERO:
+                px, py = pair_mul(f, e, v)
+                x += px
+                y += py
+        if x or y:
+            return False
+    return True
+
+
+def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
     """Basis of { v : M v = 0 } over the field of fractions of O_d.
 
     Returns integral, content-free vectors (QuadElem of denominator 1).
-    The basis vectors are verified against M exactly before returning.
+    The basis vectors are verified against every row of M exactly before
+    returning.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    remaining: list[list[Pair]] = []
+    pairs: list[list[Pair]] = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        pr = [(e.x, e.y) for e in row]
-        if any(p != (0, 0) for p in pr):
-            remaining.append(_strip(pr))
+        pairs.append([(e.x, e.y) for e in row])
+    remaining = [_strip(pr) for pr in pairs if any(e != ZERO for e in pr)]
 
-    zero_pair = (0, 0)
     pivots: list[tuple[int, list[Pair]]] = []  # (pivot column, frozen row)
     prev: Pair = (1, 0)
     for col in range(ncols):
         if not remaining:
             break
-        candidates = [r for r in remaining if r[col] != zero_pair]
+        candidates = [r for r in remaining if r[col] != ZERO]
         if not candidates:
             continue
         # the smallest pivot entry keeps the minor growth down
@@ -105,48 +140,46 @@ def quad_kernel(
             if r is pivot:
                 continue
             e = r[col]
-            if e == zero_pair:
-                new = [
-                    _div(f, _mul(f, pv, rc), prev) if rc != zero_pair else zero_pair
-                    for rc in r
-                ]
+            if e == ZERO:
+                new = [_div(f, pair_mul(f, pv, rc), prev) if rc != ZERO else ZERO for rc in r]
             else:
                 new = []
                 for rc, pc in zip(r, pivot):
-                    t1 = _mul(f, pv, rc) if rc != zero_pair else zero_pair
-                    t2 = _mul(f, e, pc) if pc != zero_pair else zero_pair
+                    t1 = pair_mul(f, pv, rc) if rc != ZERO else ZERO
+                    t2 = pair_mul(f, e, pc) if pc != ZERO else ZERO
                     diff = (t1[0] - t2[0], t1[1] - t2[1])
-                    new.append(_div(f, diff, prev) if diff != zero_pair else zero_pair)
-            if any(p != zero_pair for p in new):
+                    new.append(_div(f, diff, prev) if diff != ZERO else ZERO)
+            if any(p != ZERO for p in new):
                 nxt.append(new)
         pivots.append((col, pivot))
         prev = pv
         remaining = nxt
 
-    pivot_cols = [c for c, _ in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis: list[list[QuadElem]] = []
+    pivot_cols = {c for c, _ in pivots}
+    basis: list[list[Pair]] = []
     zero = QuadElem.from_quadint(f.zero)
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         v: list[QuadElem] = [zero] * ncols
         v[fc] = QuadElem.from_quadint(f.one)
         for col, row in reversed(pivots):
             acc = zero
             for c in range(col + 1, ncols):
                 rc = row[c]
-                if rc != zero_pair and not v[c].is_zero():
+                if rc != ZERO and not v[c].is_zero():
                     acc = acc + QuadElem.from_quadint(f.quad(*rc)) * v[c]
             pe = QuadElem.from_quadint(f.quad(*row[col]))
             v[col] = -acc * pe.inverse() if not acc.is_zero() else zero
-        basis.append(_canonical_integral(f, v))
+        basis.append(_canonical_integral(v))
 
     for v in basis:
-        if not matvec_is_zero(f, rows, v):
-            raise AssertionError("kernel vector failed exact verification")
-    return basis
+        if not _annihilates(f, pairs, v):
+            raise CertificateError("kernel vector failed exact verification")
+    return [[QuadElem.from_quadint(f.quad(x, y)) for x, y in v] for v in basis]
 
 
-def _canonical_integral(f: FieldSpec, vec: list[QuadElem]) -> list[QuadElem]:
+def _canonical_integral(vec: list[QuadElem]) -> list[Pair]:
     """Scale to an integral vector with content 1 and a sign-normalized
     first nonzero coordinate."""
     lcm = 1
@@ -156,15 +189,14 @@ def _canonical_integral(f: FieldSpec, vec: list[QuadElem]) -> list[QuadElem]:
     g = _row_content(ints)
     if g > 1:
         ints = [(x // g, y // g) for x, y in ints]
-    lead = next(((x, y) for x, y in ints if (x, y) != (0, 0)), (1, 0))
+    lead = next((e for e in ints if e != ZERO), (1, 0))
     if lead[0] < 0 or (lead[0] == 0 and lead[1] < 0):
         ints = [(-x, -y) for x, y in ints]
-    return [QuadElem.from_quadint(f.quad(x, y)) for x, y in ints]
+    return ints
 
 
-def matvec_is_zero(
-    f: FieldSpec, rows: Sequence[Sequence[QuadInt]], vec: Sequence[QuadElem]
-) -> bool:
+def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
+    """M v = 0 on QuadElem fractions: a test oracle for the kernels."""
     zero = QuadElem.from_quadint(f.zero)
     for row in rows:
         acc = zero
@@ -174,6 +206,31 @@ def matvec_is_zero(
         if not acc.is_zero():
             return False
     return True
+
+
+def certified_kernel(
+    f: FieldSpec,
+    mod: np.ndarray,
+    p: int,
+    exact_rows: Callable[[Sequence[int]], Rows],
+    annihilates: Callable[[list[QuadElem]], bool],
+) -> list[list[QuadElem]]:
+    """Basis of the kernel of a matrix M over O_d known through `mod`, M
+    mod the split prime p; `exact_rows(indices)`, the named rows of M
+    built exactly; and `annihilates(v)`, an exact test of M v = 0.
+
+    Bareiss runs on the rows named by the pivot columns of M^T mod p; if a
+    vector then fails `annihilates`, on all rows.  A vector failing after
+    that raises CertificateError.  The basis equals `quad_kernel` of M: it
+    depends on the kernel only.
+    """
+    nrows, ncols = mod.shape
+    chosen = echelon_mod(mod.T, p)[1]
+    for indices in (chosen, range(nrows)):
+        basis = quad_kernel(f, exact_rows(indices) or [[f.zero] * ncols])
+        if all(annihilates(v) for v in basis):
+            return basis
+    raise CertificateError("kernel vector failed exact verification")
 
 
 # ------------------------------------------------------------- modular path
@@ -203,54 +260,63 @@ def split_primes(f: FieldSpec, count: int, start: int = 1 << 30) -> list[int]:
 
 
 def _omega_mod(f: FieldSpec, p: int) -> int:
+    """An image of omega in Z/p for a split prime p."""
     root = sqrt_mod_prime(f.disc % p, p)
     return (f.disc + root) * pow(2, p - 2, p) % p
 
 
-def _rank_mod(
-    f: FieldSpec, rows: Sequence[Sequence[QuadInt]], p: int
-) -> tuple[int, tuple[int, ...]]:
+def pairs_mod(f: FieldSpec, rows: Sequence[Sequence[Pair]], p: int) -> np.ndarray:
+    """A matrix of integer pairs x + y*omega, reduced mod the split prime p."""
     w = _omega_mod(f, p)
-    mat = np.array(
-        [[(e.x + e.y * w) % p for e in row] for row in rows], dtype=np.int64
-    )
+    mat = np.array([[(x + y * w) % p for x, y in row] for row in rows], dtype=np.int64)
+    return mat.reshape(len(rows), len(rows[0]) if len(rows) else 0)
+
+
+def _reductions(f: FieldSpec, rows: Rows | Reductions) -> Reductions:
+    if callable(rows):
+        return rows
+    pairs = [[(e.x, e.y) for e in row] for row in rows]
+    return lambda p: pairs_mod(f, pairs, p)
+
+
+def echelon_mod(mat: np.ndarray, p: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and pivot columns of an int64 matrix with entries in [0, p),
+    by row reduction mod the prime p.  The input is left unchanged."""
     mat = mat[np.any(mat, axis=1)]
-    ncols = len(rows[0]) if rows else 0
+    nrows, ncols = mat.shape
     pivot_cols: list[int] = []
     top = 0
-    nrows = mat.shape[0]
     for col in range(ncols):
         if top == nrows:
             break
-        nz = np.nonzero(mat[top:, col])[0]
-        if nz.size == 0:
+        live = top + np.flatnonzero(mat[top:, col])
+        if live.size == 0:
             continue
-        sel = top + int(nz[0])
-        if sel != top:
-            mat[[top, sel]] = mat[[sel, top]]
-        inv = pow(int(mat[top, col]), p - 2, p)
-        mat[top] = (mat[top] * inv) % p
-        coeffs = mat[:, col].copy()
-        coeffs[top] = 0
-        hit = np.nonzero(coeffs)[0]
-        if hit.size:
+        # rows above `top` are final and zero left of their pivots, so only
+        # the rows below and the columns from `col` on change
+        piv, others = live[0], live[1:]
+        if others.size:
             # entries stay below p < 2^31, so the products fit in int64
-            mat[hit] = (mat[hit] - coeffs[hit, None] * mat[top][None, :]) % p
+            factor = mat[others, col] * pow(int(mat[piv, col]), p - 2, p) % p
+            mat[others, col:] = (mat[others, col:] - factor[:, None] * mat[piv, col:]) % p
+        if piv != top:
+            mat[[top, piv]] = mat[[piv, top]]
         pivot_cols.append(col)
         top += 1
     return top, tuple(pivot_cols)
 
 
 def quad_rank_modular(
-    f: FieldSpec, rows: Sequence[Sequence[QuadInt]], agreements: int = 3
+    f: FieldSpec, rows: Rows | Reductions, agreements: int = 3
 ) -> ModularRankReport:
     """Rank (and kernel dimension) from pivot-pattern agreement across
     `agreements` split primes.  The kernel dimension of any single prime
     is already a true upper bound for the exact kernel dimension."""
-    if not rows:
+    if not callable(rows) and not rows:
         return ModularRankReport(0, 0, (), ())
+    mod = _reductions(f, rows)
     primes = split_primes(f, agreements)
-    results = [_rank_mod(f, rows, p) for p in primes]
+    results = [echelon_mod(mod(p), p) for p in primes]
     ranks = {r for r, _ in results}
     patterns = {cols for _, cols in results}
     if len(ranks) != 1 or len(patterns) != 1:
@@ -258,20 +324,23 @@ def quad_rank_modular(
         extra = split_primes(f, 2 * agreements)[agreements:]
         for p in extra:
             primes.append(p)
-            results.append(_rank_mod(f, rows, p))
+            results.append(echelon_mod(mod(p), p))
         best = max({r for r, _ in results})
         results = [(r, c) for r, c in results if r == best]
         if len(results) < agreements:
-            raise ArithmeticError("modular ranks failed to stabilize")
+            raise CertificateError("modular ranks failed to stabilize")
     rank, cols = results[0]
-    return ModularRankReport(len(rows[0]), rank, cols, tuple(primes))
+    return ModularRankReport(mod(primes[0]).shape[1], rank, cols, tuple(primes))
 
 
-def kernel_dim_upper_bound(f: FieldSpec, rows: Sequence[Sequence[QuadInt]]) -> int:
+def kernel_dim_upper_bound(f: FieldSpec, rows: Rows | Reductions) -> int:
     """An unconditional upper bound: min kernel dimension mod two split
     primes (each single prime already bounds from above)."""
-    if not rows:
+    if not callable(rows) and not rows:
         return 0
-    return min(
-        len(rows[0]) - _rank_mod(f, rows, p)[0] for p in split_primes(f, 2)
-    )
+    mod = _reductions(f, rows)
+    bounds = []
+    for p in split_primes(f, 2):
+        mat = mod(p)
+        bounds.append(mat.shape[1] - echelon_mod(mat, p)[0])
+    return min(bounds)

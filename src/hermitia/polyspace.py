@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .field import FieldSpec, QuadElem, QuadInt
 from .forms import (
@@ -237,6 +240,8 @@ def apply_word(P: BiPoly, word: Word) -> BiPoly:
 
 
 def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
+    """A word's matrix, built exactly entry by entry: an oracle for the
+    tests of `WordOperator`; `wkk` never builds it."""
     size = (k + 1) * (k + 1)
     total = [[f.zero] * size for _ in range(size)]
     for sign, g in word:
@@ -252,10 +257,143 @@ def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
 
 
 def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
+    """Every kernel word's matrix, stacked, without its all-zero rows: the
+    test oracle for `WordOperator`."""
     rows: list[list[QuadInt]] = []
     for word in kernel_words(f):
         rows.extend(word_matrix(f, word, k))
     return [r for r in rows if any(not e.is_zero() for e in r)]
+
+
+class WordOperator:
+    """The stacked word matrix of W_{k,k}, kept as the one-variable factors
+    of its group elements and never built exactly as a whole.
+
+    Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
+    flat index of (i, j); each word's matrix is the signed sum of the
+    Kronecker products of `one_var_matrix(g)` and `one_var_matrix(g.conj())`
+    over its elements (see `operator_matrix`).  All-zero rows are kept.
+    """
+
+    def __init__(self, f: FieldSpec, k: int) -> None:
+        self.field = f
+        self.k = k
+        self.size = (k + 1) ** 2
+
+        def factors(g: GroupElement) -> tuple[list[list[linalg.Pair]], ...]:
+            az = one_var_matrix(f, g, k)
+            # conjugation is a ring automorphism, so the matrix of g.conj()
+            # is the entrywise conjugate of the matrix of g
+            return (
+                [[(e.x, e.y) for e in row] for row in az],
+                [[(c.x, c.y) for c in map(QuadInt.conj, row)] for row in az],
+            )
+
+        self.words = [[(sign, *factors(g)) for sign, g in word] for word in kernel_words(f)]
+        self._mod: dict[int, np.ndarray] = {}
+
+    @property
+    def nrows(self) -> int:
+        return len(self.words) * self.size
+
+    def mod(self, p: int) -> np.ndarray:
+        """The stacked word matrix mod the split prime p (int64, entries in
+        [0, p)), kept for the life of this operator."""
+        if p not in self._mod:
+            f = self.field
+            blocks = []
+            for word in self.words:
+                total = np.zeros((self.size, self.size), dtype=np.int64)
+                for sign, az, azb in word:
+                    # entries are below p < 2^31, so the products fit in int64
+                    kron = np.kron(linalg.pairs_mod(f, az, p), linalg.pairs_mod(f, azb, p))
+                    total += sign * (kron % p)
+                blocks.append(total % p)
+            self._mod[p] = np.vstack(blocks)
+        return self._mod[p]
+
+    def rows(self, indices: Iterable[int], cols: list[int]) -> list[list[QuadInt]]:
+        """The named rows, restricted to the columns `cols`, exactly."""
+        f, n = self.field, self.k + 1
+        mul = linalg.pair_mul
+        split = [divmod(c, n) for c in cols]
+        out = []
+        for r in indices:
+            word = self.words[r // self.size]
+            i, j = divmod(r % self.size, n)
+            xs = [0] * len(cols)
+            ys = [0] * len(cols)
+            for sign, az, azb in word:
+                a_row, b_row = az[i], azb[j]
+                for t, (i2, j2) in enumerate(split):
+                    a, b = a_row[i2], b_row[j2]
+                    if a != linalg.ZERO and b != linalg.ZERO:
+                        x, y = mul(f, a, b)
+                        xs[t] += sign * x
+                        ys[t] += sign * y
+            out.append([QuadInt(f, x, y) for x, y in zip(xs, ys)])
+        return out
+
+    def annihilates(self, vec: list[QuadElem]) -> bool:
+        """Whether every word kills the coefficient vector `vec`, checked
+        exactly by applying each element separably, as `act_poly` does."""
+        f, n = self.field, self.k + 1
+        mul = linalg.pair_mul
+        den = math.lcm(*(e.den for e in vec))
+        support = [
+            (divmod(c, n), (e.num.x * (den // e.den), e.num.y * (den // e.den)))
+            for c, e in enumerate(vec)
+            if not e.is_zero()
+        ]
+        for word in self.words:
+            total = [[[0, 0] for _ in range(n)] for _ in range(n)]
+            for sign, az, azb in word:
+                # half[p][j] = sum_i az[p][i] * vec[i][j]
+                half = [[[0, 0] for _ in range(n)] for _ in range(n)]
+                for (i, j), v in support:
+                    for p in range(n):
+                        a = az[p][i]
+                        if a != linalg.ZERO:
+                            x, y = mul(f, a, v)
+                            h = half[p][j]
+                            h[0] += x
+                            h[1] += y
+                for p, row in enumerate(half):
+                    for j, (hx, hy) in enumerate(row):
+                        if hx == 0 and hy == 0:
+                            continue
+                        for q in range(n):
+                            b = azb[q][j]
+                            if b != linalg.ZERO:
+                                x, y = mul(f, b, (hx, hy))
+                                t = total[p][q]
+                                t[0] += sign * x
+                                t[1] += sign * y
+            if any(x or y for row in total for x, y in row):
+                return False
+        return True
+
+    def kernel(self, cols: list[int]) -> list[list[QuadElem]]:
+        """Certified basis of the kernel of the columns `cols`
+        (`linalg.certified_kernel`), as full coefficient vectors."""
+        f = self.field
+        p = linalg.split_primes(f, 1)[0]
+        zero = QuadElem.from_quadint(f.zero)
+
+        def full(v: list[QuadElem]) -> list[QuadElem]:
+            out = [zero] * self.size
+            for c, val in zip(cols, v):
+                out[c] = val
+            return out
+
+        block = linalg.certified_kernel(
+            f,
+            self.mod(p)[:, cols],
+            p,
+            lambda rows: self.rows(rows, cols),
+            lambda v: self.annihilates(full(v)),
+        )
+        return [full(v) for v in block]
 
 
 # ------------------------------------------------------------------ subspace
@@ -275,23 +413,18 @@ class SubspaceReport:
         return sum(self.dims.values())
 
 
-def _eigen_block(
-    f: FieldSpec, k: int, exponent: int, rows: list[list[QuadInt]]
-) -> tuple[list[int], list[list[QuadInt]]]:
-    """The columns of one eigenspace, and the rows restricted to those
-    columns without the rows that vanish there."""
-    cols = [
+def eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
+    """The flat indices of the monomials z^i zbar^j of one eigenspace."""
+    return [
         flat_index(k, i, j)
         for i in range(k + 1)
         for j in range(k + 1)
         if eigen_exponent(f, i, j) == exponent
     ]
-    sub = [[row[c] for c in cols] for row in rows]
-    return cols, [r for r in sub if any(not e.is_zero() for e in r)]
 
 
 def eigen_kernel(
-    f: FieldSpec, k: int, exponent: int, rows: list[list[QuadInt]] | None = None
+    f: FieldSpec, k: int, exponent: int, op: WordOperator | None = None
 ) -> list[list[QuadElem]]:
     """Exact basis of W^(u^exponent), as full coefficient vectors.
 
@@ -299,53 +432,40 @@ def eigen_kernel(
     supported on monomials of one exponent class, so the eigenspace is the
     kernel of the stacked word matrix restricted to those columns.
     """
-    if rows is None:
-        rows = stacked_word_matrix(f, k)
-    cols, sub = _eigen_block(f, k, exponent, rows)
-    if not sub:
-        sub = [[f.zero for _ in cols]]
-    zero = QuadElem.from_quadint(f.zero)
-    out = []
-    for v in linalg.quad_kernel(f, sub):
-        full = [zero] * (k + 1) ** 2
-        for c, val in zip(cols, v):
-            full[c] = val
-        out.append(full)
-    return out
+    return (op or WordOperator(f, k)).kernel(eigen_columns(f, k, exponent))
 
 
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting.
 
-    exact: proven kernels over O_d; the basis returned is the union of the
-    eigenspace bases.  The total dimension is certified by a sandwich: the
-    verified eigenvectors bound it from below, and the kernel dimension
-    modulo any split prime bounds it from above; when the two meet the
-    result is unconditional, otherwise the full exact kernel is computed.
+    exact: certified kernels over O_d (`linalg.certified_kernel`); the
+    basis returned is the union of the eigenspace bases.  The total
+    dimension is certified by a sandwich: the verified eigenvectors bound
+    it from below, and the kernel dimension modulo any split prime bounds
+    it from above; when the two meet the result is unconditional,
+    otherwise the full certified kernel is computed.
     modular: dimensions only, via agreeing ranks mod split primes.
+    Neither route builds the stacked word matrix over O_d.
     """
-    rows = stacked_word_matrix(f, k)
+    if method not in ("exact", "modular"):
+        raise ValueError("method must be 'exact' or 'modular'")
+    op = WordOperator(f, k)
     labels = eigen_labels(f)
     dims: dict[str, int] = {}
     if method == "modular":
-        total = linalg.quad_rank_modular(f, rows).kernel_dim
+        total = linalg.quad_rank_modular(f, op.mod).kernel_dim
         for e, lab in enumerate(labels):
-            cols, sub = _eigen_block(f, k, e, rows)
-            if not sub:
-                dims[lab] = len(cols)
-                continue
-            dims[lab] = linalg.quad_rank_modular(f, sub).kernel_dim
+            cols = eigen_columns(f, k, e)
+            dims[lab] = linalg.quad_rank_modular(f, lambda p: op.mod(p)[:, cols]).kernel_dim
         return SubspaceReport(f.d, k, "modular", dims, total, None)
-    if method != "exact":
-        raise ValueError("method must be 'exact' or 'modular'")
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):
-        vecs = eigen_kernel(f, k, e, rows)
+        vecs = eigen_kernel(f, k, e, op)
         dims[lab] = len(vecs)
         basis.extend(vector_to_poly(f, k, v) for v in vecs)
     lower = len(basis)
-    upper = linalg.kernel_dim_upper_bound(f, rows)
-    total = lower if upper == lower else len(linalg.quad_kernel(f, rows))
+    upper = linalg.kernel_dim_upper_bound(f, op.mod)
+    total = lower if upper == lower else len(op.kernel(list(range(op.size))))
     return SubspaceReport(f.d, k, "exact", dims, total, tuple(basis))
 
 

@@ -6,10 +6,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hermitia.cli import EXIT_OK, EXIT_PRECONDITION, main
+from hermitia import cli, forms, linalg, polyspace
+from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
+from hermitia.field import field
 
 
 def run(capsys, *argv):
@@ -158,3 +164,93 @@ def test_precision_env(capsys, monkeypatch):
     assert code == EXIT_OK
     digits = out.strip().splitlines()[-1].split()[-1]
     assert len(digits) < 30  # fewer digits printed at 64 bits
+
+
+# ------------------------------------------------------- numeric flags
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dims", "-d", "1", "--kmax", "-3"], "--kmax"),
+        (["basis", "-d", "1", "-k", "0"], "-k"),
+        (["alpha", "-d", "1", "-k", "1", "--count", "-1"], "--count"),
+        (["lvalue", "-d", "1", "-s", "3", "--bits", "0"], "--bits"),
+        (["lvalue", "-d", "1", "-s", "3", "--bits", "-5"], "--bits"),
+        (["bench", "-d", "1", "--bits", "0"], "--bits"),
+        (["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "0"], "--grid"),
+        (["bench", "-d", "1", "--repeats", "0"], "--repeats"),
+        (["hconst", "-d", "2", "-k", "3", "--delta", "5", "--den", "0"], "--den"),
+        (["dims", "-d", "1", "--kmax", "two"], "--kmax"),
+    ],
+)
+def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_smallest_valid_values_are_accepted(capsys):
+    code, out = run(capsys, "lvalue", "-d", "1", "-s", "3", "--bits", str(cli.MIN_BITS))
+    assert code == EXIT_OK
+    assert "0.968946" in out
+    code, out = run(capsys, "dims", "-d", "7", "--kmax", "1")
+    assert code == EXIT_OK and len(out.splitlines()) == 2
+
+
+def test_unknown_eigen_label_exits_2_and_lists_the_labels(capsys):
+    code, out = run(capsys, "basis", "-d", "1", "-k", "3", "--eigen", "bogus")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--eigen" in run.err
+    assert "1, i, -1, -i" in run.err
+
+
+# ------------------------------------------- internal certificate failures
+
+
+def assert_certificate_exit(capsys, *argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_ORACLE
+    assert out == ""
+    lines = run.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certificate failed: ")
+
+
+def test_failed_kernel_verification_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(polyspace.WordOperator, "annihilates", lambda self, vec: False)
+    assert_certificate_exit(capsys, "dims", "-d", "2", "--kmax", "3")
+
+
+def test_unstable_modular_ranks_exit_3(capsys, monkeypatch):
+    calls = iter(range(10**6))
+    # every prime reports a different rank, so no three ever agree
+    monkeypatch.setattr(linalg, "echelon_mod", lambda mat, p: (next(calls), ()))
+    assert_certificate_exit(capsys, "dims", "-d", "7", "--kmax", "1", "--method", "modular")
+
+
+def test_non_hermitian_form_action_exits_3(capsys, monkeypatch):
+    f = field(7)
+    g = forms.gen_T_omega(f)
+    h = forms.HermitianForm(1, f.zero, 1)
+    # without the conjugation the action leaves the Hermitian forms
+    monkeypatch.setattr(forms.GroupElement, "conj", lambda self: self)
+    monkeypatch.setattr(cli, "cmd_alpha", lambda args: [{"form": str(forms.act(g, h))}])
+    assert_certificate_exit(capsys, "alpha", "-d", "1", "-k", "1")
+
+
+# ------------------------------------------------------------- python -m
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "hermitia", "alpha", "-d", "1", "-k", "1", "--delta", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[1].split() == ["1", "1", "3", "20"]

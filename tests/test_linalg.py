@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-from hermitia.field import EUCLIDEAN_DS, field
+import numpy as np
+import pytest
+
+from hermitia import linalg
+from hermitia.field import EUCLIDEAN_DS, CertificateError, field
 from hermitia.linalg import (
+    certified_kernel,
+    echelon_mod,
     kernel_dim_upper_bound,
     matvec_is_zero,
+    pairs_mod,
     quad_kernel,
     quad_rank_modular,
     split_primes,
@@ -91,3 +98,92 @@ def test_upper_bound_is_an_upper_bound():
             rows = rand_rows(rng, f, 3, 5)
             exact = len(quad_kernel(f, rows))
             assert kernel_dim_upper_bound(f, rows) >= exact
+
+
+# ------------------------------------------------------- certified kernel
+
+
+def reduced(f, rows, p):
+    return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p)
+
+
+def certified(f, rows, annihilates=None):
+    """`certified_kernel` of explicit rows; returns the basis and the row
+    sets it asked for."""
+    p = split_primes(f, 1)[0]
+    asked = []
+
+    def exact_rows(indices):
+        asked.append(list(indices))
+        return [rows[i] for i in indices]
+
+    check = annihilates or (lambda v: matvec_is_zero(f, rows, v))
+    return certified_kernel(f, reduced(f, rows, p), p, exact_rows, check), asked
+
+
+def test_certified_kernel_matches_all_rows_bareiss():
+    rng = seeded("certified-random")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for _ in range(25):
+            ncols = rng.randint(1, 6)
+            rows = rand_rows(rng, f, rng.randint(1, 5), ncols)
+            # repeat combinations of rows so that some rows are redundant
+            for _ in range(rng.randint(0, 4)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rand_rows(rng, f, 1, 2)[0]
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+            basis, asked = certified(f, rows)
+            assert basis == quad_kernel(f, rows)
+            # small entries keep every minor below p: no fallback, and
+            # Bareiss ran on rank-many rows
+            assert len(asked) == 1 and len(asked[0]) == ncols - len(basis)
+
+
+def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
+    f = field(2)
+    p = split_primes(f, 1)[0]
+    # exact rank 2, rank 1 mod p: the chosen row alone has a kernel vector
+    # that the second row rejects
+    rows = [[f.one, f.one], [f.one, f.quad(1 + p)]]
+    assert echelon_mod(reduced(f, rows, p), p)[0] == 1
+    basis, asked = certified(f, rows)
+    assert basis == quad_kernel(f, rows) == []
+    assert asked == [[0], [0, 1]]
+
+    # a kernel that survives the fallback: one more column, still dropping mod p
+    rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero]]
+    basis, asked = certified(f, rows)
+    assert len(asked) == 2
+    assert basis == quad_kernel(f, rows)
+    assert [[(e.num.x, e.num.y) for e in v] for v in basis] == [[(0, 0), (0, 0), (1, 0)]]
+
+
+def test_certified_kernel_raises_when_verification_keeps_failing():
+    f = field(7)
+    rows = [[f.one, f.zero, f.one]]
+    with pytest.raises(CertificateError):
+        certified(f, rows, annihilates=lambda v: False)
+
+
+def test_echelon_mod_leaves_its_input_and_finds_pivots():
+    p = 101
+    mat = np.array([[0, 2, 4], [0, 1, 2], [0, 0, 0], [3, 0, 1]], dtype=np.int64)
+    before = mat.copy()
+    assert echelon_mod(mat, p) == (2, (0, 1))
+    assert np.array_equal(mat, before)
+    # the pivot columns of the transpose name independent rows
+    assert echelon_mod(mat.T.copy(), p) == (2, (0, 3))
+
+
+def test_quad_kernel_rejects_a_vector_outside_the_kernel(monkeypatch):
+    f = field(3)
+    rows = [[f.one, f.quad(0, 1), f.quad(2, 0)]]
+    canonical = linalg._canonical_integral
+    # a back substitution that went wrong: the first coordinate is off by one
+    monkeypatch.setattr(
+        linalg, "_canonical_integral", lambda vec: [(1, 0)] + canonical(vec)[1:]
+    )
+    with pytest.raises(CertificateError):
+        quad_kernel(f, rows)

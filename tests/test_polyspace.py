@@ -4,6 +4,7 @@ the transfer polynomials."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
@@ -16,7 +17,9 @@ from hermitia.forms import (
     gen_T_omega,
     identity,
 )
+from hermitia.linalg import pairs_mod, split_primes
 from hermitia.polyspace import (
+    WordOperator,
     act_poly,
     apply_word,
     eigen_exponent,
@@ -28,9 +31,11 @@ from hermitia.polyspace import (
     operator_matrix,
     poly_to_vector,
     primitive_unit,
+    stacked_word_matrix,
     unit_diagonal,
     vector_to_poly,
     wkk,
+    word_matrix,
 )
 
 from conftest import seeded
@@ -179,6 +184,62 @@ def test_eigen_labels_count_matches_unit_group_order():
         assert len(eigen_labels(f)) == eigen_order(f) == len(f.units())
 
 
+# ---------------------------------------------------------- word operator
+
+
+def oracle_rows(f, k):
+    """Every word's exact matrix, stacked, all-zero rows kept."""
+    return [row for word in kernel_words(f) for row in word_matrix(f, word, k)]
+
+
+def as_pairs(rows):
+    return [[(e.x, e.y) for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_word_matrix_mod_p_equals_the_exact_matrix_reduced(k):
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        op = WordOperator(f, k)
+        rows = oracle_rows(f, k)
+        primes = split_primes(f, 2)
+        for p in primes:
+            assert np.array_equal(op.mod(p), pairs_mod(f, as_pairs(rows), p)), (d, k, p)
+        # the oracle's stacked matrix is the same rows without the zero ones
+        mod = op.mod(primes[0])
+        kept = pairs_mod(f, as_pairs(stacked_word_matrix(f, k)), primes[0])
+        assert np.array_equal(mod[np.any(mod, axis=1)], kept)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_rows_on_demand_equal_the_exact_matrix(k):
+    rng = seeded(f"word-rows-{k}")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        op = WordOperator(f, k)
+        rows = oracle_rows(f, k)
+        assert op.nrows == len(rows)
+        every = list(range(op.size))
+        assert op.rows(range(op.nrows), every) == rows
+        picked = rng.sample(range(op.nrows), 7)
+        cols = sorted(rng.sample(every, min(5, op.size)))
+        assert op.rows(picked, cols) == [[rows[r][c] for c in cols] for r in picked]
+
+
+def test_annihilates_agrees_with_the_word_action():
+    rng = seeded("word-annihilates")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (1, 3):
+            op = WordOperator(f, k)
+            rep = wkk(f, k)
+            for P in rep.basis:
+                assert op.annihilates(poly_to_vector(P))
+                Q = P + rand_bipoly(rng, f, k, terms=1)
+                want = all(apply_word(Q, word).is_zero() for word in kernel_words(f))
+                assert op.annihilates(poly_to_vector(Q)) == want
+
+
 # ------------------------------------------------------------- dimensions
 
 
@@ -212,6 +273,16 @@ def test_modular_dimensions_agree_with_exact(d):
         modular = wkk(f, k, method="modular")
         assert exact.dims == modular.dims
         assert exact.total == modular.total
+
+
+def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
+    # an upper bound that never meets the lower one forces the full kernel
+    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows: -1)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (1, 3, 5):
+            rep = wkk(f, k)
+            assert rep.total == rep.split_sum, (d, k)
 
 
 def test_basis_vectors_satisfy_all_words():
