@@ -10,7 +10,7 @@ table|json|csv) and uses three exit codes:
      or an exact result that did not pass its own verification)
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
-environment variable, or 128.
+environment variable (an integer >= MIN_BITS, as for --bits), or 128.
 """
 
 from __future__ import annotations
@@ -46,11 +46,15 @@ MIN_BITS = 16
 
 
 def default_bits() -> int:
-    return int(os.environ.get("HERMITIA_PRECISION", "128"))
+    """HERMITIA_PRECISION, held to the --bits rule, or 128."""
+    try:
+        return int_at_least(MIN_BITS)(os.environ.get("HERMITIA_PRECISION", "128"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"HERMITIA_PRECISION: {exc}") from None
 
 
-def int_at_least(low: int):
-    """An argparse type: an integer >= low."""
+def int_at_least(low: int, odd: bool = False):
+    """An argparse type: an integer >= low, and odd if `odd`."""
 
     def parse(text: str) -> int:
         try:
@@ -59,6 +63,8 @@ def int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if odd and value % 2 == 0:
+            raise argparse.ArgumentTypeError(f"must be odd, got {value}")
         return value
 
     return parse
@@ -113,7 +119,7 @@ def _nstr(value, bits: int) -> str:
 
 def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
-    deltas = [args.delta] if args.delta else nonnorm_deltas(f, args.count)
+    deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
     return [
         {"d": args.d, "k": args.k, "delta": dl, "alpha": forms.alpha(f, args.k, dl)}
         for dl in deltas
@@ -442,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int_at_least(1), default=5)
 
     p = add("hconst", "evaluate the sum H_{k,Delta} at exact points", cmd_hconst)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=int_at_least(1), default=20)
     p.add_argument("--den", type=int_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=0)
 
@@ -453,11 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--grid", type=int_at_least(1), default=32)
-    p.add_argument("--a-max", type=int, default=200)
+    p.add_argument("--a-max", type=int_at_least(1), default=200)
 
     p = add("cfrac", "nearest-integer continued fraction of z", cmd_cfrac)
     p.add_argument("-z", required=True, help="point 'u,v' = u + v*theta")
-    p.add_argument("--max-steps", type=int, default=40)
+    p.add_argument("--max-steps", type=int_at_least(1), default=40)
 
     p = add("dims", "dimensions of the cocycle spaces W_{k,k}", cmd_dims)
     p.add_argument("--kmax", type=int_at_least(1), default=11)
@@ -468,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigen", help="restrict to one eigenvalue label")
 
     p = add("expandp", "the transfer polynomial P_{k,Delta}", cmd_expandp)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--check", action="store_true", help="verify cocycle membership")
 

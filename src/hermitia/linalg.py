@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -179,16 +179,17 @@ def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
     return [[QuadElem.from_quadint(f.quad(x, y)) for x, y in v] for v in basis]
 
 
+def integral_pairs(vec: Iterable[QuadElem]) -> tuple[int, list[Pair]]:
+    """The lcm den of the denominators in `vec`, and den * vec as integer pairs."""
+    vec = list(vec)
+    den = math.lcm(*(e.den for e in vec))
+    return den, [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
+
+
 def _canonical_integral(vec: list[QuadElem]) -> list[Pair]:
     """Scale to an integral vector with content 1 and a sign-normalized
     first nonzero coordinate."""
-    lcm = 1
-    for e in vec:
-        lcm = lcm * e.den // math.gcd(lcm, e.den)
-    ints = [(e.num.x * (lcm // e.den), e.num.y * (lcm // e.den)) for e in vec]
-    g = _row_content(ints)
-    if g > 1:
-        ints = [(x // g, y // g) for x, y in ints]
+    ints = _strip(integral_pairs(vec)[1])
     lead = next((e for e in ints if e != ZERO), (1, 0))
     if lead[0] < 0 or (lead[0] == 0 and lead[1] < 0):
         ints = [(-x, -y) for x, y in ints]

@@ -22,7 +22,6 @@ eigenvalue-1 part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,35 +95,60 @@ def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]
     return out
 
 
-def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
-    """(P|g), applying the two factors of `operator_matrix` separably: the
-    z substitution matrix along z, then its conjugate along zbar.  The
-    arithmetic runs on integral numerators over the lcm of the coefficient
-    denominators, so each output coefficient is reduced once."""
-    f = P.field
-    k = P.n
+PairMatrix = list[list[linalg.Pair]]
+# the nonzero coefficients of an integral polynomial, as ((i, j), pair)
+Support = list[tuple[tuple[int, int], linalg.Pair]]
+
+
+def factors(f: FieldSpec, g: GroupElement, k: int) -> tuple[PairMatrix, PairMatrix]:
+    """The two factors of `operator_matrix(g)` as integer pairs: the z
+    substitution matrix of g and, for zbar, its entrywise conjugate
+    (conjugation is a ring automorphism, so that is the matrix of g.conj())."""
     az = one_var_matrix(f, g, k)
-    azb = one_var_matrix(f, g.conj(), k)
-    den = math.lcm(*(c.den for c in P.coeffs.values()))
-    # half[p][j] = numerator of the z^p zbar^j coefficient after the z step
-    half = [[f.zero] * (k + 1) for _ in range(k + 1)]
-    for (i, j), c in P.coeffs.items():
-        num = c.num * (den // c.den)
-        for p in range(k + 1):
-            if not az[p][i].is_zero():
-                half[p][j] = half[p][j] + az[p][i] * num
-    out: dict[tuple[int, int], QuadElem] = {}
-    for p, row in enumerate(half):
-        acc = [f.zero] * (k + 1)
-        for j, h in enumerate(row):
-            if h.is_zero():
-                continue
-            for q in range(k + 1):
-                if not azb[q][j].is_zero():
-                    acc[q] = acc[q] + azb[q][j] * h
-        for q, v in enumerate(acc):
-            out[(p, q)] = QuadElem.make(f, v.x, v.y, den)
-    return BiPoly.make(f, k, out)
+    return (
+        [[(e.x, e.y) for e in row] for row in az],
+        [[(c.x, c.y) for c in map(QuadInt.conj, row)] for row in az],
+    )
+
+
+def word_action(
+    f: FieldSpec, word: list[tuple[int, PairMatrix, PairMatrix]], support: Support, n: int
+) -> list[list[list[int]]]:
+    """The n x n grid whose entry [x, y] at (p, q) is the z^p zbar^q
+    coefficient of sum sign * (v|g) over the word, each g given by its
+    `factors`, for the integral v of bidegree (n-1, n-1) given by its
+    `support`.  Each g acts separably: z factor along z, then zbar factor
+    along zbar."""
+    mul = linalg.pair_mul
+    total = [[[0, 0] for _ in range(n)] for _ in range(n)]
+    for sign, az, azb in word:
+        # half[p][j] = sum_i az[p][i] * v[i][j]
+        half = [[[0, 0] for _ in range(n)] for _ in range(n)]
+        for (i, j), v in support:
+            for p in range(n):
+                a = az[p][i]
+                if a != linalg.ZERO:
+                    x, y = mul(f, a, v)
+                    h = half[p][j]
+                    h[0] += x
+                    h[1] += y
+        for p, row in enumerate(half):
+            for j, (hx, hy) in enumerate(row):
+                if hx == 0 and hy == 0:
+                    continue
+                for q in range(n):
+                    b = azb[q][j]
+                    if b != linalg.ZERO:
+                        x, y = mul(f, b, (hx, hy))
+                        t = total[p][q]
+                        t[0] += sign * x
+                        t[1] += sign * y
+    return total
+
+
+def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
+    """(P|g), by `word_action` on the one-element word."""
+    return apply_word(P, [(1, g)])
 
 
 def poly_to_vector(P: BiPoly) -> list[QuadElem]:
@@ -232,11 +256,14 @@ def kernel_words(f: FieldSpec) -> list[Word]:
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
-    out = BiPoly.zero(P.field, P.n)
-    for sign, g in word:
-        term = act_poly(P, g)
-        out = out + (term if sign == 1 else term.scaled(sign))
-    return out
+    """sum sign * (P|g) over the word, by `word_action` on P's numerators
+    over the lcm of its denominators; each output coefficient is reduced
+    once."""
+    f, k = P.field, P.n
+    den, nums = linalg.integral_pairs(P.coeffs.values())
+    factored = [(sign, *factors(f, g, k)) for sign, g in word]
+    grid = word_action(f, factored, list(zip(P.coeffs, nums)), k + 1)
+    return vector_to_poly(f, k, [QuadElem.make(f, x, y, den) for row in grid for x, y in row])
 
 
 def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
@@ -279,17 +306,7 @@ class WordOperator:
         self.field = f
         self.k = k
         self.size = (k + 1) ** 2
-
-        def factors(g: GroupElement) -> tuple[list[list[linalg.Pair]], ...]:
-            az = one_var_matrix(f, g, k)
-            # conjugation is a ring automorphism, so the matrix of g.conj()
-            # is the entrywise conjugate of the matrix of g
-            return (
-                [[(e.x, e.y) for e in row] for row in az],
-                [[(c.x, c.y) for c in map(QuadInt.conj, row)] for row in az],
-            )
-
-        self.words = [[(sign, *factors(g)) for sign, g in word] for word in kernel_words(f)]
+        self.words = [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
         self._mod: dict[int, np.ndarray] = {}
 
     @property
@@ -336,42 +353,16 @@ class WordOperator:
 
     def annihilates(self, vec: list[QuadElem]) -> bool:
         """Whether every word kills the coefficient vector `vec`, checked
-        exactly by applying each element separably, as `act_poly` does."""
-        f, n = self.field, self.k + 1
-        mul = linalg.pair_mul
-        den = math.lcm(*(e.den for e in vec))
-        support = [
-            (divmod(c, n), (e.num.x * (den // e.den), e.num.y * (den // e.den)))
-            for c, e in enumerate(vec)
-            if not e.is_zero()
-        ]
-        for word in self.words:
-            total = [[[0, 0] for _ in range(n)] for _ in range(n)]
-            for sign, az, azb in word:
-                # half[p][j] = sum_i az[p][i] * vec[i][j]
-                half = [[[0, 0] for _ in range(n)] for _ in range(n)]
-                for (i, j), v in support:
-                    for p in range(n):
-                        a = az[p][i]
-                        if a != linalg.ZERO:
-                            x, y = mul(f, a, v)
-                            h = half[p][j]
-                            h[0] += x
-                            h[1] += y
-                for p, row in enumerate(half):
-                    for j, (hx, hy) in enumerate(row):
-                        if hx == 0 and hy == 0:
-                            continue
-                        for q in range(n):
-                            b = azb[q][j]
-                            if b != linalg.ZERO:
-                                x, y = mul(f, b, (hx, hy))
-                                t = total[p][q]
-                                t[0] += sign * x
-                                t[1] += sign * y
-            if any(x or y for row in total for x, y in row):
-                return False
-        return True
+        exactly by `word_action`."""
+        n = self.k + 1
+        nums = linalg.integral_pairs(vec)[1]
+        support = [(divmod(c, n), v) for c, v in enumerate(nums) if v != linalg.ZERO]
+        return not any(
+            x or y
+            for word in self.words
+            for row in word_action(self.field, word, support, n)
+            for x, y in row
+        )
 
     def kernel(self, cols: list[int]) -> list[list[QuadElem]]:
         """Certified basis of the kernel of the columns `cols`
@@ -470,12 +461,12 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
 
 
 def membership(P: BiPoly, label: str = "1") -> bool:
-    """Whether P lies in W_{k,k} with the given eps eigenvalue."""
+    """Whether P lies in W_{k,k} with the given eps eigenvalue.  eps is
+    diagonal, with eigenvalue u^eigen_exponent on each monomial, so the
+    eigenvalue test reads P's support; the words are tested by
+    `WordOperator.annihilates`."""
     f = P.field
-    for word in kernel_words(f):
-        if not apply_word(P, word).is_zero():
-            return False
     e = eigen_labels(f).index(label)
-    u = primitive_unit(f)
-    lam = u**e
-    return (act_poly(P, epsilon(f)) - P.scaled(lam)).is_zero()
+    if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):
+        return False
+    return WordOperator(f, P.n).annihilates(poly_to_vector(P))

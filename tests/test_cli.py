@@ -182,6 +182,13 @@ def test_precision_env(capsys, monkeypatch):
         (["bench", "-d", "1", "--repeats", "0"], "--repeats"),
         (["hconst", "-d", "2", "-k", "3", "--delta", "5", "--den", "0"], "--den"),
         (["dims", "-d", "1", "--kmax", "two"], "--kmax"),
+        (["hconst", "-d", "2", "-k", "3", "--delta", "5", "--points", "0"], "--points"),
+        (["average", "-d", "2", "-k", "3", "--delta", "5", "--a-max", "0"], "--a-max"),
+        (["cfrac", "-d", "1", "-z", "1/3", "--max-steps", "0"], "--max-steps"),
+        # H_{k,Delta} and P_{k,Delta} are defined for odd k >= 1 only
+        (["hconst", "-d", "1", "-k", "2", "--delta", "3", "-z", "0"], "-k"),
+        (["expandp", "-d", "1", "-k", "2", "--delta", "3", "--check"], "-k"),
+        (["expandp", "-d", "1", "-k", "-1", "--delta", "3"], "-k"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):
@@ -191,6 +198,26 @@ def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def test_alpha_delta_zero_is_checked_not_ignored(capsys):
+    code, out = run(capsys, "alpha", "-d", "1", "-k", "1", "--delta", "0")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "delta" in run.err
+
+
+@pytest.mark.parametrize("value", ["3", "abc"])
+def test_bad_precision_variable_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("HERMITIA_PRECISION", value)
+    code, out = run(capsys, "lvalue", "-d", "1", "-s", "3")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert run.err.startswith("error: HERMITIA_PRECISION")
+    # --bits overrides the variable, so the variable is not read
+    code, out = run(capsys, "lvalue", "-d", "1", "-s", "3", "--bits", "64")
+    assert code == EXIT_OK
+    assert "0.968946" in out
 
 
 def test_smallest_valid_values_are_accepted(capsys):

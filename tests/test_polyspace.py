@@ -17,7 +17,7 @@ from hermitia.forms import (
     gen_T_omega,
     identity,
 )
-from hermitia.linalg import pairs_mod, split_primes
+from hermitia.linalg import matvec_is_zero, pairs_mod, split_primes
 from hermitia.polyspace import (
     WordOperator,
     act_poly,
@@ -232,11 +232,12 @@ def test_annihilates_agrees_with_the_word_action():
         f = field(d)
         for k in (1, 3):
             op = WordOperator(f, k)
+            rows = oracle_rows(f, k)
             rep = wkk(f, k)
             for P in rep.basis:
                 assert op.annihilates(poly_to_vector(P))
                 Q = P + rand_bipoly(rng, f, k, terms=1)
-                want = all(apply_word(Q, word).is_zero() for word in kernel_words(f))
+                want = matvec_is_zero(f, rows, poly_to_vector(Q))
                 assert op.annihilates(poly_to_vector(Q)) == want
 
 
@@ -304,6 +305,30 @@ def test_split_plus_membership_are_consistent():
             for _ in range(rep.dims[lab]):
                 assert membership(rep.basis[pos], lab), (d, lab)
                 pos += 1
+
+
+def test_membership_rejects_a_wrong_label_and_a_broken_word():
+    k = 3
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        rows = oracle_rows(f, k)
+        # the basis lists label "1" first, and W^1 is nonzero at k = 3
+        P = wkk(f, k).basis[0]
+        assert membership(P, "1")
+        for lab in eigen_labels(f)[1:]:
+            assert not membership(P, lab), (d, lab)
+        # a monomial of P's eigenvalue that breaks a word, by the oracle
+        broken = [
+            Q
+            for i in range(k + 1)
+            for j in range(k + 1)
+            if eigen_exponent(f, i, j) == 0
+            for Q in [P + BiPoly.monomial(f, k, i, j)]
+            if not matvec_is_zero(f, rows, poly_to_vector(Q))
+        ]
+        assert broken, d
+        for Q in broken:
+            assert not membership(Q, "1"), (d, str(Q))
 
 
 # ------------------------------------------------- polynomial identities
