@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("alpha", "the integer constants alpha_{k,Delta}", cmd_alpha)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
     p.add_argument("--delta", type=int)
     p.add_argument("--count", type=int_at_least(1), default=3, help="how many non-norm deltas")
 

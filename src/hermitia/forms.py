@@ -269,7 +269,9 @@ def window_scan(
 ) -> Iterator[tuple[int, int, int, int]]:
     """The finitely many forms h of discriminant delta with a < 0 and
     h(z, 1) > 0, for exact z in K, as integer tuples (a, vx, vy, h(z,1)*den^2)
-    with conj(b) = vx + vy*omega, in scan order.
+    with conj(b) = vx + vy*omega, in scan order.  Summing h(z,1)^k over it
+    gives H_{k,Delta}(z) from its definition in O(Delta*den^2) steps: the
+    oracle for the continued-fraction walk of `hsum.eval_exact`.
 
     Completeness: write z = (zx + zy*omega)/den in lowest terms.  Then
     h(z,1)*den^2 is a positive integer for every contributing form, and

@@ -4,9 +4,14 @@ For a positive non-norm Delta and odd k, the object of study is
 
     H_{k,Delta}(z) = sum over forms h with a < 0, h(z,1) > 0 of h(z,1)^k .
 
-At exact z in K the positive terms have |a| <= Delta*den(z)^2, so the sum
-is a finite exact rational; `eval_exact` sums it over the all-integer
-window scan `forms.window_scan`.  For floating z the series is absolutely
+At exact z in K the sum is a finite exact rational.  `eval_exact` computes
+it by walking the Hurwitz continued fraction of z (`cfrac.hurwitz_cf`):
+H is O_d-periodic and even, so the reduction identity below carries H from
+each remainder to the next, one value of P_{k,Delta} per step, down to
+H(0) = alpha_{k,Delta}.  That costs O(#forms * log den(z)).  The
+definition itself is summed by the window scan `forms.window_scan`, which
+visits every |a| <= Delta*den(z)^2; it is the oracle of the tests and of
+`reduction_identity_check`.  For floating z the series is absolutely
 convergent for k >= 3 and `eval_truncated` returns the partial sum over
 |a| <= a_max together with a rigorous bound on the discarded tail (for
 k = 1 the full sum only converges on K, where it has finite support, so
@@ -33,15 +38,51 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldSpec, QuadElem, lattice_points_with_norm_below
-from .forms import check_delta, expand_P, window_scan
+from .cfrac import hurwitz_cf
+from .field import CertificateError, FieldSpec, QuadElem, lattice_points_with_norm_below
+from .forms import alpha_direct, check_delta, delta_forms, expand_P, window_scan
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
-    """H_{k,Delta}(z) as an exact rational, z in K: the sum of h(z,1)^k over
-    the window of `forms.window_scan`, which yields h(z,1)*den^2."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    """H_{k,Delta}(z) as an exact rational, z in K, odd k.
+
+    Walks the Hurwitz continued fraction of z.  With r = z_n - alpha_n the
+    n-th remainder and z_(n+1) = 1/r, periodicity, H(-w) = H(w) and the
+    reduction identity give H(z_n) = H(r) = N(r)^k H(z_(n+1)) - P(r); the
+    walk sums these until a remainder is 0, where H(0) = alpha_direct.
+    P(r) is evaluated on integers: for r = (x + y*omega)/den each form
+    (a, b, c) with c < 0 < a contributes
+    h(r,1)*den^2 = a*N(x, y) + den*(x*Tr(b) + y*Tr(b*omega)) + c*den^2.
+    The cost is O(#forms * log den); the definition, summed by
+    `forms.window_scan` in O(Delta*den^2), is the oracle in the tests.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be an odd positive integer")
+    check_delta(f, delta)
+    if not isinstance(z, QuadElem):
+        raise TypeError("eval_exact needs an exact field element")
+    omega = f.omega
+    terms = [
+        (h.a, h.b.trace(), (h.b * omega).trace(), h.c)
+        for h in delta_forms(f, delta, "positive_a")
+    ]
+    total, scale = Fraction(0), Fraction(1)
+    exp = hurwitz_cf(f, z, max_steps=math.inf)
+    for zn, an in zip(exp.zs, exp.alphas):
+        r = zn - an
+        if r.is_zero():
+            return total + scale * alpha_direct(f, k, delta)
+        x, y, den = r.num.x, r.num.y, r.den
+        nrm, dd = f.norm_int(x, y), den * den
+        p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)
+        total -= scale * Fraction(p, dd**k)
+        scale *= Fraction(nrm, dd) ** k
+    raise CertificateError(f"the continued fraction of {z} did not terminate")
+
+
+def _scan_value(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
+    """H_{k,Delta}(z) from its definition, summed over `forms.window_scan`
+    (which yields h(z,1)*den^2); O(Delta*den^2), for checking only."""
     total = sum(h**k for _, _, _, h in window_scan(f, delta, z))
     return Fraction(total, z.den ** (2 * k))
 
@@ -147,8 +188,10 @@ def reduction_identity_check(
 ) -> ReductionCheck:
     """Evaluate both sides of the reduction identity at z != 0.
 
-    For exact z in K the residual is an exact rational and the identity
-    holds iff it is 0.  For floating z both sums are truncated at a_max and
+    For exact z in K both sums come from the window scan, independently of
+    the continued-fraction walk of `eval_exact` (which assumes the
+    identity); the residual is an exact rational and the identity holds
+    iff it is 0.  For floating z both sums are truncated at a_max and
     the error bound is the sum of the two tail bounds (k >= 3 only).
     """
     P = expand_P(f, k, delta)
@@ -156,7 +199,7 @@ def reduction_identity_check(
         if z.is_zero():
             raise ValueError("the reduction identity needs z != 0")
         w = -z.inverse()
-        lhs = z.norm() ** k * eval_exact(f, k, delta, w) - eval_exact(f, k, delta, z)
+        lhs = z.norm() ** k * _scan_value(f, k, delta, w) - _scan_value(f, k, delta, z)
         rhs = P.eval_exact(z).as_fraction()
         return ReductionCheck(lhs - rhs, Fraction(0), True)
     zc = complex(z)

@@ -105,6 +105,21 @@ def test_hconst_random_points_constant_case(capsys):
     assert "1 distinct" in rows[-1]["value"]
 
 
+@pytest.mark.parametrize(
+    "d, k, delta, z",
+    [(1, 1, 3, "1/1000000,1/3"), (3, 5, 2, "-7/1000000000000,999999999999/1000000000000")],
+)
+def test_hconst_at_large_denominators_prints_alpha(capsys, d, k, delta, z):
+    # the window scan would visit Delta*den^2 >= 3*10^12 values of a here
+    code, out = run(capsys, "hconst", "-d", str(d), "-k", str(k), "--delta", str(delta),
+                    f"-z={z}", "--format", "json")
+    assert code == EXIT_OK
+    point, summary = json.loads(out)
+    assert point["z"] == z
+    assert point["value"] == str(forms.alpha(field(d), k, delta))
+    assert summary["value"] == "1 distinct value(s)"
+
+
 def test_average(capsys):
     code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "2",
                     "--grid", "8", "--a-max", "60", "--format", "json")
@@ -189,6 +204,8 @@ def test_precision_env(capsys, monkeypatch):
         (["hconst", "-d", "1", "-k", "2", "--delta", "3", "-z", "0"], "-k"),
         (["expandp", "-d", "1", "-k", "2", "--delta", "3", "--check"], "-k"),
         (["expandp", "-d", "1", "-k", "-1", "--delta", "3"], "-k"),
+        (["alpha", "-d", "1", "-k", "2", "--delta", "3"], "-k"),
+        (["alpha", "-d", "1", "-k", "0", "--delta", "3"], "-k"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):

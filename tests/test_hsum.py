@@ -10,9 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermitia.field import EUCLIDEAN_DS, QuadElem, field, smallest_nonnorm
-from hermitia.forms import expand_P
+from hermitia import forms, hsum
+from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
+from hermitia.forms import expand_P, window_scan
 from hermitia.hsum import (
     average_quadrature,
     eval_exact,
@@ -27,6 +30,13 @@ from conftest import rand_elem, seeded
 
 def disp(f, u, v) -> QuadElem:
     return QuadElem.from_display(f, Fraction(u), Fraction(v))
+
+
+def scan_values(f, delta, z, ks=(1, 3, 5)) -> dict[int, Fraction]:
+    """H_{k,Delta}(z) for each k in ks from the definition: the sum of
+    h^k / den^(2k) over `forms.window_scan`, which yields h(z,1)*den^2."""
+    hs = [h for _, _, _, h in window_scan(f, delta, z)]
+    return {k: Fraction(sum(h**k for h in hs), z.den ** (2 * k)) for k in ks}
 
 
 # ------------------------------------------------------------- exact values
@@ -92,6 +102,87 @@ def test_frozen_values_d11_and_d1():
     assert eval_exact(f1, 5, 3, disp(f1, 0, Fraction(1, 3))) == Fraction(
         2534140, 6561
     )
+
+
+# ------------------------------------------ the walk against the window scan
+
+
+def test_walk_matches_the_scan_on_seeded_points():
+    rng = seeded("walk-vs-scan")
+    cases = [(2, 5, disp(field(2), Fraction(1, 3), Fraction(1, 2))),
+             (11, 2, disp(field(11), 0, Fraction(1, 3)))]
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in nonnorm_deltas(f, 2):
+            for max_den in (6, 15, 40):
+                den = rng.randint(max_den // 2, max_den)
+                u = Fraction(rng.randint(-2 * den, 2 * den), den)
+                v = Fraction(rng.randint(-2 * den, 2 * den), den)
+                cases.append((d, delta, disp(f, u, v)))
+    assert max(z.den for _, _, z in cases) > 30
+    for d, delta, z in cases:
+        f = field(d)
+        for k, want in scan_values(f, delta, z).items():
+            assert eval_exact(f, k, delta, z) == want, (d, k, delta, str(z))
+
+
+# u, v in [-2, 2] with common denominator den <= 12
+POINTS = st.integers(1, 12).flatmap(
+    lambda den: st.tuples(st.integers(-2 * den, 2 * den), st.integers(-2 * den, 2 * den)).map(
+        lambda uv: (Fraction(uv[0], den), Fraction(uv[1], den))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.sampled_from((1, 3, 5)),
+    which_delta=st.integers(0, 1),
+    point=POINTS,
+)
+def test_walk_equals_scan_property(d, k, which_delta, point):
+    f = field(d)
+    delta = nonnorm_deltas(f, 2)[which_delta]
+    z = disp(f, *point)
+    assert eval_exact(f, k, delta, z) == scan_values(f, delta, z, (k,))[k]
+
+
+def test_scan_alone_satisfies_the_reduction_identity():
+    # the identity the walk relies on, checked without the walk
+    for d, k, u, v in [(1, 3, Fraction(1, 3), Fraction(1, 2)), (2, 3, Fraction(1, 3), 0),
+                       (3, 5, Fraction(-1, 2), Fraction(1, 4)), (7, 1, Fraction(2, 5), Fraction(1, 3)),
+                       (11, 3, 0, Fraction(1, 3))]:
+        f = field(d)
+        delta = smallest_nonnorm(d)
+        z = disp(f, u, v)
+        lhs = z.norm() ** k * scan_values(f, delta, -z.inverse(), (k,))[k] - scan_values(
+            f, delta, z, (k,)
+        )[k]
+        assert lhs == expand_P(f, k, delta).eval_exact(z).as_fraction(), (d, k, str(z))
+
+
+def test_walk_does_not_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eval_exact reached the window scan")
+
+    monkeypatch.setattr(forms, "window_scan", refuse)
+    monkeypatch.setattr(hsum, "window_scan", refuse)
+    f = field(3)
+    z = disp(f, Fraction(1, 10**40), Fraction(-3, 7))
+    assert eval_exact(f, 3, 2, z) == forms.alpha(f, 3, 2)
+
+
+def test_eval_exact_preconditions():
+    f = field(1)
+    with pytest.raises(TypeError):
+        eval_exact(f, 1, 3, 0.25 + 0.5j)
+    with pytest.raises(ValueError):
+        eval_exact(f, 2, 3, disp(f, 0, 0))  # H_{k,Delta} needs odd k
+    with pytest.raises(ValueError):
+        eval_exact(f, 0, 3, disp(f, 0, 0))
+    with pytest.raises(ValueError):
+        eval_exact(f, 1, 2, disp(f, 0, 0))  # 2 = N(1 + i) is a norm
 
 
 # -------------------------------------------------------- reduction identity
