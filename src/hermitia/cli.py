@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -126,6 +127,14 @@ def cmd_alpha(args) -> list[dict]:
     ]
 
 
+def fraction_str(q: Fraction) -> str:
+    """str(q), also beyond the interpreter's limit on converting an int to
+    decimal digits (4300 by default), which Decimal does not apply."""
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 def cmd_theta(args) -> list[dict]:
     f = field(args.d)
     value = lfun.theta(f, args.delta, args.s)
@@ -134,7 +143,7 @@ def cmd_theta(args) -> list[dict]:
             "d": args.d,
             "delta": args.delta,
             "s": args.s,
-            "theta": str(value),
+            "theta": fraction_str(value),
             "numeric": float(value),
         }
     ]
@@ -456,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("average", "cell average: quadrature vs closed form", cmd_average)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int_at_least(3), required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--grid", type=int_at_least(1), default=32)
     p.add_argument("--a-max", type=int_at_least(1), default=200)
@@ -482,9 +491,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def attach_negative_points(argv: list[str]) -> list[str]:
+    """Write "-z -1/3,0" as "-z=-1/3,0".  argparse takes only plain negative
+    numbers such as -3 for values; any other word starting with "-" would
+    start a new option and leave -z without its point."""
+    out: list[str] = []
+    for word in argv:
+        negative = len(word) > 1 and word[0] == "-" and word[1] in "0123456789."
+        if negative and out and out[-1] == "-z":
+            out[-1] = f"-z={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(attach_negative_points(sys.argv[1:] if argv is None else argv))
     try:
         rows = args.fn(args)
     except OracleMismatch as exc:

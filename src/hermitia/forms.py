@@ -45,6 +45,7 @@ from .field import (
     lattice_points_with_norm_below,
 )
 from .intarith import divisor_power_sum, divisors
+from .linalg import Pair, pair_mul
 
 
 # --------------------------------------------------------------- matrix group
@@ -438,32 +439,50 @@ def _power_list(z: QuadElem, n: int) -> list[QuadElem]:
 def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     """The transfer polynomial P_{k,Delta} as an exact BiPoly of bidegree
     (k, k): the sum of (a z zbar + b z + conj(b) zbar + c)^k over the forms
-    of discriminant delta with c < 0 < a."""
+    of discriminant delta with c < 0 < a.
+
+    The multinomial expansion is grouped by b.  The forms sharing b are
+    (e, b, -m/e) for the divisors e of m = Delta - N(b), so the sums
+    S[i][r] = sum_e e^i (-m/e)^r are taken first; the products
+    b^j conj(b)^l stay integer pairs, and one BiPoly is built at the end.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_delta(f, delta)
-    acc: dict[tuple[int, int], QuadInt] = {}
     fact = math.factorial
-    for h in delta_forms(f, delta, "positive_a"):
-        a_pow = [h.a**i for i in range(k + 1)]
-        c_pow = [h.c**i for i in range(k + 1)]
-        b_pow = _int_power_list(h.b, k)
-        bbar_pow = _int_power_list(h.b.conj(), k)
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                for l in range(k + 1 - i - j):
-                    r = k - i - j - l
-                    mult = fact(k) // (fact(i) * fact(j) * fact(l) * fact(r))
-                    coeff = (mult * a_pow[i] * c_pow[r]) * (b_pow[j] * bbar_pow[l])
-                    key = (i + j, i + l)
-                    acc[key] = acc[key] + coeff if key in acc else coeff
+    # (i, j, l, r, k!/(i! j! l! r!)) for the term a^i b^j conj(b)^l c^r of
+    # monomial z^(i+j) zbar^(i+l); this order fixes the order of the keys
+    table = [
+        (i, j, l, k - i - j - l, fact(k) // (fact(i) * fact(j) * fact(l) * fact(k - i - j - l)))
+        for i in range(k + 1)
+        for j in range(k + 1 - i)
+        for l in range(k + 1 - i - j)
+    ]
+    acc = {(i + j, i + l): [0, 0] for i, j, l, _, _ in table}
+    for b in lattice_points_with_norm_below(f, delta):
+        m = delta - b.norm()
+        ac = [
+            ([e**i for i in range(k + 1)], [(-(m // e)) ** r for r in range(k + 1)])
+            for e in divisors(m)
+        ]
+        s = [[sum(a[i] * c[r] for a, c in ac) for r in range(k + 1 - i)] for i in range(k + 1)]
+        b_pow = _pair_powers(f, (b.x, b.y), k)
+        bbar_pow = _pair_powers(f, (b.x + f.disc * b.y, -b.y), k)
+        prod = [[pair_mul(f, bj, bl) for bl in bbar_pow[: k + 1 - j]] for j, bj in enumerate(b_pow)]
+        for i, j, l, r, mult in table:
+            w = mult * s[i][r]
+            if w:
+                x, y = prod[j][l]
+                cell = acc[(i + j, i + l)]
+                cell[0] += w * x
+                cell[1] += w * y
     return BiPoly.make(
-        f, k, {key: QuadElem.from_quadint(v) for key, v in acc.items()}
+        f, k, {key: QuadElem.from_quadint(QuadInt(f, x, y)) for key, (x, y) in acc.items()}
     )
 
 
-def _int_power_list(q: QuadInt, n: int) -> list[QuadInt]:
-    out = [q.field.one]
+def _pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
+    out = [(1, 0)]
     for _ in range(n):
-        out.append(out[-1] * q)
+        out.append(pair_mul(f, out[-1], q))
     return out

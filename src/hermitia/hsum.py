@@ -22,12 +22,22 @@ The sum satisfies the reduction identity
     N(z)^k * H_{k,Delta}(-1/z) - H_{k,Delta}(z) = P_{k,Delta}(z, zbar)
 
 with the transfer polynomial of `forms.expand_P`; `reduction_identity_check`
-evaluates the difference of the two sides (exactly on K).  Averaging over a
-fundamental cell of the lattice connects the sum to a Dirichlet series:
+evaluates the difference of the two sides (exactly on K).  With P replaced
+by the signed sum T of `_walk_values` the identity holds at every complex
+z and for every k, so the walk of `eval_exact` also runs in floating point.
+Its step count is set by k, the covering radius and float resolution; a_max
+enters only once its tail bound is below float resolution, and then as
+log(a_max).  Averaging over a fundamental cell of the lattice connects the
+sum to a Dirichlet series:
 
     mean of H_{k,Delta} = (2 pi Delta^(k+1) / ((k+1) sqrt(m))) * Z(-Delta, k+1)
 
-which `average_quadrature` verifies numerically on a midpoint grid.
+which `average_quadrature` verifies on a midpoint grid, evaluating every
+midpoint by that float walk.  Its stopping rule bounds what the walk leaves
+out by the tail bound of `eval_truncated`; float rounding is outside that
+bound.  For k >= 3 that tail bound does not depend on z, so H is a uniform
+limit of continuous functions and has no jumps, at points of K included:
+there the float walk agrees with `eval_exact` up to rounding.
 """
 
 from __future__ import annotations
@@ -36,11 +46,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .cfrac import hurwitz_cf
-from .field import CertificateError, FieldSpec, QuadElem, lattice_points_with_norm_below
-from .forms import alpha_direct, check_delta, delta_forms, expand_P, window_scan
+from .field import CertificateError, FieldSpec, QuadElem
+from .forms import alpha, alpha_direct, check_delta, delta_forms, expand_P, window_scan
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
@@ -115,7 +126,8 @@ def tail_bound(f: FieldSpec, k: int, delta: int, a_max: int) -> float:
         raise ValueError("tail bound needs k >= 3")
     rho = math.sqrt(float(f.covering_radius_sq))
     count_bound = math.pi * (math.sqrt(delta) + rho) ** 2 / f.covolume
-    return count_bound * delta**k * a_max ** (1 - k) / (k - 1)
+    # an integer quotient, so that any a_max gives a float (0.0 at worst)
+    return count_bound * delta**k * (1 / a_max ** (k - 1)) / (k - 1)
 
 
 def eval_truncated(
@@ -240,19 +252,6 @@ def formula_average(f: FieldSpec, k: int, delta: int) -> float:
     )
 
 
-def _offsets_window(f: FieldSpec, delta: int) -> list[tuple[int, int]]:
-    """Lattice offsets covering a disk of radius sqrt(Delta) around any
-    point, after componentwise rounding of the center.
-
-    Componentwise rounding (y first, then x) lands within
-    sqrt(1/4 + m/16) of the true center, so offsets of norm up to
-    (sqrt(Delta) + sqrt(1/4 + m/16))^2 suffice."""
-    m = f.abs_disc
-    slack = math.sqrt(0.25 + m / 16.0)
-    bound = math.floor((math.sqrt(delta) + slack) ** 2) + 2
-    return [(w.x, w.y) for w in lattice_points_with_norm_below(f, bound)]
-
-
 def average_quadrature(
     f: FieldSpec,
     k: int,
@@ -261,37 +260,70 @@ def average_quadrature(
     a_max: int = 300,
 ) -> AverageReport:
     """Midpoint-rule average of H_{k,Delta} over the cell {u + v*theta},
-    u, v in [0, 1), on a grid x grid lattice of midpoints, truncating each
-    evaluation at a_max.  The partial sums are vectorized over the grid
-    points per (a, offset) stencil; the grid is row-major.
+    u, v in [0, 1), on a grid x grid lattice of midpoints (row-major), for
+    k >= 3.
+
+    Each midpoint is evaluated by the float continued-fraction walk
+    (`_walk_values`), all points at once.  A point stops once what is
+    left of its sum is at most tail_bound(f, k, delta, a_max), the error
+    bound of the partial sum over |a| <= a_max, and at most 1e-16 of its
+    value, so a_max only matters once its tail bound is below float
+    resolution.  Float rounding is not part of that bound.
     """
     check_delta(f, delta)
     if k < 3:
         raise ValueError("averages are computed for k >= 3 only")
-    t, n = f.disc, f.norm_coeff
-    half_sqm = f.sqrt_abs_disc / 2.0
-    theta = f.theta_complex
     idx = (np.arange(grid) + 0.5) / grid
-    zz = idx[:, None] + idx[None, :] * theta  # row-major: z[i, j]
-    zre = zz.real.ravel()
-    zim = zz.imag.ravel()
-    znorm = zre * zre + zim * zim
-    offsets = _offsets_window(f, delta)
-    total = np.zeros_like(zre)
-    for a in range(-a_max, 0):
-        cx, cy = -a * zre, -a * zim
-        by = np.rint(cy / half_sqm).astype(np.int64)
-        bx = np.rint(cx - by * (t / 2.0)).astype(np.int64)
-        for ox, oy in offsets:
-            vx, vy = bx + ox, by + oy
-            nv = vx * vx + t * vx * vy + n * vy * vy
-            divisible = (nv - delta) % (-a) == 0
-            c = (nv - delta) // a
-            vre = vx + vy * (t / 2.0)
-            vim = vy * half_sqm
-            h = a * znorm + 2.0 * (vre * zre + vim * zim) + c
-            mask = divisible & (h > 0.0)
-            if mask.any():
-                total = total + np.where(mask, h, 0.0) ** k
-    quad = float(total.sum()) / (grid * grid)
+    zz = idx[:, None] + idx[None, :] * f.theta_complex  # row-major: z[i, j]
+    values = _walk_values(f, k, delta, zz.ravel(), tail_bound(f, k, delta, a_max))
+    quad = float(values.sum()) / (grid * grid)
     return AverageReport(f.d, k, delta, grid, a_max, quad, formula_average(f, k, delta))
+
+
+def _walk_values(
+    f: FieldSpec, k: int, delta: int, z: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """H_{k,Delta} at the complex points z, k >= 3, by the continued-fraction
+    walk of `eval_exact` run in floating point on all points at once.
+
+    With T(w) = sum over c < 0 < a of sgn(h(w,1)) |h(w,1)|^k (which is P(w)
+    for odd k), N(w)^k H(-1/w) - H(w) = T(w) holds at every complex w and
+    for every k: forms with a < 0 < c and h > 0 are the negatives of forms
+    with c < 0 < a and h < 0.  So with r the remainder of z_n at its
+    nearest lattice point, N(r) <= rho^2 < 1 and H(z_n) = H(r) =
+    N(r)^k H(1/r) - T(r).  After n steps H(z) = total + scale * H(z_n),
+    and 0 <= H <= M = (pi (sqrt(Delta) + rho)^2 / covolume) Delta^k zeta(k),
+    the count bound of `tail_bound` summed over every a.  A point stops once
+    scale * M <= min(tolerance, 1e-16 * |total|), or at r = 0, where
+    H(0) = alpha_{k,Delta}.  The value returned is total, a lower bound
+    up to float rounding.
+    """
+    terms = [(h.a, complex(h.b), h.c) for h in delta_forms(f, delta, "positive_a")]
+    t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0
+    # tail_bound at a_max = 1 is (count bound) * Delta^k / (k - 1)
+    bound = tail_bound(f, k, delta, 1) * (k - 1) * float(mpmath.zeta(k))
+    h_zero = float(alpha(f, k, delta))
+    total = np.zeros(z.shape)
+    scale = np.ones(z.shape)
+    live = np.arange(z.size)
+    zn = np.asarray(z, dtype=complex)
+    while live.size:
+        # the nearest lattice point lies in the row nearest to zn or in one
+        # of its two neighbours (rows are >= sqrt(3)/2 apart, rho < 0.91)
+        y0 = np.rint(zn.imag / half_sqm)
+        r = None
+        for y in (y0 - 1, y0, y0 + 1):
+            w = zn - (np.rint(zn.real - y * t) + y * t) - 1j * (y * half_sqm)
+            r = w if r is None else np.where(abs(w) < abs(r), w, r)
+        nr = r.real * r.real + r.imag * r.imag
+        step = np.zeros(live.size)
+        for a, b, c in terms:  # one form at a time: arrays stay grid-sized
+            h = a * nr + 2.0 * (b.real * r.real - b.imag * r.imag) + c
+            step += np.copysign(np.abs(h) ** k, h)
+        step[nr == 0.0] = -h_zero  # the walk ends on H(0)
+        s = scale[live]
+        total[live] -= s * step
+        scale[live] = s = s * nr**k
+        going = s * bound > np.minimum(tolerance, 1e-16 * np.abs(total[live]))
+        live, zn = live[going], 1.0 / r[going]
+    return total

@@ -9,11 +9,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hermitia import cli, forms, linalg, polyspace
+from hermitia import cli, forms, lfun, linalg, polyspace
 from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
 from hermitia.field import field
 
@@ -128,6 +130,57 @@ def test_average(capsys):
     assert float(row["rel_error"]) < 0.02
 
 
+def test_average_with_a_huge_a_max_finishes(capsys):
+    # the walk's step count does not grow with a_max; a sweep over
+    # |a| <= 10^9 would not finish
+    start = time.perf_counter()
+    code, out = run(capsys, "average", "-d", "2", "-k", "3", "--delta", "5",
+                    "--a-max", "1000000000", "--format", "json")
+    assert time.perf_counter() - start < 30
+    assert code == EXIT_OK
+    row = json.loads(out)[0]
+    assert row["a_max"] == 1000000000
+    assert float(row["rel_error"]) < 1e-6
+
+
+def test_average_accepts_even_k(capsys):
+    code, out = run(capsys, "average", "-d", "2", "-k", "4", "--delta", "5",
+                    "--grid", "16", "--a-max", "100", "--format", "json")
+    assert code == EXIT_OK
+    assert float(json.loads(out)[0]["rel_error"]) < 1e-6
+
+
+def test_hconst_accepts_a_negative_point(capsys):
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3",
+                    "-z", "-1/3,0", "-z", "-.5,-1", "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [r["z"] for r in rows[:2]] == ["-1/3,0", "-1/2,-1"]
+    assert rows[0]["value"] == rows[1]["value"] == "20"
+
+
+def test_cfrac_accepts_a_negative_point(capsys):
+    code, out = run(capsys, "cfrac", "-d", "1", "-z", "-1/3,1/2", "--format", "json")
+    assert code == EXIT_OK
+    *steps, end = json.loads(out)
+    assert end["alpha"] == "(terminated)"
+    assert steps[-1]["convergent"] == "-1/3,1/2"
+
+
+def test_theta_prints_values_beyond_the_int_digit_limit(capsys):
+    code, out = run(capsys, "theta", "-d", "1", "--delta", "3", "-s", "100000",
+                    "--format", "json")
+    assert code == EXIT_OK
+    row = json.loads(out)[0]
+    limit = sys.get_int_max_str_digits()
+    assert len(row["theta"]) > 2 * limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(row["theta"]) == lfun.theta(field(1), 3, 100000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_cfrac_terminates(capsys):
     code, out = run(capsys, "cfrac", "-d", "1", "-z", "1/2")
     assert code == EXIT_OK
@@ -206,6 +259,8 @@ def test_precision_env(capsys, monkeypatch):
         (["expandp", "-d", "1", "-k", "-1", "--delta", "3"], "-k"),
         (["alpha", "-d", "1", "-k", "2", "--delta", "3"], "-k"),
         (["alpha", "-d", "1", "-k", "0", "--delta", "3"], "-k"),
+        # the average needs an absolutely convergent sum: k >= 3, odd or even
+        (["average", "-d", "2", "-k", "1", "--delta", "5"], "-k"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):

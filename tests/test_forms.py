@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermitia.field import (
     EUCLIDEAN_DS,
@@ -33,6 +35,7 @@ from hermitia.forms import (
 )
 
 from conftest import rand_elem, rand_quadint, seeded
+from oracles import expand_P_quadint
 
 
 def rand_group_element(rng, f):
@@ -258,6 +261,39 @@ def test_bipoly_evaluation_matches_form_sum():
                 v = _c(f, h.eval(z))
                 direct = direct + v * v * v
             assert (P.eval_exact(z) - direct).is_zero()
+
+
+def test_expand_P_matches_the_form_by_form_oracle():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in nonnorm_deltas(f, 3):
+            for k in range(1, 8):
+                P, want = expand_P(f, k, delta), expand_P_quadint(f, k, delta)
+                assert P.coeffs == want.coeffs, (d, k, delta)
+                assert str(P) == str(want)
+
+
+# u, v in [-2, 2] with common denominator den <= 12
+POINTS = st.integers(1, 12).flatmap(
+    lambda den: st.tuples(st.integers(-2 * den, 2 * den), st.integers(-2 * den, 2 * den)).map(
+        lambda uv: (Fraction(uv[0], den), Fraction(uv[1], den))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.sampled_from((1, 3, 5, 7)),
+    which_delta=st.integers(0, 2),
+    point=POINTS,
+)
+def test_expand_P_evaluates_to_the_form_sum_property(d, k, which_delta, point):
+    f = field(d)
+    delta = nonnorm_deltas(f, 3)[which_delta]
+    z = QuadElem.from_display(f, *point)
+    direct = sum(h.eval(z) ** k for h in delta_forms(f, delta, "positive_a"))
+    assert expand_P(f, k, delta).eval_exact(z).as_fraction() == direct
 
 
 def _c(f, v) -> QuadElem:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,16 +262,64 @@ def test_truncated_requires_k_at_least_3():
 
 def test_average_engines_agree():
     f = field(2)
-    # reference: the point-by-point mean of eval_truncated on the same grid
+    # reference: the mean of the exact values at the same midpoints (points of K)
     grid = 8
-    theta = f.theta_complex
     acc = 0.0
     for i in range(grid):
         for j in range(grid):
-            zc = (i + 0.5) / grid + (j + 0.5) / grid * theta
-            acc += eval_truncated(f, 3, 5, zc, 60).value
+            acc += float(eval_exact(f, 3, 5, disp(f, Fraction(2 * i + 1, 2 * grid),
+                                                 Fraction(2 * j + 1, 2 * grid))))
     b = average_quadrature(f, 3, 5, grid=grid, a_max=60)
     assert acc / (grid * grid) == pytest.approx(b.quadrature, abs=1e-9)
+
+
+def test_float_walk_lies_in_the_truncation_enclosure():
+    # generic complex points, not points of K: H(z) lies in
+    # [v, v + tail_bound] for the partial sum v over |a| <= a_max
+    rng = seeded("float-walk-enclosure")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (3, 4, 5):
+            delta = rng.choice(nonnorm_deltas(f, 2))
+            zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)])
+            walk = hsum._walk_values(f, k, delta, zs, tail_bound(f, k, delta, 2000))
+            for z, w in zip(zs, walk):
+                rep = eval_truncated(f, k, delta, z, a_max=2000)
+                slack = 1e-9 * rep.value
+                assert rep.value - slack <= w <= rep.value + rep.tail_bound + slack, (d, k, z)
+
+
+def test_float_walk_matches_eval_exact_on_K():
+    # for k >= 3 the tail bound is uniform in z, so H is continuous and the
+    # float walk through a point of K reaches the exact value
+    rng = seeded("float-walk-exact")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        delta = smallest_nonnorm(d)
+        pts = [rand_elem(rng, f, 12, 9) for _ in range(6)]
+        for k in (3, 5):
+            walk = hsum._walk_values(f, k, delta, np.array([complex(z) for z in pts]), 0.0)
+            for z, w in zip(pts, walk):
+                want = float(eval_exact(f, k, delta, z))
+                assert w == pytest.approx(want, rel=1e-12), (d, k, str(z))
+
+
+def test_average_does_not_scale_with_a_max(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the average reached the truncated sweep")
+
+    monkeypatch.setattr(hsum, "eval_truncated", refuse)
+    f = field(2)
+    low = average_quadrature(f, 3, 5, grid=16, a_max=100)
+    high = average_quadrature(f, 3, 5, grid=16, a_max=10**400)
+    assert high.quadrature == pytest.approx(low.quadrature, rel=1e-12)
+    assert high.rel_error < 1e-6
+
+
+def test_average_for_even_k():
+    # the signed walk holds for even k too
+    rep = average_quadrature(field(2), 4, 5, grid=16, a_max=100)
+    assert rep.rel_error < 1e-6
 
 
 def test_average_quadrature_approaches_formula():
