@@ -149,19 +149,30 @@ def cmd_theta(args) -> list[dict]:
     ]
 
 
+# `rcount --check` runs the O(n) table count and the O(n^2) naive count
+RCOUNT_CHECK_MAX_N = 1000
+
+
 def cmd_rcount(args) -> list[dict]:
     f = field(args.d)
     if args.delta <= 0:
         raise ValueError("delta is the positive form discriminant")
+    if args.check and max(args.n) > RCOUNT_CHECK_MAX_N:
+        raise ValueError(
+            f"--check counts naively in O(n^2): -n must be at most "
+            f"{RCOUNT_CHECK_MAX_N} with --check, got {max(args.n)}"
+        )
     out = []
     for n in args.n:
-        count = lfun.r_count(f, -args.delta, n)
+        count = lfun.r_count_multiplicative(f, -args.delta, n)
         row = {"d": args.d, "delta": args.delta, "n": n, "count": count}
         if args.check:
             naive = lfun.r_count_naive(f, -args.delta, n)
             row["naive"] = naive
-            if naive != count:
-                raise OracleMismatch(f"r_count disagrees with naive count at n={n}")
+            if not count == lfun.r_count(f, -args.delta, n) == naive:
+                raise OracleMismatch(
+                    f"r_count_multiplicative disagrees with r_count or the naive count at n={n}"
+                )
         out.append(row)
     return out
 
@@ -444,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rcount", "residue counts of N(beta) = delta mod n", cmd_rcount)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("-n", type=int, nargs="+", required=True)
-    p.add_argument("--check", action="store_true", help="cross-check naively")
+    p.add_argument("--check", action="store_true",
+                   help=f"cross-check by table and naive counts (n <= {RCOUNT_CHECK_MAX_N})")
 
     p = add("lvalue", "special values L(chi, s) in closed form", cmd_lvalue)
     p.add_argument("-s", type=int, required=True)

@@ -154,7 +154,11 @@ def local_count_coeffs(f: FieldSpec, delta: int, p: int, jmax: int) -> list[int]
 
 
 def r_count_multiplicative(f: FieldSpec, delta: int, n: int) -> int:
-    """r(delta, n) via multiplicativity and the local series (delta != 0)."""
+    """r(delta, n) via multiplicativity and the local series (delta != 0):
+    O(sqrt n) for the factorization.  `r_count` and `r_count_naive` are
+    its oracles."""
+    if n <= 0:
+        raise ValueError("modulus must be positive")
     total = 1
     for p, e in factorize(n).items():
         total *= local_count_coeffs(f, delta, p, e)[e]

@@ -1,28 +1,26 @@
 """Exact nullspaces of matrices over the rings O_d.
 
 The polynomial cocycle spaces are cut out as kernels of integral matrices
-whose entries live in O_d.  The pieces:
+whose entries live in O_d.  A prime p that splits in O_d has two prime
+ideals above it, and O_d modulo either is Z/p: omega goes to one of the two
+roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
 
-* `echelon_mod` -- row reduction of an int64 numpy matrix modulo a prime
-  p; it returns the rank and the pivot columns mod p.  The primes used are
-  ~2^30 primes that split in the ring (so O_d/p = Z/p via an integer image
-  of the generator), and entries stay below p < 2^31, so every product
-  fits in int64.
+* `echelon_mod` and `rref_mod` -- row reduction of an int64 numpy matrix
+  modulo p: rank and pivot columns, and for `rref_mod` the reduced rows.
+  The primes are ~2^30 split primes and entries stay below p < 2^31, so
+  every product fits in int64.
 
-* `quad_kernel` -- fraction-free (Bareiss) Gaussian elimination directly
-  over O_d: cross-multiply with the current pivot and divide exactly by
-  the previous one, which keeps entries at determinant-minor size instead
-  of growing exponentially.  Exact back substitution then produces
-  integral, content-free kernel vectors, and every vector is re-checked
-  against every input row on integer pairs, so the result is proven.
-
-* `certified_kernel` -- the kernel of a matrix M that is never built
-  exactly as a whole: it is given by its reduction mod p, its rows on
-  demand, and an exact test of M v = 0.  The pivot columns of M^T mod p
-  name rows that are independent mod p, hence independent over O_d;
-  Bareiss runs on those rows only.  Their kernel contains ker M, so once
-  every basis vector passes the exact test the two kernels are equal.  If
-  a vector fails (the rank dropped mod p), Bareiss runs on all rows.
+* `certified_kernel` -- the kernel of a matrix M over O_d that is known
+  only by its reductions mod split primes and an exact test of M v = 0.
+  If M mod p has full column rank, the kernel is empty: the rank over K
+  is at least the rank mod p.  Otherwise the reduced row echelon kernels
+  under w1 and w2, each free column set to 1, give x and y mod p of every
+  entry x + y*omega; the primes are combined by CRT and rational
+  reconstruction, and the vectors are checked exactly.  c - rank_p
+  independent vectors of ker M make a basis, since dim ker M <= c - rank_p;
+  each is supported on its own free column and earlier pivots, so the
+  free columns mod p are those over K and the basis is the one Bareiss
+  elimination gives.
 
 * `quad_rank_modular` -- ranks modulo several split primes.  Reduction
   mod p can only lower the rank, hence can only raise the kernel
@@ -31,17 +29,25 @@ whose entries live in O_d.  The pieces:
   several primes agree on the full pivot pattern, which pins the
   dimension down with overwhelming probability; combined with an exact
   lower bound (independent verified kernel vectors) the bound becomes an
-  unconditional certificate.
+  unconditional certificate.  Both reduce whichever orientation of the
+  matrix has fewer rows: the rank is the same, and the work is smaller.
+
+* `quad_kernel` -- fraction-free (Bareiss) Gaussian elimination directly
+  over O_d, with exact back substitution and a check of every vector
+  against every row.  No production route calls it: it is the test
+  oracle of `certified_kernel`.
 
 Matrices enter the modular functions either as rows of `QuadInt` or as a
-function from a split prime p to the matrix mod p, so a caller that can
-reduce its matrix directly never builds it over O_d.
+function from a split prime p and a root w of omega's polynomial mod p to
+the matrix mod p, so a caller that can reduce its matrix directly never
+builds it over O_d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,10 +57,14 @@ from .intarith import is_probable_prime, sqrt_mod_prime
 
 Pair = tuple[int, int]
 Rows = Sequence[Sequence[QuadInt]]
-# a matrix over O_d given by its reductions: split prime p -> int64 array mod p
-Reductions = Callable[[int], np.ndarray]
+# a matrix over O_d given by its reductions: (split prime p, image w of
+# omega mod p) -> int64 array with entries in [0, p)
+Reductions = Callable[[int, int], np.ndarray]
 
 ZERO: Pair = (0, 0)
+
+# `certified_kernel` gives up after this many split primes (~1900 bits)
+MAX_PRIMES = 64
 
 
 def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
@@ -108,7 +118,8 @@ def _annihilates(f: FieldSpec, rows: list[list[Pair]], vec: list[Pair]) -> bool:
 
 
 def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
-    """Basis of { v : M v = 0 } over the field of fractions of O_d.
+    """Basis of { v : M v = 0 } over the field of fractions of O_d, by
+    Bareiss elimination: the test oracle of `certified_kernel`.
 
     Returns integral, content-free vectors (QuadElem of denominator 1).
     The basis vectors are verified against every row of M exactly before
@@ -171,7 +182,7 @@ def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
                     acc = acc + QuadElem.from_quadint(f.quad(*rc)) * v[c]
             pe = QuadElem.from_quadint(f.quad(*row[col]))
             v[col] = -acc * pe.inverse() if not acc.is_zero() else zero
-        basis.append(_canonical_integral(v))
+        basis.append(_canonical_integral(integral_pairs(v)[1]))
 
     for v in basis:
         if not _annihilates(f, pairs, v):
@@ -186,10 +197,10 @@ def integral_pairs(vec: Iterable[QuadElem]) -> tuple[int, list[Pair]]:
     return den, [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
 
 
-def _canonical_integral(vec: list[QuadElem]) -> list[Pair]:
-    """Scale to an integral vector with content 1 and a sign-normalized
-    first nonzero coordinate."""
-    ints = _strip(integral_pairs(vec)[1])
+def _canonical_integral(ints: list[Pair]) -> list[Pair]:
+    """Scale an integral vector to content 1 and a sign-normalized first
+    nonzero coordinate."""
+    ints = _strip(ints)
     lead = next((e for e in ints if e != ZERO), (1, 0))
     if lead[0] < 0 or (lead[0] == 0 and lead[1] < 0):
         ints = [(-x, -y) for x, y in ints]
@@ -209,66 +220,41 @@ def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
     return True
 
 
-def certified_kernel(
-    f: FieldSpec,
-    mod: np.ndarray,
-    p: int,
-    exact_rows: Callable[[Sequence[int]], Rows],
-    annihilates: Callable[[list[QuadElem]], bool],
-) -> list[list[QuadElem]]:
-    """Basis of the kernel of a matrix M over O_d known through `mod`, M
-    mod the split prime p; `exact_rows(indices)`, the named rows of M
-    built exactly; and `annihilates(v)`, an exact test of M v = 0.
-
-    Bareiss runs on the rows named by the pivot columns of M^T mod p; if a
-    vector then fails `annihilates`, on all rows.  A vector failing after
-    that raises CertificateError.  The basis equals `quad_kernel` of M: it
-    depends on the kernel only.
-    """
-    nrows, ncols = mod.shape
-    chosen = echelon_mod(mod.T, p)[1]
-    for indices in (chosen, range(nrows)):
-        basis = quad_kernel(f, exact_rows(indices) or [[f.zero] * ncols])
-        if all(annihilates(v) for v in basis):
-            return basis
-    raise CertificateError("kernel vector failed exact verification")
-
-
 # ------------------------------------------------------------- modular path
 
 
-@dataclass(frozen=True)
-class ModularRankReport:
-    ncols: int
-    rank: int
-    pivot_cols: tuple[int, ...]
-    primes: tuple[int, ...]
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank
-
-
-def split_primes(f: FieldSpec, count: int, start: int = 1 << 30) -> list[int]:
-    """Odd primes p with (d_K/p) = 1, where O_d embeds in Z/p."""
+@lru_cache(maxsize=None)
+def _split_primes(f: FieldSpec, count: int, start: int) -> tuple[int, ...]:
     out: list[int] = []
     p = start | 1
     while len(out) < count:
         if is_probable_prime(p) and kronecker(f.disc, p) == 1:
             out.append(p)
         p += 2
-    return out
+    return tuple(out)
 
 
-def _omega_mod(f: FieldSpec, p: int) -> int:
-    """An image of omega in Z/p for a split prime p."""
+def split_primes(f: FieldSpec, count: int, start: int = 1 << 30) -> list[int]:
+    """Odd primes p with (d_K/p) = 1, where O_d embeds in Z/p."""
+    return list(_split_primes(f, count, start))
+
+
+@lru_cache(maxsize=None)
+def omega_roots(f: FieldSpec, p: int) -> tuple[int, int]:
+    """The two images w1, w2 of omega in Z/p for a split prime p: the roots
+    of x^2 - t x + n, one for each prime ideal above p."""
     root = sqrt_mod_prime(f.disc % p, p)
-    return (f.disc + root) * pow(2, p - 2, p) % p
+    w1 = (f.disc + root) * pow(2, p - 2, p) % p
+    return w1, (f.disc - w1) % p
 
 
-def pairs_mod(f: FieldSpec, rows: Sequence[Sequence[Pair]], p: int) -> np.ndarray:
-    """A matrix of integer pairs x + y*omega, reduced mod the split prime p."""
-    w = _omega_mod(f, p)
+def pairs_mod(
+    f: FieldSpec, rows: Sequence[Sequence[Pair]], p: int, w: int | None = None
+) -> np.ndarray:
+    """A matrix of integer pairs x + y*omega, reduced mod the split prime p
+    with omega -> w (by default the first of `omega_roots`)."""
+    if w is None:
+        w = omega_roots(f, p)[0]
     mat = np.array([[(x + y * w) % p for x, y in row] for row in rows], dtype=np.int64)
     return mat.reshape(len(rows), len(rows[0]) if len(rows) else 0)
 
@@ -277,12 +263,13 @@ def _reductions(f: FieldSpec, rows: Rows | Reductions) -> Reductions:
     if callable(rows):
         return rows
     pairs = [[(e.x, e.y) for e in row] for row in rows]
-    return lambda p: pairs_mod(f, pairs, p)
+    return lambda p, w: pairs_mod(f, pairs, p, w)
 
 
-def echelon_mod(mat: np.ndarray, p: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and pivot columns of an int64 matrix with entries in [0, p),
-    by row reduction mod the prime p.  The input is left unchanged."""
+def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row reduction mod p of a copy of `mat` without its zero rows: the
+    echelon form (reduced, with unit pivots, if `reduced`) and its pivot
+    columns."""
     mat = mat[np.any(mat, axis=1)]
     nrows, ncols = mat.shape
     pivot_cols: list[int] = []
@@ -293,45 +280,91 @@ def echelon_mod(mat: np.ndarray, p: int) -> tuple[int, tuple[int, ...]]:
         live = top + np.flatnonzero(mat[top:, col])
         if live.size == 0:
             continue
-        # rows above `top` are final and zero left of their pivots, so only
-        # the rows below and the columns from `col` on change
-        piv, others = live[0], live[1:]
-        if others.size:
-            # entries stay below p < 2^31, so the products fit in int64
-            factor = mat[others, col] * pow(int(mat[piv, col]), p - 2, p) % p
-            mat[others, col:] = (mat[others, col:] - factor[:, None] * mat[piv, col:]) % p
+        piv = live[0]
         if piv != top:
             mat[[top, piv]] = mat[[piv, top]]
+        # rows above `top` are zero left of their pivots, so only the
+        # columns from `col` on change; entries stay below p < 2^31, so
+        # the products fit in int64
+        inv = pow(int(mat[top, col]), p - 2, p)
+        if reduced:
+            mat[top, col:] = mat[top, col:] * inv % p
+            others = np.flatnonzero(mat[:, col])
+            others = others[others != top]
+            factor = mat[others, col]
+        else:
+            others = live[1:]
+            factor = mat[others, col] * inv % p
+        if others.size:
+            mat[others, col:] = (mat[others, col:] - factor[:, None] * mat[top, col:]) % p
         pivot_cols.append(col)
         top += 1
-    return top, tuple(pivot_cols)
+    return mat[:top], tuple(pivot_cols)
+
+
+def echelon_mod(mat: np.ndarray, p: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and pivot columns of an int64 matrix with entries in [0, p),
+    by row reduction mod the prime p.  The input is left unchanged."""
+    rows, pivots = _row_reduce(mat, p, reduced=False)
+    return len(rows), pivots
+
+
+def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form mod the prime p of
+    an int64 matrix with entries in [0, p), and its pivot columns.  The
+    input is left unchanged."""
+    return _row_reduce(mat, p, reduced=True)
+
+
+@dataclass(frozen=True)
+class ModularRankReport:
+    """Rank mod agreeing split primes.  `pivots` are the pivot columns of
+    the orientation reduced, the one with fewer rows: columns of M if
+    `transposed` is false, else columns of M^T, i.e. the first rows of M
+    that are independent mod p."""
+
+    ncols: int
+    rank: int
+    pivots: tuple[int, ...]
+    primes: tuple[int, ...]
+    transposed: bool
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.ncols - self.rank
+
+
+def _rank_mod(f: FieldSpec, mod: Reductions, p: int) -> tuple[int, int, tuple[int, ...], bool]:
+    """(ncols, rank, pivots, transposed) of the matrix mod p, reduced along
+    whichever orientation has fewer rows: the rank is the same, the work
+    smaller."""
+    mat = mod(p, omega_roots(f, p)[0])
+    transposed = mat.shape[0] > mat.shape[1]
+    rank, pivots = echelon_mod(mat.T if transposed else mat, p)
+    return mat.shape[1], rank, pivots, transposed
 
 
 def quad_rank_modular(
     f: FieldSpec, rows: Rows | Reductions, agreements: int = 3
 ) -> ModularRankReport:
-    """Rank (and kernel dimension) from pivot-pattern agreement across
-    `agreements` split primes.  The kernel dimension of any single prime
-    is already a true upper bound for the exact kernel dimension."""
+    """Rank (and kernel dimension) from rank and pivot-pattern agreement
+    across `agreements` split primes.  The kernel dimension of any single
+    prime is already a true upper bound for the exact kernel dimension."""
     if not callable(rows) and not rows:
-        return ModularRankReport(0, 0, (), ())
+        return ModularRankReport(0, 0, (), (), False)
     mod = _reductions(f, rows)
     primes = split_primes(f, agreements)
-    results = [echelon_mod(mod(p), p) for p in primes]
-    ranks = {r for r, _ in results}
-    patterns = {cols for _, cols in results}
-    if len(ranks) != 1 or len(patterns) != 1:
+    results = [_rank_mod(f, mod, p) for p in primes]
+    if len({r[1:3] for r in results}) != 1:
         # a prime of bad reduction slipped in; extend until stable
-        extra = split_primes(f, 2 * agreements)[agreements:]
-        for p in extra:
-            primes.append(p)
-            results.append(echelon_mod(mod(p), p))
-        best = max({r for r, _ in results})
-        results = [(r, c) for r, c in results if r == best]
+        primes = split_primes(f, 2 * agreements)
+        results += [_rank_mod(f, mod, p) for p in primes[agreements:]]
+        best = max(r[1] for r in results)
+        results = [r for r in results if r[1] == best]
         if len(results) < agreements:
             raise CertificateError("modular ranks failed to stabilize")
-    rank, cols = results[0]
-    return ModularRankReport(mod(primes[0]).shape[1], rank, cols, tuple(primes))
+    ncols, rank, pivots, transposed = results[0]
+    return ModularRankReport(ncols, rank, pivots, tuple(primes), transposed)
 
 
 def kernel_dim_upper_bound(f: FieldSpec, rows: Rows | Reductions) -> int:
@@ -340,8 +373,129 @@ def kernel_dim_upper_bound(f: FieldSpec, rows: Rows | Reductions) -> int:
     if not callable(rows) and not rows:
         return 0
     mod = _reductions(f, rows)
-    bounds = []
-    for p in split_primes(f, 2):
-        mat = mod(p)
-        bounds.append(mat.shape[1] - echelon_mod(mat, p)[0])
-    return min(bounds)
+    bounds = [_rank_mod(f, mod, p) for p in split_primes(f, 2)]
+    return min(ncols - rank for ncols, rank, _, _ in bounds)
+
+
+# --------------------------------------------------------- certified kernel
+
+
+def _rational(a: int, m: int, bound: int) -> tuple[int, int] | None:
+    """n/q with q*a = n mod m, |n| <= bound and 0 < q <= bound, by the
+    extended Euclidean algorithm (Wang's rational reconstruction), or None."""
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _reconstruct(residues: np.ndarray, m: int) -> tuple[int, list[int]] | None:
+    """A common denominator D and integers N_i with N_i / D = residues[i]
+    mod m, all small against m, or None.  D grows only when D*residue is
+    not already small, so most entries cost one product."""
+    bound = math.isqrt(m // 2)
+    den = 1
+    parts: list[tuple[int, int]] = []  # (numerator, D when it was found)
+    for a in residues.tolist():
+        b = den * a % m
+        if b > m // 2:
+            b -= m
+        if abs(b) > bound:
+            nq = _rational(b, m, bound)
+            if nq is None:
+                return None
+            b, q = nq
+            den *= q
+        parts.append((b, den))
+    return den, [n * (den // at) for n, at in parts]
+
+
+def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod m*p that are `residues` mod m and `new` mod p."""
+    step = (new.astype(object) - residues % p) * pow(m % p, p - 2, p) % p
+    return residues + m * step
+
+
+def certified_kernel(
+    f: FieldSpec, mod: Reductions, annihilates: Callable[[list[QuadElem]], bool]
+) -> list[list[QuadElem]]:
+    """Basis of the kernel of a matrix M over O_d known through
+    `mod(p, w)`, M mod the split prime p with omega -> w, and
+    `annihilates(v)`, an exact test of M v = 0.
+
+    At each split prime, the rows named by the pivot columns of M^T mod p
+    (independent mod p, hence over K) are put in reduced row echelon form
+    under both images of omega.  A prime whose rank or pivot pattern is
+    worse than the best seen so far, or differs between its two images,
+    is skipped.  The kernel vectors' entries, with each free column set to
+    1, are combined by CRT and rational reconstruction until one more
+    prime changes nothing; then every vector must pass `annihilates`.
+    The basis equals `quad_kernel` of M.  If no candidate passes within
+    MAX_PRIMES primes, CertificateError is raised.
+    """
+    best = None  # (rank, pivots) of the primes being combined
+    chosen = None  # rows independent mod the prime that chose them
+    residues = modulus = candidate = rejected = None
+    for p in split_primes(f, MAX_PRIMES):
+        w1, w2 = omega_roots(f, p)
+        m1 = mod(p, w1)
+        ncols = m1.shape[1]
+        if chosen is None:
+            rank, rows = echelon_mod(m1.T, p)
+            if rank == ncols:
+                return []
+            chosen = list(rows)
+        (red1, piv1), (red2, piv2) = rref_mod(m1[chosen], p), rref_mod(mod(p, w2)[chosen], p)
+        if len(piv1) == ncols or len(piv2) == ncols:
+            return []
+        if piv1 != piv2:
+            continue
+        key = (len(piv1), tuple(-c for c in piv1))
+        if best is not None and key < best:
+            continue
+        pivset = set(piv1)
+        free = [c for c in range(ncols) if c not in pivset]
+        # kernel entries at the pivot columns, one row per free column:
+        # v = e_free - sum_i R[i, free] e_pivot(i)
+        k1, k2 = (-red1[:, free].T) % p, (-red2[:, free].T) % p
+        y = (k1 - k2) % p * pow((w1 - w2) % p, p - 2, p) % p
+        x = (k1 - y * w1 % p) % p
+        new = np.concatenate([x.ravel(), y.ravel()])
+        if best is None or key > best:
+            best, residues, modulus, candidate = key, new.astype(object), p, None
+        else:
+            if candidate is not None and candidate != rejected:
+                den, nums = candidate
+                inv = pow(den % p, p - 2, p) if den % p else 0
+                if inv and all(n * inv % p == r for n, r in zip(nums, new.tolist())):
+                    basis = _kernel_vectors(f, ncols, piv1, free, den, nums)
+                    if all(map(annihilates, basis)):
+                        return basis
+                    # rows chosen at a bad prime, or a premature
+                    # reconstruction: choose rows again at the next prime
+                    rejected, chosen = candidate, None
+            residues = _crt(residues, modulus, new, p)
+            modulus *= p
+        candidate = _reconstruct(residues, modulus)
+    raise CertificateError(f"no kernel candidate passed exact verification in {MAX_PRIMES} primes")
+
+
+def _kernel_vectors(
+    f: FieldSpec, ncols: int, pivots: Sequence[int], free: list[int], den: int, nums: list[int]
+) -> list[list[QuadElem]]:
+    """The basis vectors (free column = den) from the reconstructed pivot
+    entries nums / den (all x parts, then all y parts), made canonical."""
+    half = len(nums) // 2
+    xs, ys = nums[:half], nums[half:]
+    out = []
+    for i, fc in enumerate(free):
+        vec = [ZERO] * ncols
+        vec[fc] = (den, 0)
+        for j, c in enumerate(pivots):
+            t = i * len(pivots) + j
+            vec[c] = (xs[t], ys[t])
+        out.append([QuadElem.from_quadint(f.quad(x, y)) for x, y in _canonical_integral(vec)])
+    return out

@@ -23,7 +23,7 @@ eigenvalue-1 part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -307,49 +307,44 @@ class WordOperator:
         self.k = k
         self.size = (k + 1) ** 2
         self.words = [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
-        self._mod: dict[int, np.ndarray] = {}
+        self._parts: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def nrows(self) -> int:
         return len(self.words) * self.size
 
-    def mod(self, p: int) -> np.ndarray:
-        """The stacked word matrix mod the split prime p (int64, entries in
-        [0, p)), kept for the life of this operator."""
-        if p not in self._mod:
-            f = self.field
-            blocks = []
-            for word in self.words:
-                total = np.zeros((self.size, self.size), dtype=np.int64)
-                for sign, az, azb in word:
-                    # entries are below p < 2^31, so the products fit in int64
-                    kron = np.kron(linalg.pairs_mod(f, az, p), linalg.pairs_mod(f, azb, p))
-                    total += sign * (kron % p)
-                blocks.append(total % p)
-            self._mod[p] = np.vstack(blocks)
-        return self._mod[p]
+    def _factor_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y parts of every factor, in word order, as object
+        arrays of shape (#factors, k+1, k+1); built on the first `mod`."""
+        if self._parts is None:
+            mats = [m for word in self.words for _, az, azb in word for m in (az, azb)]
+            self._parts = tuple(
+                np.array([[[e[part] for e in row] for row in m] for m in mats], dtype=object)
+                for part in (0, 1)
+            )
+        return self._parts
 
-    def rows(self, indices: Iterable[int], cols: list[int]) -> list[list[QuadInt]]:
-        """The named rows, restricted to the columns `cols`, exactly."""
-        f, n = self.field, self.k + 1
-        mul = linalg.pair_mul
-        split = [divmod(c, n) for c in cols]
-        out = []
-        for r in indices:
-            word = self.words[r // self.size]
-            i, j = divmod(r % self.size, n)
-            xs = [0] * len(cols)
-            ys = [0] * len(cols)
-            for sign, az, azb in word:
-                a_row, b_row = az[i], azb[j]
-                for t, (i2, j2) in enumerate(split):
-                    a, b = a_row[i2], b_row[j2]
-                    if a != linalg.ZERO and b != linalg.ZERO:
-                        x, y = mul(f, a, b)
-                        xs[t] += sign * x
-                        ys[t] += sign * y
-            out.append([QuadInt(f, x, y) for x, y in zip(xs, ys)])
-        return out
+    def mod(self, p: int, w: int | None = None, cols: Sequence[int] | None = None) -> np.ndarray:
+        """The stacked word matrix, or its columns `cols`, reduced mod the
+        split prime p with omega -> w (by default the first of
+        `linalg.omega_roots`): int64, entries in [0, p).  Nothing is kept
+        per prime."""
+        if w is None:
+            w = linalg.omega_roots(self.field, p)[0]
+        n = self.k + 1
+        cols = np.arange(self.size) if cols is None else np.asarray(cols, dtype=np.int64)
+        ci, cj = np.divmod(cols, n)
+        xs, ys = self._factor_parts()
+        red = iter(((xs % p + ys % p * w) % p).astype(np.int64))
+        blocks = []
+        for word in self.words:
+            total = np.zeros((n, n, len(ci)), dtype=np.int64)
+            for sign, _, _ in word:
+                az, azb = next(red), next(red)
+                # entries are below p < 2^31, so the products fit in int64
+                total += sign * (az[:, None, ci] * azb[None, :, cj] % p)
+            blocks.append(total.reshape(self.size, len(ci)) % p)
+        return np.vstack(blocks)
 
     def annihilates(self, vec: list[QuadElem]) -> bool:
         """Whether every word kills the coefficient vector `vec`, checked
@@ -367,9 +362,7 @@ class WordOperator:
     def kernel(self, cols: list[int]) -> list[list[QuadElem]]:
         """Certified basis of the kernel of the columns `cols`
         (`linalg.certified_kernel`), as full coefficient vectors."""
-        f = self.field
-        p = linalg.split_primes(f, 1)[0]
-        zero = QuadElem.from_quadint(f.zero)
+        zero = QuadElem.from_quadint(self.field.zero)
 
         def full(v: list[QuadElem]) -> list[QuadElem]:
             out = [zero] * self.size
@@ -378,10 +371,8 @@ class WordOperator:
             return out
 
         block = linalg.certified_kernel(
-            f,
-            self.mod(p)[:, cols],
-            p,
-            lambda rows: self.rows(rows, cols),
+            self.field,
+            lambda p, w: self.mod(p, w, cols),
             lambda v: self.annihilates(full(v)),
         )
         return [full(v) for v in block]
@@ -429,12 +420,13 @@ def eigen_kernel(
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting.
 
-    exact: certified kernels over O_d (`linalg.certified_kernel`); the
-    basis returned is the union of the eigenspace bases.  The total
-    dimension is certified by a sandwich: the verified eigenvectors bound
-    it from below, and the kernel dimension modulo any split prime bounds
-    it from above; when the two meet the result is unconditional,
-    otherwise the full certified kernel is computed.
+    exact: certified kernels over O_d (`linalg.certified_kernel`, from
+    the blocks' reductions mod split primes); the basis returned is the
+    union of the eigenspace bases.  The total dimension is certified by a
+    sandwich: the verified eigenvectors bound it from below, and the
+    kernel dimension modulo any split prime bounds it from above; when the
+    two meet the result is unconditional, otherwise the full certified
+    kernel is computed.
     modular: dimensions only, via agreeing ranks mod split primes.
     Neither route builds the stacked word matrix over O_d.
     """
@@ -447,7 +439,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         total = linalg.quad_rank_modular(f, op.mod).kernel_dim
         for e, lab in enumerate(labels):
             cols = eigen_columns(f, k, e)
-            dims[lab] = linalg.quad_rank_modular(f, lambda p: op.mod(p)[:, cols]).kernel_dim
+            dims[lab] = linalg.quad_rank_modular(f, lambda p, w: op.mod(p, w, cols)).kernel_dim
         return SubspaceReport(f.d, k, "modular", dims, total, None)
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):

@@ -63,6 +63,36 @@ def test_rcount_with_check(capsys):
     assert len(rows) == 3  # header + two counts
 
 
+def test_rcount_does_not_build_a_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rcount ran an O(n) or O(n^2) count")
+
+    monkeypatch.setattr(lfun, "r_count", refuse)
+    monkeypatch.setattr(lfun, "r_count_naive", refuse)
+    n = 10**12
+    code, out = run(capsys, "rcount", "-d", "2", "--delta", "5", "-n", str(n), "--format", "json")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)
+    f = field(2)
+    # n = 2^12 * 5^12, and r is multiplicative
+    two = lfun.local_count_coeffs(f, -5, 2, 12)[12]
+    five = lfun.local_count_coeffs(f, -5, 5, 12)[12]
+    assert row == {"d": 2, "delta": 5, "n": n, "count": two * five}
+
+
+def test_rcount_check_is_bounded(capsys):
+    top = cli.RCOUNT_CHECK_MAX_N
+    code, out = run(capsys, "rcount", "-d", "7", "--delta", "5", "-n", "12", str(top),
+                    "--check", "--format", "json")
+    assert code == EXIT_OK
+    assert all(row["count"] == row["naive"] for row in json.loads(out))
+    code, out = run(capsys, "rcount", "-d", "7", "--delta", "5", "-n", "12", str(top + 1),
+                    "--check")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "--check" in run.err and "-n" in run.err
+    assert run(capsys, "rcount", "-d", "7", "--delta", "5", "-n", "0")[0] == EXIT_PRECONDITION
+
+
 def test_lvalue_positive_and_negative(capsys):
     code, out = run(capsys, "lvalue", "-d", "1", "-s", "3")
     assert code == EXIT_OK

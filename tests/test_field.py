@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_elem, rand_nonzero_elem, rand_quadint, seeded
 from hermitia.field import (
@@ -194,6 +196,68 @@ def test_quadelem_field_axioms_randomized():
             assert (a * b).norm() == a.norm() * b.norm()
             assert a.conj().conj() == a
             assert (a / b).conj() == a.conj() / b.conj()
+
+
+# property tests: three elements of one ring, coordinates up to 2^64 so that
+# products leave machine integers
+COORD = st.one_of(st.integers(-50, 50), st.integers(-(2**64), 2**64))
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def quadints(f):
+    return st.builds(f.quad, COORD, COORD)
+
+
+def quadelems(f):
+    dens = st.integers(1, 10**6)
+    return st.builds(lambda x, y, den: QuadElem.make(f, x, y, den), COORD, COORD, dens)
+
+
+def triples(elements):
+    return st.sampled_from(EUCLIDEAN_DS).map(field).flatmap(
+        lambda f: st.tuples(st.just(f), elements(f), elements(f), elements(f))
+    )
+
+
+@PROPERTY
+@given(triples(quadints))
+def test_quadint_ring_axioms_property(fabc):
+    f, a, b, c = fabc
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a and a + b == b + a
+    assert a * f.one == a and a + f.zero == a and a - a == f.zero
+    # conjugation is an involutive ring automorphism fixing Z
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conj().conj() == a and f.quad(a.x).conj() == f.quad(a.x)
+    assert (a * b).norm() == a.norm() * b.norm()
+    assert a.norm() >= 0 and (a.norm() == 0) == a.is_zero()
+    if not b.is_zero():
+        assert (a * b).exact_div(b) == a
+
+
+@PROPERTY
+@given(triples(quadelems))
+def test_quadelem_field_axioms_property(fabc):
+    f, a, b, c = fabc
+    one = QuadElem.from_quadint(f.one)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a and a + b == b + a
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conj().conj() == a
+    assert (a * b).norm() == a.norm() * b.norm()
+    for x in (a, b, c):
+        if not x.is_zero():
+            assert x * x.inverse() == one
+            assert x.inverse().inverse() == x
+            assert (a / x) * x == a
+            assert x.conj().inverse() == x.inverse().conj()
 
 
 def test_quadelem_reduction_invariant():

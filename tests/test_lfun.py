@@ -64,6 +64,17 @@ def test_count_is_multiplicative():
             )
 
 
+def test_multiplicative_count_equals_table_count():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in (1, 2, 3, 5, 6, 7, 12):
+            for n in range(1, 200):
+                assert r_count_multiplicative(f, -delta, n) == r_count(f, -delta, n), (d, delta, n)
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            r_count_multiplicative(field(1), -3, n)
+
+
 def test_local_series_matches_literal_counts():
     """The keystone oracle, j <= 4."""
     for d in EUCLIDEAN_DS:

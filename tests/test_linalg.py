@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermitia import linalg
 from hermitia.field import EUCLIDEAN_DS, CertificateError, field
@@ -12,6 +14,7 @@ from hermitia.linalg import (
     echelon_mod,
     kernel_dim_upper_bound,
     matvec_is_zero,
+    omega_roots,
     pairs_mod,
     quad_kernel,
     quad_rank_modular,
@@ -103,22 +106,27 @@ def test_upper_bound_is_an_upper_bound():
 # ------------------------------------------------------- certified kernel
 
 
-def reduced(f, rows, p):
-    return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p)
+def reduced(f, rows, p, w=None):
+    return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p, w)
 
 
 def certified(f, rows, annihilates=None):
-    """`certified_kernel` of explicit rows; returns the basis and the row
-    sets it asked for."""
-    p = split_primes(f, 1)[0]
+    """`certified_kernel` of explicit rows; returns the basis, the split
+    primes whose reductions it asked for (in order), and how many vectors
+    it sent to the exact check."""
     asked = []
+    checks = []
 
-    def exact_rows(indices):
-        asked.append(list(indices))
-        return [rows[i] for i in indices]
+    def mod(p, w):
+        asked.append(p)
+        return reduced(f, rows, p, w)
 
-    check = annihilates or (lambda v: matvec_is_zero(f, rows, v))
-    return certified_kernel(f, reduced(f, rows, p), p, exact_rows, check), asked
+    def check(v):
+        checks.append(v)
+        return annihilates(v) if annihilates else matvec_is_zero(f, rows, v)
+
+    basis = certified_kernel(f, mod, check)
+    return basis, list(dict.fromkeys(asked)), len(checks)
 
 
 def test_certified_kernel_matches_all_rows_bareiss():
@@ -134,37 +142,103 @@ def test_certified_kernel_matches_all_rows_bareiss():
                 s, t = rand_rows(rng, f, 1, 2)[0]
                 rows.append([s * x + t * y for x, y in zip(a, b)])
             rng.shuffle(rows)
-            basis, asked = certified(f, rows)
+            basis, primes, checks = certified(f, rows)
             assert basis == quad_kernel(f, rows)
-            # small entries keep every minor below p: no fallback, and
-            # Bareiss ran on rank-many rows
-            assert len(asked) == 1 and len(asked[0]) == ncols - len(basis)
+            # small entries keep every minor below p: the first prime's
+            # rank is the exact rank, so an empty kernel takes that prime
+            # alone, and every other basis passes its first check
+            if basis:
+                assert checks == len(basis) and len(primes) >= 2
+            else:
+                assert checks == 0 and primes == split_primes(f, 1)
 
 
 def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
     f = field(2)
-    p = split_primes(f, 1)[0]
-    # exact rank 2, rank 1 mod p: the chosen row alone has a kernel vector
-    # that the second row rejects
+    p, q, r = split_primes(f, 3)
+    # exact rank 2, rank 1 mod p under both roots: the first prime's
+    # kernel vector fails the check, rows are chosen again at the third
+    # prime, and its rank 2 proves the kernel empty
     rows = [[f.one, f.one], [f.one, f.quad(1 + p)]]
-    assert echelon_mod(reduced(f, rows, p), p)[0] == 1
-    basis, asked = certified(f, rows)
+    assert all(echelon_mod(reduced(f, rows, p, w), p)[0] == 1 for w in omega_roots(f, p))
+    basis, primes, checks = certified(f, rows)
     assert basis == quad_kernel(f, rows) == []
-    assert asked == [[0], [0, 1]]
+    assert primes == [p, q, r] and checks == 1
 
-    # a kernel that survives the fallback: one more column, still dropping mod p
+    # a kernel that survives: one more column, still dropping mod p; the
+    # rank-2 primes replace the rank-1 one
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero]]
-    basis, asked = certified(f, rows)
-    assert len(asked) == 2
+    basis, primes, checks = certified(f, rows)
+    assert primes[0] == p and checks == 2
     assert basis == quad_kernel(f, rows)
     assert [[(e.num.x, e.num.y) for e in v] for v in basis] == [[(0, 0), (0, 0), (1, 0)]]
+
+
+def test_certified_kernel_skips_a_later_prime_of_bad_reduction():
+    f = field(7)
+    p, q, r = split_primes(f, 3)
+    # rank 2 mod p and over K, rank 1 mod q: q's kernel is larger, and
+    # combining it with p's would mix two pivot patterns
+    rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + q), f.zero]]
+    basis, primes, checks = certified(f, rows)
+    assert primes == [p, q, r] and checks == 1
+    assert basis == quad_kernel(f, rows)
+
+
+def test_modular_rank_reduces_the_short_side():
+    f = field(1)
+    base = [f.one, f.quad(0, 1), f.quad(2, -1)]
+    # a tall matrix: rows 0 and 2 are multiples of `base`
+    rows = [base, [f.zero, f.one, f.zero], [e * f.quad(3, 1) for e in base], [f.one] * 3]
+    rep = quad_rank_modular(f, rows)
+    assert rep.transposed and rep.rank == 3 and rep.kernel_dim == 0
+    # the pivots of the transpose name the first independent rows
+    assert rep.pivots == (0, 1, 3)
+    wide = quad_rank_modular(f, [list(col) for col in zip(*rows)])
+    assert not wide.transposed and wide.pivots == (0, 1, 3) and wide.kernel_dim == 1
 
 
 def test_certified_kernel_raises_when_verification_keeps_failing():
     f = field(7)
     rows = [[f.one, f.zero, f.one]]
+    asked = []
+
+    def mod(p, w):
+        asked.append(p)
+        return reduced(f, rows, p, w)
+
     with pytest.raises(CertificateError):
-        certified(f, rows, annihilates=lambda v: False)
+        certified_kernel(f, mod, lambda v: False)
+    # it gave up after a fixed number of primes
+    assert list(dict.fromkeys(asked)) == split_primes(f, linalg.MAX_PRIMES)
+
+
+# entries near 2^40 make kernel coefficients of hundreds of bits, beyond one
+# prime; small ones make the combinations that stack dependent rows
+SMALL = st.integers(-4, 4)
+ENTRY = st.one_of(SMALL, st.integers(2**40 - 8, 2**40 + 8), st.integers(-(2**40) - 8, -(2**40) + 8))
+
+
+@st.composite
+def stacks(draw):
+    f = field(draw(st.sampled_from(EUCLIDEAN_DS)))
+    ncols = draw(st.integers(1, 6))
+    entry = st.builds(f.quad, ENTRY, ENTRY)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    # O_d-combinations of drawn rows: rank-deficient stacks
+    pick = st.integers(0, len(rows) - 1)
+    for s, t, i, j in draw(st.lists(st.tuples(SMALL, SMALL, pick, pick), max_size=4)):
+        rows.append([f.quad(s) * x + f.quad(0, t) * y for x, y in zip(rows[i], rows[j])])
+    return f, draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(stack=stacks())
+def test_certified_kernel_equals_bareiss_property(stack):
+    f, rows = stack
+    basis, primes, checks = certified(f, rows)
+    assert basis == quad_kernel(f, rows)
+    assert checks == len(basis)
 
 
 def test_echelon_mod_leaves_its_input_and_finds_pivots():

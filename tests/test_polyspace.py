@@ -17,7 +17,8 @@ from hermitia.forms import (
     gen_T_omega,
     identity,
 )
-from hermitia.linalg import matvec_is_zero, pairs_mod, split_primes
+from hermitia import linalg
+from hermitia.linalg import matvec_is_zero, omega_roots, pairs_mod, split_primes
 from hermitia.polyspace import (
     WordOperator,
     act_poly,
@@ -213,6 +214,9 @@ def test_word_matrix_mod_p_equals_the_exact_matrix_reduced(k):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_rows_on_demand_equal_the_exact_matrix(k):
+    """`mod(p, w, cols)`, the named columns under either image of omega,
+    equals the exact matrix reduced the same way, on every row and on
+    random picks of rows and columns."""
     rng = seeded(f"word-rows-{k}")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -220,10 +224,13 @@ def test_rows_on_demand_equal_the_exact_matrix(k):
         rows = oracle_rows(f, k)
         assert op.nrows == len(rows)
         every = list(range(op.size))
-        assert op.rows(range(op.nrows), every) == rows
         picked = rng.sample(range(op.nrows), 7)
         cols = sorted(rng.sample(every, min(5, op.size)))
-        assert op.rows(picked, cols) == [[rows[r][c] for c in cols] for r in picked]
+        p = split_primes(f, 1)[0]
+        for w in omega_roots(f, p):
+            exact = pairs_mod(f, as_pairs(rows), p, w)
+            assert np.array_equal(op.mod(p, w, every), exact)
+            assert np.array_equal(op.mod(p, w, cols)[picked], exact[np.ix_(picked, cols)])
 
 
 def test_annihilates_agrees_with_the_word_action():
@@ -284,6 +291,19 @@ def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
         for k in (1, 3, 5):
             rep = wkk(f, k)
             assert rep.total == rep.split_sum, (d, k)
+
+
+def test_exact_wkk_never_runs_bareiss(monkeypatch):
+    def bareiss(*args):
+        raise AssertionError("wkk ran linalg.quad_kernel")
+
+    monkeypatch.setattr(linalg, "quad_kernel", bareiss)
+    assert not hasattr(WordOperator, "rows")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for idx, k in enumerate((1, 3, 5, 7)):
+            rep = wkk(f, k)
+            assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k)
 
 
 def test_basis_vectors_satisfy_all_words():
