@@ -66,8 +66,9 @@ class CFExpansion:
         return abs(complex(self.z) - self.convergent_complex(i))
 
     def deltas(self) -> list:
-        """delta_(-1) .. delta_(len+... the remainder products, recomputed
-        from the partial quotients; exact when the input was exact."""
+        """The remainders [delta_(-1), delta_0, ..., delta_n] with n =
+        len(self), recomputed from the partial quotients; exact when the
+        input was exact."""
         if self.exact:
             one = QuadElem.from_quadint(self.field.one)
             out = [self.z, one]

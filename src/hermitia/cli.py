@@ -450,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("theta", "exact local correction factor theta(delta, s)", cmd_theta)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
+    p.add_argument("-s", type=int_at_least(1), required=True)
 
     p = add("rcount", "residue counts of N(beta) = delta mod n", cmd_rcount)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-n", type=int, nargs="+", required=True)
+    p.add_argument("-n", type=int_at_least(1), nargs="+", required=True)
     p.add_argument("--check", action="store_true",
                    help=f"cross-check by table and naive counts (n <= {RCOUNT_CHECK_MAX_N})")
 

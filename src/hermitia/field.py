@@ -334,7 +334,7 @@ class QuadElem:
         return Fraction(u, self.den), Fraction(v, self.den)
 
     def __add__(self, other: "QuadElem | QuadInt | int | Fraction") -> "QuadElem":
-        other = _coerce(self.field, other)
+        other = as_elem(self.field, other)
         a, b = self.num, other.num
         return QuadElem.make(
             self.field,
@@ -346,23 +346,23 @@ class QuadElem:
     __radd__ = __add__
 
     def __sub__(self, other: "QuadElem | QuadInt | int | Fraction") -> "QuadElem":
-        return self + (-_coerce(self.field, other))
+        return self + (-as_elem(self.field, other))
 
     def __rsub__(self, other) -> "QuadElem":
-        return _coerce(self.field, other) + (-self)
+        return as_elem(self.field, other) + (-self)
 
     def __neg__(self) -> "QuadElem":
         return QuadElem(-self.num, self.den)
 
     def __mul__(self, other: "QuadElem | QuadInt | int | Fraction") -> "QuadElem":
-        other = _coerce(self.field, other)
+        other = as_elem(self.field, other)
         p = self.num * other.num
         return QuadElem.make(self.field, p.x, p.y, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "QuadElem | QuadInt | int | Fraction") -> "QuadElem":
-        other = _coerce(self.field, other)
+        other = as_elem(self.field, other)
         nrm = other.num.norm()
         if nrm == 0:
             raise ZeroDivisionError("division by zero in K")
@@ -370,10 +370,10 @@ class QuadElem:
         return QuadElem.make(self.field, p.x * other.den, p.y * other.den, self.den * nrm)
 
     def __rtruediv__(self, other) -> "QuadElem":
-        return _coerce(self.field, other) / self
+        return as_elem(self.field, other) / self
 
     def inverse(self) -> "QuadElem":
-        return _coerce(self.field, 1) / self
+        return as_elem(self.field, 1) / self
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.num.conj(), self.den)
@@ -417,13 +417,15 @@ class QuadElem:
         return f"QuadElem(d={self.field.d}, {self})"
 
 
-def _coerce(f: FieldSpec, value) -> QuadElem:
+def as_elem(f: FieldSpec, value) -> QuadElem:
+    """`value` (a QuadElem, QuadInt, int or Fraction) as an element of K;
+    raises ValueError for an element of another field."""
+    if isinstance(value, QuadInt):
+        value = QuadElem(value, 1)
     if isinstance(value, QuadElem):
         if value.field is not f:
             raise ValueError("mixed-field arithmetic")
         return value
-    if isinstance(value, QuadInt):
-        return QuadElem(value, 1)
     if isinstance(value, int):
         return QuadElem(QuadInt(f, value, 0), 1)
     if isinstance(value, Fraction):

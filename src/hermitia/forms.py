@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .field import (
@@ -41,11 +40,12 @@ from .field import (
     QuadElem,
     QuadInt,
     ZLike,
+    as_elem,
     is_norm,
     lattice_points_with_norm_below,
 )
 from .intarith import divisor_power_sum, divisors
-from .linalg import Pair, pair_mul
+from .linalg import pair_mul, pair_powers
 
 
 # --------------------------------------------------------------- matrix group
@@ -356,7 +356,7 @@ class BiPoly:
 
     @staticmethod
     def monomial(f: FieldSpec, n: int, i: int, j: int, coeff=1) -> "BiPoly":
-        c = _as_elem(f, coeff)
+        c = as_elem(f, coeff)
         return BiPoly.make(f, n, {(i, j): c})
 
     def is_zero(self) -> bool:
@@ -375,7 +375,7 @@ class BiPoly:
         return BiPoly(self.field, self.n, {k: -v for k, v in self.coeffs.items()})
 
     def scaled(self, factor) -> "BiPoly":
-        c = _as_elem(self.field, factor)
+        c = as_elem(self.field, factor)
         return BiPoly.make(
             self.field, self.n, {k: v * c for k, v in self.coeffs.items()}
         )
@@ -383,7 +383,7 @@ class BiPoly:
     def eval_exact(self, z: QuadElem, zbar: QuadElem | None = None) -> QuadElem:
         if zbar is None:
             zbar = z.conj()
-        zero = _as_elem(self.field, 0)
+        zero = as_elem(self.field, 0)
         zp = _power_list(z, self.n)
         wp = _power_list(zbar, self.n)
         total = zero
@@ -417,20 +417,8 @@ class BiPoly:
         return " + ".join(parts)
 
 
-def _as_elem(f: FieldSpec, v) -> QuadElem:
-    if isinstance(v, QuadElem):
-        return v
-    if isinstance(v, QuadInt):
-        return QuadElem.from_quadint(v)
-    if isinstance(v, int):
-        return QuadElem(f.quad(v), 1)
-    if isinstance(v, Fraction):
-        return QuadElem.make(f, v.numerator, 0, v.denominator)
-    raise TypeError(f"cannot coerce {v!r} to a coefficient")
-
-
 def _power_list(z: QuadElem, n: int) -> list[QuadElem]:
-    out = [_as_elem(z.field, 1)]
+    out = [as_elem(z.field, 1)]
     for _ in range(n):
         out.append(out[-1] * z)
     return out
@@ -466,8 +454,8 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
             for e in divisors(m)
         ]
         s = [[sum(a[i] * c[r] for a, c in ac) for r in range(k + 1 - i)] for i in range(k + 1)]
-        b_pow = _pair_powers(f, (b.x, b.y), k)
-        bbar_pow = _pair_powers(f, (b.x + f.disc * b.y, -b.y), k)
+        b_pow = pair_powers(f, (b.x, b.y), k)
+        bbar_pow = pair_powers(f, (b.x + f.disc * b.y, -b.y), k)
         prod = [[pair_mul(f, bj, bl) for bl in bbar_pow[: k + 1 - j]] for j, bj in enumerate(b_pow)]
         for i, j, l, r, mult in table:
             w = mult * s[i][r]
@@ -480,9 +468,3 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
         f, k, {key: QuadElem.from_quadint(QuadInt(f, x, y)) for key, (x, y) in acc.items()}
     )
 
-
-def _pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
-    out = [(1, 0)]
-    for _ in range(n):
-        out.append(pair_mul(f, out[-1], q))
-    return out

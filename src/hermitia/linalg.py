@@ -37,10 +37,10 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   against every row.  No production route calls it: it is the test
   oracle of `certified_kernel`.
 
-Matrices enter the modular functions either as rows of `QuadInt` or as a
-function from a split prime p and a root w of omega's polynomial mod p to
-the matrix mod p, so a caller that can reduce its matrix directly never
-builds it over O_d.
+The modular functions take a matrix only by its reductions, a function
+from a split prime p and a root w of omega's polynomial mod p to the matrix
+mod p (`Reductions`), so it is never built over O_d.  Rows of `QuadInt`
+(`Rows`) enter only the test oracles `quad_kernel` and `matvec_is_zero`.
 """
 
 from __future__ import annotations
@@ -73,6 +73,14 @@ def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
     x2, y2 = b
     yy = y1 * y2
     return (x1 * x2 - f.norm_coeff * yy, x1 * y2 + y1 * x2 + f.disc * yy)
+
+
+def pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
+    """[q^0, q^1, ..., q^n] on integer pairs."""
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(pair_mul(f, out[-1], q))
+    return out
 
 
 def _div(f: FieldSpec, a: Pair, b: Pair) -> Pair:
@@ -248,24 +256,6 @@ def omega_roots(f: FieldSpec, p: int) -> tuple[int, int]:
     return w1, (f.disc - w1) % p
 
 
-def pairs_mod(
-    f: FieldSpec, rows: Sequence[Sequence[Pair]], p: int, w: int | None = None
-) -> np.ndarray:
-    """A matrix of integer pairs x + y*omega, reduced mod the split prime p
-    with omega -> w (by default the first of `omega_roots`)."""
-    if w is None:
-        w = omega_roots(f, p)[0]
-    mat = np.array([[(x + y * w) % p for x, y in row] for row in rows], dtype=np.int64)
-    return mat.reshape(len(rows), len(rows[0]) if len(rows) else 0)
-
-
-def _reductions(f: FieldSpec, rows: Rows | Reductions) -> Reductions:
-    if callable(rows):
-        return rows
-    pairs = [[(e.x, e.y) for e in row] for row in rows]
-    return lambda p, w: pairs_mod(f, pairs, p, w)
-
-
 def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row reduction mod p of a copy of `mat` without its zero rows: the
     echelon form (reduced, with unit pivots, if `reduced`) and its pivot
@@ -344,21 +334,17 @@ def _rank_mod(f: FieldSpec, mod: Reductions, p: int) -> tuple[int, int, tuple[in
     return mat.shape[1], rank, pivots, transposed
 
 
-def quad_rank_modular(
-    f: FieldSpec, rows: Rows | Reductions, agreements: int = 3
-) -> ModularRankReport:
-    """Rank (and kernel dimension) from rank and pivot-pattern agreement
-    across `agreements` split primes.  The kernel dimension of any single
-    prime is already a true upper bound for the exact kernel dimension."""
-    if not callable(rows) and not rows:
-        return ModularRankReport(0, 0, (), (), False)
-    mod = _reductions(f, rows)
+def quad_rank_modular(f: FieldSpec, rows: Reductions, agreements: int = 3) -> ModularRankReport:
+    """Rank (and kernel dimension) of the matrix with reductions `rows`,
+    from rank and pivot-pattern agreement across `agreements` split primes.
+    The kernel dimension of any single prime is already a true upper bound
+    for the exact kernel dimension."""
     primes = split_primes(f, agreements)
-    results = [_rank_mod(f, mod, p) for p in primes]
+    results = [_rank_mod(f, rows, p) for p in primes]
     if len({r[1:3] for r in results}) != 1:
         # a prime of bad reduction slipped in; extend until stable
         primes = split_primes(f, 2 * agreements)
-        results += [_rank_mod(f, mod, p) for p in primes[agreements:]]
+        results += [_rank_mod(f, rows, p) for p in primes[agreements:]]
         best = max(r[1] for r in results)
         results = [r for r in results if r[1] == best]
         if len(results) < agreements:
@@ -367,13 +353,11 @@ def quad_rank_modular(
     return ModularRankReport(ncols, rank, pivots, tuple(primes), transposed)
 
 
-def kernel_dim_upper_bound(f: FieldSpec, rows: Rows | Reductions) -> int:
-    """An unconditional upper bound: min kernel dimension mod two split
-    primes (each single prime already bounds from above)."""
-    if not callable(rows) and not rows:
-        return 0
-    mod = _reductions(f, rows)
-    bounds = [_rank_mod(f, mod, p) for p in split_primes(f, 2)]
+def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions) -> int:
+    """An unconditional upper bound on the kernel dimension of the matrix
+    with reductions `rows`: its minimum mod two split primes (each single
+    prime already bounds from above)."""
+    bounds = [_rank_mod(f, rows, p) for p in split_primes(f, 2)]
     return min(ncols - rank for ncols, rank, _, _ in bounds)
 
 

@@ -22,6 +22,7 @@ eigenvalue-1 part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,58 +42,8 @@ from . import linalg
 # ------------------------------------------------------------------- action
 
 
-def _poly_mul(f: FieldSpec, a: list[QuadInt], b: list[QuadInt]) -> list[QuadInt]:
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _binomial_powers(f: FieldSpec, lo: QuadInt, hi: QuadInt, n: int) -> list[list[QuadInt]]:
-    """pows[j] = coefficients (in z) of (hi*z + lo)^j for j = 0..n."""
-    pows = [[f.one]]
-    base = [lo, hi]
-    for _ in range(n):
-        pows.append(_poly_mul(f, pows[-1], base))
-    return pows
-
-
-def one_var_matrix(f: FieldSpec, g: GroupElement, n: int) -> list[list[QuadInt]]:
-    """(n+1) x (n+1) matrix A with A[i][j] = coefficient of z^i in
-    (a z + b)^j (c z + e)^(n-j)."""
-    a, b, c, e = g.entries()
-    top = _binomial_powers(f, b, a, n)
-    bot = _binomial_powers(f, e, c, n)
-    cols = [_poly_mul(f, top[j], bot[n - j]) for j in range(n + 1)]
-    return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
-
-
 def flat_index(k: int, i: int, j: int) -> int:
     return i * (k + 1) + j
-
-
-def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
-    """Matrix of P -> P|g on coefficient vectors, the Kronecker product of
-    the z substitution matrix and its conjugate acting on zbar."""
-    az = one_var_matrix(f, g, k)
-    azb = one_var_matrix(f, g.conj(), k)
-    size = (k + 1) * (k + 1)
-    out = [[f.zero] * size for _ in range(size)]
-    for i1 in range(k + 1):
-        for i2 in range(k + 1):
-            left = az[i1][i2]
-            if left.is_zero():
-                continue
-            for j1 in range(k + 1):
-                for j2 in range(k + 1):
-                    right = azb[j1][j2]
-                    if not right.is_zero():
-                        out[flat_index(k, i1, j1)][flat_index(k, i2, j2)] = left * right
-    return out
 
 
 PairMatrix = list[list[linalg.Pair]]
@@ -102,13 +53,50 @@ Support = list[tuple[tuple[int, int], linalg.Pair]]
 
 def factors(f: FieldSpec, g: GroupElement, k: int) -> tuple[PairMatrix, PairMatrix]:
     """The two factors of `operator_matrix(g)` as integer pairs: the z
-    substitution matrix of g and, for zbar, its entrywise conjugate
-    (conjugation is a ring automorphism, so that is the matrix of g.conj())."""
-    az = one_var_matrix(f, g, k)
-    return (
-        [[(e.x, e.y) for e in row] for row in az],
-        [[(c.x, c.y) for c in map(QuadInt.conj, row)] for row in az],
-    )
+    substitution matrix A of g = [[a, b], [c, e]], with A[i][j] the
+    coefficient of z^i in (a z + b)^j (c z + e)^(k-j), and, for zbar, its
+    entrywise conjugate (conjugation is a ring automorphism, so that is
+    the matrix of g.conj())."""
+    mul = linalg.pair_mul
+
+    def binomials(hi: linalg.Pair, lo: linalg.Pair) -> PairMatrix:
+        """rows[j][s] = coefficient of z^s in (hi z + lo)^j, for j <= k."""
+        his, los = linalg.pair_powers(f, hi, k), linalg.pair_powers(f, lo, k)
+        rows = []
+        for j in range(k + 1):
+            row = []
+            for s in range(j + 1):
+                x, y = mul(f, his[s], los[j - s])
+                m = math.comb(j, s)
+                row.append((m * x, m * y))
+            rows.append(row)
+        return rows
+
+    a, b, c, e = ((q.x, q.y) for q in g.entries())
+    top, bot = binomials(a, b), binomials(c, e)
+    az = [[linalg.ZERO] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        for s, t in enumerate(top[j]):
+            if t == linalg.ZERO:
+                continue
+            for r, u in enumerate(bot[k - j]):
+                if u != linalg.ZERO:
+                    x, y = mul(f, t, u)
+                    ax, ay = az[s + r][j]
+                    az[s + r][j] = (ax + x, ay + y)
+    return az, [[(x + f.disc * y, -y) for x, y in row] for row in az]
+
+
+def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
+    """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
+    the two `factors`, z substitution along z and its conjugate along zbar."""
+    az, azb = factors(f, g, k)
+    n = k + 1
+    return [
+        [f.quad(*linalg.pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
+        for i1 in range(n)
+        for j1 in range(n)
+    ]
 
 
 def word_action(
@@ -267,8 +255,8 @@ def apply_word(P: BiPoly, word: Word) -> BiPoly:
 
 
 def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
-    """A word's matrix, built exactly entry by entry: an oracle for the
-    tests of `WordOperator`; `wkk` never builds it."""
+    """A word's matrix, built exactly entry by entry from `operator_matrix`:
+    an oracle for the tests of `WordOperator`; `wkk` never builds it."""
     size = (k + 1) * (k + 1)
     total = [[f.zero] * size for _ in range(size)]
     for sign, g in word:
@@ -298,8 +286,8 @@ class WordOperator:
 
     Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
     flat index of (i, j); each word's matrix is the signed sum of the
-    Kronecker products of `one_var_matrix(g)` and `one_var_matrix(g.conj())`
-    over its elements (see `operator_matrix`).  All-zero rows are kept.
+    Kronecker products of the two `factors` of its elements (see
+    `operator_matrix`).  All-zero rows are kept.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:

@@ -1,17 +1,29 @@
 """Brute-force routes kept only to check the production code against.
 
-`expand_P_quadint` is the transfer polynomial expanded form by form on
-`QuadInt` objects: the full multinomial expansion of each
-(a z zbar + b z + conj(b) zbar + c)^k, with no grouping and no integer
-pairs.  `forms.expand_P` must agree with it coefficient by coefficient.
+* `expand_P_quadint` is the transfer polynomial expanded form by form on
+  `QuadInt` objects: the full multinomial expansion of each
+  (a z zbar + b z + conj(b) zbar + c)^k, with no grouping and no integer
+  pairs.  `forms.expand_P` must agree with it coefficient by coefficient.
+
+* `one_var_matrix` is the z substitution matrix of a group element, built
+  by multiplying `QuadInt` polynomials.  `polyspace.factors`, which builds
+  it on integer pairs, must agree with it entry by entry.
+
+* `pairs_mod` reduces a matrix of integer pairs mod a split prime, and
+  `reductions` turns explicit `QuadInt` rows into the `linalg.Reductions`
+  that the modular routines take.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 from hermitia.field import FieldSpec, QuadElem, QuadInt
-from hermitia.forms import BiPoly, check_delta, delta_forms
+from hermitia.forms import BiPoly, GroupElement, check_delta, delta_forms
+from hermitia.linalg import Pair, Reductions, Rows, omega_roots
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -45,3 +57,50 @@ def _int_power_list(q: QuadInt, n: int) -> list[QuadInt]:
     for _ in range(n):
         out.append(out[-1] * q)
     return out
+
+
+def _poly_mul(f: FieldSpec, a: list[QuadInt], b: list[QuadInt]) -> list[QuadInt]:
+    out = [f.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _binomial_powers(f: FieldSpec, lo: QuadInt, hi: QuadInt, n: int) -> list[list[QuadInt]]:
+    """pows[j] = coefficients (in z) of (hi*z + lo)^j for j = 0..n."""
+    pows = [[f.one]]
+    base = [lo, hi]
+    for _ in range(n):
+        pows.append(_poly_mul(f, pows[-1], base))
+    return pows
+
+
+def one_var_matrix(f: FieldSpec, g: GroupElement, n: int) -> list[list[QuadInt]]:
+    """(n+1) x (n+1) matrix A with A[i][j] = coefficient of z^i in
+    (a z + b)^j (c z + e)^(n-j)."""
+    a, b, c, e = g.entries()
+    top = _binomial_powers(f, b, a, n)
+    bot = _binomial_powers(f, e, c, n)
+    cols = [_poly_mul(f, top[j], bot[n - j]) for j in range(n + 1)]
+    return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
+
+
+def pairs_mod(
+    f: FieldSpec, rows: Sequence[Sequence[Pair]], p: int, w: int | None = None
+) -> np.ndarray:
+    """A matrix of integer pairs x + y*omega, reduced mod the split prime p
+    with omega -> w (by default the first of `omega_roots`)."""
+    if w is None:
+        w = omega_roots(f, p)[0]
+    mat = np.array([[(x + y * w) % p for x, y in row] for row in rows], dtype=np.int64)
+    return mat.reshape(len(rows), len(rows[0]) if len(rows) else 0)
+
+
+def reductions(f: FieldSpec, rows: Rows) -> Reductions:
+    """Explicit rows of `QuadInt` as the reductions the modular routines take."""
+    pairs = [[(e.x, e.y) for e in row] for row in rows]
+    return lambda p, w: pairs_mod(f, pairs, p, w)

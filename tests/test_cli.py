@@ -90,7 +90,6 @@ def test_rcount_check_is_bounded(capsys):
                     "--check")
     assert code == EXIT_PRECONDITION and out == ""
     assert "--check" in run.err and "-n" in run.err
-    assert run(capsys, "rcount", "-d", "7", "--delta", "5", "-n", "0")[0] == EXIT_PRECONDITION
 
 
 def test_lvalue_positive_and_negative(capsys):
@@ -291,6 +290,9 @@ def test_precision_env(capsys, monkeypatch):
         (["alpha", "-d", "1", "-k", "0", "--delta", "3"], "-k"),
         # the average needs an absolutely convergent sum: k >= 3, odd or even
         (["average", "-d", "2", "-k", "1", "--delta", "5"], "-k"),
+        # residue counts need a positive modulus, theta an s >= 1
+        (["rcount", "-d", "1", "--delta", "3", "-n", "0"], "-n"),
+        (["theta", "-d", "1", "--delta", "3", "-s", "0"], "-s"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):

@@ -263,6 +263,15 @@ def test_bipoly_evaluation_matches_form_sum():
             assert (P.eval_exact(z) - direct).is_zero()
 
 
+def test_bipoly_rejects_a_coefficient_of_another_ring():
+    f, other = field(1), field(3)
+    for coeff in (QuadElem.make(other, 1, 1, 2), other.omega):
+        with pytest.raises(ValueError):
+            BiPoly.monomial(f, 2, 1, 0, coeff)
+        with pytest.raises(ValueError):
+            BiPoly.monomial(f, 2, 1, 0).scaled(coeff)
+
+
 def test_expand_P_matches_the_form_by_form_oracle():
     for d in EUCLIDEAN_DS:
         f = field(d)

@@ -15,13 +15,13 @@ from hermitia.linalg import (
     kernel_dim_upper_bound,
     matvec_is_zero,
     omega_roots,
-    pairs_mod,
     quad_kernel,
     quad_rank_modular,
     split_primes,
 )
 
 from conftest import seeded
+from oracles import pairs_mod, reductions
 
 
 def rand_rows(rng, f, nr, nc, span=4):
@@ -49,7 +49,7 @@ def test_exact_dimension_equals_modular_dimension():
         f = field(d)
         for _ in range(20):
             rows = rand_rows(rng, f, rng.randint(1, 5), rng.randint(1, 6))
-            assert len(quad_kernel(f, rows)) == quad_rank_modular(f, rows).kernel_dim
+            assert len(quad_kernel(f, rows)) == quad_rank_modular(f, reductions(f, rows)).kernel_dim
 
 
 def test_rank_deficient_stack():
@@ -61,9 +61,9 @@ def test_rank_deficient_stack():
         [e * f.quad(3, -2) for e in base],
     ]
     assert len(quad_kernel(f, rows)) == 2
-    rep = quad_rank_modular(f, rows)
+    rep = quad_rank_modular(f, reductions(f, rows))
     assert rep.rank == 1 and rep.kernel_dim == 2
-    assert kernel_dim_upper_bound(f, rows) == 2
+    assert kernel_dim_upper_bound(f, reductions(f, rows)) == 2
 
 
 def test_full_rank_matrix_has_trivial_kernel():
@@ -73,7 +73,7 @@ def test_full_rank_matrix_has_trivial_kernel():
         [f.omega, f.one],
     ]
     assert quad_kernel(f, rows) == []
-    assert quad_rank_modular(f, rows).kernel_dim == 0
+    assert quad_rank_modular(f, reductions(f, rows)).kernel_dim == 0
 
 
 def test_zero_matrix_kernel_is_everything():
@@ -100,7 +100,7 @@ def test_upper_bound_is_an_upper_bound():
         for _ in range(10):
             rows = rand_rows(rng, f, 3, 5)
             exact = len(quad_kernel(f, rows))
-            assert kernel_dim_upper_bound(f, rows) >= exact
+            assert kernel_dim_upper_bound(f, reductions(f, rows)) >= exact
 
 
 # ------------------------------------------------------- certified kernel
@@ -190,11 +190,11 @@ def test_modular_rank_reduces_the_short_side():
     base = [f.one, f.quad(0, 1), f.quad(2, -1)]
     # a tall matrix: rows 0 and 2 are multiples of `base`
     rows = [base, [f.zero, f.one, f.zero], [e * f.quad(3, 1) for e in base], [f.one] * 3]
-    rep = quad_rank_modular(f, rows)
+    rep = quad_rank_modular(f, reductions(f, rows))
     assert rep.transposed and rep.rank == 3 and rep.kernel_dim == 0
     # the pivots of the transpose name the first independent rows
     assert rep.pivots == (0, 1, 3)
-    wide = quad_rank_modular(f, [list(col) for col in zip(*rows)])
+    wide = quad_rank_modular(f, reductions(f, [list(col) for col in zip(*rows)]))
     assert not wide.transposed and wide.pivots == (0, 1, 3) and wide.kernel_dim == 1
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import (
@@ -18,7 +20,7 @@ from hermitia.forms import (
     identity,
 )
 from hermitia import linalg
-from hermitia.linalg import matvec_is_zero, omega_roots, pairs_mod, split_primes
+from hermitia.linalg import matvec_is_zero, omega_roots, split_primes
 from hermitia.polyspace import (
     WordOperator,
     act_poly,
@@ -27,6 +29,7 @@ from hermitia.polyspace import (
     eigen_labels,
     eigen_order,
     epsilon,
+    factors,
     kernel_words,
     membership,
     operator_matrix,
@@ -40,6 +43,7 @@ from hermitia.polyspace import (
 )
 
 from conftest import seeded
+from oracles import one_var_matrix, pairs_mod
 
 
 def rand_bipoly(rng, f, k, terms=4):
@@ -53,6 +57,10 @@ def rand_bipoly(rng, f, k, terms=4):
 
 def gens(f):
     return [gen_S(f), gen_T(f), gen_T_omega(f), gen_T_omega(f).inverse()]
+
+
+def as_pairs(rows):
+    return [[(e.x, e.y) for e in row] for row in rows]
 
 
 # ------------------------------------------------------------------- action
@@ -91,6 +99,37 @@ def test_action_matches_substitution_pointwise():
             factor = cz_e * cz_e.conj()
             rhs = P.eval_exact(g.apply(z)) * factor * factor
             assert (lhs - rhs).is_zero()
+
+
+def assert_factors_match_the_oracle(f, g, k):
+    az, azb = factors(f, g, k)
+    assert az == as_pairs(one_var_matrix(f, g, k)), (f.d, k, str(g))
+    assert azb == as_pairs(one_var_matrix(f, g.conj(), k)), (f.d, k, str(g))
+
+
+def test_factors_equal_the_quadint_oracle_on_every_kernel_word():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        elements = {str(g): g for word in kernel_words(f) for _, g in word}
+        for k in range(1, 12):
+            for g in elements.values():
+                assert_factors_match_the_oracle(f, g, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.integers(0, 9),
+    letters=st.lists(st.integers(0, 5), max_size=8),
+)
+def test_factors_equal_the_quadint_oracle_property(d, k, letters):
+    """Random words in S, T, T_omega and their inverses."""
+    f = field(d)
+    alphabet = gens(f) + [gen_S(f).inverse(), gen_T(f).inverse()]
+    g = identity(f)
+    for i in letters:
+        g = g @ alphabet[i]
+    assert_factors_match_the_oracle(f, g, k)
 
 
 def test_operator_matrix_represents_the_action():
@@ -191,10 +230,6 @@ def test_eigen_labels_count_matches_unit_group_order():
 def oracle_rows(f, k):
     """Every word's exact matrix, stacked, all-zero rows kept."""
     return [row for word in kernel_words(f) for row in word_matrix(f, word, k)]
-
-
-def as_pairs(rows):
-    return [[(e.x, e.y) for e in row] for row in rows]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
