@@ -11,6 +11,10 @@ table|json|csv) and uses three exit codes:
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
 environment variable (an integer >= MIN_BITS, as for --bits), or 128.
+
+The subcommands are one table, COMMANDS. `main` builds the parser of the
+invoked subcommand only, and the full parser just for a top-level error or
+help.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -426,80 +431,100 @@ def cmd_selftest(args) -> list[dict]:
 # -------------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    """One subcommand: its help line, the function that computes its rows,
+    whether it takes -d, and its own arguments as (flags, keywords) pairs
+    for `add_argument`."""
+
+    help: str
+    fn: Callable[[argparse.Namespace], list[dict]]
+    needs_d: bool
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+
+
+def arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+COMMANDS: dict[str, Command] = {
+    "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
+        arg("-k", type=int_at_least(1, odd=True), required=True),
+        arg("--delta", type=int),
+        arg("--count", type=int_at_least(1), default=3, help="how many non-norm deltas"),
+    )),
+    "theta": Command("exact local correction factor theta(delta, s)", cmd_theta, True, (
+        arg("--delta", type=int, required=True),
+        arg("-s", type=int_at_least(1), required=True),
+    )),
+    "rcount": Command("residue counts of N(beta) = delta mod n", cmd_rcount, True, (
+        arg("--delta", type=int, required=True),
+        arg("-n", type=int_at_least(1), nargs="+", required=True),
+        arg("--check", action="store_true",
+            help=f"cross-check by table and naive counts (n <= {RCOUNT_CHECK_MAX_N})"),
+    )),
+    "lvalue": Command("special values L(chi, s) in closed form", cmd_lvalue, True, (
+        arg("-s", type=int, required=True),
+        arg("--delta", type=int),
+        arg("--bits", type=int_at_least(MIN_BITS)),
+    )),
+    "bench": Command("closed form vs character-sum baseline", cmd_bench, True, (
+        arg("-s", type=int, default=-2),
+        arg("--bits", type=int_at_least(MIN_BITS)),
+        arg("--repeats", type=int_at_least(1), default=5),
+    )),
+    "hconst": Command("evaluate the sum H_{k,Delta} at exact points", cmd_hconst, True, (
+        arg("-k", type=int_at_least(1, odd=True), required=True),
+        arg("--delta", type=int, required=True),
+        arg("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)"),
+        arg("--points", type=int_at_least(1), default=20),
+        arg("--den", type=int_at_least(1), default=8),
+        arg("--seed", type=int, default=0),
+    )),
+    "average": Command("cell average: quadrature vs closed form", cmd_average, True, (
+        arg("-k", type=int_at_least(3), required=True),
+        arg("--delta", type=int, required=True),
+        arg("--grid", type=int_at_least(1), default=32),
+        arg("--a-max", type=int_at_least(1), default=200),
+    )),
+    "cfrac": Command("nearest-integer continued fraction of z", cmd_cfrac, True, (
+        arg("-z", required=True, help="point 'u,v' = u + v*theta"),
+        arg("--max-steps", type=int_at_least(1), default=40),
+    )),
+    "dims": Command("dimensions of the cocycle spaces W_{k,k}", cmd_dims, True, (
+        arg("--kmax", type=int_at_least(1), default=11),
+        arg("--method", choices=("exact", "modular"), default="exact"),
+    )),
+    "basis": Command("exact basis of W_{k,k}", cmd_basis, True, (
+        arg("-k", type=int_at_least(1), required=True),
+        arg("--eigen", help="restrict to one eigenvalue label"),
+    )),
+    "expandp": Command("the transfer polynomial P_{k,Delta}", cmd_expandp, True, (
+        arg("-k", type=int_at_least(1, odd=True), required=True),
+        arg("--delta", type=int, required=True),
+        arg("--check", action="store_true", help="verify cocycle membership"),
+    )),
+    "selftest": Command("run the internal oracle cross-checks", cmd_selftest, False, ()),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS, or of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="hermitia",
         description="Sums of powers of binary Hermitian forms over the five "
         "Euclidean imaginary quadratic rings, and the L-values they compute.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, fn, needs_d: bool = True):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
-        if needs_d:
+    names = COMMANDS if command is None else (command,)
+    for name in names:
+        cmd = COMMANDS[name]
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.needs_d:
             p.add_argument("-d", type=int, required=True, choices=(1, 2, 3, 7, 11),
                            help="ring O_d")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        return p
-
-    p = add("alpha", "the integer constants alpha_{k,Delta}", cmd_alpha)
-    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--count", type=int_at_least(1), default=3, help="how many non-norm deltas")
-
-    p = add("theta", "exact local correction factor theta(delta, s)", cmd_theta)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-s", type=int_at_least(1), required=True)
-
-    p = add("rcount", "residue counts of N(beta) = delta mod n", cmd_rcount)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-n", type=int_at_least(1), nargs="+", required=True)
-    p.add_argument("--check", action="store_true",
-                   help=f"cross-check by table and naive counts (n <= {RCOUNT_CHECK_MAX_N})")
-
-    p = add("lvalue", "special values L(chi, s) in closed form", cmd_lvalue)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--bits", type=int_at_least(MIN_BITS))
-
-    p = add("bench", "closed form vs character-sum baseline", cmd_bench)
-    p.add_argument("-s", type=int, default=-2)
-    p.add_argument("--bits", type=int_at_least(MIN_BITS))
-    p.add_argument("--repeats", type=int_at_least(1), default=5)
-
-    p = add("hconst", "evaluate the sum H_{k,Delta} at exact points", cmd_hconst)
-    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)")
-    p.add_argument("--points", type=int_at_least(1), default=20)
-    p.add_argument("--den", type=int_at_least(1), default=8)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("average", "cell average: quadrature vs closed form", cmd_average)
-    p.add_argument("-k", type=int_at_least(3), required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--grid", type=int_at_least(1), default=32)
-    p.add_argument("--a-max", type=int_at_least(1), default=200)
-
-    p = add("cfrac", "nearest-integer continued fraction of z", cmd_cfrac)
-    p.add_argument("-z", required=True, help="point 'u,v' = u + v*theta")
-    p.add_argument("--max-steps", type=int_at_least(1), default=40)
-
-    p = add("dims", "dimensions of the cocycle spaces W_{k,k}", cmd_dims)
-    p.add_argument("--kmax", type=int_at_least(1), default=11)
-    p.add_argument("--method", choices=("exact", "modular"), default="exact")
-
-    p = add("basis", "exact basis of W_{k,k}", cmd_basis)
-    p.add_argument("-k", type=int_at_least(1), required=True)
-    p.add_argument("--eigen", help="restrict to one eigenvalue label")
-
-    p = add("expandp", "the transfer polynomial P_{k,Delta}", cmd_expandp)
-    p.add_argument("-k", type=int_at_least(1, odd=True), required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="verify cocycle membership")
-
-    add("selftest", "run the internal oracle cross-checks", cmd_selftest, needs_d=False)
+        for flags, kwargs in cmd.arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -518,10 +543,14 @@ def attach_negative_points(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(attach_negative_points(sys.argv[1:] if argv is None else argv))
+    argv = attach_negative_points(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        # only the full parser's usage line lists every command
+        args = build_parser().parse_args(argv)
     try:
-        rows = args.fn(args)
+        rows = COMMANDS[args.command].fn(args)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE

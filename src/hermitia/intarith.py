@@ -6,26 +6,98 @@ import math
 from functools import lru_cache
 
 
+# Trial division stops at this divisor.  Every n below its square is
+# factored by trial division alone.
+TRIAL_BOUND = 10**4
+
+# The Miller-Rabin witnesses of `is_probable_prime`: the first 13 primes.
+# It is a proof of primality below MILLER_RABIN_PROVEN, the least composite
+# that is a strong pseudoprime to all of them (to the first 12 alone, the
+# composite 318665857834031151167461 already is one).
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_PROVEN = 3_317_044_064_679_887_385_961_981
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (n != 0)."""
+    """Prime factorization of |n| (n != 0), with the primes in ascending order.
+
+    Trial division up to TRIAL_BOUND; a cofactor left with no prime factor
+    below that is split by Pollard-Brent rho.  A cofactor is reported prime
+    only when `is_probable_prime` proves it (below MILLER_RABIN_PROVEN); one
+    that passes the test above that bound is trial-divided on.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
     out: dict[int, int] = {}
+    n = _trial_divide(abs(n), out, TRIAL_BOUND)
+    if n > 1:
+        for q in sorted(_split(n)):
+            out[q] = out.get(q, 0) + 1
+    return out
+
+
+def _trial_divide(n: int, out: dict[int, int], stop: float = math.inf) -> int:
+    """Divide every prime p <= stop with p*p <= n out of n, into `out`.  A
+    cofactor > 1 left once p*p > n is prime and goes into `out` too.  Return
+    what is left: 1, or a cofactor with no prime factor up to stop."""
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     p = 5
-    while p * p <= n:
+    while p * p <= n and p <= stop:
         for q in (p, p + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         p += 6
-    if n > 1:
+    if n > 1 and p * p > n:
         out[n] = out.get(n, 0) + 1
-    return out
+        return 1
+    return n
+
+
+def _split(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of n > 1 that has no prime
+    factor up to TRIAL_BOUND."""
+    if not is_probable_prime(n):
+        d = _rho_factor(n)
+        return _split(d) + _split(n // d)
+    if n < MILLER_RABIN_PROVEN:
+        return [n]
+    found: dict[int, int] = {}
+    _trial_divide(n, found)
+    return [p for p, e in found.items() for _ in range(e)]
+
+
+def _rho_factor(n: int) -> int:
+    """A divisor 1 < d < n of the odd composite n: Pollard's rho with
+    Brent's cycle search and batched gcds, on x -> x^2 + c for c = 1, 2, ..."""
+    batch, c = 128, 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: step once at a time from its start
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 def divisors(n: int) -> list[int]:
@@ -60,17 +132,17 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
+    """Miller-Rabin to the bases WITNESSES: a proof for n < MILLER_RABIN_PROVEN."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -154,8 +154,8 @@ def local_count_coeffs(f: FieldSpec, delta: int, p: int, jmax: int) -> list[int]
 
 
 def r_count_multiplicative(f: FieldSpec, delta: int, n: int) -> int:
-    """r(delta, n) via multiplicativity and the local series (delta != 0):
-    O(sqrt n) for the factorization.  `r_count` and `r_count_naive` are
+    """r(delta, n) via multiplicativity and the local series (delta != 0);
+    its time is that of `factorize(n)`.  `r_count` and `r_count_naive` are
     its oracles."""
     if n <= 0:
         raise ValueError("modulus must be positive")
@@ -312,10 +312,12 @@ def _scope_k(f: FieldSpec, s: int) -> int:
             f"s = {s} is not covered: allowed are odd s >= 3 and even s <= -2"
         )
     if k not in CONSTANCY_SCOPE or f.d not in CONSTANCY_SCOPE[k]:
+        ks = [j for j, ds in CONSTANCY_SCOPE.items() if f.d in ds]
+        allowed = [j + 2 for j in ks] + [-j - 1 for j in ks]
         raise ValueError(
             f"(d, s) = ({f.d}, {s}) is outside the constancy range of the "
-            f"closed-form evaluation (k = {k} works for d in "
-            f"{CONSTANCY_SCOPE.get(k, ())})"
+            f"closed-form evaluation (for d = {f.d}, s is one of "
+            f"{', '.join(map(str, allowed))})"
         )
     return k
 

@@ -3,6 +3,7 @@ formats, and the exit-code contract."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -80,6 +81,17 @@ def test_rcount_does_not_build_a_table(capsys, monkeypatch):
     assert row == {"d": 2, "delta": 5, "n": n, "count": two * five}
 
 
+def test_rcount_at_a_product_of_two_large_primes(capsys):
+    p, q = 2**31 - 1, 2**61 - 1
+    code, out = run(capsys, "rcount", "-d", "1", "--delta", "3", "-n", str(p * q),
+                    "--format", "json")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)
+    f = field(1)
+    want = lfun.local_count_coeffs(f, -3, p, 1)[1] * lfun.local_count_coeffs(f, -3, q, 1)[1]
+    assert row["count"] == want
+
+
 def test_rcount_check_is_bounded(capsys):
     top = cli.RCOUNT_CHECK_MAX_N
     code, out = run(capsys, "rcount", "-d", "7", "--delta", "5", "-n", "12", str(top),
@@ -106,6 +118,13 @@ def test_lvalue_out_of_scope_is_a_precondition_error(capsys):
     code, _ = run(capsys, "lvalue", "-d", "2", "-s", "5")
     assert code == EXIT_PRECONDITION
     assert "outside the constancy range" in run.err
+
+
+def test_lvalue_out_of_scope_lists_the_allowed_s(capsys):
+    code, out = run(capsys, "lvalue", "-d", "3", "-s", "9")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "for d = 3, s is one of 3, 5, 7, -2, -4, -6" in run.err
+    assert "()" not in run.err
 
 
 def test_norm_delta_is_a_precondition_error(capsys):
@@ -369,8 +388,60 @@ def test_non_hermitian_form_action_exits_3(capsys, monkeypatch):
     h = forms.HermitianForm(1, f.zero, 1)
     # without the conjugation the action leaves the Hermitian forms
     monkeypatch.setattr(forms.GroupElement, "conj", lambda self: self)
-    monkeypatch.setattr(cli, "cmd_alpha", lambda args: [{"form": str(forms.act(g, h))}])
+    alpha = cli.COMMANDS["alpha"]._replace(fn=lambda args: [{"form": str(forms.act(g, h))}])
+    monkeypatch.setitem(cli.COMMANDS, "alpha", alpha)
     assert_certificate_exit(capsys, "alpha", "-d", "1", "-k", "1")
+
+
+# ------------------------------------------------------------------ parser
+
+
+def exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_subcommand_help_equals_the_full_parsers(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = exit_and_output(capsys, cli.build_parser().parse_args, [name, "-h"])
+    assert want[0] == EXIT_OK and want[1].startswith(f"usage: hermitia {name} ")
+    assert exit_and_output(capsys, main, [name, "-h"]) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nosuch"],
+        ["selftest", "-d", "1"],
+        ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "0", "--bogus"],
+    ],
+)
+def test_top_level_errors_equal_the_full_parsers(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = exit_and_output(capsys, cli.build_parser().parse_args, argv)
+    got = exit_and_output(capsys, main, argv)
+    assert got == want
+    # the usage line lists every command
+    assert "expandp,selftest}" in want[1] + want[2]
+
+
+def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    code, _ = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "1/3,1/5")
+    assert code == EXIT_OK
+    assert added == ["hconst"]
 
 
 # ------------------------------------------------------------- python -m

@@ -9,12 +9,14 @@ those polynomials.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas, smallest_nonnorm
+from hermitia.intarith import factorize, is_probable_prime
 from hermitia.lfun import (
     CONSTANCY_SCOPE,
     bench_negative,
@@ -73,6 +75,24 @@ def test_multiplicative_count_equals_table_count():
     for n in (0, -4):
         with pytest.raises(ValueError):
             r_count_multiplicative(field(1), -3, n)
+
+
+def test_factorize_past_trial_division():
+    # trial division would need about 2^30 divisions to split either product
+    p, q = 2**31 - 1, 2**61 - 1
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(-12 * p**2 * q) == {2: 2, 3: 1, p: 2, q: 1}
+    # a strong pseudoprime to the bases 2, 3, ..., 37
+    assert not is_probable_prime(318665857834031151167461)
+    assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+    rng = seeded("factorize")
+    for _ in range(300):
+        n = rng.randrange(1, 10 ** rng.randint(1, 20))
+        found = factorize(n)
+        # below 3.3e24 is_probable_prime is a proof, so this is the factorization
+        assert math.prod(r**e for r, e in found.items()) == n
+        assert all(is_probable_prime(r) for r in found)
+        assert list(found) == sorted(found)
 
 
 def test_local_series_matches_literal_counts():
