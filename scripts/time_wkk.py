@@ -1,12 +1,14 @@
-"""Time exact and modular `wkk` at large k, and hash the exact basis.
+"""Time exact and modular `wkk` at large k, and check the exact basis by hash.
 
     PYTHONPATH=src python3 scripts/time_wkk.py [d,k ...]
 
 Prints one line per (d, k): the seconds of one exact and one modular
-`polyspace.wkk` call, their ratio, the dimensions, and the first 16 hex
-digits of the SHA-256 of the exact basis (one `str` per polynomial, one per
-line).  The same hash before and after a change to the kernels means the
-same basis.  Without arguments it runs (2, 19), (7, 21), (11, 15), (1, 21).
+`polyspace.wkk` call, their ratio, the dimensions, the first 16 hex digits
+of the SHA-256 of the exact basis (one `str` per polynomial, one per line),
+and `ok` or `CHANGED` against the hash recorded in EXPECTED (`-` for a case
+without one).  The same hash means the same basis, so a change to the
+kernels is checked at k = 15-21, beyond the golden files.  Exits 1 if any
+hash changed.  Without arguments it runs the four cases of EXPECTED.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import time
 from hermitia.field import field
 from hermitia.polyspace import wkk
 
-CASES = [(2, 19), (7, 21), (11, 15), (1, 21)]
+# (d, k) -> basis hash of the certified kernels since they were introduced
+EXPECTED = {
+    (2, 19): "e028b808819aa31f",
+    (7, 21): "e524965a1c64c873",
+    (11, 15): "3520bc44464bb1d7",
+    (1, 21): "d6e4275409c96686",
+}
 
 
 def timed(f, k: int, method: str):
@@ -27,8 +35,9 @@ def timed(f, k: int, method: str):
     return rep, time.perf_counter() - start
 
 
-def main(argv: list[str]) -> None:
-    cases = [tuple(map(int, a.split(","))) for a in argv] or CASES
+def main(argv: list[str]) -> int:
+    cases = [tuple(map(int, a.split(","))) for a in argv] or list(EXPECTED)
+    changed = False
     for d, k in cases:
         f = field(d)
         exact, t_exact = timed(f, k, "exact")
@@ -36,12 +45,17 @@ def main(argv: list[str]) -> None:
         if (exact.dims, exact.total) != (modular.dims, modular.total):
             raise SystemExit(f"d={d} k={k}: exact and modular dimensions differ")
         digest = hashlib.sha256("\n".join(map(str, exact.basis)).encode()).hexdigest()[:16]
+        want = EXPECTED.get((d, k))
+        verdict = "-" if want is None else "ok" if digest == want else "CHANGED"
+        changed |= verdict == "CHANGED"
         print(
             f"d={d:<2} k={k:<2} exact_s={t_exact:7.2f} modular_s={t_mod:6.2f} "
-            f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} basis={digest}",
+            f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} "
+            f"basis={digest} {verdict}",
             flush=True,
         )
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

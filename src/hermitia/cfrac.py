@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from .field import FieldSpec, QuadElem, QuadInt, ZLike, nearest_int
 from .forms import GroupElement, HermitianForm, act
 
+# a floating-point expansion stops once its remainder is this small
+FLOAT_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class CFExpansion:
@@ -92,14 +95,12 @@ class CFExpansion:
         return out
 
 
-def hurwitz_cf(
-    f: FieldSpec, z: ZLike, max_steps: int = 40, float_eps: float = 1e-12
-) -> CFExpansion:
+def hurwitz_cf(f: FieldSpec, z: ZLike, max_steps: int = 40) -> CFExpansion:
     """Hurwitz continued fraction of z.
 
     Exact input (QuadElem) uses exact arithmetic throughout and always
     terminates; complex input runs in floating point and stops after
-    max_steps or once |z_n - alpha_n| < float_eps.
+    max_steps or once |z_n - alpha_n| < FLOAT_EPS.
     """
     exact = isinstance(z, QuadElem)
     zn: ZLike = z if exact else complex(z)
@@ -126,7 +127,7 @@ def hurwitz_cf(
             zn = rem.inverse()
         else:
             rem = zn - complex(a)
-            if abs(rem) < float_eps:
+            if abs(rem) < FLOAT_EPS:
                 terminated = True
                 break
             zn = 1.0 / rem

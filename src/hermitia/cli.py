@@ -89,8 +89,8 @@ def parse_z(f, text: str) -> QuadElem:
     return QuadElem.from_display(f, u, v)
 
 
-def emit(rows: list[dict], fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def emit(rows: list[dict], fmt: str) -> None:
+    stream = sys.stdout
     if fmt == "json":
         json.dump(rows, stream, indent=2, default=str)
         stream.write("\n")

@@ -380,20 +380,19 @@ class BiPoly:
             self.field, self.n, {k: v * c for k, v in self.coeffs.items()}
         )
 
-    def eval_exact(self, z: QuadElem, zbar: QuadElem | None = None) -> QuadElem:
-        if zbar is None:
-            zbar = z.conj()
+    def eval_exact(self, z: QuadElem) -> QuadElem:
+        """P(z, conj(z)), exactly."""
         zero = as_elem(self.field, 0)
         zp = _power_list(z, self.n)
-        wp = _power_list(zbar, self.n)
+        wp = _power_list(z.conj(), self.n)
         total = zero
         for (i, j), v in self.coeffs.items():
             total = total + v * zp[i] * wp[j]
         return total
 
-    def eval_complex(self, z: complex, zbar: complex | None = None) -> complex:
-        if zbar is None:
-            zbar = z.conjugate()
+    def eval_complex(self, z: complex) -> complex:
+        """P(z, conj(z)) in floating point."""
+        zbar = z.conjugate()
         total = 0j
         for (i, j), v in self.coeffs.items():
             total += complex(v) * z**i * zbar**j

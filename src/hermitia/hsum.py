@@ -53,6 +53,9 @@ from .cfrac import hurwitz_cf
 from .field import CertificateError, FieldSpec, QuadElem
 from .forms import alpha, alpha_direct, check_delta, delta_forms, expand_P, window_scan
 
+# a float `ReductionCheck` holds within its error bound plus this slack
+CHECK_SLACK = 1e-9
+
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
     """H_{k,Delta}(z) as an exact rational, z in K, odd k.
@@ -189,10 +192,10 @@ class ReductionCheck:
     error_bound: Fraction | float
     exact: bool
 
-    def holds(self, slack: float = 1e-9) -> bool:
+    def holds(self) -> bool:
         if self.exact:
             return self.residual == 0
-        return abs(self.residual) <= float(self.error_bound) + slack
+        return abs(self.residual) <= float(self.error_bound) + CHECK_SLACK
 
 
 def reduction_identity_check(

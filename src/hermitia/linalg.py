@@ -26,8 +26,8 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   mod p can only lower the rank, hence can only raise the kernel
   dimension: every single prime yields a true upper bound on the kernel
   dimension (`kernel_dim_upper_bound`).  The report is accepted once
-  several primes agree on the full pivot pattern, which pins the
-  dimension down with overwhelming probability; combined with an exact
+  AGREEMENTS primes of maximal rank agree on the full pivot pattern,
+  which pins the dimension down with overwhelming probability; combined with an exact
   lower bound (independent verified kernel vectors) the bound becomes an
   unconditional certificate.  Both reduce whichever orientation of the
   matrix has fewer rows: the rank is the same, and the work is smaller.
@@ -39,16 +39,19 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
 
 The modular functions take a matrix only by its reductions, a function
 from a split prime p and a root w of omega's polynomial mod p to the matrix
-mod p (`Reductions`), so it is never built over O_d.  Rows of `QuadInt`
+mod p (`Reductions`), so it is never built over O_d.  Kernel vectors, in
+`certified_kernel`, its exact check and `quad_kernel`, are lists of integer
+pairs (x, y) for x + y*omega, integral and content-free.  Rows of `QuadInt`
 (`Rows`) enter only the test oracles `quad_kernel` and `matvec_is_zero`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +68,10 @@ ZERO: Pair = (0, 0)
 
 # `certified_kernel` gives up after this many split primes (~1900 bits)
 MAX_PRIMES = 64
+# `quad_rank_modular` accepts a rank once this many split primes agree
+AGREEMENTS = 3
+# the split primes are the first above this; below 2^31 products fit in int64
+PRIME_START = 1 << 30
 
 
 def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
@@ -125,13 +132,12 @@ def _annihilates(f: FieldSpec, rows: list[list[Pair]], vec: list[Pair]) -> bool:
     return True
 
 
-def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
+def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:
     """Basis of { v : M v = 0 } over the field of fractions of O_d, by
     Bareiss elimination: the test oracle of `certified_kernel`.
 
-    Returns integral, content-free vectors (QuadElem of denominator 1).
-    The basis vectors are verified against every row of M exactly before
-    returning.
+    Returns integral, content-free vectors of integer pairs.  The basis
+    vectors are verified against every row of M exactly before returning.
     """
     if not rows:
         return []
@@ -176,33 +182,28 @@ def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[QuadElem]]:
 
     pivot_cols = {c for c, _ in pivots}
     basis: list[list[Pair]] = []
-    zero = QuadElem.from_quadint(f.zero)
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v: list[QuadElem] = [zero] * ncols
-        v[fc] = QuadElem.from_quadint(f.one)
+        v = [ZERO] * ncols
+        v[fc] = (1, 0)
         for col, row in reversed(pivots):
-            acc = zero
+            # v[col] = -acc / e, kept integral: v times N(e), v[col] = -acc * conj(e)
+            ax = ay = 0
             for c in range(col + 1, ncols):
-                rc = row[c]
-                if rc != ZERO and not v[c].is_zero():
-                    acc = acc + QuadElem.from_quadint(f.quad(*rc)) * v[c]
-            pe = QuadElem.from_quadint(f.quad(*row[col]))
-            v[col] = -acc * pe.inverse() if not acc.is_zero() else zero
-        basis.append(_canonical_integral(integral_pairs(v)[1]))
+                if row[c] != ZERO and v[c] != ZERO:
+                    x, y = pair_mul(f, row[c], v[c])
+                    ax, ay = ax - x, ay - y
+            u, w = row[col]
+            n = f.norm_int(u, w)
+            v = [(x * n, y * n) for x, y in v]
+            v[col] = pair_mul(f, (ax, ay), (u + f.disc * w, -w))
+        basis.append(_canonical_integral(v))
 
     for v in basis:
         if not _annihilates(f, pairs, v):
             raise CertificateError("kernel vector failed exact verification")
-    return [[QuadElem.from_quadint(f.quad(x, y)) for x, y in v] for v in basis]
-
-
-def integral_pairs(vec: Iterable[QuadElem]) -> tuple[int, list[Pair]]:
-    """The lcm den of the denominators in `vec`, and den * vec as integer pairs."""
-    vec = list(vec)
-    den = math.lcm(*(e.den for e in vec))
-    return den, [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
+    return basis
 
 
 def _canonical_integral(ints: list[Pair]) -> list[Pair]:
@@ -232,9 +233,9 @@ def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _split_primes(f: FieldSpec, count: int, start: int) -> tuple[int, ...]:
+def _split_primes(f: FieldSpec, count: int) -> tuple[int, ...]:
     out: list[int] = []
-    p = start | 1
+    p = PRIME_START | 1
     while len(out) < count:
         if is_probable_prime(p) and kronecker(f.disc, p) == 1:
             out.append(p)
@@ -242,9 +243,10 @@ def _split_primes(f: FieldSpec, count: int, start: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def split_primes(f: FieldSpec, count: int, start: int = 1 << 30) -> list[int]:
-    """Odd primes p with (d_K/p) = 1, where O_d embeds in Z/p."""
-    return list(_split_primes(f, count, start))
+def split_primes(f: FieldSpec, count: int) -> list[int]:
+    """The first `count` odd primes p > PRIME_START with (d_K/p) = 1, where
+    O_d embeds in Z/p."""
+    return list(_split_primes(f, count))
 
 
 @lru_cache(maxsize=None)
@@ -334,21 +336,24 @@ def _rank_mod(f: FieldSpec, mod: Reductions, p: int) -> tuple[int, int, tuple[in
     return mat.shape[1], rank, pivots, transposed
 
 
-def quad_rank_modular(f: FieldSpec, rows: Reductions, agreements: int = 3) -> ModularRankReport:
+def quad_rank_modular(f: FieldSpec, rows: Reductions) -> ModularRankReport:
     """Rank (and kernel dimension) of the matrix with reductions `rows`,
-    from rank and pivot-pattern agreement across `agreements` split primes.
-    The kernel dimension of any single prime is already a true upper bound
-    for the exact kernel dimension."""
-    primes = split_primes(f, agreements)
+    from rank and pivot-pattern agreement across AGREEMENTS split primes;
+    if they disagree, the pattern of maximal rank shared by the most of
+    twice as many primes, at least AGREEMENTS.  `primes` lists every prime
+    tried.  The kernel dimension of any single prime is already a true
+    upper bound for the exact kernel dimension."""
+    primes = split_primes(f, AGREEMENTS)
     results = [_rank_mod(f, rows, p) for p in primes]
     if len({r[1:3] for r in results}) != 1:
-        # a prime of bad reduction slipped in; extend until stable
-        primes = split_primes(f, 2 * agreements)
-        results += [_rank_mod(f, rows, p) for p in primes[agreements:]]
+        # a prime of bad reduction slipped in: a lower rank or later pivots
+        primes = split_primes(f, 2 * AGREEMENTS)
+        results += [_rank_mod(f, rows, p) for p in primes[AGREEMENTS:]]
         best = max(r[1] for r in results)
-        results = [r for r in results if r[1] == best]
-        if len(results) < agreements:
+        [(pattern, count)] = Counter(r[1:3] for r in results if r[1] == best).most_common(1)
+        if count < AGREEMENTS:
             raise CertificateError("modular ranks failed to stabilize")
+        results = [r for r in results if r[1:3] == pattern]
     ncols, rank, pivots, transposed = results[0]
     return ModularRankReport(ncols, rank, pivots, tuple(primes), transposed)
 
@@ -404,11 +409,12 @@ def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
 
 
 def certified_kernel(
-    f: FieldSpec, mod: Reductions, annihilates: Callable[[list[QuadElem]], bool]
-) -> list[list[QuadElem]]:
+    f: FieldSpec, mod: Reductions, annihilates: Callable[[list[Pair]], bool]
+) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, w)`, M mod the split prime p with omega -> w, and
-    `annihilates(v)`, an exact test of M v = 0.
+    `annihilates(v)`, an exact test of M v = 0 on a vector of integer
+    pairs.
 
     At each split prime, the rows named by the pivot columns of M^T mod p
     (independent mod p, hence over K) are put in reduced row echelon form
@@ -416,8 +422,9 @@ def certified_kernel(
     worse than the best seen so far, or differs between its two images,
     is skipped.  The kernel vectors' entries, with each free column set to
     1, are combined by CRT and rational reconstruction until one more
-    prime changes nothing; then every vector must pass `annihilates`.
-    The basis equals `quad_kernel` of M.  If no candidate passes within
+    prime changes nothing; then every vector, made integral and
+    content-free, must pass `annihilates`.  The basis equals `quad_kernel`
+    of M.  If no candidate passes within
     MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
@@ -455,7 +462,7 @@ def certified_kernel(
                 den, nums = candidate
                 inv = pow(den % p, p - 2, p) if den % p else 0
                 if inv and all(n * inv % p == r for n, r in zip(nums, new.tolist())):
-                    basis = _kernel_vectors(f, ncols, piv1, free, den, nums)
+                    basis = _kernel_vectors(ncols, piv1, free, den, nums)
                     if all(map(annihilates, basis)):
                         return basis
                     # rows chosen at a bad prime, or a premature
@@ -468,8 +475,8 @@ def certified_kernel(
 
 
 def _kernel_vectors(
-    f: FieldSpec, ncols: int, pivots: Sequence[int], free: list[int], den: int, nums: list[int]
-) -> list[list[QuadElem]]:
+    ncols: int, pivots: Sequence[int], free: list[int], den: int, nums: list[int]
+) -> list[list[Pair]]:
     """The basis vectors (free column = den) from the reconstructed pivot
     entries nums / den (all x parts, then all y parts), made canonical."""
     half = len(nums) // 2
@@ -481,5 +488,5 @@ def _kernel_vectors(
         for j, c in enumerate(pivots):
             t = i * len(pivots) + j
             vec[c] = (xs[t], ys[t])
-        out.append([QuadElem.from_quadint(f.quad(x, y)) for x, y in _canonical_integral(vec)])
+        out.append(_canonical_integral(vec))
     return out

@@ -18,6 +18,13 @@ and for d = 1, 3 the diagonal unit rotation L).  The distinguished
 diagonal involution eps splits W_{k,k} into eigenspaces indexed by the
 unit group; the sums of k-th powers of Hermitian forms land in the
 eigenvalue-1 part.
+
+On the W_{k,k} path a polynomial is its `Support`: the nonzero
+coefficients of an integral polynomial as integer pairs, keyed by
+monomial.  The kernels (`WordOperator.kernel`) return supports, the exact
+check (`WordOperator.annihilates`) takes one, and `wkk` makes each basis
+`BiPoly` once from its support; `QuadElem` appears only in the `BiPoly`s
+returned.
 """
 
 from __future__ import annotations
@@ -139,23 +146,17 @@ def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
     return apply_word(P, [(1, g)])
 
 
-def poly_to_vector(P: BiPoly) -> list[QuadElem]:
-    f = P.field
-    zero = QuadElem.from_quadint(f.zero)
-    vec = [zero] * (P.n + 1) ** 2
-    for (i, j), c in P.coeffs.items():
-        vec[flat_index(P.n, i, j)] = c
-    return vec
+def support(P: BiPoly) -> tuple[int, Support]:
+    """The lcm den of P's denominators, and the support of den * P."""
+    den = math.lcm(*(c.den for c in P.coeffs.values()))
+    scaled = ((ij, c.num, den // c.den) for ij, c in P.coeffs.items())
+    return den, [(ij, (q.x * m, q.y * m)) for ij, q, m in scaled]
 
 
-def vector_to_poly(f: FieldSpec, k: int, vec) -> BiPoly:
-    coeffs = {}
-    for i in range(k + 1):
-        for j in range(k + 1):
-            v = vec[flat_index(k, i, j)]
-            if not v.is_zero():
-                coeffs[(i, j)] = v
-    return BiPoly.make(f, k, coeffs)
+def from_support(f: FieldSpec, k: int, supp: Support, den: int) -> BiPoly:
+    """The polynomial (1/den) * sum x_ij z^i zbar^j of bidegree (k, k)
+    over the support ((i, j), x_ij)."""
+    return BiPoly.make(f, k, {ij: QuadElem.make(f, x, y, den) for ij, (x, y) in supp})
 
 
 # -------------------------------------------------------- unit eigenstructure
@@ -165,18 +166,10 @@ def unit_diagonal(f: FieldSpec, u: QuadInt) -> GroupElement:
     return GroupElement.make(f, [[u, 0], [0, 1]])
 
 
-def primitive_unit(f: FieldSpec) -> QuadInt:
-    """The generator of the unit group recorded on the ring."""
-    return QuadInt(f, *f.unit)
-
-
 def epsilon(f: FieldSpec) -> GroupElement:
-    """The diagonal unit rotation diag(u, 1) splitting W_{k,k}."""
-    return unit_diagonal(f, primitive_unit(f))
-
-
-def eigen_order(f: FieldSpec) -> int:
-    return len(f.unit_labels)
+    """The diagonal unit rotation diag(u, 1) splitting W_{k,k}, u the
+    primitive unit of the ring."""
+    return unit_diagonal(f, f.units()[1])
 
 
 def eigen_labels(f: FieldSpec) -> list[str]:
@@ -185,7 +178,7 @@ def eigen_labels(f: FieldSpec) -> list[str]:
 
 def eigen_exponent(f: FieldSpec, i: int, j: int) -> int:
     """Exponent e with (z^i zbar^j)|eps = u^e z^i zbar^j."""
-    return (i - j) % eigen_order(f)
+    return (i - j) % len(f.unit_labels)
 
 
 # --------------------------------------------------------------- word lists
@@ -244,14 +237,14 @@ def kernel_words(f: FieldSpec) -> list[Word]:
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
-    """sum sign * (P|g) over the word, by `word_action` on P's numerators
-    over the lcm of its denominators; each output coefficient is reduced
-    once."""
+    """sum sign * (P|g) over the word, by `word_action` on P's `support`;
+    each output coefficient is reduced once."""
     f, k = P.field, P.n
-    den, nums = linalg.integral_pairs(P.coeffs.values())
+    den, supp = support(P)
     factored = [(sign, *factors(f, g, k)) for sign, g in word]
-    grid = word_action(f, factored, list(zip(P.coeffs, nums)), k + 1)
-    return vector_to_poly(f, k, [QuadElem.make(f, x, y, den) for row in grid for x, y in row])
+    grid = word_action(f, factored, supp, k + 1)
+    out = [((i, j), (x, y)) for i, row in enumerate(grid) for j, (x, y) in enumerate(row) if x or y]
+    return from_support(f, k, out, den)
 
 
 def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
@@ -312,13 +305,10 @@ class WordOperator:
             )
         return self._parts
 
-    def mod(self, p: int, w: int | None = None, cols: Sequence[int] | None = None) -> np.ndarray:
+    def mod(self, p: int, w: int, cols: Sequence[int] | None = None) -> np.ndarray:
         """The stacked word matrix, or its columns `cols`, reduced mod the
-        split prime p with omega -> w (by default the first of
-        `linalg.omega_roots`): int64, entries in [0, p).  Nothing is kept
-        per prime."""
-        if w is None:
-            w = linalg.omega_roots(self.field, p)[0]
+        split prime p with omega -> w, one of `linalg.omega_roots`: int64,
+        entries in [0, p).  Nothing is kept per prime."""
         n = self.k + 1
         cols = np.arange(self.size) if cols is None else np.asarray(cols, dtype=np.int64)
         ci, cj = np.divmod(cols, n)
@@ -334,36 +324,31 @@ class WordOperator:
             blocks.append(total.reshape(self.size, len(ci)) % p)
         return np.vstack(blocks)
 
-    def annihilates(self, vec: list[QuadElem]) -> bool:
-        """Whether every word kills the coefficient vector `vec`, checked
-        exactly by `word_action`."""
+    def annihilates(self, supp: Support) -> bool:
+        """Whether every word kills the integral polynomial with support
+        `supp`, checked exactly by `word_action`."""
         n = self.k + 1
-        nums = linalg.integral_pairs(vec)[1]
-        support = [(divmod(c, n), v) for c, v in enumerate(nums) if v != linalg.ZERO]
         return not any(
             x or y
             for word in self.words
-            for row in word_action(self.field, word, support, n)
+            for row in word_action(self.field, word, supp, n)
             for x, y in row
         )
 
-    def kernel(self, cols: list[int]) -> list[list[QuadElem]]:
+    def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the columns `cols`
-        (`linalg.certified_kernel`), as full coefficient vectors."""
-        zero = QuadElem.from_quadint(self.field.zero)
+        (`linalg.certified_kernel`), as supports."""
+        n = self.k + 1
 
-        def full(v: list[QuadElem]) -> list[QuadElem]:
-            out = [zero] * self.size
-            for c, val in zip(cols, v):
-                out[c] = val
-            return out
+        def supp(v: list[linalg.Pair]) -> Support:
+            return [(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO]
 
         block = linalg.certified_kernel(
             self.field,
             lambda p, w: self.mod(p, w, cols),
-            lambda v: self.annihilates(full(v)),
+            lambda v: self.annihilates(supp(v)),
         )
-        return [full(v) for v in block]
+        return [supp(v) for v in block]
 
 
 # ------------------------------------------------------------------ subspace
@@ -393,16 +378,14 @@ def eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
     ]
 
 
-def eigen_kernel(
-    f: FieldSpec, k: int, exponent: int, op: WordOperator | None = None
-) -> list[list[QuadElem]]:
-    """Exact basis of W^(u^exponent), as full coefficient vectors.
+def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
+    """Exact basis of W^(u^exponent), as supports.
 
     Eigenvectors of the diagonal eps operator are exactly the vectors
     supported on monomials of one exponent class, so the eigenspace is the
     kernel of the stacked word matrix restricted to those columns.
     """
-    return (op or WordOperator(f, k)).kernel(eigen_columns(f, k, exponent))
+    return op.kernel(eigen_columns(op.field, op.k, exponent))
 
 
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
@@ -431,9 +414,9 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         return SubspaceReport(f.d, k, "modular", dims, total, None)
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):
-        vecs = eigen_kernel(f, k, e, op)
-        dims[lab] = len(vecs)
-        basis.extend(vector_to_poly(f, k, v) for v in vecs)
+        supps = eigen_kernel(op, e)
+        dims[lab] = len(supps)
+        basis.extend(from_support(f, k, s, 1) for s in supps)
     lower = len(basis)
     upper = linalg.kernel_dim_upper_bound(f, op.mod)
     total = lower if upper == lower else len(op.kernel(list(range(op.size))))
@@ -449,4 +432,4 @@ def membership(P: BiPoly, label: str = "1") -> bool:
     e = eigen_labels(f).index(label)
     if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):
         return False
-    return WordOperator(f, P.n).annihilates(poly_to_vector(P))
+    return WordOperator(f, P.n).annihilates(support(P)[1])

@@ -12,6 +12,12 @@
 * `pairs_mod` reduces a matrix of integer pairs mod a split prime, and
   `reductions` turns explicit `QuadInt` rows into the `linalg.Reductions`
   that the modular routines take.
+
+* `poly_to_vector` and `vector_to_poly` convert between a `BiPoly` and its
+  flat coefficient vector of `QuadElem`, index (k+1)*i + j for z^i zbar^j,
+  and `elems` turns a vector of integer pairs into `QuadElem`s: the input
+  format of the matrix oracles `polyspace.operator_matrix` and
+  `linalg.matvec_is_zero`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from hermitia.field import FieldSpec, QuadElem, QuadInt
 from hermitia.forms import BiPoly, GroupElement, check_delta, delta_forms
 from hermitia.linalg import Pair, Reductions, Rows, omega_roots
+from hermitia.polyspace import flat_index
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -104,3 +111,23 @@ def reductions(f: FieldSpec, rows: Rows) -> Reductions:
     """Explicit rows of `QuadInt` as the reductions the modular routines take."""
     pairs = [[(e.x, e.y) for e in row] for row in rows]
     return lambda p, w: pairs_mod(f, pairs, p, w)
+
+
+def elems(f: FieldSpec, vec: Sequence[Pair]) -> list[QuadElem]:
+    """Integer pairs (x, y) as the field elements x + y*omega."""
+    return [QuadElem.from_quadint(f.quad(x, y)) for x, y in vec]
+
+
+def poly_to_vector(P: BiPoly) -> list[QuadElem]:
+    """P's coefficients as a flat vector of length (n+1)^2."""
+    vec = [QuadElem.from_quadint(P.field.zero)] * (P.n + 1) ** 2
+    for (i, j), c in P.coeffs.items():
+        vec[flat_index(P.n, i, j)] = c
+    return vec
+
+
+def vector_to_poly(f: FieldSpec, k: int, vec: Sequence[QuadElem]) -> BiPoly:
+    """The BiPoly of bidegree (k, k) with the flat coefficient vector `vec`."""
+    return BiPoly.make(
+        f, k, {(i, j): vec[flat_index(k, i, j)] for i in range(k + 1) for j in range(k + 1)}
+    )

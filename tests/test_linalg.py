@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from hermitia.linalg import (
 )
 
 from conftest import seeded
-from oracles import pairs_mod, reductions
+from oracles import elems, pairs_mod, reductions
 
 
 def rand_rows(rng, f, nr, nc, span=4):
@@ -39,8 +41,9 @@ def test_kernel_vectors_are_verified_and_integral():
             rows = rand_rows(rng, f, rng.randint(1, 5), rng.randint(1, 6))
             ker = quad_kernel(f, rows)
             for v in ker:
-                assert matvec_is_zero(f, rows, v)
-                assert all(e.den == 1 for e in v)
+                assert matvec_is_zero(f, rows, elems(f, v))
+                assert all(type(x) is int and type(y) is int for x, y in v)
+                assert math.gcd(*(c for e in v for c in e)) == 1
 
 
 def test_exact_dimension_equals_modular_dimension():
@@ -123,7 +126,7 @@ def certified(f, rows, annihilates=None):
 
     def check(v):
         checks.append(v)
-        return annihilates(v) if annihilates else matvec_is_zero(f, rows, v)
+        return annihilates(v) if annihilates else matvec_is_zero(f, rows, elems(f, v))
 
     basis = certified_kernel(f, mod, check)
     return basis, list(dict.fromkeys(asked)), len(checks)
@@ -171,7 +174,7 @@ def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
     basis, primes, checks = certified(f, rows)
     assert primes[0] == p and checks == 2
     assert basis == quad_kernel(f, rows)
-    assert [[(e.num.x, e.num.y) for e in v] for v in basis] == [[(0, 0), (0, 0), (1, 0)]]
+    assert basis == [[(0, 0), (0, 0), (1, 0)]]
 
 
 def test_certified_kernel_skips_a_later_prime_of_bad_reduction():
@@ -196,6 +199,31 @@ def test_modular_rank_reduces_the_short_side():
     assert rep.pivots == (0, 1, 3)
     wide = quad_rank_modular(f, reductions(f, [list(col) for col in zip(*rows)]))
     assert not wide.transposed and wide.pivots == (0, 1, 3) and wide.kernel_dim == 1
+
+
+def test_modular_rank_keeps_the_pivots_most_primes_share():
+    f = field(2)
+    p = split_primes(f, 1)[0]
+    # [p, 1] is [0, 1] mod p alone: the first prime's pivot comes later,
+    # the other five primes and K itself pivot on column 0
+    rep = quad_rank_modular(f, reductions(f, [[f.quad(p), f.one]]))
+    assert rep.rank == 1 and rep.pivots == (0,) and not rep.transposed
+    assert list(rep.primes) == split_primes(f, 2 * linalg.AGREEMENTS)
+
+
+def test_modular_rank_raises_without_enough_agreeing_primes():
+    f = field(7)
+    primes = split_primes(f, 2 * linalg.AGREEMENTS)
+
+    def mod(p, w):
+        # one nonzero entry, in a different column at every prime: each
+        # pivot pattern has one vote
+        row = np.zeros((1, len(primes)), dtype=np.int64)
+        row[0, primes.index(p)] = 1
+        return row
+
+    with pytest.raises(CertificateError):
+        quad_rank_modular(f, mod)
 
 
 def test_certified_kernel_raises_when_verification_keeps_failing():

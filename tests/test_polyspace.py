@@ -4,6 +4,8 @@ the transfer polynomials."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,23 +29,21 @@ from hermitia.polyspace import (
     apply_word,
     eigen_exponent,
     eigen_labels,
-    eigen_order,
     epsilon,
     factors,
+    from_support,
     kernel_words,
     membership,
     operator_matrix,
-    poly_to_vector,
-    primitive_unit,
     stacked_word_matrix,
+    support,
     unit_diagonal,
-    vector_to_poly,
     wkk,
     word_matrix,
 )
 
 from conftest import seeded
-from oracles import one_var_matrix, pairs_mod
+from oracles import one_var_matrix, pairs_mod, poly_to_vector, vector_to_poly
 
 
 def rand_bipoly(rng, f, k, terms=4):
@@ -210,7 +210,7 @@ def test_epsilon_is_diagonal_with_monomial_eigenvalues():
     for d in EUCLIDEAN_DS:
         f = field(d)
         k = 3
-        u = primitive_unit(f)
+        u = f.units()[1]
         for _ in range(5):
             i, j = rng.randint(0, k), rng.randint(0, k)
             P = BiPoly.monomial(f, k, i, j)
@@ -221,7 +221,7 @@ def test_epsilon_is_diagonal_with_monomial_eigenvalues():
 def test_eigen_labels_count_matches_unit_group_order():
     for d in EUCLIDEAN_DS:
         f = field(d)
-        assert len(eigen_labels(f)) == eigen_order(f) == len(f.units())
+        assert len(eigen_labels(f)) == len(f.units())
 
 
 # ---------------------------------------------------------- word operator
@@ -240,9 +240,10 @@ def test_word_matrix_mod_p_equals_the_exact_matrix_reduced(k):
         rows = oracle_rows(f, k)
         primes = split_primes(f, 2)
         for p in primes:
-            assert np.array_equal(op.mod(p), pairs_mod(f, as_pairs(rows), p)), (d, k, p)
+            w = omega_roots(f, p)[0]
+            assert np.array_equal(op.mod(p, w), pairs_mod(f, as_pairs(rows), p, w)), (d, k, p)
         # the oracle's stacked matrix is the same rows without the zero ones
-        mod = op.mod(primes[0])
+        mod = op.mod(primes[0], omega_roots(f, primes[0])[0])
         kept = pairs_mod(f, as_pairs(stacked_word_matrix(f, k)), primes[0])
         assert np.array_equal(mod[np.any(mod, axis=1)], kept)
 
@@ -277,10 +278,24 @@ def test_annihilates_agrees_with_the_word_action():
             rows = oracle_rows(f, k)
             rep = wkk(f, k)
             for P in rep.basis:
-                assert op.annihilates(poly_to_vector(P))
+                assert op.annihilates(support(P)[1])
                 Q = P + rand_bipoly(rng, f, k, terms=1)
                 want = matvec_is_zero(f, rows, poly_to_vector(Q))
-                assert op.annihilates(poly_to_vector(Q)) == want
+                assert op.annihilates(support(Q)[1]) == want
+
+
+def test_support_clears_the_denominators():
+    rng = seeded("support")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for _ in range(10):
+            P = rand_bipoly(rng, f, 3)
+            den, supp = support(P)
+            assert den == math.lcm(*(c.den for c in P.coeffs.values()))
+            assert [ij for ij, _ in supp] == list(P.coeffs)
+            assert all(x or y for _, (x, y) in supp)
+            assert from_support(f, 3, supp, den) == P
+            assert from_support(f, 3, supp, 1) == P.scaled(den)
 
 
 # ------------------------------------------------------------- dimensions
@@ -360,6 +375,21 @@ def test_split_plus_membership_are_consistent():
             for _ in range(rep.dims[lab]):
                 assert membership(rep.basis[pos], lab), (d, lab)
                 pos += 1
+
+
+def test_membership_of_basis_polynomials_with_denominators():
+    """A basis polynomial of W_{k,k} scaled by 1/3 and by (1 + omega)/2
+    stays in W_{k,k}: `membership` clears the denominators first."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        rep = wkk(f, 3)
+        # the basis lists each eigenspace's vectors in label order
+        labels = [lab for lab in eigen_labels(f) for _ in range(rep.dims[lab])]
+        for lab, P in zip(labels, rep.basis, strict=True):
+            for c in (QuadElem.make(f, 1, 0, 3), QuadElem.make(f, 1, 1, 2)):
+                Q = P.scaled(c)
+                assert support(Q)[0] > 1, (d, str(Q))
+                assert membership(Q, lab), (d, lab, str(c))
 
 
 def test_membership_rejects_a_wrong_label_and_a_broken_word():
