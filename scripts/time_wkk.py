@@ -7,8 +7,8 @@ Prints one line per (d, k): the seconds of one exact and one modular
 of the SHA-256 of the exact basis (one `str` per polynomial, one per line),
 and `ok` or `CHANGED` against the hash recorded in EXPECTED (`-` for a case
 without one).  The same hash means the same basis, so a change to the
-kernels is checked at k = 15-21, beyond the golden files.  Exits 1 if any
-hash changed.  Without arguments it runs the four cases of EXPECTED.
+kernels is checked at k = 15-27, beyond the golden files.  Exits 1 if any
+hash changed.  Without arguments it runs the six cases of EXPECTED.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ EXPECTED = {
     (7, 21): "e524965a1c64c873",
     (11, 15): "3520bc44464bb1d7",
     (1, 21): "d6e4275409c96686",
+    (2, 25): "bfddf951b541f07e",
+    (1, 27): "9db76d7bf9265156",
 }
 
 
