@@ -27,7 +27,6 @@ import json
 import os
 import random
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -41,6 +40,7 @@ from .field import (
     smallest_nonnorm,
 )
 from . import cfrac, forms, hsum, lfun, polyspace
+from .intarith import FactorizationError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -90,6 +90,19 @@ def parse_z(f, text: str) -> QuadElem:
 
 
 def emit(rows: list[dict], fmt: str) -> None:
+    """Write the rows in the format `fmt`.  Integer and fraction cells of
+    any length print whole: the interpreter's limit on converting an int to
+    decimal digits (4300 by default) guards the parsing of untrusted text,
+    and an exact result may be longer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _emit(rows, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _emit(rows: list[dict], fmt: str) -> None:
     stream = sys.stdout
     if fmt == "json":
         json.dump(rows, stream, indent=2, default=str)
@@ -132,23 +145,18 @@ def cmd_alpha(args) -> list[dict]:
     ]
 
 
-def fraction_str(q: Fraction) -> str:
-    """str(q), also beyond the interpreter's limit on converting an int to
-    decimal digits (4300 by default), which Decimal does not apply."""
-    if q.denominator == 1:
-        return str(Decimal(q.numerator))
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
-
-
 def cmd_theta(args) -> list[dict]:
     f = field(args.d)
-    value = lfun.theta(f, args.delta, args.s)
+    try:
+        value = lfun.theta(f, args.delta, args.s)
+    except FactorizationError as exc:
+        raise ValueError(f"--delta {args.delta} cannot be factored with proof: {exc}") from None
     return [
         {
             "d": args.d,
             "delta": args.delta,
             "s": args.s,
-            "theta": fraction_str(value),
+            "theta": value,
             "numeric": float(value),
         }
     ]
@@ -169,7 +177,10 @@ def cmd_rcount(args) -> list[dict]:
         )
     out = []
     for n in args.n:
-        count = lfun.r_count_multiplicative(f, -args.delta, n)
+        try:
+            count = lfun.r_count_multiplicative(f, -args.delta, n)
+        except FactorizationError as exc:
+            raise ValueError(f"-n {n} cannot be factored with proof: {exc}") from None
         row = {"d": args.d, "delta": args.delta, "n": n, "count": count}
         if args.check:
             naive = lfun.r_count_naive(f, -args.delta, n)
@@ -237,7 +248,7 @@ def cmd_hconst(args) -> list[dict]:
         values.add(val)
         u, v = z.display_coords()
         rows.append(
-            {"d": args.d, "k": args.k, "delta": args.delta, "z": f"{u},{v}", "value": str(val)}
+            {"d": args.d, "k": args.k, "delta": args.delta, "z": f"{u},{v}", "value": val}
         )
     rows.append(
         {

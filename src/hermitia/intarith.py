@@ -17,14 +17,26 @@ TRIAL_BOUND = 10**4
 WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_PROVEN = 3_317_044_064_679_887_385_961_981
 
+# Pollard rho finds a prime factor p in about sqrt(p) steps.  A composite
+# below MILLER_RABIN_PROVEN has one below 1.9e12, and rho runs on it to the
+# end (at most about 4e6 steps on 12 semiprimes measured near that bound).
+# On a larger composite it gives up after this many steps (about 5 s).
+RHO_STEPS = 1 << 23
+
+
+class FactorizationError(ValueError):
+    """`factorize` could not finish with proof in its bounded work."""
+
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| (n != 0), with the primes in ascending order.
 
     Trial division up to TRIAL_BOUND; a cofactor left with no prime factor
     below that is split by Pollard-Brent rho.  A cofactor is reported prime
-    only when `is_probable_prime` proves it (below MILLER_RABIN_PROVEN); one
-    that passes the test above that bound is trial-divided on.
+    only when `is_probable_prime` proves it (below MILLER_RABIN_PROVEN).
+    FactorizationError is raised for one that passes the test above that
+    bound (a proof by trial division would take ~sqrt of it steps), and
+    when rho takes more than RHO_STEPS steps to split a composite above it.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -36,7 +48,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _trial_divide(n: int, out: dict[int, int], stop: float = math.inf) -> int:
+def _trial_divide(n: int, out: dict[int, int], stop: int) -> int:
     """Divide every prime p <= stop with p*p <= n out of n, into `out`.  A
     cofactor > 1 left once p*p > n is prime and goes into `out` too.  Return
     what is left: 1, or a cofactor with no prime factor up to stop."""
@@ -63,21 +75,27 @@ def _split(n: int) -> list[int]:
     if not is_probable_prime(n):
         d = _rho_factor(n)
         return _split(d) + _split(n // d)
-    if n < MILLER_RABIN_PROVEN:
-        return [n]
-    found: dict[int, int] = {}
-    _trial_divide(n, found)
-    return [p for p, e in found.items() for _ in range(e)]
+    if n >= MILLER_RABIN_PROVEN:
+        raise FactorizationError(
+            f"the factor {n} passes Miller-Rabin at or above {MILLER_RABIN_PROVEN}, "
+            "where that proves nothing"
+        )
+    return [n]
 
 
 def _rho_factor(n: int) -> int:
     """A divisor 1 < d < n of the odd composite n: Pollard's rho with
     Brent's cycle search and batched gcds, on x -> x^2 + c for c = 1, 2, ..."""
-    batch, c = 128, 0
+    batch, c, steps = 128, 0, 0
+    limit = RHO_STEPS if n >= MILLER_RABIN_PROVEN else math.inf
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            # the r steps to x and at most r more from it
+            steps += 2 * r
+            if steps > limit:
+                raise FactorizationError(f"Pollard rho found no factor of {n} in {RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

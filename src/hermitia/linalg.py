@@ -8,7 +8,10 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
 * `echelon_mod` and `rref_mod` -- row reduction of an int64 numpy matrix
   modulo p: rank and pivot columns, and for `rref_mod` the reduced rows.
   The primes are ~2^30 split primes and entries stay below p < 2^31, so
-  every product fits in int64.
+  every product fits in int64.  A column with no nonzero left at or below
+  the next pivot row is jumped over, never to be visited again.
+  `matmul_mod` multiplies such matrices mod p, splitting one factor into
+  15-bit limbs so that the sums stay in int64.
 
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
   only by its reductions mod split primes and an exact test of M v = 0.
@@ -16,16 +19,18 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   is at least the rank mod p.  Otherwise the reduced row echelon kernels
   under w1 and w2, each free column set to 1, give x and y mod p of every
   entry x + y*omega; the primes are combined by CRT and rational
-  reconstruction, and the vectors are checked exactly.  c - rank_p
-  independent vectors of ker M make a basis, since dim ker M <= c - rank_p;
-  each is supported on its own free column and earlier pivots, so the
+  reconstruction, and the vectors are checked exactly (for the word
+  operators of `polyspace`, by their reductions at the `primes_exceeding`
+  twice a proven height bound).  c - rank_p independent vectors of ker M
+  make a basis, since dim ker M <= c - rank_p; each is supported on its own free column and earlier pivots, so the
   free columns mod p are those over K and the basis is the one Bareiss
   elimination gives.
 
 * `quad_rank_modular` -- ranks modulo several split primes.  Reduction
   mod p can only lower the rank, hence can only raise the kernel
   dimension: every single prime yields a true upper bound on the kernel
-  dimension (`kernel_dim_upper_bound`).  The report is accepted once
+  dimension (`kernel_dim_upper_bound`, which stops at the first prime
+  that meets a known lower bound).  The report is accepted once
   AGREEMENTS primes of maximal rank agree on the full pivot pattern,
   which pins the dimension down with overwhelming probability; combined with an exact
   lower bound (independent verified kernel vectors) the bound becomes an
@@ -249,6 +254,34 @@ def split_primes(f: FieldSpec, count: int) -> list[int]:
     return list(_split_primes(f, count))
 
 
+def primes_exceeding(f: FieldSpec, bound: int) -> list[int]:
+    """The fewest first split primes whose product exceeds `bound`."""
+    # each split prime exceeds PRIME_START = 2^30, so `count` of them do
+    count = -(-bound.bit_length() // (PRIME_START.bit_length() - 1))
+    out: list[int] = []
+    product = 1
+    # the first MAX_PRIMES are the ones `certified_kernel` has listed
+    for p in _split_primes(f, max(count, MAX_PRIMES)):
+        if product > bound:
+            break
+        out.append(p)
+        product *= p
+    return out
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p (numpy's batched `matmul`) for int64 arrays with entries
+    in [0, p), p < 2^31, and an inner dimension K of at most 2^16.
+
+    b is split into 15-bit limbs, b = hi * 2^15 + lo: a product with lo is
+    below 2^46 and one with hi below 2^47, so each sum of K products stays
+    below 2^63, as does (a @ hi mod p) * 2^15 + a @ lo."""
+    if a.shape[-1] > 1 << 16:
+        raise ValueError("inner dimension above 2^16 may overflow int64")
+    hi, lo = np.divmod(b, 1 << 15)
+    return ((a @ hi) % p * (1 << 15) + a @ lo) % p
+
+
 @lru_cache(maxsize=None)
 def omega_roots(f: FieldSpec, p: int) -> tuple[int, int]:
     """The two images w1, w2 of omega in Z/p for a split prime p: the roots
@@ -265,13 +298,24 @@ def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tup
     mat = mat[np.any(mat, axis=1)]
     nrows, ncols = mat.shape
     pivot_cols: list[int] = []
-    top = 0
-    for col in range(ncols):
-        if top == nrows:
-            break
+    top = col = 0
+    while top < nrows and col < ncols:
         live = top + np.flatnonzero(mat[top:, col])
         if live.size == 0:
-            continue
+            # a column without a nonzero at or below `top` stays so: jump to
+            # the next one that has one, looking ahead in windows that
+            # double in width, or stop if none is left
+            start, width = col + 1, 8
+            while start < ncols:
+                ahead = mat[top:, start : start + width].any(axis=0)
+                first = int(ahead.argmax())
+                if ahead[first]:
+                    break
+                start, width = start + width, 2 * width
+            else:
+                break
+            col = start + first
+            live = top + np.flatnonzero(mat[top:, col])
         piv = live[0]
         if piv != top:
             mat[[top, piv]] = mat[[piv, top]]
@@ -291,6 +335,7 @@ def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tup
             mat[others, col:] = (mat[others, col:] - factor[:, None] * mat[top, col:]) % p
         pivot_cols.append(col)
         top += 1
+        col += 1
     return mat[:top], tuple(pivot_cols)
 
 
@@ -358,12 +403,19 @@ def quad_rank_modular(f: FieldSpec, rows: Reductions) -> ModularRankReport:
     return ModularRankReport(ncols, rank, pivots, tuple(primes), transposed)
 
 
-def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions) -> int:
+def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int) -> int:
     """An unconditional upper bound on the kernel dimension of the matrix
     with reductions `rows`: its minimum mod two split primes (each single
-    prime already bounds from above)."""
-    bounds = [_rank_mod(f, rows, p) for p in split_primes(f, 2)]
-    return min(ncols - rank for ncols, rank, _, _ in bounds)
+    prime already bounds from above).  `lower` is a known lower bound: a
+    first prime that meets it already gives the minimum, so the second
+    prime is reduced only when the first one's bound lies above `lower`."""
+    upper = None
+    for p in split_primes(f, 2):
+        ncols, rank, _, _ = _rank_mod(f, rows, p)
+        upper = ncols - rank if upper is None else min(upper, ncols - rank)
+        if upper <= lower:
+            break
+    return upper
 
 
 # --------------------------------------------------------- certified kernel
@@ -414,7 +466,8 @@ def certified_kernel(
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, w)`, M mod the split prime p with omega -> w, and
     `annihilates(v)`, an exact test of M v = 0 on a vector of integer
-    pairs.
+    pairs (`polyspace.WordOperator.in_kernel` proves it from reductions,
+    the tests' oracles compute M v).
 
     At each split prime, the rows named by the pivot columns of M^T mod p
     (independent mod p, hence over K) are put in reduced row echelon form

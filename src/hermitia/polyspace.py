@@ -21,10 +21,12 @@ eigenvalue-1 part.
 
 On the W_{k,k} path a polynomial is its `Support`: the nonzero
 coefficients of an integral polynomial as integer pairs, keyed by
-monomial.  The kernels (`WordOperator.kernel`) return supports, the exact
-check (`WordOperator.annihilates`) takes one, and `wkk` makes each basis
-`BiPoly` once from its support; `QuadElem` appears only in the `BiPoly`s
-returned.
+monomial.  The kernels (`WordOperator.kernel`) return supports, proven
+from the operator's reductions mod split primes under a height bound
+(`WordOperator.in_kernel`), and `wkk` makes each basis `BiPoly` once from
+its support; `QuadElem` appears only in the `BiPoly`s returned.
+`membership` checks a polynomial exactly by the word action
+(`WordOperator.annihilates`).
 """
 
 from __future__ import annotations
@@ -281,6 +283,10 @@ class WordOperator:
     flat index of (i, j); each word's matrix is the signed sum of the
     Kronecker products of the two `factors` of its elements (see
     `operator_matrix`).  All-zero rows are kept.
+
+    The factors are reduced once for each split prime p and image w of
+    omega (`mod` and `in_kernel` share them) and kept for the life of the
+    operator; whole matrices mod p are not kept.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -288,45 +294,103 @@ class WordOperator:
         self.k = k
         self.size = (k + 1) ** 2
         self.words = [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
-        self._parts: tuple[np.ndarray, np.ndarray] | None = None
+        self._signs = np.array([sign for word in self.words for sign, _, _ in word])
+        # the index of each word's first element, for `np.add.reduceat`
+        self._starts = np.cumsum([0] + [len(word) for word in self.words[:-1]])
+        self._parts: np.ndarray | None = None
+        self._reductions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._row_bound: int | None = None
 
     @property
     def nrows(self) -> int:
         return len(self.words) * self.size
 
-    def _factor_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y parts of every factor, in word order, as object
-        arrays of shape (#factors, k+1, k+1); built on the first `mod`."""
-        if self._parts is None:
-            mats = [m for word in self.words for _, az, azb in word for m in (az, azb)]
-            self._parts = tuple(
-                np.array([[[e[part] for e in row] for row in m] for m in mats], dtype=object)
-                for part in (0, 1)
-            )
-        return self._parts
+    def _reduced(self, p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """The z factors and the zbar factors of every element, in word
+        order, mod p with omega -> w: int64 arrays of shape
+        (#elements, k+1, k+1), entries in [0, p)."""
+        if (p, w) not in self._reductions:
+            if self._parts is None:
+                # the pairs as an object array (#elements, 2, k+1, k+1, 2)
+                mats = [[az, azb] for word in self.words for _, az, azb in word]
+                self._parts = np.array(mats, dtype=object)
+            xs, ys = self._parts[..., 0], self._parts[..., 1]
+            red = ((xs % p + ys % p * w) % p).astype(np.int64)
+            self._reductions[p, w] = (red[:, 0], red[:, 1])
+        return self._reductions[p, w]
 
     def mod(self, p: int, w: int, cols: Sequence[int] | None = None) -> np.ndarray:
         """The stacked word matrix, or its columns `cols`, reduced mod the
         split prime p with omega -> w, one of `linalg.omega_roots`: int64,
-        entries in [0, p).  Nothing is kept per prime."""
+        entries in [0, p).  Built from the factors reduced once per (p, w)."""
         n = self.k + 1
         cols = np.arange(self.size) if cols is None else np.asarray(cols, dtype=np.int64)
         ci, cj = np.divmod(cols, n)
-        xs, ys = self._factor_parts()
-        red = iter(((xs % p + ys % p * w) % p).astype(np.int64))
+        a, b = self._reduced(p, w)
         blocks = []
-        for word in self.words:
+        for start, word in zip(self._starts, self.words):
             total = np.zeros((n, n, len(ci)), dtype=np.int64)
-            for sign, _, _ in word:
-                az, azb = next(red), next(red)
+            for g in range(start, start + len(word)):
                 # entries are below p < 2^31, so the products fit in int64
-                total += sign * (az[:, None, ci] * azb[None, :, cj] % p)
+                total += self._signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
             blocks.append(total.reshape(self.size, len(ci)) % p)
         return np.vstack(blocks)
 
+    def height_bound(self, norm: int) -> int:
+        """A bound H on |X| and |Y| for every coefficient X + Y*omega of
+        M v, for an integral v whose pairs have entries at most `norm`.
+
+        Coefficient (r, s) of a word is sum_g sign * sum_{i,j} A_g[r, i] *
+        v[i, j] * B_g[s, j], A_g and B_g the z and zbar factors of g.  One
+        `pair_mul` gives |x|, |y| <= C * |a| * |b| (|.| the larger of the
+        two entries of a pair), C = max(1 + |n|, 2 + |d_K|) with omega^2 =
+        d_K omega - n; so H = C^2 * R * norm, where R is the largest, over
+        the words and (r, s), of sum_g rowsum(A_g, r) * rowsum(B_g, s), a
+        row sum adding the |.| of one row of a factor."""
+        if self._row_bound is None:
+
+            def rowsums(m: PairMatrix) -> list[int]:
+                return [sum(max(abs(x), abs(y)) for x, y in row) for row in m]
+
+            span = range(self.k + 1)
+            self._row_bound = max(
+                sum(ra[r] * rb[s] for ra, rb in sums)
+                for word in self.words
+                for sums in [[(rowsums(az), rowsums(azb)) for _, az, azb in word]]
+                for r in span
+                for s in span
+            )
+        f = self.field
+        c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
+        return c * c * self._row_bound * norm
+
+    def in_kernel(self, cols: Sequence[int], vec: list[linalg.Pair]) -> bool:
+        """Whether M[:, cols] v = 0, for the integral vector v of integer
+        pairs on the columns `cols`, proven from the reductions alone.
+
+        Each word's sum_g sign * A_g V B_g^T, V the (k+1) x (k+1) grid of
+        v, is computed mod the first split primes whose product exceeds 2H
+        (`height_bound`), under both images of omega.  A nonzero residue
+        refutes v.  If all vanish, every coefficient X + Y*omega has X + Y*w
+        = 0 mod p for both roots w, so X = Y = 0 mod p (the roots differ mod
+        a split prime); as |X|, |Y| <= H, X = Y = 0."""
+        f, n = self.field, self.k + 1
+        norm = max((max(abs(x), abs(y)) for x, y in vec), default=0)
+        ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
+        for p in linalg.primes_exceeding(f, 2 * self.height_bound(norm)):
+            for w in linalg.omega_roots(f, p):
+                grid = np.zeros((n, n), dtype=np.int64)
+                grid[ci, cj] = [(x + y * w) % p for x, y in vec]
+                a, b = self._reduced(p, w)
+                terms = linalg.matmul_mod(linalg.matmul_mod(a, grid, p), b.transpose(0, 2, 1), p)
+                if (np.add.reduceat(self._signs[:, None, None] * terms, self._starts) % p).any():
+                    return False
+        return True
+
     def annihilates(self, supp: Support) -> bool:
         """Whether every word kills the integral polynomial with support
-        `supp`, checked exactly by `word_action`."""
+        `supp`, checked exactly by `word_action`: the check of `membership`,
+        which has no reductions to reuse, and the oracle of `in_kernel`."""
         n = self.k + 1
         return not any(
             x or y
@@ -337,18 +401,15 @@ class WordOperator:
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the columns `cols`
-        (`linalg.certified_kernel`), as supports."""
+        (`linalg.certified_kernel`, each vector proven by `in_kernel`), as
+        supports."""
         n = self.k + 1
-
-        def supp(v: list[linalg.Pair]) -> Support:
-            return [(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO]
-
         block = linalg.certified_kernel(
             self.field,
             lambda p, w: self.mod(p, w, cols),
-            lambda v: self.annihilates(supp(v)),
+            lambda v: self.in_kernel(cols, v),
         )
-        return [supp(v) for v in block]
+        return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO] for v in block]
 
 
 # ------------------------------------------------------------------ subspace
@@ -418,7 +479,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         dims[lab] = len(supps)
         basis.extend(from_support(f, k, s, 1) for s in supps)
     lower = len(basis)
-    upper = linalg.kernel_dim_upper_bound(f, op.mod)
+    upper = linalg.kernel_dim_upper_bound(f, op.mod, lower)
     total = lower if upper == lower else len(op.kernel(list(range(op.size))))
     return SubspaceReport(f.d, k, "exact", dims, total, tuple(basis))
 

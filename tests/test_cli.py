@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hermitia import cli, forms, lfun, linalg, polyspace
+from hermitia import cli, forms, hsum, lfun, linalg, polyspace
 from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
 from hermitia.field import field
 
@@ -90,6 +90,29 @@ def test_rcount_at_a_product_of_two_large_primes(capsys):
     f = field(1)
     want = lfun.local_count_coeffs(f, -3, p, 1)[1] * lfun.local_count_coeffs(f, -3, q, 1)[1]
     assert row["count"] == want
+
+
+def test_rcount_refuses_an_n_it_cannot_factor_with_proof():
+    """10^30 + 57 passes Miller-Rabin above MILLER_RABIN_PROVEN, where
+    that proves nothing; rcount exits 2 naming -n instead of trial-dividing
+    up to its square root."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    n = 10**30 + 57
+    done = subprocess.run(
+        [sys.executable, "-m", "hermitia", "rcount", "-d", "1", "--delta", "3", "-n", "12", str(n)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert "-n" in line and str(n) in line
+
+
+def test_theta_refuses_a_delta_it_cannot_factor_with_proof(capsys):
+    code, out = run(capsys, "theta", "-d", "1", "--delta", str(10**30 + 57), "-s", "1")
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert "--delta" in line
 
 
 def test_rcount_check_is_bounded(capsys):
@@ -227,6 +250,44 @@ def test_theta_prints_values_beyond_the_int_digit_limit(capsys):
         assert Fraction(row["theta"]) == lfun.theta(field(1), 3, 100000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def parse_rows(out: str, fmt: str) -> list[dict]:
+    if fmt == "json":
+        return json.loads(out)
+    if fmt == "csv":
+        return list(csv.DictReader(io.StringIO(out)))
+    header, *lines = out.splitlines()
+    return [dict(zip(header.split(), line.split())) for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cells_beyond_the_int_digit_limit(capsys, fmt):
+    """An integer (`alpha`) or a fraction (`hconst`) of more digits than
+    the interpreter converts by default prints in every format."""
+    f = field(1)
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "alpha", "-d", "1", "-k", "30001", "--count", "1", "--format", fmt)
+    assert code == EXIT_OK, run.err
+    sys.set_int_max_str_digits(0)
+    try:
+        ((row,),) = [parse_rows(out, fmt)]
+        assert len(str(row["alpha"])) > 2 * limit
+        assert int(row["alpha"]) == forms.alpha(f, 30001, int(row["delta"]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "100001", "--delta", "3", "-z", "0",
+                    "--format", fmt)
+    assert code == EXIT_OK, run.err
+    point = cli.parse_z(f, "0")
+    sys.set_int_max_str_digits(0)
+    try:
+        row = parse_rows(out, fmt)[0]
+        assert len(row["value"]) > 2 * limit
+        assert Fraction(row["value"]) == hsum.eval_exact(f, 100001, 3, point)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cfrac_terminates(capsys):
@@ -371,7 +432,7 @@ def assert_certificate_exit(capsys, *argv):
 
 
 def test_failed_kernel_verification_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(polyspace.WordOperator, "annihilates", lambda self, vec: False)
+    monkeypatch.setattr(polyspace.WordOperator, "in_kernel", lambda self, cols, vec: False)
     assert_certificate_exit(capsys, "dims", "-d", "2", "--kmax", "3")
 
 

@@ -16,7 +16,8 @@ import mpmath
 import pytest
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas, smallest_nonnorm
-from hermitia.intarith import factorize, is_probable_prime
+from hermitia import intarith
+from hermitia.intarith import FactorizationError, factorize, is_probable_prime
 from hermitia.lfun import (
     CONSTANCY_SCOPE,
     bench_negative,
@@ -93,6 +94,19 @@ def test_factorize_past_trial_division():
         assert math.prod(r**e for r, e in found.items()) == n
         assert all(is_probable_prime(r) for r in found)
         assert list(found) == sorted(found)
+
+
+def test_factorize_refuses_what_it_cannot_prove(monkeypatch):
+    # 10^30 + 57 passes Miller-Rabin above MILLER_RABIN_PROVEN
+    for n in (10**30 + 57, 6 * (10**30 + 57)):
+        with pytest.raises(FactorizationError, match="Miller-Rabin"):
+            factorize(n)
+    monkeypatch.setattr(intarith, "RHO_STEPS", 1 << 10)
+    # above the bound rho gives up after RHO_STEPS steps ...
+    with pytest.raises(FactorizationError, match="rho"):
+        factorize((2**31 - 1) * (2**61 - 1))
+    # ... below it, rho runs to the end
+    assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
 
 
 def test_local_series_matches_literal_counts():

@@ -15,10 +15,13 @@ from hermitia.linalg import (
     certified_kernel,
     echelon_mod,
     kernel_dim_upper_bound,
+    matmul_mod,
     matvec_is_zero,
     omega_roots,
+    primes_exceeding,
     quad_kernel,
     quad_rank_modular,
+    rref_mod,
     split_primes,
 )
 
@@ -66,7 +69,7 @@ def test_rank_deficient_stack():
     assert len(quad_kernel(f, rows)) == 2
     rep = quad_rank_modular(f, reductions(f, rows))
     assert rep.rank == 1 and rep.kernel_dim == 2
-    assert kernel_dim_upper_bound(f, reductions(f, rows)) == 2
+    assert kernel_dim_upper_bound(f, reductions(f, rows), 0) == 2
 
 
 def test_full_rank_matrix_has_trivial_kernel():
@@ -103,7 +106,7 @@ def test_upper_bound_is_an_upper_bound():
         for _ in range(10):
             rows = rand_rows(rng, f, 3, 5)
             exact = len(quad_kernel(f, rows))
-            assert kernel_dim_upper_bound(f, reductions(f, rows)) >= exact
+            assert kernel_dim_upper_bound(f, reductions(f, rows), 0) >= exact
 
 
 # ------------------------------------------------------- certified kernel
@@ -289,3 +292,99 @@ def test_quad_kernel_rejects_a_vector_outside_the_kernel(monkeypatch):
     )
     with pytest.raises(CertificateError):
         quad_kernel(f, rows)
+
+
+# ------------------------------------------------------------ row reduction
+
+
+def reference_rref(mat, p):
+    """The reduced row echelon form mod p, found column by column on Python
+    ints: its nonzero rows and pivot columns."""
+    rows = [[int(x) % p for x in row] for row in mat]
+    ncols = mat.shape[1]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = pow(rows[top][col], p - 2, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col]:
+                c = row[col]
+                rows[r] = [(x - c * y) % p for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), ncols), tuple(pivots)
+
+
+def test_row_reduction_matches_a_column_by_column_reference():
+    """`echelon_mod` and `rref_mod` give the rank, the pivots and the rows
+    of the reference on tall and wide matrices of every rank, with runs of
+    zero columns that the reduction jumps over."""
+    rng = seeded("row-reduce")
+    for p in (10007, split_primes(field(2), 1)[0]):
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 14), rng.randint(1, 30)
+            rank = rng.randint(0, min(nrows, ncols))
+            left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)], dtype=object)
+            right = np.array([[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)], dtype=object)
+            mat = (left.reshape(nrows, rank) @ right.reshape(rank, ncols)) % p
+            for _ in range(rng.randint(0, 3)):
+                start = rng.randrange(ncols)
+                mat[:, start : start + rng.randint(1, 8)] = 0
+            mat = mat.astype(np.int64)
+            before = mat.copy()
+            rows, pivots = reference_rref(mat, p)
+            assert echelon_mod(mat, p) == (len(pivots), pivots)
+            got_rows, got_pivots = rref_mod(mat, p)
+            assert got_pivots == pivots and np.array_equal(got_rows, rows)
+            assert np.array_equal(mat, before)
+
+
+def test_matmul_mod_matches_exact_products():
+    rng = seeded("matmul-mod")
+    p = split_primes(field(7), 1)[0]
+    for inner in (1, 5, 29, 700):
+        a = np.array([[[rng.randrange(p) for _ in range(inner)] for _ in range(3)] for _ in range(2)])
+        b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(inner)])
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert np.array_equal(matmul_mod(a, b, p), want.astype(np.int64))
+    # every entry p - 1: the largest sums the limbs allow for
+    top = np.full((2, 2000), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(top, top.T, p), np.full((2, 2), 2000 * (p - 1) ** 2 % p))
+    with pytest.raises(ValueError):
+        matmul_mod(np.zeros((1, (1 << 16) + 1), dtype=np.int64), np.zeros(((1 << 16) + 1, 1), dtype=np.int64), p)
+
+
+def test_primes_exceeding_is_the_shortest_prefix():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        every = split_primes(f, 80)
+        for bound in (0, 1, every[0] - 1, every[0], every[0] * every[1], 2**200, 2**2000):
+            primes = primes_exceeding(f, bound)
+            assert primes == every[: len(primes)]
+            assert math.prod(primes) > bound
+            assert math.prod(primes[:-1]) <= bound or not primes
+
+
+def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
+    rng = seeded("upper-bound-lower")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for _ in range(5):
+            rows = rand_rows(rng, f, 3, 5)
+            exact = len(quad_kernel(f, rows))
+            asked = []
+
+            def mod(p, w):
+                asked.append(p)
+                return reduced(f, rows, p, w)
+
+            assert kernel_dim_upper_bound(f, mod, exact) == exact
+            assert asked == split_primes(f, 1)
+            asked.clear()
+            # below the true dimension no prime meets it: both are reduced
+            assert kernel_dim_upper_bound(f, mod, exact - 1) == exact
+            assert asked == split_primes(f, 2)

@@ -21,16 +21,18 @@ from hermitia.forms import (
     gen_T_omega,
     identity,
 )
-from hermitia import linalg
+from hermitia import linalg, polyspace
 from hermitia.linalg import matvec_is_zero, omega_roots, split_primes
 from hermitia.polyspace import (
     WordOperator,
     act_poly,
     apply_word,
+    eigen_columns,
     eigen_exponent,
     eigen_labels,
     epsilon,
     factors,
+    flat_index,
     from_support,
     kernel_words,
     membership,
@@ -39,6 +41,7 @@ from hermitia.polyspace import (
     support,
     unit_diagonal,
     wkk,
+    word_action,
     word_matrix,
 )
 
@@ -284,6 +287,132 @@ def test_annihilates_agrees_with_the_word_action():
                 assert op.annihilates(support(Q)[1]) == want
 
 
+def kernel_vectors(f, k):
+    """(operator, cols, v) for every basis vector v of W_{k,k}, on the
+    columns `cols` of its eigenspace."""
+    op = WordOperator(f, k)
+    rep = wkk(f, k)
+    labels = [e for e, lab in enumerate(eigen_labels(f)) for _ in range(rep.dims[lab])]
+    out = []
+    for e, P in zip(labels, rep.basis, strict=True):
+        cols = eigen_columns(f, k, e)
+        den, supp = support(P)
+        assert den == 1
+        entries = {flat_index(k, i, j): pair for (i, j), pair in supp}
+        out.append((op, cols, [entries.get(c, linalg.ZERO) for c in cols]))
+    return out
+
+
+def as_support(k, cols, v):
+    return [(divmod(c, k + 1), e) for c, e in zip(cols, v) if e != linalg.ZERO]
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_DS)
+def test_in_kernel_agrees_with_the_word_action(d):
+    """The check by reductions accepts every basis vector for odd k <= 11,
+    and agrees with `annihilates` once one entry is changed."""
+    rng = seeded(f"in-kernel-{d}")
+    f = field(d)
+    for k in range(1, 12, 2):
+        for op, cols, v in kernel_vectors(f, k):
+            assert op.in_kernel(cols, v) and op.annihilates(as_support(k, cols, v))
+            for _ in range(2):
+                w = list(v)
+                c = rng.randrange(len(cols))
+                w[c] = (w[c][0] + rng.randint(-3, 3), w[c][1] + rng.choice([-1, 1]) * rng.randint(0, 2))
+                assert op.in_kernel(cols, w) == op.annihilates(as_support(k, cols, w)), (k, c)
+
+
+def test_height_bound_bounds_the_word_action():
+    """Every coefficient of the word action is at most `height_bound` in
+    both parts, on kernel vectors and on random ones."""
+    rng = seeded("height-bound")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (1, 3, 5):
+            op = WordOperator(f, k)
+            n = k + 1
+            for _ in range(6):
+                span = rng.choice([1, 7, 2**40])
+                supp = [((i, j), (rng.randint(-span, span), rng.randint(-span, span)))
+                        for i in range(n) for j in range(n)]
+                norm = max(max(abs(x), abs(y)) for _, (x, y) in supp)
+                top = max(abs(c) for word in op.words
+                          for row in word_action(f, word, supp, n) for xy in row for c in xy)
+                assert 0 < top <= op.height_bound(norm), (d, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(EUCLIDEAN_DS), k=st.sampled_from([1, 3]), m=st.integers(1, 4), pick=st.randoms())
+def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
+    """A kernel vector plus (p_1 ... p_m) e_c: its M v is a nonzero
+    multiple of the product of the first m split primes, so it vanishes
+    mod each of them under both roots; only the height bound, which asks
+    for more primes, lets the check reject it."""
+    f = field(d)
+    op, cols, v = pick.choice(kernel_vectors(f, k))
+    c = pick.randrange(len(cols))
+    primes = split_primes(f, m)
+    w = list(v)
+    w[c] = (w[c][0] + math.prod(primes), w[c][1])
+    assert not op.annihilates(as_support(k, cols, w))
+    for p in primes:
+        for root in omega_roots(f, p):
+            image = np.array([(x + y * root) % p for x, y in w], dtype=object)
+            assert not (op.mod(p, root, cols).astype(object) @ image % p).any()
+    assert not op.in_kernel(cols, w)
+
+
+def generator_of_first_ideals(f, m):
+    """A short pi = x + y*omega in the product of the prime ideals
+    (p_i, omega - w1(p_i)) over the first m split primes, w1 the first of
+    `omega_roots`: the Lagrange-reduced basis of that lattice,
+    {x + y*omega : x + y*w1 = 0 mod p_i}, under the norm form."""
+    primes = split_primes(f, m)
+    modulus = math.prod(primes)
+    w = 0
+    for p in primes:
+        # CRT: w = w1(p) mod p for each p
+        rest = modulus // p
+        w += (omega_roots(f, p)[0]) * rest * pow(rest, -1, p)
+    u, v = (modulus, 0), (-(w % modulus), 1)
+
+    def norm(a):
+        return f.norm_int(*a)
+
+    if norm(u) > norm(v):
+        u, v = v, u
+    while True:
+        # twice the bilinear form of the norm, then the nearest multiple
+        twice = norm((u[0] + v[0], u[1] + v[1])) - norm(u) - norm(v)
+        mu = (twice + norm(u)) // (2 * norm(u))
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if norm(v) >= norm(u):
+            return u
+        u, v = v, u
+
+
+def test_in_kernel_needs_both_roots():
+    """A kernel vector plus pi e_c, pi in the prime ideals above the first
+    m primes that belong to their first roots: M v vanishes under those
+    roots at every prime the check uses, so only the second root refutes
+    it."""
+    m = 6
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        pi = generator_of_first_ideals(f, m)
+        for p in split_primes(f, m):
+            assert (pi[0] + pi[1] * omega_roots(f, p)[0]) % p == 0
+        for k in (1, 3):
+            op, cols, v = kernel_vectors(f, k)[0]
+            w = list(v)
+            w[0] = (w[0][0] + pi[0], w[0][1] + pi[1])
+            norm = max(max(abs(x), abs(y)) for x, y in w)
+            assert len(linalg.primes_exceeding(f, 2 * op.height_bound(norm))) <= m
+            assert not op.annihilates(as_support(k, cols, w))
+            assert not op.in_kernel(cols, w), (d, k)
+
+
 def test_support_clears_the_denominators():
     rng = seeded("support")
     for d in EUCLIDEAN_DS:
@@ -335,7 +464,7 @@ def test_modular_dimensions_agree_with_exact(d):
 
 def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
     # an upper bound that never meets the lower one forces the full kernel
-    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows: -1)
+    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows, lower: -1)
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3, 5):
@@ -349,6 +478,18 @@ def test_exact_wkk_never_runs_bareiss(monkeypatch):
 
     monkeypatch.setattr(linalg, "quad_kernel", bareiss)
     assert not hasattr(WordOperator, "rows")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for idx, k in enumerate((1, 3, 5, 7)):
+            rep = wkk(f, k)
+            assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k)
+
+
+def test_exact_wkk_never_runs_the_word_action(monkeypatch):
+    def action(*args):
+        raise AssertionError("wkk ran polyspace.word_action")
+
+    monkeypatch.setattr(polyspace, "word_action", action)
     for d in EUCLIDEAN_DS:
         f = field(d)
         for idx, k in enumerate((1, 3, 5, 7)):
