@@ -353,13 +353,11 @@ class WordOperator:
                 return [sum(max(abs(x), abs(y)) for x, y in row) for row in m]
 
             span = range(self.k + 1)
-            self._row_bound = max(
-                sum(ra[r] * rb[s] for ra, rb in sums)
-                for word in self.words
-                for sums in [[(rowsums(az), rowsums(azb)) for _, az, azb in word]]
-                for r in span
-                for s in span
-            )
+            best = 0
+            for word in self.words:
+                sums = [(rowsums(az), rowsums(azb)) for _, az, azb in word]
+                best = max(best, *(sum(ra[r] * rb[s] for ra, rb in sums) for r in span for s in span))
+            self._row_bound = best
         f = self.field
         c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
         return c * c * self._row_bound * norm
