@@ -136,8 +136,22 @@ def _nstr(value, bits: int) -> str:
 # ----------------------------------------------------------------- commands
 
 
+# `forms.alpha` sums over the O(Delta) lattice points of norm below Delta;
+# at this cap one call of `alpha` or `lvalue` takes a few seconds
+ALPHA_DELTA_MAX = 10**5
+
+
+def check_alpha_delta(delta: int | None) -> None:
+    if delta is not None and delta > ALPHA_DELTA_MAX:
+        raise ValueError(
+            f"--delta must be at most {ALPHA_DELTA_MAX}, since alpha sums "
+            f"O(delta) terms; got {delta}"
+        )
+
+
 def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
+    check_alpha_delta(args.delta)
     deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
     return [
         {"d": args.d, "k": args.k, "delta": dl, "alpha": forms.alpha(f, args.k, dl)}
@@ -196,6 +210,7 @@ def cmd_rcount(args) -> list[dict]:
 def cmd_lvalue(args) -> list[dict]:
     f = field(args.d)
     bits = default_bits() if args.bits is None else args.bits
+    check_alpha_delta(args.delta)
     value = lfun.l_closed_form(f, args.s, args.delta)
     numeric = value.numeric(bits)
     return [

@@ -394,9 +394,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def as_fraction(self) -> Fraction:
         """The value as a rational; raises if it is not real."""
         if self.num.y != 0:

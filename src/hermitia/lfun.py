@@ -340,7 +340,6 @@ class LValue:
     coeff: Fraction
     pi_power: int
     inv_sqrt_disc: bool
-    method: str
 
     @property
     def is_rational(self) -> bool:
@@ -392,10 +391,10 @@ def l_closed_form(f: FieldSpec, s: int, delta: int | None = None) -> LValue:
         if root * root == m:  # fold a rational sqrt into the coefficient
             coeff /= root
             inv_sqrt = False
-        return LValue(f.d, s, delta, coeff, s, inv_sqrt, "closed-form")
+        return LValue(f.d, s, delta, coeff, s, inv_sqrt)
     coeff = -bernoulli_number(k + 1) * Fraction(f.abs_disc * delta) ** (k + 1) * th
     coeff /= (k + 1) * al
-    return LValue(f.d, s, delta, coeff, 0, False, "closed-form")
+    return LValue(f.d, s, delta, coeff, 0, False)
 
 
 # ------------------------------------------------------------------ benchmark

@@ -26,16 +26,17 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   free columns mod p are those over K and the basis is the one Bareiss
   elimination gives.
 
-* `quad_rank_modular` -- ranks modulo several split primes.  Reduction
-  mod p can only lower the rank, hence can only raise the kernel
-  dimension: every single prime yields a true upper bound on the kernel
-  dimension (`kernel_dim_upper_bound`, which stops at the first prime
-  that meets a known lower bound).  The report is accepted once
-  AGREEMENTS primes of maximal rank agree on the full pivot pattern,
-  which pins the dimension down with overwhelming probability; combined with an exact
-  lower bound (independent verified kernel vectors) the bound becomes an
-  unconditional certificate.  Both reduce whichever orientation of the
-  matrix has fewer rows: the rank is the same, and the work is smaller.
+* `quad_rank_modular` and `kernel_dim_upper_bound` -- one rule for every
+  rank mod p.  For a prime ideal P above p, rank(M mod P) <= rank(M) over
+  K, since a minor that is nonzero mod P is nonzero over K.  So every split
+  prime bounds the kernel dimension from above, and a prime of bad
+  reduction can only raise it.  Both take the least kernel dimension over
+  the first RANK_PRIMES split primes and stop at the first prime that meets
+  a known lower bound: 0 for `quad_rank_modular`, and for the sandwich of
+  `polyspace.wkk` the number of verified kernel vectors, where meeting it
+  makes the dimension unconditional.  Each prime reduces whichever
+  orientation of the matrix has fewer rows: the rank is the same, and the
+  work is smaller.
 
 * `quad_kernel` -- fraction-free (Bareiss) Gaussian elimination directly
   over O_d, with exact back substitution and a check of every vector
@@ -53,7 +54,6 @@ pairs (x, y) for x + y*omega, integral and content-free.  Rows of `QuadInt`
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -73,8 +73,8 @@ ZERO: Pair = (0, 0)
 
 # `certified_kernel` gives up after this many split primes (~1900 bits)
 MAX_PRIMES = 64
-# `quad_rank_modular` accepts a rank once this many split primes agree
-AGREEMENTS = 3
+# the modular rank routines bound a kernel dimension by this many split primes
+RANK_PRIMES = 3
 # the split primes are the first above this; below 2^31 products fit in int64
 PRIME_START = 1 << 30
 
@@ -355,67 +355,39 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ModularRankReport:
-    """Rank mod agreeing split primes.  `pivots` are the pivot columns of
-    the orientation reduced, the one with fewer rows: columns of M if
-    `transposed` is false, else columns of M^T, i.e. the first rows of M
-    that are independent mod p."""
+    """The least kernel dimension mod the split primes `primes` reduced."""
 
-    ncols: int
-    rank: int
-    pivots: tuple[int, ...]
+    kernel_dim: int
     primes: tuple[int, ...]
-    transposed: bool
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank
 
 
-def _rank_mod(f: FieldSpec, mod: Reductions, p: int) -> tuple[int, int, tuple[int, ...], bool]:
-    """(ncols, rank, pivots, transposed) of the matrix mod p, reduced along
-    whichever orientation has fewer rows: the rank is the same, the work
-    smaller."""
-    mat = mod(p, omega_roots(f, p)[0])
-    transposed = mat.shape[0] > mat.shape[1]
-    rank, pivots = echelon_mod(mat.T if transposed else mat, p)
-    return mat.shape[1], rank, pivots, transposed
+def _least_kernel_dim(f: FieldSpec, mod: Reductions, lower: int) -> ModularRankReport:
+    """The least kernel dimension of the matrix with reductions `mod` over
+    the first RANK_PRIMES split primes, each an upper bound over K; it
+    stops at the first prime that meets `lower`, a known lower bound."""
+    primes = split_primes(f, RANK_PRIMES)
+    dims: list[int] = []
+    for p in primes:
+        mat = mod(p, omega_roots(f, p)[0])
+        # both orientations have the same rank; fewer rows are less work
+        rank, _ = echelon_mod(mat.T if mat.shape[0] > mat.shape[1] else mat, p)
+        dims.append(mat.shape[1] - rank)
+        if min(dims) <= lower:
+            break
+    return ModularRankReport(min(dims), tuple(primes[: len(dims)]))
 
 
 def quad_rank_modular(f: FieldSpec, rows: Reductions) -> ModularRankReport:
-    """Rank (and kernel dimension) of the matrix with reductions `rows`,
-    from rank and pivot-pattern agreement across AGREEMENTS split primes;
-    if they disagree, the pattern of maximal rank shared by the most of
-    twice as many primes, at least AGREEMENTS.  `primes` lists every prime
-    tried.  The kernel dimension of any single prime is already a true
-    upper bound for the exact kernel dimension."""
-    primes = split_primes(f, AGREEMENTS)
-    results = [_rank_mod(f, rows, p) for p in primes]
-    if len({r[1:3] for r in results}) != 1:
-        # a prime of bad reduction slipped in: a lower rank or later pivots
-        primes = split_primes(f, 2 * AGREEMENTS)
-        results += [_rank_mod(f, rows, p) for p in primes[AGREEMENTS:]]
-        best = max(r[1] for r in results)
-        [(pattern, count)] = Counter(r[1:3] for r in results if r[1] == best).most_common(1)
-        if count < AGREEMENTS:
-            raise CertificateError("modular ranks failed to stabilize")
-        results = [r for r in results if r[1:3] == pattern]
-    ncols, rank, pivots, transposed = results[0]
-    return ModularRankReport(ncols, rank, pivots, tuple(primes), transposed)
+    """The kernel dimension of the matrix with reductions `rows`: the least
+    over RANK_PRIMES split primes, exact unless all of them are of bad
+    reduction.  A prime that finds the kernel empty ends the search."""
+    return _least_kernel_dim(f, rows, 0)
 
 
 def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int) -> int:
     """An unconditional upper bound on the kernel dimension of the matrix
-    with reductions `rows`: its minimum mod two split primes (each single
-    prime already bounds from above).  `lower` is a known lower bound: a
-    first prime that meets it already gives the minimum, so the second
-    prime is reduced only when the first one's bound lies above `lower`."""
-    upper = None
-    for p in split_primes(f, 2):
-        ncols, rank, _, _ = _rank_mod(f, rows, p)
-        upper = ncols - rank if upper is None else min(upper, ncols - rank)
-        if upper <= lower:
-            break
-    return upper
+    with reductions `rows`, given `lower`, a known lower bound."""
+    return _least_kernel_dim(f, rows, lower).kernel_dim
 
 
 # --------------------------------------------------------- certified kernel

@@ -457,7 +457,9 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     kernel dimension modulo any split prime bounds it from above; when the
     two meet the result is unconditional, otherwise the full certified
     kernel is computed.
-    modular: dimensions only, via agreeing ranks mod split primes.
+    modular: dimensions only, each the least kernel dimension mod a few
+    split primes (`linalg.quad_rank_modular`), an upper bound that is exact
+    unless every prime tried is of bad reduction.
     Neither route builds the stacked word matrix over O_d.
     """
     if method not in ("exact", "modular"):

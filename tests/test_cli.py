@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hermitia import cli, forms, hsum, lfun, linalg, polyspace
+from hermitia import cli, forms, hsum, lfun, polyspace
 from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
 from hermitia.field import field
 
@@ -391,6 +391,24 @@ def test_alpha_delta_zero_is_checked_not_ignored(capsys):
     assert "delta" in run.err
 
 
+@pytest.mark.parametrize("argv", [["alpha", "-d", "1", "-k", "1"], ["lvalue", "-d", "1", "-s", "3"]])
+def test_huge_delta_exits_2_naming_the_flag(argv):
+    # alpha_{k,Delta} sums over the O(Delta) lattice points of norm below
+    # Delta: a 31-digit Delta must be refused at once, not run for ever
+    done = run_module(*argv, "--delta", "1000000000000000000000000000057", timeout=20)
+    assert done.returncode == EXIT_PRECONDITION
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: --delta") and len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["alpha", "-d", "2", "-k", "1"], ["lvalue", "-d", "2", "-s", "3"]])
+def test_delta_above_the_alpha_cap_exits_2(capsys, argv):
+    code, out = run(capsys, *argv, "--delta", str(cli.ALPHA_DELTA_MAX + 1))
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert run.err.startswith("error: --delta") and str(cli.ALPHA_DELTA_MAX) in run.err
+
+
 @pytest.mark.parametrize("value", ["3", "abc"])
 def test_bad_precision_variable_exits_2_naming_it(capsys, monkeypatch, value):
     monkeypatch.setenv("HERMITIA_PRECISION", value)
@@ -434,13 +452,6 @@ def assert_certificate_exit(capsys, *argv):
 def test_failed_kernel_verification_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(polyspace.WordOperator, "in_kernel", lambda self, cols, vec: False)
     assert_certificate_exit(capsys, "dims", "-d", "2", "--kmax", "3")
-
-
-def test_unstable_modular_ranks_exit_3(capsys, monkeypatch):
-    calls = iter(range(10**6))
-    # every prime reports a different rank, so no three ever agree
-    monkeypatch.setattr(linalg, "echelon_mod", lambda mat, p: (next(calls), ()))
-    assert_certificate_exit(capsys, "dims", "-d", "7", "--kmax", "1", "--method", "modular")
 
 
 def test_non_hermitian_form_action_exits_3(capsys, monkeypatch):
@@ -508,12 +519,17 @@ def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
 # ------------------------------------------------------------- python -m
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv, timeout=60):
+    """`python -m hermitia argv` in a fresh process, stopped after `timeout` s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "hermitia", "alpha", "-d", "1", "-k", "1", "--delta", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "hermitia", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("alpha", "-d", "1", "-k", "1", "--delta", "3")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[1].split() == ["1", "1", "3", "20"]

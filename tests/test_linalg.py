@@ -68,7 +68,8 @@ def test_rank_deficient_stack():
     ]
     assert len(quad_kernel(f, rows)) == 2
     rep = quad_rank_modular(f, reductions(f, rows))
-    assert rep.rank == 1 and rep.kernel_dim == 2
+    # a nonempty kernel at good primes: every one of them is reduced
+    assert rep.kernel_dim == 2 and list(rep.primes) == split_primes(f, linalg.RANK_PRIMES)
     assert kernel_dim_upper_bound(f, reductions(f, rows), 0) == 2
 
 
@@ -80,6 +81,14 @@ def test_full_rank_matrix_has_trivial_kernel():
     ]
     assert quad_kernel(f, rows) == []
     assert quad_rank_modular(f, reductions(f, rows)).kernel_dim == 0
+
+
+def test_modular_rank_stops_at_the_first_prime_of_full_rank():
+    f = field(7)
+    rows = [[f.one, f.zero], [f.omega, f.one]]
+    # an empty kernel mod one prime is empty over K: no other prime is reduced
+    rep = quad_rank_modular(f, reductions(f, rows))
+    assert rep.kernel_dim == 0 and list(rep.primes) == split_primes(f, 1)
 
 
 def test_zero_matrix_kernel_is_everything():
@@ -191,42 +200,33 @@ def test_certified_kernel_skips_a_later_prime_of_bad_reduction():
     assert basis == quad_kernel(f, rows)
 
 
-def test_modular_rank_reduces_the_short_side():
+def test_modular_rank_reduces_the_short_side(monkeypatch):
     f = field(1)
     base = [f.one, f.quad(0, 1), f.quad(2, -1)]
     # a tall matrix: rows 0 and 2 are multiples of `base`
     rows = [base, [f.zero, f.one, f.zero], [e * f.quad(3, 1) for e in base], [f.one] * 3]
-    rep = quad_rank_modular(f, reductions(f, rows))
-    assert rep.transposed and rep.rank == 3 and rep.kernel_dim == 0
-    # the pivots of the transpose name the first independent rows
-    assert rep.pivots == (0, 1, 3)
-    wide = quad_rank_modular(f, reductions(f, [list(col) for col in zip(*rows)]))
-    assert not wide.transposed and wide.pivots == (0, 1, 3) and wide.kernel_dim == 1
+    shapes = []
+    echelon = linalg.echelon_mod
+
+    def recorded(mat, p):
+        shapes.append(mat.shape)
+        return echelon(mat, p)
+
+    monkeypatch.setattr(linalg, "echelon_mod", recorded)
+    assert quad_rank_modular(f, reductions(f, rows)).kernel_dim == 0
+    wide = [list(col) for col in zip(*rows)]
+    assert quad_rank_modular(f, reductions(f, wide)).kernel_dim == 1
+    # the tall matrix is reduced as its transpose, the wide one as it is
+    assert set(shapes) == {(3, 4)}
 
 
-def test_modular_rank_keeps_the_pivots_most_primes_share():
+def test_modular_rank_skips_a_bad_first_prime():
     f = field(2)
-    p = split_primes(f, 1)[0]
-    # [p, 1] is [0, 1] mod p alone: the first prime's pivot comes later,
-    # the other five primes and K itself pivot on column 0
-    rep = quad_rank_modular(f, reductions(f, [[f.quad(p), f.one]]))
-    assert rep.rank == 1 and rep.pivots == (0,) and not rep.transposed
-    assert list(rep.primes) == split_primes(f, 2 * linalg.AGREEMENTS)
-
-
-def test_modular_rank_raises_without_enough_agreeing_primes():
-    f = field(7)
-    primes = split_primes(f, 2 * linalg.AGREEMENTS)
-
-    def mod(p, w):
-        # one nonzero entry, in a different column at every prime: each
-        # pivot pattern has one vote
-        row = np.zeros((1, len(primes)), dtype=np.int64)
-        row[0, primes.index(p)] = 1
-        return row
-
-    with pytest.raises(CertificateError):
-        quad_rank_modular(f, mod)
+    p, q = split_primes(f, 2)
+    # [p] is [0] mod p alone: kernel dimension 1 there, 0 mod q and over K;
+    # the least dimension discards p, and q ends the search
+    rep = quad_rank_modular(f, reductions(f, [[f.quad(p)]]))
+    assert rep.kernel_dim == 0 and rep.primes == (p, q)
 
 
 def test_certified_kernel_raises_when_verification_keeps_failing():
@@ -270,6 +270,30 @@ def test_certified_kernel_equals_bareiss_property(stack):
     basis, primes, checks = certified(f, rows)
     assert basis == quad_kernel(f, rows)
     assert checks == len(basis)
+
+
+@st.composite
+def stacks_bad_at_the_first_prime(draw):
+    f, rows = draw(stacks())
+    p = split_primes(f, 1)[0]
+    # a row times p vanishes mod p alone: the rank drops mod p, not over K
+    scale = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return f, [[e * f.quad(p) for e in row] if s else row for row, s in zip(rows, scale)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stack=stacks_bad_at_the_first_prime())
+def test_least_kernel_dimension_discards_a_bad_first_prime_property(stack):
+    f, rows = stack
+    exact = len(quad_kernel(f, rows))
+    mod = reductions(f, rows)
+    assert quad_rank_modular(f, mod).kernel_dim == exact
+    assert kernel_dim_upper_bound(f, mod, 0) == exact
+    assert kernel_dim_upper_bound(f, mod, exact) == exact
+    # every prime ideal bounds the kernel dimension from above
+    for p in split_primes(f, linalg.RANK_PRIMES):
+        for w in omega_roots(f, p):
+            assert len(rows[0]) - echelon_mod(mod(p, w), p)[0] >= exact
 
 
 def test_echelon_mod_leaves_its_input_and_finds_pivots():
@@ -385,6 +409,6 @@ def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
             assert kernel_dim_upper_bound(f, mod, exact) == exact
             assert asked == split_primes(f, 1)
             asked.clear()
-            # below the true dimension no prime meets it: both are reduced
+            # below the true dimension no prime meets it: all are reduced
             assert kernel_dim_upper_bound(f, mod, exact - 1) == exact
-            assert asked == split_primes(f, 2)
+            assert asked == split_primes(f, linalg.RANK_PRIMES)
