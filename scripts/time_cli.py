@@ -3,10 +3,9 @@
     PYTHONPATH=src python3 scripts/time_cli.py
 
 Prints three lines: the milliseconds per `build_parser()` with every
-subcommand, per parser of the one subcommand `hconst` ("n/a" where
-`build_parser` takes no argument), and the median milliseconds of 200
-`cli.main` calls of one `hconst` point (stdout discarded, exit code
-checked).  Parser builds report the best of five rounds of 200 builds.
+subcommand, per parser of the one subcommand `hconst`, and the median
+milliseconds of 200 `cli.main` calls of one `hconst` point (stdout
+discarded, exit code checked).  Parser builds report the best of five rounds of 200 builds.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ def main_call_ms() -> float:
 
 def main() -> None:
     print(f"build_parser() all commands  {ms_per_build(cli.build_parser):7.3f} ms")
-    try:
-        one = f"{ms_per_build(lambda: cli.build_parser('hconst')):7.3f} ms"
-    except TypeError:
-        one = "    n/a"
-    print(f"build_parser('hconst')       {one}")
+    one = ms_per_build(lambda: cli.build_parser("hconst"))
+    print(f"build_parser('hconst')       {one:7.3f} ms")
     print(f"cli.main {' '.join(ARGV)}  median of {CALLS}  {main_call_ms():7.3f} ms")
 
 

@@ -136,17 +136,28 @@ def _nstr(value, bits: int) -> str:
 # ----------------------------------------------------------------- commands
 
 
-# `forms.alpha` sums over the O(Delta) lattice points of norm below Delta;
-# at this cap one call of `alpha` or `lvalue` takes a few seconds
+# The largest --delta of each subcommand.  `forms.alpha` sums over the
+# O(Delta) lattice points of norm below Delta; at its cap one call of
+# `alpha` or `lvalue` takes a few seconds.  `hconst`, `expandp` and
+# `average` enumerate the O(Delta log Delta) forms of discriminant Delta;
+# at their caps one call of `hconst -k 1 -z 0`, `expandp -k 1` or
+# `average -k 3 --grid 1` takes about 10 s.
 ALPHA_DELTA_MAX = 10**5
+FORMS_DELTA_MAX = 8 * 10**4
+AVERAGE_DELTA_MAX = 10**4
+
+
+def check_delta_at_most(delta: int | None, cap: int, why: str) -> None:
+    if delta is not None and delta > cap:
+        raise ValueError(f"--delta must be at most {cap}, since {why}; got {delta}")
 
 
 def check_alpha_delta(delta: int | None) -> None:
-    if delta is not None and delta > ALPHA_DELTA_MAX:
-        raise ValueError(
-            f"--delta must be at most {ALPHA_DELTA_MAX}, since alpha sums "
-            f"O(delta) terms; got {delta}"
-        )
+    check_delta_at_most(delta, ALPHA_DELTA_MAX, "alpha sums O(delta) terms")
+
+
+def check_forms_delta(delta: int) -> None:
+    check_delta_at_most(delta, FORMS_DELTA_MAX, "the forms of discriminant delta are enumerated")
 
 
 def cmd_alpha(args) -> list[dict]:
@@ -245,6 +256,7 @@ def cmd_bench(args) -> list[dict]:
 
 def cmd_hconst(args) -> list[dict]:
     f = field(args.d)
+    check_forms_delta(args.delta)
     forms.check_delta(f, args.delta)
     points: list[QuadElem] = []
     if args.z:
@@ -279,6 +291,9 @@ def cmd_hconst(args) -> list[dict]:
 
 def cmd_average(args) -> list[dict]:
     f = field(args.d)
+    check_delta_at_most(
+        args.delta, AVERAGE_DELTA_MAX, "every grid point walks the forms of discriminant delta"
+    )
     rep = hsum.average_quadrature(f, args.k, args.delta, grid=args.grid, a_max=args.a_max)
     return [
         {
@@ -361,6 +376,7 @@ def cmd_basis(args) -> list[dict]:
 
 def cmd_expandp(args) -> list[dict]:
     f = field(args.d)
+    check_forms_delta(args.delta)
     P = forms.expand_P(f, args.k, args.delta)
     row = {"d": args.d, "k": args.k, "delta": args.delta, "poly": str(P)}
     if args.check:

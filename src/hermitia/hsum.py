@@ -51,7 +51,7 @@ import numpy as np
 
 from .cfrac import hurwitz_cf
 from .field import CertificateError, FieldSpec, QuadElem
-from .forms import alpha, alpha_direct, check_delta, delta_forms, expand_P, window_scan
+from .forms import alpha, check_delta, delta_forms, expand_P, window_scan
 
 # a float `ReductionCheck` holds within its error bound plus this slack
 CHECK_SLACK = 1e-9
@@ -63,10 +63,12 @@ def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
     Walks the Hurwitz continued fraction of z.  With r = z_n - alpha_n the
     n-th remainder and z_(n+1) = 1/r, periodicity, H(-w) = H(w) and the
     reduction identity give H(z_n) = H(r) = N(r)^k H(z_(n+1)) - P(r); the
-    walk sums these until a remainder is 0, where H(0) = alpha_direct.
+    walk sums these until a remainder is 0, where H(0) = alpha_{k,Delta}.
     P(r) is evaluated on integers: for r = (x + y*omega)/den each form
     (a, b, c) with c < 0 < a contributes
     h(r,1)*den^2 = a*N(x, y) + den*(x*Tr(b) + y*Tr(b*omega)) + c*den^2.
+    Their negatives are the forms with a < 0 < c that sum to H(0), so
+    alpha_{k,Delta} is the sum of (-c)^k over the same forms.
     The cost is O(#forms * log den); the definition, summed by
     `forms.window_scan` in O(Delta*den^2), is the oracle in the tests.
     """
@@ -85,7 +87,7 @@ def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
     for zn, an in zip(exp.zs, exp.alphas):
         r = zn - an
         if r.is_zero():
-            return total + scale * alpha_direct(f, k, delta)
+            return total + scale * sum((-c) ** k for _, _, _, c in terms)
         x, y, den = r.num.x, r.num.y, r.den
         nrm, dd = f.norm_int(x, y), den * den
         p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)

@@ -215,8 +215,9 @@ def zseries_partial(f: FieldSpec, delta: int, s: int, n_max: int) -> float:
 
 def zseries_closed_form(f: FieldSpec, delta: int, s: int, bits: int = 128):
     """Z(-delta, s) = theta(delta, s) zeta(s) / L(chi, s+1), numerically."""
+    exact = theta(f, delta, s)
     with mpmath.workprec(bits + 16):
-        th = mpmath.mpf(theta(f, delta, s).numerator) / theta(f, delta, s).denominator
+        th = mpmath.mpf(exact.numerator) / exact.denominator
         return th * mpmath.zeta(s) / l_positive_numeric(f, s + 1, bits)
 
 

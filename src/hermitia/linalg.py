@@ -22,9 +22,9 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   reconstruction, and the vectors are checked exactly (for the word
   operators of `polyspace`, by their reductions at the `primes_exceeding`
   twice a proven height bound).  c - rank_p independent vectors of ker M
-  make a basis, since dim ker M <= c - rank_p; each is supported on its own free column and earlier pivots, so the
-  free columns mod p are those over K and the basis is the one Bareiss
-  elimination gives.
+  make a basis, since dim ker M <= c - rank_p; each is supported on its
+  own free column and earlier pivots, so the free columns mod p are those
+  over K and the basis is the one Gauss-Jordan elimination over K gives.
 
 * `quad_rank_modular` and `kernel_dim_upper_bound` -- one rule for every
   rank mod p.  For a prime ideal P above p, rank(M mod P) <= rank(M) over
@@ -38,10 +38,11 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   orientation of the matrix has fewer rows: the rank is the same, and the
   work is smaller.
 
-* `quad_kernel` -- fraction-free (Bareiss) Gaussian elimination directly
-  over O_d, with exact back substitution and a check of every vector
-  against every row.  No production route calls it: it is the test
-  oracle of `certified_kernel`.
+* `quad_kernel` -- Gauss-Jordan elimination over K on `QuadElem`
+  fractions, with a check of every vector against every row
+  (`matvec_is_zero`).  No production route calls it: it is the test
+  oracle of `certified_kernel`, on `QuadElem` arithmetic rather than the
+  integer pairs (`pair_mul`) of the production path.
 
 The modular functions take a matrix only by its reductions, a function
 from a split prime p and a root w of omega's polynomial mod p to the matrix
@@ -95,130 +96,63 @@ def pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
     return out
 
 
-def _div(f: FieldSpec, a: Pair, b: Pair) -> Pair:
-    """a / b in O_d; exact by the Bareiss divisibility guarantee."""
-    u, v = b
-    nb = u * u + f.disc * u * v + f.norm_coeff * v * v
-    x, y = a
-    cu, cv = u + f.disc * v, -v
-    px = x * cu - f.norm_coeff * y * cv
-    py = x * cv + y * cu + f.disc * y * cv
-    return (px // nb, py // nb)
-
-
-def _row_content(row: list[Pair]) -> int:
-    g = 0
-    for x, y in row:
-        g = math.gcd(g, math.gcd(abs(x), abs(y)))
-        if g == 1:
-            return 1
-    return g
-
-
-def _strip(row: list[Pair]) -> list[Pair]:
-    g = _row_content(row)
-    if g > 1:
-        return [(x // g, y // g) for x, y in row]
-    return row
-
-
-def _annihilates(f: FieldSpec, rows: list[list[Pair]], vec: list[Pair]) -> bool:
-    support = [(c, v) for c, v in enumerate(vec) if v != ZERO]
-    for row in rows:
-        x = y = 0
-        for c, v in support:
-            e = row[c]
-            if e != ZERO:
-                px, py = pair_mul(f, e, v)
-                x += px
-                y += py
-        if x or y:
-            return False
-    return True
-
-
 def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:
-    """Basis of { v : M v = 0 } over the field of fractions of O_d, by
-    Bareiss elimination: the test oracle of `certified_kernel`.
+    """Basis of { v : M v = 0 } over K, the field of fractions of O_d, by
+    Gauss-Jordan elimination on `QuadElem` fractions: the test oracle of
+    `certified_kernel`.
 
-    Returns integral, content-free vectors of integer pairs.  The basis
-    vectors are verified against every row of M exactly before returning.
+    The columns are scanned left to right, each pivot is the first nonzero
+    entry at or below the next pivot row, and the pivot rows are scaled to
+    1 and cleared above and below.  Each free column gives the vector with
+    1 there and minus its reduced entries at the pivot columns, made
+    integral and content-free; every vector is checked against every row of
+    M by `matvec_is_zero` before returning.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    pairs: list[list[Pair]] = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        pairs.append([(e.x, e.y) for e in row])
-    remaining = [_strip(pr) for pr in pairs if any(e != ZERO for e in pr)]
-
-    pivots: list[tuple[int, list[Pair]]] = []  # (pivot column, frozen row)
-    prev: Pair = (1, 0)
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    red = [[QuadElem.from_quadint(e) for e in row] for row in rows]
+    pivots: list[int] = []
     for col in range(ncols):
-        if not remaining:
-            break
-        candidates = [r for r in remaining if r[col] != ZERO]
-        if not candidates:
+        top = len(pivots)
+        piv = next((r for r in range(top, len(red)) if not red[r][col].is_zero()), None)
+        if piv is None:
             continue
-        # the smallest pivot entry keeps the minor growth down
-        pivot = min(candidates, key=lambda r: max(abs(r[col][0]), abs(r[col][1])))
-        pv = pivot[col]
-        nxt: list[list[Pair]] = []
-        for r in remaining:
-            if r is pivot:
-                continue
-            e = r[col]
-            if e == ZERO:
-                new = [_div(f, pair_mul(f, pv, rc), prev) if rc != ZERO else ZERO for rc in r]
-            else:
-                new = []
-                for rc, pc in zip(r, pivot):
-                    t1 = pair_mul(f, pv, rc) if rc != ZERO else ZERO
-                    t2 = pair_mul(f, e, pc) if pc != ZERO else ZERO
-                    diff = (t1[0] - t2[0], t1[1] - t2[1])
-                    new.append(_div(f, diff, prev) if diff != ZERO else ZERO)
-            if any(p != ZERO for p in new):
-                nxt.append(new)
-        pivots.append((col, pivot))
-        prev = pv
-        remaining = nxt
+        red[top], red[piv] = red[piv], red[top]
+        inv = red[top][col].inverse()
+        red[top] = [e * inv for e in red[top]]
+        for r, row in enumerate(red):
+            if r != top and not row[col].is_zero():
+                red[r] = [e - row[col] * p for e, p in zip(row, red[top])]
+        pivots.append(col)
 
-    pivot_cols = {c for c, _ in pivots}
     basis: list[list[Pair]] = []
     for fc in range(ncols):
-        if fc in pivot_cols:
+        if fc in pivots:
             continue
-        v = [ZERO] * ncols
-        v[fc] = (1, 0)
-        for col, row in reversed(pivots):
-            # v[col] = -acc / e, kept integral: v times N(e), v[col] = -acc * conj(e)
-            ax = ay = 0
-            for c in range(col + 1, ncols):
-                if row[c] != ZERO and v[c] != ZERO:
-                    x, y = pair_mul(f, row[c], v[c])
-                    ax, ay = ax - x, ay - y
-            u, w = row[col]
-            n = f.norm_int(u, w)
-            v = [(x * n, y * n) for x, y in v]
-            v[col] = pair_mul(f, (ax, ay), (u + f.disc * w, -w))
-        basis.append(_canonical_integral(v))
+        vec = [QuadElem.from_quadint(f.zero)] * ncols
+        vec[fc] = QuadElem.from_quadint(f.one)
+        for i, c in enumerate(pivots):
+            vec[c] = -red[i][fc]
+        den = math.lcm(*(e.den for e in vec))
+        ints = [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
+        basis.append(_canonical_integral(ints))
 
     for v in basis:
-        if not _annihilates(f, pairs, v):
+        if not matvec_is_zero(f, rows, [QuadElem.from_quadint(f.quad(x, y)) for x, y in v]):
             raise CertificateError("kernel vector failed exact verification")
     return basis
 
 
 def _canonical_integral(ints: list[Pair]) -> list[Pair]:
-    """Scale an integral vector to content 1 and a sign-normalized first
-    nonzero coordinate."""
-    ints = _strip(ints)
-    lead = next((e for e in ints if e != ZERO), (1, 0))
-    if lead[0] < 0 or (lead[0] == 0 and lead[1] < 0):
-        ints = [(-x, -y) for x, y in ints]
-    return ints
+    """Scale a nonzero integral vector to content 1 and a first nonzero
+    coordinate above (0, 0) in tuple order: x > 0, or x = 0 and y > 0."""
+    g = math.gcd(*(c for e in ints for c in e))
+    if next(e for e in ints if e != ZERO) < ZERO:
+        g = -g
+    return ints if g == 1 else [(x // g, y // g) for x, y in ints]
 
 
 def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:

@@ -417,7 +417,6 @@ class WordOperator:
 class SubspaceReport:
     d: int
     k: int
-    method: str
     dims: dict[str, int]
     total: int
     basis: tuple[BiPoly, ...] | None
@@ -472,7 +471,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         for e, lab in enumerate(labels):
             cols = eigen_columns(f, k, e)
             dims[lab] = linalg.quad_rank_modular(f, lambda p, w: op.mod(p, w, cols)).kernel_dim
-        return SubspaceReport(f.d, k, "modular", dims, total, None)
+        return SubspaceReport(f.d, k, dims, total, None)
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):
         supps = eigen_kernel(op, e)
@@ -481,7 +480,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     lower = len(basis)
     upper = linalg.kernel_dim_upper_bound(f, op.mod, lower)
     total = lower if upper == lower else len(op.kernel(list(range(op.size))))
-    return SubspaceReport(f.d, k, "exact", dims, total, tuple(basis))
+    return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 
 def membership(P: BiPoly, label: str = "1") -> bool:

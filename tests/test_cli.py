@@ -391,9 +391,16 @@ def test_alpha_delta_zero_is_checked_not_ignored(capsys):
     assert "delta" in run.err
 
 
-@pytest.mark.parametrize("argv", [["alpha", "-d", "1", "-k", "1"], ["lvalue", "-d", "1", "-s", "3"]])
+@pytest.mark.parametrize("argv", [
+    ["alpha", "-d", "1", "-k", "1"],
+    ["lvalue", "-d", "1", "-s", "3"],
+    ["hconst", "-d", "1", "-k", "1", "-z", "0"],
+    ["expandp", "-d", "1", "-k", "1"],
+    ["average", "-d", "1", "-k", "3", "--grid", "4"],
+])
 def test_huge_delta_exits_2_naming_the_flag(argv):
     # alpha_{k,Delta} sums over the O(Delta) lattice points of norm below
+    # Delta, and the other commands enumerate the forms of discriminant
     # Delta: a 31-digit Delta must be refused at once, not run for ever
     done = run_module(*argv, "--delta", "1000000000000000000000000000057", timeout=20)
     assert done.returncode == EXIT_PRECONDITION
@@ -407,6 +414,20 @@ def test_delta_above_the_alpha_cap_exits_2(capsys, argv):
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert run.err.startswith("error: --delta") and str(cli.ALPHA_DELTA_MAX) in run.err
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["hconst", "-d", "2", "-k", "1", "-z", "0"], "FORMS_DELTA_MAX"),
+    (["expandp", "-d", "2", "-k", "1"], "FORMS_DELTA_MAX"),
+    (["average", "-d", "2", "-k", "3", "--grid", "1"], "AVERAGE_DELTA_MAX"),
+])
+def test_delta_above_the_forms_caps_exits_2(capsys, argv, cap):
+    top = getattr(cli, cap)
+    code, out = run(capsys, *argv, "--delta", str(top + 1))
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: --delta") and str(top) in line
 
 
 @pytest.mark.parametrize("value", ["3", "abc"])

@@ -7,6 +7,7 @@ reduction identity, truncation honesty, and the cell average.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import forms, hsum
+from hermitia import cli, forms, hsum
 from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import expand_P, window_scan
 from hermitia.hsum import (
@@ -172,6 +173,33 @@ def test_walk_does_not_scan(monkeypatch):
     f = field(3)
     z = disp(f, Fraction(1, 10**40), Fraction(-3, 7))
     assert eval_exact(f, 3, 2, z) == forms.alpha(f, 3, 2)
+
+
+def test_walk_takes_alpha_from_its_own_forms(monkeypatch, capsys):
+    """H(0) = alpha is the sum of (-c)^k over the forms the walk already
+    holds: neither `eval_exact` nor `hconst` calls `alpha_direct`."""
+
+    def refuse(*args):
+        raise AssertionError("the walk called alpha_direct")
+
+    monkeypatch.setattr(forms, "alpha_direct", refuse)
+    monkeypatch.setattr(hsum, "alpha_direct", refuse, raising=False)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        delta = smallest_nonnorm(d)
+        for k in (1, 3, 5):
+            want = forms.alpha(f, k, delta)
+            # at lattice points the first remainder is 0
+            for z in (disp(f, 0, 0), disp(f, 1, 0), disp(f, -1, 1)):
+                assert eval_exact(f, k, delta, z) == want, (d, k, str(z))
+        # k = 1 is constant on all of K in every ring
+        z = disp(f, Fraction(1, 3), Fraction(-2, 5))
+        assert eval_exact(f, 1, delta, z) == forms.alpha(f, 1, delta)
+    code = cli.main(["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "0", "-z", "1/3,1/5",
+                     "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert [row["value"] for row in rows[:-1]] == ["20", "20"]
 
 
 def test_eval_exact_preconditions():

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas, smallest_nonnorm
-from hermitia import intarith
+from hermitia import intarith, lfun
 from hermitia.intarith import FactorizationError, factorize, is_probable_prime
 from hermitia.lfun import (
     CONSTANCY_SCOPE,
@@ -171,6 +171,19 @@ def test_partial_sums_approach_closed_form():
         partial = zseries_partial(f, delta, 2, 100_000)
         closed = float(zseries_closed_form(f, delta, 2))
         assert abs(partial - closed) < 1e-3, (d, delta, partial, closed)
+
+
+def test_closed_form_takes_theta_once(monkeypatch):
+    calls = []
+
+    def counted(f, delta, s):
+        calls.append((f.d, delta, s))
+        return theta(f, delta, s)
+
+    monkeypatch.setattr(lfun, "theta", counted)
+    value = zseries_closed_form(field(2), 5, 2)
+    assert calls == [(2, 5, 2)]
+    assert value == zseries_closed_form(field(2), 5, 2)
 
 
 # ---------------------------------------------------------------- Bernoulli

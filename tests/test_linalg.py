@@ -272,6 +272,28 @@ def test_certified_kernel_equals_bareiss_property(stack):
     assert checks == len(basis)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stack=stacks())
+def test_kernel_bases_have_the_reduced_echelon_shape_property(stack):
+    """Column c is free when it depends on the columns left of it, i.e.
+    when the kernel of the first c + 1 columns is larger than that of the
+    first c.  The i-th basis vector is nonzero at the i-th free column and
+    at no other, and zero at every pivot column right of it."""
+    f, rows = stack
+    ncols = len(rows[0])
+    dims = [0] + [
+        quad_rank_modular(f, reductions(f, [row[: c + 1] for row in rows])).kernel_dim
+        for c in range(ncols)
+    ]
+    free = [c for c in range(ncols) if dims[c + 1] > dims[c]]
+    pivots = [c for c in range(ncols) if c not in free]
+    for basis in (quad_kernel(f, rows), certified(f, rows)[0]):
+        assert len(basis) == len(free)
+        for v, fc in zip(basis, free):
+            assert [c for c in free if v[c] != (0, 0)] == [fc]
+            assert all(v[c] == (0, 0) for c in pivots if c > fc)
+
+
 @st.composite
 def stacks_bad_at_the_first_prime(draw):
     f, rows = draw(stacks())
