@@ -59,8 +59,9 @@ def default_bits() -> int:
         raise ValueError(f"HERMITIA_PRECISION: {exc}") from None
 
 
-def int_at_least(low: int, odd: bool = False):
-    """An argparse type: an integer >= low, and odd if `odd`."""
+def int_at_least(low: int, odd: bool = False, most: int | None = None):
+    """An argparse type: an integer >= low, odd if `odd`, and at most
+    `most` if given."""
 
     def parse(text: str) -> int:
         try:
@@ -71,6 +72,8 @@ def int_at_least(low: int, odd: bool = False):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if odd and value % 2 == 0:
             raise argparse.ArgumentTypeError(f"must be odd, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     return parse
@@ -145,6 +148,15 @@ def _nstr(value, bits: int) -> str:
 ALPHA_DELTA_MAX = 10**5
 FORMS_DELTA_MAX = 8 * 10**4
 AVERAGE_DELTA_MAX = 10**4
+
+# The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
+# one call at the smallest Delta, `alpha` with its default three deltas
+# or `expandp --check`, takes under 10 s.  `hconst` bounds k times the
+# bit lengths of its points' denominators, summed over the points: the
+# walk's exact values grow with that product.
+ALPHA_K_MAX = 100001
+EXPANDP_K_MAX = 81
+HCONST_K_BITS_MAX = 200001
 
 
 def check_delta_at_most(delta: int | None, cap: int, why: str) -> None:
@@ -262,12 +274,24 @@ def cmd_hconst(args) -> list[dict]:
     if args.z:
         points = [parse_z(f, z) for z in args.z]
     else:
+        if args.points * args.delta > FORMS_DELTA_MAX:
+            raise ValueError(
+                f"--points times --delta must be at most {FORMS_DELTA_MAX} without -z, "
+                f"since every point walks the forms of discriminant delta; "
+                f"got {args.points} * {args.delta}"
+            )
         rng = random.Random(args.seed)
         while len(points) < args.points:
             den = rng.randint(1, args.den)
             u = Fraction(rng.randint(-2 * den, 2 * den), den)
             v = Fraction(rng.randint(-2 * den, 2 * den), den)
             points.append(QuadElem.from_display(f, u, v))
+    bits = sum(z.den.bit_length() for z in points)
+    if args.k * bits > HCONST_K_BITS_MAX:
+        raise ValueError(
+            f"-k times the bit lengths of the points' denominators must be at most "
+            f"{HCONST_K_BITS_MAX}; got {args.k} * {bits}"
+        )
     rows = []
     values = set()
     for z in points:
@@ -490,7 +514,7 @@ def arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 COMMANDS: dict[str, Command] = {
     "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
-        arg("-k", type=int_at_least(1, odd=True), required=True),
+        arg("-k", type=int_at_least(1, odd=True, most=ALPHA_K_MAX), required=True),
         arg("--delta", type=int),
         arg("--count", type=int_at_least(1), default=3, help="how many non-norm deltas"),
     )),
@@ -541,7 +565,7 @@ COMMANDS: dict[str, Command] = {
         arg("--eigen", help="restrict to one eigenvalue label"),
     )),
     "expandp": Command("the transfer polynomial P_{k,Delta}", cmd_expandp, True, (
-        arg("-k", type=int_at_least(1, odd=True), required=True),
+        arg("-k", type=int_at_least(1, odd=True, most=EXPANDP_K_MAX), required=True),
         arg("--delta", type=int, required=True),
         arg("--check", action="store_true", help="verify cocycle membership"),
     )),

@@ -51,7 +51,7 @@ import numpy as np
 
 from .cfrac import hurwitz_cf
 from .field import CertificateError, FieldSpec, QuadElem
-from .forms import alpha, check_delta, delta_forms, expand_P, window_scan
+from .forms import check_delta, delta_forms, expand_P, window_scan
 
 # a float `ReductionCheck` holds within its error bound plus this slack
 CHECK_SLACK = 1e-9
@@ -307,7 +307,8 @@ def _walk_values(
     t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0
     # tail_bound at a_max = 1 is (count bound) * Delta^k / (k - 1)
     bound = tail_bound(f, k, delta, 1) * (k - 1) * float(mpmath.zeta(k))
-    h_zero = float(alpha(f, k, delta))
+    # H(0) = alpha_{k,Delta} is the sum of (-c)^k over the same forms
+    h_zero = float(sum((-c) ** k for _, _, c in terms))
     total = np.zeros(z.shape)
     scale = np.ones(z.shape)
     live = np.arange(z.size)

@@ -27,6 +27,15 @@ from the operator's reductions mod split primes under a height bound
 its support; `QuadElem` appears only in the `BiPoly`s returned.
 `membership` checks a polynomial exactly by the word action
 (`WordOperator.annihilates`).
+
+The first word, 1 + S, is solved in closed form.  S acts by a signed
+permutation, (z^i zbar^j)|S = (-1)^(i+j) z^(k-i) zbar^(k-j), so P|(1+S) = 0
+says v[k-i, k-j] = -(-1)^(i+j) v[i, j] (the relation of the period
+polynomials of Kohnen and Zagier, "Modular forms with rational periods",
+1984).  Its kernel is parametrized by the upper half of the flat index,
+and every rank and kernel of `wkk` runs on the other words restricted to
+it (`WordOperator.reduced_mod`), about half the columns and without the S
+word's rows.
 """
 
 from __future__ import annotations
@@ -285,8 +294,12 @@ class WordOperator:
     `operator_matrix`).  All-zero rows are kept.
 
     The factors are reduced once for each split prime p and image w of
-    omega (`mod` and `in_kernel` share them) and kept for the life of the
-    operator; whole matrices mod p are not kept.
+    omega (`mod`, `reduced_mod` and `in_kernel` share them) and kept for
+    the life of the operator; whole matrices mod p are not kept.
+
+    `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
+    lift of the kernel of the S word from its upper coordinates (`lift`).
+    `kernel` works on it, and `in_kernel` still checks every word.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -335,6 +348,72 @@ class WordOperator:
                 total += self._signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
             blocks.append(total.reshape(self.size, len(ci)) % p)
         return np.vstack(blocks)
+
+    # The S word is words[0] (see `kernel_words`).  S maps flat index c
+    # to its mirror N-1-c with the sign (-1)^(i+j), so v|(1+S) = 0 says
+    # v[N-1-c] = mirror_sign(c) v[c]: its kernel is parametrized by the
+    # upper coordinates c >= N/2 (for even k the centre (N-1)/2 is 0).
+
+    def mirror_closed(self, cols: Sequence[int]) -> bool:
+        """Whether `cols` holds the mirror N-1-c of each of its columns c."""
+        return {self.size - 1 - c for c in cols} == set(cols)
+
+    def upper(self, cols: Sequence[int]) -> list[int]:
+        """The upper coordinates c >= N/2 of `cols`, in their order."""
+        return [c for c in cols if 2 * c >= self.size]
+
+    def s_forces_zero(self, cols: Sequence[int]) -> bool:
+        """Whether the S relation alone kills every vector on `cols`: they
+        are not closed under the mirror, or have no upper coordinate."""
+        return not self.mirror_closed(cols) or not self.upper(cols)
+
+    def mirror_sign(self, c):
+        """-(-1)^(i+j) for c = flat_index(k, i, j), elementwise on an
+        array: v[N-1-c] = sign * v[c] on the kernel of the S word."""
+        return 2 * (sum(divmod(c, self.k + 1)) % 2) - 1
+
+    def reduced_mod(self, p: int, w: int, cols: Sequence[int]) -> np.ndarray:
+        """M_rest L mod p on the mirror-closed columns `cols`: the rows of
+        the words after S, and for each upper coordinate c of `cols`, in
+        ascending order, column c plus mirror_sign(c) * column N-1-c.
+
+        Column c = (i, j) of a word is the grid sum_g sign_g A_g[:, i]
+        B_g[:, j]^T, A_g and B_g the z and zbar factors of g, and column
+        N-1-c is the same at (k-i, k-j).  So each word's block is one
+        batched product (`linalg.matmul_mod`) over the upper coordinates,
+        with inner dimension twice the word's length."""
+        n = self.k + 1
+        up = np.array(self.upper(cols), dtype=np.int64)
+        ci, cj = np.divmod(up, n)
+        mirror = self.mirror_sign(up)
+        a, b = self._reduced(p, w)
+        blocks = []
+        for start, word in zip(self._starts[1:], self.words[1:]):
+            g = slice(start, start + len(word))
+            sign = self._signs[g, None, None]
+            # (2 * #elements, k+1, #up): z factor columns, then zbar factor
+            # columns with the signs
+            x = np.concatenate([a[g][:, :, ci], a[g][:, :, self.k - ci]])
+            y = np.concatenate([sign * b[g][:, :, cj], sign * mirror * b[g][:, :, self.k - cj]]) % p
+            grids = linalg.matmul_mod(x.transpose(2, 1, 0), y.transpose(2, 0, 1), p)
+            blocks.append(grids.reshape(len(up), self.size).T)
+        return np.vstack(blocks)
+
+    def lift(self, cols: Sequence[int], u: Sequence[linalg.Pair]) -> list[linalg.Pair]:
+        """L u: the vector on the mirror-closed columns `cols` with u on
+        their upper coordinates, mirror_sign(c) * u_c on each mirror
+        N-1-c, and 0 at the centre."""
+        at = dict(zip(self.upper(cols), u))
+        out = []
+        for c in cols:
+            if c in at:
+                out.append(at[c])
+                continue
+            m = self.size - 1 - c
+            x, y = at.get(m, linalg.ZERO)
+            s = self.mirror_sign(m)
+            out.append((s * x, s * y))
+        return out
 
     def height_bound(self, norm: int) -> int:
         """A bound H on |X| and |Y| for every coefficient X + Y*omega of
@@ -398,16 +477,29 @@ class WordOperator:
         )
 
     def kernel(self, cols: list[int]) -> list[Support]:
-        """Certified basis of the kernel of the columns `cols`
-        (`linalg.certified_kernel`, each vector proven by `in_kernel`), as
-        supports."""
+        """Certified basis of the kernel of the ascending columns `cols`,
+        as supports.
+
+        A kernel vector satisfies v[N-1-c] = +-v[c], so on columns not
+        closed under the mirror, or without an upper coordinate, it
+        vanishes: the basis is empty, with no reduction (`s_forces_zero`).
+        Otherwise `linalg.certified_kernel` runs on `reduced_mod`, each u
+        proven by `in_kernel` of its lift over every word, S included, and
+        the lifts, made content-free, are the basis.  It is the
+        Gauss-Jordan basis of M[:, cols]: the last nonzero entry of a
+        kernel vector is an upper coordinate, so the free columns, and the
+        vectors with 1 at one of them and 0 at the others, are the same
+        for u and for L u."""
+        if self.s_forces_zero(cols):
+            return []
         n = self.k + 1
         block = linalg.certified_kernel(
             self.field,
-            lambda p, w: self.mod(p, w, cols),
-            lambda v: self.in_kernel(cols, v),
+            lambda p, w: self.reduced_mod(p, w, cols),
+            lambda u: self.in_kernel(cols, self.lift(cols, u)),
         )
-        return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO] for v in block]
+        lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
+        return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO] for v in lifted]
 
 
 # ------------------------------------------------------------------ subspace
@@ -460,17 +552,28 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     split primes (`linalg.quad_rank_modular`), an upper bound that is exact
     unless every prime tried is of bad reduction.
     Neither route builds the stacked word matrix over O_d.
+
+    Every rank runs on `WordOperator.reduced_mod`, the words after S on
+    half the coordinates, and an eigenspace whose columns are not closed
+    under the mirror c -> N-1-c (u^e with u^e != u^-e) has dimension 0
+    without any prime.  That is sound: the kernel of M is the kernel of
+    the S word, the image of the injective lift L, cut by the other
+    words, so dim ker M = dim ker(M_rest L) over K, and mod every odd p,
+    where the kernel of 1+S mod p is still the image of L.
     """
     if method not in ("exact", "modular"):
         raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
     labels = eigen_labels(f)
+    every = list(range(op.size))
     dims: dict[str, int] = {}
     if method == "modular":
-        total = linalg.quad_rank_modular(f, op.mod).kernel_dim
+        total = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every)).kernel_dim
         for e, lab in enumerate(labels):
             cols = eigen_columns(f, k, e)
-            dims[lab] = linalg.quad_rank_modular(f, lambda p, w: op.mod(p, w, cols)).kernel_dim
+            dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
+                f, lambda p, w: op.reduced_mod(p, w, cols)
+            ).kernel_dim
         return SubspaceReport(f.d, k, dims, total, None)
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):
@@ -478,8 +581,8 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         dims[lab] = len(supps)
         basis.extend(from_support(f, k, s, 1) for s in supps)
     lower = len(basis)
-    upper = linalg.kernel_dim_upper_bound(f, op.mod, lower)
-    total = lower if upper == lower else len(op.kernel(list(range(op.size))))
+    upper = linalg.kernel_dim_upper_bound(f, lambda p, w: op.reduced_mod(p, w, every), lower)
+    total = lower if upper == lower else len(op.kernel(every))
     return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 

@@ -430,6 +430,70 @@ def test_delta_above_the_forms_caps_exits_2(capsys, argv, cap):
     assert line.startswith("error: --delta") and str(top) in line
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["alpha", "-d", "1", "--delta", "3"], "ALPHA_K_MAX"),
+    (["expandp", "-d", "3", "--delta", "2"], "EXPANDP_K_MAX"),
+])
+def test_k_cap_and_cap_plus_one(capsys, argv, cap):
+    top = getattr(cli, cap)
+    code, out = run(capsys, *argv, "-k", str(top), "--format", "csv")
+    assert code == EXIT_OK, run.err
+    assert parse_rows(out, "csv")[0]["k"] == str(top)
+    for k in (top + 1, top + 2):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-k", str(k)])
+        assert exc.value.code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "argument -k:" in err and "Traceback" not in err
+    assert f"must be at most {top}, got {top + 2}" in err
+
+
+def test_hconst_k_cap_counts_the_points_denominators(capsys):
+    """k times the bit lengths of the denominators is capped: at a lattice
+    point (1 bit) k may reach the cap, and a point of denominator 15 (4
+    bits) lowers it fourfold."""
+    top = cli.HCONST_K_BITS_MAX
+    base = ["hconst", "-d", "1", "--delta", "3", "-z", "0"]
+    code, out = run(capsys, *base, "-k", str(top), "--format", "csv")
+    assert code == EXIT_OK, run.err
+    want = forms.alpha(field(1), top, 3)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(parse_rows(out, "csv")[0]["value"]) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(SystemExit):
+        main([*base, "-k", str(top + 1)])
+    assert "argument -k: must be odd" in capsys.readouterr().err
+    for argv in ([*base, "-k", str(top + 2)],
+                 ["hconst", "-d", "1", "--delta", "3", "-z", "1/3,1/5", "-k", str(top // 4 + 1)],
+                 ["hconst", "-d", "1", "--delta", "3", "-z", "1/2", "-k", str(top // 2 + 1)]):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line.startswith("error: -k times") and str(top) in line
+
+
+def test_hconst_points_times_delta_is_capped(capsys, monkeypatch):
+    # 20 default points at Delta = 4003 would walk 80,060 > FORMS_DELTA_MAX
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "4003")
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: --points times --delta") and str(cli.FORMS_DELTA_MAX) in line
+    # the rule at the cap and one past it; -z points are not counted
+    monkeypatch.setattr(cli, "FORMS_DELTA_MAX", 30)
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "10",
+                    "--format", "json")
+    assert code == EXIT_OK, run.err
+    assert len(json.loads(out)) == 11
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "11")
+    assert code == EXIT_PRECONDITION and "--points" in run.err
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "11",
+                    *(f"-z={i}" for i in range(11)))
+    assert code == EXIT_OK, run.err
+
+
 @pytest.mark.parametrize("value", ["3", "abc"])
 def test_bad_precision_variable_exits_2_naming_it(capsys, monkeypatch, value):
     monkeypatch.setenv("HERMITIA_PRECISION", value)

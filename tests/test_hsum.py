@@ -344,6 +344,29 @@ def test_average_does_not_scale_with_a_max(monkeypatch):
     assert high.rel_error < 1e-6
 
 
+def test_value_at_zero_is_the_sum_over_the_walks_forms():
+    """alpha_{k,Delta} is the sum of (-c)^k over the forms with c < 0 < a,
+    odd and even k: the H(0) of the float walk."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in nonnorm_deltas(f, 3):
+            cs = [h.c for h in forms.delta_forms(f, delta, "positive_a")]
+            for k in range(3, 9):
+                assert sum((-c) ** k for c in cs) == forms.alpha(f, k, delta), (d, delta, k)
+
+
+def test_average_takes_h0_from_its_own_forms(monkeypatch):
+    f = field(3)
+    want = [average_quadrature(f, k, 2, grid=4).quadrature for k in (3, 4)]
+
+    def refuse(*args):
+        raise AssertionError("the average called forms.alpha")
+
+    monkeypatch.setattr(forms, "alpha", refuse)
+    monkeypatch.setattr(hsum, "alpha", refuse, raising=False)
+    assert [average_quadrature(f, k, 2, grid=4).quadrature for k in (3, 4)] == want
+
+
 def test_average_for_even_k():
     # the signed walk holds for even k too
     rep = average_quadrature(field(2), 4, 5, grid=16, a_max=100)

@@ -413,6 +413,140 @@ def test_in_kernel_needs_both_roots():
             assert not op.in_kernel(cols, w), (d, k)
 
 
+# ------------------------------------------------ the S relation in closed form
+
+
+def mirror_classes(f, k):
+    """(closed, open): the exponents whose eigenspace columns are closed
+    under (i, j) -> (k-i, k-j), and the others."""
+    units = len(eigen_labels(f))
+    closed = [e for e in range(units) if (-e) % units == e]
+    return closed, [e for e in range(units) if e not in closed]
+
+
+def explicit_lift(k, cols):
+    """L as a len(cols) x h integer matrix, written out from the S relation
+    v[k-i, k-j] = -(-1)^(i+j) v[i, j]: one column per (i, j) of `cols`
+    whose flat index exceeds its mirror's, ascending, with 1 there and the
+    sign at the mirror."""
+    pos = {c: r for r, c in enumerate(cols)}
+    upper = [c for c in cols if c > flat_index(k, k - c // (k + 1), k - c % (k + 1))]
+    L = np.zeros((len(cols), len(upper)), dtype=np.int64)
+    for u, c in enumerate(upper):
+        i, j = divmod(c, k + 1)
+        L[pos[c], u] = 1
+        L[pos[flat_index(k, k - i, k - j)], u] = -((-1) ** (i + j))
+    return L
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_reduced_matrix_is_the_words_after_s_times_the_lift(k):
+    """The first word is 1 + S with S the signed mirror, and `reduced_mod`
+    equals the exact matrix of the other words times the explicit lift,
+    on every column and on each mirror-closed eigenspace, under both
+    roots."""
+    n, size = k + 1, (k + 1) ** 2
+    s_word = np.eye(size, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            s_word[flat_index(k, k - i, k - j), flat_index(k, i, j)] += (-1) ** (i + j)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        op = WordOperator(f, k)
+        rows = oracle_rows(f, k)
+        assert [[(e.x, e.y) for e in row] for row in rows[:size]] == [
+            [(int(x), 0) for x in row] for row in s_word
+        ]
+        p = split_primes(f, 1)[0]
+        closed, _ = mirror_classes(f, k)
+        for cols in [list(range(size))] + [eigen_columns(f, k, e) for e in closed]:
+            assert op.mirror_closed(cols)
+            L = explicit_lift(k, cols)
+            for w in omega_roots(f, p):
+                rest = pairs_mod(f, as_pairs(rows[size:]), p, w)[:, cols]
+                assert np.array_equal(op.reduced_mod(p, w, cols), rest @ L % p), (d, k, w)
+
+
+def test_mirror_open_eigenspaces_need_no_reduction(monkeypatch):
+    """On columns not closed under the mirror, `kernel` returns [] without
+    a single reduction, at odd k <= 11; for k <= 3 the kernel oracle on the
+    exact matrix agrees."""
+
+    def refuse(*args):
+        raise AssertionError("a mirror-open block was reduced")
+
+    for d in (1, 3):
+        f = field(d)
+        for k in (1, 3):
+            _, open_ = mirror_classes(f, k)
+            rows = oracle_rows(f, k)
+            for e in open_:
+                cols = eigen_columns(f, k, e)
+                assert linalg.quad_kernel(f, [[row[c] for c in cols] for row in rows]) == []
+    monkeypatch.setattr(WordOperator, "mod", refuse)
+    monkeypatch.setattr(WordOperator, "_reduced", refuse)
+    for d in (1, 3):
+        f = field(d)
+        for k in range(1, 12, 2):
+            op = WordOperator(f, k)
+            _, open_ = mirror_classes(f, k)
+            assert len(open_) == (2 if d == 1 else 4)
+            for e in open_:
+                cols = eigen_columns(f, k, e)
+                assert not op.mirror_closed(cols) or cols == []
+                assert op.s_forces_zero(cols) and op.kernel(cols) == [], (d, k, e)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_equals_the_gauss_jordan_oracle(k):
+    """`kernel` on every column and on each eigenspace, odd and even k,
+    equals Gauss-Jordan over K on the exact matrix of every word."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        op = WordOperator(f, k)
+        rows = oracle_rows(f, k)
+        blocks = [list(range(op.size))] + [eigen_columns(f, k, e) for e in range(len(eigen_labels(f)))]
+        for cols in blocks:
+            want = linalg.quad_kernel(f, [[row[c] for c in cols] for row in rows])
+            assert op.kernel(cols) == [as_support(k, cols, v) for v in want], (d, k, cols)
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (2, 3), (3, 4), (7, 3), (11, 3)])
+def test_in_kernel_checks_the_s_word(d, k):
+    """`in_kernel` rejects a vector that every word after S kills, taken
+    from the exact kernel of those words alone, and a lifted basis vector
+    with the sign of one lower mirror entry flipped."""
+    f = field(d)
+    op = WordOperator(f, k)
+    every = list(range(op.size))
+    rest = oracle_rows(f, k)[op.size:]
+    outside = [v for v in linalg.quad_kernel(f, rest) if not op.annihilates(as_support(k, every, v))]
+    assert outside
+    for v in outside:
+        supp = as_support(k, every, v)
+        assert all(x == y == 0 for word in op.words[1:] for row in word_action(f, word, supp, k + 1)
+                   for x, y in row)
+        assert not op.in_kernel(every, v)
+    for op, cols, v in kernel_vectors(f, k):
+        lower = [r for r, c in enumerate(cols) if 2 * c < op.size - 1 and v[r] != linalg.ZERO]
+        assert lower
+        for r in lower[:3]:
+            w = list(v)
+            w[r] = (-w[r][0], -w[r][1])
+            s_word = word_action(f, op.words[0], as_support(k, cols, w), k + 1)
+            assert any(x or y for row in s_word for x, y in row)
+            assert not op.in_kernel(cols, w), r
+
+
+def test_modular_dimensions_agree_with_exact_to_k11():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 12, 2):
+            exact = wkk(f, k, method="exact")
+            modular = wkk(f, k, method="modular")
+            assert (exact.dims, exact.total) == (modular.dims, modular.total), (d, k)
+
+
 def test_support_clears_the_denominators():
     rng = seeded("support")
     for d in EUCLIDEAN_DS:
