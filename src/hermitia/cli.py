@@ -10,7 +10,8 @@ table|json|csv) and uses three exit codes:
      or an exact result that did not pass its own verification)
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
-environment variable (an integer >= MIN_BITS, as for --bits), or 128.
+environment variable (an integer from MIN_BITS to MAX_BITS, as for
+--bits), or 128.
 
 The subcommands are one table, COMMANDS. `main` builds the parser of the
 invoked subcommand only, and the full parser just for a top-level error or
@@ -49,12 +50,15 @@ EXIT_ORACLE = 3
 # Below this, the printed digits of `lvalue` can be wrong and `bench`'s
 # agreement test (to 2^-(bits-8)) says nothing.
 MIN_BITS = 16
+# The character sums of `bench`'s baseline grow fast with the precision: at
+# this many bits its default five repeats take under 10 s in every ring.
+MAX_BITS = 3000
 
 
 def default_bits() -> int:
     """HERMITIA_PRECISION, held to the --bits rule, or 128."""
     try:
-        return int_at_least(MIN_BITS)(os.environ.get("HERMITIA_PRECISION", "128"))
+        return int_at_least(MIN_BITS, most=MAX_BITS)(os.environ.get("HERMITIA_PRECISION", "128"))
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"HERMITIA_PRECISION: {exc}") from None
 
@@ -151,12 +155,22 @@ AVERAGE_DELTA_MAX = 10**4
 
 # The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
 # one call at the smallest Delta, `alpha` with its default three deltas
-# or `expandp --check`, takes under 10 s.  `hconst` bounds k times the
-# bit lengths of its points' denominators, summed over the points: the
-# walk's exact values grow with that product.
+# or `expandp --check`, takes under 10 s (on a 2-vCPU VM `expandp -k 81
+# --check` took 2.6-5.3 s across the five rings, most of it the exact
+# word action of `membership`).  `hconst` bounds k times the bit lengths
+# of its points' denominators, summed over the points: the walk's exact
+# values grow with that product.
 ALPHA_K_MAX = 100001
 EXPANDP_K_MAX = 81
 HCONST_K_BITS_MAX = 200001
+# `alpha` sums O(Delta) k-th powers for each of its deltas, so it caps k
+# times the sum of the deltas (2,200,022 for the default three deltas of
+# O_2 at ALPHA_K_MAX), and --count, which at k = 1 is the only limit.
+ALPHA_K_DELTA_MAX = 2_500_000
+ALPHA_COUNT_MAX = 300
+# theta(Delta, s) has about s * log2(|d_K| * Delta) bits, so `theta` caps
+# s times the bit length of |d_K| * Delta.
+THETA_S_BITS_MAX = 10**6
 
 
 def check_delta_at_most(delta: int | None, cap: int, why: str) -> None:
@@ -176,6 +190,12 @@ def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
     check_alpha_delta(args.delta)
     deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
+    total = sum(deltas)
+    if args.k * total > ALPHA_K_DELTA_MAX:
+        raise ValueError(
+            f"-k times the sum of the deltas (--delta, or the first --count non-norms) "
+            f"must be at most {ALPHA_K_DELTA_MAX}; got {args.k} * {total}"
+        )
     return [
         {"d": args.d, "k": args.k, "delta": dl, "alpha": forms.alpha(f, args.k, dl)}
         for dl in deltas
@@ -184,6 +204,12 @@ def cmd_alpha(args) -> list[dict]:
 
 def cmd_theta(args) -> list[dict]:
     f = field(args.d)
+    bits = (f.abs_disc * args.delta).bit_length()
+    if args.s * bits > THETA_S_BITS_MAX:
+        raise ValueError(
+            f"-s times the bit length of |d_K| * delta must be at most {THETA_S_BITS_MAX}; "
+            f"got {args.s} * {bits}"
+        )
     try:
         value = lfun.theta(f, args.delta, args.s)
     except FactorizationError as exc:
@@ -516,7 +542,8 @@ COMMANDS: dict[str, Command] = {
     "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
         arg("-k", type=int_at_least(1, odd=True, most=ALPHA_K_MAX), required=True),
         arg("--delta", type=int),
-        arg("--count", type=int_at_least(1), default=3, help="how many non-norm deltas"),
+        arg("--count", type=int_at_least(1, most=ALPHA_COUNT_MAX), default=3,
+            help="how many non-norm deltas"),
     )),
     "theta": Command("exact local correction factor theta(delta, s)", cmd_theta, True, (
         arg("--delta", type=int, required=True),
@@ -531,11 +558,11 @@ COMMANDS: dict[str, Command] = {
     "lvalue": Command("special values L(chi, s) in closed form", cmd_lvalue, True, (
         arg("-s", type=int, required=True),
         arg("--delta", type=int),
-        arg("--bits", type=int_at_least(MIN_BITS)),
+        arg("--bits", type=int_at_least(MIN_BITS, most=MAX_BITS)),
     )),
     "bench": Command("closed form vs character-sum baseline", cmd_bench, True, (
         arg("-s", type=int, default=-2),
-        arg("--bits", type=int_at_least(MIN_BITS)),
+        arg("--bits", type=int_at_least(MIN_BITS, most=MAX_BITS)),
         arg("--repeats", type=int_at_least(1), default=5),
     )),
     "hconst": Command("evaluate the sum H_{k,Delta} at exact points", cmd_hconst, True, (

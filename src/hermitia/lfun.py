@@ -172,11 +172,18 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
         raise ValueError("theta takes the positive form discriminant")
     if s < 1:
         raise ValueError("theta is evaluated at integer s >= 1")
-    value = Fraction(1)
+    # R_p at X = 1/q, q = p^(s+1), is (sum c_i q^(T-i)) / q^T, T its
+    # degree: one Horner pass on integers, and one reduction at the end
+    num = den = 1
     for p in sorted(factorize(f.abs_disc * delta)):
-        x = Fraction(1, p ** (s + 1))
-        value *= sum(c * x**i for i, c in enumerate(local_factor(f, -delta, p)))
-    return value
+        q = p ** (s + 1)
+        coeffs = local_factor(f, -delta, p)
+        acc = 0
+        for c in coeffs:
+            acc = acc * q + c
+        num *= acc
+        den *= q ** (len(coeffs) - 1)
+    return Fraction(num, den)
 
 
 # ------------------------------------------------------------ Dirichlet side

@@ -28,6 +28,13 @@ its support; `QuadElem` appears only in the `BiPoly`s returned.
 `membership` checks a polynomial exactly by the word action
 (`WordOperator.annihilates`).
 
+The exact word action (`word_action`) runs on a `WordStack`: the z
+factors of all the elements of all the words, as arrays of Python ints
+(dtype object: the entries outgrow int64).  Each element g acts as
+A_g V B_g^T, V the grid of coefficients and B_g the conjugate of A_g, so
+the action of every word is a few batched integer matrix products
+followed by a signed sum over each word's elements.
+
 The first word, 1 + S, is solved in closed form.  S acts by a signed
 permutation, (z^i zbar^j)|S = (-1)^(i+j) z^(k-i) zbar^(k-j), so P|(1+S) = 0
 says v[k-i, k-j] = -(-1)^(i+j) v[i, j] (the relation of the period
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,39 +124,64 @@ def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]
     ]
 
 
+class WordStack(NamedTuple):
+    """Signed words of group elements, stacked for `word_action`: the z
+    factor x + y*omega of every element (`factors`), word after word, as
+    two arrays of Python ints of shape (#elements, k+1, k+1); each
+    element's sign; and the index of each word's first element.  The
+    entries outgrow int64 (2^167 at k = 81), so the arrays are dtype
+    object."""
+
+    x: np.ndarray
+    y: np.ndarray
+    signs: np.ndarray
+    starts: np.ndarray
+
+
+def stack_words(f: FieldSpec, words: Sequence[Word], k: int) -> WordStack:
+    """The `WordStack` of `words` at bidegree (k, k)."""
+    mats = np.array([factors(f, g, k)[0] for word in words for _, g in word], dtype=object)
+    signs = np.array([sign for word in words for sign, _ in word])
+    starts = np.cumsum([0] + [len(word) for word in words[:-1]])
+    return WordStack(mats[..., 0], mats[..., 1], signs, starts)
+
+
+def pair_matmul(
+    f: FieldSpec, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ax + ay*omega) @ (bx + by*omega) with omega^2 = d_K omega - n, by
+    three products: the mixed part is (ax + ay) @ (bx + by) - xx - yy."""
+    xx, yy = ax @ bx, ay @ by
+    return xx - f.norm_coeff * yy, (ax + ay) @ (bx + by) - xx + (f.disc - 1) * yy
+
+
 def word_action(
-    f: FieldSpec, word: list[tuple[int, PairMatrix, PairMatrix]], support: Support, n: int
-) -> list[list[list[int]]]:
-    """The n x n grid whose entry [x, y] at (p, q) is the z^p zbar^q
-    coefficient of sum sign * (v|g) over the word, each g given by its
-    `factors`, for the integral v of bidegree (n-1, n-1) given by its
-    `support`.  Each g acts separably: z factor along z, then zbar factor
-    along zbar."""
-    mul = linalg.pair_mul
-    total = [[[0, 0] for _ in range(n)] for _ in range(n)]
-    for sign, az, azb in word:
-        # half[p][j] = sum_i az[p][i] * v[i][j]
-        half = [[[0, 0] for _ in range(n)] for _ in range(n)]
-        for (i, j), v in support:
-            for p in range(n):
-                a = az[p][i]
-                if a != linalg.ZERO:
-                    x, y = mul(f, a, v)
-                    h = half[p][j]
-                    h[0] += x
-                    h[1] += y
-        for p, row in enumerate(half):
-            for j, (hx, hy) in enumerate(row):
-                if hx == 0 and hy == 0:
-                    continue
-                for q in range(n):
-                    b = azb[q][j]
-                    if b != linalg.ZERO:
-                        x, y = mul(f, b, (hx, hy))
-                        t = total[p][q]
-                        t[0] += sign * x
-                        t[1] += sign * y
-    return total
+    f: FieldSpec, stack: WordStack, grid: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact action of each word of `stack` on the integral v of
+    bidegree (k, k) whose coefficient of z^i zbar^j is grid[0][i, j] +
+    grid[1][i, j]*omega (object arrays of shape (k+1, k+1)): arrays X, Y
+    of shape (#words, k+1, k+1) with X + Y*omega at [w, p, q] the z^p
+    zbar^q coefficient of sum sign * (v|g) over the elements g of word w.
+
+    Each g acts separably, z factor A along z and its conjugate B along
+    zbar (see `operator_matrix`), so the term of g is A V B^T, V the grid:
+    two batched products over all elements at once, each of three integer
+    matrix products (`pair_matmul`), then the signed sum over each word."""
+    bx, by = (stack.x + f.disc * stack.y).transpose(0, 2, 1), -stack.y.transpose(0, 2, 1)
+    hx, hy = pair_matmul(f, stack.x, stack.y, *grid)
+    rx, ry = pair_matmul(f, hx, hy, bx, by)
+    sign = stack.signs[:, None, None]
+    return np.add.reduceat(sign * rx, stack.starts), np.add.reduceat(sign * ry, stack.starts)
+
+
+def support_grid(supp: Support, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support as the n x n grids of its x and its y parts (object
+    arrays of Python ints)."""
+    grid = np.zeros((2, n, n), dtype=object)
+    for (i, j), (x, y) in supp:
+        grid[0, i, j], grid[1, i, j] = x, y
+    return grid[0], grid[1]
 
 
 def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
@@ -252,9 +284,9 @@ def apply_word(P: BiPoly, word: Word) -> BiPoly:
     each output coefficient is reduced once."""
     f, k = P.field, P.n
     den, supp = support(P)
-    factored = [(sign, *factors(f, g, k)) for sign, g in word]
-    grid = word_action(f, factored, supp, k + 1)
-    out = [((i, j), (x, y)) for i, row in enumerate(grid) for j, (x, y) in enumerate(row) if x or y]
+    (xs,), (ys,) = word_action(f, stack_words(f, [word], k), support_grid(supp, k + 1))
+    span = range(k + 1)
+    out = [((i, j), (xs[i, j], ys[i, j])) for i in span for j in span if xs[i, j] or ys[i, j]]
     return from_support(f, k, out, den)
 
 
@@ -293,9 +325,11 @@ class WordOperator:
     Kronecker products of the two `factors` of its elements (see
     `operator_matrix`).  All-zero rows are kept.
 
-    The factors are reduced once for each split prime p and image w of
-    omega (`mod`, `reduced_mod` and `in_kernel` share them) and kept for
-    the life of the operator; whole matrices mod p are not kept.
+    The factors are built once, as the `WordStack` `stack` (`annihilates`
+    and `height_bound` read it; `words` holds each word's slice of it), and
+    reduced once for each split prime p and image w of omega
+    (`reduced_mod` and `in_kernel` share the reductions) and kept for the
+    life of the operator; whole matrices mod p are not kept.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates (`lift`).
@@ -306,11 +340,10 @@ class WordOperator:
         self.field = f
         self.k = k
         self.size = (k + 1) ** 2
-        self.words = [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
-        self._signs = np.array([sign for word in self.words for sign, _, _ in word])
-        # the index of each word's first element, for `np.add.reduceat`
-        self._starts = np.cumsum([0] + [len(word) for word in self.words[:-1]])
-        self._parts: np.ndarray | None = None
+        self.stack = stack_words(f, kernel_words(f), k)
+        ends = [*self.stack.starts[1:], len(self.stack.signs)]
+        # each word's elements, as a slice of the stack
+        self.words = [slice(start, end) for start, end in zip(self.stack.starts, ends)]
         self._reductions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._row_bound: int | None = None
 
@@ -321,33 +354,14 @@ class WordOperator:
     def _reduced(self, p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         """The z factors and the zbar factors of every element, in word
         order, mod p with omega -> w: int64 arrays of shape
-        (#elements, k+1, k+1), entries in [0, p)."""
+        (#elements, k+1, k+1), entries in [0, p).  The zbar factor is the
+        conjugate, x + y*(d_K - omega), so it reduces with the other root
+        d_K - w."""
         if (p, w) not in self._reductions:
-            if self._parts is None:
-                # the pairs as an object array (#elements, 2, k+1, k+1, 2)
-                mats = [[az, azb] for word in self.words for _, az, azb in word]
-                self._parts = np.array(mats, dtype=object)
-            xs, ys = self._parts[..., 0], self._parts[..., 1]
-            red = ((xs % p + ys % p * w) % p).astype(np.int64)
-            self._reductions[p, w] = (red[:, 0], red[:, 1])
+            # below p < 2^31, x + y*w fits in int64
+            xs, ys = ((part % p).astype(np.int64) for part in (self.stack.x, self.stack.y))
+            self._reductions[p, w] = tuple((xs + ys * root) % p for root in (w, (self.field.disc - w) % p))
         return self._reductions[p, w]
-
-    def mod(self, p: int, w: int, cols: Sequence[int] | None = None) -> np.ndarray:
-        """The stacked word matrix, or its columns `cols`, reduced mod the
-        split prime p with omega -> w, one of `linalg.omega_roots`: int64,
-        entries in [0, p).  Built from the factors reduced once per (p, w)."""
-        n = self.k + 1
-        cols = np.arange(self.size) if cols is None else np.asarray(cols, dtype=np.int64)
-        ci, cj = np.divmod(cols, n)
-        a, b = self._reduced(p, w)
-        blocks = []
-        for start, word in zip(self._starts, self.words):
-            total = np.zeros((n, n, len(ci)), dtype=np.int64)
-            for g in range(start, start + len(word)):
-                # entries are below p < 2^31, so the products fit in int64
-                total += self._signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
-            blocks.append(total.reshape(self.size, len(ci)) % p)
-        return np.vstack(blocks)
 
     # The S word is words[0] (see `kernel_words`).  S maps flat index c
     # to its mirror N-1-c with the sign (-1)^(i+j), so v|(1+S) = 0 says
@@ -388,9 +402,8 @@ class WordOperator:
         mirror = self.mirror_sign(up)
         a, b = self._reduced(p, w)
         blocks = []
-        for start, word in zip(self._starts[1:], self.words[1:]):
-            g = slice(start, start + len(word))
-            sign = self._signs[g, None, None]
+        for g in self.words[1:]:
+            sign = self.stack.signs[g, None, None]
             # (2 * #elements, k+1, #up): z factor columns, then zbar factor
             # columns with the signs
             x = np.concatenate([a[g][:, :, ci], a[g][:, :, self.k - ci]])
@@ -426,18 +439,13 @@ class WordOperator:
         d_K omega - n; so H = C^2 * R * norm, where R is the largest, over
         the words and (r, s), of sum_g rowsum(A_g, r) * rowsum(B_g, s), a
         row sum adding the |.| of one row of a factor."""
-        if self._row_bound is None:
-
-            def rowsums(m: PairMatrix) -> list[int]:
-                return [sum(max(abs(x), abs(y)) for x, y in row) for row in m]
-
-            span = range(self.k + 1)
-            best = 0
-            for word in self.words:
-                sums = [(rowsums(az), rowsums(azb)) for _, az, azb in word]
-                best = max(best, *(sum(ra[r] * rb[s] for ra, rb in sums) for r in span for s in span))
-            self._row_bound = best
         f = self.field
+        if self._row_bound is None:
+            x, y = self.stack.x, self.stack.y
+            # the row sums of every A_g and B_g = (x + d_K y, -y), (#elements, k+1)
+            ra = np.maximum(abs(x), abs(y)).sum(axis=2)
+            rb = np.maximum(abs(x + f.disc * y), abs(y)).sum(axis=2)
+            self._row_bound = np.add.reduceat(ra[:, :, None] * rb[:, None, :], self.stack.starts).max()
         c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
         return c * c * self._row_bound * norm
 
@@ -460,21 +468,17 @@ class WordOperator:
                 grid[ci, cj] = [(x + y * w) % p for x, y in vec]
                 a, b = self._reduced(p, w)
                 terms = linalg.matmul_mod(linalg.matmul_mod(a, grid, p), b.transpose(0, 2, 1), p)
-                if (np.add.reduceat(self._signs[:, None, None] * terms, self._starts) % p).any():
+                if (np.add.reduceat(self.stack.signs[:, None, None] * terms, self.stack.starts) % p).any():
                     return False
         return True
 
     def annihilates(self, supp: Support) -> bool:
         """Whether every word kills the integral polynomial with support
-        `supp`, checked exactly by `word_action`: the check of `membership`,
-        which has no reductions to reuse, and the oracle of `in_kernel`."""
-        n = self.k + 1
-        return not any(
-            x or y
-            for word in self.words
-            for row in word_action(self.field, word, supp, n)
-            for x, y in row
-        )
+        `supp`, checked exactly by `word_action` on the whole stack at
+        once: the check of `membership`, which has no reductions to reuse,
+        and the oracle of `in_kernel`."""
+        xs, ys = word_action(self.field, self.stack, support_grid(supp, self.k + 1))
+        return not (xs.any() or ys.any())
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
@@ -589,8 +593,11 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
 def membership(P: BiPoly, label: str = "1") -> bool:
     """Whether P lies in W_{k,k} with the given eps eigenvalue.  eps is
     diagonal, with eigenvalue u^eigen_exponent on each monomial, so the
-    eigenvalue test reads P's support; the words are tested by
-    `WordOperator.annihilates`."""
+    eigenvalue test reads P's support; the words are tested exactly, on
+    den * P, by `WordOperator.annihilates`: the batched integer matrix
+    products of `word_action`, for every element of every word at once.
+    It does not go through `in_kernel`: at small k the reductions mod p
+    would cost more than the products they replace."""
     f = P.field
     e = eigen_labels(f).index(label)
     if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):

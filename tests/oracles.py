@@ -13,6 +13,17 @@
   `reductions` turns explicit `QuadInt` rows into the `linalg.Reductions`
   that the modular routines take.
 
+* `word_action_loop` is the exact word action as a Python loop over the
+  support, one `pair_mul` at a time, on the `factored_words` of a ring:
+  the oracle of `polyspace.word_action`, which runs it as batched integer
+  matrix products.
+
+* `word_operator_mod` is the stacked word matrix of a
+  `polyspace.WordOperator` mod a split prime, built as Kronecker products
+  of the factors as the operator reduces them; the tests compare it with
+  the exact matrix reduced, which checks the reductions that
+  `reduced_mod` and `in_kernel` share.
+
 * `poly_to_vector` and `vector_to_poly` convert between a `BiPoly` and its
   flat coefficient vector of `QuadElem`, index (k+1)*i + j for z^i zbar^j,
   and `elems` turns a vector of integer pairs into `QuadElem`s: the input
@@ -29,8 +40,8 @@ import numpy as np
 
 from hermitia.field import FieldSpec, QuadElem, QuadInt
 from hermitia.forms import BiPoly, GroupElement, check_delta, delta_forms
-from hermitia.linalg import Pair, Reductions, Rows, omega_roots
-from hermitia.polyspace import flat_index
+from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
+from hermitia.polyspace import PairMatrix, Support, WordOperator, factors, flat_index, kernel_words
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -131,3 +142,68 @@ def vector_to_poly(f: FieldSpec, k: int, vec: Sequence[QuadElem]) -> BiPoly:
     return BiPoly.make(
         f, k, {(i, j): vec[flat_index(k, i, j)] for i in range(k + 1) for j in range(k + 1)}
     )
+
+
+FactoredWord = list[tuple[int, PairMatrix, PairMatrix]]
+
+
+def factored_words(f: FieldSpec, k: int) -> list[FactoredWord]:
+    """Each of `kernel_words(f)` as (sign, z factor, zbar factor) per
+    element, the factors of `polyspace.factors`."""
+    return [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
+
+
+def word_action_loop(
+    f: FieldSpec, word: FactoredWord, support: Support, n: int
+) -> list[list[list[int]]]:
+    """The n x n grid whose entry [x, y] at (p, q) is the z^p zbar^q
+    coefficient of sum sign * (v|g) over the word, each g given by its
+    factors, for the integral v of bidegree (n-1, n-1) given by its
+    `support`.  Each g acts separably: z factor along z, then zbar factor
+    along zbar."""
+    total = [[[0, 0] for _ in range(n)] for _ in range(n)]
+    for sign, az, azb in word:
+        # half[p][j] = sum_i az[p][i] * v[i][j]
+        half = [[[0, 0] for _ in range(n)] for _ in range(n)]
+        for (i, j), v in support:
+            for p in range(n):
+                a = az[p][i]
+                if a != ZERO:
+                    x, y = pair_mul(f, a, v)
+                    h = half[p][j]
+                    h[0] += x
+                    h[1] += y
+        for p, row in enumerate(half):
+            for j, (hx, hy) in enumerate(row):
+                if hx == 0 and hy == 0:
+                    continue
+                for q in range(n):
+                    b = azb[q][j]
+                    if b != ZERO:
+                        x, y = pair_mul(f, b, (hx, hy))
+                        t = total[p][q]
+                        t[0] += sign * x
+                        t[1] += sign * y
+    return total
+
+
+def word_operator_mod(
+    op: WordOperator, p: int, w: int, cols: Sequence[int] | None = None
+) -> np.ndarray:
+    """The stacked word matrix of `op`, or its columns `cols`, reduced mod
+    the split prime p with omega -> w, one of `omega_roots`: int64, entries
+    in [0, p), all-zero rows kept.  Row (i', j') of a word's block is
+    sum_g sign * A_g[i', i] * B_g[j', j] at column (i, j), from the factors
+    as `op` reduces them."""
+    n = op.k + 1
+    cols = np.arange(op.size) if cols is None else np.asarray(cols, dtype=np.int64)
+    ci, cj = np.divmod(cols, n)
+    a, b = op._reduced(p, w)
+    blocks = []
+    for word in op.words:
+        total = np.zeros((n, n, len(ci)), dtype=np.int64)
+        for g in range(word.start, word.stop):
+            # entries are below p < 2^31, so the products fit in int64
+            total += op.stack.signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
+        blocks.append(total.reshape(op.size, len(ci)) % p)
+    return np.vstack(blocks)

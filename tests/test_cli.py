@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from hermitia import cli, forms, hsum, lfun, polyspace
+from hermitia import cli, forms, hsum, intarith, lfun, polyspace
 from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
-from hermitia.field import field
+from hermitia.field import field, nonnorm_deltas
 
 
 def run(capsys, *argv):
@@ -446,6 +446,97 @@ def test_k_cap_and_cap_plus_one(capsys, argv, cap):
         err = capsys.readouterr().err
         assert "argument -k:" in err and "Traceback" not in err
     assert f"must be at most {top}, got {top + 2}" in err
+
+
+def assert_argparse_refuses(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at most" in err and "Traceback" not in err
+
+
+def test_alpha_count_cap_and_cap_plus_one(capsys):
+    top = cli.ALPHA_COUNT_MAX
+    code, out = run(capsys, "alpha", "-d", "3", "-k", "1", "--count", str(top), "--format", "csv")
+    assert code == EXIT_OK, run.err
+    assert len(parse_rows(out, "csv")) == top
+    assert_argparse_refuses(capsys, ["alpha", "-d", "3", "-k", "1", "--count", str(top + 1)], "--count")
+
+
+def test_alpha_caps_k_times_the_sum_of_the_deltas(capsys, monkeypatch):
+    # the default three deltas stay legal at the -k cap in every ring
+    for d in (1, 2, 3, 7, 11):
+        assert cli.ALPHA_K_MAX * sum(nonnorm_deltas(field(d), 3)) <= cli.ALPHA_K_DELTA_MAX
+    # the 30 smallest non-norms of O_1 at the -k cap ran for minutes
+    done = run_module("alpha", "-d", "1", "-k", str(cli.ALPHA_K_MAX), "--count", "30", timeout=20)
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: -k times the sum") and str(cli.ALPHA_K_DELTA_MAX) in line
+    # the rule at the cap and one past it, for --count and for --delta:
+    # the default deltas of O_1 are 3, 6, 7
+    monkeypatch.setattr(cli, "ALPHA_K_DELTA_MAX", 3 * 16)
+    code, out = run(capsys, "alpha", "-d", "1", "-k", "3", "--format", "csv")
+    assert code == EXIT_OK and len(parse_rows(out, "csv")) == 3
+    code, out = run(capsys, "alpha", "-d", "1", "-k", "3", "--delta", "7", "--format", "csv")
+    assert code == EXIT_OK, run.err
+    monkeypatch.setattr(cli, "ALPHA_K_DELTA_MAX", 3 * 16 - 1)
+    for argv in (["-k", "3"], ["-k", "7", "--delta", "7"]):
+        code, out = run(capsys, "alpha", "-d", "1", *argv)
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line.startswith("error: -k times the sum") and "--count" in line
+
+
+def test_theta_caps_s_times_the_bits_of_the_discriminant(capsys, monkeypatch):
+    """|d_K| * Delta = 12 has 4 bits in O_1 at Delta = 3."""
+    code, out = run(capsys, "theta", "-d", "1", "--delta", "3", "-s", str(cli.THETA_S_BITS_MAX // 4 + 1))
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: -s times") and str(cli.THETA_S_BITS_MAX) in line
+    monkeypatch.setattr(cli, "THETA_S_BITS_MAX", 40)
+    code, out = run(capsys, "theta", "-d", "1", "--delta", "3", "-s", "10", "--format", "json")
+    assert code == EXIT_OK, run.err
+    assert Fraction(json.loads(out)[0]["theta"]) == lfun.theta(field(1), 3, 10)
+    code, out = run(capsys, "theta", "-d", "1", "--delta", "3", "-s", "11")
+    assert code == EXIT_PRECONDITION and out == "" and run.err.startswith("error: -s times")
+    # 7 * 6 has 6 bits in O_7, so s = 7 is past the cap and s = 6 within it
+    code, out = run(capsys, "theta", "-d", "7", "--delta", "6", "-s", "7")
+    assert code == EXIT_PRECONDITION and "7 * 6" in run.err
+    code, out = run(capsys, "theta", "-d", "7", "--delta", "6", "-s", "6")
+    assert code == EXIT_OK, run.err
+
+
+def test_theta_is_the_product_of_the_local_factors_at_inverse_powers():
+    """The Horner evaluation of `lfun.theta` equals the product over p | d_K
+    Delta of sum c_i X^i at X = p^(-1-s) in `Fraction`s, including a Delta
+    with a high prime power, whose local factor has many terms."""
+    for d in (1, 2, 3, 7, 11):
+        f = field(d)
+        for delta in (1, 2, 3, 12, 3**40, 2**30 * 5, 30030):
+            for s in (1, 2, 5):
+                want = Fraction(1)
+                for p in sorted(intarith.factorize(f.abs_disc * delta)):
+                    x = Fraction(1, p ** (s + 1))
+                    want *= sum(c * x**i for i, c in enumerate(lfun.local_factor(f, -delta, p)))
+                assert lfun.theta(f, delta, s) == want, (d, delta, s)
+
+
+def test_bits_cap_and_cap_plus_one(capsys, monkeypatch):
+    top = cli.MAX_BITS
+    code, out = run(capsys, "lvalue", "-d", "1", "-s", "3", "--bits", str(top))
+    assert code == EXIT_OK and "0.968946" in out
+    assert_argparse_refuses(capsys, ["lvalue", "-d", "1", "-s", "3", "--bits", str(top + 1)], "--bits")
+    assert_argparse_refuses(capsys, ["bench", "-d", "1", "--bits", str(top + 1)], "--bits")
+    monkeypatch.setenv("HERMITIA_PRECISION", str(top))
+    code, out = run(capsys, "lvalue", "-d", "1", "-s", "3")
+    assert code == EXIT_OK and "0.968946" in out
+    monkeypatch.setenv("HERMITIA_PRECISION", str(top + 1))
+    for argv in (["lvalue", "-d", "1", "-s", "3"], ["bench", "-d", "1", "--repeats", "1"]):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line.startswith("error: HERMITIA_PRECISION") and f"at most {top}" in line
 
 
 def test_hconst_k_cap_counts_the_points_denominators(capsys):

@@ -37,8 +37,10 @@ from hermitia.polyspace import (
     kernel_words,
     membership,
     operator_matrix,
+    stack_words,
     stacked_word_matrix,
     support,
+    support_grid,
     unit_diagonal,
     wkk,
     word_action,
@@ -46,7 +48,15 @@ from hermitia.polyspace import (
 )
 
 from conftest import seeded
-from oracles import one_var_matrix, pairs_mod, poly_to_vector, vector_to_poly
+from oracles import (
+    factored_words,
+    one_var_matrix,
+    pairs_mod,
+    poly_to_vector,
+    vector_to_poly,
+    word_action_loop,
+    word_operator_mod,
+)
 
 
 def rand_bipoly(rng, f, k, terms=4):
@@ -244,9 +254,9 @@ def test_word_matrix_mod_p_equals_the_exact_matrix_reduced(k):
         primes = split_primes(f, 2)
         for p in primes:
             w = omega_roots(f, p)[0]
-            assert np.array_equal(op.mod(p, w), pairs_mod(f, as_pairs(rows), p, w)), (d, k, p)
+            assert np.array_equal(word_operator_mod(op, p, w), pairs_mod(f, as_pairs(rows), p, w)), (d, k, p)
         # the oracle's stacked matrix is the same rows without the zero ones
-        mod = op.mod(primes[0], omega_roots(f, primes[0])[0])
+        mod = word_operator_mod(op, primes[0], omega_roots(f, primes[0])[0])
         kept = pairs_mod(f, as_pairs(stacked_word_matrix(f, k)), primes[0])
         assert np.array_equal(mod[np.any(mod, axis=1)], kept)
 
@@ -268,8 +278,8 @@ def test_rows_on_demand_equal_the_exact_matrix(k):
         p = split_primes(f, 1)[0]
         for w in omega_roots(f, p):
             exact = pairs_mod(f, as_pairs(rows), p, w)
-            assert np.array_equal(op.mod(p, w, every), exact)
-            assert np.array_equal(op.mod(p, w, cols)[picked], exact[np.ix_(picked, cols)])
+            assert np.array_equal(word_operator_mod(op, p, w, every), exact)
+            assert np.array_equal(word_operator_mod(op, p, w, cols)[picked], exact[np.ix_(picked, cols)])
 
 
 def test_annihilates_agrees_with_the_word_action():
@@ -285,6 +295,130 @@ def test_annihilates_agrees_with_the_word_action():
                 Q = P + rand_bipoly(rng, f, k, terms=1)
                 want = matvec_is_zero(f, rows, poly_to_vector(Q))
                 assert op.annihilates(support(Q)[1]) == want
+
+
+def test_annihilates_checks_the_words_after_s():
+    """Vectors that the S word kills, lifted from random upper coordinates:
+    `annihilates` agrees with the loop oracle over every word, so it
+    rejects those that a later word does not kill."""
+    rng = seeded("annihilates-after-s")
+    rejected = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (1, 2, 3, 4):
+            op = WordOperator(f, k)
+            every = list(range(op.size))
+            words = factored_words(f, k)
+            for _ in range(3):
+                u = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in op.upper(every)]
+                supp = as_support(k, every, op.lift(every, u))
+                grids = [word_action_loop(f, word, supp, k + 1) for word in words]
+                assert not any(x or y for row in grids[0] for x, y in row)
+                want = not any(x or y for grid in grids for row in grid for x, y in row)
+                assert op.annihilates(supp) == want, (d, k)
+                rejected += not want
+    assert rejected
+
+
+BIG = 2**100
+
+
+def assert_action_matches_the_loop(f, k, words, supp):
+    """`word_action` on the stack of `words` equals the loop oracle on each
+    word, in Python ints."""
+    xs, ys = word_action(f, stack_words(f, words, k), support_grid(supp, k + 1))
+    assert xs.shape == ys.shape == (len(words), k + 1, k + 1)
+    assert all(type(c) is int for c in [*xs.flat, *ys.flat])
+    for w, word in enumerate(words):
+        want = word_action_loop(f, [(sign, *factors(f, g, k)) for sign, g in word], supp, k + 1)
+        got = [[[xs[w, p, q], ys[w, p, q]] for q in range(k + 1)] for p in range(k + 1)]
+        assert got == want, (f.d, k, w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.integers(0, 13),
+    words=st.lists(
+        st.lists(st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(0, 5), max_size=6)),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ),
+    entries=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
+        max_size=24,
+    ),
+)
+def test_word_action_equals_the_loop_oracle(d, k, words, entries):
+    """Random signed words in S, T, T_omega and their inverses, several
+    stacked at once, on supports with entries up to 2^100 in absolute
+    value: int64 arithmetic anywhere would wrap and fail."""
+    f = field(d)
+    alphabet = gens(f) + [gen_S(f).inverse(), gen_T(f).inverse()]
+    group_words = []
+    for word in words:
+        elements = []
+        for sign, letters in word:
+            g = identity(f)
+            for i in letters:
+                g = g @ alphabet[i]
+            elements.append((sign, g))
+        group_words.append(elements)
+    supp = list({(i % (k + 1), j % (k + 1)): (x, y) for i, j, x, y in entries}.items())
+    assert_action_matches_the_loop(f, k, group_words, supp)
+
+
+def test_word_action_at_k81_equals_the_loop_oracle():
+    """Every kernel word of O_11 at k = 81, where the factors reach 2^167,
+    on a sparse support with entries near 2^100."""
+    rng = seeded("word-action-81")
+    f, k = field(11), 81
+    supp = [((rng.randint(0, k), rng.randint(0, k)), (rng.randint(-BIG, BIG), rng.randint(-BIG, BIG)))
+            for _ in range(4)]
+    supp = list(dict(supp).items())
+    assert max(abs(c) for word in factored_words(f, k) for _, az, _ in word
+               for row in az for pair in row for c in pair).bit_length() > 160
+    assert_action_matches_the_loop(f, k, kernel_words(f), supp)
+
+
+def test_height_bound_equals_the_row_sum_loop():
+    """`height_bound` for k <= 13 equals R written out as loops over the
+    factors' pairs: the largest over the words and (r, s) of sum_g
+    rowsum(A_g, r) * rowsum(B_g, s)."""
+
+    def rowsums(m):
+        return [sum(max(abs(x), abs(y)) for x, y in row) for row in m]
+
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
+        for k in range(14):
+            best = 0
+            for word in factored_words(f, k):
+                sums = [(rowsums(az), rowsums(azb)) for _, az, azb in word]
+                best = max(best, *(sum(ra[r] * rb[s] for ra, rb in sums)
+                                   for r in range(k + 1) for s in range(k + 1)))
+            op = WordOperator(f, k)
+            assert op.height_bound(7) == c * c * best * 7, (d, k)
+            assert type(op.height_bound(1)) is int
+
+
+def test_reductions_equal_each_factor_reduced():
+    """The factors `in_kernel` and `reduced_mod` work on, for k <= 13 and
+    under both roots: each element's z factor and zbar factor (the
+    conjugate, reduced with the other root) equal its pairs reduced."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p = split_primes(f, 1)[0]
+        for k in range(14):
+            op = WordOperator(f, k)
+            factored = [(az, azb) for word in factored_words(f, k) for _, az, azb in word]
+            for w in omega_roots(f, p):
+                a, b = op._reduced(p, w)
+                assert a.dtype == b.dtype == np.int64
+                for g, (az, azb) in enumerate(factored):
+                    assert np.array_equal(a[g], pairs_mod(f, az, p, w)), (d, k, g)
+                    assert np.array_equal(b[g], pairs_mod(f, azb, p, w)), (d, k, g)
 
 
 def kernel_vectors(f, k):
@@ -337,8 +471,8 @@ def test_height_bound_bounds_the_word_action():
                 supp = [((i, j), (rng.randint(-span, span), rng.randint(-span, span)))
                         for i in range(n) for j in range(n)]
                 norm = max(max(abs(x), abs(y)) for _, (x, y) in supp)
-                top = max(abs(c) for word in op.words
-                          for row in word_action(f, word, supp, n) for xy in row for c in xy)
+                top = max(abs(c) for word in factored_words(f, k)
+                          for row in word_action_loop(f, word, supp, n) for xy in row for c in xy)
                 assert 0 < top <= op.height_bound(norm), (d, k)
 
 
@@ -359,7 +493,7 @@ def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
     for p in primes:
         for root in omega_roots(f, p):
             image = np.array([(x + y * root) % p for x, y in w], dtype=object)
-            assert not (op.mod(p, root, cols).astype(object) @ image % p).any()
+            assert not (word_operator_mod(op, p, root, cols).astype(object) @ image % p).any()
     assert not op.in_kernel(cols, w)
 
 
@@ -483,7 +617,6 @@ def test_mirror_open_eigenspaces_need_no_reduction(monkeypatch):
             for e in open_:
                 cols = eigen_columns(f, k, e)
                 assert linalg.quad_kernel(f, [[row[c] for c in cols] for row in rows]) == []
-    monkeypatch.setattr(WordOperator, "mod", refuse)
     monkeypatch.setattr(WordOperator, "_reduced", refuse)
     for d in (1, 3):
         f = field(d)
@@ -524,7 +657,7 @@ def test_in_kernel_checks_the_s_word(d, k):
     assert outside
     for v in outside:
         supp = as_support(k, every, v)
-        assert all(x == y == 0 for word in op.words[1:] for row in word_action(f, word, supp, k + 1)
+        assert all(x == y == 0 for word in factored_words(f, k)[1:] for row in word_action_loop(f, word, supp, k + 1)
                    for x, y in row)
         assert not op.in_kernel(every, v)
     for op, cols, v in kernel_vectors(f, k):
@@ -533,7 +666,7 @@ def test_in_kernel_checks_the_s_word(d, k):
         for r in lower[:3]:
             w = list(v)
             w[r] = (-w[r][0], -w[r][1])
-            s_word = word_action(f, op.words[0], as_support(k, cols, w), k + 1)
+            s_word = word_action_loop(f, factored_words(f, k)[0], as_support(k, cols, w), k + 1)
             assert any(x or y for row in s_word for x, y in row)
             assert not op.in_kernel(cols, w), r
 
