@@ -53,6 +53,11 @@ MIN_BITS = 16
 # The character sums of `bench`'s baseline grow fast with the precision: at
 # this many bits its default five repeats take under 10 s in every ring.
 MAX_BITS = 3000
+# `bench` runs its baseline once more than --repeats, so it caps the repeats
+# times the bits: at the cap, five repeats at MAX_BITS took 7.3 s in O_11
+# (the slowest ring) on a 2-vCPU VM, and a baseline run costs less than its
+# share of the cap at fewer bits (4 ms at 16 bits, 0.42 s at 2000).
+BENCH_REPEATS_BITS_MAX = 15_000
 
 
 def default_bits() -> int:
@@ -145,10 +150,11 @@ def _nstr(value, bits: int) -> str:
 
 # The largest --delta of each subcommand.  `forms.alpha` sums over the
 # O(Delta) lattice points of norm below Delta; at its cap one call of
-# `alpha` or `lvalue` takes a few seconds.  `hconst`, `expandp` and
-# `average` enumerate the O(Delta log Delta) forms of discriminant Delta;
-# at their caps one call of `hconst -k 1 -z 0`, `expandp -k 1` or
-# `average -k 3 --grid 1` takes about 10 s.
+# `alpha` or `lvalue` takes about a second.  `hconst` and `average`
+# enumerate the O(Delta log Delta) forms of discriminant Delta, and
+# `expandp` sums over the lattice points by norm class; at their caps one
+# call of `hconst -k 1 -z 0` or `average -k 3 --grid 1` takes about 10 s,
+# and `expandp -k 1` about 2.5 s.
 ALPHA_DELTA_MAX = 10**5
 FORMS_DELTA_MAX = 8 * 10**4
 AVERAGE_DELTA_MAX = 10**4
@@ -156,7 +162,7 @@ AVERAGE_DELTA_MAX = 10**4
 # The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
 # one call at the smallest Delta, `alpha` with its default three deltas
 # or `expandp --check`, takes under 10 s (on a 2-vCPU VM `expandp -k 81
-# --check` took 2.6-5.3 s across the five rings, most of it the exact
+# --check` took 1.7-3.5 s across the five rings, most of it the exact
 # word action of `membership`).  `hconst` bounds k times the bit lengths
 # of its points' denominators, summed over the points: the walk's exact
 # values grow with that product.
@@ -197,8 +203,8 @@ def cmd_alpha(args) -> list[dict]:
             f"must be at most {ALPHA_K_DELTA_MAX}; got {args.k} * {total}"
         )
     return [
-        {"d": args.d, "k": args.k, "delta": dl, "alpha": forms.alpha(f, args.k, dl)}
-        for dl in deltas
+        {"d": args.d, "k": args.k, "delta": dl, "alpha": value}
+        for dl, value in zip(deltas, forms.alphas(f, args.k, deltas))
     ]
 
 
@@ -277,6 +283,11 @@ def cmd_lvalue(args) -> list[dict]:
 def cmd_bench(args) -> list[dict]:
     f = field(args.d)
     bits = default_bits() if args.bits is None else args.bits
+    if args.repeats * bits > BENCH_REPEATS_BITS_MAX:
+        raise ValueError(
+            f"--repeats times the precision in bits must be at most {BENCH_REPEATS_BITS_MAX}; "
+            f"got {args.repeats} * {bits}"
+        )
     rep = lfun.bench_negative(f, args.s, bits, args.repeats)
     return [
         {

@@ -26,11 +26,20 @@ polynomial
     P_{k,Delta}(z, zbar) = sum_{c < 0 < a} (a*z*zbar + b*z + conj(b)*zbar + c)^k,
 
 an element of the space of polynomials of bidegree at most (k, k).
+
+Both depend on b only through its norm class N(b) = n: alpha through the
+count r(n) of such b, P through the power sums of b over the class.  So
+`alphas` and `expand_P` sweep the lattice points once, group them by norm,
+and take the divisor sums of Delta - n from one smallest-prime-factor
+sieve up to Delta; no integer is factored on its own.  `delta_forms`,
+which lists the forms one by one, is the route of the oracles
+(`alpha_direct`) and of the evaluation of H_{k,Delta}.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,8 +53,8 @@ from .field import (
     is_norm,
     lattice_points_with_norm_below,
 )
-from .intarith import divisor_power_sum, divisors
-from .linalg import pair_mul, pair_powers
+from .intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
+from .linalg import pair_powers
 
 
 # --------------------------------------------------------------- matrix group
@@ -248,13 +257,24 @@ def alpha(f: FieldSpec, k: int, delta: int) -> int:
 
     Requires delta to be a positive non-norm of O_d.
     """
-    check_delta(f, delta)
+    return alphas(f, k, [delta])[0]
+
+
+def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
+    """alpha_{k,Delta} for each Delta in `deltas`, grouped by norm class:
+    alpha_{k,Delta} = sum_{n < Delta} r(n) sigma_k(Delta - n), with r(n)
+    the number of b in O_d of norm n.  One sweep of the lattice points
+    below the largest Delta counts every r(n), and one sieve gives every
+    sigma_k up to it.
+    """
+    for delta in deltas:
+        check_delta(f, delta)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return sum(
-        divisor_power_sum(k, delta - b.norm())
-        for b in lattice_points_with_norm_below(f, delta)
-    )
+    top = max(deltas)
+    counts = Counter(b.norm() for b in lattice_points_with_norm_below(f, top))
+    sig = divisor_power_sums(k, top)
+    return [sum(r * sig[delta - n] for n, r in counts.items() if n < delta) for delta in deltas]
 
 
 def alpha_direct(f: FieldSpec, k: int, delta: int) -> int:
@@ -428,42 +448,67 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     (k, k): the sum of (a z zbar + b z + conj(b) zbar + c)^k over the forms
     of discriminant delta with c < 0 < a.
 
-    The multinomial expansion is grouped by b.  The forms sharing b are
-    (e, b, -m/e) for the divisors e of m = Delta - N(b), so the sums
-    S[i][r] = sum_e e^i (-m/e)^r are taken first; the products
-    b^j conj(b)^l stay integer pairs, and one BiPoly is built at the end.
+    The multinomial expansion is summed by norm class.  The forms with
+    N(b) = n are (e, b, -m/e) for the divisors e of m = Delta - n.  Over
+    them the term a^i b^j conj(b)^l c^r of z^alpha zbar^beta (alpha = i + j,
+    beta = i + l) sums to S[i][r] T[j][l], where
+
+        S[i][r] = sum_e e^i (-m/e)^r = (-1)^r m^min(i,r) sigma_|i-r|(m),
+        T[j][l] = sum_{N(b) = n} b^j conj(b)^l = n^l p_(j-l)   (j >= l),
+
+    and p_s = sum_{N(b) = n} b^s.  A class holds conj(b) with b, so every
+    p_s is a rational integer, P has integer coefficients, and that of
+    z^beta zbar^alpha equals that of z^alpha zbar^beta: only alpha >= beta
+    (that is, j >= l) is summed.  Multiplying b by one of the w units u
+    multiplies b^s by u^s, and the units sum to zero in every power s that
+    w does not divide, so only p_(w t) = sum (b^w)^t is nonzero; each class
+    is kept as a count of its distinct b^w, whose powers are integer pairs.
+    The terms of one (alpha, beta) share p_(alpha - beta) and
+    sigma_|i-r|(m), as r - i = k - alpha - beta.  The sigma_0..sigma_k(m)
+    are running power sums over the divisors of m, found from one
+    smallest-prime-factor sieve up to Delta.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_delta(f, delta)
-    fact = math.factorial
-    # (i, j, l, r, k!/(i! j! l! r!)) for the term a^i b^j conj(b)^l c^r of
-    # monomial z^(i+j) zbar^(i+l); this order fixes the order of the keys
-    table = [
-        (i, j, l, k - i - j - l, fact(k) // (fact(i) * fact(j) * fact(l) * fact(k - i - j - l)))
-        for i in range(k + 1)
-        for j in range(k + 1 - i)
-        for l in range(k + 1 - i - j)
-    ]
-    acc = {(i + j, i + l): [0, 0] for i, j, l, _, _ in table}
+    w = len(f.units())
+    # each norm class as a count of the distinct values of b^w
+    classes: dict[int, Counter] = defaultdict(Counter)
     for b in lattice_points_with_norm_below(f, delta):
-        m = delta - b.norm()
-        ac = [
-            ([e**i for i in range(k + 1)], [(-(m // e)) ** r for r in range(k + 1)])
-            for e in divisors(m)
-        ]
-        s = [[sum(a[i] * c[r] for a, c in ac) for r in range(k + 1 - i)] for i in range(k + 1)]
-        b_pow = pair_powers(f, (b.x, b.y), k)
-        bbar_pow = pair_powers(f, (b.x + f.disc * b.y, -b.y), k)
-        prod = [[pair_mul(f, bj, bl) for bl in bbar_pow[: k + 1 - j]] for j, bj in enumerate(b_pow)]
-        for i, j, l, r, mult in table:
-            w = mult * s[i][r]
-            if w:
-                x, y = prod[j][l]
-                cell = acc[(i + j, i + l)]
-                cell[0] += w * x
-                cell[1] += w * y
-    return BiPoly.make(
-        f, k, {key: QuadElem.from_quadint(QuadInt(f, x, y)) for key, (x, y) in acc.items()}
+        classes[b.norm()][pair_powers(f, (b.x, b.y), w)[w]] += 1
+    fact = math.factorial
+    # the terms a^i b^j conj(b)^l c^r of z^alpha zbar^beta, alpha - beta = w t:
+    # (t, alpha, beta, |r - i|, [((-1)^r k!/(i! j! l! r!), min(i, r), l)])
+    plan = []
+    for t in range(k // w + 1):
+        for be in range(k + 1 - w * t):
+            al = be + w * t
+            terms = []
+            for i in range(max(0, al + be - k), be + 1):
+                j, l, r = al - i, be - i, k - al - be + i
+                mult = fact(k) // (fact(i) * fact(j) * fact(l) * fact(r))
+                terms.append(((-1) ** r * mult, min(i, r), l))
+            plan.append((t, al, be, abs(k - al - be), terms))
+    spf = smallest_prime_factor_sieve(delta)
+    # every monomial, in the order of the term-by-term expansion (the BiPoly keeps it)
+    acc = dict.fromkeys(
+        ((i + j, i + l) for i in range(k + 1) for j in range(k + 1 - i) for l in range(k + 1 - i - j)),
+        0,
     )
-
+    for n, values in classes.items():
+        m = delta - n
+        sig = divisor_moments(m, k, spf)
+        m_pow, n_pow = [m**e for e in range(k + 1)], [n**e for e in range(k + 1)]
+        # p_(w t) = sum of count * (b^w)^t: the omega parts cancel over the class
+        psum = [0] * (k // w + 1)
+        for c, count in values.items():
+            for t, (x, _) in enumerate(pair_powers(f, c, k // w)):
+                psum[t] += count * x
+        for t, al, be, q, terms in plan:
+            if psum[t]:
+                v = sig[q] * sum(mult * m_pow[em] * n_pow[en] for mult, em, en in terms)
+                acc[al, be] += v * psum[t]
+    for al, be in acc:
+        if al < be:
+            acc[al, be] = acc[be, al]
+    return BiPoly.make(f, k, {key: QuadElem.from_quadint(f.quad(v)) for key, v in acc.items()})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 # Trial division stops at this divisor.  Every n below its square is
@@ -126,18 +125,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def divisor_power_sum(k: int, n: int) -> int:
-    """sigma_k(n) = sum of d^k over positive divisors d of n > 0."""
-    if n <= 0:
-        raise ValueError("divisor sums need n > 0")
-    total = 1
-    for p, e in factorize(n).items():
-        pk = p**k
-        total *= (pk ** (e + 1) - 1) // (pk - 1) if pk > 1 else e + 1
-    return total
-
-
-@lru_cache(maxsize=None)
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
     """spf[i] = smallest prime factor of i, for 0 <= i <= limit."""
     spf = list(range(limit + 1))
@@ -147,6 +134,45 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
                 if spf[j] == j:
                     spf[j] = i
     return spf
+
+
+def divisor_moments(n: int, k: int, spf: list[int]) -> list[int]:
+    """[sigma_0(n), ..., sigma_k(n)] for 0 < n < len(spf): running power
+    sums over the divisors of n, found from the smallest-prime-factor sieve
+    `spf`."""
+    divs = [1]
+    while n > 1:
+        p, e = spf[n], 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    out, powers = [], [1] * len(divs)
+    for _ in range(k + 1):
+        out.append(sum(powers))
+        powers = [q * d for q, d in zip(powers, divs)]
+    return out
+
+
+def divisor_power_sums(k: int, limit: int) -> list[int]:
+    """[0, sigma_k(1), ..., sigma_k(limit)], sigma_k(n) the sum of d^k over
+    the positive divisors d of n, in one pass over a smallest-prime-factor
+    sieve.  For m = p*q with p the least prime of m,
+
+        sigma_k(m) = (1 + p^k) sigma_k(q) - [p | q] p^k sigma_k(q/p).
+    """
+    spf = smallest_prime_factor_sieve(limit)
+    sig = [0] * (limit + 1)
+    if limit >= 1:
+        sig[1] = 1
+    pk: dict[int, int] = {}
+    for m in range(2, limit + 1):
+        p = spf[m]
+        if p == m:
+            pk[p] = p**k
+        q = m // p
+        sig[m] = (1 + pk[p]) * sig[q] - (pk[p] * sig[q // p] if q % p == 0 else 0)
+    return sig
 
 
 def is_probable_prime(n: int) -> bool:

@@ -76,12 +76,11 @@ PairMatrix = list[list[linalg.Pair]]
 Support = list[tuple[tuple[int, int], linalg.Pair]]
 
 
-def factors(f: FieldSpec, g: GroupElement, k: int) -> tuple[PairMatrix, PairMatrix]:
-    """The two factors of `operator_matrix(g)` as integer pairs: the z
+def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
+    """The z factor of `operator_matrix(g)` as integer pairs: the z
     substitution matrix A of g = [[a, b], [c, e]], with A[i][j] the
-    coefficient of z^i in (a z + b)^j (c z + e)^(k-j), and, for zbar, its
-    entrywise conjugate (conjugation is a ring automorphism, so that is
-    the matrix of g.conj())."""
+    coefficient of z^i in (a z + b)^j (c z + e)^(k-j).  The zbar factor is
+    its `conjugate`."""
     mul = linalg.pair_mul
 
     def binomials(hi: linalg.Pair, lo: linalg.Pair) -> PairMatrix:
@@ -109,13 +108,21 @@ def factors(f: FieldSpec, g: GroupElement, k: int) -> tuple[PairMatrix, PairMatr
                     x, y = mul(f, t, u)
                     ax, ay = az[s + r][j]
                     az[s + r][j] = (ax + x, ay + y)
-    return az, [[(x + f.disc * y, -y) for x, y in row] for row in az]
+    return az
+
+
+def conjugate(f: FieldSpec, mat: PairMatrix) -> PairMatrix:
+    """The entrywise conjugate of a matrix of integer pairs.  Conjugation is
+    a ring automorphism, so the conjugate of `factors(f, g, k)` is the z
+    substitution matrix of g.conj(): the zbar factor of g."""
+    return [[(x + f.disc * y, -y) for x, y in row] for row in mat]
 
 
 def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
     """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
-    the two `factors`, z substitution along z and its conjugate along zbar."""
-    az, azb = factors(f, g, k)
+    the z factor (`factors`) along z and its conjugate along zbar."""
+    az = factors(f, g, k)
+    azb = conjugate(f, az)
     n = k + 1
     return [
         [f.quad(*linalg.pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
@@ -140,7 +147,7 @@ class WordStack(NamedTuple):
 
 def stack_words(f: FieldSpec, words: Sequence[Word], k: int) -> WordStack:
     """The `WordStack` of `words` at bidegree (k, k)."""
-    mats = np.array([factors(f, g, k)[0] for word in words for _, g in word], dtype=object)
+    mats = np.array([factors(f, g, k) for word in words for _, g in word], dtype=object)
     signs = np.array([sign for word in words for sign, _ in word])
     starts = np.cumsum([0] + [len(word) for word in words[:-1]])
     return WordStack(mats[..., 0], mats[..., 1], signs, starts)
@@ -322,8 +329,8 @@ class WordOperator:
 
     Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
     flat index of (i, j); each word's matrix is the signed sum of the
-    Kronecker products of the two `factors` of its elements (see
-    `operator_matrix`).  All-zero rows are kept.
+    Kronecker products of the z factor (`factors`) of each element and its
+    conjugate (see `operator_matrix`).  All-zero rows are kept.
 
     The factors are built once, as the `WordStack` `stack` (`annihilates`
     and `height_bound` read it; `words` holds each word's slice of it), and

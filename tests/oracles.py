@@ -41,7 +41,15 @@ import numpy as np
 from hermitia.field import FieldSpec, QuadElem, QuadInt
 from hermitia.forms import BiPoly, GroupElement, check_delta, delta_forms
 from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
-from hermitia.polyspace import PairMatrix, Support, WordOperator, factors, flat_index, kernel_words
+from hermitia.polyspace import (
+    PairMatrix,
+    Support,
+    WordOperator,
+    conjugate,
+    factors,
+    flat_index,
+    kernel_words,
+)
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -149,8 +157,15 @@ FactoredWord = list[tuple[int, PairMatrix, PairMatrix]]
 
 def factored_words(f: FieldSpec, k: int) -> list[FactoredWord]:
     """Each of `kernel_words(f)` as (sign, z factor, zbar factor) per
-    element, the factors of `polyspace.factors`."""
-    return [[(sign, *factors(f, g, k)) for sign, g in word] for word in kernel_words(f)]
+    element: `factor_pair`."""
+    return [[(sign, *factor_pair(f, g, k)) for sign, g in word] for word in kernel_words(f)]
+
+
+def factor_pair(f: FieldSpec, g: GroupElement, k: int) -> tuple[PairMatrix, PairMatrix]:
+    """The z factor of g (`polyspace.factors`) and its conjugate, the zbar
+    factor."""
+    az = factors(f, g, k)
+    return az, conjugate(f, az)
 
 
 def word_action_loop(

@@ -539,6 +539,33 @@ def test_bits_cap_and_cap_plus_one(capsys, monkeypatch):
         assert line.startswith("error: HERMITIA_PRECISION") and f"at most {top}" in line
 
 
+def test_bench_repeats_cap_and_cap_plus_one(capsys, monkeypatch):
+    # the default five repeats stay legal at the --bits cap
+    assert 5 * cli.MAX_BITS <= cli.BENCH_REPEATS_BITS_MAX
+    monkeypatch.setattr(cli, "BENCH_REPEATS_BITS_MAX", 3 * 16)
+    code, out = run(capsys, "bench", "-d", "1", "--bits", "16", "--repeats", "3", "--format", "csv")
+    assert code == EXIT_OK, run.err
+    assert parse_rows(out, "csv")[0]["agree"] == "True"
+    monkeypatch.setenv("HERMITIA_PRECISION", "16")
+    # cap + 1 = 49 * 1, and 4 repeats at 16 bits from --bits and from the variable
+    for argv in (["--bits", "49", "--repeats", "1"], ["--bits", "16", "--repeats", "4"], ["--repeats", "4"]):
+        code, out = run(capsys, "bench", "-d", "1", *argv)
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line.startswith("error: --repeats times the precision") and "at most 48" in line
+
+
+def test_alpha_count_rows_equal_the_form_sum(capsys):
+    for d in (1, 2, 3, 7, 11):
+        code, out = run(capsys, "alpha", "-d", str(d), "-k", "3", "--count", "40", "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        f = field(d)
+        assert [row["delta"] for row in rows] == nonnorm_deltas(f, 40)
+        for row in rows:
+            assert row["alpha"] == forms.alpha_direct(f, 3, row["delta"]), (d, row["delta"])
+
+
 def test_hconst_k_cap_counts_the_points_denominators(capsys):
     """k times the bit lengths of the denominators is capped: at a lattice
     point (1 bit) k may reach the cap, and a point of denominator 15 (4

@@ -3,6 +3,7 @@ transfer polynomials."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hermitia.field import (
     EUCLIDEAN_DS,
     QuadElem,
     field,
+    is_norm,
     lattice_points_with_norm_below,
     nonnorm_deltas,
     smallest_nonnorm,
@@ -33,6 +35,7 @@ from hermitia.forms import (
     identity,
     translation,
 )
+from hermitia.intarith import divisor_moments, divisor_power_sums, smallest_prime_factor_sieve
 
 from conftest import rand_elem, rand_quadint, seeded
 from oracles import expand_P_quadint
@@ -141,6 +144,23 @@ def test_alpha_two_paths_agree():
         for k in (1, 3, 5):
             for delta in nonnorm_deltas(f, 3):
                 assert alpha(f, k, delta) == alpha_direct(f, k, delta)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(EUCLIDEAN_DS), k=st.sampled_from((1, 3, 5, 7)), which=st.integers(0, 29))
+def test_alpha_equals_the_form_sum_property(d, k, which):
+    f = field(d)
+    delta = nonnorm_deltas(f, 30)[which]
+    assert alpha(f, k, delta) == alpha_direct(f, k, delta)
+
+
+def test_divisor_power_sums_equal_the_divisor_sums():
+    for k in range(6):
+        sig = divisor_power_sums(k, 300)
+        assert sig[0] == 0 and len(sig) == 301
+        for n in range(1, 301):
+            assert sig[n] == sum(e**k for e in range(1, n + 1) if n % e == 0), (k, n)
+    assert divisor_power_sums(3, 0) == [0] and divisor_power_sums(3, 1) == [0, 1]
 
 
 def test_alpha_rejects_norm_discriminant():
@@ -280,6 +300,34 @@ def test_expand_P_matches_the_form_by_form_oracle():
                 P, want = expand_P(f, k, delta), expand_P_quadint(f, k, delta)
                 assert P.coeffs == want.coeffs, (d, k, delta)
                 assert str(P) == str(want)
+
+
+def test_expand_P_matches_the_oracle_where_a_norm_class_has_three_orbits():
+    """At the least non-norm Delta above the least norm n with more than
+    2w points (w units), e.g. Delta = 27 in O_1 where N(b) = 25 has 12."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        w = len(f.units())
+        counts = Counter(b.norm() for b in lattice_points_with_norm_below(f, 100))
+        n = min(n for n, c in counts.items() if c > 2 * w)
+        delta = next(x for x in range(n + 1, 200) if not is_norm(f, x))
+        for k in range(1, 6):
+            P, want = expand_P(f, k, delta), expand_P_quadint(f, k, delta)
+            assert P.coeffs == want.coeffs, (d, k, delta)
+
+
+def test_divisor_sums_of_the_forms_sharing_b_have_a_closed_form():
+    """S[i][r] = sum of e^i (-m/e)^r over the divisors e of m is
+    (-1)^r m^min(i,r) sigma_|i-r|(m), with the sigmas of `divisor_moments`."""
+    spf = smallest_prime_factor_sieve(200)
+    for m in range(1, 201):
+        divs = [e for e in range(1, m + 1) if m % e == 0]
+        sig = divisor_moments(m, 7, spf)
+        assert sig == [sum(e**q for e in divs) for q in range(8)], m
+        for i in range(8):
+            for r in range(8 - i):
+                brute = sum(e**i * (-(m // e)) ** r for e in divs)
+                assert brute == (-1) ** r * m ** min(i, r) * sig[abs(i - r)], (m, i, r)
 
 
 # u, v in [-2, 2] with common denominator den <= 12
