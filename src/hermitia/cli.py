@@ -9,6 +9,11 @@ table|json|csv) and uses three exit codes:
   3  an internal cross-check or certificate failed (`selftest`, `--check`,
      or an exact result that did not pass its own verification)
 
+A flag out of range exits 2 with one line that names it: the argparse type
+of a capped flag says "argument -k: must be at most CAP, got VALUE", and
+`at_most`, which checks a --delta cap or a cap on a product of inputs, says
+"error: WHAT must be at most CAP; got F1 * F2", WHAT naming the flags.
+
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
 environment variable (an integer from MIN_BITS to MAX_BITS, as for
 --bits), or 128.
@@ -25,6 +30,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -86,6 +92,13 @@ def int_at_least(low: int, odd: bool = False, most: int | None = None):
         return value
 
     return parse
+
+
+def at_most(what: str, cap: int, *factors: int) -> None:
+    """Refuse (exit 2) a product of `factors` above `cap`; `what` names
+    the flags that the factors come from."""
+    if math.prod(factors) > cap:
+        raise ValueError(f"{what} must be at most {cap}; got {' * '.join(map(str, factors))}")
 
 
 def parse_z(f, text: str) -> QuadElem:
@@ -177,31 +190,29 @@ ALPHA_COUNT_MAX = 300
 # theta(Delta, s) has about s * log2(|d_K| * Delta) bits, so `theta` caps
 # s times the bit length of |d_K| * Delta.
 THETA_S_BITS_MAX = 10**6
-
-
-def check_delta_at_most(delta: int | None, cap: int, why: str) -> None:
-    if delta is not None and delta > cap:
-        raise ValueError(f"--delta must be at most {cap}, since {why}; got {delta}")
-
-
-def check_alpha_delta(delta: int | None) -> None:
-    check_delta_at_most(delta, ALPHA_DELTA_MAX, "alpha sums O(delta) terms")
-
-
-def check_forms_delta(delta: int) -> None:
-    check_delta_at_most(delta, FORMS_DELTA_MAX, "the forms of discriminant delta are enumerated")
+# `expandp` makes about (norm classes below Delta) * k^3 big-integer
+# products, so it caps k^3 times Delta; at the -k cap that allows Delta <=
+# 940.  At the cap `expandp --check` took at most 8.6 s (O_2, k = 19).
+EXPANDP_K3_DELTA_MAX = 5 * 10**8
+# `average` walks grid^2 points at once over the forms of discriminant
+# Delta, so it caps grid^2 times Delta, which bounds memory and time (at
+# most 15.5 s, O_3 at Delta = 9999 and grid 3; grid 1 there takes 10.5 s).
+# Its floats hold |h|^k with |h| < Delta + 2 and Delta^(k+1): k times the
+# bit length of Delta + 2 stays 64 bits below the float range.
+AVERAGE_GRID_DELTA_MAX = 10**5
+AVERAGE_K_BITS_MAX = 960
+# W_{k,k} has (k+1)^2 coordinates per eigenspace: at the cap `dims`
+# (every odd k up to --kmax) took at most 10 s (O_11), `basis` 3.6 s.
+WKK_K_MAX = 27
 
 
 def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
-    check_alpha_delta(args.delta)
+    if args.delta is not None:
+        at_most("--delta", ALPHA_DELTA_MAX, args.delta)
     deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
-    total = sum(deltas)
-    if args.k * total > ALPHA_K_DELTA_MAX:
-        raise ValueError(
-            f"-k times the sum of the deltas (--delta, or the first --count non-norms) "
-            f"must be at most {ALPHA_K_DELTA_MAX}; got {args.k} * {total}"
-        )
+    at_most("-k times the sum of the deltas (--delta, or the first --count non-norms)",
+            ALPHA_K_DELTA_MAX, args.k, sum(deltas))
     return [
         {"d": args.d, "k": args.k, "delta": dl, "alpha": value}
         for dl, value in zip(deltas, forms.alphas(f, args.k, deltas))
@@ -210,12 +221,8 @@ def cmd_alpha(args) -> list[dict]:
 
 def cmd_theta(args) -> list[dict]:
     f = field(args.d)
-    bits = (f.abs_disc * args.delta).bit_length()
-    if args.s * bits > THETA_S_BITS_MAX:
-        raise ValueError(
-            f"-s times the bit length of |d_K| * delta must be at most {THETA_S_BITS_MAX}; "
-            f"got {args.s} * {bits}"
-        )
+    at_most("-s times the bit length of |d_K| * --delta", THETA_S_BITS_MAX,
+            args.s, (f.abs_disc * args.delta).bit_length())
     try:
         value = lfun.theta(f, args.delta, args.s)
     except FactorizationError as exc:
@@ -239,11 +246,8 @@ def cmd_rcount(args) -> list[dict]:
     f = field(args.d)
     if args.delta <= 0:
         raise ValueError("delta is the positive form discriminant")
-    if args.check and max(args.n) > RCOUNT_CHECK_MAX_N:
-        raise ValueError(
-            f"--check counts naively in O(n^2): -n must be at most "
-            f"{RCOUNT_CHECK_MAX_N} with --check, got {max(args.n)}"
-        )
+    if args.check:
+        at_most("-n with --check", RCOUNT_CHECK_MAX_N, max(args.n))
     out = []
     for n in args.n:
         try:
@@ -265,7 +269,8 @@ def cmd_rcount(args) -> list[dict]:
 def cmd_lvalue(args) -> list[dict]:
     f = field(args.d)
     bits = default_bits() if args.bits is None else args.bits
-    check_alpha_delta(args.delta)
+    if args.delta is not None:
+        at_most("--delta", ALPHA_DELTA_MAX, args.delta)
     value = lfun.l_closed_form(f, args.s, args.delta)
     numeric = value.numeric(bits)
     return [
@@ -283,11 +288,7 @@ def cmd_lvalue(args) -> list[dict]:
 def cmd_bench(args) -> list[dict]:
     f = field(args.d)
     bits = default_bits() if args.bits is None else args.bits
-    if args.repeats * bits > BENCH_REPEATS_BITS_MAX:
-        raise ValueError(
-            f"--repeats times the precision in bits must be at most {BENCH_REPEATS_BITS_MAX}; "
-            f"got {args.repeats} * {bits}"
-        )
+    at_most("--repeats times the precision in bits", BENCH_REPEATS_BITS_MAX, args.repeats, bits)
     rep = lfun.bench_negative(f, args.s, bits, args.repeats)
     return [
         {
@@ -305,30 +306,22 @@ def cmd_bench(args) -> list[dict]:
 
 def cmd_hconst(args) -> list[dict]:
     f = field(args.d)
-    check_forms_delta(args.delta)
+    at_most("--delta", FORMS_DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
     points: list[QuadElem] = []
     if args.z:
         points = [parse_z(f, z) for z in args.z]
     else:
-        if args.points * args.delta > FORMS_DELTA_MAX:
-            raise ValueError(
-                f"--points times --delta must be at most {FORMS_DELTA_MAX} without -z, "
-                f"since every point walks the forms of discriminant delta; "
-                f"got {args.points} * {args.delta}"
-            )
+        # every point walks the forms of discriminant delta
+        at_most("--points times --delta without -z", FORMS_DELTA_MAX, args.points, args.delta)
         rng = random.Random(args.seed)
         while len(points) < args.points:
             den = rng.randint(1, args.den)
             u = Fraction(rng.randint(-2 * den, 2 * den), den)
             v = Fraction(rng.randint(-2 * den, 2 * den), den)
             points.append(QuadElem.from_display(f, u, v))
-    bits = sum(z.den.bit_length() for z in points)
-    if args.k * bits > HCONST_K_BITS_MAX:
-        raise ValueError(
-            f"-k times the bit lengths of the points' denominators must be at most "
-            f"{HCONST_K_BITS_MAX}; got {args.k} * {bits}"
-        )
+    at_most("-k times the bit lengths of the points' denominators", HCONST_K_BITS_MAX,
+            args.k, sum(z.den.bit_length() for z in points))
     rows = []
     values = set()
     for z in points:
@@ -352,9 +345,12 @@ def cmd_hconst(args) -> list[dict]:
 
 def cmd_average(args) -> list[dict]:
     f = field(args.d)
-    check_delta_at_most(
-        args.delta, AVERAGE_DELTA_MAX, "every grid point walks the forms of discriminant delta"
-    )
+    at_most("--delta", AVERAGE_DELTA_MAX, args.delta)
+    forms.check_delta(f, args.delta)
+    at_most("--grid squared times --delta", AVERAGE_GRID_DELTA_MAX,
+            args.grid, args.grid, args.delta)
+    at_most("-k times the bit length of --delta + 2", AVERAGE_K_BITS_MAX,
+            args.k, (args.delta + 2).bit_length())
     rep = hsum.average_quadrature(f, args.k, args.delta, grid=args.grid, a_max=args.a_max)
     return [
         {
@@ -437,7 +433,8 @@ def cmd_basis(args) -> list[dict]:
 
 def cmd_expandp(args) -> list[dict]:
     f = field(args.d)
-    check_forms_delta(args.delta)
+    at_most("--delta", FORMS_DELTA_MAX, args.delta)
+    at_most("-k cubed times --delta", EXPANDP_K3_DELTA_MAX, args.k, args.k, args.k, args.delta)
     P = forms.expand_P(f, args.k, args.delta)
     row = {"d": args.d, "k": args.k, "delta": args.delta, "poly": str(P)}
     if args.check:
@@ -595,11 +592,11 @@ COMMANDS: dict[str, Command] = {
         arg("--max-steps", type=int_at_least(1), default=40),
     )),
     "dims": Command("dimensions of the cocycle spaces W_{k,k}", cmd_dims, True, (
-        arg("--kmax", type=int_at_least(1), default=11),
+        arg("--kmax", type=int_at_least(1, most=WKK_K_MAX), default=11),
         arg("--method", choices=("exact", "modular"), default="exact"),
     )),
     "basis": Command("exact basis of W_{k,k}", cmd_basis, True, (
-        arg("-k", type=int_at_least(1), required=True),
+        arg("-k", type=int_at_least(1, most=WKK_K_MAX), required=True),
         arg("--eigen", help="restrict to one eigenvalue label"),
     )),
     "expandp": Command("the transfer polynomial P_{k,Delta}", cmd_expandp, True, (

@@ -169,7 +169,7 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
     """theta(delta, s) for a form discriminant delta > 0: the product of
     R_p(-delta; p^(-1-s)) over p | d_K*delta, as an exact rational."""
     if delta <= 0:
-        raise ValueError("theta takes the positive form discriminant")
+        raise ValueError(f"delta must be the positive form discriminant, got {delta}")
     if s < 1:
         raise ValueError("theta is evaluated at integer s >= 1")
     # R_p at X = 1/q, q = p^(s+1), is (sum c_i q^(T-i)) / q^T, T its

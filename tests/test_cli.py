@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,11 +15,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from hermitia import cli, forms, hsum, intarith, lfun, polyspace
 from hermitia.cli import EXIT_OK, EXIT_ORACLE, EXIT_PRECONDITION, main
-from hermitia.field import field, nonnorm_deltas
+from hermitia.field import field, is_norm, nonnorm_deltas
 
 
 def run(capsys, *argv):
@@ -373,6 +375,12 @@ def test_precision_env(capsys, monkeypatch):
         # residue counts need a positive modulus, theta an s >= 1
         (["rcount", "-d", "1", "--delta", "3", "-n", "0"], "-n"),
         (["theta", "-d", "1", "--delta", "3", "-s", "0"], "-s"),
+        # dims and basis share one cap on k; at the cap dims takes up to 10 s
+        # (O_11), and these calls ran for minutes before it
+        (["dims", "-d", "2", "--kmax", str(cli.WKK_K_MAX + 1)], "--kmax"),
+        (["dims", "-d", "2", "--kmax", "31"], "--kmax"),
+        (["basis", "-d", "2", "-k", str(cli.WKK_K_MAX + 1)], "-k"),
+        (["basis", "-d", "2", "-k", "51"], "-k"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):
@@ -610,6 +618,74 @@ def test_hconst_points_times_delta_is_capped(capsys, monkeypatch):
     code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "11",
                     *(f"-z={i}" for i in range(11)))
     assert code == EXIT_OK, run.err
+
+
+def average_cells_are_finite(out: str) -> bool:
+    (row,) = parse_rows(out, "csv")
+    return all(math.isfinite(float(row[c])) for c in ("quadrature", "formula", "rel_error"))
+
+
+def test_average_k_is_bounded_by_the_float_range(capsys):
+    # -k 440 printed formula inf and rel_error nan; -k 441 raised OverflowError
+    for k in (440, 441):
+        code, out = run(capsys, "average", "-d", "2", "-k", str(k), "--delta", "5", "--grid", "2")
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line.startswith("error: -k times") and "--delta" in line and f"{k} * 3" in line
+    for d in (1, 2, 3, 7, 11):
+        f = field(d)
+        delta = nonnorm_deltas(f, 1)[0]
+        top = cli.AVERAGE_K_BITS_MAX // (delta + 2).bit_length()
+        argv = ["average", "-d", str(d), "--delta", str(delta), "--grid", "2", "--format", "csv"]
+        code, out = run(capsys, *argv, "-k", str(top))
+        assert code == EXIT_OK and average_cells_are_finite(out), (d, run.err, out)
+        code, out = run(capsys, *argv, "-k", str(top + 1))
+        assert code == EXIT_PRECONDITION and out == "" and run.err.startswith("error: -k times")
+        # the largest admitted Delta walks for about 10 s in each ring: check
+        # its largest floats, the closed form and the bound on the sum of the
+        # grid's values, at the cap
+        delta = max(x for x in range(cli.AVERAGE_DELTA_MAX - 99, cli.AVERAGE_DELTA_MAX + 1)
+                    if not is_norm(f, x))
+        top = cli.AVERAGE_K_BITS_MAX // (delta + 2).bit_length()
+        bound = hsum.tail_bound(f, top, delta, 1) * (top - 1) * float(mpmath.zeta(top))
+        assert math.isfinite(hsum.formula_average(f, top, delta))
+        assert math.isfinite(bound * cli.AVERAGE_GRID_DELTA_MAX / delta)
+
+
+def test_average_caps_grid_squared_times_delta(capsys, monkeypatch):
+    # the golden grid 16 and the benchmark's grid 64 at Delta = 5 stay well inside
+    assert 4 * 64 * 64 * 5 <= cli.AVERAGE_GRID_DELTA_MAX
+    # grid 16 at Delta = 8000 would walk 256 points over 8000's forms at once
+    code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "8000", "--grid", "16")
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: --grid squared times --delta") and "16 * 16 * 8000" in line
+    argv = ["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4"]
+    monkeypatch.setattr(cli, "AVERAGE_GRID_DELTA_MAX", 4 * 4 * 5)
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK and average_cells_are_finite(out), run.err
+    monkeypatch.setattr(cli, "AVERAGE_GRID_DELTA_MAX", 4 * 4 * 5 - 1)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert run.err.startswith("error: --grid squared times --delta")
+
+
+def test_expandp_caps_k_cubed_times_delta(capsys, monkeypatch):
+    # the -k cap stays legal at the smallest Delta (test_k_cap_and_cap_plus_one)
+    assert cli.EXPANDP_K_MAX**3 * 2 <= cli.EXPANDP_K3_DELTA_MAX
+    # -k 81 --delta 8003 took 15 s with each flag inside its own cap
+    code, out = run(capsys, "expandp", "-d", "1", "-k", "81", "--delta", "8003")
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: -k cubed times --delta") and "81 * 81 * 81 * 8003" in line
+    argv = ["expandp", "-d", "1", "-k", "3", "--delta", "3"]
+    monkeypatch.setattr(cli, "EXPANDP_K3_DELTA_MAX", 3**3 * 3)
+    code, out = run(capsys, *argv, "--check", "--format", "csv")
+    assert code == EXIT_OK and parse_rows(out, "csv")[0]["in_W1"] == "True", run.err
+    monkeypatch.setattr(cli, "EXPANDP_K3_DELTA_MAX", 3**3 * 3 - 1)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert run.err.startswith("error: -k cubed times --delta")
 
 
 @pytest.mark.parametrize("value", ["3", "abc"])
