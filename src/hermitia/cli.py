@@ -166,11 +166,15 @@ def _nstr(value, bits: int) -> str:
 # `alpha` or `lvalue` takes about a second.  `hconst` and `average`
 # enumerate the O(Delta log Delta) forms of discriminant Delta, and
 # `expandp` sums over the lattice points by norm class; at their caps one
-# call of `hconst -k 1 -z 0` or `average -k 3 --grid 1` takes about 10 s,
-# and `expandp -k 1` about 2.5 s.
+# call of `hconst -k 1 -z 0` takes about 10 s and `expandp -k 1` about
+# 2.5 s.  The float walk of `average` costs about its number of forms
+# times its steps: at its cap the Delta with the most forms in each ring
+# took 4.4-6.7 s with `-k 3 --grid 1` and 4.7-7.4 s at the -k cap 73
+# (O_3 at Delta = 4879, 246,740 forms, is the slowest; Delta = 9999 took
+# 10.1-10.5 s there).
 ALPHA_DELTA_MAX = 10**5
 FORMS_DELTA_MAX = 8 * 10**4
-AVERAGE_DELTA_MAX = 10**4
+AVERAGE_DELTA_MAX = 5000
 
 # The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
 # one call at the smallest Delta, `alpha` with its default three deltas
@@ -195,8 +199,8 @@ THETA_S_BITS_MAX = 10**6
 # 940.  At the cap `expandp --check` took at most 8.6 s (O_2, k = 19).
 EXPANDP_K3_DELTA_MAX = 5 * 10**8
 # `average` walks grid^2 points at once over the forms of discriminant
-# Delta, so it caps grid^2 times Delta, which bounds memory and time (at
-# most 15.5 s, O_3 at Delta = 9999 and grid 3; grid 1 there takes 10.5 s).
+# Delta, so it caps grid^2 times Delta, which bounds memory and time
+# (grid 4 at Delta = 4879 in O_3 took 10.2 s, where grid 1 takes 6.5 s).
 # Its floats hold |h|^k with |h| < Delta + 2 and Delta^(k+1): k times the
 # bit length of Delta + 2 stays 64 bits below the float range.
 AVERAGE_GRID_DELTA_MAX = 10**5

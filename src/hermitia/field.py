@@ -472,8 +472,10 @@ def nearest_int(f: FieldSpec, z: ZLike) -> QuadInt:
     return QuadInt(f, *best_pt)
 
 
-def lattice_points_with_norm_below(f: FieldSpec, bound: int) -> Iterator[QuadInt]:
-    """All w in O_d with N(w) < bound (bound a nonnegative integer).
+def lattice_norms_below(f: FieldSpec, bound: int) -> Iterator[tuple[int, int, int]]:
+    """(x, y, N(x + y*omega)) for every x + y*omega in O_d with norm below
+    bound (a nonnegative integer), as plain integers: the sweep that the
+    sums by norm class run, with no `QuadInt` per point.
 
     Iteration order is deterministic: y ascending, then x ascending.
     """
@@ -487,11 +489,21 @@ def lattice_points_with_norm_below(f: FieldSpec, bound: int) -> Iterator[QuadInt
         if disc4 < 0:
             continue
         s = math.isqrt(disc4)
-        lo = (-t * y - s - 2) // 2
-        hi = (-t * y + s + 2) // 2
-        for x in range(lo, hi + 1):
-            if f.norm_int(x, y) < bound:
-                yield QuadInt(f, x, y)
+        # N(x + y*omega) = x (x + t y) + n y^2
+        ty, ny2 = t * y, f.norm_coeff * y * y
+        for x in range((-ty - s - 2) // 2, (-ty + s + 2) // 2 + 1):
+            norm = x * (x + ty) + ny2
+            if norm < bound:
+                yield x, y, norm
+
+
+def lattice_points_with_norm_below(f: FieldSpec, bound: int) -> Iterator[QuadInt]:
+    """All w in O_d with N(w) < bound (bound a nonnegative integer).
+
+    Iteration order is deterministic: y ascending, then x ascending.
+    """
+    for x, y, _ in lattice_norms_below(f, bound):
+        yield QuadInt(f, x, y)
 
 
 def is_norm(f: FieldSpec, value: int) -> bool:

@@ -51,6 +51,7 @@ from .field import (
     ZLike,
     as_elem,
     is_norm,
+    lattice_norms_below,
     lattice_points_with_norm_below,
 )
 from .intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
@@ -272,7 +273,7 @@ def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
     if k < 1:
         raise ValueError("k must be a positive integer")
     top = max(deltas)
-    counts = Counter(b.norm() for b in lattice_points_with_norm_below(f, top))
+    counts = Counter(n for _, _, n in lattice_norms_below(f, top))
     sig = divisor_power_sums(k, top)
     return [sum(r * sig[delta - n] for n, r in counts.items() if n < delta) for delta in deltas]
 
@@ -474,8 +475,8 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     w = len(f.units())
     # each norm class as a count of the distinct values of b^w
     classes: dict[int, Counter] = defaultdict(Counter)
-    for b in lattice_points_with_norm_below(f, delta):
-        classes[b.norm()][pair_powers(f, (b.x, b.y), w)[w]] += 1
+    for x, y, n in lattice_norms_below(f, delta):
+        classes[n][pair_powers(f, (x, y), w)[w]] += 1
     fact = math.factorial
     # the terms a^i b^j conj(b)^l c^r of z^alpha zbar^beta, alpha - beta = w t:
     # (t, alpha, beta, |r - i|, [((-1)^r k!/(i! j! l! r!), min(i, r), l)])

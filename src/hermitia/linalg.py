@@ -32,9 +32,10 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   prime bounds the kernel dimension from above, and a prime of bad
   reduction can only raise it.  Both take the least kernel dimension over
   the first RANK_PRIMES split primes and stop at the first prime that meets
-  a known lower bound: 0 for `quad_rank_modular`, and for the sandwich of
+  a known lower bound: 0 for `quad_rank_modular`; for the sandwich of
   `polyspace.wkk` the number of verified kernel vectors, where meeting it
-  makes the dimension unconditional.  Each prime reduces whichever
+  makes the dimension unconditional; and for its modular total the sum of
+  the eigenspace dimensions.  Each prime reduces whichever
   orientation of the matrix has fewer rows: the rank is the same, and the
   work is smaller.
 
@@ -43,6 +44,9 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   (`matvec_is_zero`).  No production route calls it: it is the test
   oracle of `certified_kernel`, on `QuadElem` arithmetic rather than the
   integer pairs (`pair_mul`) of the production path.
+
+The split primes are searched for on demand, once per ring and process
+(`_split_primes`): a caller that uses one prime searches for one.
 
 The modular functions take a matrix only by its reductions, a function
 from a split prime p and a root w of omega's polynomial mod p to the matrix
@@ -54,10 +58,11 @@ pairs (x, y) for x + y*omega, integral and content-free.  Rows of `QuadInt`
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,35 +176,39 @@ def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
 # ------------------------------------------------------------- modular path
 
 
-@lru_cache(maxsize=None)
-def _split_primes(f: FieldSpec, count: int) -> tuple[int, ...]:
-    out: list[int] = []
-    p = PRIME_START | 1
-    while len(out) < count:
-        if is_probable_prime(p) and kronecker(f.disc, p) == 1:
-            out.append(p)
-        p += 2
-    return tuple(out)
+# the split primes of each ring found so far, in increasing order
+_SPLIT_PRIMES: dict[FieldSpec, list[int]] = {}
+
+
+def _split_primes(f: FieldSpec) -> Iterator[int]:
+    """The split primes of `split_primes`, in increasing order and without
+    end.  Each is searched for when a caller first asks for it, and kept in
+    one list per ring that every caller extends, so a process searches only
+    as far as the furthest prime it has used."""
+    found = _SPLIT_PRIMES.setdefault(f, [])
+    for i in itertools.count():
+        if i == len(found):
+            p = found[-1] + 2 if found else PRIME_START | 1
+            while not (is_probable_prime(p) and kronecker(f.disc, p) == 1):
+                p += 2
+            found.append(p)
+        yield found[i]
 
 
 def split_primes(f: FieldSpec, count: int) -> list[int]:
     """The first `count` odd primes p > PRIME_START with (d_K/p) = 1, where
     O_d embeds in Z/p."""
-    return list(_split_primes(f, count))
+    return list(itertools.islice(_split_primes(f), count))
 
 
 def primes_exceeding(f: FieldSpec, bound: int) -> list[int]:
     """The fewest first split primes whose product exceeds `bound`."""
-    # each split prime exceeds PRIME_START = 2^30, so `count` of them do
-    count = -(-bound.bit_length() // (PRIME_START.bit_length() - 1))
+    primes = _split_primes(f)
     out: list[int] = []
     product = 1
-    # the first MAX_PRIMES are the ones `certified_kernel` has listed
-    for p in _split_primes(f, max(count, MAX_PRIMES)):
-        if product > bound:
-            break
-        out.append(p)
-        product *= p
+    while product <= bound:
+        out.append(next(primes))
+        product *= out[-1]
     return out
 
 
@@ -297,18 +306,21 @@ class ModularRankReport:
 
 def _least_kernel_dim(f: FieldSpec, mod: Reductions, lower: int) -> ModularRankReport:
     """The least kernel dimension of the matrix with reductions `mod` over
-    the first RANK_PRIMES split primes, each an upper bound over K; it
-    stops at the first prime that meets `lower`, a known lower bound."""
-    primes = split_primes(f, RANK_PRIMES)
+    the first RANK_PRIMES split primes, each an upper bound over K.  It
+    stops at the first prime that meets `lower`, a known lower bound on
+    the dimension mod every prime; that prime's dimension is then the
+    least, and no later prime is searched for or reduced."""
     dims: list[int] = []
-    for p in primes:
+    primes: list[int] = []
+    for p in itertools.islice(_split_primes(f), RANK_PRIMES):
         mat = mod(p, omega_roots(f, p)[0])
         # both orientations have the same rank; fewer rows are less work
         rank, _ = echelon_mod(mat.T if mat.shape[0] > mat.shape[1] else mat, p)
         dims.append(mat.shape[1] - rank)
-        if min(dims) <= lower:
+        primes.append(p)
+        if dims[-1] <= lower:
             break
-    return ModularRankReport(min(dims), tuple(primes[: len(dims)]))
+    return ModularRankReport(min(dims), tuple(primes))
 
 
 def quad_rank_modular(f: FieldSpec, rows: Reductions) -> ModularRankReport:
@@ -389,7 +401,7 @@ def certified_kernel(
     best = None  # (rank, pivots) of the primes being combined
     chosen = None  # rows independent mod the prime that chose them
     residues = modulus = candidate = rejected = None
-    for p in split_primes(f, MAX_PRIMES):
+    for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
         m1 = mod(p, w1)
         ncols = m1.shape[1]

@@ -561,7 +561,19 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     kernel is computed.
     modular: dimensions only, each the least kernel dimension mod a few
     split primes (`linalg.quad_rank_modular`), an upper bound that is exact
-    unless every prime tried is of bad reduction.
+    unless every prime tried is of bad reduction.  The total is the least
+    kernel dimension of the full block over the same RANK_PRIMES primes,
+    found with the sum of the eigenspace dimensions as its lower bound
+    (`linalg.kernel_dim_upper_bound`, as for the exact sandwich).  That
+    bound holds mod every prime p: each eigenspace block is a set of
+    columns of the full block, with the same rows, and the eigenspaces'
+    columns are disjoint, so ker(full mod p) contains the direct sum of
+    the blocks' kernels mod p, and its dimension is at least sum_e
+    dim_p(e) >= sum_e min_p dim_p(e), the sum of the dimensions (an
+    eigenspace that S alone kills adds 0).  So the least over the primes
+    is never below the sum, and the first prime that meets it gives that
+    least: the total is the same number as the least over every prime,
+    with no other prime reduced.
     Neither route builds the stacked word matrix over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
@@ -579,12 +591,14 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     every = list(range(op.size))
     dims: dict[str, int] = {}
     if method == "modular":
-        total = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every)).kernel_dim
         for e, lab in enumerate(labels):
             cols = eigen_columns(f, k, e)
             dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
                 f, lambda p, w: op.reduced_mod(p, w, cols)
             ).kernel_dim
+        total = linalg.kernel_dim_upper_bound(
+            f, lambda p, w: op.reduced_mod(p, w, every), sum(dims.values())
+        )
         return SubspaceReport(f.d, k, dims, total, None)
     basis: list[BiPoly] = []
     for e, lab in enumerate(labels):

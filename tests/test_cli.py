@@ -641,7 +641,7 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
         assert code == EXIT_OK and average_cells_are_finite(out), (d, run.err, out)
         code, out = run(capsys, *argv, "-k", str(top + 1))
         assert code == EXIT_PRECONDITION and out == "" and run.err.startswith("error: -k times")
-        # the largest admitted Delta walks for about 10 s in each ring: check
+        # the largest admitted Delta walks for seconds in each ring: check
         # its largest floats, the closed form and the bound on the sum of the
         # grid's values, at the cap
         delta = max(x for x in range(cli.AVERAGE_DELTA_MAX - 99, cli.AVERAGE_DELTA_MAX + 1)
@@ -652,14 +652,36 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
         assert math.isfinite(bound * cli.AVERAGE_GRID_DELTA_MAX / delta)
 
 
+def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
+    # the benchmark's and the golden file's --delta 5 stay far inside
+    assert 5 <= cli.AVERAGE_DELTA_MAX
+    # the cap itself passes every check; its walk (about 6 s) is stubbed out
+    asked = []
+
+    def quadrature(f, k, delta, grid, a_max):
+        asked.append(delta)
+        return hsum.AverageReport(f.d, k, delta, grid, a_max, 1.0, 1.0)
+
+    monkeypatch.setattr(hsum, "average_quadrature", quadrature)
+    top = cli.AVERAGE_DELTA_MAX
+    assert not is_norm(field(3), top)
+    argv = ["average", "-d", "3", "-k", "3", "--grid", "1", "--delta"]
+    code, out = run(capsys, *argv, str(top))
+    assert code == EXIT_OK and asked == [top], run.err
+    code, out = run(capsys, *argv, str(top + 1))
+    assert code == EXIT_PRECONDITION and out == "" and asked == [top]
+    (line,) = run.err.splitlines()
+    assert line == f"error: --delta must be at most {top}; got {top + 1}"
+
+
 def test_average_caps_grid_squared_times_delta(capsys, monkeypatch):
     # the golden grid 16 and the benchmark's grid 64 at Delta = 5 stay well inside
     assert 4 * 64 * 64 * 5 <= cli.AVERAGE_GRID_DELTA_MAX
-    # grid 16 at Delta = 8000 would walk 256 points over 8000's forms at once
-    code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "8000", "--grid", "16")
+    # grid 16 at Delta = 4000 would walk 256 points over 4000's forms at once
+    code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "4000", "--grid", "16")
     assert code == EXIT_PRECONDITION and out == ""
     (line,) = run.err.splitlines()
-    assert line.startswith("error: --grid squared times --delta") and "16 * 16 * 8000" in line
+    assert line.startswith("error: --grid squared times --delta") and "16 * 16 * 4000" in line
     argv = ["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4"]
     monkeypatch.setattr(cli, "AVERAGE_GRID_DELTA_MAX", 4 * 4 * 5)
     code, out = run(capsys, *argv, "--format", "csv")

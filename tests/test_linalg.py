@@ -415,6 +415,68 @@ def test_primes_exceeding_is_the_shortest_prefix():
             assert math.prod(primes[:-1]) <= bound or not primes
 
 
+def test_split_primes_equal_an_eager_search(monkeypatch):
+    from hermitia.field import kronecker
+    from hermitia.intarith import is_probable_prime
+
+    rng = seeded("split-primes-on-demand")
+    monkeypatch.setattr(linalg, "_SPLIT_PRIMES", {})
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        eager, p = [], linalg.PRIME_START | 1
+        while len(eager) < 80:
+            if is_probable_prime(p) and kronecker(f.disc, p) == 1:
+                eager.append(p)
+            p += 2
+        # asked for in no particular order, the list grows and is reread
+        counts = list(range(81))
+        rng.shuffle(counts)
+        for n in counts:
+            assert split_primes(f, n) == eager[:n], (d, n)
+
+
+def test_primes_exceeding_searches_only_the_primes_it_returns(monkeypatch):
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        monkeypatch.setattr(linalg, "_SPLIT_PRIMES", {})
+        # two primes above 2^30 exceed 2^40, and no third is searched for
+        primes = primes_exceeding(f, 2**40)
+        assert len(primes) == 2 and linalg._SPLIT_PRIMES[f] == primes
+        assert primes_exceeding(f, 0) == [] and len(linalg._SPLIT_PRIMES[f]) == 2
+
+
+def test_upper_bound_from_a_label_sum_that_the_first_prime_misses():
+    """The modular total of `polyspace.wkk` on synthetic blocks: each label
+    is a set of columns, its dimension the least over the primes, and the
+    least dimension of the whole matrix is found with their sum as the lower
+    bound; it equals `quad_rank_modular`'s least over every prime."""
+    f = field(2)
+    p, q, r = split_primes(f, 3)
+    labels = ([0], [1])
+    cases = (
+        # dimension 2 mod p, above the sum 0; q meets it and r is not reduced
+        ([[f.quad(p), f.zero], [f.zero, f.quad(p)]], [p, q]),
+        # dimensions 1, 2, 1 mod p, q, r: no prime meets the sum 0, and
+        # every one is reduced
+        ([[f.quad(p * q), f.zero], [f.zero, f.quad(q * r)]], [p, q, r]),
+    )
+    for rows, want in cases:
+        label_sum = sum(
+            quad_rank_modular(f, reductions(f, [[row[c] for c in cols] for row in rows])).kernel_dim
+            for cols in labels
+        )
+        assert label_sum == 0
+        asked = []
+
+        def mod(p, w):
+            asked.append(p)
+            return reduced(f, rows, p, w)
+
+        total = kernel_dim_upper_bound(f, mod, label_sum)
+        assert asked == want
+        assert total == quad_rank_modular(f, reductions(f, rows)).kernel_dim
+
+
 def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
     rng = seeded("upper-bound-lower")
     for d in EUCLIDEAN_DS:

@@ -38,6 +38,7 @@ from hermitia.polyspace import (
     kernel_words,
     membership,
     operator_matrix,
+    pair_matmul,
     stack_words,
     stacked_word_matrix,
     support,
@@ -146,6 +147,35 @@ def test_factors_equal_the_quadint_oracle_property(d, k, letters):
     for i in letters:
         g = g @ alphabet[i]
     assert_factors_match_the_oracle(f, g, k)
+
+
+def pair_arrays(mat):
+    """A matrix of integer pairs as its x and y object arrays."""
+    a = np.array(mat, dtype=object)
+    return a[..., 0], a[..., 1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.integers(0, 13),
+    g_letters=st.lists(st.integers(0, 5), max_size=6),
+    h_letters=st.lists(st.integers(0, 5), max_size=6),
+)
+def test_factors_of_a_product_are_the_product_of_the_factors(d, k, g_letters, h_letters):
+    """factors(g @ h) = factors(h) . factors(g) (`pair_matmul`), on random
+    words in S, T, T_omega and their inverses: an algebraic oracle of
+    `factors` that does not use the QuadInt loop of `one_var_matrix`."""
+    f = field(d)
+    alphabet = gens(f) + [gen_S(f).inverse(), gen_T(f).inverse()]
+    g, h = identity(f), identity(f)
+    for i in g_letters:
+        g = g @ alphabet[i]
+    for i in h_letters:
+        h = h @ alphabet[i]
+    x, y = pair_matmul(f, *pair_arrays(factors(f, h, k)), *pair_arrays(factors(f, g, k)))
+    want_x, want_y = pair_arrays(factors(f, g @ h, k))
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
 
 
 def test_operator_matrix_represents_the_action():
@@ -681,6 +711,37 @@ def test_modular_dimensions_agree_with_exact_to_k11():
             exact = wkk(f, k, method="exact")
             modular = wkk(f, k, method="modular")
             assert (exact.dims, exact.total) == (modular.dims, modular.total), (d, k)
+
+
+def test_modular_total_equals_the_least_over_every_rank_prime():
+    """The modular total, found from the sum of the eigenspace dimensions,
+    is the least kernel dimension of the full block that
+    `quad_rank_modular` finds over the RANK_PRIMES primes."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 14):
+            op = WordOperator(f, k)
+            every = list(range(op.size))
+            oracle = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every))
+            assert wkk(f, k, method="modular").total == oracle.kernel_dim, (d, k)
+
+
+def test_wkk_searches_only_the_split_primes_it_uses(monkeypatch):
+    used = set()
+    roots = linalg.omega_roots
+
+    def recorded(f, p):
+        used.add(p)
+        return roots(f, p)
+
+    monkeypatch.setattr(linalg, "omega_roots", recorded)
+    for method in ("exact", "modular"):
+        for d in EUCLIDEAN_DS:
+            f = field(d)
+            monkeypatch.setattr(linalg, "_SPLIT_PRIMES", {})
+            used.clear()
+            wkk(f, 3, method=method)
+            assert used and linalg._SPLIT_PRIMES[f] == sorted(used), (method, d)
 
 
 def test_support_clears_the_denominators():
