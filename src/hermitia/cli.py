@@ -105,12 +105,12 @@ def parse_z(f, text: str) -> QuadElem:
     """Parse "u,v" (meaning u + v*theta_d, both rational) or a bare "u"."""
     parts = text.split(",")
     if len(parts) > 2:
-        raise ValueError(f"z must be 'u' or 'u,v', got {text!r}")
+        raise ValueError(f"-z must be 'u' or 'u,v', got {text!r}")
     try:
         u = Fraction(parts[0])
         v = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate in z = {text!r}: {exc}") from None
+        raise ValueError(f"bad coordinate in -z {text!r}: {exc}") from None
     return QuadElem.from_display(f, u, v)
 
 
@@ -179,8 +179,8 @@ AVERAGE_DELTA_MAX = 5000
 # The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
 # one call at the smallest Delta, `alpha` with its default three deltas
 # or `expandp --check`, takes under 10 s (on a 2-vCPU VM `expandp -k 81
-# --check` took 1.7-3.5 s across the five rings, most of it the exact
-# word action of `membership`).  `hconst` bounds k times the bit lengths
+# --check` took 1.0-2.1 s across the five rings, about half of it
+# `membership`, the word operators' proof mod split primes).  `hconst` bounds k times the bit lengths
 # of its points' denominators, summed over the points: the walk's exact
 # values grow with that product.
 ALPHA_K_MAX = 100001
@@ -249,7 +249,7 @@ RCOUNT_CHECK_MAX_N = 1000
 def cmd_rcount(args) -> list[dict]:
     f = field(args.d)
     if args.delta <= 0:
-        raise ValueError("delta is the positive form discriminant")
+        raise ValueError(f"--delta must be the positive form discriminant, got {args.delta}")
     if args.check:
         at_most("-n with --check", RCOUNT_CHECK_MAX_N, max(args.n))
     out = []

@@ -224,10 +224,10 @@ def act(g: GroupElement, h: HermitianForm) -> HermitianForm:
 
 def check_delta(f: FieldSpec, delta: int) -> None:
     if delta <= 0:
-        raise ValueError(f"delta must be a positive integer, got {delta}")
+        raise ValueError(f"--delta must be a positive integer, got {delta}")
     if is_norm(f, delta):
         raise ValueError(
-            f"delta = {delta} is a norm from O_{f.d}; the sums of powers of "
+            f"--delta = {delta} is a norm from O_{f.d}; the sums of powers of "
             f"forms are only defined for non-norm discriminants"
         )
 

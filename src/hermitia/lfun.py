@@ -169,9 +169,9 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
     """theta(delta, s) for a form discriminant delta > 0: the product of
     R_p(-delta; p^(-1-s)) over p | d_K*delta, as an exact rational."""
     if delta <= 0:
-        raise ValueError(f"delta must be the positive form discriminant, got {delta}")
+        raise ValueError(f"--delta must be the positive form discriminant, got {delta}")
     if s < 1:
-        raise ValueError("theta is evaluated at integer s >= 1")
+        raise ValueError(f"-s must be at least 1 for theta, got {s}")
     # R_p at X = 1/q, q = p^(s+1), is (sum c_i q^(T-i)) / q^T, T its
     # degree: one Horner pass on integers, and one reduction at the end
     num = den = 1
@@ -317,15 +317,14 @@ def _scope_k(f: FieldSpec, s: int) -> int:
         k = -s - 1
     else:
         raise ValueError(
-            f"s = {s} is not covered: allowed are odd s >= 3 and even s <= -2"
+            f"-s = {s} is not covered: allowed are odd s >= 3 and even s <= -2"
         )
     if k not in CONSTANCY_SCOPE or f.d not in CONSTANCY_SCOPE[k]:
         ks = [j for j, ds in CONSTANCY_SCOPE.items() if f.d in ds]
         allowed = [j + 2 for j in ks] + [-j - 1 for j in ks]
         raise ValueError(
-            f"(d, s) = ({f.d}, {s}) is outside the constancy range of the "
-            f"closed-form evaluation (for d = {f.d}, s is one of "
-            f"{', '.join(map(str, allowed))})"
+            f"-s = {s} is outside the constancy range of the closed-form "
+            f"evaluation (for d = {f.d}, s is one of {', '.join(map(str, allowed))})"
         )
     return k
 
@@ -430,7 +429,7 @@ def bench_negative(
     character-sum baseline pushed through the functional equation at the
     same working precision.  Reports the best of `repeats` runs each."""
     if s >= 0:
-        raise ValueError("the benchmark compares evaluations at negative s")
+        raise ValueError(f"-s must be negative for the benchmark, got {s}")
     sigma = 1 - s
     bernoulli_number(1 - s)  # warm the shared small cache outside the timing
 

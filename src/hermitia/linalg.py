@@ -10,8 +10,12 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   The primes are ~2^30 split primes and entries stay below p < 2^31, so
   every product fits in int64.  A column with no nonzero left at or below
   the next pivot row is jumped over, never to be visited again.
-  `matmul_mod` multiplies such matrices mod p, splitting one factor into
-  15-bit limbs so that the sums stay in int64.
+  `matmul_mod` multiplies such matrices mod p, batched, splitting one
+  factor into 15-bit limbs so that the sums stay in int64.  The word
+  operators of `polyspace` use it for all their arithmetic mod p: each
+  element's factor from its values at 0..k, the blocks of the reduced
+  matrix, and the word action on a vector that proves M v = 0 for the
+  kernels and for `membership`.
 
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
   only by its reductions mod split primes and an exact test of M v = 0.

@@ -25,15 +25,19 @@ monomial.  The kernels (`WordOperator.kernel`) return supports, proven
 from the operator's reductions mod split primes under a height bound
 (`WordOperator.in_kernel`), and `wkk` makes each basis `BiPoly` once from
 its support; `QuadElem` appears only in the `BiPoly`s returned.
-`membership` checks a polynomial exactly by the word action
-(`WordOperator.annihilates`).
+`membership` proves M (den * P) = 0 by the same `in_kernel`, on the
+support of den * P.  The path builds no exact factor: `WordOperator`
+computes each element's z factor mod p from the element's four entries,
+as values at s = 0..k for `in_kernel` and as coefficients for the rows of
+`reduced_mod`, and bounds the height from them (`row_majorant`).
 
 The exact word action (`word_action`) runs on a `WordStack`: the z
 factors of all the elements of all the words, as arrays of Python ints
 (dtype object: the entries outgrow int64).  Each element g acts as
 A_g V B_g^T, V the grid of coefficients and B_g the conjugate of A_g, so
 the action of every word is a few batched integer matrix products
-followed by a signed sum over each word's elements.
+followed by a signed sum over each word's elements.  `act_poly` and
+`apply_word` use it, and the tests check `in_kernel` against it.
 
 The first word, 1 + S, is solved in closed form.  S acts by a signed
 permutation, (z^i zbar^j)|S = (-1)^(i+j) z^(k-i) zbar^(k-j), so P|(1+S) = 0
@@ -323,19 +327,75 @@ def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
     return [r for r in rows if any(not e.is_zero() for e in r)]
 
 
+def _interpolation(k: int, p: int) -> np.ndarray:
+    """The inverse mod p of the Vandermonde matrix [s^i] of the nodes
+    s = 0..k, as int64: row i, column s holds the coefficient of z^i in
+    the Lagrange polynomial prod_{t != s} (z - t) / (s - t).  Each is the
+    quotient of prod_t (z - t) by z - s (synthetic division, for every s
+    at once), over its value (-1)^(k-s) s! (k-s)! at s."""
+    full = [1]  # the coefficients of prod_t (z - t), lowest first
+    for t in range(k + 1):
+        full = [(lo - t * hi) % p for lo, hi in zip([0, *full], [*full, 0])]
+    nodes = np.arange(k + 1, dtype=np.int64)
+    quotients = np.empty((k + 1, k + 1), dtype=np.int64)
+    quotients[k] = 1
+    for i in range(k, 0, -1):
+        quotients[i - 1] = (full[i] + nodes * quotients[i]) % p
+    fact = math.factorial
+    scale = [pow((-1) ** (k - s) * fact(s) * fact(k - s), -1, p) for s in range(k + 1)]
+    return quotients * np.array(scale, dtype=np.int64) % p
+
+
+def ceil_abs(q: QuadInt) -> int:
+    """m(q) = ceil(sqrt(N(q))), an integer at least |q| in C."""
+    n = q.norm()
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
+def row_majorant(ma: int, mb: int, mc: int, me: int, k: int) -> tuple[int, ...]:
+    """The coefficients rho[r] of z^r, r = 0..k, in sum_i (ma z + mb)^i
+    (mc z + me)^(k-i).  With ma, mb, mc, me at least |a|, |b|, |c|, |e|
+    in C, rho[r] bounds the sum of |A[r][j]| over row r of the z factor A
+    of [[a, b], [c, e]] (`factors`), and of its conjugate.
+
+    By Kronecker substitution: at z = 2^bits, above every coefficient (each
+    is at most the value at z = 1), the sum is (u^(k+1) - v^(k+1)) / (u - v)
+    for u = ma z + mb and v = mc z + me, whose base-2^bits digits are rho."""
+    bits = ((k + 1) * max(ma + mb, mc + me) ** k).bit_length()
+    u, v = (ma << bits) + mb, (mc << bits) + me
+    total = (k + 1) * u**k if u == v else (u ** (k + 1) - v ** (k + 1)) // (u - v)
+    mask = (1 << bits) - 1
+    return tuple(total >> (bits * r) & mask for r in range(k + 1))
+
+
+def height_factor(f: FieldSpec) -> int:
+    """c_d, the least integer at least (1 + 2 sqrt(n/|d_K|)) (1 + sqrt(n)),
+    omega^2 = d_K omega - n.  An integral pair with entries at most m is
+    at most (1 + sqrt(n)) m in C, as |omega| = sqrt(n); and alpha = X +
+    Y*omega has Im(omega) = sqrt(|d_K|)/2, so |Y| <= 2|alpha|/sqrt(|d_K|)
+    and |X| <= |alpha| + |Y| sqrt(n).  Both square roots are rounded up at
+    2^-64."""
+    one = 1 << 64
+    root = math.isqrt(4 * f.norm_coeff * one * one // f.abs_disc) + 1
+    root_n = math.isqrt(f.norm_coeff * one * one) + 1
+    return -(-(one + root) * (one + root_n) // (one * one))
+
+
 class WordOperator:
-    """The stacked word matrix of W_{k,k}, kept as the one-variable factors
-    of its group elements and never built exactly as a whole.
+    """The stacked word matrix of W_{k,k}, kept as the group elements of
+    its words and never built exactly as a whole.
 
     Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
     flat index of (i, j); each word's matrix is the signed sum of the
     Kronecker products of the z factor (`factors`) of each element and its
     conjugate (see `operator_matrix`).  All-zero rows are kept.
 
-    The factors are built once, as the `WordStack` `stack` (`annihilates`
-    and `height_bound` read it; `words` holds each word's slice of it), and
-    reduced once for each split prime p and image w of omega
-    (`reduced_mod` and `in_kernel` share the reductions) and kept for the
+    The elements are listed word after word (`elements`, with `signs`, and
+    `words` holds each word's slice of them).  No exact factor is built:
+    for each split prime p and image w of omega, every element's z factor
+    is computed mod p from its four entries, as values at s = 0..k
+    (`_at_nodes`, which `in_kernel` checks on) and as coefficients
+    (`_reduced`, which `reduced_mod` reduces rows of), and kept for the
     life of the operator; whole matrices mod p are not kept.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
@@ -347,10 +407,13 @@ class WordOperator:
         self.field = f
         self.k = k
         self.size = (k + 1) ** 2
-        self.stack = stack_words(f, kernel_words(f), k)
-        ends = [*self.stack.starts[1:], len(self.stack.signs)]
-        # each word's elements, as a slice of the stack
-        self.words = [slice(start, end) for start, end in zip(self.stack.starts, ends)]
+        words = kernel_words(f)
+        self.elements = [g for word in words for _, g in word]
+        self.signs = np.array([sign for word in words for sign, _ in word])
+        self.starts = np.cumsum([0] + [len(word) for word in words[:-1]])
+        # each word's elements, as a slice of `elements`
+        self.words = [slice(start, start + len(word)) for start, word in zip(self.starts, words)]
+        self._values: dict[tuple[int, int], np.ndarray] = {}
         self._reductions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._row_bound: int | None = None
 
@@ -358,16 +421,46 @@ class WordOperator:
     def nrows(self) -> int:
         return len(self.words) * self.size
 
+    def _at_nodes(self, p: int, w: int) -> np.ndarray:
+        """The z factors and the zbar factors of every element, in word
+        order, mod p with omega -> w, as values at the nodes s = 0..k: an
+        int64 array of shape (2, #elements, k+1, k+1), entries in [0, p),
+        with [0, g, s, j] = (a s + b)^j (c s + e)^(k-j) for g = [[a, b],
+        [c, e]], the value at s of column j of its z factor.  The zbar
+        factor is the conjugate, x + y*(d_K - omega), so [1] is [0] under
+        the other root d_K - w.
+
+        Power tables of a s + b and c s + e give them, for every element
+        under both roots at once; both roots are kept, under both keys."""
+        if (p, w) not in self._values:
+            k = self.k
+            roots = (w, (self.field.disc - w) % p)
+            # a, b, c, e of every element under each root: (2, #elements, 4)
+            entries = np.array(
+                [[(q.x + q.y * root) % p for g in self.elements for q in g.entries()] for root in roots],
+                dtype=np.int64,
+            ).reshape(2, len(self.elements), 4)
+            # a s + b and c s + e at every node s: (2, #elements, 2, k+1);
+            # entries stay below p < 2^31, so every product fits in int64
+            nodes = np.arange(k + 1, dtype=np.int64)
+            lin = (entries[..., [0, 2], None] * nodes + entries[..., [1, 3], None]) % p
+            powers = np.empty((k + 1, *lin.shape), dtype=np.int64)
+            powers[0] = 1
+            for j in range(1, k + 1):
+                powers[j] = powers[j - 1] * lin % p
+            values = (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
+            self._values[p, roots[0]], self._values[p, roots[1]] = values, values[::-1]
+        return self._values[p, w]
+
     def _reduced(self, p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         """The z factors and the zbar factors of every element, in word
         order, mod p with omega -> w: int64 arrays of shape
-        (#elements, k+1, k+1), entries in [0, p).  The zbar factor is the
-        conjugate, x + y*(d_K - omega), so it reduces with the other root
-        d_K - w."""
+        (#elements, k+1, k+1), entries in [0, p).  One product with the
+        inverse Vandermonde matrix of the nodes (`_interpolation`) turns
+        their values (`_at_nodes`) into coefficients, under both roots."""
         if (p, w) not in self._reductions:
-            # below p < 2^31, x + y*w fits in int64
-            xs, ys = ((part % p).astype(np.int64) for part in (self.stack.x, self.stack.y))
-            self._reductions[p, w] = tuple((xs + ys * root) % p for root in (w, (self.field.disc - w) % p))
+            a, b = linalg.matmul_mod(_interpolation(self.k, p), self._at_nodes(p, w), p)
+            self._reductions[p, w], self._reductions[p, (self.field.disc - w) % p] = (a, b), (b, a)
         return self._reductions[p, w]
 
     # The S word is words[0] (see `kernel_words`).  S maps flat index c
@@ -410,7 +503,7 @@ class WordOperator:
         a, b = self._reduced(p, w)
         blocks = []
         for g in self.words[1:]:
-            sign = self.stack.signs[g, None, None]
+            sign = self.signs[g, None, None]
             # (2 * #elements, k+1, #up): z factor columns, then zbar factor
             # columns with the signs
             x = np.concatenate([a[g][:, :, ci], a[g][:, :, self.k - ci]])
@@ -440,32 +533,36 @@ class WordOperator:
         M v, for an integral v whose pairs have entries at most `norm`.
 
         Coefficient (r, s) of a word is sum_g sign * sum_{i,j} A_g[r, i] *
-        v[i, j] * B_g[s, j], A_g and B_g the z and zbar factors of g.  One
-        `pair_mul` gives |x|, |y| <= C * |a| * |b| (|.| the larger of the
-        two entries of a pair), C = max(1 + |n|, 2 + |d_K|) with omega^2 =
-        d_K omega - n; so H = C^2 * R * norm, where R is the largest, over
-        the words and (r, s), of sum_g rowsum(A_g, r) * rowsum(B_g, s), a
-        row sum adding the |.| of one row of a factor."""
-        f = self.field
+        v[i, j] * B_g[s, j], A_g and B_g the z and zbar factors of g.  With
+        m(q) = ceil(sqrt(N(q))) >= |q| in C for each entry q of g, the
+        complex row sums of A_g and B_g are at most the coefficients
+        rho_g[r] of sum_i (m_a z + m_b)^i (m_c z + m_e)^(k-i)
+        (`row_majorant`), and |v[i, j]| <= (1 + sqrt(n)) * norm.  So
+        |X + Y*omega| <= (1 + sqrt(n)) * R * norm, R the largest, over the
+        words and (r, s), of sum_g rho_g[r] * rho_g[s], and H =
+        `height_factor` * R * norm."""
         if self._row_bound is None:
-            x, y = self.stack.x, self.stack.y
-            # the row sums of every A_g and B_g = (x + d_K y, -y), (#elements, k+1)
-            ra = np.maximum(abs(x), abs(y)).sum(axis=2)
-            rb = np.maximum(abs(x + f.disc * y), abs(y)).sum(axis=2)
-            self._row_bound = np.add.reduceat(ra[:, :, None] * rb[:, None, :], self.stack.starts).max()
-        c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
-        return c * c * self._row_bound * norm
+            majorants = [tuple(ceil_abs(q) for q in g.entries()) for g in self.elements]
+            rows = {m: row_majorant(*m, self.k) for m in set(majorants)}
+            rho = np.array([rows[m] for m in majorants], dtype=object)
+            self._row_bound = max((rho[g].T @ rho[g]).max() for g in self.words)
+        return height_factor(self.field) * self._row_bound * norm
 
     def in_kernel(self, cols: Sequence[int], vec: list[linalg.Pair]) -> bool:
         """Whether M[:, cols] v = 0, for the integral vector v of integer
         pairs on the columns `cols`, proven from the reductions alone.
 
         Each word's sum_g sign * A_g V B_g^T, V the (k+1) x (k+1) grid of
-        v, is computed mod the first split primes whose product exceeds 2H
-        (`height_bound`), under both images of omega.  A nonzero residue
-        refutes v.  If all vanish, every coefficient X + Y*omega has X + Y*w
-        = 0 mod p for both roots w, so X = Y = 0 mod p (the roots differ mod
-        a split prime); as |X|, |Y| <= H, X = Y = 0."""
+        v, is checked mod the first split primes whose product exceeds 2H
+        (`height_bound`), under both images of omega.  It is checked on the
+        factors' values at the nodes (`_at_nodes`), with no interpolation:
+        with W the Vandermonde matrix of s = 0..k, those are W A_g and
+        W B_g, and sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign A_g V
+        B_g^T) W^T is 0 mod p exactly when the word's coefficients are, as
+        W is invertible mod p > k.  A nonzero residue refutes v.  If all
+        vanish, every coefficient X + Y*omega has X + Y*w = 0 mod p for
+        both roots w, so X = Y = 0 mod p (the roots differ mod a split
+        prime); as |X|, |Y| <= H, X = Y = 0."""
         f, n = self.field, self.k + 1
         norm = max((max(abs(x), abs(y)) for x, y in vec), default=0)
         ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
@@ -473,19 +570,11 @@ class WordOperator:
             for w in linalg.omega_roots(f, p):
                 grid = np.zeros((n, n), dtype=np.int64)
                 grid[ci, cj] = [(x + y * w) % p for x, y in vec]
-                a, b = self._reduced(p, w)
+                a, b = self._at_nodes(p, w)
                 terms = linalg.matmul_mod(linalg.matmul_mod(a, grid, p), b.transpose(0, 2, 1), p)
-                if (np.add.reduceat(self.stack.signs[:, None, None] * terms, self.stack.starts) % p).any():
+                if (np.add.reduceat(self.signs[:, None, None] * terms, self.starts) % p).any():
                     return False
         return True
-
-    def annihilates(self, supp: Support) -> bool:
-        """Whether every word kills the integral polynomial with support
-        `supp`, checked exactly by `word_action` on the whole stack at
-        once: the check of `membership`, which has no reductions to reuse,
-        and the oracle of `in_kernel`."""
-        xs, ys = word_action(self.field, self.stack, support_grid(supp, self.k + 1))
-        return not (xs.any() or ys.any())
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
@@ -614,13 +703,13 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
 def membership(P: BiPoly, label: str = "1") -> bool:
     """Whether P lies in W_{k,k} with the given eps eigenvalue.  eps is
     diagonal, with eigenvalue u^eigen_exponent on each monomial, so the
-    eigenvalue test reads P's support; the words are tested exactly, on
-    den * P, by `WordOperator.annihilates`: the batched integer matrix
-    products of `word_action`, for every element of every word at once.
-    It does not go through `in_kernel`: at small k the reductions mod p
-    would cost more than the products they replace."""
-    f = P.field
+    eigenvalue test reads P's support; the words are tested on den * P,
+    the integral polynomial of `support`, by `WordOperator.in_kernel` on
+    its columns: M (den * P) = 0 proven from reductions mod split primes
+    under the height bound, at every k."""
+    f, k = P.field, P.n
     e = eigen_labels(f).index(label)
     if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):
         return False
-    return WordOperator(f, P.n).annihilates(support(P)[1])
+    _, supp = support(P)
+    return WordOperator(f, k).in_kernel([flat_index(k, i, j) for (i, j), _ in supp], [xy for _, xy in supp])

@@ -18,6 +18,11 @@
   the oracle of `polyspace.word_action`, which runs it as batched integer
   matrix products.
 
+* `annihilates` checks exactly that every kernel word kills an integral
+  polynomial, by `polyspace.word_action` on the exact factors of every
+  element (`stack_words`): the oracle of `WordOperator.in_kernel` and of
+  `membership`, which prove it from reductions mod split primes.
+
 * `word_operator_mod` is the stacked word matrix of a
   `polyspace.WordOperator` mod a split prime, built as Kronecker products
   of the factors as the operator reduces them; the tests compare it with
@@ -49,6 +54,9 @@ from hermitia.polyspace import (
     factors,
     flat_index,
     kernel_words,
+    stack_words,
+    support_grid,
+    word_action,
 )
 
 
@@ -202,6 +210,13 @@ def word_action_loop(
     return total
 
 
+def annihilates(f: FieldSpec, k: int, supp: Support) -> bool:
+    """Whether every kernel word of the ring kills the integral polynomial
+    of bidegree (k, k) with support `supp`, by the exact word action."""
+    xs, ys = word_action(f, stack_words(f, kernel_words(f), k), support_grid(supp, k + 1))
+    return not (xs.any() or ys.any())
+
+
 def word_operator_mod(
     op: WordOperator, p: int, w: int, cols: Sequence[int] | None = None
 ) -> np.ndarray:
@@ -219,6 +234,6 @@ def word_operator_mod(
         total = np.zeros((n, n, len(ci)), dtype=np.int64)
         for g in range(word.start, word.stop):
             # entries are below p < 2^31, so the products fit in int64
-            total += op.stack.signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
+            total += op.signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
         blocks.append(total.reshape(op.size, len(ci)) % p)
     return np.vstack(blocks)

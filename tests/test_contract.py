@@ -6,8 +6,8 @@ just past each cap (argparse's and `cli.at_most`'s), which are refused
 before any work.  A cap itself is drawn where a call at it runs in well
 under a second; the slower ones run at their caps in test_cli.py or are
 timed in the README.  Every call must exit 0 with output that holds no nan
-or inf cell, or exit 2 with one error line that names a flag or
-HERMITIA_PRECISION, and never raise.
+or inf cell, or exit 2 with one error line that names a flag, with its
+dashes, or HERMITIA_PRECISION, and never raise.
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ def precision(value: str | None):
 
 def names_a_flag(line: str, name: str) -> bool:
     """Whether `line` names HERMITIA_PRECISION or one of the command's
-    flags, with its dashes or, as the library's messages do, without."""
-    flags = ["-d", "--format", *(flag for flag, _ in flag_options(name))]
-    words = ["HERMITIA_PRECISION", *flags, *(flag.lstrip("-") for flag in flags)]
+    flags, with its dashes."""
+    words = ["HERMITIA_PRECISION", "-d", "--format", *(flag for flag, _ in flag_options(name))]
     return any(re.search(rf"(?<![\w-]){re.escape(w)}(?![\w-])", line) for w in words)
 
 

@@ -51,6 +51,7 @@ from hermitia.polyspace import (
 
 from conftest import seeded
 from oracles import (
+    annihilates,
     factor_pair,
     factored_words,
     one_var_matrix,
@@ -316,24 +317,30 @@ def test_rows_on_demand_equal_the_exact_matrix(k):
 
 
 def test_annihilates_agrees_with_the_word_action():
+    """The exact oracle `annihilates` and `in_kernel` on every column agree
+    with the exact matrix on basis vectors, each with one random term
+    added."""
     rng = seeded("word-annihilates")
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3):
             op = WordOperator(f, k)
+            every = list(range(op.size))
             rows = oracle_rows(f, k)
             rep = wkk(f, k)
             for P in rep.basis:
-                assert op.annihilates(support(P)[1])
+                assert annihilates(f, k, support(P)[1])
                 Q = P + rand_bipoly(rng, f, k, terms=1)
                 want = matvec_is_zero(f, rows, poly_to_vector(Q))
-                assert op.annihilates(support(Q)[1]) == want
+                entries = {flat_index(k, i, j): xy for (i, j), xy in support(Q)[1]}
+                vec = [entries.get(c, linalg.ZERO) for c in every]
+                assert annihilates(f, k, support(Q)[1]) == op.in_kernel(every, vec) == want
 
 
 def test_annihilates_checks_the_words_after_s():
     """Vectors that the S word kills, lifted from random upper coordinates:
-    `annihilates` agrees with the loop oracle over every word, so it
-    rejects those that a later word does not kill."""
+    `annihilates` and `in_kernel` agree with the loop oracle over every
+    word, so they reject those that a later word does not kill."""
     rng = seeded("annihilates-after-s")
     rejected = 0
     for d in EUCLIDEAN_DS:
@@ -344,11 +351,12 @@ def test_annihilates_checks_the_words_after_s():
             words = factored_words(f, k)
             for _ in range(3):
                 u = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in op.upper(every)]
-                supp = as_support(k, every, op.lift(every, u))
+                v = op.lift(every, u)
+                supp = as_support(k, every, v)
                 grids = [word_action_loop(f, word, supp, k + 1) for word in words]
                 assert not any(x or y for row in grids[0] for x, y in row)
                 want = not any(x or y for grid in grids for row in grid for x, y in row)
-                assert op.annihilates(supp) == want, (d, k)
+                assert annihilates(f, k, supp) == op.in_kernel(every, v) == want, (d, k)
                 rejected += not want
     assert rejected
 
@@ -415,24 +423,54 @@ def test_word_action_at_k81_equals_the_loop_oracle():
 
 
 def test_height_bound_equals_the_row_sum_loop():
-    """`height_bound` for k <= 13 equals R written out as loops over the
-    factors' pairs: the largest over the words and (r, s) of sum_g
-    rowsum(A_g, r) * rowsum(B_g, s)."""
+    """`height_bound` for k <= 13 equals c_d * R written out as polynomial
+    loops: rho_g the coefficients of sum_i (m_a z + m_b)^i (m_c z +
+    m_e)^(k-i), m(q) the least integer at least |q| = sqrt(N(q)), and R
+    the largest over the words and (r, s) of sum_g rho_g[r] * rho_g[s].
+    Each rho_g[r] bounds the complex row sum of the z factor of g."""
 
-    def rowsums(m):
-        return [sum(max(abs(x), abs(y)) for x, y in row) for row in m]
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def power(lin, e):
+        out = [1]
+        for _ in range(e):
+            out = mul(out, lin)
+        return out
+
+    def ceil_sqrt(n):
+        m = 0
+        while m * m < n:
+            m += 1
+        return m
 
     for d in EUCLIDEAN_DS:
         f = field(d)
-        c = max(1 + abs(f.norm_coeff), 2 + abs(f.disc))
+        n = f.norm_coeff
+        # (1 + 2 sqrt(n/|d_K|)) (1 + sqrt(n)) is 0.03 or more from an integer
+        # in each ring, so the float ceiling is exact
+        c = math.ceil((1 + 2 * math.sqrt(n / f.abs_disc)) * (1 + math.sqrt(n)))
         for k in range(14):
             best = 0
-            for word in factored_words(f, k):
-                sums = [(rowsums(az), rowsums(azb)) for _, az, azb in word]
-                best = max(best, *(sum(ra[r] * rb[s] for ra, rb in sums)
+            for word in kernel_words(f):
+                rhos = []
+                for _, g in word:
+                    ma, mb, mc, me = (ceil_sqrt(q.norm()) for q in g.entries())
+                    rho = [0] * (k + 1)
+                    for i in range(k + 1):
+                        for r, x in enumerate(mul(power([mb, ma], i), power([me, mc], k - i))):
+                            rho[r] += x
+                    for r, row in enumerate(factors(f, g, k)):
+                        assert sum(math.sqrt(f.norm_int(*q)) for q in row) <= rho[r] * (1 + 1e-9)
+                    rhos.append(rho)
+                best = max(best, *(sum(rho[r] * rho[s] for rho in rhos)
                                    for r in range(k + 1) for s in range(k + 1)))
             op = WordOperator(f, k)
-            assert op.height_bound(7) == c * c * best * 7, (d, k)
+            assert op.height_bound(7) == c * best * 7, (d, k)
             assert type(op.height_bound(1)) is int
 
 
@@ -452,6 +490,26 @@ def test_reductions_equal_each_factor_reduced():
                 for g, (az, azb) in enumerate(factored):
                     assert np.array_equal(a[g], pairs_mod(f, az, p, w)), (d, k, g)
                     assert np.array_equal(b[g], pairs_mod(f, azb, p, w)), (d, k, g)
+
+
+def test_values_at_the_nodes_are_the_factors_evaluated():
+    """The values `in_kernel` works on, for k <= 13 and under both roots:
+    entry [g, s, j] of the z factors (zbar factors) is column j of the z
+    factor (zbar factor) of element g evaluated at s, mod p."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p = split_primes(f, 1)[0]
+        for k in range(14):
+            op = WordOperator(f, k)
+            powers = np.array([[pow(s, i, p) for i in range(k + 1)] for s in range(k + 1)], dtype=object)
+            factored = [(az, azb) for word in factored_words(f, k) for _, az, azb in word]
+            for w in omega_roots(f, p):
+                a, b = op._at_nodes(p, w)
+                assert a.dtype == b.dtype == np.int64
+                for g, (az, azb) in enumerate(factored):
+                    for got, factor in ((a[g], az), (b[g], azb)):
+                        want = powers @ pairs_mod(f, factor, p, w).astype(object) % p
+                        assert np.array_equal(got, want.astype(np.int64)), (d, k, g)
 
 
 def kernel_vectors(f, k):
@@ -482,31 +540,39 @@ def test_in_kernel_agrees_with_the_word_action(d):
     f = field(d)
     for k in range(1, 12, 2):
         for op, cols, v in kernel_vectors(f, k):
-            assert op.in_kernel(cols, v) and op.annihilates(as_support(k, cols, v))
+            assert op.in_kernel(cols, v) and annihilates(f, k, as_support(k, cols, v))
             for _ in range(2):
                 w = list(v)
                 c = rng.randrange(len(cols))
                 w[c] = (w[c][0] + rng.randint(-3, 3), w[c][1] + rng.choice([-1, 1]) * rng.randint(0, 2))
-                assert op.in_kernel(cols, w) == op.annihilates(as_support(k, cols, w)), (k, c)
+                assert op.in_kernel(cols, w) == annihilates(f, k, as_support(k, cols, w)), (k, c)
 
 
 def test_height_bound_bounds_the_word_action():
     """Every coefficient of the word action is at most `height_bound` in
-    both parts, on kernel vectors and on random ones."""
+    both parts, on random vectors: by the loop oracle for k <= 5, and by
+    the batched `word_action` at k = 11 in every ring and at k = 25 in
+    O_11."""
     rng = seeded("height-bound")
-    for d in EUCLIDEAN_DS:
+    cases = [(d, k) for d in EUCLIDEAN_DS for k in (1, 3, 5)]
+    cases += [(d, 11) for d in EUCLIDEAN_DS] + [(11, 25)]
+    for d, k in cases:
         f = field(d)
-        for k in (1, 3, 5):
-            op = WordOperator(f, k)
-            n = k + 1
-            for _ in range(6):
-                span = rng.choice([1, 7, 2**40])
-                supp = [((i, j), (rng.randint(-span, span), rng.randint(-span, span)))
-                        for i in range(n) for j in range(n)]
-                norm = max(max(abs(x), abs(y)) for _, (x, y) in supp)
+        op = WordOperator(f, k)
+        n = k + 1
+        stack = stack_words(f, kernel_words(f), k)
+        for _ in range(6):
+            span = rng.choice([1, 7, 2**40])
+            supp = [((i, j), (rng.randint(-span, span), rng.randint(-span, span)))
+                    for i in range(n) for j in range(n)]
+            norm = max(max(abs(x), abs(y)) for _, (x, y) in supp)
+            if k <= 5:
                 top = max(abs(c) for word in factored_words(f, k)
                           for row in word_action_loop(f, word, supp, n) for xy in row for c in xy)
-                assert 0 < top <= op.height_bound(norm), (d, k)
+            else:
+                xs, ys = word_action(f, stack, support_grid(supp, n))
+                top = max(abs(c) for c in [*xs.flat, *ys.flat])
+            assert 0 < top <= op.height_bound(norm), (d, k)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -522,7 +588,7 @@ def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
     primes = split_primes(f, m)
     w = list(v)
     w[c] = (w[c][0] + math.prod(primes), w[c][1])
-    assert not op.annihilates(as_support(k, cols, w))
+    assert not annihilates(f, k, as_support(k, cols, w))
     for p in primes:
         for root in omega_roots(f, p):
             image = np.array([(x + y * root) % p for x, y in w], dtype=object)
@@ -576,7 +642,7 @@ def test_in_kernel_needs_both_roots():
             w[0] = (w[0][0] + pi[0], w[0][1] + pi[1])
             norm = max(max(abs(x), abs(y)) for x, y in w)
             assert len(linalg.primes_exceeding(f, 2 * op.height_bound(norm))) <= m
-            assert not op.annihilates(as_support(k, cols, w))
+            assert not annihilates(f, k, as_support(k, cols, w))
             assert not op.in_kernel(cols, w), (d, k)
 
 
@@ -686,7 +752,7 @@ def test_in_kernel_checks_the_s_word(d, k):
     op = WordOperator(f, k)
     every = list(range(op.size))
     rest = oracle_rows(f, k)[op.size:]
-    outside = [v for v in linalg.quad_kernel(f, rest) if not op.annihilates(as_support(k, every, v))]
+    outside = [v for v in linalg.quad_kernel(f, rest) if not annihilates(f, k, as_support(k, every, v))]
     assert outside
     for v in outside:
         supp = as_support(k, every, v)
@@ -817,15 +883,25 @@ def test_exact_wkk_never_runs_bareiss(monkeypatch):
 
 
 def test_exact_wkk_never_runs_the_word_action(monkeypatch):
-    def action(*args):
-        raise AssertionError("wkk ran polyspace.word_action")
+    """`wkk`, by both methods, and `membership` build no exact factor and
+    run no exact word action, at every odd k <= 11 in every ring."""
 
-    monkeypatch.setattr(polyspace, "word_action", action)
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"ran polyspace.{name}")
+
+        return refused
+
+    for name in ("factors", "stack_words", "word_action"):
+        monkeypatch.setattr(polyspace, name, refuse(name))
     for d in EUCLIDEAN_DS:
         f = field(d)
-        for idx, k in enumerate((1, 3, 5, 7)):
-            rep = wkk(f, k)
-            assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k)
+        for idx, k in enumerate(range(1, 12, 2)):
+            for method in ("exact", "modular"):
+                rep = wkk(f, k, method=method)
+                assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k, method)
+            P = expand_P(f, k, smallest_nonnorm(d))
+            assert membership(P) and not membership(P + BiPoly.monomial(f, k, 0, 0)), (d, k)
 
 
 def test_basis_vectors_satisfy_all_words():
@@ -886,6 +962,33 @@ def test_membership_rejects_a_wrong_label_and_a_broken_word():
         assert broken, d
         for Q in broken:
             assert not membership(Q, "1"), (d, str(Q))
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_DS)
+def test_membership_rejects_multiples_of_the_first_primes(d):
+    """P_{k,Delta} at k = 11 plus (p_1 ... p_m) times a monomial of its
+    eigenspace: the image of the sum is a nonzero multiple of the product
+    of the first m split primes, so it vanishes mod each of them under
+    both roots; only the height bound, which asks for more primes, lets
+    `membership` reject it."""
+    rng = seeded(f"membership-primes-{d}")
+    f, k = field(d), 11
+    P = expand_P(f, k, smallest_nonnorm(d))
+    assert membership(P)
+    op = WordOperator(f, k)
+    cols = eigen_columns(f, k, 0)
+    for m in (1, 2, 4):
+        primes = split_primes(f, m)
+        i, j = divmod(rng.choice(cols), k + 1)
+        den, supp = support(P + BiPoly.monomial(f, k, i, j, math.prod(primes)))
+        assert den == 1 and not annihilates(f, k, supp)
+        entries = {flat_index(k, i, j): xy for (i, j), xy in supp}
+        vec = [entries.get(c, linalg.ZERO) for c in cols]
+        for p in primes:
+            for root in omega_roots(f, p):
+                image = np.array([(x + y * root) % p for x, y in vec], dtype=object)
+                assert not (word_operator_mod(op, p, root, cols).astype(object) @ image % p).any()
+        assert not membership(from_support(f, k, supp, 1)), (m, i, j)
 
 
 # ------------------------------------------------- polynomial identities
