@@ -186,6 +186,13 @@ AVERAGE_DELTA_MAX = 5000
 ALPHA_K_MAX = 100001
 EXPANDP_K_MAX = 81
 HCONST_K_BITS_MAX = 200001
+# `hconst` enumerates the forms of discriminant Delta once per point and
+# walks the point's continued fraction, about b steps for a denominator of
+# b bits: each step sums the forms' k-th powers and updates exact values
+# of about (k+2) b bits.  So it caps the walk's cost, the sum over the
+# points of (k+2) b ((k+2) b^2 + 7*10^4 Delta) + 3*10^6 Delta, fitted at
+# 2-4*10^-11 s per unit on a 2-vCPU VM.
+HCONST_WALK_MAX = 3 * 10**11
 # `alpha` sums O(Delta) k-th powers for each of its deltas, so it caps k
 # times the sum of the deltas (2,200,022 for the default three deltas of
 # O_2 at ALPHA_K_MAX), and --count, which at k = 1 is the only limit.
@@ -324,8 +331,11 @@ def cmd_hconst(args) -> list[dict]:
             u = Fraction(rng.randint(-2 * den, 2 * den), den)
             v = Fraction(rng.randint(-2 * den, 2 * den), den)
             points.append(QuadElem.from_display(f, u, v))
-    at_most("-k times the bit lengths of the points' denominators", HCONST_K_BITS_MAX,
-            args.k, sum(z.den.bit_length() for z in points))
+    bits = [z.den.bit_length() for z in points]
+    at_most("-k times the bit lengths of the points' denominators", HCONST_K_BITS_MAX, args.k, sum(bits))
+    k2 = args.k + 2
+    at_most("the walk's cost at -k and --delta over the points' denominators", HCONST_WALK_MAX,
+            sum(k2 * b * (k2 * b * b + 7 * 10**4 * args.delta) + 3 * 10**6 * args.delta for b in bits))
     rows = []
     values = set()
     for z in points:

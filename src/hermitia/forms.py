@@ -336,17 +336,6 @@ def window_scan(
                 yield a, vx, vy, (nxy - dd) // a
 
 
-def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianForm]:
-    """The forms of `window_scan` as HermitianForms, sorted by a, then by
-    the trace and omega coordinate of b."""
-    out = []
-    for a, vx, vy, _ in window_scan(f, delta, z):
-        v = QuadInt(f, vx, vy)
-        out.append(HermitianForm(a, v.conj(), (v.norm() - delta) // a))
-    out.sort(key=lambda h: (h.a, h.b.trace(), h.b.y))
-    return out
-
-
 # --------------------------------------------------------- bidegree (n, n)
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ import mpmath
 
 from .field import FieldSpec, field, kronecker, smallest_nonnorm
 from .forms import alpha
-from .intarith import factorize, smallest_prime_factor_sieve
+from .intarith import factorize
 
 # ------------------------------------------------------------ residue counts
 
@@ -187,37 +187,6 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
 
 
 # ------------------------------------------------------------ Dirichlet side
-
-
-def zseries_partial(f: FieldSpec, delta: int, s: int, n_max: int) -> float:
-    """Partial sum over n <= n_max of r(-delta, n)/n^(s+1), delta > 0.
-
-    Uses multiplicativity with a smallest-prime-factor sieve; the
-    prime-power counts come from the proven local series.
-    """
-    if delta <= 0:
-        raise ValueError("zseries takes the positive form discriminant")
-    spf = smallest_prime_factor_sieve(n_max)
-    cache: dict[tuple[int, int], int] = {}
-
-    def r_of(n: int) -> int:
-        total = 1
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            key = (p, e)
-            if key not in cache:
-                cache[key] = local_count_coeffs(f, -delta, p, e)[e]
-            total *= cache[key]
-        return total
-
-    total = 0.0
-    for n in range(1, n_max + 1):
-        total += r_of(n) / float(n) ** (s + 1)
-    return total
 
 
 def zseries_closed_form(f: FieldSpec, delta: int, s: int, bits: int = 128):
@@ -431,7 +400,6 @@ def bench_negative(
     if s >= 0:
         raise ValueError(f"-s must be negative for the benchmark, got {s}")
     sigma = 1 - s
-    bernoulli_number(1 - s)  # warm the shared small cache outside the timing
 
     def fast():
         return l_closed_form(f, s)

@@ -31,13 +31,11 @@ computes each element's z factor mod p from the element's four entries,
 as values at s = 0..k for `in_kernel` and as coefficients for the rows of
 `reduced_mod`, and bounds the height from them (`row_majorant`).
 
-The exact word action (`word_action`) runs on a `WordStack`: the z
-factors of all the elements of all the words, as arrays of Python ints
-(dtype object: the entries outgrow int64).  Each element g acts as
-A_g V B_g^T, V the grid of coefficients and B_g the conjugate of A_g, so
-the action of every word is a few batched integer matrix products
-followed by a signed sum over each word's elements.  `act_poly` and
-`apply_word` use it, and the tests check `in_kernel` against it.
+The exact word action is `apply_word`: each element g acts as A_g V
+B_g^T, V the grid of coefficients, A_g the z factor of g (`factors`) and
+B_g its conjugate, by three integer matrix products per product of grids
+(`pair_matmul`, on arrays of Python ints: the entries outgrow int64).
+`act_poly` is the one-element case.  Neither is on the W_{k,k} path.
 
 The first word, 1 + S, is solved in closed form.  S acts by a signed
 permutation, (z^i zbar^j)|S = (-1)^(i+j) z^(k-i) zbar^(k-j), so P|(1+S) = 0
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,10 +79,9 @@ Support = list[tuple[tuple[int, int], linalg.Pair]]
 
 
 def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
-    """The z factor of `operator_matrix(g)` as integer pairs: the z
-    substitution matrix A of g = [[a, b], [c, e]], with A[i][j] the
-    coefficient of z^i in (a z + b)^j (c z + e)^(k-j).  The zbar factor is
-    its `conjugate`."""
+    """The z factor of g = [[a, b], [c, e]] as integer pairs: its z
+    substitution matrix A, with A[i][j] the coefficient of z^i in
+    (a z + b)^j (c z + e)^(k-j).  The zbar factor is its `conjugate`."""
     mul = linalg.pair_mul
 
     def binomials(hi: linalg.Pair, lo: linalg.Pair) -> PairMatrix:
@@ -122,41 +119,6 @@ def conjugate(f: FieldSpec, mat: PairMatrix) -> PairMatrix:
     return [[(x + f.disc * y, -y) for x, y in row] for row in mat]
 
 
-def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
-    """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
-    the z factor (`factors`) along z and its conjugate along zbar."""
-    az = factors(f, g, k)
-    azb = conjugate(f, az)
-    n = k + 1
-    return [
-        [f.quad(*linalg.pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
-        for i1 in range(n)
-        for j1 in range(n)
-    ]
-
-
-class WordStack(NamedTuple):
-    """Signed words of group elements, stacked for `word_action`: the z
-    factor x + y*omega of every element (`factors`), word after word, as
-    two arrays of Python ints of shape (#elements, k+1, k+1); each
-    element's sign; and the index of each word's first element.  The
-    entries outgrow int64 (2^167 at k = 81), so the arrays are dtype
-    object."""
-
-    x: np.ndarray
-    y: np.ndarray
-    signs: np.ndarray
-    starts: np.ndarray
-
-
-def stack_words(f: FieldSpec, words: Sequence[Word], k: int) -> WordStack:
-    """The `WordStack` of `words` at bidegree (k, k)."""
-    mats = np.array([factors(f, g, k) for word in words for _, g in word], dtype=object)
-    signs = np.array([sign for word in words for sign, _ in word])
-    starts = np.cumsum([0] + [len(word) for word in words[:-1]])
-    return WordStack(mats[..., 0], mats[..., 1], signs, starts)
-
-
 def pair_matmul(
     f: FieldSpec, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,37 +128,8 @@ def pair_matmul(
     return xx - f.norm_coeff * yy, (ax + ay) @ (bx + by) - xx + (f.disc - 1) * yy
 
 
-def word_action(
-    f: FieldSpec, stack: WordStack, grid: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exact action of each word of `stack` on the integral v of
-    bidegree (k, k) whose coefficient of z^i zbar^j is grid[0][i, j] +
-    grid[1][i, j]*omega (object arrays of shape (k+1, k+1)): arrays X, Y
-    of shape (#words, k+1, k+1) with X + Y*omega at [w, p, q] the z^p
-    zbar^q coefficient of sum sign * (v|g) over the elements g of word w.
-
-    Each g acts separably, z factor A along z and its conjugate B along
-    zbar (see `operator_matrix`), so the term of g is A V B^T, V the grid:
-    two batched products over all elements at once, each of three integer
-    matrix products (`pair_matmul`), then the signed sum over each word."""
-    bx, by = (stack.x + f.disc * stack.y).transpose(0, 2, 1), -stack.y.transpose(0, 2, 1)
-    hx, hy = pair_matmul(f, stack.x, stack.y, *grid)
-    rx, ry = pair_matmul(f, hx, hy, bx, by)
-    sign = stack.signs[:, None, None]
-    return np.add.reduceat(sign * rx, stack.starts), np.add.reduceat(sign * ry, stack.starts)
-
-
-def support_grid(supp: Support, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The support as the n x n grids of its x and its y parts (object
-    arrays of Python ints)."""
-    grid = np.zeros((2, n, n), dtype=object)
-    for (i, j), (x, y) in supp:
-        grid[0, i, j], grid[1, i, j] = x, y
-    return grid[0], grid[1]
-
-
 def act_poly(P: BiPoly, g: GroupElement) -> BiPoly:
-    """(P|g), by `word_action` on the one-element word."""
+    """(P|g): `apply_word` on the one-element word."""
     return apply_word(P, [(1, g)])
 
 
@@ -291,40 +224,26 @@ def kernel_words(f: FieldSpec) -> list[Word]:
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
-    """sum sign * (P|g) over the word, by `word_action` on P's `support`;
-    each output coefficient is reduced once."""
+    """sum sign * (P|g) over the word, on the grid V of den * P (`support`).
+    Each g acts separably, z factor A along z (`factors`) and its
+    `conjugate` B along zbar, so its term is A V B^T: two products of grids
+    of pairs (`pair_matmul`) on arrays of Python ints.  Each output
+    coefficient is reduced once."""
     f, k = P.field, P.n
+    n = k + 1
     den, supp = support(P)
-    (xs,), (ys,) = word_action(f, stack_words(f, [word], k), support_grid(supp, k + 1))
-    span = range(k + 1)
-    out = [((i, j), (xs[i, j], ys[i, j])) for i in span for j in span if xs[i, j] or ys[i, j]]
-    return from_support(f, k, out, den)
-
-
-def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
-    """A word's matrix, built exactly entry by entry from `operator_matrix`:
-    an oracle for the tests of `WordOperator`; `wkk` never builds it."""
-    size = (k + 1) * (k + 1)
-    total = [[f.zero] * size for _ in range(size)]
+    grid = np.zeros((2, n, n), dtype=object)
+    for (i, j), xy in supp:
+        grid[:, i, j] = xy
+    total = np.zeros((2, n, n), dtype=object)
     for sign, g in word:
-        m = operator_matrix(f, g, k)
-        for r in range(size):
-            row_m = m[r]
-            row_t = total[r]
-            for c in range(size):
-                e = row_m[c]
-                if not e.is_zero():
-                    row_t[c] = row_t[c] + (e if sign == 1 else f.quad(sign) * e)
-    return total
-
-
-def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
-    """Every kernel word's matrix, stacked, without its all-zero rows: the
-    test oracle for `WordOperator`."""
-    rows: list[list[QuadInt]] = []
-    for word in kernel_words(f):
-        rows.extend(word_matrix(f, word, k))
-    return [r for r in rows if any(not e.is_zero() for e in r)]
+        az = factors(f, g, k)
+        a = np.array(az, dtype=object).transpose(2, 0, 1)
+        bt = np.array(conjugate(f, az), dtype=object).transpose(2, 1, 0)  # B^T
+        total += sign * np.array(pair_matmul(f, *pair_matmul(f, *a, *grid), *bt))
+    xs, ys = total
+    out = [((i, j), (xs[i, j], ys[i, j])) for i in range(n) for j in range(n) if xs[i, j] or ys[i, j]]
+    return from_support(f, k, out, den)
 
 
 def _interpolation(k: int, p: int) -> np.ndarray:
@@ -388,7 +307,7 @@ class WordOperator:
     Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
     flat index of (i, j); each word's matrix is the signed sum of the
     Kronecker products of the z factor (`factors`) of each element and its
-    conjugate (see `operator_matrix`).  All-zero rows are kept.
+    `conjugate`, the zbar factor.  All-zero rows are kept.
 
     The elements are listed word after word (`elements`, with `signs`, and
     `words` holds each word's slice of them).  No exact factor is built:
@@ -641,29 +560,23 @@ def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting.
 
-    exact: certified kernels over O_d (`linalg.certified_kernel`, from
-    the blocks' reductions mod split primes); the basis returned is the
-    union of the eigenspace bases.  The total dimension is certified by a
-    sandwich: the verified eigenvectors bound it from below, and the
-    kernel dimension modulo any split prime bounds it from above; when the
-    two meet the result is unconditional, otherwise the full certified
-    kernel is computed.
-    modular: dimensions only, each the least kernel dimension mod a few
-    split primes (`linalg.quad_rank_modular`), an upper bound that is exact
-    unless every prime tried is of bad reduction.  The total is the least
-    kernel dimension of the full block over the same RANK_PRIMES primes,
-    found with the sum of the eigenspace dimensions as its lower bound
-    (`linalg.kernel_dim_upper_bound`, as for the exact sandwich).  That
-    bound holds mod every prime p: each eigenspace block is a set of
-    columns of the full block, with the same rows, and the eigenspaces'
-    columns are disjoint, so ker(full mod p) contains the direct sum of
-    the blocks' kernels mod p, and its dimension is at least sum_e
-    dim_p(e) >= sum_e min_p dim_p(e), the sum of the dimensions (an
-    eigenspace that S alone kills adds 0).  So the least over the primes
-    is never below the sum, and the first prime that meets it gives that
-    least: the total is the same number as the least over every prime,
-    with no other prime reduced.
-    Neither route builds the stacked word matrix over O_d.
+    Both methods take one pass over the eigenspaces.  exact: each is a
+    certified kernel (`eigen_kernel`, from the blocks' reductions mod
+    split primes), and the basis returned is their union.  modular: each
+    is the least kernel dimension mod a few split primes
+    (`linalg.quad_rank_modular`), an upper bound that is exact unless every
+    prime tried is of bad reduction; no basis is returned.
+
+    The total is then the least kernel dimension of the full block over the
+    same RANK_PRIMES primes, found with the sum of the eigenspace
+    dimensions as its lower bound.  That bound holds mod every prime p:
+    the eigenspace blocks are disjoint sets of columns of the full block,
+    with the same rows, so ker(full mod p) contains the direct sum of their
+    kernels mod p.  So the first prime that meets the sum gives the least
+    over every prime.  For the exact method this is a sandwich: the
+    verified eigenvectors bound the total from below, so when the two meet
+    it is unconditional, and otherwise the full certified kernel is
+    computed.  Neither method builds the stacked word matrix over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
     half the coordinates, and an eigenspace whose columns are not closed
@@ -676,27 +589,25 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     if method not in ("exact", "modular"):
         raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
-    labels = eigen_labels(f)
-    every = list(range(op.size))
     dims: dict[str, int] = {}
-    if method == "modular":
-        for e, lab in enumerate(labels):
-            cols = eigen_columns(f, k, e)
-            dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
-                f, lambda p, w: op.reduced_mod(p, w, cols)
-            ).kernel_dim
-        total = linalg.kernel_dim_upper_bound(
-            f, lambda p, w: op.reduced_mod(p, w, every), sum(dims.values())
-        )
-        return SubspaceReport(f.d, k, dims, total, None)
     basis: list[BiPoly] = []
-    for e, lab in enumerate(labels):
-        supps = eigen_kernel(op, e)
-        dims[lab] = len(supps)
-        basis.extend(from_support(f, k, s, 1) for s in supps)
-    lower = len(basis)
-    upper = linalg.kernel_dim_upper_bound(f, lambda p, w: op.reduced_mod(p, w, every), lower)
-    total = lower if upper == lower else len(op.kernel(every))
+    for e, lab in enumerate(eigen_labels(f)):
+        if method == "exact":
+            supps = eigen_kernel(op, e)
+            basis.extend(from_support(f, k, s, 1) for s in supps)
+            dims[lab] = len(supps)
+            continue
+        cols = eigen_columns(f, k, e)
+        dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
+            f, lambda p, w: op.reduced_mod(p, w, cols)
+        ).kernel_dim
+    lower = sum(dims.values())
+    every = list(range(op.size))
+    total = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every), lower).kernel_dim
+    if method == "modular":
+        return SubspaceReport(f.d, k, dims, total, None)
+    if total != lower:
+        total = len(op.kernel(every))
     return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 

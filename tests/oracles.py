@@ -15,13 +15,22 @@
 
 * `word_action_loop` is the exact word action as a Python loop over the
   support, one `pair_mul` at a time, on the `factored_words` of a ring:
-  the oracle of `polyspace.word_action`, which runs it as batched integer
-  matrix products.
+  the oracle of `polyspace.apply_word`, which runs it as integer matrix
+  products.
 
 * `annihilates` checks exactly that every kernel word kills an integral
-  polynomial, by `polyspace.word_action` on the exact factors of every
-  element (`stack_words`): the oracle of `WordOperator.in_kernel` and of
-  `membership`, which prove it from reductions mod split primes.
+  polynomial, by `polyspace.apply_word`: the oracle of
+  `WordOperator.in_kernel` and of `membership`, which prove it from
+  reductions mod split primes.
+
+* `operator_matrix`, `word_matrix` and `stacked_word_matrix` build the
+  exact matrices of an element, of a signed word and of every kernel word
+  (zero rows dropped), which `WordOperator` never builds; `quad_kernel`
+  is Gauss-Jordan elimination over K on `QuadElem` fractions, checked by
+  `matvec_is_zero`: the oracle of `linalg.certified_kernel`.
+
+* `zseries_partial` sums the Dirichlet series Z(-Delta, s), the oracle of
+  `lfun.zseries_closed_form`; `enumerate_window` sorts `forms.window_scan`.
 
 * `word_operator_mod` is the stacked word matrix of a
   `polyspace.WordOperator` mod a split prime, built as Kronecker products
@@ -32,8 +41,7 @@
 * `poly_to_vector` and `vector_to_poly` convert between a `BiPoly` and its
   flat coefficient vector of `QuadElem`, index (k+1)*i + j for z^i zbar^j,
   and `elems` turns a vector of integer pairs into `QuadElem`s: the input
-  format of the matrix oracles `polyspace.operator_matrix` and
-  `linalg.matvec_is_zero`.
+  format of the matrix oracles `operator_matrix` and `matvec_is_zero`.
 """
 
 from __future__ import annotations
@@ -43,21 +51,26 @@ from typing import Sequence
 
 import numpy as np
 
-from hermitia.field import FieldSpec, QuadElem, QuadInt
-from hermitia.forms import BiPoly, GroupElement, check_delta, delta_forms
-from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
+from hermitia.field import CertificateError, FieldSpec, QuadElem, QuadInt
+from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, window_scan
+from hermitia.intarith import smallest_prime_factor_sieve
+from hermitia.lfun import local_count_coeffs
+from hermitia import linalg
+from hermitia.linalg import ZERO, Pair, Reductions, omega_roots, pair_mul
 from hermitia.polyspace import (
     PairMatrix,
     Support,
+    Word,
     WordOperator,
+    apply_word,
     conjugate,
     factors,
     flat_index,
+    from_support,
     kernel_words,
-    stack_words,
-    support_grid,
-    word_action,
 )
+
+Rows = Sequence[Sequence[QuadInt]]
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -213,8 +226,103 @@ def word_action_loop(
 def annihilates(f: FieldSpec, k: int, supp: Support) -> bool:
     """Whether every kernel word of the ring kills the integral polynomial
     of bidegree (k, k) with support `supp`, by the exact word action."""
-    xs, ys = word_action(f, stack_words(f, kernel_words(f), k), support_grid(supp, k + 1))
-    return not (xs.any() or ys.any())
+    P = from_support(f, k, supp, 1)
+    return all(apply_word(P, word).is_zero() for word in kernel_words(f))
+
+
+def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
+    """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
+    the z factor (`factors`) along z and its conjugate along zbar."""
+    az = factors(f, g, k)
+    azb = conjugate(f, az)
+    n = k + 1
+    return [
+        [f.quad(*pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
+        for i1 in range(n)
+        for j1 in range(n)
+    ]
+
+
+def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
+    """A word's matrix, built exactly entry by entry from `operator_matrix`."""
+    size = (k + 1) * (k + 1)
+    total = [[f.zero] * size for _ in range(size)]
+    for sign, g in word:
+        m = operator_matrix(f, g, k)
+        for r in range(size):
+            row_m = m[r]
+            row_t = total[r]
+            for c in range(size):
+                e = row_m[c]
+                if not e.is_zero():
+                    row_t[c] = row_t[c] + (e if sign == 1 else f.quad(sign) * e)
+    return total
+
+
+def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
+    """Every kernel word's matrix, stacked, without its all-zero rows."""
+    rows: list[list[QuadInt]] = []
+    for word in kernel_words(f):
+        rows.extend(word_matrix(f, word, k))
+    return [r for r in rows if any(not e.is_zero() for e in r)]
+
+
+def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:
+    """Basis of { v : M v = 0 } over K by Gauss-Jordan elimination on
+    `QuadElem` fractions: columns left to right, each pivot the first
+    nonzero entry at or below the next pivot row, pivot rows scaled to 1 and
+    cleared above and below.  Each free column gives the vector with 1
+    there and minus its reduced entries at the pivots, made integral and
+    content-free, and checked against every row by `matvec_is_zero`."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    red = [[QuadElem.from_quadint(e) for e in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(red)) if not red[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        red[top], red[piv] = red[piv], red[top]
+        inv = red[top][col].inverse()
+        red[top] = [e * inv for e in red[top]]
+        for r, row in enumerate(red):
+            if r != top and not row[col].is_zero():
+                red[r] = [e - row[col] * p for e, p in zip(row, red[top])]
+        pivots.append(col)
+
+    basis: list[list[Pair]] = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [QuadElem.from_quadint(f.zero)] * ncols
+        vec[fc] = QuadElem.from_quadint(f.one)
+        for i, c in enumerate(pivots):
+            vec[c] = -red[i][fc]
+        den = math.lcm(*(e.den for e in vec))
+        ints = [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
+        basis.append(linalg._canonical_integral(ints))
+
+    for v in basis:
+        if not matvec_is_zero(f, rows, elems(f, v)):
+            raise CertificateError("kernel vector failed exact verification")
+    return basis
+
+
+def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
+    """M v = 0 on QuadElem fractions."""
+    zero = QuadElem.from_quadint(f.zero)
+    for row in rows:
+        acc = zero
+        for e, v in zip(row, vec):
+            if not (e.is_zero() or v.is_zero()):
+                acc = acc + QuadElem.from_quadint(e) * v
+        if not acc.is_zero():
+            return False
+    return True
 
 
 def word_operator_mod(
@@ -237,3 +345,45 @@ def word_operator_mod(
             total += op.signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
         blocks.append(total.reshape(op.size, len(ci)) % p)
     return np.vstack(blocks)
+
+
+def zseries_partial(f: FieldSpec, delta: int, s: int, n_max: int) -> float:
+    """Partial sum over n <= n_max of r(-delta, n)/n^(s+1), delta > 0.
+
+    Uses multiplicativity with a smallest-prime-factor sieve; the
+    prime-power counts come from the proven local series.
+    """
+    if delta <= 0:
+        raise ValueError("zseries takes the positive form discriminant")
+    spf = smallest_prime_factor_sieve(n_max)
+    cache: dict[tuple[int, int], int] = {}
+
+    def r_of(n: int) -> int:
+        total = 1
+        while n > 1:
+            p = spf[n]
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            key = (p, e)
+            if key not in cache:
+                cache[key] = local_count_coeffs(f, -delta, p, e)[e]
+            total *= cache[key]
+        return total
+
+    total = 0.0
+    for n in range(1, n_max + 1):
+        total += r_of(n) / float(n) ** (s + 1)
+    return total
+
+
+def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianForm]:
+    """The forms of `window_scan` as HermitianForms, sorted by a, then by
+    the trace and omega coordinate of b."""
+    out = []
+    for a, vx, vy, _ in window_scan(f, delta, z):
+        v = QuadInt(f, vx, vy)
+        out.append(HermitianForm(a, v.conj(), (v.norm() - delta) // a))
+    out.sort(key=lambda h: (h.a, h.b.trace(), h.b.y))
+    return out

@@ -331,6 +331,16 @@ def test_bench(capsys):
     assert row["value"] == "-1/2"
 
 
+def test_bench_out_of_scope_exits_2_at_once(capsys):
+    # B_(1-s) at s = -100000 would take hours: the scope is checked first
+    start = time.perf_counter()
+    code, out = run(capsys, "bench", "-d", "1", "-s", "-100000")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: -s = -100000 is outside the constancy range")
+
+
 def test_selftest_passes(capsys):
     code, out = run(capsys, "selftest")
     assert code == EXIT_OK
@@ -599,6 +609,38 @@ def test_hconst_k_cap_counts_the_points_denominators(capsys):
         assert code == EXIT_PRECONDITION and out == ""
         (line,) = run.err.splitlines()
         assert line.startswith("error: -k times") and str(top) in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["-d", "1", "-k", "11", "--delta", "3", "--den", str(10**600), "--points", "1"],
+    ["-d", "1", "-k", "101", "--delta", "3", "--den", str(2**1000), "--points", "1"],
+    ["-d", "1", "-k", "1", "--delta", "3", "--den", str(10**1000), "--points", "20"],
+    ["-d", "3", "-k", "1", "--delta", "20000", "-z", f"1/3,{3**40 + 1}/{2**63 + 1}"],
+])
+def test_hconst_walk_cost_is_capped(capsys, argv):
+    """Calls inside every other cap that walked for 12 s to minutes: long
+    walks at small Delta and large k, and one 64-bit point at a large
+    Delta, exit 2 before any walk."""
+    start = time.perf_counter()
+    code, out = run(capsys, "hconst", *argv)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_PRECONDITION and out == ""
+    (line,) = run.err.splitlines()
+    assert line.startswith("error: the walk's cost at -k and --delta") and str(cli.HCONST_WALK_MAX) in line
+
+
+def test_hconst_walk_cost_at_the_cap_and_one_past_it(capsys, monkeypatch):
+    # two points of 2 and 4 bits at k = 3, Delta = 5: the sum over them of
+    # 5 b (5 b^2 + 7*10^4 * 5) + 3*10^6 * 5
+    cost = 5 * 2 * (5 * 4 + 350000) + 5 * 4 * (5 * 16 + 350000) + 2 * 15 * 10**6
+    argv = ["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "1/2", "-z", "1/3,1/5"]
+    monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK, run.err
+    monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost - 1)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert f"must be at most {cost - 1}; got {cost}" in run.err
 
 
 def test_hconst_points_times_delta_is_capped(capsys, monkeypatch):

@@ -53,7 +53,7 @@ POOLS: dict[str, dict[str, list]] = {
         "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
         "-z": ["0", "1/3,1/2", "-1/2", "2/7,-3/5", "1/0", "1,2,3"],
         "--points": [1, 2, cli.FORMS_DELTA_MAX + 1],
-        "--den": [1, 5],
+        "--den": [1, 5, 10**1000],
         "--seed": [0, 1],
     },
     "average": {

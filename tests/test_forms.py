@@ -27,7 +27,6 @@ from hermitia.forms import (
     alpha,
     alpha_direct,
     delta_forms,
-    enumerate_window,
     expand_P,
     gen_S,
     gen_T,
@@ -38,7 +37,7 @@ from hermitia.forms import (
 from hermitia.intarith import divisor_moments, divisor_power_sums, smallest_prime_factor_sieve
 
 from conftest import rand_elem, rand_quadint, seeded
-from oracles import expand_P_quadint
+from oracles import enumerate_window, expand_P_quadint
 
 
 def rand_group_element(rng, f):

@@ -35,10 +35,10 @@ from hermitia.lfun import (
     r_count_naive,
     theta,
     zseries_closed_form,
-    zseries_partial,
 )
 
 from conftest import seeded
+from oracles import zseries_partial
 
 
 # ------------------------------------------------------------ residue counts

@@ -22,7 +22,7 @@ from hermitia.forms import (
     identity,
 )
 from hermitia import linalg, polyspace
-from hermitia.linalg import matvec_is_zero, omega_roots, split_primes
+from hermitia.linalg import ModularRankReport, omega_roots, split_primes
 from hermitia.polyspace import (
     WordOperator,
     act_poly,
@@ -37,16 +37,10 @@ from hermitia.polyspace import (
     from_support,
     kernel_words,
     membership,
-    operator_matrix,
     pair_matmul,
-    stack_words,
-    stacked_word_matrix,
     support,
-    support_grid,
     unit_diagonal,
     wkk,
-    word_action,
-    word_matrix,
 )
 
 from conftest import seeded
@@ -54,11 +48,16 @@ from oracles import (
     annihilates,
     factor_pair,
     factored_words,
+    matvec_is_zero,
     one_var_matrix,
+    operator_matrix,
     pairs_mod,
     poly_to_vector,
+    quad_kernel,
+    stacked_word_matrix,
     vector_to_poly,
     word_action_loop,
+    word_matrix,
     word_operator_mod,
 )
 
@@ -365,15 +364,16 @@ BIG = 2**100
 
 
 def assert_action_matches_the_loop(f, k, words, supp):
-    """`word_action` on the stack of `words` equals the loop oracle on each
-    word, in Python ints."""
-    xs, ys = word_action(f, stack_words(f, words, k), support_grid(supp, k + 1))
-    assert xs.shape == ys.shape == (len(words), k + 1, k + 1)
-    assert all(type(c) is int for c in [*xs.flat, *ys.flat])
+    """`apply_word` on the polynomial with support `supp` equals the loop
+    oracle on each of `words`, in Python ints."""
+    P = from_support(f, k, supp, 1)
     for w, word in enumerate(words):
+        den, got = support(apply_word(P, word))
+        assert den == 1
+        assert all(type(c) is int for _, xy in got for c in xy)
         want = word_action_loop(f, [(sign, *factor_pair(f, g, k)) for sign, g in word], supp, k + 1)
-        got = [[[xs[w, p, q], ys[w, p, q]] for q in range(k + 1)] for p in range(k + 1)]
-        assert got == want, (f.d, k, w)
+        assert got == [((p, q), tuple(want[p][q])) for p in range(k + 1) for q in range(k + 1)
+                       if want[p][q] != [0, 0]], (f.d, k, w)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -392,7 +392,7 @@ def assert_action_matches_the_loop(f, k, words, supp):
 )
 def test_word_action_equals_the_loop_oracle(d, k, words, entries):
     """Random signed words in S, T, T_omega and their inverses, several
-    stacked at once, on supports with entries up to 2^100 in absolute
+    per example, on supports with entries up to 2^100 in absolute
     value: int64 arithmetic anywhere would wrap and fail."""
     f = field(d)
     alphabet = gens(f) + [gen_S(f).inverse(), gen_T(f).inverse()]
@@ -551,8 +551,7 @@ def test_in_kernel_agrees_with_the_word_action(d):
 def test_height_bound_bounds_the_word_action():
     """Every coefficient of the word action is at most `height_bound` in
     both parts, on random vectors: by the loop oracle for k <= 5, and by
-    the batched `word_action` at k = 11 in every ring and at k = 25 in
-    O_11."""
+    `apply_word` at k = 11 in every ring and at k = 25 in O_11."""
     rng = seeded("height-bound")
     cases = [(d, k) for d in EUCLIDEAN_DS for k in (1, 3, 5)]
     cases += [(d, 11) for d in EUCLIDEAN_DS] + [(11, 25)]
@@ -560,7 +559,6 @@ def test_height_bound_bounds_the_word_action():
         f = field(d)
         op = WordOperator(f, k)
         n = k + 1
-        stack = stack_words(f, kernel_words(f), k)
         for _ in range(6):
             span = rng.choice([1, 7, 2**40])
             supp = [((i, j), (rng.randint(-span, span), rng.randint(-span, span)))
@@ -570,8 +568,9 @@ def test_height_bound_bounds_the_word_action():
                 top = max(abs(c) for word in factored_words(f, k)
                           for row in word_action_loop(f, word, supp, n) for xy in row for c in xy)
             else:
-                xs, ys = word_action(f, stack, support_grid(supp, n))
-                top = max(abs(c) for c in [*xs.flat, *ys.flat])
+                P = from_support(f, k, supp, 1)
+                top = max(abs(c) for word in kernel_words(f)
+                          for _, xy in support(apply_word(P, word))[1] for c in xy)
             assert 0 < top <= op.height_bound(norm), (d, k)
 
 
@@ -715,7 +714,7 @@ def test_mirror_open_eigenspaces_need_no_reduction(monkeypatch):
             rows = oracle_rows(f, k)
             for e in open_:
                 cols = eigen_columns(f, k, e)
-                assert linalg.quad_kernel(f, [[row[c] for c in cols] for row in rows]) == []
+                assert quad_kernel(f, [[row[c] for c in cols] for row in rows]) == []
     monkeypatch.setattr(WordOperator, "_reduced", refuse)
     for d in (1, 3):
         f = field(d)
@@ -739,7 +738,7 @@ def test_kernel_equals_the_gauss_jordan_oracle(k):
         rows = oracle_rows(f, k)
         blocks = [list(range(op.size))] + [eigen_columns(f, k, e) for e in range(len(eigen_labels(f)))]
         for cols in blocks:
-            want = linalg.quad_kernel(f, [[row[c] for c in cols] for row in rows])
+            want = quad_kernel(f, [[row[c] for c in cols] for row in rows])
             assert op.kernel(cols) == [as_support(k, cols, v) for v in want], (d, k, cols)
 
 
@@ -752,7 +751,7 @@ def test_in_kernel_checks_the_s_word(d, k):
     op = WordOperator(f, k)
     every = list(range(op.size))
     rest = oracle_rows(f, k)[op.size:]
-    outside = [v for v in linalg.quad_kernel(f, rest) if not annihilates(f, k, as_support(k, every, v))]
+    outside = [v for v in quad_kernel(f, rest) if not annihilates(f, k, as_support(k, every, v))]
     assert outside
     for v in outside:
         supp = as_support(k, every, v)
@@ -861,7 +860,7 @@ def test_modular_dimensions_agree_with_exact(d):
 
 def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
     # an upper bound that never meets the lower one forces the full kernel
-    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows, lower: -1)
+    monkeypatch.setattr("hermitia.linalg.quad_rank_modular", lambda f, rows, lower=0: ModularRankReport(-1, ()))
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3, 5):
@@ -869,11 +868,9 @@ def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
             assert rep.total == rep.split_sum, (d, k)
 
 
-def test_exact_wkk_never_runs_bareiss(monkeypatch):
-    def bareiss(*args):
-        raise AssertionError("wkk ran linalg.quad_kernel")
-
-    monkeypatch.setattr(linalg, "quad_kernel", bareiss)
+def test_exact_wkk_never_runs_bareiss():
+    # the Gauss-Jordan oracle is not in the package at all
+    assert not hasattr(linalg, "quad_kernel")
     assert not hasattr(WordOperator, "rows")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -892,7 +889,7 @@ def test_exact_wkk_never_runs_the_word_action(monkeypatch):
 
         return refused
 
-    for name in ("factors", "stack_words", "word_action"):
+    for name in ("factors", "apply_word", "pair_matmul"):
         monkeypatch.setattr(polyspace, name, refuse(name))
     for d in EUCLIDEAN_DS:
         f = field(d)
