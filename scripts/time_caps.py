@@ -38,7 +38,7 @@ CALLS: dict[str, list] = {
     "expandp-k": ["expandp", "-d", "11", "-k", "81", "--delta", "2", "--check"],
     "expandp-k3-delta": ["expandp", "-d", "2", "-k", "19", "--delta", "72895", "--check"],
     "expandp-k81-delta": ["expandp", "-d", "2", "-k", "81", "--delta", "940", "--check"],
-    "hconst-k-bits": ["hconst", "-d", "1", "-k", "27001", "--delta", "3", "-z", "1/7,1/11"],
+    "hconst-k-bits": ["hconst", "-d", "1", "-k", "27993", "--delta", "3", "-z", "1/7,1/11"],
     "theta-s": ["theta", "-d", "1", "--delta", "3", "-s", "250000"],
     "dims": ["dims", "-d", "11", "--kmax", "27"],
     "dims-modular": ["dims", "-d", "2", "--kmax", "27", "--method", "modular"],
@@ -47,10 +47,10 @@ CALLS: dict[str, list] = {
     "lvalue-bits": ["lvalue", "-d", "11", "-s", "3", "--bits", "3000"],
     "bench-repeats-bits": ["bench", "-d", "11", "-s", "-2", "--bits", "3000", "--repeats", "5"],
     # the walk cap: long walks at small Delta, and a walk at a large Delta
-    "walk-k1": ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", point(3206, 2024)],
-    "walk-k11": ["hconst", "-d", "1", "-k", "11", "--delta", "3", "-z", point(1204, 760)],
-    "walk-k101": ["hconst", "-d", "1", "-k", "101", "--delta", "3", "-z", point(300, 190)],
-    "walk-delta": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(55, 35)],
+    "walk-k1": ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", point(3244, 2047)],
+    "walk-k11": ["hconst", "-d", "1", "-k", "11", "--delta", "3", "-z", point(1219, 769)],
+    "walk-k101": ["hconst", "-d", "1", "-k", "101", "--delta", "3", "-z", point(304, 192)],
+    "walk-delta": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(59, 37)],
     # one past the walk cap: a 64-bit point there took 11.9 s
     "walk-delta-past-cap": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(63, 40)],
 }

@@ -191,8 +191,10 @@ HCONST_K_BITS_MAX = 200001
 # b bits: each step sums the forms' k-th powers and updates exact values
 # of about (k+2) b bits.  So it caps the walk's cost, the sum over the
 # points of (k+2) b ((k+2) b^2 + 7*10^4 Delta) + 3*10^6 Delta, fitted at
-# 2-4*10^-11 s per unit on a 2-vCPU VM.
-HCONST_WALK_MAX = 3 * 10**11
+# 2-4*10^-11 s per unit on a 2-vCPU VM.  At -k 1 and the default --den
+# (4 bits) a point costs 3.84*10^6 Delta + 576, so the cap admits every
+# call that --points times --delta <= FORMS_DELTA_MAX admits there.
+HCONST_WALK_MAX = 31 * 10**10
 # `alpha` sums O(Delta) k-th powers for each of its deltas, so it caps k
 # times the sum of the deltas (2,200,022 for the default three deltas of
 # O_2 at ALPHA_K_MAX), and --count, which at k = 1 is the only limit.
@@ -322,20 +324,24 @@ def cmd_hconst(args) -> list[dict]:
     points: list[QuadElem] = []
     if args.z:
         points = [parse_z(f, z) for z in args.z]
+        bits = [z.den.bit_length() for z in points]
     else:
         # every point walks the forms of discriminant delta
         at_most("--points times --delta without -z", FORMS_DELTA_MAX, args.points, args.delta)
-        rng = random.Random(args.seed)
-        while len(points) < args.points:
-            den = rng.randint(1, args.den)
-            u = Fraction(rng.randint(-2 * den, 2 * den), den)
-            v = Fraction(rng.randint(-2 * den, 2 * den), den)
-            points.append(QuadElem.from_display(f, u, v))
-    bits = [z.den.bit_length() for z in points]
+        # a point to be drawn counts the bits of --den, the most its
+        # denominator can have: the caps are checked before the draw, and
+        # no cap depends on --seed
+        bits = [args.den.bit_length()] * args.points
     at_most("-k times the bit lengths of the points' denominators", HCONST_K_BITS_MAX, args.k, sum(bits))
     k2 = args.k + 2
     at_most("the walk's cost at -k and --delta over the points' denominators", HCONST_WALK_MAX,
             sum(k2 * b * (k2 * b * b + 7 * 10**4 * args.delta) + 3 * 10**6 * args.delta for b in bits))
+    rng = random.Random(args.seed)
+    while len(points) < len(bits):
+        den = rng.randint(1, args.den)
+        u = Fraction(rng.randint(-2 * den, 2 * den), den)
+        v = Fraction(rng.randint(-2 * den, 2 * den), den)
+        points.append(QuadElem.from_display(f, u, v))
     rows = []
     values = set()
     for z in points:

@@ -39,8 +39,16 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   (`lower`): 0 by default; for the sandwich of `polyspace.wkk` the number
   of verified kernel vectors, where meeting it makes the dimension
   unconditional; and for its modular total the sum of the eigenspace
-  dimensions.  Each prime reduces whichever orientation of the matrix has
-  fewer rows: the rank is the same, and the work is smaller.
+  dimensions (`kernel_dim_upper_bound` is that dimension alone).  Each
+  prime reduces whichever orientation of the matrix has fewer rows: the
+  rank is the same, and the work is smaller.
+
+* `quad_kernel` -- Gauss-Jordan elimination over K on `QuadElem`
+  fractions, with a check of every vector against every row
+  (`matvec_is_zero`).  No production route calls it: it is the test
+  oracle of `certified_kernel`, on `QuadElem` arithmetic rather than the
+  integer pairs (`pair_mul`) of the production path, and it stays in the
+  package while `bench/spans.py` traces it by name.
 
 The split primes are searched for on demand, once per ring and process
 (`_split_primes`): a caller that uses one prime searches for one.
@@ -48,9 +56,9 @@ The split primes are searched for on demand, once per ring and process
 The modular functions take a matrix only by its reductions, a function
 from a split prime p and a root w of omega's polynomial mod p to the matrix
 mod p (`Reductions`), so it is never built over O_d.  Kernel vectors, in
-`certified_kernel` and its exact check, are lists of integer pairs (x, y)
-for x + y*omega, integral and content-free.  The Gauss-Jordan oracle over
-K, on `QuadElem` fractions, is in the tests.
+`certified_kernel`, its exact check and `quad_kernel`, are lists of integer
+pairs (x, y) for x + y*omega, integral and content-free.  Rows of `QuadInt`
+(`Rows`) enter only the test oracles `quad_kernel` and `matvec_is_zero`.
 """
 
 from __future__ import annotations
@@ -63,10 +71,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .field import CertificateError, FieldSpec, kronecker
+from .field import CertificateError, FieldSpec, QuadElem, QuadInt, kronecker
 from .intarith import is_probable_prime, sqrt_mod_prime
 
 Pair = tuple[int, int]
+Rows = Sequence[Sequence[QuadInt]]
 # a matrix over O_d given by its reductions: (split prime p, image w of
 # omega mod p) -> int64 array with entries in [0, p)
 Reductions = Callable[[int, int], np.ndarray]
@@ -97,6 +106,56 @@ def pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
     return out
 
 
+def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:
+    """Basis of { v : M v = 0 } over K, the field of fractions of O_d, by
+    Gauss-Jordan elimination on `QuadElem` fractions: the test oracle of
+    `certified_kernel`.
+
+    The columns are scanned left to right, each pivot is the first nonzero
+    entry at or below the next pivot row, and the pivot rows are scaled to
+    1 and cleared above and below.  Each free column gives the vector with
+    1 there and minus its reduced entries at the pivot columns, made
+    integral and content-free; every vector is checked against every row of
+    M by `matvec_is_zero` before returning.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    red = [[QuadElem.from_quadint(e) for e in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(red)) if not red[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        red[top], red[piv] = red[piv], red[top]
+        inv = red[top][col].inverse()
+        red[top] = [e * inv for e in red[top]]
+        for r, row in enumerate(red):
+            if r != top and not row[col].is_zero():
+                red[r] = [e - row[col] * p for e, p in zip(row, red[top])]
+        pivots.append(col)
+
+    basis: list[list[Pair]] = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [QuadElem.from_quadint(f.zero)] * ncols
+        vec[fc] = QuadElem.from_quadint(f.one)
+        for i, c in enumerate(pivots):
+            vec[c] = -red[i][fc]
+        den = math.lcm(*(e.den for e in vec))
+        ints = [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
+        basis.append(_canonical_integral(ints))
+
+    for v in basis:
+        if not matvec_is_zero(f, rows, [QuadElem.from_quadint(f.quad(x, y)) for x, y in v]):
+            raise CertificateError("kernel vector failed exact verification")
+    return basis
+
+
 def _canonical_integral(ints: list[Pair]) -> list[Pair]:
     """Scale a nonzero integral vector to content 1 and a first nonzero
     coordinate above (0, 0) in tuple order: x > 0, or x = 0 and y > 0."""
@@ -104,6 +163,19 @@ def _canonical_integral(ints: list[Pair]) -> list[Pair]:
     if next(e for e in ints if e != ZERO) < ZERO:
         g = -g
     return ints if g == 1 else [(x // g, y // g) for x, y in ints]
+
+
+def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
+    """M v = 0 on QuadElem fractions: a test oracle for the kernels."""
+    zero = QuadElem.from_quadint(f.zero)
+    for row in rows:
+        acc = zero
+        for e, v in zip(row, vec):
+            if not (e.is_zero() or v.is_zero()):
+                acc = acc + QuadElem.from_quadint(e) * v
+        if not acc.is_zero():
+            return False
+    return True
 
 
 # ------------------------------------------------------------- modular path
@@ -257,6 +329,12 @@ def quad_rank_modular(f: FieldSpec, rows: Reductions, lower: int = 0) -> Modular
     return ModularRankReport(min(dims), tuple(primes))
 
 
+def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int) -> int:
+    """An unconditional upper bound on the kernel dimension of the matrix
+    with reductions `rows`, given `lower`, a known lower bound."""
+    return quad_rank_modular(f, rows, lower).kernel_dim
+
+
 # --------------------------------------------------------- certified kernel
 
 
@@ -315,8 +393,8 @@ def certified_kernel(
     is skipped.  The kernel vectors' entries, with each free column set to
     1, are combined by CRT and rational reconstruction until one more
     prime changes nothing; then every vector, made integral and
-    content-free, must pass `annihilates`.  The basis is the one
-    Gauss-Jordan elimination over K gives.  If no candidate passes within
+    content-free, must pass `annihilates`.  The basis equals `quad_kernel`
+    of M.  If no candidate passes within
     MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined

@@ -36,6 +36,11 @@ B_g^T, V the grid of coefficients, A_g the z factor of g (`factors`) and
 B_g its conjugate, by three integer matrix products per product of grids
 (`pair_matmul`, on arrays of Python ints: the entries outgrow int64).
 `act_poly` is the one-element case.  Neither is on the W_{k,k} path.
+`operator_matrix`, `word_matrix` and `stacked_word_matrix` build the
+exact matrices of an element, of a word and of every kernel word, which
+`WordOperator` never builds: the tests check it against them, and they
+stay in the package while `bench/spans.py` traces `stacked_word_matrix` by
+name.
 
 The first word, 1 + S, is solved in closed form.  S acts by a signed
 permutation, (z^i zbar^j)|S = (-1)^(i+j) z^(k-i) zbar^(k-j), so P|(1+S) = 0
@@ -79,9 +84,10 @@ Support = list[tuple[tuple[int, int], linalg.Pair]]
 
 
 def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
-    """The z factor of g = [[a, b], [c, e]] as integer pairs: its z
-    substitution matrix A, with A[i][j] the coefficient of z^i in
-    (a z + b)^j (c z + e)^(k-j).  The zbar factor is its `conjugate`."""
+    """The z factor of `operator_matrix(g)` as integer pairs: the z
+    substitution matrix A of g = [[a, b], [c, e]], with A[i][j] the
+    coefficient of z^i in (a z + b)^j (c z + e)^(k-j).  The zbar factor is
+    its `conjugate`."""
     mul = linalg.pair_mul
 
     def binomials(hi: linalg.Pair, lo: linalg.Pair) -> PairMatrix:
@@ -117,6 +123,19 @@ def conjugate(f: FieldSpec, mat: PairMatrix) -> PairMatrix:
     a ring automorphism, so the conjugate of `factors(f, g, k)` is the z
     substitution matrix of g.conj(): the zbar factor of g."""
     return [[(x + f.disc * y, -y) for x, y in row] for row in mat]
+
+
+def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
+    """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
+    the z factor (`factors`) along z and its conjugate along zbar."""
+    az = factors(f, g, k)
+    azb = conjugate(f, az)
+    n = k + 1
+    return [
+        [f.quad(*linalg.pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
+        for i1 in range(n)
+        for j1 in range(n)
+    ]
 
 
 def pair_matmul(
@@ -246,6 +265,32 @@ def apply_word(P: BiPoly, word: Word) -> BiPoly:
     return from_support(f, k, out, den)
 
 
+def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
+    """A word's matrix, built exactly entry by entry from `operator_matrix`:
+    an oracle for the tests of `WordOperator`; `wkk` never builds it."""
+    size = (k + 1) * (k + 1)
+    total = [[f.zero] * size for _ in range(size)]
+    for sign, g in word:
+        m = operator_matrix(f, g, k)
+        for r in range(size):
+            row_m = m[r]
+            row_t = total[r]
+            for c in range(size):
+                e = row_m[c]
+                if not e.is_zero():
+                    row_t[c] = row_t[c] + (e if sign == 1 else f.quad(sign) * e)
+    return total
+
+
+def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
+    """Every kernel word's matrix, stacked, without its all-zero rows: the
+    test oracle for `WordOperator`."""
+    rows: list[list[QuadInt]] = []
+    for word in kernel_words(f):
+        rows.extend(word_matrix(f, word, k))
+    return [r for r in rows if any(not e.is_zero() for e in r)]
+
+
 def _interpolation(k: int, p: int) -> np.ndarray:
     """The inverse mod p of the Vandermonde matrix [s^i] of the nodes
     s = 0..k, as int64: row i, column s holds the coefficient of z^i in
@@ -307,7 +352,7 @@ class WordOperator:
     Row r belongs to word r // (k+1)^2 and is its row r % (k+1)^2, the
     flat index of (i, j); each word's matrix is the signed sum of the
     Kronecker products of the z factor (`factors`) of each element and its
-    `conjugate`, the zbar factor.  All-zero rows are kept.
+    conjugate (see `operator_matrix`).  All-zero rows are kept.
 
     The elements are listed word after word (`elements`, with `signs`, and
     `words` holds each word's slice of them).  No exact factor is built:
@@ -569,14 +614,15 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
 
     The total is then the least kernel dimension of the full block over the
     same RANK_PRIMES primes, found with the sum of the eigenspace
-    dimensions as its lower bound.  That bound holds mod every prime p:
-    the eigenspace blocks are disjoint sets of columns of the full block,
-    with the same rows, so ker(full mod p) contains the direct sum of their
-    kernels mod p.  So the first prime that meets the sum gives the least
-    over every prime.  For the exact method this is a sandwich: the
-    verified eigenvectors bound the total from below, so when the two meet
-    it is unconditional, and otherwise the full certified kernel is
-    computed.  Neither method builds the stacked word matrix over O_d.
+    dimensions as its lower bound (`linalg.kernel_dim_upper_bound`).  That
+    bound holds mod every prime p: the eigenspace blocks are disjoint sets
+    of columns of the full block, with the same rows, so ker(full mod p)
+    contains the direct sum of their kernels mod p.  So the first prime
+    that meets the sum gives the least over every prime.  For the exact
+    method this is a sandwich: the verified eigenvectors bound the total
+    from below, so when the two meet it is unconditional, and otherwise
+    the full certified kernel is computed.  Neither method builds the
+    stacked word matrix over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
     half the coordinates, and an eigenspace whose columns are not closed
@@ -603,7 +649,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         ).kernel_dim
     lower = sum(dims.values())
     every = list(range(op.size))
-    total = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every), lower).kernel_dim
+    total = linalg.kernel_dim_upper_bound(f, lambda p, w: op.reduced_mod(p, w, every), lower)
     if method == "modular":
         return SubspaceReport(f.d, k, dims, total, None)
     if total != lower:

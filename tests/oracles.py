@@ -23,12 +23,6 @@
   `WordOperator.in_kernel` and of `membership`, which prove it from
   reductions mod split primes.
 
-* `operator_matrix`, `word_matrix` and `stacked_word_matrix` build the
-  exact matrices of an element, of a signed word and of every kernel word
-  (zero rows dropped), which `WordOperator` never builds; `quad_kernel`
-  is Gauss-Jordan elimination over K on `QuadElem` fractions, checked by
-  `matvec_is_zero`: the oracle of `linalg.certified_kernel`.
-
 * `zseries_partial` sums the Dirichlet series Z(-Delta, s), the oracle of
   `lfun.zseries_closed_form`; `enumerate_window` sorts `forms.window_scan`.
 
@@ -41,7 +35,8 @@
 * `poly_to_vector` and `vector_to_poly` convert between a `BiPoly` and its
   flat coefficient vector of `QuadElem`, index (k+1)*i + j for z^i zbar^j,
   and `elems` turns a vector of integer pairs into `QuadElem`s: the input
-  format of the matrix oracles `operator_matrix` and `matvec_is_zero`.
+  format of the matrix oracles `polyspace.operator_matrix` and
+  `linalg.matvec_is_zero`.
 """
 
 from __future__ import annotations
@@ -51,16 +46,14 @@ from typing import Sequence
 
 import numpy as np
 
-from hermitia.field import CertificateError, FieldSpec, QuadElem, QuadInt
+from hermitia.field import FieldSpec, QuadElem, QuadInt
 from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, window_scan
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
-from hermitia import linalg
-from hermitia.linalg import ZERO, Pair, Reductions, omega_roots, pair_mul
+from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
 from hermitia.polyspace import (
     PairMatrix,
     Support,
-    Word,
     WordOperator,
     apply_word,
     conjugate,
@@ -69,8 +62,6 @@ from hermitia.polyspace import (
     from_support,
     kernel_words,
 )
-
-Rows = Sequence[Sequence[QuadInt]]
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
@@ -228,101 +219,6 @@ def annihilates(f: FieldSpec, k: int, supp: Support) -> bool:
     of bidegree (k, k) with support `supp`, by the exact word action."""
     P = from_support(f, k, supp, 1)
     return all(apply_word(P, word).is_zero() for word in kernel_words(f))
-
-
-def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
-    """Matrix of P -> P|g on coefficient vectors: the Kronecker product of
-    the z factor (`factors`) along z and its conjugate along zbar."""
-    az = factors(f, g, k)
-    azb = conjugate(f, az)
-    n = k + 1
-    return [
-        [f.quad(*pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
-        for i1 in range(n)
-        for j1 in range(n)
-    ]
-
-
-def word_matrix(f: FieldSpec, word: Word, k: int) -> list[list[QuadInt]]:
-    """A word's matrix, built exactly entry by entry from `operator_matrix`."""
-    size = (k + 1) * (k + 1)
-    total = [[f.zero] * size for _ in range(size)]
-    for sign, g in word:
-        m = operator_matrix(f, g, k)
-        for r in range(size):
-            row_m = m[r]
-            row_t = total[r]
-            for c in range(size):
-                e = row_m[c]
-                if not e.is_zero():
-                    row_t[c] = row_t[c] + (e if sign == 1 else f.quad(sign) * e)
-    return total
-
-
-def stacked_word_matrix(f: FieldSpec, k: int) -> list[list[QuadInt]]:
-    """Every kernel word's matrix, stacked, without its all-zero rows."""
-    rows: list[list[QuadInt]] = []
-    for word in kernel_words(f):
-        rows.extend(word_matrix(f, word, k))
-    return [r for r in rows if any(not e.is_zero() for e in r)]
-
-
-def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:
-    """Basis of { v : M v = 0 } over K by Gauss-Jordan elimination on
-    `QuadElem` fractions: columns left to right, each pivot the first
-    nonzero entry at or below the next pivot row, pivot rows scaled to 1 and
-    cleared above and below.  Each free column gives the vector with 1
-    there and minus its reduced entries at the pivots, made integral and
-    content-free, and checked against every row by `matvec_is_zero`."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
-    red = [[QuadElem.from_quadint(e) for e in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(red)) if not red[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        red[top], red[piv] = red[piv], red[top]
-        inv = red[top][col].inverse()
-        red[top] = [e * inv for e in red[top]]
-        for r, row in enumerate(red):
-            if r != top and not row[col].is_zero():
-                red[r] = [e - row[col] * p for e, p in zip(row, red[top])]
-        pivots.append(col)
-
-    basis: list[list[Pair]] = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [QuadElem.from_quadint(f.zero)] * ncols
-        vec[fc] = QuadElem.from_quadint(f.one)
-        for i, c in enumerate(pivots):
-            vec[c] = -red[i][fc]
-        den = math.lcm(*(e.den for e in vec))
-        ints = [(e.num.x * (den // e.den), e.num.y * (den // e.den)) for e in vec]
-        basis.append(linalg._canonical_integral(ints))
-
-    for v in basis:
-        if not matvec_is_zero(f, rows, elems(f, v)):
-            raise CertificateError("kernel vector failed exact verification")
-    return basis
-
-
-def matvec_is_zero(f: FieldSpec, rows: Rows, vec: Sequence[QuadElem]) -> bool:
-    """M v = 0 on QuadElem fractions."""
-    zero = QuadElem.from_quadint(f.zero)
-    for row in rows:
-        acc = zero
-        for e, v in zip(row, vec):
-            if not (e.is_zero() or v.is_zero()):
-                acc = acc + QuadElem.from_quadint(e) * v
-        if not acc.is_zero():
-            return False
-    return True
 
 
 def word_operator_mod(

@@ -643,6 +643,35 @@ def test_hconst_walk_cost_at_the_cap_and_one_past_it(capsys, monkeypatch):
     assert f"must be at most {cost - 1}; got {cost}" in run.err
 
 
+def test_hconst_caps_count_drawn_points_at_the_bits_of_den(capsys, monkeypatch):
+    """A point drawn without -z counts the 4 bits of --den 8 whatever
+    --seed draws: two of them at k = 1, Delta = 3 cost
+    2 * (3 * 4 * (3 * 16 + 7*10^4 * 3) + 3*10^6 * 3) for every seed."""
+    cost = 2 * (3 * 4 * (3 * 16 + 210000) + 9 * 10**6)
+    base = ["hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "2", "--den", "8"]
+    for seed in map(str, range(4)):
+        monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost)
+        code, out = run(capsys, *base, "--seed", seed)
+        assert code == EXIT_OK, run.err
+        monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost - 1)
+        code, out = run(capsys, *base, "--seed", seed)
+        assert code == EXIT_PRECONDITION and out == ""
+        assert f"must be at most {cost - 1}; got {cost}" in run.err
+
+
+@pytest.mark.parametrize("points, delta", [(20, 3999), (1, 79999), (4000, 19)])
+def test_hconst_walk_cap_admits_what_points_times_delta_admits(capsys, monkeypatch, points, delta):
+    """At -k 1 and the default --den, every call with --points times
+    --delta <= FORMS_DELTA_MAX passes the walk cap, whatever the seed (the
+    walks are skipped)."""
+    monkeypatch.setattr(hsum, "eval_exact", lambda f, k, delta, z: 0)
+    for seed in map(str, range(3)):
+        code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", str(delta),
+                        "--points", str(points), "--seed", seed, "--format", "json")
+        assert code == EXIT_OK, run.err
+        assert len(json.loads(out)) == points + 1
+
+
 def test_hconst_points_times_delta_is_capped(capsys, monkeypatch):
     # 20 default points at Delta = 4003 would walk 80,060 > FORMS_DELTA_MAX
     code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "4003")
