@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 scripts/time_caps.py [NAME ...]
 
-Runs each "slowest call at the cap" of the README cap table, and the
-corners of `hconst`'s walk cap, as `python3 -m hermitia ARGV` in a fresh
+Runs each "slowest call at the cap" of the README cap table, the corners
+of the cost rules of `hconst` and `average`, and one call past each of
+those two rules, as `python3 -m hermitia ARGV` in a fresh
 process started by a fresh wrapper process, so that the wrapper's
 `getrusage(RUSAGE_CHILDREN)` covers that one call.  Prints one line per
 call: its name, the exit code, the wall seconds, the peak RSS in MB and the
@@ -26,19 +27,13 @@ def point(a: int, b: int) -> tuple[str, str]:
 
 CALLS: dict[str, list] = {
     "alpha-delta": ["alpha", "-d", "1", "-k", "3", "--delta", "99999"],
-    "hconst-delta": ["hconst", "-d", "3", "-k", "1", "--delta", "80000", "-z", "0"],
     "expandp-delta": ["expandp", "-d", "3", "-k", "1", "--delta", "80000"],
-    "hconst-points": ["hconst", "-d", "3", "-k", "1", "--delta", "3899"],
-    "average-delta": ["average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "1"],
-    "average-grid": ["average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "4"],
-    "average-k": ["average", "-d", "3", "-k", "73", "--delta", "4879", "--grid", "1"],
     "alpha-k": ["alpha", "-d", "2", "-k", "100001"],
     "alpha-k-delta": ["alpha", "-d", "3", "-k", "25", "--delta", "99998"],
     "alpha-count": ["alpha", "-d", "3", "-k", "1", "--count", "300"],
     "expandp-k": ["expandp", "-d", "11", "-k", "81", "--delta", "2", "--check"],
     "expandp-k3-delta": ["expandp", "-d", "2", "-k", "19", "--delta", "72895", "--check"],
     "expandp-k81-delta": ["expandp", "-d", "2", "-k", "81", "--delta", "940", "--check"],
-    "hconst-k-bits": ["hconst", "-d", "1", "-k", "27993", "--delta", "3", "-z", "1/7,1/11"],
     "theta-s": ["theta", "-d", "1", "--delta", "3", "-s", "250000"],
     "dims": ["dims", "-d", "11", "--kmax", "27"],
     "dims-modular": ["dims", "-d", "2", "--kmax", "27", "--method", "modular"],
@@ -46,13 +41,34 @@ CALLS: dict[str, list] = {
     "rcount-check": ["rcount", "-d", "1", "--delta", "3", "-n", "1000", "--check"],
     "lvalue-bits": ["lvalue", "-d", "11", "-s", "3", "--bits", "3000"],
     "bench-repeats-bits": ["bench", "-d", "11", "-s", "-2", "--bits", "3000", "--repeats", "5"],
-    # the walk cap: long walks at small Delta, and a walk at a large Delta
-    "walk-k1": ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", point(3244, 2047)],
-    "walk-k11": ["hconst", "-d", "1", "-k", "11", "--delta", "3", "-z", point(1219, 769)],
-    "walk-k101": ["hconst", "-d", "1", "-k", "101", "--delta", "3", "-z", point(304, 192)],
-    "walk-delta": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(59, 37)],
-    # one past the walk cap: a 64-bit point there took 11.9 s
-    "walk-delta-past-cap": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(63, 40)],
+    # hconst's cost: the most forms at one lattice point (O_3, 1,084,786
+    # forms), the 20 default points, many cheap points (O_11, 4 forms), long
+    # walks at small Delta, long walks at a large Delta, and large k
+    "hconst-forms": ["hconst", "-d", "3", "-k", "1", "--delta", "43088", "-z", "0"],
+    "hconst-points": ["hconst", "-d", "3", "-k", "1", "--delta", "3899"],
+    "hconst-many-points": ["hconst", "-d", "11", "-k", "1", "--delta", "2", "--points", "24459"],
+    "hconst-many-60-bit": ["hconst", "-d", "11", "-k", "1", "--delta", "2", "--points", "1585",
+                           "--den", str(2**60)],
+    "walk-k1": ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", point(3177, 2005)],
+    "walk-k11": ["hconst", "-d", "1", "-k", "11", "--delta", "3", "-z", point(1201, 758)],
+    "walk-k101": ["hconst", "-d", "1", "-k", "101", "--delta", "3", "-z", point(301, 190)],
+    "walk-delta": ["hconst", "-d", "3", "-k", "1", "--delta", "20000", "-z", point(28, 18)],
+    "walk-delta-o11": ["hconst", "-d", "11", "-k", "1", "--delta", "20000", "-z", point(39, 25)],
+    "hconst-k": ["hconst", "-d", "1", "-k", "178341", "--delta", "3", "-z", "0"],
+    "hconst-k-den77": ["hconst", "-d", "1", "-k", "22527", "--delta", "3", "-z", "1/7,1/11"],
+    # one past hconst's cost: 2,508,602 forms, which took 16 s and 462 MB
+    "hconst-past-cap": ["hconst", "-d", "1", "-k", "1", "--delta", "79999", "--points", "1"],
+    # average's cost: the most forms at --grid 1 (O_2, 159,320 forms) at the
+    # smallest and at the largest k, and the largest grids at the fewest
+    # forms (O_11, 4), at the benchmark's Delta (O_2, 22) and at 1014 forms
+    "average-forms": ["average", "-d", "2", "-k", "3", "--delta", "7581", "--grid", "1"],
+    "average-k": ["average", "-d", "2", "-k", "73", "--delta", "7581", "--grid", "1"],
+    "average-grid": ["average", "-d", "11", "-k", "3", "--delta", "2", "--grid", "1084"],
+    "average-grid-22": ["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "876"],
+    "average-grid-1014": ["average", "-d", "2", "-k", "3", "--delta", "101", "--grid", "195"],
+    # one past average's cost: O_3 at Delta = 4879 (246,740 forms), --grid 4
+    # took 10.2 s
+    "average-past-cap": ["average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "4"],
 }
 
 # run in a fresh wrapper: one child, so RUSAGE_CHILDREN is that child's

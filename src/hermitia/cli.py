@@ -11,8 +11,9 @@ table|json|csv) and uses three exit codes:
 
 A flag out of range exits 2 with one line that names it: the argparse type
 of a capped flag says "argument -k: must be at most CAP, got VALUE", and
-`at_most`, which checks a --delta cap or a cap on a product of inputs, says
-"error: WHAT must be at most CAP; got F1 * F2", WHAT naming the flags.
+`at_most`, which checks a --delta cap, a cap on a product of inputs or a
+command's cost, says "error: WHAT must be at most CAP; got F1 * F2", WHAT
+naming the flags.
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
 environment variable (an integer from MIN_BITS to MAX_BITS, as for
@@ -163,38 +164,31 @@ def _nstr(value, bits: int) -> str:
 
 # The largest --delta of each subcommand.  `forms.alpha` sums over the
 # O(Delta) lattice points of norm below Delta; at its cap one call of
-# `alpha` or `lvalue` takes about a second.  `hconst` and `average`
-# enumerate the O(Delta log Delta) forms of discriminant Delta, and
-# `expandp` sums over the lattice points by norm class; at their caps one
-# call of `hconst -k 1 -z 0` takes about 10 s and `expandp -k 1` about
-# 2.5 s.  The float walk of `average` costs about its number of forms
-# times its steps: at its cap the Delta with the most forms in each ring
-# took 4.4-6.7 s with `-k 3 --grid 1` and 4.7-7.4 s at the -k cap 73
-# (O_3 at Delta = 4879, 246,740 forms, is the slowest; Delta = 9999 took
-# 10.1-10.5 s there).
+# `alpha` or `lvalue` takes about a second.  `expandp` sums over the same
+# points by norm class (`-k 1` at the cap takes about 2.5 s), and `hconst`
+# and `average` sweep them to count the forms that their cost rules price.
 ALPHA_DELTA_MAX = 10**5
 FORMS_DELTA_MAX = 8 * 10**4
-AVERAGE_DELTA_MAX = 5000
 
 # The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
 # one call at the smallest Delta, `alpha` with its default three deltas
 # or `expandp --check`, takes under 10 s (on a 2-vCPU VM `expandp -k 81
 # --check` took 1.0-2.1 s across the five rings, about half of it
-# `membership`, the word operators' proof mod split primes).  `hconst` bounds k times the bit lengths
-# of its points' denominators, summed over the points: the walk's exact
-# values grow with that product.
+# `membership`, the word operators' proof mod split primes).
 ALPHA_K_MAX = 100001
 EXPANDP_K_MAX = 81
-HCONST_K_BITS_MAX = 200001
-# `hconst` enumerates the forms of discriminant Delta once per point and
-# walks the point's continued fraction, about b steps for a denominator of
-# b bits: each step sums the forms' k-th powers and updates exact values
-# of about (k+2) b bits.  So it caps the walk's cost, the sum over the
-# points of (k+2) b ((k+2) b^2 + 7*10^4 Delta) + 3*10^6 Delta, fitted at
-# 2-4*10^-11 s per unit on a 2-vCPU VM.  At -k 1 and the default --den
-# (4 bits) a point costs 3.84*10^6 Delta + 576, so the cap admits every
-# call that --points times --delta <= FORMS_DELTA_MAX admits there.
-HCONST_WALK_MAX = 31 * 10**10
+# `hconst` and `average` cost about the number F of forms of discriminant
+# Delta (alpha_{0,Delta}, which `forms.alpha` counts at k = 0) times what
+# each form costs; each caps one cost rule, fitted on a 2-vCPU VM to the
+# slowest ring at each corner that `scripts/time_caps.py` times.
+#
+# `hconst` enumerates the forms once and walks each point's continued
+# fraction over them: about b steps for a denominator of b bits, each on
+# exact values of about (k+2)(b+L) bits (L the bit length of Delta), on the
+# k-th powers of every form, and on fractions of fixed cost.  It caps
+# 2.6*10^5 F plus the sum over the points of
+# b ((k+2) ((k+2) (b+L)^2 + 5500 F) + 3*10^6), about 3*10^-11 s per unit.
+HCONST_WALK_MAX = 3 * 10**11
 # `alpha` sums O(Delta) k-th powers for each of its deltas, so it caps k
 # times the sum of the deltas (2,200,022 for the default three deltas of
 # O_2 at ALPHA_K_MAX), and --count, which at k = 1 is the only limit.
@@ -207,12 +201,12 @@ THETA_S_BITS_MAX = 10**6
 # products, so it caps k^3 times Delta; at the -k cap that allows Delta <=
 # 940.  At the cap `expandp --check` took at most 8.6 s (O_2, k = 19).
 EXPANDP_K3_DELTA_MAX = 5 * 10**8
-# `average` walks grid^2 points at once over the forms of discriminant
-# Delta, so it caps grid^2 times Delta, which bounds memory and time
-# (grid 4 at Delta = 4879 in O_3 took 10.2 s, where grid 1 takes 6.5 s).
-# Its floats hold |h|^k with |h| < Delta + 2 and Delta^(k+1): k times the
-# bit length of Delta + 2 stays 64 bits below the float range.
-AVERAGE_GRID_DELTA_MAX = 10**5
+# `average` walks its grid^2 points at once in floats, one numpy pass per
+# form and step.  It caps F (250 + grid^2) + 30 grid^2, about 2*10^-7 s
+# per unit; the 30 grid^2 bounds the walk's arrays, about 200 bytes per
+# grid point.  Its floats hold |h|^k with |h| < Delta + 2 and Delta^(k+1):
+# k times the bit length of Delta + 2 stays 64 bits below the float range.
+AVERAGE_WALK_MAX = 4 * 10**7
 AVERAGE_K_BITS_MAX = 960
 # W_{k,k} has (k+1)^2 coordinates per eigenspace: at the cap `dims`
 # (every odd k up to --kmax) took at most 10 s (O_11), `basis` 3.6 s.
@@ -321,31 +315,23 @@ def cmd_hconst(args) -> list[dict]:
     f = field(args.d)
     at_most("--delta", FORMS_DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
-    points: list[QuadElem] = []
-    if args.z:
-        points = [parse_z(f, z) for z in args.z]
-        bits = [z.den.bit_length() for z in points]
-    else:
-        # every point walks the forms of discriminant delta
-        at_most("--points times --delta without -z", FORMS_DELTA_MAX, args.points, args.delta)
-        # a point to be drawn counts the bits of --den, the most its
-        # denominator can have: the caps are checked before the draw, and
-        # no cap depends on --seed
-        bits = [args.den.bit_length()] * args.points
-    at_most("-k times the bit lengths of the points' denominators", HCONST_K_BITS_MAX, args.k, sum(bits))
-    k2 = args.k + 2
-    at_most("the walk's cost at -k and --delta over the points' denominators", HCONST_WALK_MAX,
-            sum(k2 * b * (k2 * b * b + 7 * 10**4 * args.delta) + 3 * 10**6 * args.delta for b in bits))
+    points = [parse_z(f, z) for z in args.z or ()]
+    # (bits, points) pairs: a point to be drawn counts the bits of --den, the
+    # most its denominator can have, so no --seed decides a refusal
+    bits = [(z.den.bit_length(), 1) for z in points] or [(args.den.bit_length(), args.points)]
+    nforms, k2, lbits = forms.alpha(f, 0, args.delta), args.k + 2, args.delta.bit_length()
+    walks = sum(n * b * (k2 * (k2 * (b + lbits) ** 2 + 5500 * nforms) + 3 * 10**6) for b, n in bits)
+    at_most("the walk's cost at -k and --delta over the points (-z, or --points at --den)",
+            HCONST_WALK_MAX, 26 * 10**4 * nforms + walks)
     rng = random.Random(args.seed)
-    while len(points) < len(bits):
+    for _ in range(0 if points else args.points):
         den = rng.randint(1, args.den)
         u = Fraction(rng.randint(-2 * den, 2 * den), den)
         v = Fraction(rng.randint(-2 * den, 2 * den), den)
         points.append(QuadElem.from_display(f, u, v))
     rows = []
     values = set()
-    for z in points:
-        val = hsum.eval_exact(f, args.k, args.delta, z)
+    for z, val in zip(points, hsum.eval_points(f, args.k, args.delta, points)):
         values.add(val)
         u, v = z.display_coords()
         rows.append(
@@ -365,12 +351,13 @@ def cmd_hconst(args) -> list[dict]:
 
 def cmd_average(args) -> list[dict]:
     f = field(args.d)
-    at_most("--delta", AVERAGE_DELTA_MAX, args.delta)
+    at_most("--delta", FORMS_DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
-    at_most("--grid squared times --delta", AVERAGE_GRID_DELTA_MAX,
-            args.grid, args.grid, args.delta)
     at_most("-k times the bit length of --delta + 2", AVERAGE_K_BITS_MAX,
             args.k, (args.delta + 2).bit_length())
+    grid2 = args.grid * args.grid
+    at_most("the walk's cost at --delta and --grid", AVERAGE_WALK_MAX,
+            forms.alpha(f, 0, args.delta) * (250 + grid2) + 30 * grid2)
     rep = hsum.average_quadrature(f, args.k, args.delta, grid=args.grid, a_max=args.a_max)
     return [
         {

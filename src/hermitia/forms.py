@@ -266,12 +266,12 @@ def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
     alpha_{k,Delta} = sum_{n < Delta} r(n) sigma_k(Delta - n), with r(n)
     the number of b in O_d of norm n.  One sweep of the lattice points
     below the largest Delta counts every r(n), and one sieve gives every
-    sigma_k up to it.
-    """
+    sigma_k up to it.  At k = 0 it counts the forms of discriminant Delta
+    on either side (`delta_forms`): one per b and divisor of Delta - N(b)."""
     for delta in deltas:
         check_delta(f, delta)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if k < 0:
+        raise ValueError("k must be a nonnegative integer")
     top = max(deltas)
     counts = Counter(n for _, _, n in lattice_norms_below(f, top))
     sig = divisor_power_sums(k, top)

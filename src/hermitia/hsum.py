@@ -4,11 +4,13 @@ For a positive non-norm Delta and odd k, the object of study is
 
     H_{k,Delta}(z) = sum over forms h with a < 0, h(z,1) > 0 of h(z,1)^k .
 
-At exact z in K the sum is a finite exact rational.  `eval_exact` computes
-it by walking the Hurwitz continued fraction of z (`cfrac.hurwitz_cf`):
-H is O_d-periodic and even, so the reduction identity below carries H from
-each remainder to the next, one value of P_{k,Delta} per step, down to
-H(0) = alpha_{k,Delta}.  That costs O(#forms * log den(z)).  The
+At exact z in K the sum is a finite exact rational.  `eval_points`
+computes it at a list of points by walking the Hurwitz continued fraction
+of each (`cfrac.hurwitz_cf`): H is O_d-periodic and even, so the reduction
+identity below carries H from each remainder to the next, one value of
+P_{k,Delta} per step, down to H(0) = alpha_{k,Delta}.  It enumerates the
+forms once per call, so a command enumerates them once, and then costs
+O(#forms * log den(z)) per point; `eval_exact` is its one-point case.  The
 definition itself is summed by the window scan `forms.window_scan`, which
 visits every |a| <= Delta*den(z)^2; it is the oracle of the tests and of
 `reduction_identity_check`.  For floating z the series is absolutely
@@ -58,42 +60,52 @@ CHECK_SLACK = 1e-9
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
-    """H_{k,Delta}(z) as an exact rational, z in K, odd k.
+    """H_{k,Delta}(z) as an exact rational, z in K, odd k: `eval_points` at
+    z alone, which enumerates the forms for this one point."""
+    return eval_points(f, k, delta, [z])[0]
 
-    Walks the Hurwitz continued fraction of z.  With r = z_n - alpha_n the
-    n-th remainder and z_(n+1) = 1/r, periodicity, H(-w) = H(w) and the
-    reduction identity give H(z_n) = H(r) = N(r)^k H(z_(n+1)) - P(r); the
-    walk sums these until a remainder is 0, where H(0) = alpha_{k,Delta}.
-    P(r) is evaluated on integers: for r = (x + y*omega)/den each form
-    (a, b, c) with c < 0 < a contributes
+
+def eval_points(f: FieldSpec, k: int, delta: int, points: list[QuadElem]) -> list[Fraction]:
+    """H_{k,Delta} at each of the exact `points` of K, odd k, from one
+    enumeration of the forms of discriminant Delta.
+
+    Each point walks its Hurwitz continued fraction.  With r = z_n - alpha_n
+    the n-th remainder and z_(n+1) = 1/r, periodicity, H(-w) = H(w) and the
+    reduction identity give H(z_n) = H(r) = N(r)^k H(z_(n+1)) - P(r), down
+    to a remainder 0, where H(0) = alpha_{k,Delta}.  For r = (x + y*omega)/den
+    each form (a, b, c) with c < 0 < a adds to P(r) the k-th power of
     h(r,1)*den^2 = a*N(x, y) + den*(x*Tr(b) + y*Tr(b*omega)) + c*den^2.
     Their negatives are the forms with a < 0 < c that sum to H(0), so
     alpha_{k,Delta} is the sum of (-c)^k over the same forms.
-    The cost is O(#forms * log den); the definition, summed by
-    `forms.window_scan` in O(Delta*den^2), is the oracle in the tests.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
     check_delta(f, delta)
-    if not isinstance(z, QuadElem):
-        raise TypeError("eval_exact needs an exact field element")
+    if not all(isinstance(z, QuadElem) for z in points):
+        raise TypeError("eval_points needs exact field elements")
     omega = f.omega
     terms = [
         (h.a, h.b.trace(), (h.b * omega).trace(), h.c)
         for h in delta_forms(f, delta, "positive_a")
     ]
-    total, scale = Fraction(0), Fraction(1)
-    exp = hurwitz_cf(f, z, max_steps=math.inf)
-    for zn, an in zip(exp.zs, exp.alphas):
-        r = zn - an
-        if r.is_zero():
-            return total + scale * sum((-c) ** k for _, _, _, c in terms)
-        x, y, den = r.num.x, r.num.y, r.den
-        nrm, dd = f.norm_int(x, y), den * den
-        p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)
-        total -= scale * Fraction(p, dd**k)
-        scale *= Fraction(nrm, dd) ** k
-    raise CertificateError(f"the continued fraction of {z} did not terminate")
+    h_zero = sum((-c) ** k for _, _, _, c in terms)
+    values = []
+    for z in points:
+        total, scale = Fraction(0), Fraction(1)
+        exp = hurwitz_cf(f, z, max_steps=math.inf)
+        for zn, an in zip(exp.zs, exp.alphas):
+            r = zn - an
+            if r.is_zero():
+                values.append(total + scale * h_zero)
+                break
+            x, y, den = r.num.x, r.num.y, r.den
+            nrm, dd = f.norm_int(x, y), den * den
+            p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)
+            total -= scale * Fraction(p, dd**k)
+            scale *= Fraction(nrm, dd) ** k
+        else:
+            raise CertificateError(f"the continued fraction of {z} did not terminate")
+    return values
 
 
 def _scan_value(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:

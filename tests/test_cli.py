@@ -437,7 +437,7 @@ def test_delta_above_the_alpha_cap_exits_2(capsys, argv):
 @pytest.mark.parametrize("argv,cap", [
     (["hconst", "-d", "2", "-k", "1", "-z", "0"], "FORMS_DELTA_MAX"),
     (["expandp", "-d", "2", "-k", "1"], "FORMS_DELTA_MAX"),
-    (["average", "-d", "2", "-k", "3", "--grid", "1"], "AVERAGE_DELTA_MAX"),
+    (["average", "-d", "2", "-k", "3", "--grid", "1"], "FORMS_DELTA_MAX"),
 ])
 def test_delta_above_the_forms_caps_exits_2(capsys, argv, cap):
     top = getattr(cli, cap)
@@ -584,11 +584,32 @@ def test_alpha_count_rows_equal_the_form_sum(capsys):
             assert row["alpha"] == forms.alpha_direct(f, 3, row["delta"]), (d, row["delta"])
 
 
+def hconst_cost(d: int, k: int, delta: int, bits: list[int]) -> int:
+    """The cost rule of `cli.cmd_hconst`, restated: 2.6*10^5 per form of
+    discriminant Delta, and per point of b bits
+    b ((k+2) ((k+2) (b+L)^2 + 5500 F) + 3*10^6), L the bit length of Delta."""
+    nforms, k2, lbits = forms.alpha(field(d), 0, delta), k + 2, delta.bit_length()
+    return 26 * 10**4 * nforms + sum(b * (k2 * (k2 * (b + lbits) ** 2 + 5500 * nforms) + 3 * 10**6)
+                                     for b in bits)
+
+
+def largest_admitted_k(d: int, delta: int, bits: list[int]) -> int:
+    """The largest odd k whose `hconst_cost` is within HCONST_WALK_MAX."""
+    lo, hi = 0, cli.HCONST_WALK_MAX  # k = 2 j + 1 for j in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if hconst_cost(d, 2 * mid + 1, delta, bits) <= cli.HCONST_WALK_MAX:
+            lo = mid
+        else:
+            hi = mid - 1
+    return 2 * lo + 1
+
+
 def test_hconst_k_cap_counts_the_points_denominators(capsys):
-    """k times the bit lengths of the denominators is capped: at a lattice
-    point (1 bit) k may reach the cap, and a point of denominator 15 (4
-    bits) lowers it fourfold."""
-    top = cli.HCONST_K_BITS_MAX
+    """The cost rule bounds k through (k+2)^2 b (b+L)^2: at a lattice point
+    (1 bit) the largest admitted k runs and prints alpha_{k,Delta} whole,
+    and a point of denominator 15 (4 bits) lowers it fourfold."""
+    top = largest_admitted_k(1, 3, [1])
     base = ["hconst", "-d", "1", "--delta", "3", "-z", "0"]
     code, out = run(capsys, *base, "-k", str(top), "--format", "csv")
     assert code == EXIT_OK, run.err
@@ -602,13 +623,14 @@ def test_hconst_k_cap_counts_the_points_denominators(capsys):
     with pytest.raises(SystemExit):
         main([*base, "-k", str(top + 1)])
     assert "argument -k: must be odd" in capsys.readouterr().err
+    top4 = largest_admitted_k(1, 3, [4])
+    assert top4 <= top // 4 + 1
     for argv in ([*base, "-k", str(top + 2)],
-                 ["hconst", "-d", "1", "--delta", "3", "-z", "1/3,1/5", "-k", str(top // 4 + 1)],
-                 ["hconst", "-d", "1", "--delta", "3", "-z", "1/2", "-k", str(top // 2 + 1)]):
+                 ["hconst", "-d", "1", "--delta", "3", "-z", "1/3,1/5", "-k", str(top4 + 2)]):
         code, out = run(capsys, *argv)
         assert code == EXIT_PRECONDITION and out == ""
         (line,) = run.err.splitlines()
-        assert line.startswith("error: -k times") and str(top) in line
+        assert line.startswith("error: the walk's cost") and str(cli.HCONST_WALK_MAX) in line
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,9 +640,9 @@ def test_hconst_k_cap_counts_the_points_denominators(capsys):
     ["-d", "3", "-k", "1", "--delta", "20000", "-z", f"1/3,{3**40 + 1}/{2**63 + 1}"],
 ])
 def test_hconst_walk_cost_is_capped(capsys, argv):
-    """Calls inside every other cap that walked for 12 s to minutes: long
-    walks at small Delta and large k, and one 64-bit point at a large
-    Delta, exit 2 before any walk."""
+    """Calls that walked for 12 s to minutes: long walks at small Delta and
+    large k, and one 64-bit point at a large Delta, exit 2 before any
+    walk."""
     start = time.perf_counter()
     code, out = run(capsys, "hconst", *argv)
     assert time.perf_counter() - start < 2
@@ -630,9 +652,10 @@ def test_hconst_walk_cost_is_capped(capsys, argv):
 
 
 def test_hconst_walk_cost_at_the_cap_and_one_past_it(capsys, monkeypatch):
-    # two points of 2 and 4 bits at k = 3, Delta = 5: the sum over them of
-    # 5 b (5 b^2 + 7*10^4 * 5) + 3*10^6 * 5
-    cost = 5 * 2 * (5 * 4 + 350000) + 5 * 4 * (5 * 16 + 350000) + 2 * 15 * 10**6
+    # two points of 2 and 4 bits at k = 3 over the 22 forms of Delta = 5
+    # (3 bits)
+    cost = hconst_cost(2, 3, 5, [2, 4])
+    assert cost == 26 * 10**4 * 22 + sum(b * (5 * (5 * (b + 3) ** 2 + 5500 * 22) + 3 * 10**6) for b in (2, 4))
     argv = ["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "1/2", "-z", "1/3,1/5"]
     monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost)
     code, out = run(capsys, *argv)
@@ -645,9 +668,9 @@ def test_hconst_walk_cost_at_the_cap_and_one_past_it(capsys, monkeypatch):
 
 def test_hconst_caps_count_drawn_points_at_the_bits_of_den(capsys, monkeypatch):
     """A point drawn without -z counts the 4 bits of --den 8 whatever
-    --seed draws: two of them at k = 1, Delta = 3 cost
-    2 * (3 * 4 * (3 * 16 + 7*10^4 * 3) + 3*10^6 * 3) for every seed."""
-    cost = 2 * (3 * 4 * (3 * 16 + 210000) + 9 * 10**6)
+    --seed draws: two of them at k = 1 over the 14 forms of Delta = 3 cost
+    the same for every seed."""
+    cost = hconst_cost(1, 1, 3, [4, 4])
     base = ["hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "2", "--den", "8"]
     for seed in map(str, range(4)):
         monkeypatch.setattr(cli, "HCONST_WALK_MAX", cost)
@@ -659,36 +682,45 @@ def test_hconst_caps_count_drawn_points_at_the_bits_of_den(capsys, monkeypatch):
         assert f"must be at most {cost - 1}; got {cost}" in run.err
 
 
-@pytest.mark.parametrize("points, delta", [(20, 3999), (1, 79999), (4000, 19)])
-def test_hconst_walk_cap_admits_what_points_times_delta_admits(capsys, monkeypatch, points, delta):
-    """At -k 1 and the default --den, every call with --points times
-    --delta <= FORMS_DELTA_MAX passes the walk cap, whatever the seed (the
-    walks are skipped)."""
-    monkeypatch.setattr(hsum, "eval_exact", lambda f, k, delta, z: 0)
+@pytest.mark.parametrize("d, delta, points, den", [(3, 3899, 20, 8), (11, 2, 24459, 8), (3, 43088, 1, 1)])
+def test_hconst_cost_admits_its_timed_corners_whatever_the_seed(capsys, monkeypatch, d, delta, points, den):
+    """The corners that `scripts/time_caps.py` times pass the cost rule for
+    every seed (the walks are skipped): the 20 default points at O_3,
+    Delta = 3899, the most cheap points, and one lattice point at the most
+    forms.  At the last two one more point is past the cap."""
+    monkeypatch.setattr(hsum, "eval_points", lambda f, k, delta, points: [0] * len(points))
+    argv = ["hconst", "-d", str(d), "-k", "1", "--delta", str(delta), "--den", str(den)]
     for seed in map(str, range(3)):
-        code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", str(delta),
-                        "--points", str(points), "--seed", seed, "--format", "json")
+        code, out = run(capsys, *argv, "--points", str(points), "--seed", seed, "--format", "json")
         assert code == EXIT_OK, run.err
         assert len(json.loads(out)) == points + 1
+    at_the_cap = points != 20
+    assert (hconst_cost(d, 1, delta, [den.bit_length()] * (points + 1)) > cli.HCONST_WALK_MAX) == at_the_cap
 
 
 def test_hconst_points_times_delta_is_capped(capsys, monkeypatch):
-    # 20 default points at Delta = 4003 would walk 80,060 > FORMS_DELTA_MAX
-    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "4003")
+    """--points is a factor of the cost, and each -z point counts as well."""
+    # 10^18 points are refused before any point is drawn
+    start = time.perf_counter()
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", str(10**18))
+    assert time.perf_counter() - start < 2
     assert code == EXIT_PRECONDITION and out == ""
     (line,) = run.err.splitlines()
-    assert line.startswith("error: --points times --delta") and str(cli.FORMS_DELTA_MAX) in line
-    # the rule at the cap and one past it; -z points are not counted
-    monkeypatch.setattr(cli, "FORMS_DELTA_MAX", 30)
+    assert line.startswith("error: the walk's cost") and "--points" in line
+    # the rule at ten points and one past it, drawn or given by -z (0 has
+    # denominator 1, so its point costs less than a drawn one of 4 bits)
+    monkeypatch.setattr(cli, "HCONST_WALK_MAX", hconst_cost(1, 1, 3, [4] * 10))
     code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "10",
                     "--format", "json")
     assert code == EXIT_OK, run.err
     assert len(json.loads(out)) == 11
     code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "11")
     assert code == EXIT_PRECONDITION and "--points" in run.err
-    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", "--points", "11",
-                    *(f"-z={i}" for i in range(11)))
+    monkeypatch.setattr(cli, "HCONST_WALK_MAX", hconst_cost(1, 1, 3, [1] * 10))
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", *(f"-z={i}" for i in range(10)))
     assert code == EXIT_OK, run.err
+    code, out = run(capsys, "hconst", "-d", "1", "-k", "1", "--delta", "3", *(f"-z={i}" for i in range(11)))
+    assert code == EXIT_PRECONDITION and "-z" in run.err
 
 
 def average_cells_are_finite(out: str) -> bool:
@@ -712,21 +744,21 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
         assert code == EXIT_OK and average_cells_are_finite(out), (d, run.err, out)
         code, out = run(capsys, *argv, "-k", str(top + 1))
         assert code == EXIT_PRECONDITION and out == "" and run.err.startswith("error: -k times")
-        # the largest admitted Delta walks for seconds in each ring: check
-        # its largest floats, the closed form and the bound on the sum of the
-        # grid's values, at the cap
-        delta = max(x for x in range(cli.AVERAGE_DELTA_MAX - 99, cli.AVERAGE_DELTA_MAX + 1)
+        # the largest Delta that the --delta cap admits bounds every Delta
+        # the cost rule admits: check its largest floats, the closed form and
+        # the bound on the sum of the grid's values (at most
+        # AVERAGE_WALK_MAX / 30 of them), at the -k cap
+        delta = max(x for x in range(cli.FORMS_DELTA_MAX - 99, cli.FORMS_DELTA_MAX + 1)
                     if not is_norm(f, x))
         top = cli.AVERAGE_K_BITS_MAX // (delta + 2).bit_length()
         bound = hsum.tail_bound(f, top, delta, 1) * (top - 1) * float(mpmath.zeta(top))
         assert math.isfinite(hsum.formula_average(f, top, delta))
-        assert math.isfinite(bound * cli.AVERAGE_GRID_DELTA_MAX / delta)
+        assert math.isfinite(bound * cli.AVERAGE_WALK_MAX / 30)
 
 
 def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
-    # the benchmark's and the golden file's --delta 5 stay far inside
-    assert 5 <= cli.AVERAGE_DELTA_MAX
-    # the cap itself passes every check; its walk (about 6 s) is stubbed out
+    # the --delta cap is the forms' FORMS_DELTA_MAX; at it the cost rule
+    # refuses, so it is lifted and the walk stubbed out
     asked = []
 
     def quadrature(f, k, delta, grid, a_max):
@@ -734,7 +766,8 @@ def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
         return hsum.AverageReport(f.d, k, delta, grid, a_max, 1.0, 1.0)
 
     monkeypatch.setattr(hsum, "average_quadrature", quadrature)
-    top = cli.AVERAGE_DELTA_MAX
+    monkeypatch.setattr(cli, "AVERAGE_WALK_MAX", 10**10)
+    top = cli.FORMS_DELTA_MAX
     assert not is_norm(field(3), top)
     argv = ["average", "-d", "3", "-k", "3", "--grid", "1", "--delta"]
     code, out = run(capsys, *argv, str(top))
@@ -746,21 +779,30 @@ def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
 
 
 def test_average_caps_grid_squared_times_delta(capsys, monkeypatch):
-    # the golden grid 16 and the benchmark's grid 64 at Delta = 5 stay well inside
-    assert 4 * 64 * 64 * 5 <= cli.AVERAGE_GRID_DELTA_MAX
-    # grid 16 at Delta = 4000 would walk 256 points over 4000's forms at once
-    code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "4000", "--grid", "16")
+    """The cost rule: the F forms of --delta times (250 + grid^2), plus
+    30 grid^2 for the walk's arrays."""
+    # the golden grid 16 and the benchmark's grid 64 over the 22 forms of
+    # Delta = 5 stay well inside
+    assert 22 * (250 + 64 * 64) + 30 * 64 * 64 <= cli.AVERAGE_WALK_MAX
+    # grid 4 over the 246,740 forms of Delta = 4879 in O_3 took 10.2 s
+    code, out = run(capsys, "average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "4")
     assert code == EXIT_PRECONDITION and out == ""
     (line,) = run.err.splitlines()
-    assert line.startswith("error: --grid squared times --delta") and "16 * 16 * 4000" in line
+    cost = 246740 * (250 + 16) + 30 * 16
+    assert line == f"error: the walk's cost at --delta and --grid must be at most {cli.AVERAGE_WALK_MAX}; got {cost}"
+    # 10^9 is refused before any grid is built
+    start = time.perf_counter()
+    code, out = run(capsys, "average", "-d", "2", "-k", "3", "--delta", "5", "--grid", str(10**9))
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_PRECONDITION and out == "" and "--grid" in run.err
     argv = ["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4"]
-    monkeypatch.setattr(cli, "AVERAGE_GRID_DELTA_MAX", 4 * 4 * 5)
+    monkeypatch.setattr(cli, "AVERAGE_WALK_MAX", 22 * (250 + 16) + 30 * 16)
     code, out = run(capsys, *argv, "--format", "csv")
     assert code == EXIT_OK and average_cells_are_finite(out), run.err
-    monkeypatch.setattr(cli, "AVERAGE_GRID_DELTA_MAX", 4 * 4 * 5 - 1)
+    monkeypatch.setattr(cli, "AVERAGE_WALK_MAX", 22 * (250 + 16) + 30 * 16 - 1)
     code, out = run(capsys, *argv)
     assert code == EXIT_PRECONDITION and out == ""
-    assert run.err.startswith("error: --grid squared times --delta")
+    assert run.err.startswith("error: the walk's cost at --delta and --grid")
 
 
 def test_expandp_caps_k_cubed_times_delta(capsys, monkeypatch):

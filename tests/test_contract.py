@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import re
 
@@ -48,18 +49,20 @@ POOLS: dict[str, dict[str, list]] = {
         "--bits": [cli.MIN_BITS, 32, cli.MAX_BITS + 1],
         "--repeats": [1, 2, cli.BENCH_REPEATS_BITS_MAX + 1],
     },
+    # the costs of hconst and average are at least (k+2)^2, --points and
+    # --grid^2, so each of these values is past the cost cap on its own
     "hconst": {
-        "-k": [1, 3, cli.HCONST_K_BITS_MAX + 2],
+        "-k": [1, 3, math.isqrt(cli.HCONST_WALK_MAX) | 1],
         "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
         "-z": ["0", "1/3,1/2", "-1/2", "2/7,-3/5", "1/0", "1,2,3"],
-        "--points": [1, 2, cli.FORMS_DELTA_MAX + 1],
+        "--points": [1, 2, cli.HCONST_WALK_MAX + 1],
         "--den": [1, 5, 10**1000],
         "--seed": [0, 1],
     },
     "average": {
         "-k": [3, 4, 5, cli.AVERAGE_K_BITS_MAX + 1],
-        "--delta": [30, 6, 10, 2, 3, cli.AVERAGE_DELTA_MAX + 1],
-        "--grid": [1, 2, 4, cli.AVERAGE_GRID_DELTA_MAX + 1],
+        "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
+        "--grid": [1, 2, 4, math.isqrt(cli.AVERAGE_WALK_MAX) + 1],
         "--a-max": [50, 200],
     },
     "cfrac": {"-z": ["1/3", "7/10,1/3", "-2/7,3/5", "0", "1/0"], "--max-steps": [5, 40]},

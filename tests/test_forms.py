@@ -162,6 +162,22 @@ def test_divisor_power_sums_equal_the_divisor_sums():
     assert divisor_power_sums(3, 0) == [0] and divisor_power_sums(3, 1) == [0, 1]
 
 
+@pytest.mark.parametrize("d", EUCLIDEAN_DS)
+def test_alpha_at_k0_counts_the_forms_on_each_side(d):
+    """alpha_{0,Delta}, the count that prices `hconst` and `average`, is
+    the number of forms `delta_forms` yields on either side; O_3 at
+    Delta = 4879 has 246,740 of them."""
+    f = field(d)
+    for delta in nonnorm_deltas(f, 5) + ([4879] if d == 3 else []):
+        count = alpha(f, 0, delta)
+        for side in ("negative_a", "positive_a"):
+            assert sum(1 for _ in delta_forms(f, delta, side)) == count, (d, delta, side)
+    if d == 3:
+        assert alpha(f, 0, 4879) == 246740
+    with pytest.raises(ValueError):
+        alpha(f, -1, nonnorm_deltas(f, 1)[0])
+
+
 def test_alpha_rejects_norm_discriminant():
     for d, bad in ((1, 4), (2, 2), (3, 3), (7, 2), (11, 3)):
         with pytest.raises(ValueError):

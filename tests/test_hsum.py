@@ -150,6 +150,47 @@ def test_walk_equals_scan_property(d, k, which_delta, point):
     assert eval_exact(f, k, delta, z) == scan_values(f, delta, z, (k,))[k]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(EUCLIDEAN_DS),
+    k=st.sampled_from((1, 3, 5)),
+    which_delta=st.integers(0, 1),
+    points=st.lists(st.one_of(POINTS, st.tuples(st.integers(-2, 2), st.integers(-2, 2))), max_size=6),
+    repeat=st.booleans(),
+)
+def test_eval_points_equals_eval_exact_at_each_point(d, k, which_delta, points, repeat):
+    """One enumeration of the forms serves every point: `eval_points` equals
+    `eval_exact` point by point, and the window scan, on lists with z = 0,
+    lattice points and repeated points."""
+    f = field(d)
+    delta = nonnorm_deltas(f, 2)[which_delta]
+    zs = [disp(f, 0, 0)] + [disp(f, *p) for p in points]
+    if repeat:
+        zs += zs[-2:]
+    values = hsum.eval_points(f, k, delta, zs)
+    assert values == [eval_exact(f, k, delta, z) for z in zs]
+    assert values == [scan_values(f, delta, z, (k,))[k] for z in zs]
+
+
+def test_eval_points_enumerates_the_forms_once(monkeypatch):
+    calls = []
+    enumerate_forms = hsum.delta_forms
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_forms(*args)
+
+    monkeypatch.setattr(hsum, "delta_forms", counted)
+    f = field(2)
+    zs = [disp(f, Fraction(i, 7), Fraction(1, 3)) for i in range(5)]
+    values = hsum.eval_points(f, 3, 5, zs)
+    assert len(calls) == 1
+    assert values == [eval_exact(f, 3, 5, z) for z in zs]
+    assert hsum.eval_points(f, 3, 5, []) == []
+    with pytest.raises(TypeError):
+        hsum.eval_points(f, 3, 5, [zs[0], 0.25 + 0.5j])
+
+
 def test_scan_alone_satisfies_the_reduction_identity():
     # the identity the walk relies on, checked without the walk
     for d, k, u, v in [(1, 3, Fraction(1, 3), Fraction(1, 2)), (2, 3, Fraction(1, 3), 0),
