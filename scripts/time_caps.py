@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 scripts/time_caps.py [NAME ...]
 
 Runs each "slowest call at the cap" of the README cap table, the corners
-of the cost rules of `hconst` and `average`, and one call past each of
-those two rules, as `python3 -m hermitia ARGV` in a fresh
+of the cost rules of `alpha`, `expandp`, `hconst` and `average`, and one
+call past each of those four rules, as `python3 -m hermitia ARGV` in a fresh
 process started by a fresh wrapper process, so that the wrapper's
 `getrusage(RUSAGE_CHILDREN)` covers that one call.  Prints one line per
 call: its name, the exit code, the wall seconds, the peak RSS in MB and the
@@ -26,14 +26,41 @@ def point(a: int, b: int) -> tuple[str, str]:
 
 
 CALLS: dict[str, list] = {
-    "alpha-delta": ["alpha", "-d", "1", "-k", "3", "--delta", "99999"],
-    "expandp-delta": ["expandp", "-d", "3", "-k", "1", "--delta", "80000"],
-    "alpha-k": ["alpha", "-d", "2", "-k", "100001"],
-    "alpha-k-delta": ["alpha", "-d", "3", "-k", "25", "--delta", "99998"],
-    "alpha-count": ["alpha", "-d", "3", "-k", "1", "--count", "300"],
-    "expandp-k": ["expandp", "-d", "11", "-k", "81", "--delta", "2", "--check"],
-    "expandp-k3-delta": ["expandp", "-d", "2", "-k", "19", "--delta", "72895", "--check"],
-    "expandp-k81-delta": ["expandp", "-d", "2", "-k", "81", "--delta", "940", "--check"],
+    # alpha's cost: printing at the largest k at the smallest delta, at a
+    # delta just below a power of two, at the default three deltas and at 30;
+    # the sigma_k sieve at the largest k at the --delta cap (O_1, and O_2 with
+    # the most norm classes); the largest --count at k = 1 and at k = 1001;
+    # the largest k at a middle delta and at 1000 deltas
+    "alpha-k": ["alpha", "-d", "1", "-k", "1096043", "--delta", "3"],
+    "alpha-k-31": ["alpha", "-d", "1", "-k", "370689", "--delta", "31"],
+    "alpha-k-count": ["alpha", "-d", "2", "-k", "311761"],
+    "alpha-k-count-30": ["alpha", "-d", "2", "-k", "56323", "--count", "30"],
+    "alpha-delta": ["alpha", "-d", "1", "-k", "1083", "--delta", "99999"],
+    "alpha-delta-o2": ["alpha", "-d", "2", "-k", "1083", "--delta", "100000"],
+    "alpha-count": ["alpha", "-d", "2", "-k", "1", "--count", "9959"],
+    "alpha-count-k1001": ["alpha", "-d", "2", "-k", "1001", "--count", "3304"],
+    "alpha-mid-delta": ["alpha", "-d", "2", "-k", "3587", "--delta", "20013"],
+    "alpha-mid-count": ["alpha", "-d", "2", "-k", "4983", "--count", "1000"],
+    # one past alpha's cost: printing 30 values of 600,000 bits took minutes
+    "alpha-past-cap": ["alpha", "-d", "1", "-k", "100001", "--count", "30"],
+    # expandp's cost: the --delta cap at k = 1 and at the largest k (O_1, the
+    # slowest sweep, and O_3); the plan at the largest k at the smallest Delta
+    # (O_7, O_11); --check at the largest k (O_11, O_1); and k^3 Delta with
+    # --check at k = 27 (O_2, O_3), k = 81 (O_2) and the largest k at
+    # Delta = 301 (O_1)
+    "expandp-k1-delta": ["expandp", "-d", "1", "-k", "1", "--delta", "99999"],
+    "expandp-delta": ["expandp", "-d", "1", "-k", "15", "--delta", "99999"],
+    "expandp-delta-o3": ["expandp", "-d", "3", "-k", "19", "--delta", "99998"],
+    "expandp-k": ["expandp", "-d", "7", "-k", "235", "--delta", "3"],
+    "expandp-k-o11": ["expandp", "-d", "11", "-k", "235", "--delta", "2"],
+    "expandp-check": ["expandp", "-d", "11", "-k", "123", "--delta", "2", "--check"],
+    "expandp-check-o1": ["expandp", "-d", "1", "-k", "125", "--delta", "3", "--check"],
+    "expandp-k3-delta": ["expandp", "-d", "2", "-k", "27", "--delta", "16688", "--check"],
+    "expandp-k3-delta-o3": ["expandp", "-d", "3", "-k", "27", "--delta", "50061", "--check"],
+    "expandp-k81-delta": ["expandp", "-d", "2", "-k", "81", "--delta", "638", "--check"],
+    "expandp-mid-check": ["expandp", "-d", "1", "-k", "97", "--delta", "301", "--check"],
+    # one past expandp's cost: -k 81 --delta 8003 took 15 s
+    "expandp-past-cap": ["expandp", "-d", "1", "-k", "81", "--delta", "8003"],
     "theta-s": ["theta", "-d", "1", "--delta", "3", "-s", "250000"],
     "dims": ["dims", "-d", "11", "--kmax", "27"],
     "dims-modular": ["dims", "-d", "2", "--kmax", "27", "--method", "modular"],

@@ -5,10 +5,10 @@
 Runs `hermitia alpha -d d -k k --delta D` and `hermitia expandp -d d -k k
 --delta D` (without --check) through `cli.main` in this process, stdout
 discarded, at three D each: the least non-norm of O_d from 2000 and from
-20000, and the largest non-norm at or below the command's --delta cap
-(`cli.ALPHA_DELTA_MAX`, `cli.FORMS_DELTA_MAX`).  Defaults: d = 1, k = 3,
-one call each.  Prints one line per call: the command, D and the median
-seconds over `repeats` calls.  Exits 1 if a call does not exit 0.
+20000, and the largest non-norm at or below the --delta cap
+`cli.DELTA_MAX`.  Defaults: d = 1, k = 3, one call each.  Prints one line
+per call: the command, D and the median seconds over `repeats` calls.
+Exits 1 if a call does not exit 0.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def main(argv: list[str]) -> int:
     d, k, repeats = (int(a) for a in argv + ["1", "3", "1"][len(argv):])
     f = field(d)
     print(f"{'command':<8} {'delta':>6} {'seconds':>8}  (O_{d}, k = {k}, median of {repeats})")
-    for command, cap in (("alpha", cli.ALPHA_DELTA_MAX), ("expandp", cli.FORMS_DELTA_MAX)):
-        for delta in (nonnorm_from(f, 2000, 1), nonnorm_from(f, 20000, 1), nonnorm_from(f, cap, -1)):
+    for command in ("alpha", "expandp"):
+        for delta in (nonnorm_from(f, 2000, 1), nonnorm_from(f, 20000, 1), nonnorm_from(f, cli.DELTA_MAX, -1)):
             call = [command, "-d", str(d), "-k", str(k), "--delta", str(delta), "--format", "json"]
             median = statistics.median(seconds(call) for _ in range(repeats))
             print(f"{command:<8} {delta:>6} {median:>8.3f}", flush=True)

@@ -162,26 +162,21 @@ def _nstr(value, bits: int) -> str:
 # ----------------------------------------------------------------- commands
 
 
-# The largest --delta of each subcommand.  `forms.alpha` sums over the
-# O(Delta) lattice points of norm below Delta; at its cap one call of
-# `alpha` or `lvalue` takes about a second.  `expandp` sums over the same
-# points by norm class (`-k 1` at the cap takes about 2.5 s), and `hconst`
-# and `average` sweep them to count the forms that their cost rules price.
-ALPHA_DELTA_MAX = 10**5
-FORMS_DELTA_MAX = 8 * 10**4
-
-# The largest -k.  The k-th powers have O(k log Delta) digits; at the cap
-# one call at the smallest Delta, `alpha` with its default three deltas
-# or `expandp --check`, takes under 10 s (on a 2-vCPU VM `expandp -k 81
-# --check` took 1.0-2.1 s across the five rings, about half of it
-# `membership`, the word operators' proof mod split primes).
-ALPHA_K_MAX = 100001
-EXPANDP_K_MAX = 81
+# The largest --delta of `alpha`, `lvalue`, `hconst`, `average` and
+# `expandp`, which sweep the O(Delta) lattice points of norm below it (about
+# 0.2 s at the cap).  Every other input that sets the work is priced by one
+# cost rule per command, fitted on a 2-vCPU VM to the slowest ring at each
+# corner that `scripts/time_caps.py` times.
+DELTA_MAX = 10**5
+# `alpha` sieves sigma_k up to its largest delta, top (at most 2 count + 6
+# for --count): top products of about u = k * (bit length of top) bits, at
+# about u sqrt(u) each, held in top * u bits; each delta sums over the norm
+# classes below top, at 13 u + 25000 each, and prints about u bits, in time
+# quadratic in u.  It caps 20 top u sqrt(u) + count (top (13 u + 25000) +
+# u^2), about 1.4*10^-12 s per unit.
+ALPHA_COST_MAX = 5 * 10**12
 # `hconst` and `average` cost about the number F of forms of discriminant
-# Delta (alpha_{0,Delta}, which `forms.alpha` counts at k = 0) times what
-# each form costs; each caps one cost rule, fitted on a 2-vCPU VM to the
-# slowest ring at each corner that `scripts/time_caps.py` times.
-#
+# Delta (alpha_{0,Delta}, `forms.alpha` at k = 0) times what each costs.
 # `hconst` enumerates the forms once and walks each point's continued
 # fraction over them: about b steps for a denominator of b bits, each on
 # exact values of about (k+2)(b+L) bits (L the bit length of Delta), on the
@@ -189,18 +184,17 @@ EXPANDP_K_MAX = 81
 # 2.6*10^5 F plus the sum over the points of
 # b ((k+2) ((k+2) (b+L)^2 + 5500 F) + 3*10^6), about 3*10^-11 s per unit.
 HCONST_WALK_MAX = 3 * 10**11
-# `alpha` sums O(Delta) k-th powers for each of its deltas, so it caps k
-# times the sum of the deltas (2,200,022 for the default three deltas of
-# O_2 at ALPHA_K_MAX), and --count, which at k = 1 is the only limit.
-ALPHA_K_DELTA_MAX = 2_500_000
-ALPHA_COUNT_MAX = 300
 # theta(Delta, s) has about s * log2(|d_K| * Delta) bits, so `theta` caps
 # s times the bit length of |d_K| * Delta.
 THETA_S_BITS_MAX = 10**6
-# `expandp` makes about (norm classes below Delta) * k^3 big-integer
-# products, so it caps k^3 times Delta; at the -k cap that allows Delta <=
-# 940.  At the cap `expandp --check` took at most 8.6 s (O_2, k = 19).
-EXPANDP_K3_DELTA_MAX = 5 * 10**8
+# `expandp` sums about k^3 / w terms per norm class (`forms.expand_P`), w
+# the number of units, on integers that grow with k, after a plan of as
+# many terms built once at about k each; --check proves the word operators
+# on (k+1)^2 coordinates mod split primes, as many as the about k (L + 5)
+# bits of the height, L the bit length of Delta.  It caps
+# (k+8)^3 (5 Delta + k) / w, plus k^4 (L + 5) with --check, about 5*10^-9 s
+# per unit.
+EXPANDP_COST_MAX = 18 * 10**8
 # `average` walks its grid^2 points at once in floats, one numpy pass per
 # form and step.  It caps F (250 + grid^2) + 30 grid^2, about 2*10^-7 s
 # per unit; the 30 grid^2 bounds the walk's arrays, about 200 bytes per
@@ -216,14 +210,15 @@ WKK_K_MAX = 27
 def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
     if args.delta is not None:
-        at_most("--delta", ALPHA_DELTA_MAX, args.delta)
+        at_most("--delta", DELTA_MAX, args.delta)
+        forms.check_delta(f, args.delta)
+    count, top = (1, args.delta) if args.delta is not None else (args.count, 2 * args.count + 6)
+    u = args.k * top.bit_length()
+    at_most("the cost at -k of the deltas (--delta, or the first --count non-norms)", ALPHA_COST_MAX,
+            20 * top * u * math.isqrt(u) + count * (top * (13 * u + 25000) + u * u))
     deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
-    at_most("-k times the sum of the deltas (--delta, or the first --count non-norms)",
-            ALPHA_K_DELTA_MAX, args.k, sum(deltas))
-    return [
-        {"d": args.d, "k": args.k, "delta": dl, "alpha": value}
-        for dl, value in zip(deltas, forms.alphas(f, args.k, deltas))
-    ]
+    values = forms.alphas(f, args.k, deltas)
+    return [{"d": args.d, "k": args.k, "delta": dl, "alpha": v} for dl, v in zip(deltas, values)]
 
 
 def cmd_theta(args) -> list[dict]:
@@ -277,7 +272,7 @@ def cmd_lvalue(args) -> list[dict]:
     f = field(args.d)
     bits = default_bits() if args.bits is None else args.bits
     if args.delta is not None:
-        at_most("--delta", ALPHA_DELTA_MAX, args.delta)
+        at_most("--delta", DELTA_MAX, args.delta)
     value = lfun.l_closed_form(f, args.s, args.delta)
     numeric = value.numeric(bits)
     return [
@@ -313,7 +308,7 @@ def cmd_bench(args) -> list[dict]:
 
 def cmd_hconst(args) -> list[dict]:
     f = field(args.d)
-    at_most("--delta", FORMS_DELTA_MAX, args.delta)
+    at_most("--delta", DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
     points = [parse_z(f, z) for z in args.z or ()]
     # (bits, points) pairs: a point to be drawn counts the bits of --den, the
@@ -351,7 +346,7 @@ def cmd_hconst(args) -> list[dict]:
 
 def cmd_average(args) -> list[dict]:
     f = field(args.d)
-    at_most("--delta", FORMS_DELTA_MAX, args.delta)
+    at_most("--delta", DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
     at_most("-k times the bit length of --delta + 2", AVERAGE_K_BITS_MAX,
             args.k, (args.delta + 2).bit_length())
@@ -440,8 +435,11 @@ def cmd_basis(args) -> list[dict]:
 
 def cmd_expandp(args) -> list[dict]:
     f = field(args.d)
-    at_most("--delta", FORMS_DELTA_MAX, args.delta)
-    at_most("-k cubed times --delta", EXPANDP_K3_DELTA_MAX, args.k, args.k, args.k, args.delta)
+    at_most("--delta", DELTA_MAX, args.delta)
+    forms.check_delta(f, args.delta)
+    check = args.k**4 * (args.delta.bit_length() + 5) if args.check else 0
+    at_most("the cost at -k and --delta, --check included", EXPANDP_COST_MAX,
+            (args.k + 8) ** 3 * (5 * args.delta + args.k) // len(f.units()) + check)
     P = forms.expand_P(f, args.k, args.delta)
     row = {"d": args.d, "k": args.k, "delta": args.delta, "poly": str(P)}
     if args.check:
@@ -555,10 +553,9 @@ def arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 COMMANDS: dict[str, Command] = {
     "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
-        arg("-k", type=int_at_least(1, odd=True, most=ALPHA_K_MAX), required=True),
+        arg("-k", type=int_at_least(1, odd=True), required=True),
         arg("--delta", type=int),
-        arg("--count", type=int_at_least(1, most=ALPHA_COUNT_MAX), default=3,
-            help="how many non-norm deltas"),
+        arg("--count", type=int_at_least(1), default=3, help="how many non-norm deltas"),
     )),
     "theta": Command("exact local correction factor theta(delta, s)", cmd_theta, True, (
         arg("--delta", type=int, required=True),
@@ -607,7 +604,7 @@ COMMANDS: dict[str, Command] = {
         arg("--eigen", help="restrict to one eigenvalue label"),
     )),
     "expandp": Command("the transfer polynomial P_{k,Delta}", cmd_expandp, True, (
-        arg("-k", type=int_at_least(1, odd=True, most=EXPANDP_K_MAX), required=True),
+        arg("-k", type=int_at_least(1, odd=True), required=True),
         arg("--delta", type=int, required=True),
         arg("--check", action="store_true", help="verify cocycle membership"),
     )),

@@ -31,9 +31,9 @@ Both depend on b only through its norm class N(b) = n: alpha through the
 count r(n) of such b, P through the power sums of b over the class.  So
 `alphas` and `expand_P` sweep the lattice points once, group them by norm,
 and take the divisor sums of Delta - n from one smallest-prime-factor
-sieve up to Delta; no integer is factored on its own.  `delta_forms`,
-which lists the forms one by one, is the route of the oracles
-(`alpha_direct`) and of the evaluation of H_{k,Delta}.
+sieve up to Delta; no integer is factored on its own.  `form_ints` lists
+the forms one by one as integers, for H_{k,Delta} (`hsum`), and
+`delta_forms` as `HermitianForm`s, for the oracles (`alpha_direct`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .field import (
     as_elem,
     is_norm,
     lattice_norms_below,
-    lattice_points_with_norm_below,
 )
 from .intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
 from .linalg import pair_powers
@@ -232,25 +231,30 @@ def check_delta(f: FieldSpec, delta: int) -> None:
         )
 
 
-def delta_forms(
-    f: FieldSpec, delta: int, side: str = "negative_a"
-) -> Iterator[HermitianForm]:
-    """All forms of discriminant delta with a < 0 < c (side="negative_a")
-    or c < 0 < a (side="positive_a"), in a deterministic order.
-
-    These index sets are finite: ac = N(b) - delta < 0 forces N(b) < delta
-    and |a|*|c| <= delta.
-    """
+def form_ints(f: FieldSpec, delta: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a, x, y, c) for each form of discriminant delta with c < 0 < a, b =
+    x + y*omega, as integers: one per lattice point b of norm n < delta (in
+    `lattice_norms_below` order) and divisor a of delta - n (ascending),
+    found once per norm class."""
     check_delta(f, delta)
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for x, y, n in lattice_norms_below(f, delta):
+        if n not in pairs:
+            pairs[n] = [(e, (n - delta) // e) for e in divisors(delta - n)]
+        for a, c in pairs[n]:
+            yield a, x, y, c
+
+
+def delta_forms(f: FieldSpec, delta: int, side: str = "negative_a") -> Iterator[HermitianForm]:
+    """All forms of discriminant delta with a < 0 < c (side="negative_a")
+    or c < 0 < a (side="positive_a"), in the order of `form_ints`.  These
+    sets are finite: ac = N(b) - delta < 0 forces N(b) < delta and
+    |a|*|c| <= delta."""
     if side not in ("negative_a", "positive_a"):
         raise ValueError(f"unknown side {side!r}")
-    for b in lattice_points_with_norm_below(f, delta):
-        m = delta - b.norm()
-        for e in divisors(m):
-            if side == "negative_a":
-                yield HermitianForm(-e, b, m // e)
-            else:
-                yield HermitianForm(e, b, -(m // e))
+    sign = -1 if side == "negative_a" else 1
+    for a, x, y, c in form_ints(f, delta):
+        yield HermitianForm(sign * a, QuadInt(f, x, y), sign * c)
 
 
 def alpha(f: FieldSpec, k: int, delta: int) -> int:

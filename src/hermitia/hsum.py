@@ -53,7 +53,7 @@ import numpy as np
 
 from .cfrac import hurwitz_cf
 from .field import CertificateError, FieldSpec, QuadElem
-from .forms import check_delta, delta_forms, expand_P, window_scan
+from .forms import check_delta, expand_P, form_ints, window_scan
 
 # a float `ReductionCheck` holds within its error bound plus this slack
 CHECK_SLACK = 1e-9
@@ -83,11 +83,9 @@ def eval_points(f: FieldSpec, k: int, delta: int, points: list[QuadElem]) -> lis
     check_delta(f, delta)
     if not all(isinstance(z, QuadElem) for z in points):
         raise TypeError("eval_points needs exact field elements")
-    omega = f.omega
-    terms = [
-        (h.a, h.b.trace(), (h.b * omega).trace(), h.c)
-        for h in delta_forms(f, delta, "positive_a")
-    ]
+    # Tr(b) and Tr(b*omega) for b = x + y*omega, with omega^2 = t*omega - n
+    t, tt = f.disc, f.disc * f.disc - 2 * f.norm_coeff
+    terms = [(a, 2 * x + t * y, t * x + tt * y, c) for a, x, y, c in form_ints(f, delta)]
     h_zero = sum((-c) ** k for _, _, _, c in terms)
     values = []
     for z in points:
@@ -315,7 +313,8 @@ def _walk_values(
     H(0) = alpha_{k,Delta}.  The value returned is total, a lower bound
     up to float rounding.
     """
-    terms = [(h.a, complex(h.b), h.c) for h in delta_forms(f, delta, "positive_a")]
+    omega = f.omega_complex
+    terms = [(a, x + y * omega, c) for a, x, y, c in form_ints(f, delta)]
     t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0
     # tail_bound at a_max = 1 is (count bound) * Delta^k / (k - 1)
     bound = tail_bound(f, k, delta, 1) * (k - 1) * float(mpmath.zeta(k))

@@ -426,44 +426,21 @@ def test_huge_delta_exits_2_naming_the_flag(argv):
     assert done.stderr.startswith("error: --delta") and len(done.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["alpha", "-d", "2", "-k", "1"], ["lvalue", "-d", "2", "-s", "3"]])
-def test_delta_above_the_alpha_cap_exits_2(capsys, argv):
-    code, out = run(capsys, *argv, "--delta", str(cli.ALPHA_DELTA_MAX + 1))
-    assert code == EXIT_PRECONDITION
-    assert out == ""
-    assert run.err.startswith("error: --delta") and str(cli.ALPHA_DELTA_MAX) in run.err
-
-
-@pytest.mark.parametrize("argv,cap", [
-    (["hconst", "-d", "2", "-k", "1", "-z", "0"], "FORMS_DELTA_MAX"),
-    (["expandp", "-d", "2", "-k", "1"], "FORMS_DELTA_MAX"),
-    (["average", "-d", "2", "-k", "3", "--grid", "1"], "FORMS_DELTA_MAX"),
+@pytest.mark.parametrize("argv", [
+    ["alpha", "-d", "2", "-k", "1"],
+    ["lvalue", "-d", "2", "-s", "3"],
+    ["hconst", "-d", "2", "-k", "1", "-z", "0"],
+    ["expandp", "-d", "2", "-k", "1"],
+    ["average", "-d", "2", "-k", "3", "--grid", "1"],
 ])
-def test_delta_above_the_forms_caps_exits_2(capsys, argv, cap):
-    top = getattr(cli, cap)
-    code, out = run(capsys, *argv, "--delta", str(top + 1))
+def test_delta_above_the_alpha_cap_exits_2(capsys, argv):
+    """DELTA_MAX, once the --delta cap of `alpha` alone, guards the lattice
+    sweep of every command that takes a --delta."""
+    code, out = run(capsys, *argv, "--delta", str(cli.DELTA_MAX + 1))
     assert code == EXIT_PRECONDITION
     assert out == ""
     (line,) = run.err.splitlines()
-    assert line.startswith("error: --delta") and str(top) in line
-
-
-@pytest.mark.parametrize("argv, cap", [
-    (["alpha", "-d", "1", "--delta", "3"], "ALPHA_K_MAX"),
-    (["expandp", "-d", "3", "--delta", "2"], "EXPANDP_K_MAX"),
-])
-def test_k_cap_and_cap_plus_one(capsys, argv, cap):
-    top = getattr(cli, cap)
-    code, out = run(capsys, *argv, "-k", str(top), "--format", "csv")
-    assert code == EXIT_OK, run.err
-    assert parse_rows(out, "csv")[0]["k"] == str(top)
-    for k in (top + 1, top + 2):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "-k", str(k)])
-        assert exc.value.code == EXIT_PRECONDITION
-        err = capsys.readouterr().err
-        assert "argument -k:" in err and "Traceback" not in err
-    assert f"must be at most {top}, got {top + 2}" in err
+    assert line == f"error: --delta must be at most {cli.DELTA_MAX}; got {cli.DELTA_MAX + 1}"
 
 
 def assert_argparse_refuses(capsys, argv, flag):
@@ -474,36 +451,107 @@ def assert_argparse_refuses(capsys, argv, flag):
     assert f"argument {flag}: must be at most" in err and "Traceback" not in err
 
 
-def test_alpha_count_cap_and_cap_plus_one(capsys):
-    top = cli.ALPHA_COUNT_MAX
-    code, out = run(capsys, "alpha", "-d", "3", "-k", "1", "--count", str(top), "--format", "csv")
-    assert code == EXIT_OK, run.err
-    assert len(parse_rows(out, "csv")) == top
-    assert_argparse_refuses(capsys, ["alpha", "-d", "3", "-k", "1", "--count", str(top + 1)], "--count")
+def alpha_cost(k: int, top: int, count: int) -> int:
+    """The cost rule of `cli.cmd_alpha`, restated: with u = k times the bit
+    length of the largest delta, top, 20 top u sqrt(u) for the sigma_k
+    sieve, and for each of the `count` deltas top (13 u + 25000) for its
+    sum over the norm classes and u^2 for printing it."""
+    u = k * top.bit_length()
+    return 20 * top * u * math.isqrt(u) + count * (top * (13 * u + 25000) + u * u)
 
 
-def test_alpha_caps_k_times_the_sum_of_the_deltas(capsys, monkeypatch):
-    # the default three deltas stay legal at the -k cap in every ring
-    for d in (1, 2, 3, 7, 11):
-        assert cli.ALPHA_K_MAX * sum(nonnorm_deltas(field(d), 3)) <= cli.ALPHA_K_DELTA_MAX
-    # the 30 smallest non-norms of O_1 at the -k cap ran for minutes
-    done = run_module("alpha", "-d", "1", "-k", str(cli.ALPHA_K_MAX), "--count", "30", timeout=20)
-    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("error: -k times the sum") and str(cli.ALPHA_K_DELTA_MAX) in line
-    # the rule at the cap and one past it, for --count and for --delta:
-    # the default deltas of O_1 are 3, 6, 7
-    monkeypatch.setattr(cli, "ALPHA_K_DELTA_MAX", 3 * 16)
-    code, out = run(capsys, "alpha", "-d", "1", "-k", "3", "--format", "csv")
-    assert code == EXIT_OK and len(parse_rows(out, "csv")) == 3
-    code, out = run(capsys, "alpha", "-d", "1", "-k", "3", "--delta", "7", "--format", "csv")
-    assert code == EXIT_OK, run.err
-    monkeypatch.setattr(cli, "ALPHA_K_DELTA_MAX", 3 * 16 - 1)
-    for argv in (["-k", "3"], ["-k", "7", "--delta", "7"]):
+ALPHA_COST_LINE = "error: the cost at -k of the deltas (--delta, or the first --count non-norms) must be at most"
+
+
+def test_alpha_cost_at_the_cap_and_one_past_it(capsys, monkeypatch):
+    """--delta 7 at k = 3 (u = 9), and the default three deltas, priced at
+    top = 2 * 3 + 6 = 12 before any non-norm is found."""
+    assert alpha_cost(3, 7, 1) == 20 * 7 * 9 * 3 + 7 * (13 * 9 + 25000) + 81
+    for argv, cost in ((["-k", "3", "--delta", "7"], alpha_cost(3, 7, 1)), (["-k", "3"], alpha_cost(3, 12, 3))):
+        monkeypatch.setattr(cli, "ALPHA_COST_MAX", cost)
+        code, out = run(capsys, "alpha", "-d", "1", *argv, "--format", "csv")
+        assert code == EXIT_OK, run.err
+        assert [int(row["alpha"]) for row in parse_rows(out, "csv")] == [
+            forms.alpha_direct(field(1), 3, int(row["delta"])) for row in parse_rows(out, "csv")]
+        monkeypatch.setattr(cli, "ALPHA_COST_MAX", cost - 1)
         code, out = run(capsys, "alpha", "-d", "1", *argv)
         assert code == EXIT_PRECONDITION and out == ""
         (line,) = run.err.splitlines()
-        assert line.startswith("error: -k times the sum") and "--count" in line
+        assert line == f"{ALPHA_COST_LINE} {cost - 1}; got {cost}"
+
+
+def test_alpha_count_cap_and_cap_plus_one(capsys, monkeypatch):
+    """The rule prices --count at 2 count + 6, a bound on the count-th
+    non-norm, before any non-norm is found.  The largest count it admits at
+    k = 1 passes (the sums stubbed out) and one more exits 2; the bound holds
+    in every ring for every count up to it, and so for every count that the
+    rule admits at any k, as the cost grows with k."""
+    lo, hi = 1, 10**6  # the largest admitted count lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if alpha_cost(1, 2 * mid + 6, mid) <= cli.ALPHA_COST_MAX else (lo, mid - 1)
+    asked = []
+    monkeypatch.setattr(cli, "nonnorm_deltas", lambda f, count: asked.append(count) or [])
+    monkeypatch.setattr(forms, "alphas", lambda f, k, deltas: [])
+    code, out = run(capsys, "alpha", "-d", "3", "-k", "1", "--count", str(lo))
+    assert code == EXIT_OK and asked == [lo], run.err
+    for count in (lo + 1, 10**18):
+        start = time.perf_counter()
+        code, out = run(capsys, "alpha", "-d", "3", "-k", "1", "--count", str(count))
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_PRECONDITION and out == "" and asked == [lo]
+        (line,) = run.err.splitlines()
+        assert line.startswith(ALPHA_COST_LINE)
+    for d in (1, 2, 3, 7, 11):
+        found = nonnorm_deltas(field(d), lo)
+        assert all(delta <= 2 * count + 6 for count, delta in enumerate(found, 1)), d
+
+
+def test_alpha_at_count_3000_matches_the_form_sum(capsys):
+    """`-k 1 --count 3000` in O_3 (0.8 s), which --count's old cap of 300
+    refused, runs, and its rows equal `alpha_direct` on a sample."""
+    code, out = run(capsys, "alpha", "-d", "3", "-k", "1", "--count", "3000", "--format", "csv")
+    assert code == EXIT_OK, run.err
+    rows = parse_rows(out, "csv")
+    f = field(3)
+    assert [int(row["delta"]) for row in rows] == nonnorm_deltas(f, 3000)
+    for row in rows[::500] + rows[-1:]:
+        assert int(row["alpha"]) == forms.alpha_direct(f, 1, int(row["delta"])), row
+
+
+@pytest.mark.parametrize("argv", [
+    # printing 30 values of up to 600,000 bits took minutes
+    ["alpha", "-d", "1", "-k", "100001", "--count", "30"],
+    # the sigma_k sieve took 24 s and 572 MB
+    ["alpha", "-d", "1", "-k", "2501", "--delta", "99999"],
+    # the expansion took 15 s
+    ["expandp", "-d", "1", "-k", "81", "--delta", "8003"],
+    ["alpha", "-d", "1", "-k", str(10**100 + 1), "--delta", "3"],
+    ["expandp", "-d", "1", "-k", str(10**100 + 1), "--delta", "3"],
+])
+def test_slow_alpha_and_expandp_calls_exit_2_at_once(argv):
+    start = time.perf_counter()
+    done = run_module(*argv, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: the cost at -k") and "--delta" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "-d", "3", "-k", "251", "--delta", "99998"],
+    ["alpha", "-d", "1", "-k", "1001", "--delta", "99999"],
+    ["expandp", "-d", "11", "-k", "121", "--delta", "2", "--check"],
+    ["expandp", "-d", "3", "-k", "27", "--delta", "25000"],
+])
+def test_cost_rules_admit_calls_that_the_old_caps_refused(capsys, monkeypatch, argv):
+    """Calls of 0.7 to 7 s that a cap on -k, or on -k times the deltas,
+    refused pass the cost rules (the work stubbed out)."""
+    monkeypatch.setattr(forms, "alphas", lambda f, k, deltas: [0] * len(deltas))
+    monkeypatch.setattr(forms, "expand_P", lambda f, k, delta: forms.BiPoly.zero(f, k))
+    monkeypatch.setattr(polyspace, "membership", lambda P, label: True)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK, run.err
 
 
 def test_theta_caps_s_times_the_bits_of_the_discriminant(capsys, monkeypatch):
@@ -748,7 +796,7 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
         # the cost rule admits: check its largest floats, the closed form and
         # the bound on the sum of the grid's values (at most
         # AVERAGE_WALK_MAX / 30 of them), at the -k cap
-        delta = max(x for x in range(cli.FORMS_DELTA_MAX - 99, cli.FORMS_DELTA_MAX + 1)
+        delta = max(x for x in range(cli.DELTA_MAX - 99, cli.DELTA_MAX + 1)
                     if not is_norm(f, x))
         top = cli.AVERAGE_K_BITS_MAX // (delta + 2).bit_length()
         bound = hsum.tail_bound(f, top, delta, 1) * (top - 1) * float(mpmath.zeta(top))
@@ -757,8 +805,8 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
 
 
 def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
-    # the --delta cap is the forms' FORMS_DELTA_MAX; at it the cost rule
-    # refuses, so it is lifted and the walk stubbed out
+    # the --delta cap is DELTA_MAX; at it the cost rule refuses, so it is
+    # lifted and the walk stubbed out
     asked = []
 
     def quadrature(f, k, delta, grid, a_max):
@@ -767,7 +815,7 @@ def test_average_delta_cap_and_cap_plus_one(capsys, monkeypatch):
 
     monkeypatch.setattr(hsum, "average_quadrature", quadrature)
     monkeypatch.setattr(cli, "AVERAGE_WALK_MAX", 10**10)
-    top = cli.FORMS_DELTA_MAX
+    top = cli.DELTA_MAX
     assert not is_norm(field(3), top)
     argv = ["average", "-d", "3", "-k", "3", "--grid", "1", "--delta"]
     code, out = run(capsys, *argv, str(top))
@@ -805,22 +853,31 @@ def test_average_caps_grid_squared_times_delta(capsys, monkeypatch):
     assert run.err.startswith("error: the walk's cost at --delta and --grid")
 
 
+def expandp_cost(d: int, k: int, delta: int, check: bool) -> int:
+    """The cost rule of `cli.cmd_expandp`, restated: (k+8)^3 (5 Delta + k)
+    / w, w the number of units, plus k^4 (L + 5) with --check, L the bit
+    length of Delta."""
+    return (k + 8) ** 3 * (5 * delta + k) // len(field(d).units()) + (
+        k**4 * (delta.bit_length() + 5) if check else 0)
+
+
 def test_expandp_caps_k_cubed_times_delta(capsys, monkeypatch):
-    # the -k cap stays legal at the smallest Delta (test_k_cap_and_cap_plus_one)
-    assert cli.EXPANDP_K_MAX**3 * 2 <= cli.EXPANDP_K3_DELTA_MAX
-    # -k 81 --delta 8003 took 15 s with each flag inside its own cap
-    code, out = run(capsys, "expandp", "-d", "1", "-k", "81", "--delta", "8003")
-    assert code == EXIT_PRECONDITION and out == ""
-    (line,) = run.err.splitlines()
-    assert line.startswith("error: -k cubed times --delta") and "81 * 81 * 81 * 8003" in line
-    argv = ["expandp", "-d", "1", "-k", "3", "--delta", "3"]
-    monkeypatch.setattr(cli, "EXPANDP_K3_DELTA_MAX", 3**3 * 3)
-    code, out = run(capsys, *argv, "--check", "--format", "csv")
-    assert code == EXIT_OK and parse_rows(out, "csv")[0]["in_W1"] == "True", run.err
-    monkeypatch.setattr(cli, "EXPANDP_K3_DELTA_MAX", 3**3 * 3 - 1)
-    code, out = run(capsys, *argv)
-    assert code == EXIT_PRECONDITION and out == ""
-    assert run.err.startswith("error: -k cubed times --delta")
+    """The cost rule at k = 3, Delta = 3 in O_1 (four units), with and
+    without --check, at the cap and one past it."""
+    assert expandp_cost(1, 3, 3, False) == 11**3 * 18 // 4
+    assert expandp_cost(1, 3, 3, True) == 11**3 * 18 // 4 + 3**4 * 7
+    for check in ([], ["--check"]):
+        cost = expandp_cost(1, 3, 3, bool(check))
+        argv = ["expandp", "-d", "1", "-k", "3", "--delta", "3", *check, "--format", "csv"]
+        monkeypatch.setattr(cli, "EXPANDP_COST_MAX", cost)
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK, run.err
+        assert parse_rows(out, "csv")[0].get("in_W1", "True") == "True"
+        monkeypatch.setattr(cli, "EXPANDP_COST_MAX", cost - 1)
+        code, out = run(capsys, *argv)
+        assert code == EXIT_PRECONDITION and out == ""
+        (line,) = run.err.splitlines()
+        assert line == f"error: the cost at -k and --delta, --check included must be at most {cost - 1}; got {cost}"
 
 
 @pytest.mark.parametrize("value", ["3", "abc"])

@@ -1,11 +1,12 @@
 """The exit-code contract of the CLI, as a property over `cli.COMMANDS`.
 
 For every subcommand, hypothesis draws an argv from small valid values, the
-edge values 0, -1 and 1, malformed strings, missing flags, and the values
-just past each cap (argparse's and `cli.at_most`'s), which are refused
-before any work.  A cap itself is drawn where a call at it runs in well
-under a second; the slower ones run at their caps in test_cli.py or are
-timed in the README.  Every call must exit 0 with output that holds no nan
+edge values 0, -1 and 1, malformed strings, missing flags, and values past
+each cap or cost rule on their own (argparse's caps on one flag, and
+`cli.at_most`'s on --delta, on a product of flags or on a command's cost),
+which are refused before any work.  A cap itself is drawn where a call at
+it runs in well under a second; the slower ones run at their caps in
+test_cli.py or are timed in the README.  Every call must exit 0 with output that holds no nan
 or inf cell, or exit 2 with one error line that names a flag, with its
 dashes, or HERMITIA_PRECISION, and never raise.
 """
@@ -28,10 +29,14 @@ from hermitia.cli import EXIT_OK, EXIT_PRECONDITION, main
 # the values of each flag besides EDGES; the flags that drive the amount of
 # work stay small
 POOLS: dict[str, dict[str, list]] = {
+    # the cost of alpha is at least u^2 per delta, u = k times the bit length
+    # of a delta (at least 2), and at least count^2 for --count; that of
+    # expandp at least k^4 / 6: each of these values is past the rule on its
+    # own
     "alpha": {
-        "-k": [1, 3, 5, cli.ALPHA_K_MAX + 2],
-        "--delta": [3, 5, 6, 7, cli.ALPHA_DELTA_MAX + 1],
-        "--count": [2, 3, cli.ALPHA_COUNT_MAX, cli.ALPHA_COUNT_MAX + 1],
+        "-k": [1, 3, 5, math.isqrt(cli.ALPHA_COST_MAX) | 1],
+        "--delta": [3, 5, 6, 7, cli.DELTA_MAX + 1],
+        "--count": [2, 3, 40, cli.ALPHA_COST_MAX + 1],
     },
     "theta": {"--delta": [2, 3, 5, 6, 12, 3**40], "-s": [2, 3, cli.THETA_S_BITS_MAX + 1]},
     "rcount": {
@@ -41,7 +46,7 @@ POOLS: dict[str, dict[str, list]] = {
     },
     "lvalue": {
         "-s": [3, 5, 7, -2, -4, 4],
-        "--delta": [2, 3, 5, cli.ALPHA_DELTA_MAX + 1],
+        "--delta": [2, 3, 5, cli.DELTA_MAX + 1],
         "--bits": [cli.MIN_BITS, 64, cli.MAX_BITS, cli.MAX_BITS + 1],
     },
     "bench": {
@@ -53,7 +58,7 @@ POOLS: dict[str, dict[str, list]] = {
     # --grid^2, so each of these values is past the cost cap on its own
     "hconst": {
         "-k": [1, 3, math.isqrt(cli.HCONST_WALK_MAX) | 1],
-        "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
+        "--delta": [30, 6, 10, 2, 3, cli.DELTA_MAX + 1],
         "-z": ["0", "1/3,1/2", "-1/2", "2/7,-3/5", "1/0", "1,2,3"],
         "--points": [1, 2, cli.HCONST_WALK_MAX + 1],
         "--den": [1, 5, 10**1000],
@@ -61,7 +66,7 @@ POOLS: dict[str, dict[str, list]] = {
     },
     "average": {
         "-k": [3, 4, 5, cli.AVERAGE_K_BITS_MAX + 1],
-        "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
+        "--delta": [30, 6, 10, 2, 3, cli.DELTA_MAX + 1],
         "--grid": [1, 2, 4, math.isqrt(cli.AVERAGE_WALK_MAX) + 1],
         "--a-max": [50, 200],
     },
@@ -69,8 +74,8 @@ POOLS: dict[str, dict[str, list]] = {
     "dims": {"--kmax": [1, 3, 5, cli.WKK_K_MAX + 1], "--method": ["exact", "modular"]},
     "basis": {"-k": [1, 2, 3, 5, cli.WKK_K_MAX + 1], "--eigen": ["1", "-1", "i"]},
     "expandp": {
-        "-k": [1, 3, 5, cli.EXPANDP_K_MAX + 2],
-        "--delta": [30, 6, 10, 2, 3, cli.FORMS_DELTA_MAX + 1],
+        "-k": [1, 3, 5, cli.EXPANDP_COST_MAX | 1],
+        "--delta": [30, 6, 10, 2, 3, cli.DELTA_MAX + 1],
         "--check": [],
     },
     "selftest": {},

@@ -28,13 +28,14 @@ from hermitia.forms import (
     alpha_direct,
     delta_forms,
     expand_P,
+    form_ints,
     gen_S,
     gen_T,
     gen_T_omega,
     identity,
     translation,
 )
-from hermitia.intarith import divisor_moments, divisor_power_sums, smallest_prime_factor_sieve
+from hermitia.intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
 
 from conftest import rand_elem, rand_quadint, seeded
 from oracles import enumerate_window, expand_P_quadint
@@ -199,6 +200,23 @@ def test_delta_forms_sides_and_finiteness():
             assert h.a < 0 < h.c and h.delta() == delta
         for h in pos:
             assert h.c < 0 < h.a and h.delta() == delta
+
+
+def test_form_ints_lists_the_forms_point_by_point_in_order():
+    """`form_ints`, which finds the divisors once per norm class, yields
+    the forms in the order of a per-point construction from the lattice
+    points and the divisors of Delta - N(b): the order that the float sums
+    of `average` replay."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in nonnorm_deltas(f, 4) + [nonnorm_deltas(f, 200)[-1]]:
+            want = [(e, b.x, b.y, -((delta - b.norm()) // e))
+                    for b in lattice_points_with_norm_below(f, delta)
+                    for e in divisors(delta - b.norm())]
+            assert list(form_ints(f, delta)) == want, (d, delta)
+            assert [(h.a, h.b.x, h.b.y, h.c) for h in delta_forms(f, delta, "positive_a")] == want
+    with pytest.raises(ValueError):
+        list(form_ints(field(1), 4))
 
 
 # ------------------------------------------------------ window completeness

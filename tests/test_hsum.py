@@ -174,13 +174,13 @@ def test_eval_points_equals_eval_exact_at_each_point(d, k, which_delta, points, 
 
 def test_eval_points_enumerates_the_forms_once(monkeypatch):
     calls = []
-    enumerate_forms = hsum.delta_forms
+    enumerate_forms = hsum.form_ints
 
     def counted(*args):
         calls.append(args)
         return enumerate_forms(*args)
 
-    monkeypatch.setattr(hsum, "delta_forms", counted)
+    monkeypatch.setattr(hsum, "form_ints", counted)
     f = field(2)
     zs = [disp(f, Fraction(i, 7), Fraction(1, 3)) for i in range(5)]
     values = hsum.eval_points(f, 3, 5, zs)
