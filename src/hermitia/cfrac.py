@@ -26,8 +26,9 @@ GL_2(O_d) (det = +-1) and map z to the remainder z_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .field import FieldSpec, QuadElem, QuadInt, ZLike, nearest_int
+from .field import CertificateError, FieldSpec, QuadElem, QuadInt, ZLike, nearest_int, nearest_pair
 from .forms import GroupElement, HermitianForm, act
 
 # a floating-point expansion stops once its remainder is this small
@@ -98,12 +99,12 @@ class CFExpansion:
 def hurwitz_cf(f: FieldSpec, z: ZLike, max_steps: int = 40) -> CFExpansion:
     """Hurwitz continued fraction of z.
 
-    Exact input (QuadElem) uses exact arithmetic throughout and always
-    terminates; complex input runs in floating point and stops after
-    max_steps or once |z_n - alpha_n| < FLOAT_EPS.
+    Exact input (QuadElem) runs on the integer remainders of `remainders`
+    and always terminates; complex input runs in floating point and stops
+    after max_steps or once |z_n - alpha_n| < FLOAT_EPS.
     """
     exact = isinstance(z, QuadElem)
-    zn: ZLike = z if exact else complex(z)
+    steps = _exact_steps(f, z) if exact else _float_steps(f, complex(z))
     alphas: list[QuadInt] = []
     p: list[QuadInt] = []
     q: list[QuadInt] = []
@@ -112,26 +113,74 @@ def hurwitz_cf(f: FieldSpec, z: ZLike, max_steps: int = 40) -> CFExpansion:
     q2, q1 = f.one, f.zero
     terminated = False
     while len(alphas) < max_steps:
+        zn, a, last = next(steps)
         zs.append(zn)
-        a = nearest_int(f, zn)
         alphas.append(a)
         p2, p1 = p1, a * p1 + p2
         q2, q1 = q1, a * q1 + q2
         p.append(p1)
         q.append(q1)
-        if exact:
-            rem = zn - a
-            if rem.is_zero():
-                terminated = True
-                break
-            zn = rem.inverse()
-        else:
-            rem = zn - complex(a)
-            if abs(rem) < FLOAT_EPS:
-                terminated = True
-                break
-            zn = 1.0 / rem
+        if last:
+            terminated = True
+            break
     return CFExpansion(f, z, exact, alphas, p, q, zs, terminated)
+
+
+def _exact_steps(f: FieldSpec, z: QuadElem) -> Iterator[tuple[QuadElem, QuadInt, bool]]:
+    """(z_n, alpha_n, whether z_n - alpha_n = 0) for each step of the exact
+    expansion of z, from its integer remainders."""
+    for (ax, ay), (mx, my), s, s_next in remainders(f, z.num.x, z.num.y, z.den):
+        yield QuadElem.make(f, mx, my, s), QuadInt(f, ax, ay), s_next == 0
+
+
+def _float_steps(f: FieldSpec, zn: complex) -> Iterator[tuple[complex, QuadInt, bool]]:
+    """(z_n, alpha_n, whether |z_n - alpha_n| < FLOAT_EPS) for each step of
+    the floating-point expansion, without end."""
+    while True:
+        a = nearest_int(f, zn)
+        rem = zn - complex(a)
+        last = abs(rem) < FLOAT_EPS
+        yield zn, a, last
+        zn = 1.0 / rem
+
+
+def remainders(
+    f: FieldSpec, x: int, y: int, den: int
+) -> Iterator[tuple[tuple[int, int], tuple[int, int], int, int]]:
+    """The exact expansion of z = (x + y*omega)/den, den > 0, on integer
+    pairs: the remainders Delta_n = den * delta_n, which lie in O_d.
+
+    From Delta_(-1) = den*z and Delta_0 = den it takes
+    Delta_(n+1) = Delta_(n-1) - alpha_n Delta_n, with alpha_n the nearest
+    ring integer (`field.nearest_pair`) to z_n = Delta_(n-1)/Delta_n =
+    m_n/s_n, where m_n = Delta_(n-1) conj(Delta_n) and s_n = N(Delta_n).
+    Each step yields (alpha_n, m_n, s_n, s_(n+1)) with alpha_n and m_n as
+    pairs; the remainder z_n - alpha_n is Delta_(n+1)/Delta_n =
+    (m_n - alpha_n s_n)/s_n, and the last step is the one with
+    s_(n+1) = 0.  A step multiplies the norm by N(z_n - alpha_n) <= rho^2
+    < 1, so every Delta_n stays within the bits of den*z; a step whose norm
+    does not fall raises CertificateError.
+    """
+    t, n = f.disc, f.norm_coeff
+    # Delta_(n-1) = ux + uy*omega and Delta_n = vx + vy*omega
+    ux, uy, vx, vy, s = x, y, den, 0, den * den
+    while True:
+        # m = Delta_(n-1) * conj(Delta_n), conj(vx + vy*omega) = (vx + t*vy) - vy*omega
+        cx, cy = vx + t * vy, -vy
+        bd = uy * cy
+        mx, my = ux * cx - n * bd, ux * cy + uy * cx + t * bd
+        ax, ay = nearest_pair(f, mx, my, s)
+        bd = ay * vy
+        wx, wy = ux - ax * vx + n * bd, uy - ax * vy - ay * vx - t * bd
+        s_next = wx * (wx + t * wy) + n * wy * wy
+        if s_next >= s:
+            raise CertificateError(
+                f"a remainder of the continued fraction of ({x} + {y}*omega)/{den} did not shrink"
+            )
+        yield (ax, ay), (mx, my), s, s_next
+        if not s_next:
+            return
+        ux, uy, vx, vy, s = vx, vy, wx, wy, s_next
 
 
 def phi(h: HermitianForm, g: GroupElement) -> HermitianForm:

@@ -171,9 +171,10 @@ DELTA_MAX = 10**5
 # `alpha` sieves sigma_k up to its largest delta, top (at most 2 count + 6
 # for --count): top products of about u = k * (bit length of top) bits, at
 # about u sqrt(u) each, held in top * u bits; each delta sums over the norm
-# classes below top, at 13 u + 25000 each, and prints about u bits, in time
-# quadratic in u.  It caps 20 top u sqrt(u) + count (top (13 u + 25000) +
-# u^2), about 1.4*10^-12 s per unit.
+# classes below it, priced as those below top, at 13 u + 25000 each, and
+# prints about u bits, in time quadratic in u.  It caps
+# 20 top u sqrt(u) + count (top (13 u + 25000) + u^2), about 1.4*10^-12 s
+# per unit.
 ALPHA_COST_MAX = 5 * 10**12
 # `hconst` and `average` cost about the number F of forms of discriminant
 # Delta (alpha_{0,Delta}, `forms.alpha` at k = 0) times what each costs.
@@ -183,6 +184,12 @@ ALPHA_COST_MAX = 5 * 10**12
 # k-th powers of every form, and on fractions of fixed cost.  It caps
 # 2.6*10^5 F plus the sum over the points of
 # b ((k+2) ((k+2) (b+L)^2 + 5500 F) + 3*10^6), about 3*10^-11 s per unit.
+# The rule was fitted to a walk on reduced fractions.  The walk now runs on
+# integer remainders with one Fraction per point, so the rule overprices:
+# its 3*10^6 per step priced a step's fixed fraction arithmetic, and its
+# (k+2)^2 (b+L)^2 the products and gcds of the running fraction of exact
+# values, both gone (`walk-k11` fell from 4.4-6.6 s to 0.8-1.2 s, 1585
+# points of 61 bits from 5.8-7.7 s to 0.8-1.3 s).  It stays until refitted.
 HCONST_WALK_MAX = 3 * 10**11
 # theta(Delta, s) has about s * log2(|d_K| * Delta) bits, so `theta` caps
 # s times the bit length of |d_K| * Delta.

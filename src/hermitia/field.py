@@ -440,22 +440,13 @@ def nearest_int(f: FieldSpec, z: ZLike) -> QuadInt:
     real part is chosen, then the smallest imaginary part.  For exact field
     elements all comparisons are exact (the tie-break keys are the integers
     2x + t*y and y), so e.g. 1/2 rounds to 0 and (1 + theta)/2 rounds
-    consistently on Voronoi boundaries.
+    consistently on Voronoi boundaries.  Exact elements go through
+    `nearest_pair`; complex z takes the least key over the 4 x 4 candidates
+    around the floors of its coordinates.
     """
-    t = f.disc
     if isinstance(z, QuadElem):
-        zx, zy, den = z.num.x, z.num.y, z.den
-        best = None
-        y0 = zy // den
-        for y in range(y0 - 1, y0 + 3):
-            x0 = (2 * zx + t * zy - t * y * den) // (2 * den)
-            for x in range(x0 - 1, x0 + 3):
-                dist = f.norm_int(zx - x * den, zy - y * den)
-                key = (dist, 2 * x + t * y, y)
-                if best is None or key < best:
-                    best = key
-                    best_pt = (x, y)
-        return QuadInt(f, *best_pt)
+        return QuadInt(f, *nearest_pair(f, z.num.x, z.num.y, z.den))
+    t = f.disc
     zc = complex(z)
     half_sqm = f.sqrt_abs_disc / 2.0
     y0 = math.floor(zc.imag / half_sqm)
@@ -470,6 +461,37 @@ def nearest_int(f: FieldSpec, z: ZLike) -> QuadInt:
                 best = key
                 best_pt = (x, y)
     return QuadInt(f, *best_pt)
+
+
+def nearest_pair(f: FieldSpec, zx: int, zy: int, den: int) -> tuple[int, int]:
+    """The nearest ring integer x + y*omega to z = (zx + zy*omega)/den,
+    den > 0, as the integer pair (x, y), with the tie-break of `nearest_int`.
+
+    The fraction need not be in lowest terms: a common factor scales every
+    distance N(zx - x*den, zy - y*den) alike and leaves the floors below
+    unchanged.  N(z - x - y*omega) is the square of the real part
+    Re(z) - x - t*y/2 plus m/4 times the square of e = zy/den - y.  In a row
+    y the real part is smallest, and the tie-break's real part too, at the
+    x that leaves it in (-1/2, 1/2].  With y0 = floor(zy/den) and
+    e0 = zy/den - y0 in [0, 1), the row y0 holds a point at distance at
+    most 1/4 + (m/4) e0^2 and the row y0 + 1 one at most
+    1/4 + (m/4) (1 - e0)^2, while every row below y0 is at least
+    (m/4) (1 + e0)^2 away and every row above y0 + 1 at least
+    (m/4) (2 - e0)^2; as m >= 3, those rows are strictly farther.  So the
+    nearest point is the better of two, one per row.
+    """
+    t, n = f.disc, f.norm_coeff
+    best = None
+    y0 = zy // den
+    for y in (y0, y0 + 1):
+        ry = zy - y * den
+        # x = ceil(Re(z) - t*y/2 - 1/2), so that the real part lies in (-1/2, 1/2]
+        x = -((den - 2 * zx - t * ry) // (2 * den))
+        rx = zx - x * den
+        key = (rx * (rx + t * ry) + n * ry * ry, 2 * x + t * y, y)
+        if best is None or key < best:
+            best, best_pt = key, (x, y)
+    return best_pt
 
 
 def lattice_norms_below(f: FieldSpec, bound: int) -> Iterator[tuple[int, int, int]]:

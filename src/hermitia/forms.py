@@ -39,6 +39,7 @@ the forms one by one as integers, for H_{k,Delta} (`hsum`), and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator
@@ -270,16 +271,22 @@ def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
     alpha_{k,Delta} = sum_{n < Delta} r(n) sigma_k(Delta - n), with r(n)
     the number of b in O_d of norm n.  One sweep of the lattice points
     below the largest Delta counts every r(n), and one sieve gives every
-    sigma_k up to it.  At k = 0 it counts the forms of discriminant Delta
-    on either side (`delta_forms`): one per b and divisor of Delta - N(b)."""
+    sigma_k up to it; each Delta sums only the classes below it.  At k = 0
+    it counts the forms of discriminant Delta on either side
+    (`delta_forms`): one per b and divisor of Delta - N(b)."""
     for delta in deltas:
         check_delta(f, delta)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     top = max(deltas)
-    counts = Counter(n for _, _, n in lattice_norms_below(f, top))
+    # the norm classes in ascending order: those below Delta are a prefix
+    classes = sorted(Counter(n for _, _, n in lattice_norms_below(f, top)).items())
+    norms = [n for n, _ in classes]
     sig = divisor_power_sums(k, top)
-    return [sum(r * sig[delta - n] for n, r in counts.items() if n < delta) for delta in deltas]
+    return [
+        sum(r * sig[delta - n] for n, r in classes[: bisect_left(norms, delta)])
+        for delta in deltas
+    ]
 
 
 def alpha_direct(f: FieldSpec, k: int, delta: int) -> int:
@@ -470,7 +477,9 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     classes: dict[int, Counter] = defaultdict(Counter)
     for x, y, n in lattice_norms_below(f, delta):
         classes[n][pair_powers(f, (x, y), w)[w]] += 1
-    fact = math.factorial
+    fact = [1]
+    for e in range(1, k + 1):
+        fact.append(fact[-1] * e)
     # the terms a^i b^j conj(b)^l c^r of z^alpha zbar^beta, alpha - beta = w t:
     # (t, alpha, beta, |r - i|, [((-1)^r k!/(i! j! l! r!), min(i, r), l)])
     plan = []
@@ -480,7 +489,7 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
             terms = []
             for i in range(max(0, al + be - k), be + 1):
                 j, l, r = al - i, be - i, k - al - be + i
-                mult = fact(k) // (fact(i) * fact(j) * fact(l) * fact(r))
+                mult = fact[k] // (fact[i] * fact[j] * fact[l] * fact[r])
                 terms.append(((-1) ** r * mult, min(i, r), l))
             plan.append((t, al, be, abs(k - al - be), terms))
     spf = smallest_prime_factor_sieve(delta)

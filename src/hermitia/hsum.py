@@ -6,9 +6,17 @@ For a positive non-norm Delta and odd k, the object of study is
 
 At exact z in K the sum is a finite exact rational.  `eval_points`
 computes it at a list of points by walking the Hurwitz continued fraction
-of each (`cfrac.hurwitz_cf`): H is O_d-periodic and even, so the reduction
-identity below carries H from each remainder to the next, one value of
-P_{k,Delta} per step, down to H(0) = alpha_{k,Delta}.  It enumerates the
+of each: H is O_d-periodic and even, so the reduction identity below
+carries H from each remainder to the next, one value of P_{k,Delta} per
+step, down to H(0) = alpha_{k,Delta}.  The walk runs on the integer
+remainders Delta_(-1) = den*z, Delta_0 = den, Delta_(n+1) = Delta_(n-1) -
+alpha_n Delta_n of `cfrac.remainders`, and with h(u, v) = a N(u) +
+Tr(b u conj(v)) + c N(v) the identity telescopes to
+
+    H(z) = (N(Delta_N)^k alpha_{k,Delta}
+            - sum_(n<N) sum_(c<0<a) h(Delta_(n+1), Delta_n)^k) / den^(2k),
+
+Delta_(N+1) = 0: integer sums and one Fraction per point.  It enumerates the
 forms once per call, so a command enumerates them once, and then costs
 O(#forms * log den(z)) per point; `eval_exact` is its one-point case.  The
 definition itself is summed by the window scan `forms.window_scan`, which
@@ -51,8 +59,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .cfrac import hurwitz_cf
-from .field import CertificateError, FieldSpec, QuadElem
+from .cfrac import remainders
+from .field import FieldSpec, QuadElem
 from .forms import check_delta, expand_P, form_ints, window_scan
 
 # a float `ReductionCheck` holds within its error bound plus this slack
@@ -69,14 +77,24 @@ def eval_points(f: FieldSpec, k: int, delta: int, points: list[QuadElem]) -> lis
     """H_{k,Delta} at each of the exact `points` of K, odd k, from one
     enumeration of the forms of discriminant Delta.
 
-    Each point walks its Hurwitz continued fraction.  With r = z_n - alpha_n
-    the n-th remainder and z_(n+1) = 1/r, periodicity, H(-w) = H(w) and the
-    reduction identity give H(z_n) = H(r) = N(r)^k H(z_(n+1)) - P(r), down
-    to a remainder 0, where H(0) = alpha_{k,Delta}.  For r = (x + y*omega)/den
-    each form (a, b, c) with c < 0 < a adds to P(r) the k-th power of
-    h(r,1)*den^2 = a*N(x, y) + den*(x*Tr(b) + y*Tr(b*omega)) + c*den^2.
-    Their negatives are the forms with a < 0 < c that sum to H(0), so
-    alpha_{k,Delta} is the sum of (-c)^k over the same forms.
+    Each point z = (x + y*omega)/den walks its Hurwitz continued fraction on
+    the integer remainders of `cfrac.remainders`: Delta_(-1) = den*z,
+    Delta_0 = den and Delta_(n+1) = Delta_(n-1) - alpha_n Delta_n, so that
+    the n-th remainder is r_n = z_n - alpha_n = Delta_(n+1)/Delta_n.
+    Periodicity, H(-w) = H(w) and the reduction identity give
+    H(z_n) = H(r_n) = N(r_n)^k H(z_(n+1)) - P(r_n), down to the step N with
+    Delta_(N+1) = 0, where H(0) = alpha_{k,Delta}.  The norms telescope,
+    N(r_0) ... N(r_(n-1)) = N(Delta_n)/den^2, and
+    h(r_n, 1) N(Delta_n) = h(Delta_(n+1), Delta_n), so
+
+        H(z) = (N(Delta_N)^k alpha_{k,Delta}
+                - sum_(n<N) sum_(c<0<a) h(Delta_(n+1), Delta_n)^k) / den^(2k),
+
+    where h(u, v) = a N(u) + Tr(b u conj(v)) + c N(v) is an integer: integer
+    sums and one Fraction per point.  With w = u conj(v) = wx + wy*omega,
+    Tr(b w) = wx Tr(b) + wy Tr(b*omega).  The forms with a < 0 < c are the
+    negatives of those with c < 0 < a, so alpha_{k,Delta} = H(0) is the sum
+    of (-c)^k over the same forms.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
@@ -89,20 +107,15 @@ def eval_points(f: FieldSpec, k: int, delta: int, points: list[QuadElem]) -> lis
     h_zero = sum((-c) ** k for _, _, _, c in terms)
     values = []
     for z in points:
-        total, scale = Fraction(0), Fraction(1)
-        exp = hurwitz_cf(f, z, max_steps=math.inf)
-        for zn, an in zip(exp.zs, exp.alphas):
-            r = zn - an
-            if r.is_zero():
-                values.append(total + scale * h_zero)
+        total = 0
+        for (ax, ay), (mx, my), s, s_next in remainders(f, z.num.x, z.num.y, z.den):
+            if not s_next:
+                total += s**k * h_zero
                 break
-            x, y, den = r.num.x, r.num.y, r.den
-            nrm, dd = f.norm_int(x, y), den * den
-            p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)
-            total -= scale * Fraction(p, dd**k)
-            scale *= Fraction(nrm, dd) ** k
-        else:
-            raise CertificateError(f"the continued fraction of {z} did not terminate")
+            # w = Delta_(n+1) conj(Delta_n) = m_n - alpha_n s_n
+            wx, wy = mx - ax * s, my - ay * s
+            total -= sum((a * s_next + tb * wx + tbw * wy + c * s) ** k for a, tb, tbw, c in terms)
+        values.append(Fraction(total, z.den ** (2 * k)))
     return values
 
 

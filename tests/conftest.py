@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from fractions import Fraction
 
 from hermitia.field import FieldSpec, QuadElem, QuadInt
 
@@ -35,3 +36,14 @@ def rand_nonzero_elem(
         z = rand_elem(rng, f, span, max_den)
         if not z.is_zero():
             return z
+
+
+def points_of_bits(rng: random.Random, f: FieldSpec, bits: list[int]) -> list[QuadElem]:
+    """One point u + v*theta per bit length in `bits`: u, v in [-2, 2]
+    over a denominator of that many bits."""
+    out = []
+    for b in bits:
+        den = rng.randint(2 ** (b - 1), 2**b)
+        u, v = (Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(2))
+        out.append(QuadElem.from_display(f, u, v))
+    return out

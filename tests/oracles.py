@@ -26,6 +26,13 @@
 * `zseries_partial` sums the Dirichlet series Z(-Delta, s), the oracle of
   `lfun.zseries_closed_form`; `enumerate_window` sorts `forms.window_scan`.
 
+* `hurwitz_cf_elems` is the exact Hurwitz continued fraction on `QuadElem`
+  arithmetic, z_(n+1) = 1/(z_n - alpha_n) one reduced fraction at a time:
+  the oracle of `cfrac.hurwitz_cf`, which runs on integer remainders.
+  `eval_points_fractions` walks it with one `Fraction` per step, the oracle
+  of `hsum.eval_points` (whose oracle for small denominators is the window
+  scan).
+
 * `word_operator_mod` is the stacked word matrix of a
   `polyspace.WordOperator` mod a split prime, built as Kronecker products
   of the factors as the operator reduces them; the tests compare it with
@@ -42,12 +49,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from hermitia.field import FieldSpec, QuadElem, QuadInt
-from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, window_scan
+from hermitia.cfrac import CFExpansion
+from hermitia.field import FieldSpec, QuadElem, QuadInt, nearest_int
+from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, form_ints, window_scan
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
 from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
@@ -283,3 +292,51 @@ def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianFor
         out.append(HermitianForm(a, v.conj(), (v.norm() - delta) // a))
     out.sort(key=lambda h: (h.a, h.b.trace(), h.b.y))
     return out
+
+
+def hurwitz_cf_elems(f: FieldSpec, z: QuadElem) -> CFExpansion:
+    """The exact Hurwitz expansion of z by `QuadElem` arithmetic: round z_n
+    to its nearest ring integer alpha_n and invert the remainder, until it
+    is 0."""
+    alphas, p, q, zs = [], [], [], []
+    p2, p1 = f.zero, f.one
+    q2, q1 = f.one, f.zero
+    zn = z
+    while True:
+        zs.append(zn)
+        a = nearest_int(f, zn)
+        alphas.append(a)
+        p2, p1 = p1, a * p1 + p2
+        q2, q1 = q1, a * q1 + q2
+        p.append(p1)
+        q.append(q1)
+        rem = zn - a
+        if rem.is_zero():
+            return CFExpansion(f, z, True, alphas, p, q, zs, True)
+        zn = rem.inverse()
+
+
+def eval_points_fractions(f: FieldSpec, k: int, delta: int, points: list[QuadElem]) -> list[Fraction]:
+    """H_{k,Delta} at each point by the walk along `hurwitz_cf_elems`, with
+    H(z_n) = N(r)^k H(1/r) - P(r) for the remainder r = z_n - alpha_n in
+    lowest terms, (x + y*omega)/den: each form (a, b, c) with c < 0 < a adds
+    to P(r) the k-th power of h(r,1)*den^2 = a*N(x, y) +
+    den*(x*Tr(b) + y*Tr(b*omega)) + c*den^2, over den^(2k)."""
+    t, tt = f.disc, f.disc * f.disc - 2 * f.norm_coeff
+    terms = [(a, 2 * x + t * y, t * x + tt * y, c) for a, x, y, c in form_ints(f, delta)]
+    h_zero = sum((-c) ** k for _, _, _, c in terms)
+    values = []
+    for z in points:
+        total, scale = Fraction(0), Fraction(1)
+        exp = hurwitz_cf_elems(f, z)
+        for zn, an in zip(exp.zs, exp.alphas):
+            r = zn - an
+            if r.is_zero():
+                values.append(total + scale * h_zero)
+                break
+            x, y, den = r.num.x, r.num.y, r.den
+            nrm, dd = f.norm_int(x, y), den * den
+            p = sum((a * nrm + den * (tb * x + tbw * y) + c * dd) ** k for a, tb, tbw, c in terms)
+            total -= scale * Fraction(p, dd**k)
+            scale *= Fraction(nrm, dd) ** k
+    return values

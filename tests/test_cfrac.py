@@ -4,13 +4,15 @@ float-path convergence with the exact path as oracle."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hermitia.cfrac import hurwitz_cf, phi
 from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nearest_int
 from hermitia.forms import HermitianForm, act
 
-from conftest import rand_elem, rand_quadint, seeded
+from conftest import points_of_bits, rand_elem, rand_quadint, seeded
+from oracles import hurwitz_cf_elems
 
 
 def disp(f, u, v) -> QuadElem:
@@ -42,6 +44,26 @@ def test_exact_expansion_terminates_and_reproduces_z():
             exp = hurwitz_cf(f, z, max_steps=64)
             assert exp.terminated
             assert exp.convergent(len(exp.alphas) - 1) == z
+
+
+def test_exact_expansion_matches_the_quadelem_path():
+    """The expansion on integer remainders equals the one on `QuadElem`s
+    (`oracles.hurwitz_cf_elems`) field by field, whole and truncated, at
+    points of 1 to 300 bits, lattice points included."""
+    rng = seeded("cf-vs-elems")
+    lists = ("alphas", "p", "q", "zs")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        zs = [disp(f, 0, 0), disp(f, 2, -1), disp(f, Fraction(1, 2), Fraction(1, 2))]
+        for z in zs + points_of_bits(rng, f, [1, 2, 4, 8, 16, 32, 64, 300]):
+            want = hurwitz_cf_elems(f, z)
+            got = hurwitz_cf(f, z, max_steps=math.inf)
+            assert [getattr(got, a) for a in lists] == [getattr(want, a) for a in lists], (d, str(z))
+            assert got.terminated and want.terminated
+            cut = len(want) // 2
+            short = hurwitz_cf(f, z, max_steps=cut)
+            assert [getattr(short, a) for a in lists] == [getattr(want, a)[:cut] for a in lists]
+            assert not short.terminated
 
 
 def test_partial_quotients_are_nearest_integers():

@@ -18,6 +18,7 @@ from hermitia.field import (
     kronecker,
     lattice_points_with_norm_below,
     nearest_int,
+    nearest_pair,
     nonnorm_deltas,
     smallest_nonnorm,
 )
@@ -328,6 +329,45 @@ def test_nearest_int_against_brute_force():
                 got.trace(),
                 got.y,
             ) == best, (d, z)
+
+
+def _nearest_of_sixteen(f, zx: int, zy: int, den: int) -> tuple[int, int]:
+    """The least (distance, re, im) key over the 4 x 4 candidates around
+    the floors of the omega coordinate and, row by row, of the real part."""
+    t = f.disc
+    best = None
+    for y in range(zy // den - 1, zy // den + 3):
+        x0 = (2 * zx + t * zy - t * y * den) // (2 * den)
+        for x in range(x0 - 1, x0 + 3):
+            key = (f.norm_int(zx - x * den, zy - y * den), 2 * x + t * y, y)
+            if best is None or key < best:
+                best, best_pt = key, (x, y)
+    return best_pt
+
+
+def test_nearest_pair_is_the_best_of_sixteen_candidates():
+    """`nearest_pair` keeps one candidate per row in two rows; it picks what
+    the least key over 16 candidates picks, on fractions not in lowest
+    terms, on points of up to 200 bits and on the ties of every ring: the
+    midpoints and Voronoi vertices between lattice points."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        rng = seeded(f"nearest-pair-{d}")
+        zs = [rand_elem(rng, f, span=60, max_den=20) for _ in range(300)]
+        for bits in (64, 200):
+            den = rng.randint(2 ** (bits - 1), 2**bits)
+            zs += [QuadElem.make(f, rng.randint(-5 * den, 5 * den), rng.randint(-5 * den, 5 * den), den)
+                   for _ in range(50)]
+        # every point of the grids (1/6) O_d and (1/2m) O_d in one cell and on
+        # its edges: the midpoints between lattice points (halves) and the
+        # Voronoi vertices (thirds for m = 3, otherwise a denominator of 2m)
+        for den in (6, 2 * f.abs_disc):
+            zs += [QuadElem.make(f, x, y, den) for x in range(den + 1) for y in range(den + 1)]
+        for z in zs:
+            g = rng.choice([1, 2, 3, 7, 2**70 + 1])
+            want = _nearest_of_sixteen(f, z.num.x, z.num.y, z.den)
+            assert nearest_pair(f, g * z.num.x, g * z.num.y, g * z.den) == want, (d, str(z), g)
+            assert (nearest_int(f, z).x, nearest_int(f, z).y) == want
 
 
 def test_nearest_int_tie_breaks():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import cli, forms, hsum
-from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
+from hermitia import cfrac, cli, forms, hsum
+from hermitia.field import EUCLIDEAN_DS, CertificateError, QuadElem, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import expand_P, window_scan
 from hermitia.hsum import (
     average_quadrature,
@@ -27,7 +27,8 @@ from hermitia.hsum import (
     tail_bound,
 )
 
-from conftest import rand_elem, seeded
+from conftest import points_of_bits, rand_elem, seeded
+from oracles import eval_points_fractions
 
 
 def disp(f, u, v) -> QuadElem:
@@ -189,6 +190,60 @@ def test_eval_points_enumerates_the_forms_once(monkeypatch):
     assert hsum.eval_points(f, 3, 5, []) == []
     with pytest.raises(TypeError):
         hsum.eval_points(f, 3, 5, [zs[0], 0.25 + 0.5j])
+
+
+# --------------------------------- the integer walk against the Fraction walk
+
+
+def test_eval_points_equals_the_fraction_walk():
+    """The walk on integer remainders against the walk on reduced
+    `Fraction`s of `oracles.eval_points_fractions`, in every ring at three
+    Delta and k in {1, 3, 5, 9}, at points of 1 to 64 bits, and at the
+    smallest Delta also at one point of about 300 bits."""
+    rng = seeded("walk-vs-fractions")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for i, delta in enumerate(nonnorm_deltas(f, 3)):
+            zs = points_of_bits(rng, f, [1, 2, 3, 5, 8, 13, 21, 34, 48, 64] + [300] * (i == 0))
+            assert i or zs[-1].den.bit_length() > 290
+            for k in (1, 3, 5, 9):
+                got = hsum.eval_points(f, k, delta, zs)
+                assert got == eval_points_fractions(f, k, delta, zs), (d, delta, k)
+
+
+def test_walk_runs_on_integers(monkeypatch):
+    """`eval_points` calls no `hurwitz_cf` and does no `QuadElem` or
+    `Fraction` arithmetic: its one `Fraction` per point is built from two
+    integers."""
+    f = field(2)
+    zs = points_of_bits(seeded("walk-on-integers"), f, [3, 20, 64]) + [disp(f, 0, 0), disp(f, 1, -1)]
+    want = eval_points_fractions(f, 3, 5, zs)
+
+    def refuse(*args):
+        raise AssertionError("the walk left the integers")
+
+    monkeypatch.setattr(cfrac, "hurwitz_cf", refuse)
+    monkeypatch.setattr(hsum, "hurwitz_cf", refuse, raising=False)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse", "norm"):
+        monkeypatch.setattr(QuadElem, name, refuse)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = hsum.eval_points(f, 3, 5, zs)
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_a_remainder_that_does_not_shrink_is_a_certificate_error(monkeypatch, capsys):
+    """Every step must lower N(Delta_n); a wrong partial quotient is caught
+    there, and `hconst` exits 3."""
+    monkeypatch.setattr(cfrac, "nearest_pair", lambda f, x, y, den: (0, 0))
+    f = field(1)
+    with pytest.raises(CertificateError, match="did not shrink"):
+        hsum.eval_points(f, 1, 3, [disp(f, Fraction(3, 2), 0)])
+    code = cli.main(["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "3/2"])
+    assert code == cli.EXIT_ORACLE
+    assert "did not shrink" in capsys.readouterr().err
 
 
 def test_scan_alone_satisfies_the_reduction_identity():
