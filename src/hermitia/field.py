@@ -22,10 +22,15 @@ three odd discriminants) is omega + shift for a small integer shift; it is
 used for display and for the parabolic generators of the Bianchi groups,
 while all arithmetic stays on the internal basis.
 
+Products and conjugates are written once, on integer pairs (x, y) for
+x + y*omega (`pair_mul`, `pair_powers`, `pair_conj`), which the production
+paths use directly and `QuadInt` wraps.
+
 All five rings are norm-Euclidean: the covering radius rho of the lattice
 O_d in C satisfies rho < 1, which is what makes the nearest-integer
 continued fraction terminate.  The exact squared covering radii are stored
-on each FieldSpec.
+on each FieldSpec.  The nearest ring integer has one rule, `nearest_pair`,
+for exact and float coordinates alike.
 """
 
 from __future__ import annotations
@@ -178,6 +183,32 @@ def field(d: int) -> FieldSpec:
         ) from None
 
 
+Pair = tuple[int, int]
+ZERO: Pair = (0, 0)
+
+
+def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
+    """(x1 + y1 w)(x2 + y2 w) with w^2 = t w - n, on integer pairs."""
+    x1, y1 = a
+    x2, y2 = b
+    yy = y1 * y2
+    return (x1 * x2 - f.norm_coeff * yy, x1 * y2 + y1 * x2 + f.disc * yy)
+
+
+def pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
+    """[q^0, q^1, ..., q^n] on integer pairs."""
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(pair_mul(f, out[-1], q))
+    return out
+
+
+def pair_conj(f: FieldSpec, q: Pair) -> Pair:
+    """conj(x + y w) = (x + t y) - y w, since conj(w) = t - w."""
+    x, y = q
+    return (x + f.disc * y, -y)
+
+
 @dataclass(frozen=True, slots=True)
 class QuadInt:
     """Ring integer x + y*omega of O_d on the internal basis."""
@@ -214,13 +245,7 @@ class QuadInt:
         if isinstance(other, int):
             return QuadInt(self.field, self.x * other, self.y * other)
         if isinstance(other, QuadInt):
-            f = self.field
-            bd = self.y * other.y
-            return QuadInt(
-                f,
-                self.x * other.x - f.norm_coeff * bd,
-                self.x * other.y + self.y * other.x + f.disc * bd,
-            )
+            return QuadInt(self.field, *pair_mul(self.field, (self.x, self.y), (other.x, other.y)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -238,7 +263,7 @@ class QuadInt:
         return out
 
     def conj(self) -> "QuadInt":
-        return QuadInt(self.field, self.x + self.field.disc * self.y, -self.y)
+        return QuadInt(self.field, *pair_conj(self.field, (self.x, self.y)))
 
     def norm(self) -> int:
         return self.field.norm_int(self.x, self.y)
@@ -440,27 +465,16 @@ def nearest_int(f: FieldSpec, z: ZLike) -> QuadInt:
     real part is chosen, then the smallest imaginary part.  For exact field
     elements all comparisons are exact (the tie-break keys are the integers
     2x + t*y and y), so e.g. 1/2 rounds to 0 and (1 + theta)/2 rounds
-    consistently on Voronoi boundaries.  Exact elements go through
-    `nearest_pair`; complex z takes the least key over the 4 x 4 candidates
-    around the floors of its coordinates.
+    consistently on Voronoi boundaries.  Both kinds of input go through
+    `nearest_pair`: complex z on its float coordinates on the basis
+    {1, omega}, y = Im(z) / (sqrt(m)/2) and x = Re(z) - t*y/2.
     """
     if isinstance(z, QuadElem):
         return QuadInt(f, *nearest_pair(f, z.num.x, z.num.y, z.den))
-    t = f.disc
     zc = complex(z)
-    half_sqm = f.sqrt_abs_disc / 2.0
-    y0 = math.floor(zc.imag / half_sqm)
-    best = None
-    for y in range(y0 - 1, y0 + 3):
-        x0 = math.floor(zc.real - y * t / 2.0)
-        for x in range(x0 - 1, x0 + 3):
-            w = complex(x + y * t / 2.0, y * half_sqm)
-            dz = zc - w
-            key = (dz.real * dz.real + dz.imag * dz.imag, 2 * x + t * y, y)
-            if best is None or key < best:
-                best = key
-                best_pt = (x, y)
-    return QuadInt(f, *best_pt)
+    y = zc.imag / (f.sqrt_abs_disc / 2.0)
+    x, y = nearest_pair(f, zc.real - f.disc * y / 2.0, y, 1)
+    return QuadInt(f, int(x), int(y))
 
 
 def nearest_pair(f: FieldSpec, zx: int, zy: int, den: int) -> tuple[int, int]:
@@ -478,7 +492,8 @@ def nearest_pair(f: FieldSpec, zx: int, zy: int, den: int) -> tuple[int, int]:
     1/4 + (m/4) (1 - e0)^2, while every row below y0 is at least
     (m/4) (1 + e0)^2 away and every row above y0 + 1 at least
     (m/4) (2 - e0)^2; as m >= 3, those rows are strictly farther.  So the
-    nearest point is the better of two, one per row.
+    nearest point is the better of two, one per row.  Float coordinates
+    (den = 1) work alike and give integral floats.
     """
     t, n = f.disc, f.norm_coeff
     best = None

@@ -31,9 +31,11 @@ Both depend on b only through its norm class N(b) = n: alpha through the
 count r(n) of such b, P through the power sums of b over the class.  So
 `alphas` and `expand_P` sweep the lattice points once, group them by norm,
 and take the divisor sums of Delta - n from one smallest-prime-factor
-sieve up to Delta; no integer is factored on its own.  `form_ints` lists
-the forms one by one as integers, for H_{k,Delta} (`hsum`), and
-`delta_forms` as `HermitianForm`s, for the oracles (`alpha_direct`).
+sieve up to Delta.  `form_ints` lists the forms with c < 0 < a one by one
+as integers, for H_{k,Delta} (`hsum`), with the divisors of Delta - n
+from the same kind of sieve (`intarith.divisors`), and `delta_forms` as
+`HermitianForm`s, for the oracles (`alpha_direct`).  No integer is
+factored on its own.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from .field import (
     as_elem,
     is_norm,
     lattice_norms_below,
+    pair_powers,
 )
 from .intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
-from .linalg import pair_powers
 
 
 # --------------------------------------------------------------- matrix group
@@ -96,9 +98,6 @@ class GroupElement:
 
     def conj(self) -> "GroupElement":
         return GroupElement(self.a.conj(), self.b.conj(), self.c.conj(), self.e.conj())
-
-    def transpose(self) -> "GroupElement":
-        return GroupElement(self.a, self.c, self.b, self.e)
 
     def inverse(self) -> "GroupElement":
         """Inverse, defined when det is a unit of O_d."""
@@ -236,26 +235,24 @@ def form_ints(f: FieldSpec, delta: int) -> Iterator[tuple[int, int, int, int]]:
     """(a, x, y, c) for each form of discriminant delta with c < 0 < a, b =
     x + y*omega, as integers: one per lattice point b of norm n < delta (in
     `lattice_norms_below` order) and divisor a of delta - n (ascending),
-    found once per norm class."""
+    found once per norm class from one smallest-prime-factor sieve."""
     check_delta(f, delta)
+    spf = smallest_prime_factor_sieve(delta)
     pairs: dict[int, list[tuple[int, int]]] = {}
     for x, y, n in lattice_norms_below(f, delta):
         if n not in pairs:
-            pairs[n] = [(e, (n - delta) // e) for e in divisors(delta - n)]
+            pairs[n] = [(e, (n - delta) // e) for e in divisors(delta - n, spf)]
         for a, c in pairs[n]:
             yield a, x, y, c
 
 
-def delta_forms(f: FieldSpec, delta: int, side: str = "negative_a") -> Iterator[HermitianForm]:
-    """All forms of discriminant delta with a < 0 < c (side="negative_a")
-    or c < 0 < a (side="positive_a"), in the order of `form_ints`.  These
-    sets are finite: ac = N(b) - delta < 0 forces N(b) < delta and
-    |a|*|c| <= delta."""
-    if side not in ("negative_a", "positive_a"):
-        raise ValueError(f"unknown side {side!r}")
-    sign = -1 if side == "negative_a" else 1
+def delta_forms(f: FieldSpec, delta: int) -> Iterator[HermitianForm]:
+    """All forms of discriminant delta with c < 0 < a, in the order of
+    `form_ints`.  The set is finite: ac = N(b) - delta < 0 forces
+    N(b) < delta and |a|*|c| <= delta.  Negating a and c gives the forms
+    with a < 0 < c."""
     for a, x, y, c in form_ints(f, delta):
-        yield HermitianForm(sign * a, QuadInt(f, x, y), sign * c)
+        yield HermitianForm(a, QuadInt(f, x, y), c)
 
 
 def alpha(f: FieldSpec, k: int, delta: int) -> int:
@@ -272,8 +269,9 @@ def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
     the number of b in O_d of norm n.  One sweep of the lattice points
     below the largest Delta counts every r(n), and one sieve gives every
     sigma_k up to it; each Delta sums only the classes below it.  At k = 0
-    it counts the forms of discriminant Delta on either side
-    (`delta_forms`): one per b and divisor of Delta - N(b)."""
+    it counts the forms of discriminant Delta with c < 0 < a
+    (`delta_forms`), and as many with a < 0 < c: one per b and divisor of
+    Delta - N(b)."""
     for delta in deltas:
         check_delta(f, delta)
     if k < 0:
@@ -291,10 +289,11 @@ def alphas(f: FieldSpec, k: int, deltas: list[int]) -> list[int]:
 
 def alpha_direct(f: FieldSpec, k: int, delta: int) -> int:
     """alpha_{k,Delta} computed from its definition as the value at z = 0:
-    the sum of h(0,1)^k = c^k over the forms with a < 0 < c."""
+    the sum of h(0,1)^k = c^k over the forms with a < 0 < c, the negatives
+    of the forms (a, b, c) of `delta_forms`, so the sum of (-c)^k over those."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return sum(h.c**k for h in delta_forms(f, delta, "negative_a"))
+    return sum((-h.c) ** k for h in delta_forms(f, delta))
 
 
 def window_scan(

@@ -34,11 +34,12 @@ The sum satisfies the reduction identity
 with the transfer polynomial of `forms.expand_P`; `reduction_identity_check`
 evaluates the difference of the two sides (exactly on K).  With P replaced
 by the signed sum T of `_walk_values` the identity holds at every complex
-z and for every k, so the walk of `eval_exact` also runs in floating point.
-Its step count is set by k, the covering radius and float resolution; a_max
-enters only once its tail bound is below float resolution, and then as
-log(a_max).  Averaging over a fundamental cell of the lattice connects the
-sum to a Dirichlet series:
+z and for every k, so the walk of `eval_exact` also runs in floating point,
+rounding to the nearest lattice point by the two-row rule of
+`field.nearest_pair` on numpy arrays.  Its step count is set by k, the
+covering radius and float resolution; a_max enters only once its tail
+bound is below float resolution, and then as log(a_max).  Averaging over
+a fundamental cell of the lattice connects the sum to a Dirichlet series:
 
     mean of H_{k,Delta} = (2 pi Delta^(k+1) / ((k+1) sqrt(m))) * Z(-Delta, k+1)
 
@@ -338,12 +339,12 @@ def _walk_values(
     live = np.arange(z.size)
     zn = np.asarray(z, dtype=complex)
     while live.size:
-        # the nearest lattice point lies in the row nearest to zn or in one
-        # of its two neighbours (rows are >= sqrt(3)/2 apart, rho < 0.91)
-        y0 = np.rint(zn.imag / half_sqm)
+        # the nearest lattice point: in rows floor(y) and floor(y) + 1, the
+        # point whose real offset lies in (-1/2, 1/2] (proof: `nearest_pair`)
+        y0 = np.floor(zn.imag / half_sqm)
         r = None
-        for y in (y0 - 1, y0, y0 + 1):
-            w = zn - (np.rint(zn.real - y * t) + y * t) - 1j * (y * half_sqm)
+        for y in (y0, y0 + 1):
+            w = zn - (np.ceil(zn.real - y * t - 0.5) + y * t) - 1j * (y * half_sqm)
             r = w if r is None else np.where(abs(w) < abs(r), w, r)
         nr = r.real * r.real + r.imag * r.imag
         step = np.zeros(live.size)

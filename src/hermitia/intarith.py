@@ -1,4 +1,7 @@
-"""Small exact integer-arithmetic helpers shared across modules."""
+"""Exact integer helpers: primality, factorization with proof (for `lfun`),
+square roots mod p, and, from one smallest-prime-factor sieve, the divisors
+(`divisors`) and sigma_0..sigma_k (`divisor_moments`) of one integer and
+sigma_k over a range (`divisor_power_sums`)."""
 
 from __future__ import annotations
 
@@ -117,14 +120,6 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n > 0, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
     """spf[i] = smallest prime factor of i, for 0 <= i <= limit."""
     spf = list(range(limit + 1))
@@ -136,10 +131,9 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
     return spf
 
 
-def divisor_moments(n: int, k: int, spf: list[int]) -> list[int]:
-    """[sigma_0(n), ..., sigma_k(n)] for 0 < n < len(spf): running power
-    sums over the divisors of n, found from the smallest-prime-factor sieve
-    `spf`."""
+def divisors(n: int, spf: list[int]) -> list[int]:
+    """The positive divisors of n, 0 < n < len(spf), ascending, from the
+    smallest-prime-factor sieve `spf`."""
     divs = [1]
     while n > 1:
         p, e = spf[n], 0
@@ -147,6 +141,13 @@ def divisor_moments(n: int, k: int, spf: list[int]) -> list[int]:
             n //= p
             e += 1
         divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def divisor_moments(n: int, k: int, spf: list[int]) -> list[int]:
+    """[sigma_0(n), ..., sigma_k(n)] for 0 < n < len(spf): running power
+    sums over the `divisors` of n."""
+    divs = divisors(n, spf)
     out, powers = [], [1] * len(divs)
     for _ in range(k + 1):
         out.append(sum(powers))

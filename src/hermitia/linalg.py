@@ -47,8 +47,8 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   fractions, with a check of every vector against every row
   (`matvec_is_zero`).  No production route calls it: it is the test
   oracle of `certified_kernel`, on `QuadElem` arithmetic rather than the
-  integer pairs (`pair_mul`) of the production path, and it stays in the
-  package while `bench/spans.py` traces it by name.
+  integer pairs of the production path, and it stays in the package while
+  `bench/spans.py` traces it by name.
 
 The split primes are searched for on demand, once per ring and process
 (`_split_primes`): a caller that uses one prime searches for one.
@@ -57,8 +57,10 @@ The modular functions take a matrix only by its reductions, a function
 from a split prime p and a root w of omega's polynomial mod p to the matrix
 mod p (`Reductions`), so it is never built over O_d.  Kernel vectors, in
 `certified_kernel`, its exact check and `quad_kernel`, are lists of integer
-pairs (x, y) for x + y*omega, integral and content-free.  Rows of `QuadInt`
-(`Rows`) enter only the test oracles `quad_kernel` and `matvec_is_zero`.
+pairs (x, y) for x + y*omega, integral and content-free
+(`_canonical_integral`); the arithmetic of pairs lives in `field`.  Rows of
+`QuadInt` (`Rows`) enter only the test oracles `quad_kernel` and
+`matvec_is_zero`.  This module holds linear algebra only.
 """
 
 from __future__ import annotations
@@ -71,16 +73,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .field import CertificateError, FieldSpec, QuadElem, QuadInt, kronecker
+from .field import ZERO, CertificateError, FieldSpec, Pair, QuadElem, QuadInt, kronecker
 from .intarith import is_probable_prime, sqrt_mod_prime
 
-Pair = tuple[int, int]
 Rows = Sequence[Sequence[QuadInt]]
 # a matrix over O_d given by its reductions: (split prime p, image w of
 # omega mod p) -> int64 array with entries in [0, p)
 Reductions = Callable[[int, int], np.ndarray]
-
-ZERO: Pair = (0, 0)
 
 # `certified_kernel` gives up after this many split primes (~1900 bits)
 MAX_PRIMES = 64
@@ -88,22 +87,6 @@ MAX_PRIMES = 64
 RANK_PRIMES = 3
 # the split primes are the first above this; below 2^31 products fit in int64
 PRIME_START = 1 << 30
-
-
-def pair_mul(f: FieldSpec, a: Pair, b: Pair) -> Pair:
-    """(x1 + y1 w)(x2 + y2 w) with w^2 = t w - n, on integer pairs."""
-    x1, y1 = a
-    x2, y2 = b
-    yy = y1 * y2
-    return (x1 * x2 - f.norm_coeff * yy, x1 * y2 + y1 * x2 + f.disc * yy)
-
-
-def pair_powers(f: FieldSpec, q: Pair, n: int) -> list[Pair]:
-    """[q^0, q^1, ..., q^n] on integer pairs."""
-    out = [(1, 0)]
-    for _ in range(n):
-        out.append(pair_mul(f, out[-1], q))
-    return out
 
 
 def quad_kernel(f: FieldSpec, rows: Rows) -> list[list[Pair]]:

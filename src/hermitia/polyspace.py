@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldSpec, QuadElem, QuadInt
+from .field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, pair_conj, pair_mul, pair_powers
 from .forms import (
     BiPoly,
     GroupElement,
@@ -78,9 +78,9 @@ def flat_index(k: int, i: int, j: int) -> int:
     return i * (k + 1) + j
 
 
-PairMatrix = list[list[linalg.Pair]]
+PairMatrix = list[list[Pair]]
 # the nonzero coefficients of an integral polynomial, as ((i, j), pair)
-Support = list[tuple[tuple[int, int], linalg.Pair]]
+Support = list[tuple[tuple[int, int], Pair]]
 
 
 def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
@@ -88,16 +88,14 @@ def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
     substitution matrix A of g = [[a, b], [c, e]], with A[i][j] the
     coefficient of z^i in (a z + b)^j (c z + e)^(k-j).  The zbar factor is
     its `conjugate`."""
-    mul = linalg.pair_mul
-
-    def binomials(hi: linalg.Pair, lo: linalg.Pair) -> PairMatrix:
+    def binomials(hi: Pair, lo: Pair) -> PairMatrix:
         """rows[j][s] = coefficient of z^s in (hi z + lo)^j, for j <= k."""
-        his, los = linalg.pair_powers(f, hi, k), linalg.pair_powers(f, lo, k)
+        his, los = pair_powers(f, hi, k), pair_powers(f, lo, k)
         rows = []
         for j in range(k + 1):
             row = []
             for s in range(j + 1):
-                x, y = mul(f, his[s], los[j - s])
+                x, y = pair_mul(f, his[s], los[j - s])
                 m = math.comb(j, s)
                 row.append((m * x, m * y))
             rows.append(row)
@@ -105,14 +103,14 @@ def factors(f: FieldSpec, g: GroupElement, k: int) -> PairMatrix:
 
     a, b, c, e = ((q.x, q.y) for q in g.entries())
     top, bot = binomials(a, b), binomials(c, e)
-    az = [[linalg.ZERO] * (k + 1) for _ in range(k + 1)]
+    az = [[ZERO] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
         for s, t in enumerate(top[j]):
-            if t == linalg.ZERO:
+            if t == ZERO:
                 continue
             for r, u in enumerate(bot[k - j]):
-                if u != linalg.ZERO:
-                    x, y = mul(f, t, u)
+                if u != ZERO:
+                    x, y = pair_mul(f, t, u)
                     ax, ay = az[s + r][j]
                     az[s + r][j] = (ax + x, ay + y)
     return az
@@ -122,7 +120,7 @@ def conjugate(f: FieldSpec, mat: PairMatrix) -> PairMatrix:
     """The entrywise conjugate of a matrix of integer pairs.  Conjugation is
     a ring automorphism, so the conjugate of `factors(f, g, k)` is the z
     substitution matrix of g.conj(): the zbar factor of g."""
-    return [[(x + f.disc * y, -y) for x, y in row] for row in mat]
+    return [[pair_conj(f, q) for q in row] for row in mat]
 
 
 def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]]:
@@ -132,7 +130,7 @@ def operator_matrix(f: FieldSpec, g: GroupElement, k: int) -> list[list[QuadInt]
     azb = conjugate(f, az)
     n = k + 1
     return [
-        [f.quad(*linalg.pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
+        [f.quad(*pair_mul(f, az[i1][i2], azb[j1][j2])) for i2 in range(n) for j2 in range(n)]
         for i1 in range(n)
         for j1 in range(n)
     ]
@@ -476,7 +474,7 @@ class WordOperator:
             blocks.append(grids.reshape(len(up), self.size).T)
         return np.vstack(blocks)
 
-    def lift(self, cols: Sequence[int], u: Sequence[linalg.Pair]) -> list[linalg.Pair]:
+    def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
         """L u: the vector on the mirror-closed columns `cols` with u on
         their upper coordinates, mirror_sign(c) * u_c on each mirror
         N-1-c, and 0 at the centre."""
@@ -487,7 +485,7 @@ class WordOperator:
                 out.append(at[c])
                 continue
             m = self.size - 1 - c
-            x, y = at.get(m, linalg.ZERO)
+            x, y = at.get(m, ZERO)
             s = self.mirror_sign(m)
             out.append((s * x, s * y))
         return out
@@ -512,7 +510,7 @@ class WordOperator:
             self._row_bound = max((rho[g].T @ rho[g]).max() for g in self.words)
         return height_factor(self.field) * self._row_bound * norm
 
-    def in_kernel(self, cols: Sequence[int], vec: list[linalg.Pair]) -> bool:
+    def in_kernel(self, cols: Sequence[int], vec: list[Pair]) -> bool:
         """Whether M[:, cols] v = 0, for the integral vector v of integer
         pairs on the columns `cols`, proven from the reductions alone.
 
@@ -563,7 +561,7 @@ class WordOperator:
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
-        return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != linalg.ZERO] for v in lifted]
+        return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
 
 
 # ------------------------------------------------------------------ subspace

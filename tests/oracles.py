@@ -55,11 +55,11 @@ from typing import Sequence
 import numpy as np
 
 from hermitia.cfrac import CFExpansion
-from hermitia.field import FieldSpec, QuadElem, QuadInt, nearest_int
+from hermitia.field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, nearest_int, pair_mul
 from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, form_ints, window_scan
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
-from hermitia.linalg import ZERO, Pair, Reductions, Rows, omega_roots, pair_mul
+from hermitia.linalg import Reductions, Rows, omega_roots
 from hermitia.polyspace import (
     PairMatrix,
     Support,
@@ -74,14 +74,13 @@ from hermitia.polyspace import (
 
 
 def expand_P_quadint(f: FieldSpec, k: int, delta: int) -> BiPoly:
-    """P_{k,Delta} summed over `delta_forms(..., "positive_a")` one form at
-    a time."""
+    """P_{k,Delta} summed over `delta_forms` one form at a time."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_delta(f, delta)
     acc: dict[tuple[int, int], QuadInt] = {}
     fact = math.factorial
-    for h in delta_forms(f, delta, "positive_a"):
+    for h in delta_forms(f, delta):
         a_pow = [h.a**i for i in range(k + 1)]
         c_pow = [h.c**i for i in range(k + 1)]
         b_pow = _int_power_list(h.b, k)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermitia
 from conftest import rand_elem, rand_nonzero_elem, rand_quadint, seeded
 from hermitia.field import (
     EUCLIDEAN_DS,
@@ -24,6 +27,33 @@ from hermitia.field import (
 )
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 97, 101]
+
+
+# ------------------------------------------------------------------ layering
+
+def _imported_modules(module: str) -> set[str]:
+    """The top-level modules, and the hermitia modules by their short names,
+    that the source of hermitia.<module> imports anywhere in its body."""
+    tree = ast.parse((Path(hermitia.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.module in (None, "hermitia"):  # from . import x
+            names.update(alias.name for alias in node.names)
+        else:
+            names.add(node.module)
+    return {n.removeprefix("hermitia.").split(".")[0] for n in names}
+
+
+@pytest.mark.parametrize("module", ["field", "intarith", "forms", "cfrac", "lfun"])
+def test_the_number_layer_imports_no_linear_algebra(module):
+    """The exact number theory (rings, divisors, forms, continued fractions,
+    L-values) stands below numpy and the modules built on it."""
+    banned = {"numpy", "linalg", "polyspace", "hsum"}
+    assert not _imported_modules(module) & banned, module
 
 
 # ----------------------------------------------------------------- kronecker
@@ -349,7 +379,9 @@ def test_nearest_pair_is_the_best_of_sixteen_candidates():
     """`nearest_pair` keeps one candidate per row in two rows; it picks what
     the least key over 16 candidates picks, on fractions not in lowest
     terms, on points of up to 200 bits and on the ties of every ring: the
-    midpoints and Voronoi vertices between lattice points."""
+    midpoints and Voronoi vertices between lattice points.  On the float
+    value of each point, where a tie may round either way, `nearest_int`
+    picks a point at the least exact distance."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         rng = seeded(f"nearest-pair-{d}")
@@ -368,6 +400,10 @@ def test_nearest_pair_is_the_best_of_sixteen_candidates():
             want = _nearest_of_sixteen(f, z.num.x, z.num.y, z.den)
             assert nearest_pair(f, g * z.num.x, g * z.num.y, g * z.den) == want, (d, str(z), g)
             assert (nearest_int(f, z).x, nearest_int(f, z).y) == want
+            x, y = want
+            least = f.norm_int(z.num.x - x * z.den, z.num.y - y * z.den)
+            w = nearest_int(f, complex(z))
+            assert f.norm_int(z.num.x - w.x * z.den, z.num.y - w.y * z.den) == least, (d, str(z))
 
 
 def test_nearest_int_tie_breaks():

@@ -154,6 +154,17 @@ def test_alpha_equals_the_form_sum_property(d, k, which):
     assert alpha(f, k, delta) == alpha_direct(f, k, delta)
 
 
+def test_divisors_from_the_sieve_equal_a_brute_force_list():
+    limit = 5000
+    spf = smallest_prime_factor_sieve(limit)
+    want: list[list[int]] = [[] for _ in range(limit + 1)]
+    for e in range(1, limit + 1):
+        for n in range(e, limit + 1, e):
+            want[n].append(e)
+    for n in range(1, limit + 1):
+        assert divisors(n, spf) == want[n], n
+
+
 def test_divisor_power_sums_equal_the_divisor_sums():
     for k in range(6):
         sig = divisor_power_sums(k, 300)
@@ -166,13 +177,12 @@ def test_divisor_power_sums_equal_the_divisor_sums():
 @pytest.mark.parametrize("d", EUCLIDEAN_DS)
 def test_alpha_at_k0_counts_the_forms_on_each_side(d):
     """alpha_{0,Delta}, the count that prices `hconst` and `average`, is
-    the number of forms `delta_forms` yields on either side; O_3 at
-    Delta = 4879 has 246,740 of them."""
+    the number of forms `delta_forms` yields, those with c < 0 < a, and so
+    of their negatives, those with a < 0 < c; O_3 at Delta = 4879 has
+    246,740 of them."""
     f = field(d)
     for delta in nonnorm_deltas(f, 5) + ([4879] if d == 3 else []):
-        count = alpha(f, 0, delta)
-        for side in ("negative_a", "positive_a"):
-            assert sum(1 for _ in delta_forms(f, delta, side)) == count, (d, delta, side)
+        assert sum(1 for _ in delta_forms(f, delta)) == alpha(f, 0, delta), (d, delta)
     if d == 3:
         assert alpha(f, 0, 4879) == 246740
     with pytest.raises(ValueError):
@@ -193,9 +203,9 @@ def test_delta_forms_sides_and_finiteness():
     for d in EUCLIDEAN_DS:
         f = field(d)
         delta = smallest_nonnorm(d)
-        neg = list(delta_forms(f, delta, "negative_a"))
-        pos = list(delta_forms(f, delta, "positive_a"))
-        assert len(neg) == len(pos) > 0
+        pos = list(delta_forms(f, delta))
+        neg = [HermitianForm(-h.a, h.b, -h.c) for h in pos]
+        assert len(pos) > 0
         for h in neg:
             assert h.a < 0 < h.c and h.delta() == delta
         for h in pos:
@@ -206,15 +216,16 @@ def test_form_ints_lists_the_forms_point_by_point_in_order():
     """`form_ints`, which finds the divisors once per norm class, yields
     the forms in the order of a per-point construction from the lattice
     points and the divisors of Delta - N(b): the order that the float sums
-    of `average` replay."""
+    of `average` replay.  The divisors are found by trial of every e, since
+    `intarith.divisors` is under test here."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         for delta in nonnorm_deltas(f, 4) + [nonnorm_deltas(f, 200)[-1]]:
             want = [(e, b.x, b.y, -((delta - b.norm()) // e))
                     for b in lattice_points_with_norm_below(f, delta)
-                    for e in divisors(delta - b.norm())]
+                    for e in range(1, delta - b.norm() + 1) if (delta - b.norm()) % e == 0]
             assert list(form_ints(f, delta)) == want, (d, delta)
-            assert [(h.a, h.b.x, h.b.y, h.c) for h in delta_forms(f, delta, "positive_a")] == want
+            assert [(h.a, h.b.x, h.b.y, h.c) for h in delta_forms(f, delta)] == want
     with pytest.raises(ValueError):
         list(form_ints(field(1), 4))
 
@@ -310,7 +321,7 @@ def test_bipoly_evaluation_matches_form_sum():
         for _ in range(5):
             z = rand_elem(rng, f, 4, 4)
             direct = _c(f, 0)
-            for h in delta_forms(f, delta, "positive_a"):
+            for h in delta_forms(f, delta):
                 v = _c(f, h.eval(z))
                 direct = direct + v * v * v
             assert (P.eval_exact(z) - direct).is_zero()
@@ -382,7 +393,7 @@ def test_expand_P_evaluates_to_the_form_sum_property(d, k, which_delta, point):
     f = field(d)
     delta = nonnorm_deltas(f, 3)[which_delta]
     z = QuadElem.from_display(f, *point)
-    direct = sum(h.eval(z) ** k for h in delta_forms(f, delta, "positive_a"))
+    direct = sum(h.eval(z) ** k for h in delta_forms(f, delta))
     assert expand_P(f, k, delta).eval_exact(z).as_fraction() == direct
 
 

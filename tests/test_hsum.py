@@ -446,7 +446,7 @@ def test_value_at_zero_is_the_sum_over_the_walks_forms():
     for d in EUCLIDEAN_DS:
         f = field(d)
         for delta in nonnorm_deltas(f, 3):
-            cs = [h.c for h in forms.delta_forms(f, delta, "positive_a")]
+            cs = [h.c for h in forms.delta_forms(f, delta)]
             for k in range(3, 9):
                 assert sum((-c) ** k for c in cs) == forms.alpha(f, k, delta), (d, delta, k)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia.field import EUCLIDEAN_DS, QuadElem, field, nonnorm_deltas, smallest_nonnorm
+from hermitia.field import EUCLIDEAN_DS, ZERO, QuadElem, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import (
     BiPoly,
     GroupElement,
@@ -330,7 +330,7 @@ def test_annihilates_agrees_with_the_word_action():
                 Q = P + rand_bipoly(rng, f, k, terms=1)
                 want = matvec_is_zero(f, rows, poly_to_vector(Q))
                 entries = {flat_index(k, i, j): xy for (i, j), xy in support(Q)[1]}
-                vec = [entries.get(c, linalg.ZERO) for c in every]
+                vec = [entries.get(c, ZERO) for c in every]
                 assert annihilates(f, k, support(Q)[1]) == op.in_kernel(every, vec) == want
 
 
@@ -522,12 +522,12 @@ def kernel_vectors(f, k):
         den, supp = support(P)
         assert den == 1
         entries = {flat_index(k, i, j): pair for (i, j), pair in supp}
-        out.append((op, cols, [entries.get(c, linalg.ZERO) for c in cols]))
+        out.append((op, cols, [entries.get(c, ZERO) for c in cols]))
     return out
 
 
 def as_support(k, cols, v):
-    return [(divmod(c, k + 1), e) for c, e in zip(cols, v) if e != linalg.ZERO]
+    return [(divmod(c, k + 1), e) for c, e in zip(cols, v) if e != ZERO]
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_DS)
@@ -757,7 +757,7 @@ def test_in_kernel_checks_the_s_word(d, k):
                    for x, y in row)
         assert not op.in_kernel(every, v)
     for op, cols, v in kernel_vectors(f, k):
-        lower = [r for r, c in enumerate(cols) if 2 * c < op.size - 1 and v[r] != linalg.ZERO]
+        lower = [r for r, c in enumerate(cols) if 2 * c < op.size - 1 and v[r] != ZERO]
         assert lower
         for r in lower[:3]:
             w = list(v)
@@ -980,7 +980,7 @@ def test_membership_rejects_multiples_of_the_first_primes(d):
         den, supp = support(P + BiPoly.monomial(f, k, i, j, math.prod(primes)))
         assert den == 1 and not annihilates(f, k, supp)
         entries = {flat_index(k, i, j): xy for (i, j), xy in supp}
-        vec = [entries.get(c, linalg.ZERO) for c in cols]
+        vec = [entries.get(c, ZERO) for c in cols]
         for p in primes:
             for root in omega_roots(f, p):
                 image = np.array([(x + y * root) % p for x, y in vec], dtype=object)
