@@ -443,6 +443,29 @@ def _power_list(z: QuadElem, n: int) -> list[QuadElem]:
     return out
 
 
+def expansion_plan(k: int, w: int) -> list[tuple[int, int, int, int, list[tuple[int, int, int]]]]:
+    """The terms a^i b^j conj(b)^l c^r (i + j + l + r = k) of `expand_P`
+    that reach z^alpha zbar^beta with alpha - beta = w t and alpha >= beta:
+    one (t, alpha, beta, |r - i|, [((-1)^r k!/(i! j! l! r!), min(i, r), l)])
+    per monomial.  The multinomial is C(k, r) C(k-r, i) C(k-r-i, j), read
+    from one Pascal triangle, so no term divides factorials."""
+    pascal = [[1]]
+    for _ in range(k):
+        row = pascal[-1]
+        pascal.append([1, *(x + y for x, y in zip(row, row[1:])), 1])
+    plan = []
+    for t in range(k // w + 1):
+        for be in range(k + 1 - w * t):
+            al = be + w * t
+            terms = []
+            for i in range(max(0, al + be - k), be + 1):
+                j, l, r = al - i, be - i, k - al - be + i
+                mult = pascal[k][r] * pascal[k - r][i] * pascal[k - r - i][j]
+                terms.append(((-1) ** r * mult, min(i, r), l))
+            plan.append((t, al, be, abs(k - al - be), terms))
+    return plan
+
+
 def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     """The transfer polynomial P_{k,Delta} as an exact BiPoly of bidegree
     (k, k): the sum of (a z zbar + b z + conj(b) zbar + c)^k over the forms
@@ -476,21 +499,7 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     classes: dict[int, Counter] = defaultdict(Counter)
     for x, y, n in lattice_norms_below(f, delta):
         classes[n][pair_powers(f, (x, y), w)[w]] += 1
-    fact = [1]
-    for e in range(1, k + 1):
-        fact.append(fact[-1] * e)
-    # the terms a^i b^j conj(b)^l c^r of z^alpha zbar^beta, alpha - beta = w t:
-    # (t, alpha, beta, |r - i|, [((-1)^r k!/(i! j! l! r!), min(i, r), l)])
-    plan = []
-    for t in range(k // w + 1):
-        for be in range(k + 1 - w * t):
-            al = be + w * t
-            terms = []
-            for i in range(max(0, al + be - k), be + 1):
-                j, l, r = al - i, be - i, k - al - be + i
-                mult = fact[k] // (fact[i] * fact[j] * fact[l] * fact[r])
-                terms.append(((-1) ** r * mult, min(i, r), l))
-            plan.append((t, al, be, abs(k - al - be), terms))
+    plan = expansion_plan(k, w)
     spf = smallest_prime_factor_sieve(delta)
     # every monomial, in the order of the term-by-term expansion (the BiPoly keeps it)
     acc = dict.fromkeys(

@@ -23,9 +23,13 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   is at least the rank mod p.  Otherwise the reduced row echelon kernels
   under w1 and w2, each free column set to 1, give x and y mod p of every
   entry x + y*omega; the primes are combined by CRT and rational
-  reconstruction, and the vectors are checked exactly (for the word
-  operators of `polyspace`, by their reductions at the `primes_exceeding`
-  twice a proven height bound).  c - rank_p independent vectors of ker M
+  reconstruction, and the first reconstruction whose common denominator
+  is within Wang's bound isqrt(modulus // 2) is checked exactly at once
+  (for the word operators of `polyspace`, by their reductions at the
+  `primes_exceeding` twice a proven height bound), so a kernel of small
+  height is proven at its first prime.  The rows are chosen as the pivot
+  rows of M^T mod the first prime, or among a caller's rows known to
+  span M's row space there (`span`).  c - rank_p independent vectors of ker M
   make a basis, since dim ker M <= c - rank_p; each is supported on its
   own free column and earlier pivots, so the free columns mod p are those
   over K and the basis is the one Gauss-Jordan elimination over K gives.
@@ -39,8 +43,10 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   (`lower`): 0 by default; for the sandwich of `polyspace.wkk` the number
   of verified kernel vectors, where meeting it makes the dimension
   unconditional; and for its modular total the sum of the eigenspace
-  dimensions (`kernel_dim_upper_bound` is that dimension alone).  Each
-  prime reduces whichever orientation of the matrix has fewer rows: the
+  dimensions (`kernel_dim_upper_bound` is that dimension alone).  A
+  caller that already has the dimension mod the first prime passes it
+  (`first`), and that prime is not reduced again.  Each prime reduces
+  whichever orientation of the matrix has fewer rows (`rank_mod`): the
   rank is the same, and the work is smaller.
 
 * `quad_kernel` -- Gauss-Jordan elimination over K on `QuadElem`
@@ -292,30 +298,43 @@ class ModularRankReport:
     primes: tuple[int, ...]
 
 
-def quad_rank_modular(f: FieldSpec, rows: Reductions, lower: int = 0) -> ModularRankReport:
+def rank_mod(mat: np.ndarray, p: int) -> int:
+    """The rank mod the prime p of an int64 matrix with entries in [0, p),
+    reducing whichever orientation has fewer rows: the rank is the same,
+    and the work is smaller."""
+    return echelon_mod(mat.T if mat.shape[0] > mat.shape[1] else mat, p)[0]
+
+
+def quad_rank_modular(
+    f: FieldSpec, rows: Reductions, lower: int = 0, first: int | None = None
+) -> ModularRankReport:
     """The kernel dimension of the matrix with reductions `rows`: the least
     over the first RANK_PRIMES split primes, each an upper bound over K, so
     exact unless all of them are of bad reduction.  It stops at the first
     prime that meets `lower`, a known lower bound on the dimension mod every
     prime; that prime's dimension is then the least, and no later prime is
-    searched for or reduced."""
+    searched for or reduced.  `first`, if given, is the dimension mod the
+    first split prime, which the caller already has: that prime is then
+    not reduced again."""
     dims: list[int] = []
     primes: list[int] = []
     for p in itertools.islice(_split_primes(f), RANK_PRIMES):
-        mat = rows(p, omega_roots(f, p)[0])
-        # both orientations have the same rank; fewer rows are less work
-        rank, _ = echelon_mod(mat.T if mat.shape[0] > mat.shape[1] else mat, p)
-        dims.append(mat.shape[1] - rank)
+        if first is not None and not primes:
+            dims.append(first)
+        else:
+            mat = rows(p, omega_roots(f, p)[0])
+            dims.append(mat.shape[1] - rank_mod(mat, p))
         primes.append(p)
         if dims[-1] <= lower:
             break
     return ModularRankReport(min(dims), tuple(primes))
 
 
-def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int) -> int:
+def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int, first: int | None = None) -> int:
     """An unconditional upper bound on the kernel dimension of the matrix
-    with reductions `rows`, given `lower`, a known lower bound."""
-    return quad_rank_modular(f, rows, lower).kernel_dim
+    with reductions `rows`, given `lower`, a known lower bound, and
+    optionally `first`, its dimension mod the first split prime."""
+    return quad_rank_modular(f, rows, lower, first).kernel_dim
 
 
 # --------------------------------------------------------- certified kernel
@@ -336,7 +355,9 @@ def _rational(a: int, m: int, bound: int) -> tuple[int, int] | None:
 def _reconstruct(residues: np.ndarray, m: int) -> tuple[int, list[int]] | None:
     """A common denominator D and integers N_i with N_i / D = residues[i]
     mod m, all small against m, or None.  D grows only when D*residue is
-    not already small, so most entries cost one product."""
+    not already small, so most entries cost one product.  D may not exceed
+    isqrt(m // 2), the bound of each reconstruction: a larger one is not
+    worth proving yet."""
     bound = math.isqrt(m // 2)
     den = 1
     parts: list[tuple[int, int]] = []  # (numerator, D when it was found)
@@ -350,8 +371,19 @@ def _reconstruct(residues: np.ndarray, m: int) -> tuple[int, list[int]] | None:
                 return None
             b, q = nq
             den *= q
+            if den > bound:
+                return None
         parts.append((b, den))
     return den, [n * (den // at) for n, at in parts]
+
+
+def _agrees(candidate: tuple[int, list[int]], new: np.ndarray, p: int) -> bool:
+    """Whether the reconstruction (D, [N_i]) is `new` mod p: N_i / D = new[i]."""
+    den, nums = candidate
+    if not den % p:
+        return False
+    inv = pow(den, -1, p)
+    return all(n * inv % p == r for n, r in zip(nums, new.tolist()))
 
 
 def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
@@ -361,38 +393,54 @@ def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
 
 
 def certified_kernel(
-    f: FieldSpec, mod: Reductions, annihilates: Callable[[list[Pair]], bool]
+    f: FieldSpec,
+    mod: Reductions,
+    annihilates: Callable[[list[Pair]], bool],
+    span: tuple[Sequence[int], np.ndarray] | None = None,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, w)`, M mod the split prime p with omega -> w, and
     `annihilates(v)`, an exact test of M v = 0 on a vector of integer
     pairs (`polyspace.WordOperator.in_kernel` proves it from reductions,
-    the tests' oracles compute M v).
+    the tests' oracles compute M v).  `span`, if given, is (R, M[R] mod
+    the first split prime with omega -> its first root) for rows R that
+    span M's row space mod that prime: the rows are first chosen among R,
+    and M mod that prime and root is not asked for.
 
     At each split prime, the rows named by the pivot columns of M^T mod p
     (independent mod p, hence over K) are put in reduced row echelon form
     under both images of omega.  A prime whose rank or pivot pattern is
     worse than the best seen so far, or differs between its two images,
     is skipped.  The kernel vectors' entries, with each free column set to
-    1, are combined by CRT and rational reconstruction until one more
-    prime changes nothing; then every vector, made integral and
-    content-free, must pass `annihilates`.  The basis equals `quad_kernel`
-    of M.  If no candidate passes within
-    MAX_PRIMES primes, CertificateError is raised.
+    1, are combined by CRT and rational reconstruction; as soon as a
+    reconstruction has a common denominator within the bound of Wang's
+    reconstruction, isqrt(modulus // 2), and is not the candidate last
+    refuted, every vector, made integral and content-free, must pass
+    `annihilates`.  The bound decides only when a proof is worth trying:
+    whatever is returned has passed.  A refuted candidate that the next
+    prime reproduces is the kernel of rows chosen at a prime where they
+    lose rank, so the rows are chosen again at the prime after.  The basis
+    equals `quad_kernel` of M.  If no candidate passes within MAX_PRIMES
+    primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
     chosen = None  # rows independent mod the prime that chose them
-    residues = modulus = candidate = rejected = None
+    residues = modulus = rejected = None
     for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
-        m1 = mod(p, w1)
-        ncols = m1.shape[1]
         if chosen is None:
+            # among the rows of `span` at the first prime, else among all
+            among, m1 = (None, mod(p, w1)) if span is None else span
+            span = None
             rank, rows = echelon_mod(m1.T, p)
-            if rank == ncols:
+            if rank == m1.shape[1]:
                 return []
-            chosen = list(rows)
-        (red1, piv1), (red2, piv2) = rref_mod(m1[chosen], p), rref_mod(mod(p, w2)[chosen], p)
+            chosen = list(rows) if among is None else [among[r] for r in rows]
+            top = m1[list(rows)]
+        else:
+            top = mod(p, w1)[chosen]
+        ncols = top.shape[1]
+        (red1, piv1), (red2, piv2) = rref_mod(top, p), rref_mod(mod(p, w2)[chosen], p)
         if len(piv1) == ncols or len(piv2) == ncols:
             return []
         if piv1 != piv2:
@@ -409,21 +457,20 @@ def certified_kernel(
         x = (k1 - y * w1 % p) % p
         new = np.concatenate([x.ravel(), y.ravel()])
         if best is None or key > best:
-            best, residues, modulus, candidate = key, new.astype(object), p, None
+            best, residues, modulus, rejected = key, new.astype(object), p, None
         else:
-            if candidate is not None and candidate != rejected:
-                den, nums = candidate
-                inv = pow(den % p, p - 2, p) if den % p else 0
-                if inv and all(n * inv % p == r for n, r in zip(nums, new.tolist())):
-                    basis = _kernel_vectors(ncols, piv1, free, den, nums)
-                    if all(map(annihilates, basis)):
-                        return basis
-                    # rows chosen at a bad prime, or a premature
-                    # reconstruction: choose rows again at the next prime
-                    rejected, chosen = candidate, None
+            if rejected is not None and _agrees(rejected, new, p):
+                # the refuted candidate is the kernel of the chosen rows:
+                # they lost rank mod the prime that chose them
+                chosen = None
             residues = _crt(residues, modulus, new, p)
             modulus *= p
         candidate = _reconstruct(residues, modulus)
+        if candidate is not None and candidate != rejected:
+            basis = _kernel_vectors(ncols, piv1, free, *candidate)
+            if all(map(annihilates, basis)):
+                return basis
+            rejected = candidate
     raise CertificateError(f"no kernel candidate passed exact verification in {MAX_PRIMES} primes")
 
 

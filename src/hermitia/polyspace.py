@@ -49,13 +49,19 @@ polynomials of Kohnen and Zagier, "Modular forms with rational periods",
 1984).  Its kernel is parametrized by the upper half of the flat index,
 and every rank and kernel of `wkk` runs on the other words restricted to
 it (`WordOperator.reduced_mod`), about half the columns and without the S
-word's rows.
+word's rows.  At the first split prime that block is reduced once for
+every column (`FirstReduction`): each eigenspace's block there is a
+column slice of it, and its pivot rows span every slice's row space.
+
+The kernel words do not depend on k, and are built once per ring
+(`kernel_words`), so the operators of every k share their elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -187,19 +193,21 @@ def eigen_exponent(f: FieldSpec, i: int, j: int) -> int:
 
 # --------------------------------------------------------------- word lists
 
-Word = list[tuple[int, GroupElement]]
+Word = Sequence[tuple[int, GroupElement]]
 
 
-def kernel_words(f: FieldSpec) -> list[Word]:
+@lru_cache(maxsize=None)
+def kernel_words(f: FieldSpec) -> tuple[Word, ...]:
     """Signed group words whose operators cut out W_{k,k} as a common
     kernel.  They encode the parabolic cocycle conditions coming from the
-    defining relations of the automorphism group over O_d."""
+    defining relations of the automorphism group over O_d.  They do not
+    depend on k, so they are built once per ring, as immutable tuples."""
     I = identity(f)
     S = gen_S(f)
     T = gen_T(f)
     Tw = gen_T_omega(f)
     U = T @ S
-    words: list[Word] = [
+    words: list[list[tuple[int, GroupElement]]] = [
         [(1, I), (1, S)],
         [(1, I), (1, U), (1, U @ U)],
     ]
@@ -237,7 +245,7 @@ def kernel_words(f: FieldSpec) -> list[Word]:
                 (1, S @ Tw.inverse() @ S @ Tw),
             ]
         )
-    return words
+    return tuple(map(tuple, words))
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
@@ -341,6 +349,27 @@ def height_factor(f: FieldSpec) -> int:
     root = math.isqrt(4 * f.norm_coeff * one * one // f.abs_disc) + 1
     root_n = math.isqrt(f.norm_coeff * one * one) + 1
     return -(-(one + root) * (one + root_n) // (one * one))
+
+
+@dataclass(frozen=True)
+class FirstReduction:
+    """M_rest L on every upper coordinate (`WordOperator.reduced_mod`) mod
+    the first split prime p, omega -> its first root, eliminated once.
+
+    `span` are the pivot columns of its transpose: rows, independent mod
+    p, that span its row space mod p, so its rank mod p is len(span).
+    `rows` holds them, and no other row is kept.  Restricted to any set of
+    columns they still span the row space mod p of that column slice, so
+    the rank mod p of an eigenspace block is the rank of its `span` rows,
+    and its rows may be chosen among them (`linalg.certified_kernel`)."""
+
+    p: int
+    span: tuple[int, ...]
+    rows: np.ndarray
+
+    def kernel_dim(self, at: np.ndarray) -> int:
+        """The kernel dimension mod p of the columns `at` of the block."""
+        return len(at) - linalg.rank_mod(self.rows[:, at], self.p)
 
 
 class WordOperator:
@@ -463,16 +492,30 @@ class WordOperator:
         ci, cj = np.divmod(up, n)
         mirror = self.mirror_sign(up)
         a, b = self._reduced(p, w)
-        blocks = []
-        for g in self.words[1:]:
+        out = np.empty(((len(self.words) - 1) * self.size, len(up)), dtype=np.int64)
+        for i, g in enumerate(self.words[1:]):
             sign = self.signs[g, None, None]
             # (2 * #elements, k+1, #up): z factor columns, then zbar factor
             # columns with the signs
             x = np.concatenate([a[g][:, :, ci], a[g][:, :, self.k - ci]])
             y = np.concatenate([sign * b[g][:, :, cj], sign * mirror * b[g][:, :, self.k - cj]]) % p
             grids = linalg.matmul_mod(x.transpose(2, 1, 0), y.transpose(2, 0, 1), p)
-            blocks.append(grids.reshape(len(up), self.size).T)
-        return np.vstack(blocks)
+            out[i * self.size : (i + 1) * self.size] = grids.reshape(len(up), self.size).T
+        return out
+
+    def first_reduction(self) -> FirstReduction:
+        """`reduced_mod` on every column at the first split prime and its
+        first root, with one row reduction of its transpose."""
+        p = linalg.split_primes(self.field, 1)[0]
+        block = self.reduced_mod(p, linalg.omega_roots(self.field, p)[0], range(self.size))
+        _, span = linalg.echelon_mod(block.T, p)
+        return FirstReduction(p, span, block[list(span)])
+
+    def block_columns(self, cols: Sequence[int]) -> np.ndarray:
+        """Where the columns of `reduced_mod` on the mirror-closed `cols`,
+        one per upper coordinate, sit among those of `reduced_mod` on
+        every column."""
+        return np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2
 
     def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
         """L u: the vector on the mirror-closed columns `cols` with u on
@@ -538,9 +581,10 @@ class WordOperator:
                     return False
         return True
 
-    def kernel(self, cols: list[int]) -> list[Support]:
+    def kernel(self, cols: list[int], first: FirstReduction | None = None) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
-        as supports.
+        as supports.  `first`, if given, supplies the rows that span the
+        block at the first split prime, where the rows are chosen.
 
         A kernel vector satisfies v[N-1-c] = +-v[c], so on columns not
         closed under the mirror, or without an upper coordinate, it
@@ -559,6 +603,7 @@ class WordOperator:
             self.field,
             lambda p, w: self.reduced_mod(p, w, cols),
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
+            None if first is None else (first.span, first.rows[:, self.block_columns(cols)]),
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
@@ -590,29 +635,37 @@ def eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
     ]
 
 
-def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
+def eigen_kernel(op: WordOperator, exponent: int, first: FirstReduction | None = None) -> list[Support]:
     """Exact basis of W^(u^exponent), as supports.
 
     Eigenvectors of the diagonal eps operator are exactly the vectors
     supported on monomials of one exponent class, so the eigenspace is the
     kernel of the stacked word matrix restricted to those columns.
+    `first` is passed on to `WordOperator.kernel`.
     """
-    return op.kernel(eigen_columns(op.field, op.k, exponent))
+    return op.kernel(eigen_columns(op.field, op.k, exponent), first)
 
 
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting.
 
-    Both methods take one pass over the eigenspaces.  exact: each is a
+    Both methods first reduce the full block once at the first split
+    prime p1 and its first root (`WordOperator.first_reduction`): one row
+    reduction of its transpose gives its rank there and pivot rows R that
+    span its row space mod p1, and so the row space mod p1 of every column
+    slice.  Each eigenspace block at that prime and root is a column slice
+    of it.  Then both take one pass over the eigenspaces.  exact: each is a
     certified kernel (`eigen_kernel`, from the blocks' reductions mod
-    split primes), and the basis returned is their union.  modular: each
-    is the least kernel dimension mod a few split primes
-    (`linalg.quad_rank_modular`), an upper bound that is exact unless every
-    prime tried is of bad reduction; no basis is returned.
+    split primes), whose rows are first chosen among R, and the basis
+    returned is their union.  modular: each is the least kernel dimension
+    mod a few split primes (`linalg.quad_rank_modular`), the first of them
+    the rank of the slice's R rows, an upper bound that is exact unless
+    every prime tried is of bad reduction; no basis is returned.
 
     The total is then the least kernel dimension of the full block over the
     same RANK_PRIMES primes, found with the sum of the eigenspace
-    dimensions as its lower bound (`linalg.kernel_dim_upper_bound`).  That
+    dimensions as its lower bound (`linalg.kernel_dim_upper_bound`), the
+    first prime's from the one reduction at p1.  That
     bound holds mod every prime p: the eigenspace blocks are disjoint sets
     of columns of the full block, with the same rows, so ker(full mod p)
     contains the direct sum of their kernels mod p.  So the first prime
@@ -633,25 +686,28 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     if method not in ("exact", "modular"):
         raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
+    every = list(range(op.size))
+    first = op.first_reduction()
     dims: dict[str, int] = {}
     basis: list[BiPoly] = []
     for e, lab in enumerate(eigen_labels(f)):
         if method == "exact":
-            supps = eigen_kernel(op, e)
+            supps = eigen_kernel(op, e, first)
             basis.extend(from_support(f, k, s, 1) for s in supps)
             dims[lab] = len(supps)
             continue
         cols = eigen_columns(f, k, e)
         dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
-            f, lambda p, w: op.reduced_mod(p, w, cols)
+            f, lambda p, w: op.reduced_mod(p, w, cols), first=first.kernel_dim(op.block_columns(cols))
         ).kernel_dim
     lower = sum(dims.values())
-    every = list(range(op.size))
-    total = linalg.kernel_dim_upper_bound(f, lambda p, w: op.reduced_mod(p, w, every), lower)
+    total = linalg.kernel_dim_upper_bound(
+        f, lambda p, w: op.reduced_mod(p, w, every), lower, first=first.rows.shape[1] - len(first.span)
+    )
     if method == "modular":
         return SubspaceReport(f.d, k, dims, total, None)
     if total != lower:
-        total = len(op.kernel(every))
+        total = len(op.kernel(every, first))
     return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 

@@ -3,6 +3,7 @@ transfer polynomials."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from hermitia.forms import (
     alpha_direct,
     delta_forms,
     expand_P,
+    expansion_plan,
     form_ints,
     gen_S,
     gen_T,
@@ -344,6 +346,25 @@ def test_expand_P_matches_the_form_by_form_oracle():
                 P, want = expand_P(f, k, delta), expand_P_quadint(f, k, delta)
                 assert P.coeffs == want.coeffs, (d, k, delta)
                 assert str(P) == str(want)
+
+
+def test_expansion_plan_multinomials_equal_the_factorial_formula():
+    """Every term of the plan, for k <= 40 and each unit count w, is
+    (-1)^r k!/(i! j! l! r!) for the one (i, j, l, r) that its monomial,
+    min(i, r) and l name, and the plan lists every such term once."""
+    fact = math.factorial
+    for w in (2, 4, 6):
+        for k in range(1, 41):
+            want = []
+            for t in range(k // w + 1):
+                for be in range(k + 1 - w * t):
+                    al = be + w * t
+                    terms = []
+                    for i in range(max(0, al + be - k), be + 1):
+                        j, l, r = al - i, be - i, k - al - be + i
+                        terms.append(((-1) ** r * fact(k) // (fact(i) * fact(j) * fact(l) * fact(r)), min(i, r), l))
+                    want.append((t, al, be, abs(k - al - be), terms))
+            assert expansion_plan(k, w) == want, (w, k)
 
 
 def test_expand_P_matches_the_oracle_where_a_norm_class_has_three_orbits():

@@ -125,7 +125,7 @@ def reduced(f, rows, p, w=None):
     return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p, w)
 
 
-def certified(f, rows, annihilates=None):
+def certified(f, rows, annihilates=None, span=None):
     """`certified_kernel` of explicit rows; returns the basis, the split
     primes whose reductions it asked for (in order), and how many vectors
     it sent to the exact check."""
@@ -140,12 +140,34 @@ def certified(f, rows, annihilates=None):
         checks.append(v)
         return annihilates(v) if annihilates else matvec_is_zero(f, rows, elems(f, v))
 
-    basis = certified_kernel(f, mod, check)
+    if span is not None:
+        # the hint: rows `span` and their reductions at the first prime
+        p = split_primes(f, 1)[0]
+        span = (span, reduced(f, [rows[r] for r in span], p))
+    basis = certified_kernel(f, mod, check, span)
     return basis, list(dict.fromkeys(asked)), len(checks)
+
+
+def primes_to_reconstruct(f, basis):
+    """How many first split primes make a product large enough that the
+    reconstruction of `basis` needs no luck: each vector over its free
+    entry u_fc, with common denominator D = lcm |u_fc|, has every numerator
+    and D within isqrt(product // 2).  1 for an empty basis."""
+    if not basis:
+        return 1
+    free = [next(x for x, y in reversed(v) if x) for v in basis]
+    den = math.lcm(*(abs(u) for u in free))
+    height = max(den, *(abs(c) * den // abs(u) for v, u in zip(basis, free) for e in v for c in e))
+    n, product = 0, 1
+    while math.isqrt(product // 2) < height:
+        n += 1
+        product *= split_primes(f, n)[-1]
+    return n
 
 
 def test_certified_kernel_matches_all_rows_bareiss():
     rng = seeded("certified-random")
+    small = 0
     for d in EUCLIDEAN_DS:
         f = field(d)
         for _ in range(25):
@@ -160,12 +182,17 @@ def test_certified_kernel_matches_all_rows_bareiss():
             basis, primes, checks = certified(f, rows)
             assert basis == quad_kernel(f, rows)
             # small entries keep every minor below p: the first prime's
-            # rank is the exact rank, so an empty kernel takes that prime
-            # alone, and every other basis passes its first check
-            if basis:
-                assert checks == len(basis) and len(primes) >= 2
+            # rank is the exact rank, an empty kernel takes that prime
+            # alone, and a basis is proven, at its first check, by the
+            # first primes whose product bounds its reconstruction
+            need = primes_to_reconstruct(f, basis)
+            assert checks == len(basis)
+            if need == 1:
+                small += 1
+                assert primes == split_primes(f, 1)
             else:
-                assert checks == 0 and primes == split_primes(f, 1)
+                assert primes == split_primes(f, len(primes)) and len(primes) <= need
+    assert small >= 90
 
 
 def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
@@ -193,11 +220,52 @@ def test_certified_kernel_skips_a_later_prime_of_bad_reduction():
     f = field(7)
     p, q, r = split_primes(f, 3)
     # rank 2 mod p and over K, rank 1 mod q: q's kernel is larger, and
-    # combining it with p's would mix two pivot patterns
-    rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + q), f.zero]]
+    # combining it with p's would mix two pivot patterns.  The kernel entry
+    # -big is too large for p alone to reconstruct, so q is visited
+    big = 10**6 + 3
+    assert linalg._reconstruct(np.array([-big % p], dtype=object), p) is None
+    rows = [[f.one, f.one, f.quad(big)], [f.one, f.quad(1 + q), f.quad(big)]]
     basis, primes, checks = certified(f, rows)
     assert primes == [p, q, r] and checks == 1
-    assert basis == quad_kernel(f, rows)
+    assert basis == quad_kernel(f, rows) == [[(big, 0), (0, 0), (-1, 0)]]
+
+
+def test_certified_kernel_proves_no_candidate_above_the_bound():
+    f = field(2)
+    p, q = split_primes(f, 2)
+    # the kernel (1/a, 1/b, 1): each entry reconstructs mod p alone, but
+    # their common denominator a*b exceeds isqrt(p // 2), so that candidate
+    # is never checked; mod p*q it is within the bound and proven
+    a, b = 151, 157
+    assert max(a, b) <= math.isqrt(p // 2) < a * b <= math.isqrt(p * q // 2)
+    rows = [[f.quad(a), f.zero, f.quad(-1)], [f.zero, f.quad(b), f.quad(-1)]]
+    checked = []
+
+    def check(v):
+        checked.append(v)
+        return matvec_is_zero(f, rows, elems(f, v))
+
+    basis, primes, checks = certified(f, rows, check)
+    assert basis == quad_kernel(f, rows) == [[(b, 0), (a, 0), (a * b, 0)]]
+    assert primes == [p, q] and checked == basis
+
+
+def test_certified_kernel_recovers_from_rows_that_span_only_mod_the_first_prime():
+    f = field(2)
+    p, q, r = split_primes(f, 3)
+    rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero], [f.quad(2), f.quad(2), f.zero]]
+    # row 0 spans the row space mod p, where row 1 is row 0, but not over
+    # K: the kernel of row 0 alone is refuted, q reproduces it, and the
+    # rows are chosen again among all of them at r
+    basis, primes, checks = certified(f, rows, span=[0])
+    assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
+    assert primes == [p, q, r] and checks == 2
+    # rows 1 and 2 span over K and mod p (row 0 is row 2 - row 1): the
+    # first prime proves the kernel
+    rows = [[f.one, f.one, f.zero], [f.one, f.quad(2), f.zero], [f.quad(2), f.quad(3), f.zero]]
+    basis, primes, checks = certified(f, rows, span=[1, 2])
+    assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
+    assert primes == [p] and checks == 1
 
 
 def test_modular_rank_reduces_the_short_side(monkeypatch):

@@ -789,6 +789,58 @@ def test_modular_total_equals_the_least_over_every_rank_prime():
             assert wkk(f, k, method="modular").total == oracle.kernel_dim, (d, k)
 
 
+def test_modular_dimensions_equal_the_least_over_each_whole_eigenspace_block():
+    """Each modular eigenspace dimension, whose first prime is read from
+    the rows that span the full block there, equals `quad_rank_modular`
+    on the whole eigenspace block, in every ring at every k <= 15."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 16):
+            op = WordOperator(f, k)
+            dims = wkk(f, k, method="modular").dims
+            for e, lab in enumerate(eigen_labels(f)):
+                cols = eigen_columns(f, k, e)
+                want = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
+                    f, lambda p, w: op.reduced_mod(p, w, cols)
+                ).kernel_dim
+                assert dims[lab] == want, (d, k, lab)
+
+
+def test_the_first_reduction_holds_every_eigenspace_block():
+    """At the first split prime and root, each eigenspace block is a column
+    slice of the full block, and the rank of its `span` rows is its rank."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 12):
+            op = WordOperator(f, k)
+            first = op.first_reduction()
+            p = split_primes(f, 1)[0]
+            w = omega_roots(f, p)[0]
+            block = op.reduced_mod(p, w, list(range(op.size)))
+            rank, span = linalg.echelon_mod(block.T, p)
+            assert first.p == p and first.span == span and len(span) == rank
+            assert np.array_equal(first.rows, block[list(span)])
+            for e in range(len(eigen_labels(f))):
+                cols = eigen_columns(f, k, e)
+                if op.s_forces_zero(cols):
+                    continue
+                eigen = op.reduced_mod(p, w, cols)
+                at = op.block_columns(cols)
+                assert np.array_equal(block[:, at], eigen), (d, k, e)
+                assert first.kernel_dim(at) == eigen.shape[1] - linalg.echelon_mod(eigen, p)[0], (d, k, e)
+
+
+def test_kernel_words_are_built_once_per_ring():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        words = kernel_words(f)
+        assert kernel_words(field(d)) is words
+        assert isinstance(words, tuple) and all(isinstance(word, tuple) for word in words)
+        a, b = WordOperator(f, 3), WordOperator(f, 5)
+        assert len(a.elements) == len(b.elements)
+        assert all(g is h for g, h in zip(a.elements, b.elements)), d
+
+
 def test_wkk_searches_only_the_split_primes_it_uses(monkeypatch):
     used = set()
     roots = linalg.omega_roots
@@ -858,7 +910,7 @@ def test_modular_dimensions_agree_with_exact(d):
 
 def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
     # an upper bound that never meets the lower one forces the full kernel
-    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows, lower: -1)
+    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows, lower, first=None: -1)
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3, 5):
