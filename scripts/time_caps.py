@@ -10,7 +10,8 @@ process started by a fresh wrapper process, so that the wrapper's
 call: its name, the exit code, the wall seconds, the peak RSS in MB and the
 argv (the long points written as the expressions that made them), and
 the error line of a call that did not exit 0.  With NAMEs it runs only
-those calls.
+those calls.  Exits 1 if an admitted call did not exit 0, or a call past a
+cap (a `*-past-cap` name) did not exit 2, after running every call.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ print(done.returncode, seconds, resource.getrusage(resource.RUSAGE_CHILDREN).ru_
 """
 
 
-def main(names: list[str]) -> None:
+def main(names: list[str]) -> int:
+    failed = False
     for name in names or CALLS:
         argv = CALLS[name]
         values = [a[0] if isinstance(a, tuple) else a for a in argv]
@@ -118,7 +120,9 @@ def main(names: list[str]) -> None:
         print(f"{name:20s} exit={code} {float(seconds):6.2f} s {int(rss_kb) / 1024:6.1f} MB  hermitia {shown}", flush=True)
         if code != "0":
             print(f"{'':20s} {out.stderr.strip()[:200]}", flush=True)
+        failed |= code != ("2" if name.endswith("-past-cap") else "0")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

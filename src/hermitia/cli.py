@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .field import (
+    EUCLIDEAN_DS,
     CertificateError,
     QuadElem,
     field,
@@ -471,7 +472,7 @@ def cmd_selftest(args) -> list[dict]:
             rows.append({"check": name, "status": f"FAIL: {exc}"})
 
     def residue_counts():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             delta = smallest_nonnorm(d)
             for n in (2, 3, 4, 5, 6, 8, 9, 12):
@@ -482,7 +483,7 @@ def cmd_selftest(args) -> list[dict]:
                     raise OracleMismatch(f"d={d} n={n}: {fast}/{naive}/{mult}")
 
     def local_series():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             for delta in nonnorm_deltas(f, 2):
                 for p in (2, 3, 5):
@@ -492,7 +493,7 @@ def cmd_selftest(args) -> list[dict]:
                         raise OracleMismatch(f"d={d} delta={delta} p={p}")
 
     def alpha_paths():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             for k in (1, 3):
                 for delta in nonnorm_deltas(f, 2):
@@ -500,7 +501,7 @@ def cmd_selftest(args) -> list[dict]:
                         raise OracleMismatch(f"d={d} k={k} delta={delta}")
 
     def reduction_identity():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             z = QuadElem.from_display(f, Fraction(1, 3), Fraction(1, 2))
             rep = hsum.reduction_identity_check(f, 1, smallest_nonnorm(d), z)
@@ -508,13 +509,13 @@ def cmd_selftest(args) -> list[dict]:
                 raise OracleMismatch(f"d={d}")
 
     def lvalue_consistency():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             if lfun.l_closed_form(f, -2).coeff != lfun.l_negative_exact(f, -2):
                 raise OracleMismatch(f"d={d}")
 
     def cf_identities():
-        for d in (1, 2, 3, 7, 11):
+        for d in EUCLIDEAN_DS:
             f = field(d)
             z = QuadElem.from_display(f, Fraction(3, 7), Fraction(2, 5))
             exp = cfrac.hurwitz_cf(f, z)
@@ -632,7 +633,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd = COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
         if cmd.needs_d:
-            p.add_argument("-d", type=int, required=True, choices=(1, 2, 3, 7, 11),
+            p.add_argument("-d", type=int, required=True, choices=EUCLIDEAN_DS,
                            help="ring O_d")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         for flags, kwargs in cmd.arguments:

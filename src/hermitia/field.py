@@ -562,11 +562,7 @@ def is_norm(f: FieldSpec, value: int) -> bool:
 @lru_cache(maxsize=None)
 def smallest_nonnorm(d: int) -> int:
     """Smallest positive integer that is not a norm from O_d."""
-    f = field(d)
-    k = 2
-    while is_norm(f, k):
-        k += 1
-    return k
+    return nonnorm_deltas(field(d), 1)[0]
 
 
 def nonnorm_deltas(f: FieldSpec, count: int) -> list[int]:

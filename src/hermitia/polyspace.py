@@ -49,9 +49,10 @@ polynomials of Kohnen and Zagier, "Modular forms with rational periods",
 1984).  Its kernel is parametrized by the upper half of the flat index,
 and every rank and kernel of `wkk` runs on the other words restricted to
 it (`WordOperator.reduced_mod`), about half the columns and without the S
-word's rows.  At the first split prime that block is reduced once for
-every column (`FirstReduction`): each eigenspace's block there is a
-column slice of it, and its pivot rows span every slice's row space.
+word's rows.  The operator reduces that block once for every column at
+the first split prime, on first need, so its `kernel` and `kernel_dim`
+take no hint from their caller, and `wkk` is one loop over the
+eigenspaces.
 
 The kernel words do not depend on k, and are built once per ring
 (`kernel_words`), so the operators of every k share their elements.
@@ -351,27 +352,6 @@ def height_factor(f: FieldSpec) -> int:
     return -(-(one + root) * (one + root_n) // (one * one))
 
 
-@dataclass(frozen=True)
-class FirstReduction:
-    """M_rest L on every upper coordinate (`WordOperator.reduced_mod`) mod
-    the first split prime p, omega -> its first root, eliminated once.
-
-    `span` are the pivot columns of its transpose: rows, independent mod
-    p, that span its row space mod p, so its rank mod p is len(span).
-    `rows` holds them, and no other row is kept.  Restricted to any set of
-    columns they still span the row space mod p of that column slice, so
-    the rank mod p of an eigenspace block is the rank of its `span` rows,
-    and its rows may be chosen among them (`linalg.certified_kernel`)."""
-
-    p: int
-    span: tuple[int, ...]
-    rows: np.ndarray
-
-    def kernel_dim(self, at: np.ndarray) -> int:
-        """The kernel dimension mod p of the columns `at` of the block."""
-        return len(at) - linalg.rank_mod(self.rows[:, at], self.p)
-
-
 class WordOperator:
     """The stacked word matrix of W_{k,k}, kept as the group elements of
     its words and never built exactly as a whole.
@@ -387,11 +367,23 @@ class WordOperator:
     is computed mod p from its four entries, as values at s = 0..k
     (`_at_nodes`, which `in_kernel` checks on) and as coefficients
     (`_reduced`, which `reduced_mod` reduces rows of), and kept for the
-    life of the operator; whole matrices mod p are not kept.
+    life of the operator; of whole matrices mod p, only the rows R at
+    the first split prime are kept (below).
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates (`lift`).
-    `kernel` works on it, and `in_kernel` still checks every word.
+    `kernel` and `kernel_dim` work on it, and `in_kernel` still checks
+    every word.
+
+    At the first split prime p1 and its first root w1, the operator
+    reduces M_rest L on every upper coordinate once, when a kernel or a
+    dimension first needs it (`_first_slice`), with one row reduction of
+    its transpose.  Its pivot columns are rows R, independent mod p1, that
+    span its row space mod p1; it keeps p1, R and those rows M[R], and no
+    other row.  Restricted to any set of columns, R still spans the row
+    space mod p1 of that column slice, and each block at (p1, w1) is a
+    column slice of the full one.  So every kernel chooses its first rows
+    among R, and every dimension mod p1 is read from R.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -407,6 +399,8 @@ class WordOperator:
         self._values: dict[tuple[int, int], np.ndarray] = {}
         self._reductions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._row_bound: int | None = None
+        # p1, R and M[R] (see the class docstring), made on first need
+        self._first: tuple[int, tuple[int, ...], np.ndarray] | None = None
 
     @property
     def nrows(self) -> int:
@@ -503,19 +497,18 @@ class WordOperator:
             out[i * self.size : (i + 1) * self.size] = grids.reshape(len(up), self.size).T
         return out
 
-    def first_reduction(self) -> FirstReduction:
-        """`reduced_mod` on every column at the first split prime and its
-        first root, with one row reduction of its transpose."""
-        p = linalg.split_primes(self.field, 1)[0]
-        block = self.reduced_mod(p, linalg.omega_roots(self.field, p)[0], range(self.size))
-        _, span = linalg.echelon_mod(block.T, p)
-        return FirstReduction(p, span, block[list(span)])
-
-    def block_columns(self, cols: Sequence[int]) -> np.ndarray:
-        """Where the columns of `reduced_mod` on the mirror-closed `cols`,
-        one per upper coordinate, sit among those of `reduced_mod` on
-        every column."""
-        return np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2
+    def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray]:
+        """p1, R, and the rows R of `reduced_mod` at (p1, w1) on the
+        mirror-closed `cols`: a column slice of M[R], one column per upper
+        coordinate.  M[R] is made on the first call (see the class
+        docstring)."""
+        if self._first is None:
+            p = linalg.split_primes(self.field, 1)[0]
+            block = self.reduced_mod(p, linalg.omega_roots(self.field, p)[0], range(self.size))
+            _, span = linalg.echelon_mod(block.T, p)
+            self._first = p, span, block[list(span)]
+        p, span, rows = self._first
+        return p, span, rows[:, np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2]
 
     def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
         """L u: the vector on the mirror-closed columns `cols` with u on
@@ -581,15 +574,15 @@ class WordOperator:
                     return False
         return True
 
-    def kernel(self, cols: list[int], first: FirstReduction | None = None) -> list[Support]:
+    def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
-        as supports.  `first`, if given, supplies the rows that span the
-        block at the first split prime, where the rows are chosen.
+        as supports.
 
         A kernel vector satisfies v[N-1-c] = +-v[c], so on columns not
         closed under the mirror, or without an upper coordinate, it
         vanishes: the basis is empty, with no reduction (`s_forces_zero`).
-        Otherwise `linalg.certified_kernel` runs on `reduced_mod`, each u
+        Otherwise `linalg.certified_kernel` runs on `reduced_mod`, its rows
+        at the first split prime chosen among R (`_first_slice`), each u
         proven by `in_kernel` of its lift over every word, S included, and
         the lifts, made content-free, are the basis.  It is the
         Gauss-Jordan basis of M[:, cols]: the last nonzero entry of a
@@ -599,14 +592,31 @@ class WordOperator:
         if self.s_forces_zero(cols):
             return []
         n = self.k + 1
+        _, span, first = self._first_slice(cols)
         block = linalg.certified_kernel(
             self.field,
             lambda p, w: self.reduced_mod(p, w, cols),
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
-            None if first is None else (first.span, first.rows[:, self.block_columns(cols)]),
+            (span, first),
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
+
+    def kernel_dim(self, cols: Sequence[int], lower: int = 0) -> int:
+        """An upper bound on the kernel dimension of the columns `cols`
+        over K, given `lower`, a lower bound on it mod every prime: the
+        least mod the RANK_PRIMES first split primes, stopping at the first
+        that meets `lower` (`linalg.kernel_dim_upper_bound`).  It is 0 with
+        no reduction where `s_forces_zero`.  The dimension mod p1 is read
+        from R: the rank of the R rows of the block, which is |R| on every
+        column."""
+        if self.s_forces_zero(cols):
+            return 0
+        p1, span, first = self._first_slice(cols)
+        rank = len(span) if first.shape[1] == self.size // 2 else linalg.rank_mod(first, p1)
+        return linalg.kernel_dim_upper_bound(
+            self.field, lambda p, w: self.reduced_mod(p, w, cols), lower, first=first.shape[1] - rank
+        )
 
 
 # ------------------------------------------------------------------ subspace
@@ -635,39 +645,33 @@ def eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
     ]
 
 
-def eigen_kernel(op: WordOperator, exponent: int, first: FirstReduction | None = None) -> list[Support]:
+def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
     """Exact basis of W^(u^exponent), as supports.
 
     Eigenvectors of the diagonal eps operator are exactly the vectors
     supported on monomials of one exponent class, so the eigenspace is the
-    kernel of the stacked word matrix restricted to those columns.
-    `first` is passed on to `WordOperator.kernel`.
+    kernel of the stacked word matrix restricted to those columns
+    (`WordOperator.kernel`, whose rows at the first split prime are chosen
+    among the operator's R).
     """
-    return op.kernel(eigen_columns(op.field, op.k, exponent), first)
+    return op.kernel(eigen_columns(op.field, op.k, exponent))
 
 
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
-    """Compute W_{k,k} with its eigenspace splitting.
-
-    Both methods first reduce the full block once at the first split
-    prime p1 and its first root (`WordOperator.first_reduction`): one row
-    reduction of its transpose gives its rank there and pivot rows R that
-    span its row space mod p1, and so the row space mod p1 of every column
-    slice.  Each eigenspace block at that prime and root is a column slice
-    of it.  Then both take one pass over the eigenspaces.  exact: each is a
-    certified kernel (`eigen_kernel`, from the blocks' reductions mod
-    split primes), whose rows are first chosen among R, and the basis
-    returned is their union.  modular: each is the least kernel dimension
-    mod a few split primes (`linalg.quad_rank_modular`), the first of them
-    the rank of the slice's R rows, an upper bound that is exact unless
-    every prime tried is of bad reduction; no basis is returned.
+    """Compute W_{k,k} with its eigenspace splitting, in one pass over the
+    eigenspaces.  exact: each is a certified kernel (`eigen_kernel`), and
+    the basis returned is their union.  modular: each is the least kernel
+    dimension mod a few split primes (`WordOperator.kernel_dim`), an upper
+    bound that is exact unless every prime tried is of bad reduction; no
+    basis is returned.  The operator reduces the full block once at the
+    first split prime, on first need, and every kernel and dimension takes
+    its first prime from that one reduction.
 
     The total is then the least kernel dimension of the full block over the
     same RANK_PRIMES primes, found with the sum of the eigenspace
-    dimensions as its lower bound (`linalg.kernel_dim_upper_bound`), the
-    first prime's from the one reduction at p1.  That
-    bound holds mod every prime p: the eigenspace blocks are disjoint sets
-    of columns of the full block, with the same rows, so ker(full mod p)
+    dimensions as its lower bound (`WordOperator.kernel_dim`).  That bound
+    holds mod every prime p: the eigenspace blocks are disjoint sets of
+    columns of the full block, with the same rows, so ker(full mod p)
     contains the direct sum of their kernels mod p.  So the first prime
     that meets the sum gives the least over every prime.  For the exact
     method this is a sandwich: the verified eigenvectors bound the total
@@ -686,28 +690,22 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     if method not in ("exact", "modular"):
         raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
-    every = list(range(op.size))
-    first = op.first_reduction()
     dims: dict[str, int] = {}
     basis: list[BiPoly] = []
     for e, lab in enumerate(eigen_labels(f)):
         if method == "exact":
-            supps = eigen_kernel(op, e, first)
+            supps = eigen_kernel(op, e)
             basis.extend(from_support(f, k, s, 1) for s in supps)
             dims[lab] = len(supps)
             continue
-        cols = eigen_columns(f, k, e)
-        dims[lab] = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
-            f, lambda p, w: op.reduced_mod(p, w, cols), first=first.kernel_dim(op.block_columns(cols))
-        ).kernel_dim
+        dims[lab] = op.kernel_dim(eigen_columns(f, k, e))
+    every = list(range(op.size))
     lower = sum(dims.values())
-    total = linalg.kernel_dim_upper_bound(
-        f, lambda p, w: op.reduced_mod(p, w, every), lower, first=first.rows.shape[1] - len(first.span)
-    )
+    total = op.kernel_dim(every, lower)
     if method == "modular":
         return SubspaceReport(f.d, k, dims, total, None)
     if total != lower:
-        total = len(op.kernel(every, first))
+        total = len(op.kernel(every))
     return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 

@@ -16,6 +16,7 @@ import mpmath
 import pytest
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas, smallest_nonnorm
+from hermitia.forms import expand_P
 from hermitia import intarith, lfun
 from hermitia.intarith import FactorizationError, factorize, is_probable_prime
 from hermitia.lfun import (
@@ -247,6 +248,26 @@ def test_delta_independence_is_exact():
                     for dl in nonnorm_deltas(f, 3)
                 }
                 assert len(vals) == 1, (d, s, vals)
+
+
+def test_constancy_scope_is_where_the_transfer_polynomial_is_trivial():
+    """H_{k,Delta} is constant exactly where P_{k,Delta} lies on the trivial
+    line of the cocycle, spanned by N(z)^k - 1: support {(0, 0), (k, k)}
+    with opposite coefficients.  Derived from `expand_P` for odd k <= 15
+    and the three smallest non-norms of each ring, that scope is
+    CONSTANCY_SCOPE, and it does not depend on Delta."""
+    derived: dict[int, tuple[int, ...]] = {}
+    for k in range(1, 16, 2):
+        for d in EUCLIDEAN_DS:
+            f = field(d)
+            on_line = set()
+            for delta in nonnorm_deltas(f, 3):
+                c = expand_P(f, k, delta).coeffs
+                on_line.add(set(c) == {(0, 0), (k, k)} and c[k, k] == -c[0, 0])
+            assert len(on_line) == 1, (k, d)
+            if on_line.pop():
+                derived[k] = derived.get(k, ()) + (d,)
+    assert derived == CONSTANCY_SCOPE
 
 
 def test_positive_closed_form_matches_character_sum():

@@ -807,27 +807,58 @@ def test_modular_dimensions_equal_the_least_over_each_whole_eigenspace_block():
 
 
 def test_the_first_reduction_holds_every_eigenspace_block():
-    """At the first split prime and root, each eigenspace block is a column
-    slice of the full block, and the rank of its `span` rows is its rank."""
+    """At the first split prime and root, the operator keeps the pivot rows
+    R of the full block's transpose and those rows; each eigenspace block
+    is a column slice of the full block, and the rank of its R rows is its
+    rank."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in range(1, 12):
             op = WordOperator(f, k)
-            first = op.first_reduction()
             p = split_primes(f, 1)[0]
             w = omega_roots(f, p)[0]
-            block = op.reduced_mod(p, w, list(range(op.size)))
+            every = list(range(op.size))
+            block = op.reduced_mod(p, w, every)
             rank, span = linalg.echelon_mod(block.T, p)
-            assert first.p == p and first.span == span and len(span) == rank
-            assert np.array_equal(first.rows, block[list(span)])
+            assert op._first_slice(every)[:2] == (p, span) and len(span) == rank
+            assert np.array_equal(op._first[2], block[list(span)])
+            upper = op.upper(every)
             for e in range(len(eigen_labels(f))):
                 cols = eigen_columns(f, k, e)
                 if op.s_forces_zero(cols):
                     continue
                 eigen = op.reduced_mod(p, w, cols)
-                at = op.block_columns(cols)
-                assert np.array_equal(block[:, at], eigen), (d, k, e)
-                assert first.kernel_dim(at) == eigen.shape[1] - linalg.echelon_mod(eigen, p)[0], (d, k, e)
+                assert np.array_equal(block[:, [upper.index(c) for c in op.upper(cols)]], eigen), (d, k, e)
+                _, _, rows = op._first_slice(cols)
+                assert np.array_equal(rows, eigen[list(span)]), (d, k, e)
+                assert linalg.rank_mod(rows, p) == linalg.echelon_mod(eigen, p)[0], (d, k, e)
+
+
+def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
+    """`wkk` reduces the block at the first split prime and its first root
+    once per call, by both methods, in every ring at k <= 7; `membership`,
+    which needs no kernel, never reduces it."""
+    calls = []
+    reduced_mod = WordOperator.reduced_mod
+
+    def counted(self, p, w, cols):
+        calls.append((p, w))
+        return reduced_mod(self, p, w, cols)
+
+    monkeypatch.setattr(WordOperator, "reduced_mod", counted)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p = split_primes(f, 1)[0]
+        first = (p, omega_roots(f, p)[0])
+        for k in range(1, 8):
+            for method in ("exact", "modular"):
+                calls.clear()
+                wkk(f, k, method=method)
+                assert calls.count(first) == 1, (d, k, method)
+            calls.clear()
+            if k % 2:
+                assert membership(expand_P(f, k, smallest_nonnorm(d)))
+            assert calls == [], (d, k)
 
 
 def test_kernel_words_are_built_once_per_ring():
@@ -1038,6 +1069,19 @@ def test_membership_rejects_multiples_of_the_first_primes(d):
                 image = np.array([(x + y * root) % p for x, y in vec], dtype=object)
                 assert not (word_operator_mod(op, p, root, cols).astype(object) @ image % p).any()
         assert not membership(from_support(f, k, supp, 1)), (m, i, j)
+
+
+def test_the_trivial_line_is_in_every_ring():
+    """A parabolic coboundary is fixed by the lattice translations, hence
+    constant, so the trivial line of W_{k,k} is spanned by N(z)^k - 1:
+    it lies in W_{k,k}, eigenvalue 1, in every ring at odd k <= 27, and
+    N(z)^k + 1 does not."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 28, 2):
+            norm_power, one = BiPoly.monomial(f, k, k, k), BiPoly.monomial(f, k, 0, 0)
+            assert membership(norm_power - one, "1"), (d, k)
+            assert not membership(norm_power + one, "1"), (d, k)
 
 
 # ------------------------------------------------- polynomial identities
