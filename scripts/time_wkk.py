@@ -3,10 +3,13 @@
     PYTHONPATH=src python3 scripts/time_wkk.py [d,k ...]
 
 Prints one line per (d, k): the seconds of one exact and one modular
-`polyspace.wkk` call, their ratio, the dimensions, the first 16 hex digits
-of the SHA-256 of the exact basis (one `str` per polynomial, one per line),
-and `ok` or `CHANGED` against the hash recorded in EXPECTED (`-` for a case
-without one).  The same hash means the same basis, so a change to the
+`polyspace.wkk` call, their ratio, the dimensions, the rows of the
+exact call's blocks (`rows_built`: every row that
+`WordOperator.reduced_mod` returned; `rows_reduced`: the rows that
+`linalg.certified_kernel` row-reduced, the matrices it passed to
+`linalg.kernel_mod`), the first 16 hex digits of the SHA-256 of the exact
+basis (one `str` per polynomial, one per line), and `ok` or `CHANGED`
+against the hash recorded in EXPECTED (`-` for a case without one).  The same hash means the same basis, so a change to the
 kernels is checked at k = 15-27, beyond the golden files.  Exits 1 if any
 hash changed.  Without arguments it runs the six cases of EXPECTED.
 """
@@ -17,8 +20,9 @@ import hashlib
 import sys
 import time
 
+from hermitia import linalg
 from hermitia.field import field
-from hermitia.polyspace import wkk
+from hermitia.polyspace import WordOperator, wkk
 
 # (d, k) -> basis hash of the certified kernels since they were introduced
 EXPECTED = {
@@ -31,6 +35,25 @@ EXPECTED = {
 }
 
 
+def count_rows() -> dict[str, int]:
+    """Wrap `WordOperator.reduced_mod` and `linalg.kernel_mod` to count the
+    rows of the matrices each returns or is given."""
+    rows = {"built": 0, "reduced": 0}
+    reduced_mod, kernel_mod = WordOperator.reduced_mod, linalg.kernel_mod
+
+    def built(self, *args):
+        out = reduced_mod(self, *args)
+        rows["built"] += out.shape[0]
+        return out
+
+    def reduced(mat, p):
+        rows["reduced"] += mat.shape[0]
+        return kernel_mod(mat, p)
+
+    WordOperator.reduced_mod, linalg.kernel_mod = built, reduced
+    return rows
+
+
 def timed(f, k: int, method: str):
     start = time.perf_counter()
     rep = wkk(f, k, method=method)
@@ -40,9 +63,12 @@ def timed(f, k: int, method: str):
 def main(argv: list[str]) -> int:
     cases = [tuple(map(int, a.split(","))) for a in argv] or list(EXPECTED)
     changed = False
+    rows = count_rows()
     for d, k in cases:
         f = field(d)
+        rows.update(built=0, reduced=0)
         exact, t_exact = timed(f, k, "exact")
+        built, reduced = rows["built"], rows["reduced"]
         modular, t_mod = timed(f, k, "modular")
         if (exact.dims, exact.total) != (modular.dims, modular.total):
             raise SystemExit(f"d={d} k={k}: exact and modular dimensions differ")
@@ -53,7 +79,7 @@ def main(argv: list[str]) -> int:
         print(
             f"d={d:<2} k={k:<2} exact_s={t_exact:7.2f} modular_s={t_mod:6.2f} "
             f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} "
-            f"basis={digest} {verdict}",
+            f"rows_built={built} rows_reduced={reduced} basis={digest} {verdict}",
             flush=True,
         )
     return 1 if changed else 0

@@ -67,7 +67,17 @@ class CFExpansion:
         return complex(self.p[i]) / complex(self.q[i])
 
     def error(self, i: int) -> float:
-        return abs(complex(self.z) - self.convergent_complex(i))
+        """|z - p_i/q_i| in floating point.  An exact z whose integers are
+        beyond the float range, though its value or its error may not be,
+        takes the exact difference instead, each coordinate divided by its
+        denominator as integers (correctly rounded)."""
+        try:
+            return abs(complex(self.z) - self.convergent_complex(i))
+        except OverflowError:
+            if not self.exact:
+                raise
+            diff = self.z - self.convergent(i)
+            return abs(diff.num.x / diff.den + diff.num.y / diff.den * self.field.omega_complex)
 
     def deltas(self) -> list:
         """The remainders [delta_(-1), delta_0, ..., delta_n] with n =

@@ -20,19 +20,28 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
   only by its reductions mod split primes and an exact test of M v = 0.
   If M mod p has full column rank, the kernel is empty: the rank over K
-  is at least the rank mod p.  Otherwise the reduced row echelon kernels
-  under w1 and w2, each free column set to 1, give x and y mod p of every
-  entry x + y*omega; the primes are combined by CRT and rational
+  is at least the rank mod p.  Otherwise each prime is worked under its
+  first root w1 alone: the chosen rows mod (p, w1) are put in reduced row
+  echelon form, and its kernel basis (`kernel_mod`), each free column set
+  to 1, goes to the caller's map to a kernel basis under w2 (for the word
+  operators of `polyspace` a signed column permutation, for the tests'
+  matrices a row reduction under w2).  That basis is re-expressed on w1's
+  free columns by one inverse mod p of its #free x #free block there; if
+  the block is singular, or the vectors lose the echelon shape (a nonzero
+  at a pivot right of their free column), w2 has other pivots and the
+  prime is skipped.  The two kernels give x and y mod p of every entry
+  x + y*omega; the primes are combined by CRT and rational
   reconstruction, and the first reconstruction whose common denominator
   is within Wang's bound isqrt(modulus // 2) is checked exactly at once
-  (for the word operators of `polyspace`, by their reductions at the
-  `primes_exceeding` twice a proven height bound), so a kernel of small
-  height is proven at its first prime.  The rows are chosen as the pivot
-  rows of M^T mod the first prime, or among a caller's rows known to
-  span M's row space there (`span`).  c - rank_p independent vectors of ker M
-  make a basis, since dim ker M <= c - rank_p; each is supported on its
-  own free column and earlier pivots, so the free columns mod p are those
-  over K and the basis is the one Gauss-Jordan elimination over K gives.
+  (for the word operators, by their reductions at the `primes_exceeding`
+  twice a proven height bound), so a kernel of small height is proven at
+  its first prime.  The rows are chosen as the pivot rows of M^T mod the
+  first prime, or among a caller's rows known to span M's row space there
+  (`span`), and at later primes only they are asked for.  c - rank_p
+  independent vectors of ker M make a basis, since dim ker M <= c -
+  rank_p; each is supported on its own free column and earlier pivots,
+  so the free columns mod p are those over K and the basis is the one
+  Gauss-Jordan elimination over K gives.
 
 * `quad_rank_modular` -- one rule for every rank mod p.  For a prime ideal
   P above p, rank(M mod P) <= rank(M) over K, since a minor that is
@@ -60,13 +69,14 @@ The split primes are searched for on demand, once per ring and process
 (`_split_primes`): a caller that uses one prime searches for one.
 
 The modular functions take a matrix only by its reductions, a function
-from a split prime p and a root w of omega's polynomial mod p to the matrix
-mod p (`Reductions`), so it is never built over O_d.  Kernel vectors, in
-`certified_kernel`, its exact check and `quad_kernel`, are lists of integer
-pairs (x, y) for x + y*omega, integral and content-free
-(`_canonical_integral`); the arithmetic of pairs lives in `field`.  Rows of
-`QuadInt` (`Rows`) enter only the test oracles `quad_kernel` and
-`matvec_is_zero`.  This module holds linear algebra only.
+from a split prime p and a root w of omega's polynomial mod p, and
+optionally some rows, to the matrix or those rows mod p (`Reductions`),
+so it is never built over O_d.  Kernel vectors, in `certified_kernel`,
+its exact check and `quad_kernel`, are lists of integer pairs (x, y) for
+x + y*omega, integral and content-free (`_canonical_integral`); the
+arithmetic of pairs lives in `field`.  Rows of `QuadInt` (`Rows`) enter
+only the test oracles `quad_kernel` and `matvec_is_zero`.  This module
+holds linear algebra only.
 """
 
 from __future__ import annotations
@@ -84,8 +94,13 @@ from .intarith import is_probable_prime, sqrt_mod_prime
 
 Rows = Sequence[Sequence[QuadInt]]
 # a matrix over O_d given by its reductions: (split prime p, image w of
-# omega mod p) -> int64 array with entries in [0, p)
-Reductions = Callable[[int, int], np.ndarray]
+# omega mod p[, rows]) -> int64 array with entries in [0, p), the matrix or
+# its rows `rows`
+Reductions = Callable[..., np.ndarray]
+# the second root's kernel from the first's: (split prime p, rows R, a
+# kernel basis mod p of M[R] under the first root of omega, one vector per
+# row) -> a kernel basis mod p of M[R] under the second root
+SecondRoot = Callable[[int, Sequence[int], np.ndarray], np.ndarray]
 
 # `certified_kernel` gives up after this many split primes (~1900 bits)
 MAX_PRIMES = 64
@@ -392,36 +407,81 @@ def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
     return residues + m * step
 
 
+def kernel_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The reduced row echelon kernel basis mod the prime p of an int64
+    matrix with entries in [0, p), one row per free column c: 1 at c, 0 at
+    the other free columns, and minus the reduced entries of column c at
+    the pivot columns, which are 0 right of c.  Also the pivot columns.
+    The input is left unchanged."""
+    red, pivots = rref_mod(mat, p)
+    free = sorted(set(range(mat.shape[1])) - set(pivots))
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = (-red[:, free].T) % p
+    return basis, pivots
+
+
+def _on_free_columns(
+    basis: np.ndarray, free: list[int], pivots: Sequence[int], p: int
+) -> np.ndarray | None:
+    """The entries at `pivots` of the vectors spanning the row space of
+    `basis` with the identity on the columns `free`: the block of `basis`
+    on `free` inverted mod p, times its block on `pivots`, by one row
+    reduction of the two side by side.  None unless that block is square
+    and invertible and each vector is 0 at every pivot right of its free
+    column (the reduced echelon shape)."""
+    if basis.shape[0] != len(free):
+        return None
+    red, pivs = rref_mod(np.concatenate([basis[:, free], basis[:, list(pivots)]], axis=1), p)
+    if pivs != tuple(range(len(free))):
+        return None
+    entries = red[:, len(free) :]
+    if entries[np.array(pivots)[None, :] > np.array(free)[:, None]].any():
+        return None
+    return entries
+
+
 def certified_kernel(
     f: FieldSpec,
     mod: Reductions,
+    second: SecondRoot,
     annihilates: Callable[[list[Pair]], bool],
     span: tuple[Sequence[int], np.ndarray] | None = None,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
-    `mod(p, w)`, M mod the split prime p with omega -> w, and
-    `annihilates(v)`, an exact test of M v = 0 on a vector of integer
-    pairs (`polyspace.WordOperator.in_kernel` proves it from reductions,
-    the tests' oracles compute M v).  `span`, if given, is (R, M[R] mod
-    the first split prime with omega -> its first root) for rows R that
-    span M's row space mod that prime: the rows are first chosen among R,
-    and M mod that prime and root is not asked for.
+    `mod(p, w, rows)`, the rows `rows` (all by default) of M mod the split
+    prime p with omega -> w, `second`, the map from a kernel basis under
+    the first root w1 of omega to one under the second root w2, and
+    `annihilates(v)`, an exact test of M v = 0 on a vector of integer pairs
+    (`polyspace.WordOperator` gives a signed column permutation and proves
+    M v = 0 from reductions; the tests' oracles row-reduce under w2 and
+    compute M v).  `span`, if given, is (R, M[R] mod the first split prime
+    under w1) for rows R that span M's row space mod that prime: the rows
+    are first chosen among R, and M mod that prime is not asked for.
 
-    At each split prime, the rows named by the pivot columns of M^T mod p
-    (independent mod p, hence over K) are put in reduced row echelon form
-    under both images of omega.  A prime whose rank or pivot pattern is
-    worse than the best seen so far, or differs between its two images,
-    is skipped.  The kernel vectors' entries, with each free column set to
-    1, are combined by CRT and rational reconstruction; as soon as a
-    reconstruction has a common denominator within the bound of Wang's
-    reconstruction, isqrt(modulus // 2), and is not the candidate last
-    refuted, every vector, made integral and content-free, must pass
-    `annihilates`.  The bound decides only when a proof is worth trying:
-    whatever is returned has passed.  A refuted candidate that the next
-    prime reproduces is the kernel of rows chosen at a prime where they
-    lose rank, so the rows are chosen again at the prime after.  The basis
-    equals `quad_kernel` of M.  If no candidate passes within MAX_PRIMES
-    primes, CertificateError is raised.
+    Each split prime is worked under w1 only.  The rows named by the pivot
+    columns of M^T mod the prime that chose them (independent there, hence
+    over K) are reduced mod p under w1 and put in reduced row echelon
+    form; if it has full column rank, so has M over K, and the kernel is
+    empty.  Its kernel basis (`kernel_mod`) goes to `second`, and the basis
+    that returns is re-expressed on w1's free columns, by one inverse mod p
+    of its block there (`_on_free_columns`).  A prime where that block is
+    not square and invertible, or the re-expressed vectors lose the
+    echelon shape, has other pivots under w2 and is skipped, as is a prime
+    whose rank or pivot pattern is worse than the best seen so far.  Under
+    the two roots the entries x + y*omega of each kernel vector, with its
+    free column set to 1, are x + y*w1 and x + y*w2, so each prime gives x
+    and y mod p.  They are combined by CRT and rational reconstruction; as
+    soon as a reconstruction has a common denominator within the bound of
+    Wang's reconstruction, isqrt(modulus // 2), and is not the candidate
+    last refuted, every vector, made integral and content-free, must pass
+    `annihilates`.  Neither the bound nor `second` decides what is
+    returned, only when a proof is worth trying: whatever is returned has
+    passed.  A refuted candidate that the next prime reproduces is the
+    kernel of rows chosen at a prime where they lose rank, so the rows are
+    chosen again at the prime after.  The basis equals `quad_kernel` of M.
+    If no candidate passes within MAX_PRIMES primes, CertificateError is
+    raised.
     """
     best = None  # (rank, pivots) of the primes being combined
     chosen = None  # rows independent mod the prime that chose them
@@ -438,21 +498,20 @@ def certified_kernel(
             chosen = list(rows) if among is None else [among[r] for r in rows]
             top = m1[list(rows)]
         else:
-            top = mod(p, w1)[chosen]
+            top = mod(p, w1, chosen)
         ncols = top.shape[1]
-        (red1, piv1), (red2, piv2) = rref_mod(top, p), rref_mod(mod(p, w2)[chosen], p)
-        if len(piv1) == ncols or len(piv2) == ncols:
+        basis1, pivots = kernel_mod(top, p)
+        if not len(basis1):
             return []
-        if piv1 != piv2:
+        free = sorted(set(range(ncols)) - set(pivots))
+        k2 = _on_free_columns(second(p, chosen, basis1), free, pivots, p)
+        if k2 is None:
             continue
-        key = (len(piv1), tuple(-c for c in piv1))
+        key = (len(pivots), tuple(-c for c in pivots))
         if best is not None and key < best:
             continue
-        pivset = set(piv1)
-        free = [c for c in range(ncols) if c not in pivset]
-        # kernel entries at the pivot columns, one row per free column:
-        # v = e_free - sum_i R[i, free] e_pivot(i)
-        k1, k2 = (-red1[:, free].T) % p, (-red2[:, free].T) % p
+        # kernel entries at the pivot columns, one row per free column
+        k1 = basis1[:, list(pivots)]
         y = (k1 - k2) % p * pow((w1 - w2) % p, p - 2, p) % p
         x = (k1 - y * w1 % p) % p
         new = np.concatenate([x.ravel(), y.ravel()])
@@ -467,7 +526,7 @@ def certified_kernel(
             modulus *= p
         candidate = _reconstruct(residues, modulus)
         if candidate is not None and candidate != rejected:
-            basis = _kernel_vectors(ncols, piv1, free, *candidate)
+            basis = _kernel_vectors(ncols, pivots, free, *candidate)
             if all(map(annihilates, basis)):
                 return basis
             rejected = candidate

@@ -54,6 +54,15 @@ the first split prime, on first need, so its `kernel` and `kernel_dim`
 take no hint from their caller, and `wkk` is one loop over the
 eigenspaces.
 
+Every split prime is worked under its first root w1 of omega alone.
+Under the second root w2 the z and zbar factors of each element trade
+places, so the block mod (p, w2) is the block mod (p, w1) with rows
+(word, r, s) and (word, s, r) swapped and its columns permuted with signs
+(`WordOperator.swap`): a kernel's second root comes from its first, and
+`in_kernel` checks both roots on the first root's values, the second on
+the transposed grid.  At later primes a kernel asks `reduced_mod` only
+for the rows it row-reduces.
+
 The kernel words do not depend on k, and are built once per ring
 (`kernel_words`), so the operators of every k share their elements.
 """
@@ -371,9 +380,11 @@ class WordOperator:
     the first split prime are kept (below).
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
-    lift of the kernel of the S word from its upper coordinates (`lift`).
-    `kernel` and `kernel_dim` work on it, and `in_kernel` still checks
-    every word.
+    lift of the kernel of the S word from its upper coordinates (`lift`),
+    whole or only some of its rows.  `kernel` and `kernel_dim` work on it
+    under the first root of omega alone (`swap` gives the second root's
+    kernel from the first's), and `in_kernel` still checks every word
+    under both roots.
 
     At the first split prime p1 and its first root w1, the operator
     reduces M_rest L on every upper coordinate once, when a kernel or a
@@ -471,31 +482,71 @@ class WordOperator:
         array: v[N-1-c] = sign * v[c] on the kernel of the S word."""
         return 2 * (sum(divmod(c, self.k + 1)) % 2) - 1
 
-    def reduced_mod(self, p: int, w: int, cols: Sequence[int]) -> np.ndarray:
+    def reduced_mod(
+        self, p: int, w: int, cols: Sequence[int], rows: Sequence[int] | None = None
+    ) -> np.ndarray:
         """M_rest L mod p on the mirror-closed columns `cols`: the rows of
-        the words after S, and for each upper coordinate c of `cols`, in
-        ascending order, column c plus mirror_sign(c) * column N-1-c.
+        the words after S (or only the rows `rows` of them, in their
+        order), and for each upper coordinate c of `cols`, in ascending
+        order, column c plus mirror_sign(c) * column N-1-c.
 
         Column c = (i, j) of a word is the grid sum_g sign_g A_g[:, i]
         B_g[:, j]^T, A_g and B_g the z and zbar factors of g, and column
         N-1-c is the same at (k-i, k-j).  So each word's block is one
         batched product (`linalg.matmul_mod`) over the upper coordinates,
-        with inner dimension twice the word's length."""
+        with inner dimension twice the word's length; its row (r, s) alone
+        is sum_g x_g[r] * y_g[s] over those columns, one product per row
+        and element."""
         n = self.k + 1
         up = np.array(self.upper(cols), dtype=np.int64)
         ci, cj = np.divmod(up, n)
         mirror = self.mirror_sign(up)
         a, b = self._reduced(p, w)
-        out = np.empty(((len(self.words) - 1) * self.size, len(up)), dtype=np.int64)
+        picked = np.arange(self.nrows - self.size) if rows is None else np.asarray(rows, dtype=np.int64)
+        out = np.empty((len(picked), len(up)), dtype=np.int64)
         for i, g in enumerate(self.words[1:]):
             sign = self.signs[g, None, None]
             # (2 * #elements, k+1, #up): z factor columns, then zbar factor
             # columns with the signs
             x = np.concatenate([a[g][:, :, ci], a[g][:, :, self.k - ci]])
             y = np.concatenate([sign * b[g][:, :, cj], sign * mirror * b[g][:, :, self.k - cj]]) % p
-            grids = linalg.matmul_mod(x.transpose(2, 1, 0), y.transpose(2, 0, 1), p)
-            out[i * self.size : (i + 1) * self.size] = grids.reshape(len(up), self.size).T
+            if rows is None:
+                grids = linalg.matmul_mod(x.transpose(2, 1, 0), y.transpose(2, 0, 1), p)
+                out[i * self.size : (i + 1) * self.size] = grids.reshape(len(up), self.size).T
+                continue
+            at = np.flatnonzero(picked // self.size == i)
+            r, s = np.divmod(picked[at] % self.size, n)
+            # each product is below p^2 < 2^62 and reduced before the sum
+            acc = np.zeros((len(at), len(up)), dtype=np.int64)
+            for xe, ye in zip(x, y):
+                acc += xe[r] * ye[s] % p
+            out[at] = acc % p
         return out
+
+    def swap(self, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The signed permutation that swapping the two roots of omega makes
+        of the columns of `reduced_mod` on `cols`, closed under the mirror
+        and the transpose (i, j) -> (j, i): positions `at` and signs `sign`
+        with reduced_mod(p, w2, cols)[:, u] = sign[u] * reduced_mod(p, w1,
+        cols)[swapped, at[u]], where row (word, r, s) of `swapped` is row
+        (word, s, r).
+
+        Under w2 the z and zbar factors of every element are the zbar and z
+        factors under w1 (`_reduced`), so the grid of column (i, j) is the
+        transposed grid of column (j, i) under w1.  Upper column (i, j) is
+        thus column (j, i) when that is upper, and otherwise mirror_sign(c)
+        times the column of its mirror (k-j, k-i), as mirror_sign is the
+        same at c, its transpose and their mirrors."""
+        up = self.upper(cols)
+        i, j = np.divmod(np.array(up, dtype=np.int64), self.k + 1)
+        t = j * (self.k + 1) + i
+        lower = 2 * t < self.size
+        pos = {c: u for u, c in enumerate(up)}
+        try:
+            at = [pos[c] for c in np.where(lower, self.size - 1 - t, t).tolist()]
+        except KeyError:
+            raise ValueError("columns not closed under the transpose") from None
+        return np.array(at, dtype=np.int64), np.where(lower, self.mirror_sign(t), 1)
 
     def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray]:
         """p1, R, and the rows R of `reduced_mod` at (p1, w1) on the
@@ -546,33 +597,45 @@ class WordOperator:
             self._row_bound = max((rho[g].T @ rho[g]).max() for g in self.words)
         return height_factor(self.field) * self._row_bound * norm
 
+    def _word_sums(self, p: int, cols: Sequence[int], vec: list[Pair]) -> np.ndarray:
+        """Each word's sum_g sign * A_g V B_g^T mod p on the factors' values
+        at the nodes under the first root w1 (`_at_nodes`), for V the grid
+        of v mod (p, w1) and for V the transpose of the grid of v mod
+        (p, w2): shape (2, #words, k+1, k+1).  Under w2 the z and zbar
+        values are the zbar and z values under w1, so the word's sum under
+        w2 is sum_g sign * B_g V A_g^T = (sum_g sign * A_g V^T B_g^T)^T: the
+        transpose of [1].  One batched product serves both roots."""
+        n = self.k + 1
+        w1, w2 = linalg.omega_roots(self.field, p)
+        ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
+        grids = np.zeros((2, n, n), dtype=np.int64)
+        grids[0, ci, cj] = [(x + y * w1) % p for x, y in vec]
+        grids[1, cj, ci] = [(x + y * w2) % p for x, y in vec]
+        a, b = self._at_nodes(p, w1)
+        terms = linalg.matmul_mod(linalg.matmul_mod(a, grids[:, None], p), b.transpose(0, 2, 1), p)
+        return np.add.reduceat(self.signs[:, None, None] * terms, self.starts, axis=1) % p
+
     def in_kernel(self, cols: Sequence[int], vec: list[Pair]) -> bool:
         """Whether M[:, cols] v = 0, for the integral vector v of integer
         pairs on the columns `cols`, proven from the reductions alone.
 
         Each word's sum_g sign * A_g V B_g^T, V the (k+1) x (k+1) grid of
         v, is checked mod the first split primes whose product exceeds 2H
-        (`height_bound`), under both images of omega.  It is checked on the
-        factors' values at the nodes (`_at_nodes`), with no interpolation:
-        with W the Vandermonde matrix of s = 0..k, those are W A_g and
-        W B_g, and sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign A_g V
-        B_g^T) W^T is 0 mod p exactly when the word's coefficients are, as
-        W is invertible mod p > k.  A nonzero residue refutes v.  If all
-        vanish, every coefficient X + Y*omega has X + Y*w = 0 mod p for
-        both roots w, so X = Y = 0 mod p (the roots differ mod a split
-        prime); as |X|, |Y| <= H, X = Y = 0."""
-        f, n = self.field, self.k + 1
+        (`height_bound`), under both images of omega, in one batched
+        product per prime against the first root's values (`_word_sums`:
+        under the second root the sum is the transpose of the first root's
+        sum on the transposed grid).  It is checked on the factors' values
+        at the nodes (`_at_nodes`), with no interpolation: with W the
+        Vandermonde matrix of s = 0..k, those are W A_g and W B_g, and
+        sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign A_g V B_g^T) W^T is 0
+        mod p exactly when the word's coefficients are, as W is invertible
+        mod p > k.  A nonzero residue refutes v.  If all vanish, every
+        coefficient X + Y*omega has X + Y*w = 0 mod p for both roots w, so
+        X = Y = 0 mod p (the roots differ mod a split prime); as |X|, |Y|
+        <= H, X = Y = 0."""
         norm = max((max(abs(x), abs(y)) for x, y in vec), default=0)
-        ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
-        for p in linalg.primes_exceeding(f, 2 * self.height_bound(norm)):
-            for w in linalg.omega_roots(f, p):
-                grid = np.zeros((n, n), dtype=np.int64)
-                grid[ci, cj] = [(x + y * w) % p for x, y in vec]
-                a, b = self._at_nodes(p, w)
-                terms = linalg.matmul_mod(linalg.matmul_mod(a, grid, p), b.transpose(0, 2, 1), p)
-                if (np.add.reduceat(self.signs[:, None, None] * terms, self.starts) % p).any():
-                    return False
-        return True
+        primes = linalg.primes_exceeding(self.field, 2 * self.height_bound(norm))
+        return not any(self._word_sums(p, cols, vec).any() for p in primes)
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
@@ -581,21 +644,30 @@ class WordOperator:
         A kernel vector satisfies v[N-1-c] = +-v[c], so on columns not
         closed under the mirror, or without an upper coordinate, it
         vanishes: the basis is empty, with no reduction (`s_forces_zero`).
-        Otherwise `linalg.certified_kernel` runs on `reduced_mod`, its rows
-        at the first split prime chosen among R (`_first_slice`), each u
+        Otherwise `linalg.certified_kernel` runs on `reduced_mod` under
+        the first root of each prime, its rows at the first split prime
+        chosen among R (`_first_slice`) and at later primes built alone;
+        the kernel under the second root is the first's with its columns
+        permuted with signs (`swap`), as M_rest L mod (p, w2) = P (M_rest L
+        mod (p, w1)) Q for a row permutation P and a signed column
+        permutation Q, so its kernel is Q^T times the first's.  Each u is
         proven by `in_kernel` of its lift over every word, S included, and
         the lifts, made content-free, are the basis.  It is the
         Gauss-Jordan basis of M[:, cols]: the last nonzero entry of a
         kernel vector is an upper coordinate, so the free columns, and the
         vectors with 1 at one of them and 0 at the others, are the same
-        for u and for L u."""
+        for u and for L u.  `cols` must be closed under the transpose
+        (i, j) -> (j, i) too, as every eigenspace closed under the mirror
+        is."""
         if self.s_forces_zero(cols):
             return []
         n = self.k + 1
         _, span, first = self._first_slice(cols)
+        at, sign = self.swap(cols)
         block = linalg.certified_kernel(
             self.field,
-            lambda p, w: self.reduced_mod(p, w, cols),
+            lambda p, w, rows=None: self.reduced_mod(p, w, cols, rows),
+            lambda p, rows, basis: basis[:, at] * sign % p,
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
             (span, first),
         )

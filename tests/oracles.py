@@ -11,7 +11,10 @@
 
 * `pairs_mod` reduces a matrix of integer pairs mod a split prime, and
   `reductions` turns explicit `QuadInt` rows into the `linalg.Reductions`
-  that the modular routines take.
+  that the modular routines take.  `second_root` gives
+  `linalg.certified_kernel` the second root's kernel of such rows by row
+  reduction under that root, where `polyspace.WordOperator` permutes the
+  first root's.
 
 * `word_action_loop` is the exact word action as a Python loop over the
   support, one `pair_mul` at a time, on the `factored_words` of a ring:
@@ -59,7 +62,7 @@ from hermitia.field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, nearest_int
 from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, form_ints, window_scan
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
-from hermitia.linalg import Reductions, Rows, omega_roots
+from hermitia.linalg import Reductions, Rows, SecondRoot, kernel_mod, omega_roots
 from hermitia.polyspace import (
     PairMatrix,
     Support,
@@ -147,9 +150,24 @@ def pairs_mod(
 
 
 def reductions(f: FieldSpec, rows: Rows) -> Reductions:
-    """Explicit rows of `QuadInt` as the reductions the modular routines take."""
+    """Explicit rows of `QuadInt` as the reductions the modular routines
+    take: all of them, or the rows `picked`."""
     pairs = [[(e.x, e.y) for e in row] for row in rows]
-    return lambda p, w: pairs_mod(f, pairs, p, w)
+
+    def mod(p: int, w: int, picked: Sequence[int] | None = None) -> np.ndarray:
+        mat = pairs_mod(f, pairs, p, w)
+        return mat if picked is None else mat[list(picked)]
+
+    return mod
+
+
+def second_root(f: FieldSpec, rows: Rows) -> SecondRoot:
+    """The second root's kernel that `linalg.certified_kernel` asks for, on
+    explicit rows of `QuadInt`: the rows it chose, reduced mod p with
+    omega -> w2 and row-reduced there (`kernel_mod`); the first root's
+    basis is not used."""
+    mod = reductions(f, rows)
+    return lambda p, chosen, basis: kernel_mod(mod(p, omega_roots(f, p)[1], chosen), p)[0]
 
 
 def elems(f: FieldSpec, vec: Sequence[Pair]) -> list[QuadElem]:

@@ -169,3 +169,25 @@ def test_pullback_is_conjugate_action():
     want = act(g.conj(), h)
     got = phi(h, g)
     assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+
+
+def test_error_of_exact_points_beyond_the_float_range():
+    """`error` on exact points whose integers overflow a float: about 711
+    in O_3 as 3^700 / 2^1100, and 10^309 + i in O_1, whose value does not
+    fit a float either.  Each error is |z - p_i/q_i| from exact rationals,
+    and on a point whose integers fit it is the float difference as
+    before."""
+    f = field(3)
+    z = disp(f, Fraction(3**700, 2**1100), 0)
+    exp = hurwitz_cf(f, z, max_steps=12)
+    for i in range(len(exp)):
+        want = abs(z.as_fraction() - exp.convergent(i).as_fraction())
+        assert math.isclose(exp.error(i), float(want), rel_tol=1e-12), i
+    f = field(1)
+    exp = hurwitz_cf(f, disp(f, 10**309, 1))
+    assert exp.terminated and len(exp) == 1 and exp.error(0) == 0.0
+    z = disp(f, Fraction(7, 10), Fraction(1, 3))
+    exp = hurwitz_cf(f, z)
+    assert [exp.error(i) for i in range(len(exp))] == [
+        abs(complex(z) - complex(p) / complex(q)) for p, q in zip(exp.p, exp.q)
+    ]

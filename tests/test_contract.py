@@ -70,7 +70,11 @@ POOLS: dict[str, dict[str, list]] = {
         "--grid": [1, 2, 4, math.isqrt(cli.AVERAGE_WALK_MAX) + 1],
         "--a-max": [50, 200],
     },
-    "cfrac": {"-z": ["1/3", "7/10,1/3", "-2/7,3/5", "0", "1/0"], "--max-steps": [5, 40]},
+    # the last two: exact points whose integers exceed the float range
+    "cfrac": {
+        "-z": ["1/3", "7/10,1/3", "-2/7,3/5", "0", "1/0", f"{3**700}/{2**1100},0", "1e309,1"],
+        "--max-steps": [5, 40],
+    },
     "dims": {"--kmax": [1, 3, 5, cli.WKK_K_MAX + 1], "--method": ["exact", "modular"]},
     "basis": {"-k": [1, 2, 3, 5, cli.WKK_K_MAX + 1], "--eigen": ["1", "-1", "i"]},
     "expandp": {

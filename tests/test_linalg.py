@@ -26,7 +26,7 @@ from hermitia.linalg import (
 )
 
 from conftest import seeded
-from oracles import elems, pairs_mod, reductions
+from oracles import elems, pairs_mod, reductions, second_root
 
 
 def rand_rows(rng, f, nr, nc, span=4):
@@ -127,14 +127,19 @@ def reduced(f, rows, p, w=None):
 
 def certified(f, rows, annihilates=None, span=None):
     """`certified_kernel` of explicit rows; returns the basis, the split
-    primes whose reductions it asked for (in order), and how many vectors
-    it sent to the exact check."""
+    primes whose reductions it asked for under either root (in order), and
+    how many vectors it sent to the exact check."""
     asked = []
     checks = []
+    explicit, kernel2 = reductions(f, rows), second_root(f, rows)
 
-    def mod(p, w):
+    def mod(p, w, picked=None):
         asked.append(p)
-        return reduced(f, rows, p, w)
+        return explicit(p, w, picked)
+
+    def second(p, chosen, basis):
+        asked.append(p)
+        return kernel2(p, chosen, basis)
 
     def check(v):
         checks.append(v)
@@ -144,7 +149,7 @@ def certified(f, rows, annihilates=None, span=None):
         # the hint: rows `span` and their reductions at the first prime
         p = split_primes(f, 1)[0]
         span = (span, reduced(f, [rows[r] for r in span], p))
-    basis = certified_kernel(f, mod, check, span)
+    basis = certified_kernel(f, mod, second, check, span)
     return basis, list(dict.fromkeys(asked)), len(checks)
 
 
@@ -301,13 +306,14 @@ def test_certified_kernel_raises_when_verification_keeps_failing():
     f = field(7)
     rows = [[f.one, f.zero, f.one]]
     asked = []
+    explicit = reductions(f, rows)
 
-    def mod(p, w):
+    def mod(p, w, picked=None):
         asked.append(p)
-        return reduced(f, rows, p, w)
+        return explicit(p, w, picked)
 
     with pytest.raises(CertificateError):
-        certified_kernel(f, mod, lambda v: False)
+        certified_kernel(f, mod, second_root(f, rows), lambda v: False)
     # it gave up after a fixed number of primes
     assert list(dict.fromkeys(asked)) == split_primes(f, linalg.MAX_PRIMES)
 

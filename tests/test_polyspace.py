@@ -841,9 +841,9 @@ def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
     calls = []
     reduced_mod = WordOperator.reduced_mod
 
-    def counted(self, p, w, cols):
+    def counted(self, p, w, cols, rows=None):
         calls.append((p, w))
-        return reduced_mod(self, p, w, cols)
+        return reduced_mod(self, p, w, cols, rows)
 
     monkeypatch.setattr(WordOperator, "reduced_mod", counted)
     for d in EUCLIDEAN_DS:
@@ -859,6 +859,120 @@ def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
             if k % 2:
                 assert membership(expand_P(f, k, smallest_nonnorm(d)))
             assert calls == [], (d, k)
+
+
+def swapped_rows(op):
+    """Row (word, s, r) of the reduced block at each row (word, r, s)."""
+    n = op.k + 1
+    word, rs = np.divmod(np.arange(op.nrows - op.size), op.size)
+    r, s = np.divmod(rs, n)
+    return word * op.size + s * n + r
+
+
+def test_the_second_root_block_is_a_signed_permutation_of_the_first():
+    """Under the second root, `reduced_mod` is the first root's with rows
+    (word, r, s) and (word, s, r) swapped and its columns permuted with
+    signs by `swap`, on the full block and every mirror-closed eigenspace,
+    in every ring at every k <= 15 and the first two split primes; and
+    its rows on demand are the full block's rows, in any order.  Columns
+    not closed under the transpose have no such permutation."""
+    rng = seeded("second-root-block")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 16):
+            op = WordOperator(f, k)
+            closed, _ = mirror_classes(f, k)
+            swapped = swapped_rows(op)
+            for cols in [list(range(op.size))] + [eigen_columns(f, k, e) for e in closed]:
+                if op.s_forces_zero(cols):
+                    continue
+                at, sign = op.swap(cols)
+                assert sorted(at.tolist()) == list(range(len(op.upper(cols))))
+                for p in split_primes(f, 2):
+                    w1, w2 = omega_roots(f, p)
+                    first = op.reduced_mod(p, w1, cols)
+                    assert np.array_equal(op.reduced_mod(p, w2, cols), first[swapped][:, at] * sign % p), (d, k, p)
+                    picked = rng.sample(range(len(first)), min(9, len(first)))
+                    assert np.array_equal(op.reduced_mod(p, w1, cols, picked), first[picked]), (d, k, p)
+            # closed under the mirror but, for k > 1, not the transpose:
+            # z^0 zbar^1 and its mirror
+            if k > 1:
+                with pytest.raises(ValueError):
+                    op.swap([flat_index(k, 0, 1), flat_index(k, k, k - 1)])
+
+
+def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
+    """The word sums that `in_kernel` checks: [0] is each word's sum under
+    the first root on v mod (p, w1), and the transpose of [1] is its sum
+    under the second root on v mod (p, w2), each summed here from the
+    values under that root; five rings, k in {1, 4, 7, 12}, two primes,
+    random vectors on random columns."""
+    rng = seeded("word-sums-transposed")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (1, 4, 7, 12):
+            op = WordOperator(f, k)
+            n = k + 1
+            cols = sorted(rng.sample(range(op.size), min(op.size, 12)))
+            vec = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in cols]
+            for p in split_primes(f, 2):
+                sums = op._word_sums(p, cols, vec)
+                for got, w in zip((sums[0], sums[1].transpose(0, 2, 1)), omega_roots(f, p)):
+                    grid = np.zeros((n, n), dtype=np.int64)
+                    for c, (x, y) in zip(cols, vec):
+                        grid[divmod(c, n)] = (x + y * w) % p
+                    a, b = op._at_nodes(p, w)
+                    for word, want in zip(op.words, got):
+                        total = np.zeros((n, n), dtype=object)
+                        for g in range(word.start, word.stop):
+                            total += op.signs[g] * (a[g].astype(object) @ grid @ b[g].T.astype(object))
+                        assert np.array_equal(total % p, want), (d, k, p, w)
+
+
+def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
+    """`wkk`, by both methods, in every ring at every k <= 11: no block is
+    reduced under the second root, and every block reduced is used whole.
+    The one full block at the first split prime is the operator's; every
+    later full block is ranked whole (`rank_mod`), and every block of
+    chosen rows is the matrix that `certified_kernel` row-reduces next."""
+    events = []
+    reduced_mod, rref_mod, rank_mod = WordOperator.reduced_mod, linalg.rref_mod, linalg.rank_mod
+
+    def reduced(self, p, w, cols, rows=None):
+        out = reduced_mod(self, p, w, cols, rows)
+        events.append(("reduced", p, w, rows, out))
+        return out
+
+    def recorded(name, fn):
+        def run(mat, p):
+            events.append((name, mat))
+            return fn(mat, p)
+
+        return run
+
+    monkeypatch.setattr(WordOperator, "reduced_mod", reduced)
+    monkeypatch.setattr(linalg, "rref_mod", recorded("rref", rref_mod))
+    monkeypatch.setattr(linalg, "rank_mod", recorded("rank", rank_mod))
+    chosen = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p1 = split_primes(f, 1)[0]
+        for k in range(1, 12):
+            for method in ("exact", "modular"):
+                events.clear()
+                wkk(f, k, method=method)
+                calls = [(i, e) for i, e in enumerate(events) if e[0] == "reduced"]
+                assert all(w == omega_roots(f, p)[0] for _, (_, p, w, _, _) in calls), (d, k, method)
+                assert [p for _, (_, p, _, rows, _) in calls if rows is None].count(p1) == 1, (d, k, method)
+                for i, (_, p, _, rows, out) in calls:
+                    if rows is None and p == p1:
+                        continue
+                    use = "rank" if rows is None else "rref"
+                    after = next(e for e in events[i + 1 :] if e[0] in ("rref", "rank"))
+                    assert after[0] == use and after[1] is out, (d, k, method, p)
+                    chosen += rows is not None
+    # the exact kernels reach later primes, and ask only for their rows
+    assert chosen > 0
 
 
 def test_kernel_words_are_built_once_per_ring():
