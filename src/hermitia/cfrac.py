@@ -25,6 +25,7 @@ GL_2(O_d) (det = +-1) and map z to the remainder z_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,8 +41,9 @@ class CFExpansion:
     """The result of a Hurwitz expansion.
 
     alphas[n] is the n-th partial quotient; p[n]/q[n] its convergent; zs[n]
-    the remainder z_n before the n-th rounding.  `terminated` is True when
-    the remainder reached (numerically: approached) zero, which always
+    the remainder z_n before the n-th rounding; norms[n] N(Delta_(n+1)) of
+    `remainders` for exact z, None for complex z.  `terminated` is True
+    when the remainder reached (numerically: approached) zero, which always
     happens for exact z in K.
     """
 
@@ -52,6 +54,7 @@ class CFExpansion:
     p: list[QuadInt]
     q: list[QuadInt]
     zs: list[ZLike]
+    norms: list[int | None]
     terminated: bool
 
     def __len__(self) -> int:
@@ -67,17 +70,13 @@ class CFExpansion:
         return complex(self.p[i]) / complex(self.q[i])
 
     def error(self, i: int) -> float:
-        """|z - p_i/q_i| in floating point.  An exact z whose integers are
-        beyond the float range, though its value or its error may not be,
-        takes the exact difference instead, each coordinate divided by its
-        denominator as integers (correctly rounded)."""
-        try:
-            return abs(complex(self.z) - self.convergent_complex(i))
-        except OverflowError:
-            if not self.exact:
-                raise
-            diff = self.z - self.convergent(i)
-            return abs(diff.num.x / diff.den + diff.num.y / diff.den * self.field.omega_complex)
+        """|z - p_i/q_i| in floating point.  For exact z it is |delta_(i+1)|
+        / |q_i|, the square root of N(Delta_(i+1)) / (den^2 N(q_i)), a ratio
+        of integers divided correctly rounded and at most rho^2 < 1; complex
+        z takes the float difference."""
+        if self.exact:
+            return math.sqrt(self.norms[i] / (self.z.den**2 * self.q[i].norm()))
+        return abs(complex(self.z) - self.convergent_complex(i))
 
     def deltas(self) -> list:
         """The remainders [delta_(-1), delta_0, ..., delta_n] with n =
@@ -119,13 +118,15 @@ def hurwitz_cf(f: FieldSpec, z: ZLike, max_steps: int = 40) -> CFExpansion:
     p: list[QuadInt] = []
     q: list[QuadInt] = []
     zs: list[ZLike] = []
+    norms: list[int | None] = []
     p2, p1 = f.zero, f.one
     q2, q1 = f.one, f.zero
     terminated = False
     while len(alphas) < max_steps:
-        zn, a, last = next(steps)
+        zn, a, last, norm = next(steps)
         zs.append(zn)
         alphas.append(a)
+        norms.append(norm)
         p2, p1 = p1, a * p1 + p2
         q2, q1 = q1, a * q1 + q2
         p.append(p1)
@@ -133,24 +134,24 @@ def hurwitz_cf(f: FieldSpec, z: ZLike, max_steps: int = 40) -> CFExpansion:
         if last:
             terminated = True
             break
-    return CFExpansion(f, z, exact, alphas, p, q, zs, terminated)
+    return CFExpansion(f, z, exact, alphas, p, q, zs, norms, terminated)
 
 
-def _exact_steps(f: FieldSpec, z: QuadElem) -> Iterator[tuple[QuadElem, QuadInt, bool]]:
-    """(z_n, alpha_n, whether z_n - alpha_n = 0) for each step of the exact
-    expansion of z, from its integer remainders."""
+def _exact_steps(f: FieldSpec, z: QuadElem) -> Iterator[tuple[QuadElem, QuadInt, bool, int]]:
+    """(z_n, alpha_n, whether z_n - alpha_n = 0, N(Delta_(n+1))) for each
+    step of the exact expansion of z, from its integer remainders."""
     for (ax, ay), (mx, my), s, s_next in remainders(f, z.num.x, z.num.y, z.den):
-        yield QuadElem.make(f, mx, my, s), QuadInt(f, ax, ay), s_next == 0
+        yield QuadElem.make(f, mx, my, s), QuadInt(f, ax, ay), s_next == 0, s_next
 
 
-def _float_steps(f: FieldSpec, zn: complex) -> Iterator[tuple[complex, QuadInt, bool]]:
-    """(z_n, alpha_n, whether |z_n - alpha_n| < FLOAT_EPS) for each step of
-    the floating-point expansion, without end."""
+def _float_steps(f: FieldSpec, zn: complex) -> Iterator[tuple[complex, QuadInt, bool, None]]:
+    """(z_n, alpha_n, whether |z_n - alpha_n| < FLOAT_EPS, None) for each
+    step of the floating-point expansion, without end."""
     while True:
         a = nearest_int(f, zn)
         rem = zn - complex(a)
         last = abs(rem) < FLOAT_EPS
-        yield zn, a, last
+        yield zn, a, last, None
         zn = 1.0 / rem
 
 

@@ -69,14 +69,14 @@ The split primes are searched for on demand, once per ring and process
 (`_split_primes`): a caller that uses one prime searches for one.
 
 The modular functions take a matrix only by its reductions, a function
-from a split prime p and a root w of omega's polynomial mod p, and
-optionally some rows, to the matrix or those rows mod p (`Reductions`),
-so it is never built over O_d.  Kernel vectors, in `certified_kernel`,
-its exact check and `quad_kernel`, are lists of integer pairs (x, y) for
-x + y*omega, integral and content-free (`_canonical_integral`); the
-arithmetic of pairs lives in `field`.  Rows of `QuadInt` (`Rows`) enter
-only the test oracles `quad_kernel` and `matvec_is_zero`.  This module
-holds linear algebra only.
+from a split prime p, and optionally some rows, to the matrix or those
+rows mod p with omega -> w1, the first of `omega_roots` (`Reductions`),
+so it is never built over O_d; only `certified_kernel` names w2.  Kernel
+vectors, in `certified_kernel`, its exact check and `quad_kernel`, are
+lists of integer pairs (x, y) for x + y*omega, integral and content-free
+(`_canonical_integral`); the arithmetic of pairs lives in `field`.  Rows
+of `QuadInt` (`Rows`) enter only the test oracles `quad_kernel` and
+`matvec_is_zero`.  This module holds linear algebra only.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ from .field import ZERO, CertificateError, FieldSpec, Pair, QuadElem, QuadInt, k
 from .intarith import is_probable_prime, sqrt_mod_prime
 
 Rows = Sequence[Sequence[QuadInt]]
-# a matrix over O_d given by its reductions: (split prime p, image w of
-# omega mod p[, rows]) -> int64 array with entries in [0, p), the matrix or
-# its rows `rows`
+# a matrix over O_d given by its reductions: (split prime p[, rows]) ->
+# int64 array with entries in [0, p), the matrix or its rows `rows` mod p
+# with omega -> w1, the first of `omega_roots`
 Reductions = Callable[..., np.ndarray]
 # the second root's kernel from the first's: (split prime p, rows R, a
 # kernel basis mod p of M[R] under the first root of omega, one vector per
@@ -337,7 +337,7 @@ def quad_rank_modular(
         if first is not None and not primes:
             dims.append(first)
         else:
-            mat = rows(p, omega_roots(f, p)[0])
+            mat = rows(p)
             dims.append(mat.shape[1] - rank_mod(mat, p))
         primes.append(p)
         if dims[-1] <= lower:
@@ -449,9 +449,9 @@ def certified_kernel(
     span: tuple[Sequence[int], np.ndarray] | None = None,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
-    `mod(p, w, rows)`, the rows `rows` (all by default) of M mod the split
-    prime p with omega -> w, `second`, the map from a kernel basis under
-    the first root w1 of omega to one under the second root w2, and
+    `mod(p, rows)`, the rows `rows` (all by default) of M mod the split
+    prime p with omega -> w1, the first root of omega, `second`, the map
+    from a kernel basis under w1 to one under the second root w2, and
     `annihilates(v)`, an exact test of M v = 0 on a vector of integer pairs
     (`polyspace.WordOperator` gives a signed column permutation and proves
     M v = 0 from reductions; the tests' oracles row-reduce under w2 and
@@ -490,7 +490,7 @@ def certified_kernel(
         w1, w2 = omega_roots(f, p)
         if chosen is None:
             # among the rows of `span` at the first prime, else among all
-            among, m1 = (None, mod(p, w1)) if span is None else span
+            among, m1 = (None, mod(p)) if span is None else span
             span = None
             rank, rows = echelon_mod(m1.T, p)
             if rank == m1.shape[1]:
@@ -498,7 +498,7 @@ def certified_kernel(
             chosen = list(rows) if among is None else [among[r] for r in rows]
             top = m1[list(rows)]
         else:
-            top = mod(p, w1, chosen)
+            top = mod(p, chosen)
         ncols = top.shape[1]
         basis1, pivots = kernel_mod(top, p)
         if not len(basis1):

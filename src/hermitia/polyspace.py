@@ -372,29 +372,33 @@ class WordOperator:
 
     The elements are listed word after word (`elements`, with `signs`, and
     `words` holds each word's slice of them).  No exact factor is built:
-    for each split prime p and image w of omega, every element's z factor
-    is computed mod p from its four entries, as values at s = 0..k
-    (`_at_nodes`, which `in_kernel` checks on) and as coefficients
-    (`_reduced`, which `reduced_mod` reduces rows of), and kept for the
-    life of the operator; of whole matrices mod p, only the rows R at
-    the first split prime are kept (below).
+    for each split prime p, every element's z factor is computed mod p from
+    its four entries, as values at s = 0..k (`_at_nodes`, which `in_kernel`
+    checks on) and as coefficients (`_reduced`, which `reduced_mod` reduces
+    rows of), and kept for the life of the operator, one entry per prime;
+    of whole matrices mod p, only the rows R at the first split prime are
+    kept (below).
+
+    Every reduction is taken with omega -> w1, the first of
+    `linalg.omega_roots`.  Only `_at_nodes`, which gets the zbar factors
+    from the second root, and `_word_sums`, which proves M v = 0 under
+    both roots, name the roots.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates (`lift`),
     whole or only some of its rows.  `kernel` and `kernel_dim` work on it
-    under the first root of omega alone (`swap` gives the second root's
-    kernel from the first's), and `in_kernel` still checks every word
-    under both roots.
+    alone (`swap` gives the second root's kernel from the first's), and
+    `in_kernel` still checks every word under both roots.
 
-    At the first split prime p1 and its first root w1, the operator
-    reduces M_rest L on every upper coordinate once, when a kernel or a
-    dimension first needs it (`_first_slice`), with one row reduction of
-    its transpose.  Its pivot columns are rows R, independent mod p1, that
-    span its row space mod p1; it keeps p1, R and those rows M[R], and no
-    other row.  Restricted to any set of columns, R still spans the row
-    space mod p1 of that column slice, and each block at (p1, w1) is a
-    column slice of the full one.  So every kernel chooses its first rows
-    among R, and every dimension mod p1 is read from R.
+    At the first split prime p1, the operator reduces M_rest L on every
+    upper coordinate once, when a kernel or a dimension first needs it
+    (`_first_slice`), with one row reduction of its transpose.  Its pivot
+    columns are rows R, independent mod p1, that span its row space mod
+    p1; it keeps p1, R and those rows M[R], and no other row.  Restricted
+    to any set of columns, R still spans the row space mod p1 of that
+    column slice, and each block at p1 is a column slice of the full one.
+    So every kernel chooses its first rows among R, and every dimension mod
+    p1 is read from R.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -407,8 +411,8 @@ class WordOperator:
         self.starts = np.cumsum([0] + [len(word) for word in words[:-1]])
         # each word's elements, as a slice of `elements`
         self.words = [slice(start, start + len(word)) for start, word in zip(self.starts, words)]
-        self._values: dict[tuple[int, int], np.ndarray] = {}
-        self._reductions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._values: dict[int, np.ndarray] = {}
+        self._reductions: dict[int, np.ndarray] = {}
         self._row_bound: int | None = None
         # p1, R and M[R] (see the class docstring), made on first need
         self._first: tuple[int, tuple[int, ...], np.ndarray] | None = None
@@ -417,20 +421,19 @@ class WordOperator:
     def nrows(self) -> int:
         return len(self.words) * self.size
 
-    def _at_nodes(self, p: int, w: int) -> np.ndarray:
+    def _at_nodes(self, p: int) -> np.ndarray:
         """The z factors and the zbar factors of every element, in word
-        order, mod p with omega -> w, as values at the nodes s = 0..k: an
-        int64 array of shape (2, #elements, k+1, k+1), entries in [0, p),
-        with [0, g, s, j] = (a s + b)^j (c s + e)^(k-j) for g = [[a, b],
-        [c, e]], the value at s of column j of its z factor.  The zbar
-        factor is the conjugate, x + y*(d_K - omega), so [1] is [0] under
-        the other root d_K - w.
+        order, mod p, as values at the nodes s = 0..k: an int64 array of
+        shape (2, #elements, k+1, k+1), entries in [0, p), with [0, g, s, j]
+        = (a s + b)^j (c s + e)^(k-j) for g = [[a, b], [c, e]], the value at
+        s of column j of its z factor.  The zbar factor is the conjugate,
+        x + y*(d_K - omega), so [1] is [0] under the second root d_K - w1.
 
         Power tables of a s + b and c s + e give them, for every element
-        under both roots at once; both roots are kept, under both keys."""
-        if (p, w) not in self._values:
+        under both roots at once."""
+        if p not in self._values:
             k = self.k
-            roots = (w, (self.field.disc - w) % p)
+            roots = linalg.omega_roots(self.field, p)
             # a, b, c, e of every element under each root: (2, #elements, 4)
             entries = np.array(
                 [[(q.x + q.y * root) % p for g in self.elements for q in g.entries()] for root in roots],
@@ -444,20 +447,18 @@ class WordOperator:
             powers[0] = 1
             for j in range(1, k + 1):
                 powers[j] = powers[j - 1] * lin % p
-            values = (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
-            self._values[p, roots[0]], self._values[p, roots[1]] = values, values[::-1]
-        return self._values[p, w]
+            self._values[p] = (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
+        return self._values[p]
 
-    def _reduced(self, p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    def _reduced(self, p: int) -> np.ndarray:
         """The z factors and the zbar factors of every element, in word
-        order, mod p with omega -> w: int64 arrays of shape
-        (#elements, k+1, k+1), entries in [0, p).  One product with the
-        inverse Vandermonde matrix of the nodes (`_interpolation`) turns
-        their values (`_at_nodes`) into coefficients, under both roots."""
-        if (p, w) not in self._reductions:
-            a, b = linalg.matmul_mod(_interpolation(self.k, p), self._at_nodes(p, w), p)
-            self._reductions[p, w], self._reductions[p, (self.field.disc - w) % p] = (a, b), (b, a)
-        return self._reductions[p, w]
+        order, mod p: an int64 array of shape (2, #elements, k+1, k+1),
+        entries in [0, p).  One product with the inverse Vandermonde matrix
+        of the nodes (`_interpolation`) turns their values (`_at_nodes`)
+        into coefficients."""
+        if p not in self._reductions:
+            self._reductions[p] = linalg.matmul_mod(_interpolation(self.k, p), self._at_nodes(p), p)
+        return self._reductions[p]
 
     # The S word is words[0] (see `kernel_words`).  S maps flat index c
     # to its mirror N-1-c with the sign (-1)^(i+j), so v|(1+S) = 0 says
@@ -482,9 +483,7 @@ class WordOperator:
         array: v[N-1-c] = sign * v[c] on the kernel of the S word."""
         return 2 * (sum(divmod(c, self.k + 1)) % 2) - 1
 
-    def reduced_mod(
-        self, p: int, w: int, cols: Sequence[int], rows: Sequence[int] | None = None
-    ) -> np.ndarray:
+    def reduced_mod(self, p: int, cols: Sequence[int], rows: Sequence[int] | None = None) -> np.ndarray:
         """M_rest L mod p on the mirror-closed columns `cols`: the rows of
         the words after S (or only the rows `rows` of them, in their
         order), and for each upper coordinate c of `cols`, in ascending
@@ -501,7 +500,7 @@ class WordOperator:
         up = np.array(self.upper(cols), dtype=np.int64)
         ci, cj = np.divmod(up, n)
         mirror = self.mirror_sign(up)
-        a, b = self._reduced(p, w)
+        a, b = self._reduced(p)
         picked = np.arange(self.nrows - self.size) if rows is None else np.asarray(rows, dtype=np.int64)
         out = np.empty((len(picked), len(up)), dtype=np.int64)
         for i, g in enumerate(self.words[1:]):
@@ -527,12 +526,12 @@ class WordOperator:
         """The signed permutation that swapping the two roots of omega makes
         of the columns of `reduced_mod` on `cols`, closed under the mirror
         and the transpose (i, j) -> (j, i): positions `at` and signs `sign`
-        with reduced_mod(p, w2, cols)[:, u] = sign[u] * reduced_mod(p, w1,
-        cols)[swapped, at[u]], where row (word, r, s) of `swapped` is row
-        (word, s, r).
+        such that column u of the block under the second root w2 is
+        sign[u] * reduced_mod(p, cols)[swapped, at[u]], where row (word, r,
+        s) of `swapped` is row (word, s, r).
 
         Under w2 the z and zbar factors of every element are the zbar and z
-        factors under w1 (`_reduced`), so the grid of column (i, j) is the
+        factors under w1 (`_at_nodes`), so the grid of column (i, j) is the
         transposed grid of column (j, i) under w1.  Upper column (i, j) is
         thus column (j, i) when that is upper, and otherwise mirror_sign(c)
         times the column of its mirror (k-j, k-i), as mirror_sign is the
@@ -549,13 +548,13 @@ class WordOperator:
         return np.array(at, dtype=np.int64), np.where(lower, self.mirror_sign(t), 1)
 
     def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray]:
-        """p1, R, and the rows R of `reduced_mod` at (p1, w1) on the
+        """p1, R, and the rows R of `reduced_mod` at p1 on the
         mirror-closed `cols`: a column slice of M[R], one column per upper
         coordinate.  M[R] is made on the first call (see the class
         docstring)."""
         if self._first is None:
             p = linalg.split_primes(self.field, 1)[0]
-            block = self.reduced_mod(p, linalg.omega_roots(self.field, p)[0], range(self.size))
+            block = self.reduced_mod(p, range(self.size))
             _, span = linalg.echelon_mod(block.T, p)
             self._first = p, span, block[list(span)]
         p, span, rows = self._first
@@ -611,7 +610,7 @@ class WordOperator:
         grids = np.zeros((2, n, n), dtype=np.int64)
         grids[0, ci, cj] = [(x + y * w1) % p for x, y in vec]
         grids[1, cj, ci] = [(x + y * w2) % p for x, y in vec]
-        a, b = self._at_nodes(p, w1)
+        a, b = self._at_nodes(p)
         terms = linalg.matmul_mod(linalg.matmul_mod(a, grids[:, None], p), b.transpose(0, 2, 1), p)
         return np.add.reduceat(self.signs[:, None, None] * terms, self.starts, axis=1) % p
 
@@ -666,7 +665,7 @@ class WordOperator:
         at, sign = self.swap(cols)
         block = linalg.certified_kernel(
             self.field,
-            lambda p, w, rows=None: self.reduced_mod(p, w, cols, rows),
+            lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
             (span, first),
@@ -687,7 +686,7 @@ class WordOperator:
         p1, span, first = self._first_slice(cols)
         rank = len(span) if first.shape[1] == self.size // 2 else linalg.rank_mod(first, p1)
         return linalg.kernel_dim_upper_bound(
-            self.field, lambda p, w: self.reduced_mod(p, w, cols), lower, first=first.shape[1] - rank
+            self.field, lambda p: self.reduced_mod(p, cols), lower, first=first.shape[1] - rank
         )
 
 

@@ -9,12 +9,12 @@
   by multiplying `QuadInt` polynomials.  `polyspace.factors`, which builds
   it on integer pairs, must agree with it entry by entry.
 
-* `pairs_mod` reduces a matrix of integer pairs mod a split prime, and
-  `reductions` turns explicit `QuadInt` rows into the `linalg.Reductions`
-  that the modular routines take.  `second_root` gives
-  `linalg.certified_kernel` the second root's kernel of such rows by row
-  reduction under that root, where `polyspace.WordOperator` permutes the
-  first root's.
+* `pairs_mod` reduces a matrix of integer pairs mod a split prime, under
+  either root of omega, and `reductions` turns explicit `QuadInt` rows
+  into the `linalg.Reductions` that the modular routines take.
+  `second_root` gives `linalg.certified_kernel` the second root's kernel
+  of such rows by reducing them under that root and row-reducing there,
+  where `polyspace.WordOperator` permutes the first root's.
 
 * `word_action_loop` is the exact word action as a Python loop over the
   support, one `pair_mul` at a time, on the `factored_words` of a ring:
@@ -30,7 +30,8 @@
   `lfun.zseries_closed_form`; `enumerate_window` sorts `forms.window_scan`.
 
 * `hurwitz_cf_elems` is the exact Hurwitz continued fraction on `QuadElem`
-  arithmetic, z_(n+1) = 1/(z_n - alpha_n) one reduced fraction at a time:
+  arithmetic, z_(n+1) = 1/(z_n - alpha_n) one reduced fraction at a time,
+  with the norms of den * delta_(n+1) = den * delta_n * (z_n - alpha_n):
   the oracle of `cfrac.hurwitz_cf`, which runs on integer remainders.
   `eval_points_fractions` walks it with one `Fraction` per step, the oracle
   of `hsum.eval_points` (whose oracle for small denominators is the window
@@ -38,9 +39,12 @@
 
 * `word_operator_mod` is the stacked word matrix of a
   `polyspace.WordOperator` mod a split prime, built as Kronecker products
-  of the factors as the operator reduces them; the tests compare it with
-  the exact matrix reduced, which checks the reductions that
-  `reduced_mod` and `in_kernel` share.
+  of the factors as the operator reduces them, or of the same factors
+  swapped, which are the factors under the second root; the tests compare
+  it with the exact matrix reduced, which checks the reductions that
+  `reduced_mod` and `in_kernel` share.  `words_mod` is the exact matrix
+  reduced under either root, from each element's exact factors, at k too
+  large to build the matrix over O_d.
 
 * `poly_to_vector` and `vector_to_poly` convert between a `BiPoly` and its
   flat coefficient vector of `QuadElem`, index (k+1)*i + j for z^i zbar^j,
@@ -151,11 +155,12 @@ def pairs_mod(
 
 def reductions(f: FieldSpec, rows: Rows) -> Reductions:
     """Explicit rows of `QuadInt` as the reductions the modular routines
-    take: all of them, or the rows `picked`."""
+    take, under the first root of omega: all of them, or the rows
+    `picked`."""
     pairs = [[(e.x, e.y) for e in row] for row in rows]
 
-    def mod(p: int, w: int, picked: Sequence[int] | None = None) -> np.ndarray:
-        mat = pairs_mod(f, pairs, p, w)
+    def mod(p: int, picked: Sequence[int] | None = None) -> np.ndarray:
+        mat = pairs_mod(f, pairs, p)
         return mat if picked is None else mat[list(picked)]
 
     return mod
@@ -164,10 +169,14 @@ def reductions(f: FieldSpec, rows: Rows) -> Reductions:
 def second_root(f: FieldSpec, rows: Rows) -> SecondRoot:
     """The second root's kernel that `linalg.certified_kernel` asks for, on
     explicit rows of `QuadInt`: the rows it chose, reduced mod p with
-    omega -> w2 and row-reduced there (`kernel_mod`); the first root's
-    basis is not used."""
-    mod = reductions(f, rows)
-    return lambda p, chosen, basis: kernel_mod(mod(p, omega_roots(f, p)[1], chosen), p)[0]
+    omega -> w2 (`pairs_mod`) and row-reduced there (`kernel_mod`); the
+    first root's basis is not used."""
+    pairs = [[(e.x, e.y) for e in row] for row in rows]
+
+    def kernel(p: int, chosen: Sequence[int], basis: np.ndarray) -> np.ndarray:
+        return kernel_mod(pairs_mod(f, pairs, p, omega_roots(f, p)[1])[list(chosen)], p)[0]
+
+    return kernel
 
 
 def elems(f: FieldSpec, vec: Sequence[Pair]) -> list[QuadElem]:
@@ -248,24 +257,47 @@ def annihilates(f: FieldSpec, k: int, supp: Support) -> bool:
 
 
 def word_operator_mod(
-    op: WordOperator, p: int, w: int, cols: Sequence[int] | None = None
+    op: WordOperator, p: int, cols: Sequence[int] | None = None, second: bool = False
 ) -> np.ndarray:
     """The stacked word matrix of `op`, or its columns `cols`, reduced mod
-    the split prime p with omega -> w, one of `omega_roots`: int64, entries
-    in [0, p), all-zero rows kept.  Row (i', j') of a word's block is
-    sum_g sign * A_g[i', i] * B_g[j', j] at column (i, j), from the factors
-    as `op` reduces them."""
-    n = op.k + 1
-    cols = np.arange(op.size) if cols is None else np.asarray(cols, dtype=np.int64)
+    the split prime p with omega -> w1, the first of `omega_roots`, or with
+    omega -> w2 if `second`: int64, entries in [0, p), all-zero rows kept
+    (`_stacked_mod`).  The factors are (A, B) as `op` reduces them, or, if
+    `second`, (B, A): under w2 the z and zbar factors trade places."""
+    a, b = op._reduced(p)[::-1] if second else op._reduced(p)
+    words = [[(op.signs[g], a[g], b[g]) for g in range(word.start, word.stop)] for word in op.words]
+    return _stacked_mod(words, op.k + 1, p, cols)
+
+
+def words_mod(f: FieldSpec, k: int, p: int, w: int | None = None) -> np.ndarray:
+    """The stacked word matrix of W_{k,k} reduced mod the split prime p with
+    omega -> w (by default the first of `omega_roots`), all-zero rows kept,
+    from each element's exact factors (`factored_words`) reduced by
+    `pairs_mod`: reduction is a ring map, so this is the exact matrix
+    reduced, without building it."""
+    words = [
+        [(sign, pairs_mod(f, az, p, w), pairs_mod(f, azb, p, w)) for sign, az, azb in word]
+        for word in factored_words(f, k)
+    ]
+    return _stacked_mod(words, k + 1, p)
+
+
+def _stacked_mod(
+    words: list[list[tuple[int, np.ndarray, np.ndarray]]], n: int, p: int, cols: Sequence[int] | None = None
+) -> np.ndarray:
+    """Each word's block, stacked, on the columns `cols` (all by default),
+    from (sign, A, B) per element, A and B its z and zbar factors mod p:
+    row (i', j') of a word's block is sum_g sign * A_g[i', i] * B_g[j', j]
+    at column (i, j)."""
+    cols = np.arange(n * n) if cols is None else np.asarray(cols, dtype=np.int64)
     ci, cj = np.divmod(cols, n)
-    a, b = op._reduced(p, w)
     blocks = []
-    for word in op.words:
+    for word in words:
         total = np.zeros((n, n, len(ci)), dtype=np.int64)
-        for g in range(word.start, word.stop):
+        for sign, a, b in word:
             # entries are below p < 2^31, so the products fit in int64
-            total += op.signs[g] * (a[g][:, None, ci] * b[g][None, :, cj] % p)
-        blocks.append(total.reshape(op.size, len(ci)) % p)
+            total += sign * (a[:, None, ci] * b[None, :, cj] % p)
+        blocks.append(total.reshape(n * n, len(ci)) % p)
     return np.vstack(blocks)
 
 
@@ -314,11 +346,12 @@ def enumerate_window(f: FieldSpec, delta: int, z: QuadElem) -> list[HermitianFor
 def hurwitz_cf_elems(f: FieldSpec, z: QuadElem) -> CFExpansion:
     """The exact Hurwitz expansion of z by `QuadElem` arithmetic: round z_n
     to its nearest ring integer alpha_n and invert the remainder, until it
-    is 0."""
-    alphas, p, q, zs = [], [], [], []
+    is 0; norms[n] is N(den * delta_(n+1)), delta_(n+1) = delta_n (z_n -
+    alpha_n) from delta_0 = 1."""
+    alphas, p, q, zs, norms = [], [], [], [], []
     p2, p1 = f.zero, f.one
     q2, q1 = f.one, f.zero
-    zn = z
+    zn, delta = z, QuadElem.from_quadint(f.one)
     while True:
         zs.append(zn)
         a = nearest_int(f, zn)
@@ -328,8 +361,10 @@ def hurwitz_cf_elems(f: FieldSpec, z: QuadElem) -> CFExpansion:
         p.append(p1)
         q.append(q1)
         rem = zn - a
+        delta = delta * rem
+        norms.append(int(delta.norm() * z.den**2))
         if rem.is_zero():
-            return CFExpansion(f, z, True, alphas, p, q, zs, True)
+            return CFExpansion(f, z, True, alphas, p, q, zs, norms, True)
         zn = rem.inverse()
 
 

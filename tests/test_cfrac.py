@@ -51,7 +51,7 @@ def test_exact_expansion_matches_the_quadelem_path():
     (`oracles.hurwitz_cf_elems`) field by field, whole and truncated, at
     points of 1 to 300 bits, lattice points included."""
     rng = seeded("cf-vs-elems")
-    lists = ("alphas", "p", "q", "zs")
+    lists = ("alphas", "p", "q", "zs", "norms")
     for d in EUCLIDEAN_DS:
         f = field(d)
         zs = [disp(f, 0, 0), disp(f, 2, -1), disp(f, Fraction(1, 2), Fraction(1, 2))]
@@ -175,8 +175,8 @@ def test_error_of_exact_points_beyond_the_float_range():
     """`error` on exact points whose integers overflow a float: about 711
     in O_3 as 3^700 / 2^1100, and 10^309 + i in O_1, whose value does not
     fit a float either.  Each error is |z - p_i/q_i| from exact rationals,
-    and on a point whose integers fit it is the float difference as
-    before."""
+    and so it is on a point whose integers fit, where a float difference
+    would be rounding noise at its last steps."""
     f = field(3)
     z = disp(f, Fraction(3**700, 2**1100), 0)
     exp = hurwitz_cf(f, z, max_steps=12)
@@ -188,6 +188,26 @@ def test_error_of_exact_points_beyond_the_float_range():
     assert exp.terminated and len(exp) == 1 and exp.error(0) == 0.0
     z = disp(f, Fraction(7, 10), Fraction(1, 3))
     exp = hurwitz_cf(f, z)
-    assert [exp.error(i) for i in range(len(exp))] == [
-        abs(complex(z) - complex(p) / complex(q)) for p, q in zip(exp.p, exp.q)
-    ]
+    for i in range(len(exp)):
+        want = math.sqrt((z - exp.convergent(i)).norm())
+        assert math.isclose(exp.error(i), want, rel_tol=1e-15), i
+
+
+def test_error_of_exact_points_is_the_exact_distance():
+    """On exact points in every ring, `error(i)` is |z - p_i/q_i| computed
+    exactly (the square root of the norm of the difference, as a
+    fraction) to a relative 1e-15, and 0.0 on the terminating step; far
+    below the double's resolution of z it still reads the distance, not
+    the rounding of two floats near z."""
+    rng = seeded("cf-error-exact")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for z in [rand_elem(rng, f, 40, 40) for _ in range(10)] + points_of_bits(rng, f, [8, 64, 200]):
+            exp = hurwitz_cf(f, z, max_steps=math.inf)
+            assert exp.terminated and exp.error(len(exp) - 1) == 0.0, (d, str(z))
+            for i in range(len(exp) - 1):
+                want = math.sqrt((z - exp.convergent(i)).norm())
+                assert want > 0 and math.isclose(exp.error(i), want, rel_tol=1e-15), (d, str(z), i)
+    f = field(3)
+    exp = hurwitz_cf(f, disp(f, Fraction(3**30, 2**47), Fraction(1, 7**15)))
+    assert f"{exp.error(39):.3e}" == "7.122e-43"

@@ -133,9 +133,9 @@ def certified(f, rows, annihilates=None, span=None):
     checks = []
     explicit, kernel2 = reductions(f, rows), second_root(f, rows)
 
-    def mod(p, w, picked=None):
+    def mod(p, picked=None):
         asked.append(p)
-        return explicit(p, w, picked)
+        return explicit(p, picked)
 
     def second(p, chosen, basis):
         asked.append(p)
@@ -308,9 +308,9 @@ def test_certified_kernel_raises_when_verification_keeps_failing():
     asked = []
     explicit = reductions(f, rows)
 
-    def mod(p, w, picked=None):
+    def mod(p, picked=None):
         asked.append(p)
-        return explicit(p, w, picked)
+        return explicit(p, picked)
 
     with pytest.raises(CertificateError):
         certified_kernel(f, mod, second_root(f, rows), lambda v: False)
@@ -388,8 +388,8 @@ def test_least_kernel_dimension_discards_a_bad_first_prime_property(stack):
     assert kernel_dim_upper_bound(f, mod, exact) == exact
     # every prime ideal bounds the kernel dimension from above
     for p in split_primes(f, linalg.RANK_PRIMES):
-        for w in omega_roots(f, p):
-            assert len(rows[0]) - echelon_mod(mod(p, w), p)[0] >= exact
+        for mat in (mod(p), reduced(f, rows, p, omega_roots(f, p)[1])):
+            assert len(rows[0]) - echelon_mod(mat, p)[0] >= exact
 
 
 def test_echelon_mod_leaves_its_input_and_finds_pivots():
@@ -542,9 +542,9 @@ def test_upper_bound_from_a_label_sum_that_the_first_prime_misses():
         assert label_sum == 0
         asked = []
 
-        def mod(p, w):
+        def mod(p):
             asked.append(p)
-            return reduced(f, rows, p, w)
+            return reduced(f, rows, p)
 
         total = kernel_dim_upper_bound(f, mod, label_sum)
         assert asked == want
@@ -560,9 +560,9 @@ def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
             exact = len(quad_kernel(f, rows))
             asked = []
 
-            def mod(p, w):
+            def mod(p):
                 asked.append(p)
-                return reduced(f, rows, p, w)
+                return reduced(f, rows, p)
 
             assert kernel_dim_upper_bound(f, mod, exact) == exact
             assert asked == split_primes(f, 1)

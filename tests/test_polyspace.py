@@ -57,6 +57,7 @@ from oracles import (
     vector_to_poly,
     word_action_loop,
     word_operator_mod,
+    words_mod,
 )
 
 
@@ -284,19 +285,19 @@ def test_word_matrix_mod_p_equals_the_exact_matrix_reduced(k):
         rows = oracle_rows(f, k)
         primes = split_primes(f, 2)
         for p in primes:
-            w = omega_roots(f, p)[0]
-            assert np.array_equal(word_operator_mod(op, p, w), pairs_mod(f, as_pairs(rows), p, w)), (d, k, p)
+            assert np.array_equal(word_operator_mod(op, p), pairs_mod(f, as_pairs(rows), p)), (d, k, p)
         # the oracle's stacked matrix is the same rows without the zero ones
-        mod = word_operator_mod(op, primes[0], omega_roots(f, primes[0])[0])
+        mod = word_operator_mod(op, primes[0])
         kept = pairs_mod(f, as_pairs(stacked_word_matrix(f, k)), primes[0])
         assert np.array_equal(mod[np.any(mod, axis=1)], kept)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_rows_on_demand_equal_the_exact_matrix(k):
-    """`mod(p, w, cols)`, the named columns under either image of omega,
-    equals the exact matrix reduced the same way, on every row and on
-    random picks of rows and columns."""
+    """The named columns under either image of omega, from the factors as
+    the operator reduces them (swapped for the second root), equal the
+    exact matrix reduced the same way, on every row and on random picks of
+    rows and columns."""
     rng = seeded(f"word-rows-{k}")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -307,10 +308,10 @@ def test_rows_on_demand_equal_the_exact_matrix(k):
         picked = rng.sample(range(op.nrows), 7)
         cols = sorted(rng.sample(every, min(5, op.size)))
         p = split_primes(f, 1)[0]
-        for w in omega_roots(f, p):
+        for second, w in zip((False, True), omega_roots(f, p)):
             exact = pairs_mod(f, as_pairs(rows), p, w)
-            assert np.array_equal(word_operator_mod(op, p, w, every), exact)
-            assert np.array_equal(word_operator_mod(op, p, w, cols)[picked], exact[np.ix_(picked, cols)])
+            assert np.array_equal(word_operator_mod(op, p, every, second), exact)
+            assert np.array_equal(word_operator_mod(op, p, cols, second)[picked], exact[np.ix_(picked, cols)])
 
 
 def test_annihilates_agrees_with_the_word_action():
@@ -473,41 +474,44 @@ def test_height_bound_equals_the_row_sum_loop():
 
 
 def test_reductions_equal_each_factor_reduced():
-    """The factors `in_kernel` and `reduced_mod` work on, for k <= 13 and
-    under both roots: each element's z factor and zbar factor (the
-    conjugate, reduced with the other root) equal its pairs reduced."""
+    """The factors `reduced_mod` works on, for k <= 13: each element's z
+    factor and zbar factor (the conjugate) equal its pairs reduced under
+    the first root, and the zbar factor is the z factor reduced under the
+    second root, the identity `swap` rests on."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         p = split_primes(f, 1)[0]
+        w2 = omega_roots(f, p)[1]
         for k in range(14):
             op = WordOperator(f, k)
             factored = [(az, azb) for word in factored_words(f, k) for _, az, azb in word]
-            for w in omega_roots(f, p):
-                a, b = op._reduced(p, w)
-                assert a.dtype == b.dtype == np.int64
-                for g, (az, azb) in enumerate(factored):
-                    assert np.array_equal(a[g], pairs_mod(f, az, p, w)), (d, k, g)
-                    assert np.array_equal(b[g], pairs_mod(f, azb, p, w)), (d, k, g)
+            a, b = op._reduced(p)
+            assert a.dtype == b.dtype == np.int64
+            for g, (az, azb) in enumerate(factored):
+                assert np.array_equal(a[g], pairs_mod(f, az, p)), (d, k, g)
+                assert np.array_equal(b[g], pairs_mod(f, azb, p)), (d, k, g)
+                assert np.array_equal(b[g], pairs_mod(f, az, p, w2)), (d, k, g)
 
 
 def test_values_at_the_nodes_are_the_factors_evaluated():
-    """The values `in_kernel` works on, for k <= 13 and under both roots:
-    entry [g, s, j] of the z factors (zbar factors) is column j of the z
-    factor (zbar factor) of element g evaluated at s, mod p."""
+    """The values `in_kernel` works on, for k <= 13: entry [g, s, j] of the
+    z factors (zbar factors) is column j of the z factor (zbar factor) of
+    element g evaluated at s, mod p under the first root, and the zbar
+    factors' values are the z factor's under the second root."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         p = split_primes(f, 1)[0]
+        w2 = omega_roots(f, p)[1]
         for k in range(14):
             op = WordOperator(f, k)
             powers = np.array([[pow(s, i, p) for i in range(k + 1)] for s in range(k + 1)], dtype=object)
             factored = [(az, azb) for word in factored_words(f, k) for _, az, azb in word]
-            for w in omega_roots(f, p):
-                a, b = op._at_nodes(p, w)
-                assert a.dtype == b.dtype == np.int64
-                for g, (az, azb) in enumerate(factored):
-                    for got, factor in ((a[g], az), (b[g], azb)):
-                        want = powers @ pairs_mod(f, factor, p, w).astype(object) % p
-                        assert np.array_equal(got, want.astype(np.int64)), (d, k, g)
+            a, b = op._at_nodes(p)
+            assert a.dtype == b.dtype == np.int64
+            for g, (az, azb) in enumerate(factored):
+                for got, factor, w in ((a[g], az, None), (b[g], azb, None), (b[g], az, w2)):
+                    want = powers @ pairs_mod(f, factor, p, w).astype(object) % p
+                    assert np.array_equal(got, want.astype(np.int64)), (d, k, g)
 
 
 def kernel_vectors(f, k):
@@ -587,9 +591,9 @@ def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
     w[c] = (w[c][0] + math.prod(primes), w[c][1])
     assert not annihilates(f, k, as_support(k, cols, w))
     for p in primes:
-        for root in omega_roots(f, p):
+        for second, root in zip((False, True), omega_roots(f, p)):
             image = np.array([(x + y * root) % p for x, y in w], dtype=object)
-            assert not (word_operator_mod(op, p, root, cols).astype(object) @ image % p).any()
+            assert not (word_operator_mod(op, p, cols, second).astype(object) @ image % p).any()
     assert not op.in_kernel(cols, w)
 
 
@@ -673,8 +677,9 @@ def explicit_lift(k, cols):
 def test_reduced_matrix_is_the_words_after_s_times_the_lift(k):
     """The first word is 1 + S with S the signed mirror, and `reduced_mod`
     equals the exact matrix of the other words times the explicit lift,
-    on every column and on each mirror-closed eigenspace, under both
-    roots."""
+    on every column and on each mirror-closed eigenspace; under the second
+    root the exact product is the block with the signed permutation of
+    `swap`."""
     n, size = k + 1, (k + 1) ** 2
     s_word = np.eye(size, dtype=np.int64)
     for i in range(n):
@@ -689,12 +694,15 @@ def test_reduced_matrix_is_the_words_after_s_times_the_lift(k):
         ]
         p = split_primes(f, 1)[0]
         closed, _ = mirror_classes(f, k)
+        swapped = swapped_rows(op)
         for cols in [list(range(size))] + [eigen_columns(f, k, e) for e in closed]:
             assert op.mirror_closed(cols)
             L = explicit_lift(k, cols)
-            for w in omega_roots(f, p):
+            block = op.reduced_mod(p, cols)
+            at, sign = op.swap(cols)
+            for w, want in zip(omega_roots(f, p), (block, block[swapped][:, at] * sign % p)):
                 rest = pairs_mod(f, as_pairs(rows[size:]), p, w)[:, cols]
-                assert np.array_equal(op.reduced_mod(p, w, cols), rest @ L % p), (d, k, w)
+                assert np.array_equal(want, rest @ L % p), (d, k, w)
 
 
 def test_mirror_open_eigenspaces_need_no_reduction(monkeypatch):
@@ -785,7 +793,7 @@ def test_modular_total_equals_the_least_over_every_rank_prime():
         for k in range(1, 14):
             op = WordOperator(f, k)
             every = list(range(op.size))
-            oracle = linalg.quad_rank_modular(f, lambda p, w: op.reduced_mod(p, w, every))
+            oracle = linalg.quad_rank_modular(f, lambda p: op.reduced_mod(p, every))
             assert wkk(f, k, method="modular").total == oracle.kernel_dim, (d, k)
 
 
@@ -801,13 +809,13 @@ def test_modular_dimensions_equal_the_least_over_each_whole_eigenspace_block():
             for e, lab in enumerate(eigen_labels(f)):
                 cols = eigen_columns(f, k, e)
                 want = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
-                    f, lambda p, w: op.reduced_mod(p, w, cols)
+                    f, lambda p: op.reduced_mod(p, cols)
                 ).kernel_dim
                 assert dims[lab] == want, (d, k, lab)
 
 
 def test_the_first_reduction_holds_every_eigenspace_block():
-    """At the first split prime and root, the operator keeps the pivot rows
+    """At the first split prime, the operator keeps the pivot rows
     R of the full block's transpose and those rows; each eigenspace block
     is a column slice of the full block, and the rank of its R rows is its
     rank."""
@@ -816,9 +824,8 @@ def test_the_first_reduction_holds_every_eigenspace_block():
         for k in range(1, 12):
             op = WordOperator(f, k)
             p = split_primes(f, 1)[0]
-            w = omega_roots(f, p)[0]
             every = list(range(op.size))
-            block = op.reduced_mod(p, w, every)
+            block = op.reduced_mod(p, every)
             rank, span = linalg.echelon_mod(block.T, p)
             assert op._first_slice(every)[:2] == (p, span) and len(span) == rank
             assert np.array_equal(op._first[2], block[list(span)])
@@ -827,7 +834,7 @@ def test_the_first_reduction_holds_every_eigenspace_block():
                 cols = eigen_columns(f, k, e)
                 if op.s_forces_zero(cols):
                     continue
-                eigen = op.reduced_mod(p, w, cols)
+                eigen = op.reduced_mod(p, cols)
                 assert np.array_equal(block[:, [upper.index(c) for c in op.upper(cols)]], eigen), (d, k, e)
                 _, _, rows = op._first_slice(cols)
                 assert np.array_equal(rows, eigen[list(span)]), (d, k, e)
@@ -835,21 +842,20 @@ def test_the_first_reduction_holds_every_eigenspace_block():
 
 
 def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
-    """`wkk` reduces the block at the first split prime and its first root
-    once per call, by both methods, in every ring at k <= 7; `membership`,
-    which needs no kernel, never reduces it."""
+    """`wkk` reduces the block at the first split prime once per call, by
+    both methods, in every ring at k <= 7; `membership`, which needs no
+    kernel, never reduces it."""
     calls = []
     reduced_mod = WordOperator.reduced_mod
 
-    def counted(self, p, w, cols, rows=None):
-        calls.append((p, w))
-        return reduced_mod(self, p, w, cols, rows)
+    def counted(self, p, cols, rows=None):
+        calls.append(p)
+        return reduced_mod(self, p, cols, rows)
 
     monkeypatch.setattr(WordOperator, "reduced_mod", counted)
     for d in EUCLIDEAN_DS:
         f = field(d)
-        p = split_primes(f, 1)[0]
-        first = (p, omega_roots(f, p)[0])
+        first = split_primes(f, 1)[0]
         for k in range(1, 8):
             for method in ("exact", "modular"):
                 calls.clear()
@@ -870,12 +876,13 @@ def swapped_rows(op):
 
 
 def test_the_second_root_block_is_a_signed_permutation_of_the_first():
-    """Under the second root, `reduced_mod` is the first root's with rows
-    (word, r, s) and (word, s, r) swapped and its columns permuted with
-    signs by `swap`, on the full block and every mirror-closed eigenspace,
-    in every ring at every k <= 15 and the first two split primes; and
-    its rows on demand are the full block's rows, in any order.  Columns
-    not closed under the transpose have no such permutation."""
+    """Under the second root, the exact M_rest L reduced (`words_mod` times
+    the explicit lift) is `reduced_mod` with rows (word, r, s) and (word,
+    s, r) swapped and its columns permuted with signs by `swap`, on the
+    full block and every mirror-closed eigenspace, in every ring at every
+    k <= 15 and the first two split primes; and the rows on demand are the
+    full block's rows, in any order.  Columns not closed under the
+    transpose have no such permutation."""
     rng = seeded("second-root-block")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -883,17 +890,19 @@ def test_the_second_root_block_is_a_signed_permutation_of_the_first():
             op = WordOperator(f, k)
             closed, _ = mirror_classes(f, k)
             swapped = swapped_rows(op)
+            rests = {p: words_mod(f, k, p, omega_roots(f, p)[1])[op.size :] for p in split_primes(f, 2)}
             for cols in [list(range(op.size))] + [eigen_columns(f, k, e) for e in closed]:
                 if op.s_forces_zero(cols):
                     continue
                 at, sign = op.swap(cols)
                 assert sorted(at.tolist()) == list(range(len(op.upper(cols))))
-                for p in split_primes(f, 2):
-                    w1, w2 = omega_roots(f, p)
-                    first = op.reduced_mod(p, w1, cols)
-                    assert np.array_equal(op.reduced_mod(p, w2, cols), first[swapped][:, at] * sign % p), (d, k, p)
+                lift = explicit_lift(k, cols)
+                for p, rest in rests.items():
+                    first = op.reduced_mod(p, cols)
+                    second = rest[:, cols] @ lift % p
+                    assert np.array_equal(second, first[swapped][:, at] * sign % p), (d, k, p)
                     picked = rng.sample(range(len(first)), min(9, len(first)))
-                    assert np.array_equal(op.reduced_mod(p, w1, cols, picked), first[picked]), (d, k, p)
+                    assert np.array_equal(op.reduced_mod(p, cols, picked), first[picked]), (d, k, p)
             # closed under the mirror but, for k > 1, not the transpose:
             # z^0 zbar^1 and its mirror
             if k > 1:
@@ -905,8 +914,10 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
     """The word sums that `in_kernel` checks: [0] is each word's sum under
     the first root on v mod (p, w1), and the transpose of [1] is its sum
     under the second root on v mod (p, w2), each summed here from the
-    values under that root; five rings, k in {1, 4, 7, 12}, two primes,
-    random vectors on random columns."""
+    values under that root (under the second, the z and zbar values trade
+    places: `test_values_at_the_nodes_are_the_factors_evaluated`); five
+    rings, k in {1, 4, 7, 12}, two primes, random vectors on random
+    columns."""
     rng = seeded("word-sums-transposed")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -917,11 +928,12 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
             vec = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in cols]
             for p in split_primes(f, 2):
                 sums = op._word_sums(p, cols, vec)
-                for got, w in zip((sums[0], sums[1].transpose(0, 2, 1)), omega_roots(f, p)):
+                values = op._at_nodes(p)
+                under = zip((sums[0], sums[1].transpose(0, 2, 1)), omega_roots(f, p), (values, values[::-1]))
+                for got, w, (a, b) in under:
                     grid = np.zeros((n, n), dtype=np.int64)
                     for c, (x, y) in zip(cols, vec):
                         grid[divmod(c, n)] = (x + y * w) % p
-                    a, b = op._at_nodes(p, w)
                     for word, want in zip(op.words, got):
                         total = np.zeros((n, n), dtype=object)
                         for g in range(word.start, word.stop):
@@ -930,17 +942,18 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
 
 
 def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
-    """`wkk`, by both methods, in every ring at every k <= 11: no block is
-    reduced under the second root, and every block reduced is used whole.
+    """`wkk`, by both methods, in every ring at every k <= 11: every block
+    reduced is used whole (each is under the first root, the only one
+    `reduced_mod` reduces under).
     The one full block at the first split prime is the operator's; every
     later full block is ranked whole (`rank_mod`), and every block of
     chosen rows is the matrix that `certified_kernel` row-reduces next."""
     events = []
     reduced_mod, rref_mod, rank_mod = WordOperator.reduced_mod, linalg.rref_mod, linalg.rank_mod
 
-    def reduced(self, p, w, cols, rows=None):
-        out = reduced_mod(self, p, w, cols, rows)
-        events.append(("reduced", p, w, rows, out))
+    def reduced(self, p, cols, rows=None):
+        out = reduced_mod(self, p, cols, rows)
+        events.append(("reduced", p, rows, out))
         return out
 
     def recorded(name, fn):
@@ -962,9 +975,8 @@ def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
                 events.clear()
                 wkk(f, k, method=method)
                 calls = [(i, e) for i, e in enumerate(events) if e[0] == "reduced"]
-                assert all(w == omega_roots(f, p)[0] for _, (_, p, w, _, _) in calls), (d, k, method)
-                assert [p for _, (_, p, _, rows, _) in calls if rows is None].count(p1) == 1, (d, k, method)
-                for i, (_, p, _, rows, out) in calls:
+                assert [p for _, (_, p, rows, _) in calls if rows is None].count(p1) == 1, (d, k, method)
+                for i, (_, p, rows, out) in calls:
                     if rows is None and p == p1:
                         continue
                     use = "rank" if rows is None else "rref"
@@ -1179,9 +1191,9 @@ def test_membership_rejects_multiples_of_the_first_primes(d):
         entries = {flat_index(k, i, j): xy for (i, j), xy in supp}
         vec = [entries.get(c, ZERO) for c in cols]
         for p in primes:
-            for root in omega_roots(f, p):
+            for second, root in zip((False, True), omega_roots(f, p)):
                 image = np.array([(x + y * root) % p for x, y in vec], dtype=object)
-                assert not (word_operator_mod(op, p, root, cols).astype(object) @ image % p).any()
+                assert not (word_operator_mod(op, p, cols, second).astype(object) @ image % p).any()
         assert not membership(from_support(f, k, supp, 1)), (m, i, j)
 
 
