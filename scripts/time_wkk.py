@@ -5,9 +5,11 @@
 Prints one line per (d, k): the seconds of one exact and one modular
 `polyspace.wkk` call, their ratio, the dimensions, the rows of the
 exact call's blocks (`rows_built`: every row that
-`WordOperator.reduced_mod` returned; `rows_reduced`: the rows that
-`linalg.certified_kernel` row-reduced, the matrices it passed to
-`linalg.kernel_mod`), the first 16 hex digits of the SHA-256 of the exact
+`WordOperator.reduced_mod` returned; `rows_reduced`: the rows of the
+matrices passed to `linalg.kernel_mod`, which `linalg.certified_kernel`
+row-reduces at the primes after the first: at the first split prime
+each kernel's basis is read from the full block's kernel, and no
+`kernel_mod` runs), the first 16 hex digits of the SHA-256 of the exact
 basis (one `str` per polynomial, one per line), and `ok` or `CHANGED`
 against the hash recorded in EXPECTED (`-` for a case without one).  The same hash means the same basis, so a change to the
 kernels is checked at k = 15-27, beyond the golden files.  Exits 1 if any

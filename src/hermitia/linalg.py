@@ -10,6 +10,13 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   The primes are ~2^30 split primes and entries stay below p < 2^31, so
   every product fits in int64.  A column with no nonzero left at or below
   the next pivot row is jumped over, never to be visited again.
+  `left_kernel_mod` is the same row reduction carrying its row operations,
+  in pivot order, in a block after the matrix: the pivot columns and a
+  basis of { x : x M = 0 mod p } from one elimination (the transformation
+  view of Jeannerod, Pernet and Storjohann, "Rank-profile revealing
+  Gaussian elimination and the CUP matrix decomposition", J. Symb. Comput.
+  56, 2013).  `kernel_mod_from_span` puts vectors that span a kernel into
+  `kernel_mod`'s Gauss-Jordan layout.
   `matmul_mod` multiplies such matrices mod p, batched, splitting one
   factor into 15-bit limbs so that the sums stay in int64.  The word
   operators of `polyspace` use it for all their arithmetic mod p: each
@@ -43,6 +50,20 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   so the free columns mod p are those over K and the basis is the one
   Gauss-Jordan elimination over K gives.
 
+  A caller may hand over the first prime's kernel basis instead (`first`):
+  the Gauss-Jordan form of vectors whose span holds ker(M mod p1), such
+  as the restriction to M's columns of a kernel basis of a larger matrix
+  [M | M'] with the same rows.  Then no row of M is reduced at p1, and
+  the rows are chosen there only when a second prime is needed.  This is
+  sound with no further assumption: every v in ker(M mod p1), padded with
+  zeros, is in ker([M | M'] mod p1), so the restriction spans a space
+  that contains ker(M mod p1), and its dimension d satisfies d >= dim
+  ker(M mod p1) >= dim_K ker M.  So d is an upper bound for
+  `quad_rank_modular` (`first`) and c - d a lower bound on the rank; it
+  is equal to dim ker(M mod p1) when the kernel of [M | M'] mod p1 is the
+  direct sum of the kernels of its column blocks.  A larger span only
+  adds candidate vectors, which the exact check refutes.
+
 * `quad_rank_modular` -- one rule for every rank mod p.  For a prime ideal
   P above p, rank(M mod P) <= rank(M) over K, since a minor that is
   nonzero mod P is nonzero over K.  So every split prime bounds the kernel
@@ -53,7 +74,8 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   of verified kernel vectors, where meeting it makes the dimension
   unconditional; and for its modular total the sum of the eigenspace
   dimensions (`kernel_dim_upper_bound` is that dimension alone).  A
-  caller that already has the dimension mod the first prime passes it
+  caller that already has the dimension mod the first prime, or an upper
+  bound on it that is at least the dimension over K (above), passes it
   (`first`), and that prime is not reduced again.  Each prime reduces
   whichever orientation of the matrix has fewer rows (`rank_mod`): the
   rank is the same, and the work is smaller.
@@ -97,10 +119,10 @@ Rows = Sequence[Sequence[QuadInt]]
 # int64 array with entries in [0, p), the matrix or its rows `rows` mod p
 # with omega -> w1, the first of `omega_roots`
 Reductions = Callable[..., np.ndarray]
-# the second root's kernel from the first's: (split prime p, rows R, a
-# kernel basis mod p of M[R] under the first root of omega, one vector per
-# row) -> a kernel basis mod p of M[R] under the second root
-SecondRoot = Callable[[int, Sequence[int], np.ndarray], np.ndarray]
+# the second root's kernel from the first's: (split prime p, rows R or None
+# for all of M, a kernel basis mod p of M[R] under the first root of omega,
+# one vector per row) -> a kernel basis mod p of M[R] under the second root
+SecondRoot = Callable[[int, Sequence[int] | None, np.ndarray], np.ndarray]
 
 # `certified_kernel` gives up after this many split primes (~1900 bits)
 MAX_PRIMES = 64
@@ -243,12 +265,31 @@ def omega_roots(f: FieldSpec, p: int) -> tuple[int, int]:
     return w1, (f.disc - w1) % p
 
 
-def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row reduction mod p of a copy of `mat` without its zero rows: the
-    echelon form (reduced, with unit pivots, if `reduced`) and its pivot
-    columns."""
-    mat = mat[np.any(mat, axis=1)]
+def _row_reduce(
+    mat: np.ndarray, p: int, reduced: bool, kernel: bool = False
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+    """Row reduction mod p of a copy of `mat`: the echelon form without its
+    zero rows (reduced, with unit pivots, if `reduced`), its pivot columns,
+    and, if `kernel`, a basis of the left kernel { x : x mat = 0 mod p },
+    one vector for each row that the reduction zeroes (else None).
+
+    The left kernel is read off the row operations, carried in a transform
+    block right after `mat`'s columns and kept in pivot order: its column t
+    belongs to the row that becomes pivot t, and that row's 1 is written
+    there when it does.  Until then a row's transform is supported on the
+    earlier pivots' columns and its own unwritten 1, so each step updates
+    one contiguous slice, from the pivot column to the newest pivot's
+    transform column.  The rows left over take the columns after the last
+    pivot's, in their order, and their transforms, with the columns put
+    back in the order of `mat`'s rows, are the basis."""
     nrows, ncols = mat.shape
+    if kernel:
+        # the transform block, and the row of `mat` each row started as
+        mat = np.concatenate([mat, np.zeros((nrows, nrows), dtype=np.int64)], axis=1)
+        order = np.arange(nrows)
+    else:
+        mat = mat[np.any(mat, axis=1)]
+        nrows = len(mat)
     pivot_cols: list[int] = []
     top = col = 0
     while top < nrows and col < ncols:
@@ -259,7 +300,7 @@ def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tup
             # double in width, or stop if none is left
             start, width = col + 1, 8
             while start < ncols:
-                ahead = mat[top:, start : start + width].any(axis=0)
+                ahead = mat[top:, start : min(start + width, ncols)].any(axis=0)
                 first = int(ahead.argmax())
                 if ahead[first]:
                     break
@@ -271,12 +312,18 @@ def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tup
         piv = live[0]
         if piv != top:
             mat[[top, piv]] = mat[[piv, top]]
+            if kernel:
+                order[[top, piv]] = order[[piv, top]]
+        end = ncols
+        if kernel:
+            end += top + 1
+            mat[top, end - 1] = 1
         # rows above `top` are zero left of their pivots, so only the
         # columns from `col` on change; entries stay below p < 2^31, so
         # the products fit in int64
         inv = pow(int(mat[top, col]), p - 2, p)
         if reduced:
-            mat[top, col:] = mat[top, col:] * inv % p
+            mat[top, col:end] = mat[top, col:end] * inv % p
             others = np.flatnonzero(mat[:, col])
             others = others[others != top]
             factor = mat[others, col]
@@ -284,25 +331,39 @@ def _row_reduce(mat: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, tup
             others = live[1:]
             factor = mat[others, col] * inv % p
         if others.size:
-            mat[others, col:] = (mat[others, col:] - factor[:, None] * mat[top, col:]) % p
+            mat[others, col:end] = (mat[others, col:end] - factor[:, None] * mat[top, col:end]) % p
         pivot_cols.append(col)
         top += 1
         col += 1
-    return mat[:top], tuple(pivot_cols)
+    if not kernel:
+        return mat[:top], tuple(pivot_cols), None
+    left = np.zeros((nrows - top, nrows), dtype=np.int64)
+    mat[np.arange(top, nrows), ncols + np.arange(top, nrows)] = 1
+    left[:, order] = mat[top:, ncols:]
+    return mat[:top, :ncols], tuple(pivot_cols), left
 
 
 def echelon_mod(mat: np.ndarray, p: int) -> tuple[int, tuple[int, ...]]:
     """Rank and pivot columns of an int64 matrix with entries in [0, p),
     by row reduction mod the prime p.  The input is left unchanged."""
-    rows, pivots = _row_reduce(mat, p, reduced=False)
+    rows, pivots, _ = _row_reduce(mat, p, reduced=False)
     return len(rows), pivots
+
+
+def left_kernel_mod(mat: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pivot columns mod the prime p of an int64 matrix with entries in
+    [0, p), and a basis mod p of its left kernel { x : x mat = 0 }, one
+    vector per row, from one row reduction.  The input is left unchanged."""
+    _, pivots, left = _row_reduce(mat, p, reduced=False, kernel=True)
+    return pivots, left
 
 
 def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form mod the prime p of
     an int64 matrix with entries in [0, p), and its pivot columns.  The
     input is left unchanged."""
-    return _row_reduce(mat, p, reduced=True)
+    rows, pivots, _ = _row_reduce(mat, p, reduced=True)
+    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -329,8 +390,9 @@ def quad_rank_modular(
     prime that meets `lower`, a known lower bound on the dimension mod every
     prime; that prime's dimension is then the least, and no later prime is
     searched for or reduced.  `first`, if given, is the dimension mod the
-    first split prime, which the caller already has: that prime is then
-    not reduced again."""
+    first split prime, which the caller already has, or an upper bound on
+    it that is at least the dimension over K: that prime is then not
+    reduced again, and a later one corrects a value above the least."""
     dims: list[int] = []
     primes: list[int] = []
     for p in itertools.islice(_split_primes(f), RANK_PRIMES):
@@ -421,6 +483,20 @@ def kernel_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return basis, pivots
 
 
+def kernel_mod_from_span(span: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """What `kernel_mod` returns for a matrix whose kernel mod the prime p
+    is the row space of `span`: its Gauss-Jordan basis, the reduced row
+    echelon form of `span` with its columns and its rows reversed, and the
+    columns that are not free.  A kernel vector's last nonzero entry is at
+    a free column, and each free column is the last nonzero entry of one,
+    so these are `kernel_mod`'s rows: 1 at their free column c, 0 at the
+    other free columns and right of c.  The input is left unchanged."""
+    ncols = span.shape[1]
+    red, lead = rref_mod(span[:, ::-1], p)
+    free = {ncols - 1 - c for c in lead}
+    return red[::-1, ::-1], tuple(c for c in range(ncols) if c not in free)
+
+
 def _on_free_columns(
     basis: np.ndarray, free: list[int], pivots: Sequence[int], p: int
 ) -> np.ndarray | None:
@@ -447,6 +523,7 @@ def certified_kernel(
     second: SecondRoot,
     annihilates: Callable[[list[Pair]], bool],
     span: tuple[Sequence[int], np.ndarray] | None = None,
+    first: tuple[np.ndarray, tuple[int, ...]] | None = None,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, rows)`, the rows `rows` (all by default) of M mod the split
@@ -458,51 +535,70 @@ def certified_kernel(
     compute M v).  `span`, if given, is (R, M[R] mod the first split prime
     under w1) for rows R that span M's row space mod that prime: the rows
     are first chosen among R, and M mod that prime is not asked for.
+    `first`, if given, is a kernel basis under w1 mod the first split prime
+    p1 and its pivot columns, in `kernel_mod`'s layout, whose row space
+    contains ker(M mod p1), such as the restriction to M's columns of a
+    kernel basis of a larger matrix with the same rows (a vector of ker(M
+    mod p1), padded with zeros, is in that kernel).  It takes p1's place
+    in the row reduction, and `second` is asked for its image with rows
+    None, all of M.  Its size d is at least dim ker(M mod p1), which is at
+    least dim ker M over K, so c - d still bounds the rank from below, and
+    d = 0 proves the kernel empty.  A d above dim ker(M mod p1) only adds
+    candidate vectors, which `annihilates` refutes; the next prime's rows
+    then have more pivots and replace p1's.
 
     Each split prime is worked under w1 only.  The rows named by the pivot
     columns of M^T mod the prime that chose them (independent there, hence
     over K) are reduced mod p under w1 and put in reduced row echelon
     form; if it has full column rank, so has M over K, and the kernel is
-    empty.  Its kernel basis (`kernel_mod`) goes to `second`, and the basis
-    that returns is re-expressed on w1's free columns, by one inverse mod p
-    of its block there (`_on_free_columns`).  A prime where that block is
-    not square and invertible, or the re-expressed vectors lose the
-    echelon shape, has other pivots under w2 and is skipped, as is a prime
-    whose rank or pivot pattern is worse than the best seen so far.  Under
-    the two roots the entries x + y*omega of each kernel vector, with its
-    free column set to 1, are x + y*w1 and x + y*w2, so each prime gives x
-    and y mod p.  They are combined by CRT and rational reconstruction; as
-    soon as a reconstruction has a common denominator within the bound of
-    Wang's reconstruction, isqrt(modulus // 2), and is not the candidate
-    last refuted, every vector, made integral and content-free, must pass
-    `annihilates`.  Neither the bound nor `second` decides what is
-    returned, only when a proof is worth trying: whatever is returned has
-    passed.  A refuted candidate that the next prime reproduces is the
-    kernel of rows chosen at a prime where they lose rank, so the rows are
-    chosen again at the prime after.  The basis equals `quad_kernel` of M.
-    If no candidate passes within MAX_PRIMES primes, CertificateError is
-    raised.
+    empty.  With `first` the rows are chosen, still at p1, only when a
+    second prime is needed.  Their kernel basis (`kernel_mod`), or
+    `first`, goes to `second`, and the basis that returns is re-expressed
+    on w1's free columns, by one inverse mod p of its block there
+    (`_on_free_columns`).
+    A prime where that block is not square and invertible, or the
+    re-expressed vectors lose the echelon shape, has other pivots under w2
+    and is skipped, as is a prime whose rank or pivot pattern is worse than
+    the best seen so far.  Under the two roots the entries x + y*omega of
+    each kernel vector, with its free column set to 1, are x + y*w1 and x +
+    y*w2, so each prime gives x and y mod p.  They are combined by CRT and
+    rational reconstruction; as soon as a reconstruction has a common
+    denominator within the bound of Wang's reconstruction, isqrt(modulus //
+    2), and is not the candidate last refuted, every vector, made integral
+    and content-free, must pass `annihilates`.  Neither the bound, `second`
+    nor `first` decides what is returned, only when a proof is worth
+    trying: whatever is returned has passed.  A refuted candidate that the
+    next prime reproduces is the kernel of rows chosen at a prime where
+    they lose rank, so the rows are chosen again at the prime after.  The
+    basis equals `quad_kernel` of M.  If no candidate passes within
+    MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
     chosen = None  # rows independent mod the prime that chose them
+    p1 = None  # the first prime, while `first` has stood in for its rows
     residues = modulus = rejected = None
     for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
-        if chosen is None:
-            # among the rows of `span` at the first prime, else among all
-            among, m1 = (None, mod(p)) if span is None else span
-            span = None
-            rank, rows = echelon_mod(m1.T, p)
-            if rank == m1.shape[1]:
-                return []
-            chosen = list(rows) if among is None else [among[r] for r in rows]
-            top = m1[list(rows)]
+        if first is not None:
+            (basis1, pivots), first, p1 = first, None, p
         else:
-            top = mod(p, chosen)
-        ncols = top.shape[1]
-        basis1, pivots = kernel_mod(top, p)
+            if chosen is None:
+                # among the rows of `span` at the first prime, else among
+                # all, at this prime or at the first one if not yet chosen
+                at = p1 or p
+                among, m1 = (None, mod(at)) if span is None else span
+                span = p1 = None
+                rank, rows = echelon_mod(m1.T, at)
+                if rank == m1.shape[1]:
+                    return []
+                chosen = list(rows) if among is None else [among[r] for r in rows]
+                top = m1[list(rows)] if at == p else mod(p, chosen)
+            else:
+                top = mod(p, chosen)
+            basis1, pivots = kernel_mod(top, p)
         if not len(basis1):
             return []
+        ncols = basis1.shape[1]
         free = sorted(set(range(ncols)) - set(pivots))
         k2 = _on_free_columns(second(p, chosen, basis1), free, pivots, p)
         if k2 is None:

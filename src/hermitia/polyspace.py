@@ -49,8 +49,11 @@ polynomials of Kohnen and Zagier, "Modular forms with rational periods",
 1984).  Its kernel is parametrized by the upper half of the flat index,
 and every rank and kernel of `wkk` runs on the other words restricted to
 it (`WordOperator.reduced_mod`), about half the columns and without the S
-word's rows.  The operator reduces that block once for every column at
-the first split prime, on first need, so its `kernel` and `kernel_dim`
+word's rows.  The operator row-reduces that block once, on every column,
+at the first split prime, on first need: the one elimination gives rows
+that span it there and a basis of its kernel there
+(`linalg.left_kernel_mod`).  Every `kernel` and `kernel_dim` reads its
+first prime from them, with no row reduction of its own block, so they
 take no hint from their caller, and `wkk` is one loop over the
 eigenspaces.
 
@@ -376,8 +379,8 @@ class WordOperator:
     its four entries, as values at s = 0..k (`_at_nodes`, which `in_kernel`
     checks on) and as coefficients (`_reduced`, which `reduced_mod` reduces
     rows of), and kept for the life of the operator, one entry per prime;
-    of whole matrices mod p, only the rows R at the first split prime are
-    kept (below).
+    of whole matrices mod p, only the rows R and the kernel basis K at the
+    first split prime are kept (below).
 
     Every reduction is taken with omega -> w1, the first of
     `linalg.omega_roots`.  Only `_at_nodes`, which gets the zbar factors
@@ -392,13 +395,26 @@ class WordOperator:
 
     At the first split prime p1, the operator reduces M_rest L on every
     upper coordinate once, when a kernel or a dimension first needs it
-    (`_first_slice`), with one row reduction of its transpose.  Its pivot
-    columns are rows R, independent mod p1, that span its row space mod
-    p1; it keeps p1, R and those rows M[R], and no other row.  Restricted
-    to any set of columns, R still spans the row space mod p1 of that
-    column slice, and each block at p1 is a column slice of the full one.
-    So every kernel chooses its first rows among R, and every dimension mod
-    p1 is read from R.
+    (`_first_slice`), with one row reduction of its transpose that carries
+    its row operations (`linalg.left_kernel_mod`).  Its pivot columns are
+    rows R, independent mod p1, that span its row space mod p1, and the
+    operations that zero the other rows of the transpose are K, a basis of
+    ker(M_rest L mod p1), c - |R| vectors on the c upper coordinates.  It
+    keeps p1, R, those rows M[R] and K, and no other row.
+
+    Each eigenspace block E at p1 is a column slice of the full block.
+    Restricted to E's columns, R still spans its row space mod p1, so a
+    kernel that needs a second prime chooses its rows among R; and K
+    restricted to E's columns spans a space that contains ker(E mod p1)
+    (a vector of that kernel, padded with zeros, is in the full kernel).
+    Its Gauss-Jordan form is E's first-prime kernel basis, and its rank
+    d_E E's first-prime dimension (`linalg.kernel_mod_from_span`): d_E >=
+    dim ker(E mod p1) >= dim_K ker(E), so it is a sound upper bound, and
+    it equals dim ker(E mod p1) when the eigenspace kernels mod p1 add up
+    to the full one, as they do over K, where ker M is their direct sum.
+    A first prime where they do not only adds candidate vectors, which
+    `in_kernel` refutes, and raises a dimension, which a later prime of
+    good reduction lowers.  No eigenspace block is row-reduced at p1.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -414,8 +430,8 @@ class WordOperator:
         self._values: dict[int, np.ndarray] = {}
         self._reductions: dict[int, np.ndarray] = {}
         self._row_bound: int | None = None
-        # p1, R and M[R] (see the class docstring), made on first need
-        self._first: tuple[int, tuple[int, ...], np.ndarray] | None = None
+        # p1, R, M[R] and K (see the class docstring), made on first need
+        self._first: tuple[int, tuple[int, ...], np.ndarray, np.ndarray] | None = None
 
     @property
     def nrows(self) -> int:
@@ -547,18 +563,18 @@ class WordOperator:
             raise ValueError("columns not closed under the transpose") from None
         return np.array(at, dtype=np.int64), np.where(lower, self.mirror_sign(t), 1)
 
-    def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray]:
-        """p1, R, and the rows R of `reduced_mod` at p1 on the
-        mirror-closed `cols`: a column slice of M[R], one column per upper
-        coordinate.  M[R] is made on the first call (see the class
-        docstring)."""
+    def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray, np.ndarray]:
+        """p1, R, and the column slices of M[R] and of K on the
+        mirror-closed `cols`, one column per upper coordinate.  p1, R, M[R]
+        and K are made on the first call (see the class docstring)."""
         if self._first is None:
             p = linalg.split_primes(self.field, 1)[0]
             block = self.reduced_mod(p, range(self.size))
-            _, span = linalg.echelon_mod(block.T, p)
-            self._first = p, span, block[list(span)]
-        p, span, rows = self._first
-        return p, span, rows[:, np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2]
+            span, kernel = linalg.left_kernel_mod(block.T, p)
+            self._first = p, span, block[list(span)], kernel
+        p, span, rows, kernel = self._first
+        at = np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2
+        return p, span, rows[:, at], kernel[:, at]
 
     def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
         """L u: the vector on the mirror-closed columns `cols` with u on
@@ -644,14 +660,16 @@ class WordOperator:
         closed under the mirror, or without an upper coordinate, it
         vanishes: the basis is empty, with no reduction (`s_forces_zero`).
         Otherwise `linalg.certified_kernel` runs on `reduced_mod` under
-        the first root of each prime, its rows at the first split prime
-        chosen among R (`_first_slice`) and at later primes built alone;
-        the kernel under the second root is the first's with its columns
-        permuted with signs (`swap`), as M_rest L mod (p, w2) = P (M_rest L
-        mod (p, w1)) Q for a row permutation P and a signed column
-        permutation Q, so its kernel is Q^T times the first's.  Each u is
-        proven by `in_kernel` of its lift over every word, S included, and
-        the lifts, made content-free, are the basis.  It is the
+        the first root of each prime.  Its first prime's basis is the
+        Gauss-Jordan form of K on `cols` (`_first_slice`,
+        `linalg.kernel_mod_from_span`); if a later prime is needed, its
+        rows are chosen among R at the first prime and built alone at the
+        later ones.  The kernel under the second root is the first's with
+        its columns permuted with signs (`swap`), as M_rest L mod (p, w2) =
+        P (M_rest L mod (p, w1)) Q for a row permutation P and a signed
+        column permutation Q, so its kernel is Q^T times the first's.  Each
+        u is proven by `in_kernel` of its lift over every word, S included,
+        and the lifts, made content-free, are the basis.  It is the
         Gauss-Jordan basis of M[:, cols]: the last nonzero entry of a
         kernel vector is an upper coordinate, so the free columns, and the
         vectors with 1 at one of them and 0 at the others, are the same
@@ -661,14 +679,15 @@ class WordOperator:
         if self.s_forces_zero(cols):
             return []
         n = self.k + 1
-        _, span, first = self._first_slice(cols)
+        p1, span, kept, kernel = self._first_slice(cols)
         at, sign = self.swap(cols)
         block = linalg.certified_kernel(
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
-            (span, first),
+            (span, kept),
+            linalg.kernel_mod_from_span(kernel, p1),
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
@@ -678,15 +697,18 @@ class WordOperator:
         over K, given `lower`, a lower bound on it mod every prime: the
         least mod the RANK_PRIMES first split primes, stopping at the first
         that meets `lower` (`linalg.kernel_dim_upper_bound`).  It is 0 with
-        no reduction where `s_forces_zero`.  The dimension mod p1 is read
-        from R: the rank of the R rows of the block, which is |R| on every
-        column."""
+        no reduction where `s_forces_zero`.  The dimension at the first
+        split prime is read from K (`_first_slice`): the rank of its
+        restriction to `cols`, at least the dimension there, and on every
+        column the number of its vectors, c - |R|, as they are
+        independent."""
         if self.s_forces_zero(cols):
             return 0
-        p1, span, first = self._first_slice(cols)
-        rank = len(span) if first.shape[1] == self.size // 2 else linalg.rank_mod(first, p1)
+        p1, _, _, kernel = self._first_slice(cols)
+        if kernel.shape[1] < self.size // 2:
+            kernel = linalg.kernel_mod_from_span(kernel, p1)[0]
         return linalg.kernel_dim_upper_bound(
-            self.field, lambda p: self.reduced_mod(p, cols), lower, first=first.shape[1] - rank
+            self.field, lambda p: self.reduced_mod(p, cols), lower, first=len(kernel)
         )
 
 
@@ -722,8 +744,8 @@ def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
     Eigenvectors of the diagonal eps operator are exactly the vectors
     supported on monomials of one exponent class, so the eigenspace is the
     kernel of the stacked word matrix restricted to those columns
-    (`WordOperator.kernel`, whose rows at the first split prime are chosen
-    among the operator's R).
+    (`WordOperator.kernel`, whose first split prime is read from the
+    operator's one reduction there).
     """
     return op.kernel(eigen_columns(op.field, op.k, exponent))
 
@@ -734,21 +756,28 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     the basis returned is their union.  modular: each is the least kernel
     dimension mod a few split primes (`WordOperator.kernel_dim`), an upper
     bound that is exact unless every prime tried is of bad reduction; no
-    basis is returned.  The operator reduces the full block once at the
+    basis is returned.  The operator row-reduces the full block once at the
     first split prime, on first need, and every kernel and dimension takes
-    its first prime from that one reduction.
+    its first prime from that one reduction: the first-prime basis and
+    dimension of each eigenspace are read from the full block's kernel
+    there, and no eigenspace block is row-reduced at that prime.
 
     The total is then the least kernel dimension of the full block over the
     same RANK_PRIMES primes, found with the sum of the eigenspace
-    dimensions as its lower bound (`WordOperator.kernel_dim`).  That bound
-    holds mod every prime p: the eigenspace blocks are disjoint sets of
-    columns of the full block, with the same rows, so ker(full mod p)
-    contains the direct sum of their kernels mod p.  So the first prime
-    that meets the sum gives the least over every prime.  For the exact
-    method this is a sandwich: the verified eigenvectors bound the total
-    from below, so when the two meet it is unconditional, and otherwise
-    the full certified kernel is computed.  Neither method builds the
-    stacked word matrix over O_d.
+    dimensions as its lower bound (`WordOperator.kernel_dim`).  The
+    eigenspace blocks are disjoint sets of columns of the full block, with
+    the same rows, so ker(full mod p) contains the direct sum of their
+    kernels mod p, and the sum bounds it from below mod every prime p
+    where each eigenspace dimension is at most its kernel's mod p.  For
+    the exact method, whose dimensions count verified vectors, that is
+    every prime; for the modular method, whose dimensions are the least
+    over the primes, every prime unless an eigenspace's dimension read at
+    the first prime exceeds its kernel's there and both later primes are
+    of bad reduction for it.  So the first prime that meets the sum gives
+    the least over every prime.  For the exact method this is a sandwich:
+    the verified eigenvectors bound the total from below, so when the two
+    meet it is unconditional, and otherwise the full certified kernel is
+    computed.  Neither method builds the stacked word matrix over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
     half the coordinates, and an eigenspace whose columns are not closed

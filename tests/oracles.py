@@ -168,13 +168,14 @@ def reductions(f: FieldSpec, rows: Rows) -> Reductions:
 
 def second_root(f: FieldSpec, rows: Rows) -> SecondRoot:
     """The second root's kernel that `linalg.certified_kernel` asks for, on
-    explicit rows of `QuadInt`: the rows it chose, reduced mod p with
-    omega -> w2 (`pairs_mod`) and row-reduced there (`kernel_mod`); the
-    first root's basis is not used."""
+    explicit rows of `QuadInt`: the rows it chose (all if None), reduced
+    mod p with omega -> w2 (`pairs_mod`) and row-reduced there
+    (`kernel_mod`); the first root's basis is not used."""
     pairs = [[(e.x, e.y) for e in row] for row in rows]
 
-    def kernel(p: int, chosen: Sequence[int], basis: np.ndarray) -> np.ndarray:
-        return kernel_mod(pairs_mod(f, pairs, p, omega_roots(f, p)[1])[list(chosen)], p)[0]
+    def kernel(p: int, chosen: Sequence[int] | None, basis: np.ndarray) -> np.ndarray:
+        mat = pairs_mod(f, pairs, p, omega_roots(f, p)[1])
+        return kernel_mod(mat if chosen is None else mat[list(chosen)], p)[0]
 
     return kernel
 

@@ -125,7 +125,7 @@ def reduced(f, rows, p, w=None):
     return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p, w)
 
 
-def certified(f, rows, annihilates=None, span=None):
+def certified(f, rows, annihilates=None, span=None, first=None):
     """`certified_kernel` of explicit rows; returns the basis, the split
     primes whose reductions it asked for under either root (in order), and
     how many vectors it sent to the exact check."""
@@ -149,7 +149,7 @@ def certified(f, rows, annihilates=None, span=None):
         # the hint: rows `span` and their reductions at the first prime
         p = split_primes(f, 1)[0]
         span = (span, reduced(f, [rows[r] for r in span], p))
-    basis = certified_kernel(f, mod, second, check, span)
+    basis = certified_kernel(f, mod, second, check, span, first)
     return basis, list(dict.fromkeys(asked)), len(checks)
 
 
@@ -300,6 +300,82 @@ def test_modular_rank_skips_a_bad_first_prime():
     # the least dimension discards p, and q ends the search
     rep = quad_rank_modular(f, reductions(f, [[f.quad(p)]]))
     assert rep.kernel_dim == 0 and rep.primes == (p, q)
+    # a first-prime dimension given above the truth, 2, as a basis read
+    # off a larger kernel gives (`certified_kernel`'s `first`): p is not
+    # reduced, the later primes correct it, and q, which meets a lower
+    # bound of 2, ends the search
+    asked = []
+    explicit = reductions(f, [[f.one, f.quad(0, 1), f.zero], [f.quad(2), f.quad(0, 2), f.zero]])
+
+    def mod(prime):
+        asked.append(prime)
+        return explicit(prime)
+
+    r = split_primes(f, 3)[2]
+    for lower, primes in ((0, (p, q, r)), (2, (p, q))):
+        asked.clear()
+        rep = quad_rank_modular(f, mod, lower, first=3)
+        assert rep.kernel_dim == 2 and rep.primes == primes and asked == list(primes[1:])
+    assert kernel_dim_upper_bound(f, mod, 2, first=3) == 2
+
+
+def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(monkeypatch):
+    """`first`, a basis at the first prime p that spans more than the
+    kernel (what a first prime whose eigenspace ranks do not add up gives
+    `polyspace.WordOperator`): its candidate is refuted, and only then are
+    the rows chosen, among R and at p, and built at the second prime q,
+    where more pivots replace p's; the basis is `quad_kernel`'s.  Without
+    `span` they are chosen among all rows at p, asked for then.  A `first`
+    that is the kernel is proven at p, with no row chosen or asked for.
+    M has rational entries, so its reductions under the two roots agree
+    and the second root's basis is the first root's (`second`)."""
+    f = field(7)
+    p, q = split_primes(f, 2)
+    # row 3 is row 0 + row 1 - row 2, and R = [0, 1, 2] spans the rows
+    ints = [[1, 2, 0, -1, 0], [0, 1, 1, 3, 0], [2, 0, 1, 0, 1], [-1, 3, 0, 2, -1]]
+    rows = [[f.quad(x) for x in row] for row in ints]
+    want = quad_kernel(f, rows)
+    assert len(want) == 2
+    explicit = reductions(f, rows)
+    span = [0, 1, 2]
+    events = []
+    echelon = linalg.echelon_mod
+
+    def recorded(mat, prime):
+        events.append(("echelon", prime))
+        return echelon(mat, prime)
+
+    def mod(prime, picked=None):
+        events.append(("mod", prime, picked))
+        return explicit(prime, picked)
+
+    def check(v):
+        events.append(("check", v))
+        return matvec_is_zero(f, rows, elems(f, v))
+
+    def run(first, span):
+        events.clear()
+        hint = None if span is None else (span, explicit(p, span))
+        return certified_kernel(f, mod, lambda prime, chosen, basis: basis, check, hint, first)
+
+    monkeypatch.setattr(linalg, "echelon_mod", recorded)
+    # the kernel of rows 0 and 1 alone: 3 vectors, one of them outside ker M
+    larger = linalg.kernel_mod(explicit(p, [0, 1]), p)
+    for among in (span, None):
+        assert run(larger, among) == want
+        checked = [(i, e[1]) for i, e in enumerate(events) if e[0] == "check"]
+        refuted = [i for i, v in checked if not matvec_is_zero(f, rows, elems(f, v))]
+        chose = events.index(("echelon", p))
+        assert refuted and refuted[0] < chose
+        asked = [e for e in events if e[0] == "mod"]
+        built = [("mod", q, [0, 1, 2])]
+        assert asked == (built if among else [("mod", p, None)] + built)
+        assert events[chose + 1] == built[0]
+        assert not any(e[0] == "echelon" and e[1] != p for e in events)
+    # the kernel itself, in kernel_mod's layout: proven at p alone
+    exact = linalg.kernel_mod(explicit(p), p)
+    assert run(exact, span) == want
+    assert [e[0] for e in events] == ["check"] * len(want)
 
 
 def test_certified_kernel_raises_when_verification_keeps_failing():
@@ -340,10 +416,18 @@ def stacks(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(stack=stacks())
 def test_certified_kernel_equals_bareiss_property(stack):
+    """Also on the first columns alone, with the first prime's basis read
+    from the kernel of every column there (`left_kernel_mod`), as
+    `polyspace.WordOperator` reads each eigenspace's."""
     f, rows = stack
     basis, primes, checks = certified(f, rows)
     assert basis == quad_kernel(f, rows)
     assert checks == len(basis)
+    head = [row[: (len(row) + 1) // 2] for row in rows]
+    p = split_primes(f, 1)[0]
+    _, whole = linalg.left_kernel_mod(reduced(f, rows, p).T, p)
+    first = linalg.kernel_mod_from_span(whole[:, : len(head[0])], p)
+    assert certified(f, head, first=first)[0] == quad_kernel(f, head)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

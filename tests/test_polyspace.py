@@ -815,30 +815,43 @@ def test_modular_dimensions_equal_the_least_over_each_whole_eigenspace_block():
 
 
 def test_the_first_reduction_holds_every_eigenspace_block():
-    """At the first split prime, the operator keeps the pivot rows
-    R of the full block's transpose and those rows; each eigenspace block
-    is a column slice of the full block, and the rank of its R rows is its
-    rank."""
+    """At the first split prime p1, in every ring at every k <= 15, the
+    operator keeps R, the pivot rows of the full block's transpose, those
+    rows M[R], and K, a basis of the block's kernel mod p1 with c - |R|
+    vectors.  Each mirror-closed eigenspace block is a column slice of the
+    full block, its R rows are M[R]'s slice and have its rank, and its
+    first-prime basis, read from K, is `kernel_mod` of the whole block at
+    p1, with |E| - rank_mod vectors: the full block's too."""
     for d in EUCLIDEAN_DS:
         f = field(d)
-        for k in range(1, 12):
+        p = split_primes(f, 1)[0]
+        for k in range(1, 16):
             op = WordOperator(f, k)
-            p = split_primes(f, 1)[0]
             every = list(range(op.size))
             block = op.reduced_mod(p, every)
             rank, span = linalg.echelon_mod(block.T, p)
-            assert op._first_slice(every)[:2] == (p, span) and len(span) == rank
-            assert np.array_equal(op._first[2], block[list(span)])
+            p1, got, rows, sliced = op._first_slice(every)
+            _, _, kept, kernel = op._first
+            assert (p1, got) == (p, span) and len(span) == rank
+            assert np.array_equal(kept, block[list(span)]) and np.array_equal(rows, kept)
+            assert np.array_equal(sliced, kernel)
+            assert kernel.shape == (block.shape[1] - rank, block.shape[1]), (d, k)
+            assert linalg.rank_mod(kernel, p) == len(kernel), (d, k)
+            assert not linalg.matmul_mod(block, kernel.T.copy(), p).any(), (d, k)
             upper = op.upper(every)
-            for e in range(len(eigen_labels(f))):
-                cols = eigen_columns(f, k, e)
+            for e, cols in [(None, every)] + [(e, eigen_columns(f, k, e)) for e in range(len(eigen_labels(f)))]:
                 if op.s_forces_zero(cols):
                     continue
                 eigen = op.reduced_mod(p, cols)
                 assert np.array_equal(block[:, [upper.index(c) for c in op.upper(cols)]], eigen), (d, k, e)
-                _, _, rows = op._first_slice(cols)
-                assert np.array_equal(rows, eigen[list(span)]), (d, k, e)
-                assert linalg.rank_mod(rows, p) == linalg.echelon_mod(eigen, p)[0], (d, k, e)
+                _, got, rows, sliced = op._first_slice(cols)
+                assert got == span and np.array_equal(rows, eigen[list(span)]), (d, k, e)
+                basis, pivots = linalg.kernel_mod_from_span(sliced, p)
+                eigen_rank = linalg.rank_mod(eigen, p)
+                assert linalg.rank_mod(rows, p) == eigen_rank, (d, k, e)
+                want, want_pivots = linalg.kernel_mod(eigen, p)
+                assert np.array_equal(basis, want) and pivots == want_pivots, (d, k, e)
+                assert len(basis) == eigen.shape[1] - eigen_rank, (d, k, e)
 
 
 def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
@@ -984,6 +997,72 @@ def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
                     assert after[0] == use and after[1] is out, (d, k, method, p)
                     chosen += rows is not None
     # the exact kernels reach later primes, and ask only for their rows
+    assert chosen > 0
+
+
+def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
+    """`wkk`, by both methods, in every ring at every k <= 11, where the
+    first split prime p1 is good (the eigenspaces' first-prime dimensions
+    add up to the full block's): at p1 the one block row-reduced is the
+    full one, once (`left_kernel_mod`, which also gives its kernel); no
+    eigenspace block is ranked or row-reduced there (no `rank_mod`, no
+    `kernel_mod`), and each reduced row echelon form at p1 (K's
+    Gauss-Jordan forms, the second root's re-expression) has at most dim
+    ker(M mod p1) rows.  The modular method chooses no rows at p1; the
+    exact one chooses an eigenspace's rows among R there (`echelon_mod`)
+    only for a kernel that needs a later prime, right before they are
+    built at it."""
+    events = []
+
+    def recorded(name, fn):
+        def run(*args, **kwargs):
+            mat, p = args[-2:]
+            events.append((name, p, mat.shape))
+            out = fn(*args, **kwargs)
+            if name == "left":
+                events.append(("kernel_rows", p, out[1].shape))
+            return out
+
+        return run
+
+    reduced_mod = WordOperator.reduced_mod
+
+    def reduced(self, p, cols, rows=None):
+        events.append(("reduced", p, rows))
+        return reduced_mod(self, p, cols, rows)
+
+    monkeypatch.setattr(WordOperator, "reduced_mod", reduced)
+    names = {"left": "left_kernel_mod", "kernel": "kernel_mod", "rank": "rank_mod", "echelon": "echelon_mod", "rref": "rref_mod"}
+    for name, attr in names.items():
+        monkeypatch.setattr(linalg, attr, recorded(name, getattr(linalg, attr)))
+    chosen = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p1 = split_primes(f, 1)[0]
+        for k in range(1, 12):
+            op = WordOperator(f, k)
+            blocks = [eigen_columns(f, k, e) for e in range(len(eigen_labels(f)))]
+            closed = [cols for cols in blocks if not op.s_forces_zero(cols)]
+            _, span, _, kernel = op._first_slice(list(range(op.size)))
+            nullity = len(kernel)
+            dims = [len(linalg.kernel_mod_from_span(op._first_slice(cols)[3], p1)[0]) for cols in closed]
+            assert sum(dims) == nullity, (d, k)
+            for method in ("exact", "modular"):
+                events.clear()
+                wkk(f, k, method=method)
+                at_p1 = [(i, e) for i, e in enumerate(events) if e[1] == p1]
+                assert [e[0] for _, e in at_p1].count("left") == 1, (d, k, method)
+                assert [e for _, e in at_p1 if e[0] == "reduced"] == [("reduced", p1, None)], (d, k, method)
+                assert not any(e[0] in ("kernel", "rank") for _, e in at_p1), (d, k, method)
+                for i, (name, _, shape) in at_p1:
+                    if name == "rref":
+                        assert shape[0] <= nullity, (d, k, method)
+                    if name == "echelon":
+                        after = events[i + 1]
+                        assert method == "exact" and after[0] == "reduced" and after[1] != p1, (d, k)
+                        assert after[2] is not None and set(after[2]) <= set(span), (d, k)
+                        chosen += 1
+    # some exact kernels at k <= 11 need a second prime
     assert chosen > 0
 
 
