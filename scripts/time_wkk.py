@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 scripts/time_wkk.py [d,k ...]
 
 Prints one line per (d, k): the seconds of one exact and one modular
-`polyspace.wkk` call, their ratio, the dimensions, the rows of the
+`polyspace.wkk` call, their ratio, the dimensions, the work of each call
+as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
+of `linalg._row_reduce`, and the pivots they found), the rows of the
 exact call's blocks (`rows_built`: every row that
 `WordOperator.reduced_mod` returned; `rows_reduced`: the rows of the
 matrices passed to `linalg.kernel_mod`, which `linalg.certified_kernel`
@@ -11,9 +13,10 @@ row-reduces at the primes after the first: at the first split prime
 each kernel's basis is read from the full block's kernel, and no
 `kernel_mod` runs), the first 16 hex digits of the SHA-256 of the exact
 basis (one `str` per polynomial, one per line), and `ok` or `CHANGED`
-against the hash recorded in EXPECTED (`-` for a case without one).  The same hash means the same basis, so a change to the
-kernels is checked at k = 15-27, beyond the golden files.  Exits 1 if any
-hash changed.  Without arguments it runs the six cases of EXPECTED.
+against the hash recorded in EXPECTED (`-` for a case without one).  The
+same hash means the same basis, so a change to the kernels is checked at
+k = 15-27, beyond the golden files.  Exits 1 if any hash changed.
+Without arguments it runs the six cases of EXPECTED.
 """
 
 from __future__ import annotations
@@ -37,23 +40,35 @@ EXPECTED = {
 }
 
 
-def count_rows() -> dict[str, int]:
+def count_work() -> dict[str, int]:
     """Wrap `WordOperator.reduced_mod` and `linalg.kernel_mod` to count the
-    rows of the matrices each returns or is given."""
-    rows = {"built": 0, "reduced": 0}
-    reduced_mod, kernel_mod = WordOperator.reduced_mod, linalg.kernel_mod
+    rows of the matrices each returns or is given, and `linalg._row_reduce`
+    to count the row reductions and their pivot steps."""
+    counts = {"built": 0, "reduced": 0, "reductions": 0, "pivots": 0}
+    reduced_mod, kernel_mod, row_reduce = WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce
 
     def built(self, *args):
         out = reduced_mod(self, *args)
-        rows["built"] += out.shape[0]
+        counts["built"] += out.shape[0]
         return out
 
     def reduced(mat, p):
-        rows["reduced"] += mat.shape[0]
+        counts["reduced"] += mat.shape[0]
         return kernel_mod(mat, p)
 
-    WordOperator.reduced_mod, linalg.kernel_mod = built, reduced
-    return rows
+    def reduction(*args, **kwargs):
+        out = row_reduce(*args, **kwargs)
+        counts["reductions"] += 1
+        counts["pivots"] += len(out[1])
+        return out
+
+    WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce = built, reduced, reduction
+    return counts
+
+
+def work(counts: dict[str, int]) -> str:
+    """Row reductions / pivot steps since the counts were last cleared."""
+    return f"{counts['reductions']}/{counts['pivots']}"
 
 
 def timed(f, k: int, method: str):
@@ -65,12 +80,13 @@ def timed(f, k: int, method: str):
 def main(argv: list[str]) -> int:
     cases = [tuple(map(int, a.split(","))) for a in argv] or list(EXPECTED)
     changed = False
-    rows = count_rows()
+    counts = count_work()
     for d, k in cases:
         f = field(d)
-        rows.update(built=0, reduced=0)
+        counts.update(built=0, reduced=0, reductions=0, pivots=0)
         exact, t_exact = timed(f, k, "exact")
-        built, reduced = rows["built"], rows["reduced"]
+        built, reduced, exact_work = counts["built"], counts["reduced"], work(counts)
+        counts.update(reductions=0, pivots=0)
         modular, t_mod = timed(f, k, "modular")
         if (exact.dims, exact.total) != (modular.dims, modular.total):
             raise SystemExit(f"d={d} k={k}: exact and modular dimensions differ")
@@ -81,6 +97,7 @@ def main(argv: list[str]) -> int:
         print(
             f"d={d:<2} k={k:<2} exact_s={t_exact:7.2f} modular_s={t_mod:6.2f} "
             f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} "
+            f"exact_work={exact_work} modular_work={work(counts)} "
             f"rows_built={built} rows_reduced={reduced} basis={digest} {verdict}",
             flush=True,
         )

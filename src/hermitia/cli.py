@@ -13,7 +13,9 @@ A flag out of range exits 2 with one line that names it: the argparse type
 of a capped flag says "argument -k: must be at most CAP, got VALUE", and
 `at_most`, which checks a --delta cap, a cap on a product of inputs or a
 command's cost, says "error: WHAT must be at most CAP; got F1 * F2", WHAT
-naming the flags.
+naming the flags.  A flag that the command would ignore, such as
+`alpha --count` with --delta, exits 2 with one line that names both flags
+(`unused_with`).
 
 Numeric precision (in bits) defaults to the HERMITIA_PRECISION
 environment variable (an integer from MIN_BITS to MAX_BITS, as for
@@ -101,6 +103,15 @@ def at_most(what: str, cap: int, *factors: int) -> None:
     the flags that the factors come from."""
     if math.prod(factors) > cap:
         raise ValueError(f"{what} must be at most {cap}; got {' * '.join(map(str, factors))}")
+
+
+def unused_with(flag: str, args: argparse.Namespace, *others: str) -> None:
+    """Refuse (exit 2) any of the flags `others` given together with
+    `flag`, which makes the command ignore them; the flags have no parser
+    default, so an explicit value is told apart from none."""
+    for other in others:
+        if getattr(args, other.lstrip("-")) is not None:
+            raise ValueError(f"{other} cannot be used with {flag}")
 
 
 def parse_z(f, text: str) -> QuadElem:
@@ -218,13 +229,15 @@ WKK_K_MAX = 27
 def cmd_alpha(args) -> list[dict]:
     f = field(args.d)
     if args.delta is not None:
+        unused_with("--delta", args, "--count")
         at_most("--delta", DELTA_MAX, args.delta)
         forms.check_delta(f, args.delta)
-    count, top = (1, args.delta) if args.delta is not None else (args.count, 2 * args.count + 6)
+    nonnorms = 3 if args.count is None else args.count
+    count, top = (1, args.delta) if args.delta is not None else (nonnorms, 2 * nonnorms + 6)
     u = args.k * top.bit_length()
     at_most("the cost at -k of the deltas (--delta, or the first --count non-norms)", ALPHA_COST_MAX,
             20 * top * u * math.isqrt(u) + count * (top * (13 * u + 25000) + u * u))
-    deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, args.count)
+    deltas = [args.delta] if args.delta is not None else nonnorm_deltas(f, nonnorms)
     values = forms.alphas(f, args.k, deltas)
     return [{"d": args.d, "k": args.k, "delta": dl, "alpha": v} for dl, v in zip(deltas, values)]
 
@@ -319,16 +332,21 @@ def cmd_hconst(args) -> list[dict]:
     at_most("--delta", DELTA_MAX, args.delta)
     forms.check_delta(f, args.delta)
     points = [parse_z(f, z) for z in args.z or ()]
+    if points:
+        unused_with("-z", args, "--points", "--den", "--seed")
+    drawn = 20 if args.points is None else args.points
+    den_max = 8 if args.den is None else args.den
+    seed = 0 if args.seed is None else args.seed
     # (bits, points) pairs: a point to be drawn counts the bits of --den, the
     # most its denominator can have, so no --seed decides a refusal
-    bits = [(z.den.bit_length(), 1) for z in points] or [(args.den.bit_length(), args.points)]
+    bits = [(z.den.bit_length(), 1) for z in points] or [(den_max.bit_length(), drawn)]
     nforms, k2, lbits = forms.alpha(f, 0, args.delta), args.k + 2, args.delta.bit_length()
     walks = sum(n * b * (k2 * (k2 * (b + lbits) ** 2 + 5500 * nforms) + 3 * 10**6) for b, n in bits)
     at_most("the walk's cost at -k and --delta over the points (-z, or --points at --den)",
             HCONST_WALK_MAX, 26 * 10**4 * nforms + walks)
-    rng = random.Random(args.seed)
-    for _ in range(0 if points else args.points):
-        den = rng.randint(1, args.den)
+    rng = random.Random(seed)
+    for _ in range(0 if points else drawn):
+        den = rng.randint(1, den_max)
         u = Fraction(rng.randint(-2 * den, 2 * den), den)
         v = Fraction(rng.randint(-2 * den, 2 * den), den)
         points.append(QuadElem.from_display(f, u, v))
@@ -563,7 +581,7 @@ COMMANDS: dict[str, Command] = {
     "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
         arg("-k", type=int_at_least(1, odd=True), required=True),
         arg("--delta", type=int),
-        arg("--count", type=int_at_least(1), default=3, help="how many non-norm deltas"),
+        arg("--count", type=int_at_least(1), help="how many non-norm deltas (not with --delta)"),
     )),
     "theta": Command("exact local correction factor theta(delta, s)", cmd_theta, True, (
         arg("--delta", type=int, required=True),
@@ -589,9 +607,9 @@ COMMANDS: dict[str, Command] = {
         arg("-k", type=int_at_least(1, odd=True), required=True),
         arg("--delta", type=int, required=True),
         arg("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)"),
-        arg("--points", type=int_at_least(1), default=20),
-        arg("--den", type=int_at_least(1), default=8),
-        arg("--seed", type=int, default=0),
+        arg("--points", type=int_at_least(1), help="how many points to draw (not with -z)"),
+        arg("--den", type=int_at_least(1), help="largest denominator of a drawn point (not with -z)"),
+        arg("--seed", type=int, help="seed of the draw (not with -z)"),
     )),
     "average": Command("cell average: quadrature vs closed form", cmd_average, True, (
         arg("-k", type=int_at_least(3), required=True),

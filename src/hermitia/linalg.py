@@ -25,42 +25,38 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   kernels and for `membership`.
 
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
-  only by its reductions mod split primes and an exact test of M v = 0.
-  If M mod p has full column rank, the kernel is empty: the rank over K
-  is at least the rank mod p.  Otherwise each prime is worked under its
-  first root w1 alone: the chosen rows mod (p, w1) are put in reduced row
-  echelon form, and its kernel basis (`kernel_mod`), each free column set
-  to 1, goes to the caller's map to a kernel basis under w2 (for the word
-  operators of `polyspace` a signed column permutation, for the tests'
-  matrices a row reduction under w2).  That basis is re-expressed on w1's
-  free columns by one inverse mod p of its #free x #free block there; if
-  the block is singular, or the vectors lose the echelon shape (a nonzero
-  at a pivot right of their free column), w2 has other pivots and the
-  prime is skipped.  The two kernels give x and y mod p of every entry
-  x + y*omega; the primes are combined by CRT and rational
+  only by its reductions mod split primes, an exact test of M v = 0, and
+  what one elimination at the first split prime p1 gives (`FirstPrime`,
+  made by `first_prime` from one `left_kernel_mod` of M^T): rows R that
+  span M's row space mod p1, M[R] mod p1, and K, a basis of ker(M mod
+  p1).  If M mod p has full column rank, the kernel is empty: the rank
+  over K is at least the rank mod p.  Each prime is worked under its first
+  root w1 alone.  At p1 the kernel basis is the Gauss-Jordan form of K
+  (`kernel_mod_from_span`), and no row of M is reduced; at a later prime
+  it is `kernel_mod` of the chosen rows, chosen among R at p1 when a
+  second prime is first needed, and only they are asked for.  Each free
+  column set to 1, the basis goes to the caller's map to a kernel basis
+  under w2 (for the word operators of `polyspace` a signed column
+  permutation, for the tests' matrices a row reduction under w2), whose
+  Gauss-Jordan form must have w1's free columns: otherwise w2 has other
+  pivots and the prime is skipped.  The two kernels give x and y mod p of
+  every entry x + y*omega; the primes are combined by CRT and rational
   reconstruction, and the first reconstruction whose common denominator
   is within Wang's bound isqrt(modulus // 2) is checked exactly at once
   (for the word operators, by their reductions at the `primes_exceeding`
   twice a proven height bound), so a kernel of small height is proven at
-  its first prime.  The rows are chosen as the pivot rows of M^T mod the
-  first prime, or among a caller's rows known to span M's row space there
-  (`span`), and at later primes only they are asked for.  c - rank_p
-  independent vectors of ker M make a basis, since dim ker M <= c -
-  rank_p; each is supported on its own free column and earlier pivots,
-  so the free columns mod p are those over K and the basis is the one
-  Gauss-Jordan elimination over K gives.
+  its first prime.  c - rank_p independent vectors of ker M make a basis,
+  since dim ker M <= c - rank_p; each is supported on its own free column
+  and earlier pivots, so the free columns mod p are those over K and the
+  basis is the one Gauss-Jordan elimination over K gives.
 
-  A caller may hand over the first prime's kernel basis instead (`first`):
-  the Gauss-Jordan form of vectors whose span holds ker(M mod p1), such
-  as the restriction to M's columns of a kernel basis of a larger matrix
-  [M | M'] with the same rows.  Then no row of M is reduced at p1, and
-  the rows are chosen there only when a second prime is needed.  This is
-  sound with no further assumption: every v in ker(M mod p1), padded with
-  zeros, is in ker([M | M'] mod p1), so the restriction spans a space
-  that contains ker(M mod p1), and its dimension d satisfies d >= dim
-  ker(M mod p1) >= dim_K ker M.  So d is an upper bound for
-  `quad_rank_modular` (`first`) and c - d a lower bound on the rank; it
-  is equal to dim ker(M mod p1) when the kernel of [M | M'] mod p1 is the
+  `FirstPrime.columns` restricts p1's rows and K to a block E of M's
+  columns, with the same rows: R still spans E's row space mod p1, and K
+  on E's columns spans a space that contains ker(E mod p1), as every v
+  in it, padded with zeros, is in ker(M mod p1).  So its dimension d
+  satisfies d >= dim ker(E mod p1) >= dim_K ker E: d is an upper bound
+  for `quad_rank_modular` (`first`), and c - d a lower bound on the rank.
+  It is equal to dim ker(E mod p1) when the kernel of M mod p1 is the
   direct sum of the kernels of its column blocks.  A larger span only
   adds candidate vectors, which the exact check refutes.
 
@@ -497,24 +493,34 @@ def kernel_mod_from_span(span: np.ndarray, p: int) -> tuple[np.ndarray, tuple[in
     return red[::-1, ::-1], tuple(c for c in range(ncols) if c not in free)
 
 
-def _on_free_columns(
-    basis: np.ndarray, free: list[int], pivots: Sequence[int], p: int
-) -> np.ndarray | None:
-    """The entries at `pivots` of the vectors spanning the row space of
-    `basis` with the identity on the columns `free`: the block of `basis`
-    on `free` inverted mod p, times its block on `pivots`, by one row
-    reduction of the two side by side.  None unless that block is square
-    and invertible and each vector is 0 at every pivot right of its free
-    column (the reduced echelon shape)."""
-    if basis.shape[0] != len(free):
-        return None
-    red, pivs = rref_mod(np.concatenate([basis[:, free], basis[:, list(pivots)]], axis=1), p)
-    if pivs != tuple(range(len(free))):
-        return None
-    entries = red[:, len(free) :]
-    if entries[np.array(pivots)[None, :] > np.array(free)[:, None]].any():
-        return None
-    return entries
+@dataclass(frozen=True)
+class FirstPrime:
+    """One elimination of a matrix M over O_d at the first split prime p
+    (`first_prime`): rows R of M, independent mod p, that span its row
+    space there, those rows M[R] mod p under w1 (`mat`), and K, a basis
+    mod p of ker(M mod p), one vector per row (`kernel`)."""
+
+    p: int
+    rows: tuple[int, ...]
+    mat: np.ndarray
+    kernel: np.ndarray
+
+    def columns(self, at: Sequence[int] | np.ndarray) -> FirstPrime:
+        """The same on M's columns `at`: R still spans their row space mod
+        p, and K on them spans a space that contains their kernel mod p
+        (the module docstring)."""
+        return FirstPrime(self.p, self.rows, self.mat[:, at], self.kernel[:, at])
+
+
+def first_prime(f: FieldSpec, mod: Reductions) -> FirstPrime:
+    """`FirstPrime` of the matrix with reductions `mod`, from one row
+    reduction of its transpose at the first split prime that carries the
+    row operations (`left_kernel_mod`): its pivot columns are R, and its
+    left kernel is ker M."""
+    p = split_primes(f, 1)[0]
+    mat = mod(p)
+    rows, kernel = left_kernel_mod(mat.T, p)
+    return FirstPrime(p, rows, mat[list(rows)], kernel)
 
 
 def certified_kernel(
@@ -522,92 +528,75 @@ def certified_kernel(
     mod: Reductions,
     second: SecondRoot,
     annihilates: Callable[[list[Pair]], bool],
-    span: tuple[Sequence[int], np.ndarray] | None = None,
-    first: tuple[np.ndarray, tuple[int, ...]] | None = None,
+    first: FirstPrime,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, rows)`, the rows `rows` (all by default) of M mod the split
     prime p with omega -> w1, the first root of omega, `second`, the map
-    from a kernel basis under w1 to one under the second root w2, and
+    from a kernel basis under w1 to one under the second root w2,
     `annihilates(v)`, an exact test of M v = 0 on a vector of integer pairs
     (`polyspace.WordOperator` gives a signed column permutation and proves
     M v = 0 from reductions; the tests' oracles row-reduce under w2 and
-    compute M v).  `span`, if given, is (R, M[R] mod the first split prime
-    under w1) for rows R that span M's row space mod that prime: the rows
-    are first chosen among R, and M mod that prime is not asked for.
-    `first`, if given, is a kernel basis under w1 mod the first split prime
-    p1 and its pivot columns, in `kernel_mod`'s layout, whose row space
-    contains ker(M mod p1), such as the restriction to M's columns of a
-    kernel basis of a larger matrix with the same rows (a vector of ker(M
-    mod p1), padded with zeros, is in that kernel).  It takes p1's place
-    in the row reduction, and `second` is asked for its image with rows
-    None, all of M.  Its size d is at least dim ker(M mod p1), which is at
-    least dim ker M over K, so c - d still bounds the rank from below, and
-    d = 0 proves the kernel empty.  A d above dim ker(M mod p1) only adds
-    candidate vectors, which `annihilates` refutes; the next prime's rows
-    then have more pivots and replace p1's.
+    compute M v), and `first`, M at the first split prime p1 (`FirstPrime`,
+    possibly restricted to M's columns from a larger matrix's).
 
-    Each split prime is worked under w1 only.  The rows named by the pivot
-    columns of M^T mod the prime that chose them (independent there, hence
-    over K) are reduced mod p under w1 and put in reduced row echelon
-    form; if it has full column rank, so has M over K, and the kernel is
-    empty.  With `first` the rows are chosen, still at p1, only when a
-    second prime is needed.  Their kernel basis (`kernel_mod`), or
-    `first`, goes to `second`, and the basis that returns is re-expressed
-    on w1's free columns, by one inverse mod p of its block there
-    (`_on_free_columns`).
-    A prime where that block is not square and invertible, or the
-    re-expressed vectors lose the echelon shape, has other pivots under w2
-    and is skipped, as is a prime whose rank or pivot pattern is worse than
-    the best seen so far.  Under the two roots the entries x + y*omega of
-    each kernel vector, with its free column set to 1, are x + y*w1 and x +
-    y*w2, so each prime gives x and y mod p.  They are combined by CRT and
-    rational reconstruction; as soon as a reconstruction has a common
-    denominator within the bound of Wang's reconstruction, isqrt(modulus //
-    2), and is not the candidate last refuted, every vector, made integral
-    and content-free, must pass `annihilates`.  Neither the bound, `second`
-    nor `first` decides what is returned, only when a proof is worth
-    trying: whatever is returned has passed.  A refuted candidate that the
-    next prime reproduces is the kernel of rows chosen at a prime where
-    they lose rank, so the rows are chosen again at the prime after.  The
-    basis equals `quad_kernel` of M.  If no candidate passes within
-    MAX_PRIMES primes, CertificateError is raised.
+    Each split prime is worked under w1 only.  At p1 the kernel basis is
+    the Gauss-Jordan form of `first.kernel`, which spans a space that
+    contains ker(M mod p1), and `second` is asked for its image with rows
+    None, all of M.  Its size d is at least dim ker(M mod p1), which is at
+    least dim ker M over K, so d = 0 proves the kernel empty.  A d above
+    dim ker(M mod p1) only adds candidate vectors, which `annihilates`
+    refutes; the next prime's rows then have more pivots and replace p1's.
+    When a second prime is needed, the rows named by the pivot columns of
+    `first.mat`^T mod p1 (independent there, hence over K) are chosen, and
+    at each later prime only they are asked for and their kernel basis
+    taken (`kernel_mod`); if it is empty, so is the kernel.  The basis
+    under w2 that `second` returns is put in Gauss-Jordan form
+    (`kernel_mod_from_span`): a prime where its free columns are not w1's
+    has other pivots under w2 and is skipped, as is a prime whose rank or
+    pivot pattern is worse than the best seen so far.  Under the two roots
+    the entries x + y*omega of each kernel vector, with its free column set
+    to 1, are x + y*w1 and x + y*w2, so each prime gives x and y mod p.
+    They are combined by CRT and rational reconstruction; as soon as a
+    reconstruction has a common denominator within the bound of Wang's
+    reconstruction, isqrt(modulus // 2), and is not the candidate last
+    refuted, every vector, made integral and content-free, must pass
+    `annihilates`.  Neither the bound, `second` nor `first` decides what is
+    returned, only when a proof is worth trying: whatever is returned has
+    passed.  A refuted candidate that the next prime reproduces is the
+    kernel of rows chosen at a prime where they lose rank, so the rows are
+    chosen again among all of M's at the prime after, from its reduction
+    there.  The basis equals `quad_kernel` of M.  If no candidate passes
+    within MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
     chosen = None  # rows independent mod the prime that chose them
-    p1 = None  # the first prime, while `first` has stood in for its rows
+    rechoose = False  # whether the chosen rows lost rank there
     residues = modulus = rejected = None
     for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
-        if first is not None:
-            (basis1, pivots), first, p1 = first, None, p
+        if p == first.p:
+            basis1, pivots = kernel_mod_from_span(first.kernel, p)
         else:
-            if chosen is None:
-                # among the rows of `span` at the first prime, else among
-                # all, at this prime or at the first one if not yet chosen
-                at = p1 or p
-                among, m1 = (None, mod(at)) if span is None else span
-                span = p1 = None
-                rank, rows = echelon_mod(m1.T, at)
-                if rank == m1.shape[1]:
-                    return []
-                chosen = list(rows) if among is None else [among[r] for r in rows]
-                top = m1[list(rows)] if at == p else mod(p, chosen)
+            if rechoose:
+                mat = mod(p)
+                chosen = list(echelon_mod(mat.T, p)[1])
+                top, rechoose = mat[chosen], False
             else:
+                if chosen is None:
+                    chosen = [first.rows[r] for r in echelon_mod(first.mat.T, first.p)[1]]
                 top = mod(p, chosen)
             basis1, pivots = kernel_mod(top, p)
         if not len(basis1):
             return []
-        ncols = basis1.shape[1]
-        free = sorted(set(range(ncols)) - set(pivots))
-        k2 = _on_free_columns(second(p, chosen, basis1), free, pivots, p)
-        if k2 is None:
+        basis2, pivots2 = kernel_mod_from_span(second(p, chosen, basis1), p)
+        if pivots2 != pivots:
             continue
         key = (len(pivots), tuple(-c for c in pivots))
         if best is not None and key < best:
             continue
         # kernel entries at the pivot columns, one row per free column
-        k1 = basis1[:, list(pivots)]
+        k1, k2 = basis1[:, list(pivots)], basis2[:, list(pivots)]
         y = (k1 - k2) % p * pow((w1 - w2) % p, p - 2, p) % p
         x = (k1 - y * w1 % p) % p
         new = np.concatenate([x.ravel(), y.ravel()])
@@ -617,11 +606,13 @@ def certified_kernel(
             if rejected is not None and _agrees(rejected, new, p):
                 # the refuted candidate is the kernel of the chosen rows:
                 # they lost rank mod the prime that chose them
-                chosen = None
+                rechoose = True
             residues = _crt(residues, modulus, new, p)
             modulus *= p
         candidate = _reconstruct(residues, modulus)
         if candidate is not None and candidate != rejected:
+            ncols = basis1.shape[1]
+            free = sorted(set(range(ncols)) - set(pivots))
             basis = _kernel_vectors(ncols, pivots, free, *candidate)
             if all(map(annihilates, basis)):
                 return basis

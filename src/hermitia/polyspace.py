@@ -50,12 +50,9 @@ polynomials of Kohnen and Zagier, "Modular forms with rational periods",
 and every rank and kernel of `wkk` runs on the other words restricted to
 it (`WordOperator.reduced_mod`), about half the columns and without the S
 word's rows.  The operator row-reduces that block once, on every column,
-at the first split prime, on first need: the one elimination gives rows
-that span it there and a basis of its kernel there
-(`linalg.left_kernel_mod`).  Every `kernel` and `kernel_dim` reads its
-first prime from them, with no row reduction of its own block, so they
-take no hint from their caller, and `wkk` is one loop over the
-eigenspaces.
+at the first split prime, on first need (`linalg.first_prime`), and every
+`kernel` and `kernel_dim` reads its first prime from that one
+elimination, with no row reduction of its own block.
 
 Every split prime is worked under its first root w1 of omega alone.
 Under the second root w2 the z and zbar factors of each element trade
@@ -393,28 +390,21 @@ class WordOperator:
     alone (`swap` gives the second root's kernel from the first's), and
     `in_kernel` still checks every word under both roots.
 
-    At the first split prime p1, the operator reduces M_rest L on every
+    At the first split prime p1 the operator reduces M_rest L on every
     upper coordinate once, when a kernel or a dimension first needs it
-    (`_first_slice`), with one row reduction of its transpose that carries
-    its row operations (`linalg.left_kernel_mod`).  Its pivot columns are
-    rows R, independent mod p1, that span its row space mod p1, and the
-    operations that zero the other rows of the transpose are K, a basis of
-    ker(M_rest L mod p1), c - |R| vectors on the c upper coordinates.  It
-    keeps p1, R, those rows M[R] and K, and no other row.
-
-    Each eigenspace block E at p1 is a column slice of the full block.
-    Restricted to E's columns, R still spans its row space mod p1, so a
-    kernel that needs a second prime chooses its rows among R; and K
-    restricted to E's columns spans a space that contains ker(E mod p1)
-    (a vector of that kernel, padded with zeros, is in the full kernel).
-    Its Gauss-Jordan form is E's first-prime kernel basis, and its rank
-    d_E E's first-prime dimension (`linalg.kernel_mod_from_span`): d_E >=
-    dim ker(E mod p1) >= dim_K ker(E), so it is a sound upper bound, and
-    it equals dim ker(E mod p1) when the eigenspace kernels mod p1 add up
-    to the full one, as they do over K, where ker M is their direct sum.
-    A first prime where they do not only adds candidate vectors, which
-    `in_kernel` refutes, and raises a dimension, which a later prime of
-    good reduction lowers.  No eigenspace block is row-reduced at p1.
+    (`linalg.first_prime`, one row reduction of its transpose): rows R that
+    span it mod p1, those rows M[R], and K, a basis of its kernel mod p1,
+    c - |R| vectors on the c upper coordinates.  It keeps them, and no
+    other row.  Each eigenspace block E is a column slice of the full
+    block, and `_first_slice` restricts them to E's columns
+    (`linalg.FirstPrime.columns`): R still spans E's rows there, and K on
+    E's columns spans a space that contains ker(E mod p1), of rank d_E >=
+    dim_K ker(E).  d_E equals dim ker(E mod p1) when the eigenspace kernels
+    mod p1 add up to the full one, as they do over K, where ker M is their
+    direct sum; a first prime where they do not only adds candidate
+    vectors, which `in_kernel` refutes, and raises a dimension, which a
+    later prime of good reduction lowers.  No eigenspace block is
+    row-reduced at p1.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -431,7 +421,7 @@ class WordOperator:
         self._reductions: dict[int, np.ndarray] = {}
         self._row_bound: int | None = None
         # p1, R, M[R] and K (see the class docstring), made on first need
-        self._first: tuple[int, tuple[int, ...], np.ndarray, np.ndarray] | None = None
+        self._first: linalg.FirstPrime | None = None
 
     @property
     def nrows(self) -> int:
@@ -563,18 +553,13 @@ class WordOperator:
             raise ValueError("columns not closed under the transpose") from None
         return np.array(at, dtype=np.int64), np.where(lower, self.mirror_sign(t), 1)
 
-    def _first_slice(self, cols: Sequence[int]) -> tuple[int, tuple[int, ...], np.ndarray, np.ndarray]:
-        """p1, R, and the column slices of M[R] and of K on the
-        mirror-closed `cols`, one column per upper coordinate.  p1, R, M[R]
-        and K are made on the first call (see the class docstring)."""
+    def _first_slice(self, cols: Sequence[int]) -> linalg.FirstPrime:
+        """The first prime restricted to the mirror-closed `cols`, one
+        column per upper coordinate, made on the first call (see the class
+        docstring)."""
         if self._first is None:
-            p = linalg.split_primes(self.field, 1)[0]
-            block = self.reduced_mod(p, range(self.size))
-            span, kernel = linalg.left_kernel_mod(block.T, p)
-            self._first = p, span, block[list(span)], kernel
-        p, span, rows, kernel = self._first
-        at = np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2
-        return p, span, rows[:, at], kernel[:, at]
+            self._first = linalg.first_prime(self.field, lambda p: self.reduced_mod(p, range(self.size)))
+        return self._first.columns(np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2)
 
     def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
         """L u: the vector on the mirror-closed columns `cols` with u on
@@ -660,11 +645,11 @@ class WordOperator:
         closed under the mirror, or without an upper coordinate, it
         vanishes: the basis is empty, with no reduction (`s_forces_zero`).
         Otherwise `linalg.certified_kernel` runs on `reduced_mod` under
-        the first root of each prime.  Its first prime's basis is the
-        Gauss-Jordan form of K on `cols` (`_first_slice`,
-        `linalg.kernel_mod_from_span`); if a later prime is needed, its
-        rows are chosen among R at the first prime and built alone at the
-        later ones.  The kernel under the second root is the first's with
+        the first root of each prime, started from the operator's first
+        prime on `cols` (`_first_slice`): its first basis is K's
+        Gauss-Jordan form there, and if a later prime is needed, its rows
+        are chosen among R and built alone at the later ones.  The kernel
+        under the second root is the first's with
         its columns permuted with signs (`swap`), as M_rest L mod (p, w2) =
         P (M_rest L mod (p, w1)) Q for a row permutation P and a signed
         column permutation Q, so its kernel is Q^T times the first's.  Each
@@ -679,15 +664,13 @@ class WordOperator:
         if self.s_forces_zero(cols):
             return []
         n = self.k + 1
-        p1, span, kept, kernel = self._first_slice(cols)
         at, sign = self.swap(cols)
         block = linalg.certified_kernel(
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
             lambda u: self.in_kernel(cols, self.lift(cols, u)),
-            (span, kept),
-            linalg.kernel_mod_from_span(kernel, p1),
+            self._first_slice(cols),
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
@@ -704,9 +687,10 @@ class WordOperator:
         independent."""
         if self.s_forces_zero(cols):
             return 0
-        p1, _, _, kernel = self._first_slice(cols)
+        first = self._first_slice(cols)
+        kernel = first.kernel
         if kernel.shape[1] < self.size // 2:
-            kernel = linalg.kernel_mod_from_span(kernel, p1)[0]
+            kernel = linalg.kernel_mod_from_span(kernel, first.p)[0]
         return linalg.kernel_dim_upper_bound(
             self.field, lambda p: self.reduced_mod(p, cols), lower, first=len(kernel)
         )

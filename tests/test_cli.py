@@ -402,6 +402,33 @@ def test_bad_numeric_flag_exits_2_naming_the_flag(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["alpha", "-d", "1", "-k", "1", "--delta", "3", "--count", "5"], "--count cannot be used with --delta"),
+    (["alpha", "-d", "1", "-k", "1", "--delta", "3", "--count", "3"], "--count cannot be used with --delta"),
+    (["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "0", "--points", "6"], "--points cannot be used with -z"),
+    (["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "0", "--den", "8"], "--den cannot be used with -z"),
+    (["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "0", "--seed", "0"], "--seed cannot be used with -z"),
+])
+def test_a_flag_the_command_would_ignore_exits_2(capsys, argv, line):
+    """--delta makes `alpha` ignore --count, and -z makes `hconst` ignore
+    --points, --den and --seed: given together, even at their default
+    values, they exit 2 with one line that names both flags."""
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert run.err.splitlines() == [f"error: {line}"]
+
+
+def test_the_defaults_of_count_and_the_drawn_points_are_applied(capsys):
+    """Without the flags, `alpha` takes the first 3 non-norms and `hconst`
+    draws 20 points of denominator at most 8 with seed 0."""
+    argv = ["alpha", "-d", "1", "-k", "1", "--format", "json"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--count", "3")
+    argv = ["hconst", "-d", "3", "-k", "1", "--delta", "2", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK and len(json.loads(out)) == 21
+    assert (code, out) == run(capsys, *argv, "--points", "20", "--den", "8", "--seed", "0")
+
+
 def test_alpha_delta_zero_is_checked_not_ignored(capsys):
     code, out = run(capsys, "alpha", "-d", "1", "-k", "1", "--delta", "0")
     assert code == EXIT_PRECONDITION

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from hermitia import linalg
 from hermitia.field import EUCLIDEAN_DS, CertificateError, field
 from hermitia.linalg import (
+    FirstPrime,
     certified_kernel,
     echelon_mod,
+    first_prime,
     kernel_dim_upper_bound,
+    kernel_mod,
     matmul_mod,
     matvec_is_zero,
     omega_roots,
@@ -25,7 +28,7 @@ from hermitia.linalg import (
     split_primes,
 )
 
-from conftest import seeded
+from conftest import generator_of_first_ideals, seeded
 from oracles import elems, pairs_mod, reductions, second_root
 
 
@@ -125,12 +128,22 @@ def reduced(f, rows, p, w=None):
     return pairs_mod(f, [[(e.x, e.y) for e in row] for row in rows], p, w)
 
 
-def certified(f, rows, annihilates=None, span=None, first=None):
-    """`certified_kernel` of explicit rows; returns the basis, the split
-    primes whose reductions it asked for under either root (in order), and
-    how many vectors it sent to the exact check."""
-    asked = []
+def certified(f, rows, annihilates=None, among=None, cols=None):
+    """`certified_kernel` of explicit rows, started from `first_prime` of
+    them; returns the basis, the split primes whose reductions the start
+    and it asked for under either root (in order), and how many vectors it
+    sent to the exact check.  `among`, if given, replaces R, the rows that
+    the first prime chose, and `cols` keeps the first `cols` columns of the
+    rows, whose start is the whole matrix's restricted to them
+    (`FirstPrime.columns`), as `polyspace.WordOperator` starts each
+    eigenspace's."""
+    start = first_prime(f, reductions(f, rows))
+    asked = [start.p]
     checks = []
+    if among is not None:
+        start = FirstPrime(start.p, tuple(among), reduced(f, [rows[r] for r in among], start.p), start.kernel)
+    if cols is not None:
+        rows, start = [row[:cols] for row in rows], start.columns(range(cols))
     explicit, kernel2 = reductions(f, rows), second_root(f, rows)
 
     def mod(p, picked=None):
@@ -145,11 +158,7 @@ def certified(f, rows, annihilates=None, span=None, first=None):
         checks.append(v)
         return annihilates(v) if annihilates else matvec_is_zero(f, rows, elems(f, v))
 
-    if span is not None:
-        # the hint: rows `span` and their reductions at the first prime
-        p = split_primes(f, 1)[0]
-        span = (span, reduced(f, [rows[r] for r in span], p))
-    basis = certified_kernel(f, mod, second, check, span, first)
+    basis = certified_kernel(f, mod, second, check, start)
     return basis, list(dict.fromkeys(asked)), len(checks)
 
 
@@ -168,6 +177,28 @@ def primes_to_reconstruct(f, basis):
         n += 1
         product *= split_primes(f, n)[-1]
     return n
+
+
+def first_reconstruction(f, basis, n):
+    """The vectors that rational reconstruction (`linalg._reconstruct`)
+    first gives of the nonempty kernel `basis` (`quad_kernel`'s) reduced
+    mod the product of the first 1, 2, ..., n split primes, as
+    `certified_kernel` combines them when every prime is good: the pivot
+    entries over the free entry, all x parts and then all y parts.  None if
+    it gives nothing, or if a prime divides a free entry."""
+    ncols = len(basis[0])
+    free = [max(c for c in range(ncols) if v[c] != (0, 0)) for v in basis]
+    pivots = [c for c in range(ncols) if c not in free]
+    entries = [(v[c][part], v[fc][0]) for part in (0, 1) for v, fc in zip(basis, free) for c in pivots]
+    m = 1
+    for p in split_primes(f, n):
+        m *= p
+        if any(math.gcd(u, m) != 1 for _, u in entries):
+            return None
+        got = linalg._reconstruct(np.array([a * pow(u, -1, m) % m for a, u in entries], dtype=object), m)
+        if got is not None:
+            return linalg._kernel_vectors(ncols, pivots, free, *got)
+    return None
 
 
 def test_certified_kernel_matches_all_rows_bareiss():
@@ -260,17 +291,47 @@ def test_certified_kernel_recovers_from_rows_that_span_only_mod_the_first_prime(
     p, q, r = split_primes(f, 3)
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero], [f.quad(2), f.quad(2), f.zero]]
     # row 0 spans the row space mod p, where row 1 is row 0, but not over
-    # K: the kernel of row 0 alone is refuted, q reproduces it, and the
-    # rows are chosen again among all of them at r
-    basis, primes, checks = certified(f, rows, span=[0])
+    # K: the kernel mod p, that of row 0 alone, is refuted, q reproduces it
+    # on the rows chosen among R = [0], and the rows are chosen again among
+    # all of them at r
+    basis, primes, checks = certified(f, rows, among=[0])
     assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
     assert primes == [p, q, r] and checks == 2
     # rows 1 and 2 span over K and mod p (row 0 is row 2 - row 1): the
     # first prime proves the kernel
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(2), f.zero], [f.quad(2), f.quad(3), f.zero]]
-    basis, primes, checks = certified(f, rows, span=[1, 2])
+    basis, primes, checks = certified(f, rows, among=[1, 2])
     assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
     assert primes == [p] and checks == 1
+
+
+def test_certified_kernel_skips_a_prime_where_the_second_root_has_other_pivots(monkeypatch):
+    """Rows [[pi, 1, 0], [0, 0, 1]], pi a short generator of the prime
+    ideal (p1, omega - w2(p1)): pi is 0 mod p1 under the second root w2
+    alone, so at p1 the free column is 1 under w1 and 0 under w2.  The
+    first prime is skipped, in every ring: the basis is `quad_kernel`'s,
+    and no modulus that is reconstructed from holds p1."""
+    moduli = []
+    reconstruct = linalg._reconstruct
+
+    def recorded(residues, m):
+        moduli.append(m)
+        return reconstruct(residues, m)
+
+    monkeypatch.setattr(linalg, "_reconstruct", recorded)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p1 = split_primes(f, 1)[0]
+        w1, w2 = omega_roots(f, p1)
+        x, y = generator_of_first_ideals(f, 1, root=1)
+        assert (x + y * w2) % p1 == 0 != (x + y * w1) % p1
+        rows = [[f.quad(x, y), f.one, f.zero], [f.zero, f.zero, f.one]]
+        assert kernel_mod(reduced(f, rows, p1, w1), p1)[1] == (0, 2)
+        assert kernel_mod(reduced(f, rows, p1, w2), p1)[1] == (1, 2)
+        moduli.clear()
+        basis, primes, checks = certified(f, rows)
+        assert basis == quad_kernel(f, rows), d
+        assert moduli and not any(m % p1 == 0 for m in moduli), d
 
 
 def test_modular_rank_reduces_the_short_side(monkeypatch):
@@ -301,7 +362,7 @@ def test_modular_rank_skips_a_bad_first_prime():
     rep = quad_rank_modular(f, reductions(f, [[f.quad(p)]]))
     assert rep.kernel_dim == 0 and rep.primes == (p, q)
     # a first-prime dimension given above the truth, 2, as a basis read
-    # off a larger kernel gives (`certified_kernel`'s `first`): p is not
+    # off a larger kernel gives (`FirstPrime.columns`): p is not
     # reduced, the later primes correct it, and q, which meets a lower
     # bound of 2, ends the search
     asked = []
@@ -320,15 +381,14 @@ def test_modular_rank_skips_a_bad_first_prime():
 
 
 def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(monkeypatch):
-    """`first`, a basis at the first prime p that spans more than the
-    kernel (what a first prime whose eigenspace ranks do not add up gives
+    """A first prime p whose K spans more than the kernel (what a first
+    prime whose eigenspace ranks do not add up gives
     `polyspace.WordOperator`): its candidate is refuted, and only then are
     the rows chosen, among R and at p, and built at the second prime q,
-    where more pivots replace p's; the basis is `quad_kernel`'s.  Without
-    `span` they are chosen among all rows at p, asked for then.  A `first`
-    that is the kernel is proven at p, with no row chosen or asked for.
-    M has rational entries, so its reductions under the two roots agree
-    and the second root's basis is the first root's (`second`)."""
+    where more pivots replace p's; the basis is `quad_kernel`'s.  A K that
+    is the kernel is proven at p, with no row chosen or asked for.  M has
+    rational entries, so its reductions under the two roots agree and the
+    second root's basis is the first root's (`second`)."""
     f = field(7)
     p, q = split_primes(f, 2)
     # row 3 is row 0 + row 1 - row 2, and R = [0, 1, 2] spans the rows
@@ -337,7 +397,7 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
     want = quad_kernel(f, rows)
     assert len(want) == 2
     explicit = reductions(f, rows)
-    span = [0, 1, 2]
+    span = (0, 1, 2)
     events = []
     echelon = linalg.echelon_mod
 
@@ -353,28 +413,23 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
         events.append(("check", v))
         return matvec_is_zero(f, rows, elems(f, v))
 
-    def run(first, span):
+    def run(kernel):
         events.clear()
-        hint = None if span is None else (span, explicit(p, span))
-        return certified_kernel(f, mod, lambda prime, chosen, basis: basis, check, hint, first)
+        start = FirstPrime(p, span, explicit(p, span), kernel)
+        return certified_kernel(f, mod, lambda prime, chosen, basis: basis, check, start)
 
     monkeypatch.setattr(linalg, "echelon_mod", recorded)
     # the kernel of rows 0 and 1 alone: 3 vectors, one of them outside ker M
-    larger = linalg.kernel_mod(explicit(p, [0, 1]), p)
-    for among in (span, None):
-        assert run(larger, among) == want
-        checked = [(i, e[1]) for i, e in enumerate(events) if e[0] == "check"]
-        refuted = [i for i, v in checked if not matvec_is_zero(f, rows, elems(f, v))]
-        chose = events.index(("echelon", p))
-        assert refuted and refuted[0] < chose
-        asked = [e for e in events if e[0] == "mod"]
-        built = [("mod", q, [0, 1, 2])]
-        assert asked == (built if among else [("mod", p, None)] + built)
-        assert events[chose + 1] == built[0]
-        assert not any(e[0] == "echelon" and e[1] != p for e in events)
-    # the kernel itself, in kernel_mod's layout: proven at p alone
-    exact = linalg.kernel_mod(explicit(p), p)
-    assert run(exact, span) == want
+    assert run(linalg.kernel_mod(explicit(p, [0, 1]), p)[0]) == want
+    checked = [(i, e[1]) for i, e in enumerate(events) if e[0] == "check"]
+    refuted = [i for i, v in checked if not matvec_is_zero(f, rows, elems(f, v))]
+    chose = events.index(("echelon", p))
+    assert refuted and refuted[0] < chose
+    built = ("mod", q, [0, 1, 2])
+    assert [e for e in events if e[0] == "mod"] == [built] and events[chose + 1] == built
+    assert not any(e[0] == "echelon" and e[1] != p for e in events)
+    # the kernel itself: proven at p alone
+    assert run(linalg.kernel_mod(explicit(p), p)[0]) == want
     assert [e[0] for e in events] == ["check"] * len(want)
 
 
@@ -389,7 +444,7 @@ def test_certified_kernel_raises_when_verification_keeps_failing():
         return explicit(p, picked)
 
     with pytest.raises(CertificateError):
-        certified_kernel(f, mod, second_root(f, rows), lambda v: False)
+        certified_kernel(f, mod, second_root(f, rows), lambda v: False, first_prime(f, mod))
     # it gave up after a fixed number of primes
     assert list(dict.fromkeys(asked)) == split_primes(f, linalg.MAX_PRIMES)
 
@@ -416,18 +471,93 @@ def stacks(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(stack=stacks())
 def test_certified_kernel_equals_bareiss_property(stack):
-    """Also on the first columns alone, with the first prime's basis read
-    from the kernel of every column there (`left_kernel_mod`), as
-    `polyspace.WordOperator` reads each eigenspace's."""
+    """When the first reconstruction within Wang's bound is the kernel,
+    each basis vector is sent to the exact check once and nothing else is.
+    With entries near 2^40 a wrong candidate can come first: it is the
+    first vector checked, and the basis is checked last.  Also on the first
+    columns alone, started from the whole matrix's first prime restricted
+    to them (`FirstPrime.columns`), as `polyspace.WordOperator` starts each
+    eigenspace's."""
     f, rows = stack
-    basis, primes, checks = certified(f, rows)
-    assert basis == quad_kernel(f, rows)
-    assert checks == len(basis)
-    head = [row[: (len(row) + 1) // 2] for row in rows]
-    p = split_primes(f, 1)[0]
-    _, whole = linalg.left_kernel_mod(reduced(f, rows, p).T, p)
-    first = linalg.kernel_mod_from_span(whole[:, : len(head[0])], p)
-    assert certified(f, head, first=first)[0] == quad_kernel(f, head)
+    want = quad_kernel(f, rows)
+    checked = []
+
+    def check(v):
+        checked.append(v)
+        return matvec_is_zero(f, rows, elems(f, v))
+
+    basis, primes, checks = certified(f, rows, check)
+    assert basis == want
+    first = first_reconstruction(f, want, len(primes)) if want else want
+    if first == want:
+        assert checks == len(want)
+    else:
+        assert checked[0] == first[0] and checked[len(checked) - len(want) :] == want
+    head = (len(rows[0]) + 1) // 2
+    assert certified(f, rows, cols=head)[0] == quad_kernel(f, [row[:head] for row in rows])
+
+
+def test_certified_kernel_refutes_each_wrong_reconstruction_within_the_bound(monkeypatch):
+    """The kernel of [(2^40 - 8)·i, (2^40 - 7)·i] over O_1 needs three
+    split primes, but one and two already reconstruct within Wang's bound,
+    to wrong candidates: each is checked and refuted before the kernel is
+    proven at the third."""
+    f = field(1)
+    rows = [[f.quad(0, 2**40 - 8), f.quad(0, 2**40 - 7)]]
+    want = quad_kernel(f, rows)
+    assert want == [[(2**40 - 7, 0), (-(2**40 - 8), 0)]]
+    events = []
+    real = linalg._reconstruct
+
+    def recorded(residues, m):
+        events.append(("modulus", m))
+        return real(residues, m)
+
+    def check(v):
+        events.append(("check", v))
+        return matvec_is_zero(f, rows, elems(f, v))
+
+    monkeypatch.setattr(linalg, "_reconstruct", recorded)
+    basis, primes, checks = certified(f, rows, check)
+    p, q, r = split_primes(f, 3)
+    assert basis == want and primes == [p, q, r] and checks == 3
+    assert events == [
+        ("modulus", p), ("check", [(9223, 0), (-9224, 0)]),
+        ("modulus", p * q), ("check", [(716119437, 0), (-511647109, 0)]),
+        ("modulus", p * q * r), ("check", want[0]),
+    ]
+    assert [m.bit_length() for kind, m in events if kind == "modulus"] == [31, 61, 91]
+    # the property test's oracle sees the first of them
+    assert first_reconstruction(f, want, 3) == [[(9223, 0), (-9224, 0)]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stack=stacks())
+def test_first_prime_spans_the_rows_and_the_kernel_property(stack):
+    """`first_prime`: R has M's rank mod p1, M[R] is M's rows R there, K
+    is c - |R| independent vectors that M kills, and on the first columns
+    (`FirstPrime.columns`) R's rows are M's rows there and K's row space
+    contains their kernel (`kernel_mod`)."""
+    f, rows = stack
+    mod = reductions(f, rows)
+    start = first_prime(f, mod)
+    p = start.p
+    assert p == split_primes(f, 1)[0]
+    mat = mod(p)
+    ncols = mat.shape[1]
+    rank = linalg.rank_mod(mat, p)
+    assert len(start.rows) == linalg.rank_mod(start.mat, p) == rank
+    assert np.array_equal(start.mat, mat[list(start.rows)])
+    assert start.kernel.shape == (ncols - rank, ncols)
+    assert linalg.rank_mod(start.kernel, p) == ncols - rank
+    assert not matmul_mod(mat, start.kernel.T.copy(), p).any()
+    head = (ncols + 1) // 2
+    part = start.columns(range(head))
+    assert part.p == p and part.rows == start.rows
+    assert np.array_equal(part.mat, start.mat[:, :head])
+    sliced = linalg.kernel_mod(mat[:, :head], p)[0]
+    both = np.concatenate([part.kernel, sliced])
+    assert linalg.rank_mod(both, p) == linalg.rank_mod(part.kernel, p)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

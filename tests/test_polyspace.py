@@ -46,7 +46,7 @@ from hermitia.polyspace import (
     word_matrix,
 )
 
-from conftest import seeded
+from conftest import generator_of_first_ideals, seeded
 from oracles import (
     annihilates,
     factor_pair,
@@ -597,35 +597,6 @@ def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
     assert not op.in_kernel(cols, w)
 
 
-def generator_of_first_ideals(f, m):
-    """A short pi = x + y*omega in the product of the prime ideals
-    (p_i, omega - w1(p_i)) over the first m split primes, w1 the first of
-    `omega_roots`: the Lagrange-reduced basis of that lattice,
-    {x + y*omega : x + y*w1 = 0 mod p_i}, under the norm form."""
-    primes = split_primes(f, m)
-    modulus = math.prod(primes)
-    w = 0
-    for p in primes:
-        # CRT: w = w1(p) mod p for each p
-        rest = modulus // p
-        w += (omega_roots(f, p)[0]) * rest * pow(rest, -1, p)
-    u, v = (modulus, 0), (-(w % modulus), 1)
-
-    def norm(a):
-        return f.norm_int(*a)
-
-    if norm(u) > norm(v):
-        u, v = v, u
-    while True:
-        # twice the bilinear form of the norm, then the nearest multiple
-        twice = norm((u[0] + v[0], u[1] + v[1])) - norm(u) - norm(v)
-        mu = (twice + norm(u)) // (2 * norm(u))
-        v = (v[0] - mu * u[0], v[1] - mu * u[1])
-        if norm(v) >= norm(u):
-            return u
-        u, v = v, u
-
-
 def test_in_kernel_needs_both_roots():
     """A kernel vector plus pi e_c, pi in the prime ideals above the first
     m primes that belong to their first roots: M v vanishes under those
@@ -830,11 +801,11 @@ def test_the_first_reduction_holds_every_eigenspace_block():
             every = list(range(op.size))
             block = op.reduced_mod(p, every)
             rank, span = linalg.echelon_mod(block.T, p)
-            p1, got, rows, sliced = op._first_slice(every)
-            _, _, kept, kernel = op._first
-            assert (p1, got) == (p, span) and len(span) == rank
-            assert np.array_equal(kept, block[list(span)]) and np.array_equal(rows, kept)
-            assert np.array_equal(sliced, kernel)
+            whole = op._first_slice(every)
+            kept, kernel = op._first.mat, op._first.kernel
+            assert (whole.p, whole.rows) == (p, span) and len(span) == rank
+            assert np.array_equal(kept, block[list(span)]) and np.array_equal(whole.mat, kept)
+            assert np.array_equal(whole.kernel, kernel)
             assert kernel.shape == (block.shape[1] - rank, block.shape[1]), (d, k)
             assert linalg.rank_mod(kernel, p) == len(kernel), (d, k)
             assert not linalg.matmul_mod(block, kernel.T.copy(), p).any(), (d, k)
@@ -844,9 +815,10 @@ def test_the_first_reduction_holds_every_eigenspace_block():
                     continue
                 eigen = op.reduced_mod(p, cols)
                 assert np.array_equal(block[:, [upper.index(c) for c in op.upper(cols)]], eigen), (d, k, e)
-                _, got, rows, sliced = op._first_slice(cols)
-                assert got == span and np.array_equal(rows, eigen[list(span)]), (d, k, e)
-                basis, pivots = linalg.kernel_mod_from_span(sliced, p)
+                first = op._first_slice(cols)
+                rows = first.mat
+                assert first.rows == span and np.array_equal(rows, eigen[list(span)]), (d, k, e)
+                basis, pivots = linalg.kernel_mod_from_span(first.kernel, p)
                 eigen_rank = linalg.rank_mod(eigen, p)
                 assert linalg.rank_mod(rows, p) == eigen_rank, (d, k, e)
                 want, want_pivots = linalg.kernel_mod(eigen, p)
@@ -1043,9 +1015,9 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
             op = WordOperator(f, k)
             blocks = [eigen_columns(f, k, e) for e in range(len(eigen_labels(f)))]
             closed = [cols for cols in blocks if not op.s_forces_zero(cols)]
-            _, span, _, kernel = op._first_slice(list(range(op.size)))
-            nullity = len(kernel)
-            dims = [len(linalg.kernel_mod_from_span(op._first_slice(cols)[3], p1)[0]) for cols in closed]
+            whole = op._first_slice(list(range(op.size)))
+            span, nullity = whole.rows, len(whole.kernel)
+            dims = [len(linalg.kernel_mod_from_span(op._first_slice(cols).kernel, p1)[0]) for cols in closed]
             assert sum(dims) == nullity, (d, k)
             for method in ("exact", "modular"):
                 events.clear()
