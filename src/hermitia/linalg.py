@@ -7,9 +7,14 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
 
 * `echelon_mod` and `rref_mod` -- row reduction of an int64 numpy matrix
   modulo p: rank and pivot columns, and for `rref_mod` the reduced rows.
-  The primes are ~2^30 split primes and entries stay below p < 2^31, so
-  every product fits in int64.  A column with no nonzero left at or below
-  the next pivot row is jumped over, never to be visited again.
+  The `% p` is delayed: each step reduces only the pivot column, the
+  pivot row and the columns it looks ahead at, so factors and pivot rows
+  lie in [0, p) and an update subtracts at most (p - 1)^2 from an entry.
+  The rest is reduced once every T = (2^63 - p) // (p - 1)^2 updates,
+  which keeps every entry in int64, and once at the end: T = 7 at the ~2^30
+  split primes (the FFLAS-FFPACK technique of Dumas, Giorgi and Pernet,
+  ACM TOMS 35(3), 2008).  A column with no nonzero left at or below the
+  next pivot row is jumped over, never to be visited again.
   `left_kernel_mod` is the same row reduction carrying its row operations,
   in pivot order, in a block after the matrix: the pivot columns and a
   basis of { x : x M = 0 mod p } from one elimination (the transformation
@@ -277,7 +282,20 @@ def _row_reduce(
     one contiguous slice, from the pivot column to the newest pivot's
     transform column.  The rows left over take the columns after the last
     pivot's, in their order, and their transforms, with the columns put
-    back in the order of `mat`'s rows, are the basis."""
+    back in the order of `mat`'s rows, are the basis.
+
+    The `% p` is delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS
+    35(3), 2008).  Each step reduces only what it reads: the pivot column
+    (at and below the pivot row, or all of it if `reduced`), the columns an
+    empty-column look-ahead tests, and the pivot row.  So every factor and
+    every pivot row entry lies in [0, p), and an update subtracts at most
+    (p - 1)^2 from an entry: after t updates an entry of [0, p) lies in
+    [-t (p - 1)^2, p).  The trailing block, the transform block included,
+    is reduced once every T = (2^63 - p) // (p - 1)^2 updates, so that T
+    (p - 1)^2 + p <= 2^63 keeps every entry in int64, and once more at the
+    end.  T is 7 at the split primes just above 2^30, 2 at 2^31 - 1 and 1
+    just above 2^31.  Every pivot, factor and output entry is the one that
+    a `% p` after each update gives."""
     nrows, ncols = mat.shape
     if kernel:
         # the transform block, and the row of `mat` each row started as
@@ -286,17 +304,23 @@ def _row_reduce(
     else:
         mat = mat[np.any(mat, axis=1)]
         nrows = len(mat)
+    period = (2**63 - p) // (p - 1) ** 2
+    pending = 0  # updates since the trailing block was last reduced
     pivot_cols: list[int] = []
     top = col = 0
     while top < nrows and col < ncols:
-        live = top + np.flatnonzero(mat[top:, col])
+        column = mat[top:, col]
+        column %= p
+        live = top + column.nonzero()[0]
         if live.size == 0:
             # a column without a nonzero at or below `top` stays so: jump to
             # the next one that has one, looking ahead in windows that
             # double in width, or stop if none is left
             start, width = col + 1, 8
             while start < ncols:
-                ahead = mat[top:, start : min(start + width, ncols)].any(axis=0)
+                window = mat[top:, start : min(start + width, ncols)]
+                window %= p
+                ahead = window.any(axis=0)
                 first = int(ahead.argmax())
                 if ahead[first]:
                     break
@@ -304,7 +328,7 @@ def _row_reduce(
             else:
                 break
             col = start + first
-            live = top + np.flatnonzero(mat[top:, col])
+            live = top + mat[top:, col].nonzero()[0]
         piv = live[0]
         if piv != top:
             mat[[top, piv]] = mat[[piv, top]]
@@ -315,22 +339,30 @@ def _row_reduce(
             end += top + 1
             mat[top, end - 1] = 1
         # rows above `top` are zero left of their pivots, so only the
-        # columns from `col` on change; entries stay below p < 2^31, so
-        # the products fit in int64
-        inv = pow(int(mat[top, col]), p - 2, p)
+        # columns from `col` on change
+        row = mat[top, col:end]
+        row %= p
+        inv = pow(int(row[0]), -1, p)
         if reduced:
-            mat[top, col:end] = mat[top, col:end] * inv % p
-            others = np.flatnonzero(mat[:, col])
+            row *= inv
+            row %= p
+            mat[:top, col] %= p
+            others = mat[:, col].nonzero()[0]
             others = others[others != top]
             factor = mat[others, col]
         else:
             others = live[1:]
             factor = mat[others, col] * inv % p
         if others.size:
-            mat[others, col:end] = (mat[others, col:end] - factor[:, None] * mat[top, col:end]) % p
+            mat[others, col:end] -= factor[:, None] * row
+            pending += 1
+            if pending == period:
+                mat[0 if reduced else top + 1 :, col + 1 : end] %= p
+                pending = 0
         pivot_cols.append(col)
         top += 1
         col += 1
+    mat %= p
     if not kernel:
         return mat[:top], tuple(pivot_cols), None
     left = np.zeros((nrows - top, nrows), dtype=np.int64)

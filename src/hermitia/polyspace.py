@@ -23,8 +23,9 @@ On the W_{k,k} path a polynomial is its `Support`: the nonzero
 coefficients of an integral polynomial as integer pairs, keyed by
 monomial.  The kernels (`WordOperator.kernel`) return supports, proven
 from the operator's reductions mod split primes under a height bound
-(`WordOperator.in_kernel`), and `wkk` makes each basis `BiPoly` once from
-its support; `QuadElem` appears only in the `BiPoly`s returned.
+(`WordOperator.in_kernel`), and `wkk` returns the supports: its report
+makes each basis `BiPoly` from its support only when its `basis` is first
+read, so `dims` makes none; `QuadElem` appears only in those `BiPoly`s.
 `membership` proves M (den * P) = 0 by the same `in_kernel`, on the
 support of den * P.  The path builds no exact factor: `WordOperator`
 computes each element's z factor mod p from the element's four entries,
@@ -52,7 +53,10 @@ it (`WordOperator.reduced_mod`), about half the columns and without the S
 word's rows.  The operator row-reduces that block once, on every column,
 at the first split prime, on first need (`linalg.first_prime`), and every
 `kernel` and `kernel_dim` reads its first prime from that one
-elimination, with no row reduction of its own block.
+elimination, with no row reduction of its own block.  A kernel's proofs
+take their first prime from it too: each candidate is checked mod p1
+against the rows it keeps, and `in_kernel` proves it only at the later
+primes.
 
 Every split prime is worked under its first root w1 of omega alone.
 Under the second root w2 the z and zbar factors of each element trade
@@ -71,12 +75,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, pair_conj, pair_mul, pair_powers
+from .field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, field, pair_conj, pair_mul, pair_powers
 from .forms import (
     BiPoly,
     GroupElement,
@@ -375,9 +379,11 @@ class WordOperator:
     for each split prime p, every element's z factor is computed mod p from
     its four entries, as values at s = 0..k (`_at_nodes`, which `in_kernel`
     checks on) and as coefficients (`_reduced`, which `reduced_mod` reduces
-    rows of), and kept for the life of the operator, one entry per prime;
-    of whole matrices mod p, only the rows R and the kernel basis K at the
-    first split prime are kept (below).
+    rows of).  The coefficients and their values are kept for the life of
+    the operator, one entry per prime that it reduces rows at; at a prime
+    that only proves, the values are made for each proof and dropped after
+    it.  Of whole matrices mod p, only the rows R and the kernel basis K at
+    the first split prime are kept (below).
 
     Every reduction is taken with omega -> w1, the first of
     `linalg.omega_roots`.  Only `_at_nodes`, which gets the zbar factors
@@ -436,25 +442,28 @@ class WordOperator:
         x + y*(d_K - omega), so [1] is [0] under the second root d_K - w1.
 
         Power tables of a s + b and c s + e give them, for every element
-        under both roots at once."""
-        if p not in self._values:
-            k = self.k
-            roots = linalg.omega_roots(self.field, p)
-            # a, b, c, e of every element under each root: (2, #elements, 4)
-            entries = np.array(
-                [[(q.x + q.y * root) % p for g in self.elements for q in g.entries()] for root in roots],
-                dtype=np.int64,
-            ).reshape(2, len(self.elements), 4)
-            # a s + b and c s + e at every node s: (2, #elements, 2, k+1);
-            # entries stay below p < 2^31, so every product fits in int64
-            nodes = np.arange(k + 1, dtype=np.int64)
-            lin = (entries[..., [0, 2], None] * nodes + entries[..., [1, 3], None]) % p
-            powers = np.empty((k + 1, *lin.shape), dtype=np.int64)
-            powers[0] = 1
-            for j in range(1, k + 1):
-                powers[j] = powers[j - 1] * lin % p
-            self._values[p] = (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
-        return self._values[p]
+        under both roots at once.  They are kept only for the primes whose
+        coefficients are kept (`_reduced`): at a prime that only proves,
+        as every prime of `membership` does, each proof computes them and
+        drops them after use."""
+        if p in self._values:
+            return self._values[p]
+        k = self.k
+        roots = linalg.omega_roots(self.field, p)
+        # a, b, c, e of every element under each root: (2, #elements, 4)
+        entries = np.array(
+            [[(q.x + q.y * root) % p for g in self.elements for q in g.entries()] for root in roots],
+            dtype=np.int64,
+        ).reshape(2, len(self.elements), 4)
+        # a s + b and c s + e at every node s: (2, #elements, 2, k+1);
+        # entries stay below p < 2^31, so every product fits in int64
+        nodes = np.arange(k + 1, dtype=np.int64)
+        lin = (entries[..., [0, 2], None] * nodes + entries[..., [1, 3], None]) % p
+        powers = np.empty((k + 1, *lin.shape), dtype=np.int64)
+        powers[0] = 1
+        for j in range(1, k + 1):
+            powers[j] = powers[j - 1] * lin % p
+        return (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
 
     def _reduced(self, p: int) -> np.ndarray:
         """The z factors and the zbar factors of every element, in word
@@ -463,7 +472,8 @@ class WordOperator:
         of the nodes (`_interpolation`) turns their values (`_at_nodes`)
         into coefficients."""
         if p not in self._reductions:
-            self._reductions[p] = linalg.matmul_mod(_interpolation(self.k, p), self._at_nodes(p), p)
+            self._values[p] = self._at_nodes(p)
+            self._reductions[p] = linalg.matmul_mod(_interpolation(self.k, p), self._values[p], p)
         return self._reductions[p]
 
     # The S word is words[0] (see `kernel_words`).  S maps flat index c
@@ -615,7 +625,7 @@ class WordOperator:
         terms = linalg.matmul_mod(linalg.matmul_mod(a, grids[:, None], p), b.transpose(0, 2, 1), p)
         return np.add.reduceat(self.signs[:, None, None] * terms, self.starts, axis=1) % p
 
-    def in_kernel(self, cols: Sequence[int], vec: list[Pair]) -> bool:
+    def in_kernel(self, cols: Sequence[int], vec: list[Pair], settled: int | None = None) -> bool:
         """Whether M[:, cols] v = 0, for the integral vector v of integer
         pairs on the columns `cols`, proven from the reductions alone.
 
@@ -632,10 +642,32 @@ class WordOperator:
         mod p > k.  A nonzero residue refutes v.  If all vanish, every
         coefficient X + Y*omega has X + Y*w = 0 mod p for both roots w, so
         X = Y = 0 mod p (the roots differ mod a split prime); as |X|, |Y|
-        <= H, X = Y = 0."""
+        <= H, X = Y = 0.
+
+        `settled`, if given, is a prime at which the caller has already
+        proven M v = 0 under both roots (`kernel` does so at the first
+        split prime): it is not checked again, and the product of the
+        other primes with it still exceeds 2H."""
         norm = max((max(abs(x), abs(y)) for x, y in vec), default=0)
         primes = linalg.primes_exceeding(self.field, 2 * self.height_bound(norm))
-        return not any(self._word_sums(p, cols, vec).any() for p in primes)
+        return not any(self._word_sums(p, cols, vec).any() for p in primes if p != settled)
+
+    def _first_settles(self, first: linalg.FirstPrime, at: np.ndarray, sign: np.ndarray, u: list[Pair]) -> bool:
+        """Whether M_rest L u = 0 mod the first split prime p1 under both
+        roots of omega, for u on the upper coordinates of a block whose
+        first prime is `first` (`_first_slice`) and whose `swap` is (at,
+        sign).  The rows R of `first.mat` span the block's rows mod (p1,
+        w1), so the block kills u's residues under w1 exactly when
+        `first.mat` does; the block under w2 is the block under w1 with its
+        rows permuted and its columns permuted with signs, so it kills u's
+        residues x under w2 exactly when `first.mat` kills y with y[at] =
+        sign * x."""
+        p = first.p
+        w1, w2 = linalg.omega_roots(self.field, p)
+        res = np.empty((len(u), 2), dtype=np.int64)
+        res[:, 0] = [(x + y * w1) % p for x, y in u]
+        res[at, 1] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
+        return not linalg.matmul_mod(first.mat, res, p).any()
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
@@ -653,11 +685,16 @@ class WordOperator:
         its columns permuted with signs (`swap`), as M_rest L mod (p, w2) =
         P (M_rest L mod (p, w1)) Q for a row permutation P and a signed
         column permutation Q, so its kernel is Q^T times the first's.  Each
-        u is proven by `in_kernel` of its lift over every word, S included,
-        and the lifts, made content-free, are the basis.  It is the
-        Gauss-Jordan basis of M[:, cols]: the last nonzero entry of a
-        kernel vector is an upper coordinate, so the free columns, and the
-        vectors with 1 at one of them and 0 at the others, are the same
+        candidate u is first checked mod p1 against the rows M[R] kept
+        there (`_first_settles`), under w1 on its residues and under w2 on
+        them permuted with signs: a nonzero product refutes u at once, and
+        zero settles p1 for both roots, as R spans the block's rows mod p1
+        and the lift L u meets the S word exactly.  `in_kernel` of L u over
+        every word, S included, then proves it at the other primes of its
+        height bound, and the lifts, made content-free, are the basis.  It
+        is the Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
+        a kernel vector is an upper coordinate, so the free columns, and
+        the vectors with 1 at one of them and 0 at the others, are the same
         for u and for L u.  `cols` must be closed under the transpose
         (i, j) -> (j, i) too, as every eigenspace closed under the mirror
         is."""
@@ -665,12 +702,14 @@ class WordOperator:
             return []
         n = self.k + 1
         at, sign = self.swap(cols)
+        first = self._first_slice(cols)
         block = linalg.certified_kernel(
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
-            lambda u: self.in_kernel(cols, self.lift(cols, u)),
-            self._first_slice(cols),
+            lambda u: self._first_settles(first, at, sign, u)
+            and self.in_kernel(cols, self.lift(cols, u), first.p),
+            first,
         )
         lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
@@ -701,11 +740,23 @@ class WordOperator:
 
 @dataclass(frozen=True)
 class SubspaceReport:
+    """What `wkk` found: the eigenspace dimensions, the total and, for the
+    exact method, the basis, kept as its supports (`supports`).  Its
+    `BiPoly`s are made when `basis` is first read, so `dims` never makes
+    them."""
+
     d: int
     k: int
     dims: dict[str, int]
     total: int
-    basis: tuple[BiPoly, ...] | None
+    supports: tuple[Support, ...] | None
+
+    @cached_property
+    def basis(self) -> tuple[BiPoly, ...] | None:
+        if self.supports is None:
+            return None
+        f = field(self.d)
+        return tuple(from_support(f, self.k, s, 1) for s in self.supports)
 
     @property
     def split_sum(self) -> int:
@@ -775,11 +826,11 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
         raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
     dims: dict[str, int] = {}
-    basis: list[BiPoly] = []
+    basis: list[Support] = []
     for e, lab in enumerate(eigen_labels(f)):
         if method == "exact":
             supps = eigen_kernel(op, e)
-            basis.extend(from_support(f, k, s, 1) for s in supps)
+            basis.extend(supps)
             dims[lab] = len(supps)
             continue
         dims[lab] = op.kernel_dim(eigen_columns(f, k, e))

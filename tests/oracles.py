@@ -16,6 +16,11 @@
   of such rows by reducing them under that root and row-reducing there,
   where `polyspace.WordOperator` permutes the first root's.
 
+* `row_reduce` is `linalg._row_reduce` on Python ints, column by column,
+  with a `% p` after every update and the row operations carried as a
+  transform that starts as the identity: the oracle of `echelon_mod`,
+  `rref_mod` and `left_kernel_mod`, which delay the `% p`.
+
 * `word_action_loop` is the exact word action as a Python loop over the
   support, one `pair_mul` at a time, on the `factored_words` of a ring:
   the oracle of `polyspace.apply_word`, which runs it as integer matrix
@@ -248,6 +253,47 @@ def word_action_loop(
                         t[0] += sign * x
                         t[1] += sign * y
     return total
+
+
+def row_reduce(
+    mat: np.ndarray, p: int, reduced: bool, kernel: bool = False
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+    """What `linalg._row_reduce` returns: the echelon form mod the prime p
+    without its zero rows (with unit pivots and cleared above them if
+    `reduced`), its pivot columns and, if `kernel`, the transforms of the
+    rows that it zeroes, a basis of { x : x mat = 0 mod p }.  Each column
+    in turn takes the first row at or below the next pivot row with a
+    nonzero entry there as its pivot; every entry is reduced mod p after
+    every update.  Without `kernel` the zero rows of `mat` are dropped
+    first, as there."""
+    rows = [[int(x) % p for x in row] for row in mat]
+    if not kernel:
+        rows = [row for row in rows if any(row)]
+    nrows, ncols = len(rows), mat.shape[1]
+    trans = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        trans[top], trans[piv] = trans[piv], trans[top]
+        inv = pow(rows[top][col], p - 2, p)
+        if reduced:
+            rows[top] = [x * inv % p for x in rows[top]]
+            trans[top] = [x * inv % p for x in trans[top]]
+        for r in range(0 if reduced else top + 1, nrows):
+            if r == top or not rows[r][col]:
+                continue
+            c = rows[r][col] * (1 if reduced else inv) % p
+            rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[top])]
+            trans[r] = [(x - c * y) % p for x, y in zip(trans[r], trans[top])]
+        pivots.append(col)
+    rank = len(pivots)
+    echelon = np.array(rows[:rank], dtype=np.int64).reshape(rank, ncols)
+    left = np.array(trans[rank:], dtype=np.int64).reshape(nrows - rank, nrows) if kernel else None
+    return echelon, tuple(pivots), left
 
 
 def annihilates(f: FieldSpec, k: int, supp: Support) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hermitia import linalg
 from hermitia.field import EUCLIDEAN_DS, CertificateError, field
+from hermitia.intarith import is_probable_prime
 from hermitia.linalg import (
     FirstPrime,
     certified_kernel,
@@ -18,6 +19,7 @@ from hermitia.linalg import (
     first_prime,
     kernel_dim_upper_bound,
     kernel_mod,
+    left_kernel_mod,
     matmul_mod,
     matvec_is_zero,
     omega_roots,
@@ -29,7 +31,7 @@ from hermitia.linalg import (
 )
 
 from conftest import generator_of_first_ideals, seeded
-from oracles import elems, pairs_mod, reductions, second_root
+from oracles import elems, pairs_mod, reductions, row_reduce, second_root
 
 
 def rand_rows(rng, f, nr, nc, span=4):
@@ -631,28 +633,6 @@ def test_quad_kernel_rejects_a_vector_outside_the_kernel(monkeypatch):
 # ------------------------------------------------------------ row reduction
 
 
-def reference_rref(mat, p):
-    """The reduced row echelon form mod p, found column by column on Python
-    ints: its nonzero rows and pivot columns."""
-    rows = [[int(x) % p for x in row] for row in mat]
-    ncols = mat.shape[1]
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = pow(rows[top][col], p - 2, p)
-        rows[top] = [x * inv % p for x in rows[top]]
-        for r, row in enumerate(rows):
-            if r != top and row[col]:
-                c = row[col]
-                rows[r] = [(x - c * y) % p for x, y in zip(row, rows[top])]
-        pivots.append(col)
-    return np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), ncols), tuple(pivots)
-
-
 def test_row_reduction_matches_a_column_by_column_reference():
     """`echelon_mod` and `rref_mod` give the rank, the pivots and the rows
     of the reference on tall and wide matrices of every rank, with runs of
@@ -670,10 +650,66 @@ def test_row_reduction_matches_a_column_by_column_reference():
                 mat[:, start : start + rng.randint(1, 8)] = 0
             mat = mat.astype(np.int64)
             before = mat.copy()
-            rows, pivots = reference_rref(mat, p)
+            rows, pivots, _ = row_reduce(mat, p, reduced=True)
             assert echelon_mod(mat, p) == (len(pivots), pivots)
             got_rows, got_pivots = rref_mod(mat, p)
             assert got_pivots == pivots and np.array_equal(got_rows, rows)
+            assert np.array_equal(mat, before)
+
+
+def worst_case_product(p, nrows, ncols, pivots):
+    """L U mod p for U in echelon form with pivot columns `pivots`, 1 at
+    each pivot and p - 1 right of it, and L unit lower triangular with
+    p - 1 below the diagonal (its rows past len(pivots) are all p - 1 left
+    of it).  Eliminating L U meets the pivots in order with no swap, and
+    every factor and every pivot row entry right of the pivot is p - 1, so
+    each update subtracts the most, (p - 1)^2, from every trailing entry;
+    the columns between the pivots become 0 mod p, but not 0, once the
+    pivots before them are eliminated."""
+    rank = len(pivots)
+    left = np.array([[1 if i == j else p - 1 if i > j else 0 for j in range(rank)] for i in range(nrows)], dtype=object)
+    right = np.zeros((rank, ncols), dtype=object)
+    for t, c in enumerate(pivots):
+        right[t, c] = 1
+        right[t, c + 1 :] = p - 1
+    return ((left @ right) % p).astype(np.int64)
+
+
+def test_delayed_reduction_matches_the_reference_at_every_period():
+    """`echelon_mod`, `rref_mod` and `left_kernel_mod` reduce the trailing
+    block every T = (2^63 - p) // (p - 1)^2 updates: T = 7 just above
+    2^30, 2 at 2^31 - 1 and 1 just above 2^31.  With every factor and
+    pivot row entry p - 1 (`worst_case_product`), on shapes with more
+    than 7 pivots and runs of non-pivot columns, and on random matrices
+    with entries p - 1, the rows, pivots and left kernels equal the
+    reference's, which reduces after every update."""
+    rng = seeded("delayed-reduction")
+    primes = {7: split_primes(field(2), 1)[0], 2: 2**31 - 1, 1: 2**31 + 11}
+    for period, p in primes.items():
+        assert (2**63 - p) // (p - 1) ** 2 == period and is_probable_prime(p)
+        mats = [
+            worst_case_product(p, 20, 24, list(range(20))),
+            worst_case_product(p, 24, 30, [0, 1, 2, 5, 6, 7, 8, 9, 15, 16, 17, 18, 19, 20, 27]),
+            worst_case_product(p, 12, 40, [0, 1, 2, 3, 4, 5, 6, 7, 8, 30, 31]),
+            np.full((10, 12), p - 1, dtype=np.int64),
+        ]
+        for _ in range(10):
+            nrows, ncols = rng.randint(8, 24), rng.randint(8, 24)
+            mat = np.array([[rng.choice((p - 1, p - 1, rng.randrange(p))) for _ in range(ncols)] for _ in range(nrows)])
+            mats.append(mat.astype(np.int64))
+        for mat in mats[:3]:
+            assert len(row_reduce(mat, p, reduced=False)[1]) > 7
+        for mat in mats:
+            before = mat.copy()
+            rows, pivots, left = row_reduce(mat, p, reduced=False, kernel=True)
+            assert echelon_mod(mat, p) == (len(pivots), pivots), period
+            assert np.array_equal(linalg._row_reduce(mat, p, reduced=False)[0], row_reduce(mat, p, reduced=False)[0])
+            assert np.array_equal(linalg._row_reduce(mat, p, reduced=False, kernel=True)[0], rows)
+            got_pivots, got_left = left_kernel_mod(mat, p)
+            assert got_pivots == pivots and np.array_equal(got_left, left), period
+            red, red_pivots, _ = row_reduce(mat, p, reduced=True)
+            got_red, got_red_pivots = rref_mod(mat, p)
+            assert got_red_pivots == red_pivots and np.array_equal(got_red, red), period
             assert np.array_equal(mat, before)
 
 

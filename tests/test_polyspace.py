@@ -514,6 +514,21 @@ def test_values_at_the_nodes_are_the_factors_evaluated():
                     assert np.array_equal(got, want.astype(np.int64)), (d, k, g)
 
 
+def test_values_are_kept_only_beside_the_coefficients():
+    """A proof at primes the operator reduces no rows at (every prime of
+    `membership`) leaves no values behind; a prime it reduces rows at keeps
+    its coefficients and their values, which equal a fresh operator's."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        op, cols, v = kernel_vectors(f, 11)[0]
+        assert op.in_kernel(cols, v)
+        assert not op._values and not op._reductions, d
+        p = split_primes(f, 2)[1]
+        op._reduced(p)
+        assert set(op._values) == set(op._reductions) == {p}, d
+        assert np.array_equal(op._at_nodes(p), WordOperator(f, 11)._at_nodes(p)), d
+
+
 def kernel_vectors(f, k):
     """(operator, cols, v) for every basis vector v of W_{k,k}, on the
     columns `cols` of its eigenspace."""
@@ -616,6 +631,73 @@ def test_in_kernel_needs_both_roots():
             assert len(linalg.primes_exceeding(f, 2 * op.height_bound(norm))) <= m
             assert not annihilates(f, k, as_support(k, cols, w))
             assert not op.in_kernel(cols, w), (d, k)
+
+
+def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
+    """`WordOperator.kernel` settles the first split prime p1 of every
+    proof against the rows M[R] it keeps there, so over `wkk` in every ring
+    at every odd k <= 11 `in_kernel` runs its word sums only at later
+    primes, and some proofs need them."""
+    primes = []
+    word_sums = WordOperator._word_sums
+
+    def recorded(self, p, cols, vec):
+        primes.append(p)
+        return word_sums(self, p, cols, vec)
+
+    monkeypatch.setattr(WordOperator, "_word_sums", recorded)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p1 = split_primes(f, 1)[0]
+        primes.clear()
+        for k in range(1, 12, 2):
+            wkk(f, k)
+        assert primes and p1 not in primes, d
+
+
+def test_first_prime_refutes_a_changed_vector_before_in_kernel(monkeypatch):
+    """Each candidate u of `WordOperator.kernel` is checked mod the first
+    split prime p1 against the rows M[R] kept there before `in_kernel`
+    runs: every basis vector passes, and one with an entry changed by 1 at
+    a column that is nonzero mod p1 under w1, or by omega - w1 (0 under w1)
+    at a column whose image under w2 is nonzero, is refuted there, under
+    w1 and under w2 respectively, with no `in_kernel`."""
+    seen = []
+    certified = linalg.certified_kernel
+
+    def recorded(f, mod, second, annihilates, first):
+        out = certified(f, mod, second, annihilates, first)
+        seen.append((annihilates, first.p, out))
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("in_kernel ran on a vector refuted at p1")
+
+    monkeypatch.setattr(linalg, "certified_kernel", recorded)
+    refuted = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (5, 9, 11):
+            op = WordOperator(f, k)
+            cols = eigen_columns(f, k, 0)
+            seen.clear()
+            op.kernel(cols)
+            ((annihilates, p, block),) = seen
+            assert all(map(annihilates, block)), (d, k)
+            w1 = omega_roots(f, p)[0]
+            nonzero = op.reduced_mod(p, cols).any(axis=0)
+            at, _ = op.swap(cols)
+            with monkeypatch.context() as patched:
+                patched.setattr(WordOperator, "in_kernel", forbidden)
+                for u in block:
+                    for c in range(len(u)):
+                        for step, live in (((1, 0), nonzero[c]), ((-w1, 1), nonzero[at[c]])):
+                            if live:
+                                v = list(u)
+                                v[c] = (v[c][0] + step[0], v[c][1] + step[1])
+                                assert not annihilates(v), (d, k, c, step)
+                                refuted += 1
+    assert refuted > 0
 
 
 # ------------------------------------------------ the S relation in closed form
