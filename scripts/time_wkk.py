@@ -7,7 +7,10 @@ Prints one line per (d, k): the seconds of one exact and one modular
 as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
 of `linalg._row_reduce`, and the pivots they found), the proof products
 of the exact call (`proofs`: the calls of `WordOperator._word_sums`, one
-batched product per prime of an `in_kernel` proof), the rows of the
+batched product per prime of an `in_kernel` proof), the candidates its
+checks refuted (`refuted`: the calls of the exact check given to
+`linalg.certified_kernel` that returned False, one per refuted candidate,
+each sending the next prime to its own elimination), the rows of the
 exact call's blocks (`rows_built`: every row that
 `WordOperator.reduced_mod` returned; `rows_reduced`: the rows of the
 matrices passed to `linalg.kernel_mod`, which `linalg.certified_kernel`
@@ -45,11 +48,12 @@ EXPECTED = {
 def count_work() -> dict[str, int]:
     """Wrap `WordOperator.reduced_mod` and `linalg.kernel_mod` to count the
     rows of the matrices each returns or is given, `linalg._row_reduce` to
-    count the row reductions and their pivot steps, and
-    `WordOperator._word_sums` to count the proof products."""
-    counts = {"built": 0, "reduced": 0, "reductions": 0, "pivots": 0, "proofs": 0}
+    count the row reductions and their pivot steps,
+    `WordOperator._word_sums` to count the proof products, and the check
+    passed to `linalg.certified_kernel` to count the refuted candidates."""
+    counts = {"built": 0, "reduced": 0, "reductions": 0, "pivots": 0, "proofs": 0, "refuted": 0}
     reduced_mod, kernel_mod, row_reduce = WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce
-    word_sums = WordOperator._word_sums
+    word_sums, certified = WordOperator._word_sums, linalg.certified_kernel
 
     def built(self, *args):
         out = reduced_mod(self, *args)
@@ -70,8 +74,16 @@ def count_work() -> dict[str, int]:
         counts["proofs"] += 1
         return word_sums(self, *args)
 
+    def certified_kernel(f, mod, second, annihilates, first):
+        def check(u):
+            passed = annihilates(u)
+            counts["refuted"] += not passed
+            return passed
+
+        return certified(f, mod, second, check, first)
+
     WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce = built, reduced, reduction
-    WordOperator._word_sums = proof
+    WordOperator._word_sums, linalg.certified_kernel = proof, certified_kernel
     return counts
 
 
@@ -92,9 +104,10 @@ def main(argv: list[str]) -> int:
     counts = count_work()
     for d, k in cases:
         f = field(d)
-        counts.update(built=0, reduced=0, reductions=0, pivots=0, proofs=0)
+        counts.update(built=0, reduced=0, reductions=0, pivots=0, proofs=0, refuted=0)
         exact, t_exact = timed(f, k, "exact")
         built, reduced, proofs, exact_work = counts["built"], counts["reduced"], counts["proofs"], work(counts)
+        refuted = counts["refuted"]
         counts.update(reductions=0, pivots=0)
         modular, t_mod = timed(f, k, "modular")
         if (exact.dims, exact.total) != (modular.dims, modular.total):
@@ -106,7 +119,7 @@ def main(argv: list[str]) -> int:
         print(
             f"d={d:<2} k={k:<2} exact_s={t_exact:7.2f} modular_s={t_mod:6.2f} "
             f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} "
-            f"exact_work={exact_work} modular_work={work(counts)} proofs={proofs} "
+            f"exact_work={exact_work} modular_work={work(counts)} proofs={proofs} refuted={refuted} "
             f"rows_built={built} rows_reduced={reduced} basis={digest} {verdict}",
             flush=True,
         )

@@ -50,9 +50,11 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   is within Wang's bound isqrt(modulus // 2) is checked exactly at once
   (for the word operators, by their reductions at the `primes_exceeding`
   twice a proven height bound), so a kernel of small height is proven at
-  its first prime.  c - rank_p independent vectors of ker M make a basis,
-  since dim ker M <= c - rank_p; each is supported on its own free column
-  and earlier pivots, so the free columns mod p are those over K and the
+  its first prime.  After a refuted candidate the next prime starts from
+  its own elimination of M (`_eliminate`, as `first_prime` at p1).
+  c - rank_p independent vectors of ker M make a basis, since
+  dim ker M <= c - rank_p; each is supported on its own free column and
+  earlier pivots, so the free columns mod p are those over K and the
   basis is the one Gauss-Jordan elimination over K gives.
 
   `FirstPrime.columns` restricts p1's rows and K to a block E of M's
@@ -63,7 +65,8 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   for `quad_rank_modular` (`first`), and c - d a lower bound on the rank.
   It is equal to dim ker(E mod p1) when the kernel of M mod p1 is the
   direct sum of the kernels of its column blocks.  A larger span only
-  adds candidate vectors, which the exact check refutes.
+  adds candidate vectors, which the exact check refutes, and the next
+  prime eliminates E itself.
 
 * `quad_rank_modular` -- one rule for every rank mod p.  For a prime ideal
   P above p, rank(M mod P) <= rank(M) over K, since a minor that is
@@ -482,15 +485,6 @@ def _reconstruct(residues: np.ndarray, m: int) -> tuple[int, list[int]] | None:
     return den, [n * (den // at) for n, at in parts]
 
 
-def _agrees(candidate: tuple[int, list[int]], new: np.ndarray, p: int) -> bool:
-    """Whether the reconstruction (D, [N_i]) is `new` mod p: N_i / D = new[i]."""
-    den, nums = candidate
-    if not den % p:
-        return False
-    inv = pow(den, -1, p)
-    return all(n * inv % p == r for n, r in zip(nums, new.tolist()))
-
-
 def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
     """The residues mod m*p that are `residues` mod m and `new` mod p."""
     step = (new.astype(object) - residues % p) * pow(m % p, p - 2, p) % p
@@ -545,11 +539,16 @@ class FirstPrime:
 
 
 def first_prime(f: FieldSpec, mod: Reductions) -> FirstPrime:
-    """`FirstPrime` of the matrix with reductions `mod`, from one row
-    reduction of its transpose at the first split prime that carries the
-    row operations (`left_kernel_mod`): its pivot columns are R, and its
-    left kernel is ker M."""
-    p = split_primes(f, 1)[0]
+    """`FirstPrime` of the matrix with reductions `mod` at the first split
+    prime (`_eliminate`)."""
+    return _eliminate(mod, split_primes(f, 1)[0])
+
+
+def _eliminate(mod: Reductions, p: int) -> FirstPrime:
+    """`FirstPrime` of the matrix with reductions `mod` at the split prime
+    p, from one row reduction of its transpose that carries the row
+    operations (`left_kernel_mod`): its pivot columns are R, and its left
+    kernel is ker(M mod p)."""
     mat = mod(p)
     rows, kernel = left_kernel_mod(mat.T, p)
     return FirstPrime(p, rows, mat[list(rows)], kernel)
@@ -572,53 +571,48 @@ def certified_kernel(
     compute M v), and `first`, M at the first split prime p1 (`FirstPrime`,
     possibly restricted to M's columns from a larger matrix's).
 
-    Each split prime is worked under w1 only.  At p1 the kernel basis is
-    the Gauss-Jordan form of `first.kernel`, which spans a space that
-    contains ker(M mod p1), and `second` is asked for its image with rows
-    None, all of M.  Its size d is at least dim ker(M mod p1), which is at
-    least dim ker M over K, so d = 0 proves the kernel empty.  A d above
-    dim ker(M mod p1) only adds candidate vectors, which `annihilates`
-    refutes; the next prime's rows then have more pivots and replace p1's.
-    When a second prime is needed, the rows named by the pivot columns of
-    `first.mat`^T mod p1 (independent there, hence over K) are chosen, and
-    at each later prime only they are asked for and their kernel basis
-    taken (`kernel_mod`); if it is empty, so is the kernel.  The basis
-    under w2 that `second` returns is put in Gauss-Jordan form
-    (`kernel_mod_from_span`): a prime where its free columns are not w1's
-    has other pivots under w2 and is skipped, as is a prime whose rank or
-    pivot pattern is worse than the best seen so far.  Under the two roots
-    the entries x + y*omega of each kernel vector, with its free column set
-    to 1, are x + y*w1 and x + y*w2, so each prime gives x and y mod p.
-    They are combined by CRT and rational reconstruction; as soon as a
-    reconstruction has a common denominator within the bound of Wang's
-    reconstruction, isqrt(modulus // 2), and is not the candidate last
-    refuted, every vector, made integral and content-free, must pass
-    `annihilates`.  Neither the bound, `second` nor `first` decides what is
-    returned, only when a proof is worth trying: whatever is returned has
-    passed.  A refuted candidate that the next prime reproduces is the
-    kernel of rows chosen at a prime where they lose rank, so the rows are
-    chosen again among all of M's at the prime after, from its reduction
-    there.  The basis equals `quad_kernel` of M.  If no candidate passes
-    within MAX_PRIMES primes, CertificateError is raised.
+    Each split prime is worked under w1 only, from a record: one
+    elimination of M (`FirstPrime`), `first` to begin with.  At the
+    record's prime p the kernel basis is the Gauss-Jordan form of the
+    record's kernel, which spans a space that contains ker(M mod p), and
+    `second` is asked for its image with rows None, all of M.  Its size d
+    is at least dim ker(M mod p), which is at least dim ker M over K, so
+    d = 0 proves the kernel empty.  When a later prime is needed, the rows
+    named by the pivot columns of the record's `mat`^T mod p (independent
+    there, hence over K) are chosen, and at each later prime only they are
+    asked for and their kernel basis taken (`kernel_mod`); if it is empty,
+    so is the kernel.  The basis under w2 that `second` returns is put in
+    Gauss-Jordan form (`kernel_mod_from_span`): a prime where its free
+    columns are not w1's has other pivots under w2 and is skipped, as is a
+    prime whose rank or pivot pattern is worse than the best seen so far.
+    Under the two roots the entries x + y*omega of each kernel vector,
+    with its free column set to 1, are x + y*w1 and x + y*w2, so each prime
+    gives x and y mod p.  They are combined by CRT and rational
+    reconstruction; as soon as a reconstruction has a common denominator
+    within the bound of Wang's reconstruction, isqrt(modulus // 2), every
+    vector, made integral and content-free, must pass `annihilates`.
+    Neither the bound, `second` nor `first` decides what is returned, only
+    when a proof is worth trying: whatever is returned has passed.  A
+    refuted candidate comes from too few primes, from a record's kernel
+    larger than ker M, or from rows that span M's only mod the prime that
+    chose them; the next prime then starts from its own elimination of all
+    of M, the new record, whose rank at a prime of good reduction is M's.
+    The basis equals `quad_kernel` of M.  If no candidate passes within
+    MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
-    chosen = None  # rows independent mod the prime that chose them
-    rechoose = False  # whether the chosen rows lost rank there
-    residues = modulus = rejected = None
+    record, chosen = first, None  # the last elimination, and rows chosen from it
+    residues = modulus = None
     for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
-        if p == first.p:
-            basis1, pivots = kernel_mod_from_span(first.kernel, p)
+        if record is None:
+            record = _eliminate(mod, p)
+        if p == record.p:
+            basis1, pivots = kernel_mod_from_span(record.kernel, p)
         else:
-            if rechoose:
-                mat = mod(p)
-                chosen = list(echelon_mod(mat.T, p)[1])
-                top, rechoose = mat[chosen], False
-            else:
-                if chosen is None:
-                    chosen = [first.rows[r] for r in echelon_mod(first.mat.T, first.p)[1]]
-                top = mod(p, chosen)
-            basis1, pivots = kernel_mod(top, p)
+            if chosen is None:
+                chosen = [record.rows[r] for r in echelon_mod(record.mat.T, record.p)[1]]
+            basis1, pivots = kernel_mod(mod(p, chosen), p)
         if not len(basis1):
             return []
         basis2, pivots2 = kernel_mod_from_span(second(p, chosen, basis1), p)
@@ -633,22 +627,19 @@ def certified_kernel(
         x = (k1 - y * w1 % p) % p
         new = np.concatenate([x.ravel(), y.ravel()])
         if best is None or key > best:
-            best, residues, modulus, rejected = key, new.astype(object), p, None
+            best, residues, modulus = key, new.astype(object), p
         else:
-            if rejected is not None and _agrees(rejected, new, p):
-                # the refuted candidate is the kernel of the chosen rows:
-                # they lost rank mod the prime that chose them
-                rechoose = True
             residues = _crt(residues, modulus, new, p)
             modulus *= p
         candidate = _reconstruct(residues, modulus)
-        if candidate is not None and candidate != rejected:
+        if candidate is not None:
             ncols = basis1.shape[1]
             free = sorted(set(range(ncols)) - set(pivots))
             basis = _kernel_vectors(ncols, pivots, free, *candidate)
             if all(map(annihilates, basis)):
                 return basis
-            rejected = candidate
+            # the next prime starts from its own elimination
+            record = chosen = None
     raise CertificateError(f"no kernel candidate passed exact verification in {MAX_PRIMES} primes")
 
 

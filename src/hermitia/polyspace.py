@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -563,6 +563,26 @@ class WordOperator:
             raise ValueError("columns not closed under the transpose") from None
         return np.array(at, dtype=np.int64), np.where(lower, self.mirror_sign(t), 1)
 
+    def lifting(self, cols: Sequence[int]) -> Callable[[Sequence[Pair]], list[Pair]]:
+        """L on the mirror-closed columns `cols` as one gather, its
+        positions and signs found once: u -> the vector with u on their
+        upper coordinates, mirror_sign(c) * u_c on each mirror N-1-c, and 0
+        at the centre."""
+        pos = {c: u for u, c in enumerate(self.upper(cols))}
+        mirror = self.size - 1 - np.asarray(cols, dtype=np.int64)
+        at = [pos.get(c, pos.get(m, len(pos))) for c, m in zip(cols, mirror.tolist())]
+        signs = np.where(2 * mirror < self.size, 1, self.mirror_sign(mirror)).tolist()
+
+        def lift(u: Sequence[Pair]) -> list[Pair]:
+            padded = [*u, ZERO]
+            return [(s * padded[i][0], s * padded[i][1]) for i, s in zip(at, signs)]
+
+        return lift
+
+    def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
+        """L u on the mirror-closed columns `cols` (`lifting`)."""
+        return self.lifting(cols)(u)
+
     def _first_slice(self, cols: Sequence[int]) -> linalg.FirstPrime:
         """The first prime restricted to the mirror-closed `cols`, one
         column per upper coordinate, made on the first call (see the class
@@ -570,22 +590,6 @@ class WordOperator:
         if self._first is None:
             self._first = linalg.first_prime(self.field, lambda p: self.reduced_mod(p, range(self.size)))
         return self._first.columns(np.array(self.upper(cols), dtype=np.int64) - (self.size + 1) // 2)
-
-    def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
-        """L u: the vector on the mirror-closed columns `cols` with u on
-        their upper coordinates, mirror_sign(c) * u_c on each mirror
-        N-1-c, and 0 at the centre."""
-        at = dict(zip(self.upper(cols), u))
-        out = []
-        for c in cols:
-            if c in at:
-                out.append(at[c])
-                continue
-            m = self.size - 1 - c
-            x, y = at.get(m, ZERO)
-            s = self.mirror_sign(m)
-            out.append((s * x, s * y))
-        return out
 
     def height_bound(self, norm: int) -> int:
         """A bound H on |X| and |Y| for every coefficient X + Y*omega of
@@ -680,9 +684,10 @@ class WordOperator:
         the first root of each prime, started from the operator's first
         prime on `cols` (`_first_slice`): its first basis is K's
         Gauss-Jordan form there, and if a later prime is needed, its rows
-        are chosen among R and built alone at the later ones.  The kernel
-        under the second root is the first's with
-        its columns permuted with signs (`swap`), as M_rest L mod (p, w2) =
+        are chosen among R and built alone at the later ones (after a
+        refuted candidate, the next prime builds the whole block).  The
+        kernel under the second root is the first's with its columns
+        permuted with signs (`swap`), as M_rest L mod (p, w2) =
         P (M_rest L mod (p, w1)) Q for a row permutation P and a signed
         column permutation Q, so its kernel is Q^T times the first's.  Each
         candidate u is first checked mod p1 against the rows M[R] kept
@@ -702,16 +707,17 @@ class WordOperator:
             return []
         n = self.k + 1
         at, sign = self.swap(cols)
+        lift = self.lifting(cols)
         first = self._first_slice(cols)
         block = linalg.certified_kernel(
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
             lambda u: self._first_settles(first, at, sign, u)
-            and self.in_kernel(cols, self.lift(cols, u), first.p),
+            and self.in_kernel(cols, lift(u), first.p),
             first,
         )
-        lifted = (linalg._canonical_integral(self.lift(cols, u)) for u in block)
+        lifted = (linalg._canonical_integral(lift(u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
 
     def kernel_dim(self, cols: Sequence[int], lower: int = 0) -> int:

@@ -237,21 +237,49 @@ def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
     f = field(2)
     p, q, r = split_primes(f, 3)
     # exact rank 2, rank 1 mod p under both roots: the first prime's
-    # kernel vector fails the check, rows are chosen again at the third
-    # prime, and its rank 2 proves the kernel empty
+    # kernel vector fails the check, the second prime starts from its own
+    # elimination of all rows, and its rank 2 proves the kernel empty
     rows = [[f.one, f.one], [f.one, f.quad(1 + p)]]
     assert all(echelon_mod(reduced(f, rows, p, w), p)[0] == 1 for w in omega_roots(f, p))
     basis, primes, checks = certified(f, rows)
     assert basis == quad_kernel(f, rows) == []
-    assert primes == [p, q, r] and checks == 1
+    assert primes == [p, q] and checks == 1
 
     # a kernel that survives: one more column, still dropping mod p; the
-    # rank-2 primes replace the rank-1 one
+    # rank-2 second prime replaces the rank-1 first one
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero]]
     basis, primes, checks = certified(f, rows)
-    assert primes[0] == p and checks == 2
+    assert primes == [p, q] and checks == 2
     assert basis == quad_kernel(f, rows)
     assert basis == [[(0, 0), (0, 0), (1, 0)]]
+
+    # the refutation at a prime whose rows were chosen: the kernel of row 0
+    # alone has the entry -big, too large for p alone to reconstruct, so
+    # nothing is checked at p; q, on the rows chosen among R = [0],
+    # reconstructs that kernel and it is refuted, and r starts from its own
+    # elimination of both rows
+    big = 10**6 + 3
+    assert linalg._reconstruct(np.array([-big % p], dtype=object), p) is None
+    rows = [[f.one, f.quad(big), f.zero], [f.one, f.quad(big + p), f.zero]]
+    explicit = reductions(f, rows)
+    events = []
+
+    def mod(prime, picked=None):
+        events.append(("mod", prime, picked))
+        return explicit(prime, picked)
+
+    def check(v):
+        events.append(("check", v))
+        return matvec_is_zero(f, rows, elems(f, v))
+
+    start = first_prime(f, mod)
+    assert start.rows == (0,)
+    basis = certified_kernel(f, mod, second_root(f, rows), check, start)
+    assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
+    assert events == [
+        ("mod", p, None), ("mod", q, [0]), ("check", [(big, 0), (-1, 0), (0, 0)]),
+        ("mod", r, None), ("check", basis[0]),
+    ]
 
 
 def test_certified_kernel_skips_a_later_prime_of_bad_reduction():
@@ -290,15 +318,14 @@ def test_certified_kernel_proves_no_candidate_above_the_bound():
 
 def test_certified_kernel_recovers_from_rows_that_span_only_mod_the_first_prime():
     f = field(2)
-    p, q, r = split_primes(f, 3)
+    p, q = split_primes(f, 2)
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(1 + p), f.zero], [f.quad(2), f.quad(2), f.zero]]
     # row 0 spans the row space mod p, where row 1 is row 0, but not over
-    # K: the kernel mod p, that of row 0 alone, is refuted, q reproduces it
-    # on the rows chosen among R = [0], and the rows are chosen again among
-    # all of them at r
+    # K: the kernel mod p, that of row 0 alone, is refuted, and q starts
+    # from its own elimination of all the rows, not from R = [0]
     basis, primes, checks = certified(f, rows, among=[0])
     assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
-    assert primes == [p, q, r] and checks == 2
+    assert primes == [p, q] and checks == 2
     # rows 1 and 2 span over K and mod p (row 0 is row 2 - row 1): the
     # first prime proves the kernel
     rows = [[f.one, f.one, f.zero], [f.one, f.quad(2), f.zero], [f.quad(2), f.quad(3), f.zero]]
@@ -385,12 +412,13 @@ def test_modular_rank_skips_a_bad_first_prime():
 def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(monkeypatch):
     """A first prime p whose K spans more than the kernel (what a first
     prime whose eigenspace ranks do not add up gives
-    `polyspace.WordOperator`): its candidate is refuted, and only then are
-    the rows chosen, among R and at p, and built at the second prime q,
-    where more pivots replace p's; the basis is `quad_kernel`'s.  A K that
-    is the kernel is proven at p, with no row chosen or asked for.  M has
-    rational entries, so its reductions under the two roots agree and the
-    second root's basis is the first root's (`second`)."""
+    `polyspace.WordOperator`): its candidate is refuted, and the second
+    prime q starts from its own elimination of all of M, whose pivots
+    replace p's and prove the kernel there, with no row chosen; the basis
+    is `quad_kernel`'s.  A K that is the kernel is proven at p, with no row
+    chosen or asked for.  M has rational entries, so its reductions under
+    the two roots agree and the second root's basis is the first root's
+    (`second`)."""
     f = field(7)
     p, q = split_primes(f, 2)
     # row 3 is row 0 + row 1 - row 2, and R = [0, 1, 2] spans the rows
@@ -423,13 +451,10 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
     monkeypatch.setattr(linalg, "echelon_mod", recorded)
     # the kernel of rows 0 and 1 alone: 3 vectors, one of them outside ker M
     assert run(linalg.kernel_mod(explicit(p, [0, 1]), p)[0]) == want
-    checked = [(i, e[1]) for i, e in enumerate(events) if e[0] == "check"]
-    refuted = [i for i, v in checked if not matvec_is_zero(f, rows, elems(f, v))]
-    chose = events.index(("echelon", p))
-    assert refuted and refuted[0] < chose
-    built = ("mod", q, [0, 1, 2])
-    assert [e for e in events if e[0] == "mod"] == [built] and events[chose + 1] == built
-    assert not any(e[0] == "echelon" and e[1] != p for e in events)
+    # its first vector, (2, -1, 1, 0, 0), is refuted; no echelon_mod runs
+    outside = [(2, 0), (-1, 0), (1, 0), (0, 0), (0, 0)]
+    assert not matvec_is_zero(f, rows, elems(f, outside))
+    assert events == [("check", outside), ("mod", q, None)] + [("check", v) for v in want]
     # the kernel itself: proven at p alone
     assert run(linalg.kernel_mod(explicit(p), p)[0]) == want
     assert [e[0] for e in events] == ["check"] * len(want)

@@ -655,6 +655,37 @@ def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
         assert primes and p1 not in primes, d
 
 
+def test_exact_wkk_refutes_no_candidate_and_never_restarts(monkeypatch):
+    """Over `wkk` in every ring at every odd k <= 11, every candidate that
+    `certified_kernel` sends to the exact check passes, so no later prime
+    starts from its own elimination: `linalg._eliminate` runs at the first
+    split prime alone."""
+    verdicts, primes = [], []
+    certified, eliminate = linalg.certified_kernel, linalg._eliminate
+
+    def recorded(f, mod, second, annihilates, first):
+        def check(u):
+            verdicts.append(annihilates(u))
+            return verdicts[-1]
+
+        return certified(f, mod, second, check, first)
+
+    def elimination(mod, p):
+        primes.append(p)
+        return eliminate(mod, p)
+
+    monkeypatch.setattr(linalg, "certified_kernel", recorded)
+    monkeypatch.setattr(linalg, "_eliminate", elimination)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        verdicts.clear()
+        primes.clear()
+        for k in range(1, 12, 2):
+            wkk(f, k)
+        assert verdicts and all(verdicts), d
+        assert set(primes) == set(split_primes(f, 1)), d
+
+
 def test_first_prime_refutes_a_changed_vector_before_in_kernel(monkeypatch):
     """Each candidate u of `WordOperator.kernel` is checked mod the first
     split prime p1 against the rows M[R] kept there before `in_kernel`
