@@ -10,17 +10,17 @@ of the exact call (`proofs`: the calls of `WordOperator._word_sums`, one
 batched product per prime of an `in_kernel` proof), the candidates its
 checks refuted (`refuted`: the calls of the exact check given to
 `linalg.certified_kernel` that returned False, one per refuted candidate,
-each sending the next prime to its own elimination), the rows of the
-exact call's blocks (`rows_built`: every row that
-`WordOperator.reduced_mod` returned; `rows_reduced`: the rows of the
-matrices passed to `linalg.kernel_mod`, which `linalg.certified_kernel`
-row-reduces at the primes after the first: at the first split prime
-each kernel's basis is read from the full block's kernel, and no
-`kernel_mod` runs), the first 16 hex digits of the SHA-256 of the exact
-basis (one `str` per polynomial, one per line), and `ok` or `CHANGED`
-against the hash recorded in EXPECTED (`-` for a case without one).  The
-same hash means the same basis, so a change to the kernels is checked at
-k = 15-27, beyond the golden files.  Exits 1 if any hash changed.
+each sending the next prime to an elimination of the whole block), the
+rows of the exact call's blocks (`rows_built`: every row that
+`WordOperator.reduced_mod` returned; `rows_reduced`: the rows that
+`linalg.certified_kernel` asks for and eliminates at the primes after
+the first: at the first split prime each kernel's basis is read from the
+full block's kernel, and no row is asked for), the first 16 hex digits
+of the SHA-256 of the exact basis (one `str` per polynomial, one per
+line), and `ok` or `CHANGED` against the hash recorded in EXPECTED (`-`
+for a case without one).  The same hash means the same basis, so a
+change to the kernels is checked at k = 15-27, beyond the golden files.
+Exits 1 if any hash changed.
 Without arguments it runs the six cases of EXPECTED.
 """
 
@@ -46,23 +46,19 @@ EXPECTED = {
 
 
 def count_work() -> dict[str, int]:
-    """Wrap `WordOperator.reduced_mod` and `linalg.kernel_mod` to count the
-    rows of the matrices each returns or is given, `linalg._row_reduce` to
-    count the row reductions and their pivot steps,
-    `WordOperator._word_sums` to count the proof products, and the check
-    passed to `linalg.certified_kernel` to count the refuted candidates."""
+    """Wrap `WordOperator.reduced_mod` to count the rows it returns,
+    `linalg._row_reduce` to count the row reductions and their pivot
+    steps, `WordOperator._word_sums` to count the proof products, and the
+    reductions and the check passed to `linalg.certified_kernel` to count
+    the rows it eliminates and the refuted candidates."""
     counts = {"built": 0, "reduced": 0, "reductions": 0, "pivots": 0, "proofs": 0, "refuted": 0}
-    reduced_mod, kernel_mod, row_reduce = WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce
+    reduced_mod, row_reduce = WordOperator.reduced_mod, linalg._row_reduce
     word_sums, certified = WordOperator._word_sums, linalg.certified_kernel
 
     def built(self, *args):
         out = reduced_mod(self, *args)
         counts["built"] += out.shape[0]
         return out
-
-    def reduced(mat, p):
-        counts["reduced"] += mat.shape[0]
-        return kernel_mod(mat, p)
 
     def reduction(*args, **kwargs):
         out = row_reduce(*args, **kwargs)
@@ -75,14 +71,20 @@ def count_work() -> dict[str, int]:
         return word_sums(self, *args)
 
     def certified_kernel(f, mod, second, annihilates, first):
+        # every block it asks for is eliminated at a prime after the first
+        def eliminated(*args):
+            out = mod(*args)
+            counts["reduced"] += out.shape[0]
+            return out
+
         def check(u):
             passed = annihilates(u)
             counts["refuted"] += not passed
             return passed
 
-        return certified(f, mod, second, check, first)
+        return certified(f, eliminated, second, check, first)
 
-    WordOperator.reduced_mod, linalg.kernel_mod, linalg._row_reduce = built, reduced, reduction
+    WordOperator.reduced_mod, linalg._row_reduce = built, reduction
     WordOperator._word_sums, linalg.certified_kernel = proof, certified_kernel
     return counts
 

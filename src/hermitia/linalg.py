@@ -20,8 +20,8 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   basis of { x : x M = 0 mod p } from one elimination (the transformation
   view of Jeannerod, Pernet and Storjohann, "Rank-profile revealing
   Gaussian elimination and the CUP matrix decomposition", J. Symb. Comput.
-  56, 2013).  `kernel_mod_from_span` puts vectors that span a kernel into
-  `kernel_mod`'s Gauss-Jordan layout.
+  56, 2013).  `kernel_mod_from_span` turns vectors that span a kernel
+  into its Gauss-Jordan basis, one vector per free column.
   `matmul_mod` multiplies such matrices mod p, batched, splitting one
   factor into 15-bit limbs so that the sums stay in int64.  The word
   operators of `polyspace` use it for all their arithmetic mod p: each
@@ -36,26 +36,28 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   span M's row space mod p1, M[R] mod p1, and K, a basis of ker(M mod
   p1).  If M mod p has full column rank, the kernel is empty: the rank
   over K is at least the rank mod p.  Each prime is worked under its first
-  root w1 alone.  At p1 the kernel basis is the Gauss-Jordan form of K
-  (`kernel_mod_from_span`), and no row of M is reduced; at a later prime
-  it is `kernel_mod` of the chosen rows, chosen among R at p1 when a
-  second prime is first needed, and only they are asked for.  Each free
-  column set to 1, the basis goes to the caller's map to a kernel basis
-  under w2 (for the word operators of `polyspace` a signed column
-  permutation, for the tests' matrices a row reduction under w2), whose
-  Gauss-Jordan form must have w1's free columns: otherwise w2 has other
-  pivots and the prime is skipped.  The two kernels give x and y mod p of
-  every entry x + y*omega; the primes are combined by CRT and rational
-  reconstruction, and the first reconstruction whose common denominator
-  is within Wang's bound isqrt(modulus // 2) is checked exactly at once
-  (for the word operators, by their reductions at the `primes_exceeding`
-  twice a proven height bound), so a kernel of small height is proven at
-  its first prime.  After a refuted candidate the next prime starts from
-  its own elimination of M (`_eliminate`, as `first_prime` at p1).
-  c - rank_p independent vectors of ker M make a basis, since
-  dim ker M <= c - rank_p; each is supported on its own free column and
-  earlier pivots, so the free columns mod p are those over K and the
-  basis is the one Gauss-Jordan elimination over K gives.
+  root w1 alone, and its kernel basis is the Gauss-Jordan form
+  (`kernel_mod_from_span`) of the kernel of one such elimination: K at
+  p1, where no row of M is reduced again, and at each later prime the
+  kernel of the rows R of the last prime not skipped, eliminated there
+  (`_eliminate`, the elimination of `first_prime`); only those rows are
+  asked for.  Each free column set to 1, the basis goes to the
+  caller's map to a kernel basis under w2 (for the word operators of
+  `polyspace` a signed column permutation, for the tests' matrices a row
+  reduction under w2), whose Gauss-Jordan form must have w1's free
+  columns: otherwise w2 has other pivots and the prime is skipped, as is
+  one whose rank or pivots are worse than the best.  The two kernels give
+  x and y mod p of every entry x + y*omega; the primes are combined by
+  CRT and rational reconstruction, and the first reconstruction whose
+  common denominator is within Wang's bound isqrt(modulus // 2) is
+  checked exactly at once (for the word operators, by their reductions at
+  the `primes_exceeding` twice a proven height bound), so a kernel of
+  small height is proven at its first prime.  After a refuted candidate
+  the next prime eliminates all of M.  c - rank_p independent vectors of
+  ker M make a basis, since dim ker M <= c - rank_p; each is supported on
+  its own free column and earlier pivots, so the free columns mod p are
+  those over K and the basis is the one Gauss-Jordan elimination over K
+  gives.
 
   `FirstPrime.columns` restricts p1's rows and K to a block E of M's
   columns, with the same rows: R still spans E's row space mod p1, and K
@@ -491,28 +493,14 @@ def _crt(residues: np.ndarray, m: int, new: np.ndarray, p: int) -> np.ndarray:
     return residues + m * step
 
 
-def kernel_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The reduced row echelon kernel basis mod the prime p of an int64
-    matrix with entries in [0, p), one row per free column c: 1 at c, 0 at
-    the other free columns, and minus the reduced entries of column c at
-    the pivot columns, which are 0 right of c.  Also the pivot columns.
-    The input is left unchanged."""
-    red, pivots = rref_mod(mat, p)
-    free = sorted(set(range(mat.shape[1])) - set(pivots))
-    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = (-red[:, free].T) % p
-    return basis, pivots
-
-
 def kernel_mod_from_span(span: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """What `kernel_mod` returns for a matrix whose kernel mod the prime p
-    is the row space of `span`: its Gauss-Jordan basis, the reduced row
-    echelon form of `span` with its columns and its rows reversed, and the
-    columns that are not free.  A kernel vector's last nonzero entry is at
-    a free column, and each free column is the last nonzero entry of one,
-    so these are `kernel_mod`'s rows: 1 at their free column c, 0 at the
-    other free columns and right of c.  The input is left unchanged."""
+    """The Gauss-Jordan kernel basis mod the prime p of a matrix whose
+    kernel mod p is the row space of `span`, one row per free column c (1
+    at c, 0 at the other free columns and right of c), and the columns
+    that are not free, its pivot columns.  It is the reduced row echelon
+    form of `span` with its columns and its rows reversed: a kernel
+    vector's last nonzero entry is at a free column, and each free column
+    is the last nonzero entry of one.  The input is left unchanged."""
     ncols = span.shape[1]
     red, lead = rref_mod(span[:, ::-1], p)
     free = {ncols - 1 - c for c in lead}
@@ -521,10 +509,11 @@ def kernel_mod_from_span(span: np.ndarray, p: int) -> tuple[np.ndarray, tuple[in
 
 @dataclass(frozen=True)
 class FirstPrime:
-    """One elimination of a matrix M over O_d at the first split prime p
-    (`first_prime`): rows R of M, independent mod p, that span its row
-    space there, those rows M[R] mod p under w1 (`mat`), and K, a basis
-    mod p of ker(M mod p), one vector per row (`kernel`)."""
+    """One elimination of a matrix M over O_d, or of some of its rows, at
+    a split prime p (`_eliminate`; `first_prime` at the first): rows R of
+    M, independent mod p, that span the eliminated rows' space there,
+    those rows M[R] mod p under w1 (`mat`), and K, a basis mod p of the
+    eliminated rows' kernel, one vector per eliminated row (`kernel`)."""
 
     p: int
     rows: tuple[int, ...]
@@ -544,14 +533,16 @@ def first_prime(f: FieldSpec, mod: Reductions) -> FirstPrime:
     return _eliminate(mod, split_primes(f, 1)[0])
 
 
-def _eliminate(mod: Reductions, p: int) -> FirstPrime:
+def _eliminate(mod: Reductions, p: int, rows: Sequence[int] | None = None) -> FirstPrime:
     """`FirstPrime` of the matrix with reductions `mod` at the split prime
-    p, from one row reduction of its transpose that carries the row
-    operations (`left_kernel_mod`): its pivot columns are R, and its left
-    kernel is ker(M mod p)."""
-    mat = mod(p)
-    rows, kernel = left_kernel_mod(mat.T, p)
-    return FirstPrime(p, rows, mat[list(rows)], kernel)
+    p, of all its rows or of the rows `rows` alone, from one row reduction
+    of their transpose that carries the row operations (`left_kernel_mod`):
+    its pivot columns, as row indices of M, are R, and its left kernel is
+    the kernel of those rows mod p."""
+    mat = mod(p) if rows is None else mod(p, list(rows))
+    pivots, kernel = left_kernel_mod(mat.T, p)
+    kept = pivots if rows is None else tuple(rows[i] for i in pivots)
+    return FirstPrime(p, kept, mat[list(pivots)], kernel)
 
 
 def certified_kernel(
@@ -571,20 +562,21 @@ def certified_kernel(
     compute M v), and `first`, M at the first split prime p1 (`FirstPrime`,
     possibly restricted to M's columns from a larger matrix's).
 
-    Each split prime is worked under w1 only, from a record: one
-    elimination of M (`FirstPrime`), `first` to begin with.  At the
-    record's prime p the kernel basis is the Gauss-Jordan form of the
-    record's kernel, which spans a space that contains ker(M mod p), and
-    `second` is asked for its image with rows None, all of M.  Its size d
-    is at least dim ker(M mod p), which is at least dim ker M over K, so
-    d = 0 proves the kernel empty.  When a later prime is needed, the rows
-    named by the pivot columns of the record's `mat`^T mod p (independent
-    there, hence over K) are chosen, and at each later prime only they are
-    asked for and their kernel basis taken (`kernel_mod`); if it is empty,
-    so is the kernel.  The basis under w2 that `second` returns is put in
-    Gauss-Jordan form (`kernel_mod_from_span`): a prime where its free
-    columns are not w1's has other pivots under w2 and is skipped, as is a
-    prime whose rank or pivot pattern is worse than the best seen so far.
+    Each split prime p is worked under w1 only, from one elimination there
+    (`FirstPrime`): `first` at p1, and at each later prime `_eliminate` of
+    the rows R of the last prime that was kept (below), or of all of M
+    when no prime has been kept since p1 or the last refuted candidate.  Its
+    kernel spans a space that contains ker(M mod p), as its rows are rows
+    of M; the kernel basis is that kernel's Gauss-Jordan form
+    (`kernel_mod_from_span`), and `second` is asked for its image on the
+    same rows (None, all of M, at p1).  Its size d is at least dim ker(M
+    mod p), which is at least dim ker M over K, so d = 0 proves the kernel
+    empty.  The basis under w2 that `second` returns is put in
+    Gauss-Jordan form too: a prime where its free columns are not w1's has
+    other pivots under w2 and is skipped, as is a prime whose rank or
+    pivot pattern is worse than the best seen so far.  Every other prime
+    is kept, and its R, independent mod p and so over K, are the rows the
+    next prime eliminates: a skipped prime never shrinks them.
     Under the two roots the entries x + y*omega of each kernel vector,
     with its free column set to 1, are x + y*w1 and x + y*w2, so each prime
     gives x and y mod p.  They are combined by CRT and rational
@@ -593,34 +585,29 @@ def certified_kernel(
     vector, made integral and content-free, must pass `annihilates`.
     Neither the bound, `second` nor `first` decides what is returned, only
     when a proof is worth trying: whatever is returned has passed.  A
-    refuted candidate comes from too few primes, from a record's kernel
-    larger than ker M, or from rows that span M's only mod the prime that
-    chose them; the next prime then starts from its own elimination of all
-    of M, the new record, whose rank at a prime of good reduction is M's.
+    refuted candidate comes from too few primes, from a first kernel
+    larger than ker M, or from rows R that span M's rows only mod the
+    prime that kept them; the next prime then eliminates all of M, whose
+    rank at a prime of good reduction is M's.
     The basis equals `quad_kernel` of M.  If no candidate passes within
     MAX_PRIMES primes, CertificateError is raised.
     """
     best = None  # (rank, pivots) of the primes being combined
-    record, chosen = first, None  # the last elimination, and rows chosen from it
+    keep = None  # rows the next prime eliminates: the last kept prime's R, or None, all of M
     residues = modulus = None
     for p in itertools.islice(_split_primes(f), MAX_PRIMES):
         w1, w2 = omega_roots(f, p)
-        if record is None:
-            record = _eliminate(mod, p)
-        if p == record.p:
-            basis1, pivots = kernel_mod_from_span(record.kernel, p)
-        else:
-            if chosen is None:
-                chosen = [record.rows[r] for r in echelon_mod(record.mat.T, record.p)[1]]
-            basis1, pivots = kernel_mod(mod(p, chosen), p)
+        record = first if p == first.p else _eliminate(mod, p, keep)
+        basis1, pivots = kernel_mod_from_span(record.kernel, p)
         if not len(basis1):
             return []
-        basis2, pivots2 = kernel_mod_from_span(second(p, chosen, basis1), p)
+        basis2, pivots2 = kernel_mod_from_span(second(p, keep, basis1), p)
         if pivots2 != pivots:
             continue
         key = (len(pivots), tuple(-c for c in pivots))
         if best is not None and key < best:
             continue
+        keep = record.rows
         # kernel entries at the pivot columns, one row per free column
         k1, k2 = basis1[:, list(pivots)], basis2[:, list(pivots)]
         y = (k1 - k2) % p * pow((w1 - w2) % p, p - 2, p) % p
@@ -638,8 +625,8 @@ def certified_kernel(
             basis = _kernel_vectors(ncols, pivots, free, *candidate)
             if all(map(annihilates, basis)):
                 return basis
-            # the next prime starts from its own elimination
-            record = chosen = None
+            # the next prime eliminates all of M
+            keep = None
     raise CertificateError(f"no kernel candidate passed exact verification in {MAX_PRIMES} primes")
 
 

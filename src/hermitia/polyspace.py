@@ -65,7 +65,7 @@ places, so the block mod (p, w2) is the block mod (p, w1) with rows
 (`WordOperator.swap`): a kernel's second root comes from its first, and
 `in_kernel` checks both roots on the first root's values, the second on
 the transposed grid.  At later primes a kernel asks `reduced_mod` only
-for the rows it row-reduces.
+for the rows it eliminates.
 
 The kernel words do not depend on k, and are built once per ring
 (`kernel_words`), so the operators of every k share their elements.
@@ -391,10 +391,11 @@ class WordOperator:
     both roots, name the roots.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
-    lift of the kernel of the S word from its upper coordinates (`lift`),
-    whole or only some of its rows.  `kernel` and `kernel_dim` work on it
-    alone (`swap` gives the second root's kernel from the first's), and
-    `in_kernel` still checks every word under both roots.
+    lift of the kernel of the S word from its upper coordinates
+    (`lifting`), whole or only some of its rows.  `kernel` and
+    `kernel_dim` work on it alone (`swap` gives the second root's kernel
+    from the first's), and `in_kernel` still checks every word under both
+    roots.
 
     At the first split prime p1 the operator reduces M_rest L on every
     upper coordinate once, when a kernel or a dimension first needs it
@@ -410,7 +411,10 @@ class WordOperator:
     direct sum; a first prime where they do not only adds candidate
     vectors, which `in_kernel` refutes, and raises a dimension, which a
     later prime of good reduction lowers.  No eigenspace block is
-    row-reduced at p1.
+    row-reduced at p1.  At each later prime a kernel builds and eliminates
+    only the rows R of the last prime that `linalg.certified_kernel` did
+    not skip, p1's R at first: on E's columns they may be dependent mod p1
+    and independent over K, and that prime's elimination finds E's rank.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -579,10 +583,6 @@ class WordOperator:
 
         return lift
 
-    def lift(self, cols: Sequence[int], u: Sequence[Pair]) -> list[Pair]:
-        """L u on the mirror-closed columns `cols` (`lifting`)."""
-        return self.lifting(cols)(u)
-
     def _first_slice(self, cols: Sequence[int]) -> linalg.FirstPrime:
         """The first prime restricted to the mirror-closed `cols`, one
         column per upper coordinate, made on the first call (see the class
@@ -683,13 +683,13 @@ class WordOperator:
         Otherwise `linalg.certified_kernel` runs on `reduced_mod` under
         the first root of each prime, started from the operator's first
         prime on `cols` (`_first_slice`): its first basis is K's
-        Gauss-Jordan form there, and if a later prime is needed, its rows
-        are chosen among R and built alone at the later ones (after a
-        refuted candidate, the next prime builds the whole block).  The
-        kernel under the second root is the first's with its columns
-        permuted with signs (`swap`), as M_rest L mod (p, w2) =
-        P (M_rest L mod (p, w1)) Q for a row permutation P and a signed
-        column permutation Q, so its kernel is Q^T times the first's.  Each
+        Gauss-Jordan form there, and each later prime builds and eliminates
+        only the rows R of the last prime not skipped, p1's at first (after
+        a refuted candidate, the whole block).  The kernel under the
+        second root is the first's with its columns permuted with signs
+        (`swap`), as M_rest L mod (p, w2) = P (M_rest L mod (p, w1)) Q for
+        a row permutation P and a signed column permutation Q, so its
+        kernel is Q^T times the first's.  Each
         candidate u is first checked mod p1 against the rows M[R] kept
         there (`_first_settles`), under w1 on its residues and under w2 on
         them permuted with signs: a nonzero product refutes u at once, and

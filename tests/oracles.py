@@ -13,13 +13,17 @@
   either root of omega, and `reductions` turns explicit `QuadInt` rows
   into the `linalg.Reductions` that the modular routines take.
   `second_root` gives `linalg.certified_kernel` the second root's kernel
-  of such rows by reducing them under that root and row-reducing there,
-  where `polyspace.WordOperator` permutes the first root's.
+  of such rows by reducing them under that root and row-reducing there
+  (`kernel_mod`), where `polyspace.WordOperator` permutes the first
+  root's.
 
 * `row_reduce` is `linalg._row_reduce` on Python ints, column by column,
-  with a `% p` after every update and the row operations carried as a
-  transform that starts as the identity: the oracle of `echelon_mod`,
-  `rref_mod` and `left_kernel_mod`, which delay the `% p`.
+  with a `% p` after every update and, for a left kernel, the row
+  operations carried as a transform that starts as the identity: the
+  oracle of `echelon_mod`, `rref_mod` and `left_kernel_mod`, which delay
+  the `% p`.  `kernel_mod` reads the Gauss-Jordan kernel basis mod p off
+  its reduced form: the oracle of `linalg.kernel_mod_from_span`, which
+  reads it off vectors that span the kernel.
 
 * `word_action_loop` is the exact word action as a Python loop over the
   support, one `pair_mul` at a time, on the `factored_words` of a ring:
@@ -71,7 +75,7 @@ from hermitia.field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, nearest_int
 from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, form_ints, window_scan
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
-from hermitia.linalg import Reductions, Rows, SecondRoot, kernel_mod, omega_roots
+from hermitia.linalg import Reductions, Rows, SecondRoot, omega_roots
 from hermitia.polyspace import (
     PairMatrix,
     Support,
@@ -173,14 +177,14 @@ def reductions(f: FieldSpec, rows: Rows) -> Reductions:
 
 def second_root(f: FieldSpec, rows: Rows) -> SecondRoot:
     """The second root's kernel that `linalg.certified_kernel` asks for, on
-    explicit rows of `QuadInt`: the rows it chose (all if None), reduced
-    mod p with omega -> w2 (`pairs_mod`) and row-reduced there
+    explicit rows of `QuadInt`: the rows it eliminates (all if None),
+    reduced mod p with omega -> w2 (`pairs_mod`) and row-reduced there
     (`kernel_mod`); the first root's basis is not used."""
     pairs = [[(e.x, e.y) for e in row] for row in rows]
 
-    def kernel(p: int, chosen: Sequence[int] | None, basis: np.ndarray) -> np.ndarray:
+    def kernel(p: int, picked: Sequence[int] | None, basis: np.ndarray) -> np.ndarray:
         mat = pairs_mod(f, pairs, p, omega_roots(f, p)[1])
-        return kernel_mod(mat if chosen is None else mat[list(chosen)], p)[0]
+        return kernel_mod(mat if picked is None else mat[list(picked)], p)[0]
 
     return kernel
 
@@ -255,6 +259,20 @@ def word_action_loop(
     return total
 
 
+def kernel_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The Gauss-Jordan kernel basis mod the prime p of an int64 matrix
+    with entries in [0, p), one row per free column c: 1 at c, 0 at the
+    other free columns, and minus the reduced entries of column c at the
+    pivot columns, which are 0 right of c.  Also the pivot columns.  From
+    the reduced form of `row_reduce`."""
+    red, pivots, _ = row_reduce(mat, p, reduced=True)
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = (-red[:, free].T) % p
+    return basis, pivots
+
+
 def row_reduce(
     mat: np.ndarray, p: int, reduced: bool, kernel: bool = False
 ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
@@ -270,7 +288,8 @@ def row_reduce(
     if not kernel:
         rows = [row for row in rows if any(row)]
     nrows, ncols = len(rows), mat.shape[1]
-    trans = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    # the transform, empty rows unless `kernel` asks for it
+    trans = [[int(i == j) for j in range(nrows if kernel else 0)] for i in range(nrows)]
     pivots: list[int] = []
     for col in range(ncols):
         top = len(pivots)

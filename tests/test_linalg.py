@@ -18,7 +18,6 @@ from hermitia.linalg import (
     echelon_mod,
     first_prime,
     kernel_dim_upper_bound,
-    kernel_mod,
     left_kernel_mod,
     matmul_mod,
     matvec_is_zero,
@@ -31,7 +30,7 @@ from hermitia.linalg import (
 )
 
 from conftest import generator_of_first_ideals, seeded
-from oracles import elems, pairs_mod, reductions, row_reduce, second_root
+from oracles import elems, kernel_mod, pairs_mod, reductions, row_reduce, second_root
 
 
 def rand_rows(rng, f, nr, nc, span=4):
@@ -152,9 +151,9 @@ def certified(f, rows, annihilates=None, among=None, cols=None):
         asked.append(p)
         return explicit(p, picked)
 
-    def second(p, chosen, basis):
+    def second(p, picked, basis):
         asked.append(p)
-        return kernel2(p, chosen, basis)
+        return kernel2(p, picked, basis)
 
     def check(v):
         checks.append(v)
@@ -253,11 +252,11 @@ def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
     assert basis == quad_kernel(f, rows)
     assert basis == [[(0, 0), (0, 0), (1, 0)]]
 
-    # the refutation at a prime whose rows were chosen: the kernel of row 0
-    # alone has the entry -big, too large for p alone to reconstruct, so
-    # nothing is checked at p; q, on the rows chosen among R = [0],
-    # reconstructs that kernel and it is refuted, and r starts from its own
-    # elimination of both rows
+    # the refutation at a later prime: the kernel of row 0 alone has the
+    # entry -big, too large for p alone to reconstruct, so nothing is
+    # checked at p; q, eliminating the rows R = [0] that p kept,
+    # reconstructs that kernel and it is refuted, and r eliminates both
+    # rows
     big = 10**6 + 3
     assert linalg._reconstruct(np.array([-big % p], dtype=object), p) is None
     rows = [[f.one, f.quad(big), f.zero], [f.one, f.quad(big + p), f.zero]]
@@ -332,6 +331,43 @@ def test_certified_kernel_recovers_from_rows_that_span_only_mod_the_first_prime(
     basis, primes, checks = certified(f, rows, among=[1, 2])
     assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
     assert primes == [p] and checks == 1
+
+
+def test_certified_kernel_eliminates_the_kept_rows_again_at_the_next_prime():
+    """Rows [1, b, 0] and [1, b + p, 1] over O_1, b = 1 + 10^6, on their
+    first two columns, started from the whole matrix's first prime p
+    restricted to them (`FirstPrime.columns`), as `polyspace.WordOperator`
+    starts each eigenspace's: both rows are kept at p, where the whole
+    rows are independent, but on the block they are equal mod p, so p's
+    kernel is (-b, 1), too large to reconstruct mod p alone.  q eliminates
+    both kept rows, independent over K, finds the block of full rank and
+    proves its kernel empty with no exact check."""
+    f = field(1)
+    p, q = split_primes(f, 2)
+    b = 1 + 10**6
+    assert linalg._reconstruct(np.array([-b % p], dtype=object), p) is None
+    rows = [[f.one, f.quad(b), f.zero], [f.one, f.quad(b + p), f.one]]
+    block = [row[:2] for row in rows]
+    start = first_prime(f, reductions(f, rows))
+    assert start.rows == (0, 1)
+    explicit, kernel2 = reductions(f, block), second_root(f, block)
+    events = []
+
+    def mod(prime, picked=None):
+        events.append(("mod", prime, picked))
+        return explicit(prime, picked)
+
+    def second(prime, picked, basis):
+        events.append(("second", prime, picked))
+        return kernel2(prime, picked, basis)
+
+    def check(v):
+        events.append(("check", v))
+        return matvec_is_zero(f, block, elems(f, v))
+
+    basis = certified_kernel(f, mod, second, check, start.columns(range(2)))
+    assert basis == quad_kernel(f, block) == []
+    assert events == [("second", p, None), ("mod", q, [0, 1])]
 
 
 def test_certified_kernel_skips_a_prime_where_the_second_root_has_other_pivots(monkeypatch):
@@ -413,12 +449,11 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
     """A first prime p whose K spans more than the kernel (what a first
     prime whose eigenspace ranks do not add up gives
     `polyspace.WordOperator`): its candidate is refuted, and the second
-    prime q starts from its own elimination of all of M, whose pivots
-    replace p's and prove the kernel there, with no row chosen; the basis
-    is `quad_kernel`'s.  A K that is the kernel is proven at p, with no row
-    chosen or asked for.  M has rational entries, so its reductions under
-    the two roots agree and the second root's basis is the first root's
-    (`second`)."""
+    prime q eliminates all of M, whose pivots replace p's and prove the
+    kernel there, with no `echelon_mod`; the basis is `quad_kernel`'s.  A
+    K that is the kernel is proven at p, with no row asked for.  M has
+    rational entries, so its reductions under the two roots agree and the
+    second root's basis is the first root's (`second`)."""
     f = field(7)
     p, q = split_primes(f, 2)
     # row 3 is row 0 + row 1 - row 2, and R = [0, 1, 2] spans the rows
@@ -446,17 +481,17 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
     def run(kernel):
         events.clear()
         start = FirstPrime(p, span, explicit(p, span), kernel)
-        return certified_kernel(f, mod, lambda prime, chosen, basis: basis, check, start)
+        return certified_kernel(f, mod, lambda prime, picked, basis: basis, check, start)
 
     monkeypatch.setattr(linalg, "echelon_mod", recorded)
     # the kernel of rows 0 and 1 alone: 3 vectors, one of them outside ker M
-    assert run(linalg.kernel_mod(explicit(p, [0, 1]), p)[0]) == want
+    assert run(kernel_mod(explicit(p, [0, 1]), p)[0]) == want
     # its first vector, (2, -1, 1, 0, 0), is refuted; no echelon_mod runs
     outside = [(2, 0), (-1, 0), (1, 0), (0, 0), (0, 0)]
     assert not matvec_is_zero(f, rows, elems(f, outside))
     assert events == [("check", outside), ("mod", q, None)] + [("check", v) for v in want]
     # the kernel itself: proven at p alone
-    assert run(linalg.kernel_mod(explicit(p), p)[0]) == want
+    assert run(kernel_mod(explicit(p), p)[0]) == want
     assert [e[0] for e in events] == ["check"] * len(want)
 
 
@@ -582,7 +617,7 @@ def test_first_prime_spans_the_rows_and_the_kernel_property(stack):
     part = start.columns(range(head))
     assert part.p == p and part.rows == start.rows
     assert np.array_equal(part.mat, start.mat[:, :head])
-    sliced = linalg.kernel_mod(mat[:, :head], p)[0]
+    sliced = kernel_mod(mat[:, :head], p)[0]
     both = np.concatenate([part.kernel, sliced])
     assert linalg.rank_mod(both, p) == linalg.rank_mod(part.kernel, p)
 

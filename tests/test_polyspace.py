@@ -51,6 +51,7 @@ from oracles import (
     annihilates,
     factor_pair,
     factored_words,
+    kernel_mod,
     one_var_matrix,
     pairs_mod,
     poly_to_vector,
@@ -349,7 +350,7 @@ def test_annihilates_checks_the_words_after_s():
             words = factored_words(f, k)
             for _ in range(3):
                 u = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in op.upper(every)]
-                v = op.lift(every, u)
+                v = op.lifting(every)(u)
                 supp = as_support(k, every, v)
                 grids = [word_action_loop(f, word, supp, k + 1) for word in words]
                 assert not any(x or y for row in grids[0] for x, y in row)
@@ -658,8 +659,8 @@ def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
 def test_exact_wkk_refutes_no_candidate_and_never_restarts(monkeypatch):
     """Over `wkk` in every ring at every odd k <= 11, every candidate that
     `certified_kernel` sends to the exact check passes, so no later prime
-    starts from its own elimination: `linalg._eliminate` runs at the first
-    split prime alone."""
+    eliminates all of M: `linalg._eliminate` covers every row at the first
+    split prime alone, and at later primes only the rows kept before."""
     verdicts, primes = [], []
     certified, eliminate = linalg.certified_kernel, linalg._eliminate
 
@@ -670,12 +671,13 @@ def test_exact_wkk_refutes_no_candidate_and_never_restarts(monkeypatch):
 
         return certified(f, mod, second, check, first)
 
-    def elimination(mod, p):
-        primes.append(p)
-        return eliminate(mod, p)
+    def elimination(mod, p, rows=None):
+        primes.append((p, rows is None))
+        return eliminate(mod, p, rows)
 
     monkeypatch.setattr(linalg, "certified_kernel", recorded)
     monkeypatch.setattr(linalg, "_eliminate", elimination)
+    later = 0
     for d in EUCLIDEAN_DS:
         f = field(d)
         verdicts.clear()
@@ -683,7 +685,11 @@ def test_exact_wkk_refutes_no_candidate_and_never_restarts(monkeypatch):
         for k in range(1, 12, 2):
             wkk(f, k)
         assert verdicts and all(verdicts), d
-        assert set(primes) == set(split_primes(f, 1)), d
+        p1 = split_primes(f, 1)[0]
+        assert {p for p, whole in primes if whole} == {p1}, d
+        later += sum(p != p1 for p, _ in primes)
+    # some kernels reach a later prime, and eliminate the rows kept there
+    assert later > 0
 
 
 def test_first_prime_refutes_a_changed_vector_before_in_kernel(monkeypatch):
@@ -904,8 +910,8 @@ def test_the_first_reduction_holds_every_eigenspace_block():
     rows M[R], and K, a basis of the block's kernel mod p1 with c - |R|
     vectors.  Each mirror-closed eigenspace block is a column slice of the
     full block, its R rows are M[R]'s slice and have its rank, and its
-    first-prime basis, read from K, is `kernel_mod` of the whole block at
-    p1, with |E| - rank_mod vectors: the full block's too."""
+    first-prime basis, read from K, is the oracle `kernel_mod` of the
+    whole block at p1, with |E| - rank_mod vectors: the full block's too."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         p = split_primes(f, 1)[0]
@@ -934,7 +940,8 @@ def test_the_first_reduction_holds_every_eigenspace_block():
                 basis, pivots = linalg.kernel_mod_from_span(first.kernel, p)
                 eigen_rank = linalg.rank_mod(eigen, p)
                 assert linalg.rank_mod(rows, p) == eigen_rank, (d, k, e)
-                want, want_pivots = linalg.kernel_mod(eigen, p)
+                # the kernel of E's rows that span it mod p1 is E's
+                want, want_pivots = kernel_mod(eigen[list(linalg.echelon_mod(eigen.T, p)[1])], p)
                 assert np.array_equal(basis, want) and pivots == want_pivots, (d, k, e)
                 assert len(basis) == eigen.shape[1] - eigen_rank, (d, k, e)
 
@@ -1044,10 +1051,11 @@ def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
     reduced is used whole (each is under the first root, the only one
     `reduced_mod` reduces under).
     The one full block at the first split prime is the operator's; every
-    later full block is ranked whole (`rank_mod`), and every block of
-    chosen rows is the matrix that `certified_kernel` row-reduces next."""
+    later full block is ranked whole (`rank_mod`), and every block of kept
+    rows is the matrix whose transpose `certified_kernel` eliminates next
+    (`left_kernel_mod`)."""
     events = []
-    reduced_mod, rref_mod, rank_mod = WordOperator.reduced_mod, linalg.rref_mod, linalg.rank_mod
+    reduced_mod, left_kernel_mod, rank_mod = WordOperator.reduced_mod, linalg.left_kernel_mod, linalg.rank_mod
 
     def reduced(self, p, cols, rows=None):
         out = reduced_mod(self, p, cols, rows)
@@ -1056,15 +1064,16 @@ def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
 
     def recorded(name, fn):
         def run(mat, p):
-            events.append((name, mat))
+            # the block itself, of which an elimination gets the transpose
+            events.append((name, mat.base if name == "left" else mat))
             return fn(mat, p)
 
         return run
 
     monkeypatch.setattr(WordOperator, "reduced_mod", reduced)
-    monkeypatch.setattr(linalg, "rref_mod", recorded("rref", rref_mod))
+    monkeypatch.setattr(linalg, "left_kernel_mod", recorded("left", left_kernel_mod))
     monkeypatch.setattr(linalg, "rank_mod", recorded("rank", rank_mod))
-    chosen = 0
+    kept = 0
     for d in EUCLIDEAN_DS:
         f = field(d)
         p1 = split_primes(f, 1)[0]
@@ -1077,12 +1086,12 @@ def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
                 for i, (_, p, rows, out) in calls:
                     if rows is None and p == p1:
                         continue
-                    use = "rank" if rows is None else "rref"
-                    after = next(e for e in events[i + 1 :] if e[0] in ("rref", "rank"))
+                    use = "rank" if rows is None else "left"
+                    after = next(e for e in events[i + 1 :] if e[0] in ("left", "rank"))
                     assert after[0] == use and after[1] is out, (d, k, method, p)
-                    chosen += rows is not None
+                    kept += rows is not None
     # the exact kernels reach later primes, and ask only for their rows
-    assert chosen > 0
+    assert kept > 0
 
 
 def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
@@ -1090,13 +1099,12 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
     first split prime p1 is good (the eigenspaces' first-prime dimensions
     add up to the full block's): at p1 the one block row-reduced is the
     full one, once (`left_kernel_mod`, which also gives its kernel); no
-    eigenspace block is ranked or row-reduced there (no `rank_mod`, no
-    `kernel_mod`), and each reduced row echelon form at p1 (K's
+    block is ranked there and no rows are chosen (no `rank_mod`, no
+    `echelon_mod`), and each reduced row echelon form at p1 (K's
     Gauss-Jordan forms, the second root's re-expression) has at most dim
-    ker(M mod p1) rows.  The modular method chooses no rows at p1; the
-    exact one chooses an eigenspace's rows among R there (`echelon_mod`)
-    only for a kernel that needs a later prime, right before they are
-    built at it."""
+    ker(M mod p1) rows.  Only the exact method asks for some rows, at
+    later primes, for a kernel that needs one: they are among R, the rows
+    p1 kept, and are eliminated right after they are built."""
     events = []
 
     def recorded(name, fn):
@@ -1117,10 +1125,10 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
         return reduced_mod(self, p, cols, rows)
 
     monkeypatch.setattr(WordOperator, "reduced_mod", reduced)
-    names = {"left": "left_kernel_mod", "kernel": "kernel_mod", "rank": "rank_mod", "echelon": "echelon_mod", "rref": "rref_mod"}
+    names = {"left": "left_kernel_mod", "rank": "rank_mod", "echelon": "echelon_mod", "rref": "rref_mod"}
     for name, attr in names.items():
         monkeypatch.setattr(linalg, attr, recorded(name, getattr(linalg, attr)))
-    chosen = 0
+    later = 0
     for d in EUCLIDEAN_DS:
         f = field(d)
         p1 = split_primes(f, 1)[0]
@@ -1138,17 +1146,17 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
                 at_p1 = [(i, e) for i, e in enumerate(events) if e[1] == p1]
                 assert [e[0] for _, e in at_p1].count("left") == 1, (d, k, method)
                 assert [e for _, e in at_p1 if e[0] == "reduced"] == [("reduced", p1, None)], (d, k, method)
-                assert not any(e[0] in ("kernel", "rank") for _, e in at_p1), (d, k, method)
-                for i, (name, _, shape) in at_p1:
+                assert not any(e[0] in ("rank", "echelon") for _, e in at_p1), (d, k, method)
+                for _, (name, _, shape) in at_p1:
                     if name == "rref":
                         assert shape[0] <= nullity, (d, k, method)
-                    if name == "echelon":
-                        after = events[i + 1]
-                        assert method == "exact" and after[0] == "reduced" and after[1] != p1, (d, k)
-                        assert after[2] is not None and set(after[2]) <= set(span), (d, k)
-                        chosen += 1
+                for i, (name, p, rows) in enumerate(events):
+                    if name == "reduced" and rows is not None:
+                        assert method == "exact" and p != p1 and set(rows) <= set(span), (d, k)
+                        assert events[i + 1][:2] == ("left", p), (d, k)
+                        later += 1
     # some exact kernels at k <= 11 need a second prime
-    assert chosen > 0
+    assert later > 0
 
 
 def test_kernel_words_are_built_once_per_ring():
