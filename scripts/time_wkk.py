@@ -7,10 +7,12 @@ Prints one line per (d, k): the seconds of one exact and one modular
 as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
 of `linalg._row_reduce`, and the pivots they found), the proof products
 of the exact call (`proofs`: the calls of `WordOperator._word_sums`, one
-batched product per prime of an `in_kernel` proof), the candidates its
-checks refuted (`refuted`: the calls of the exact check given to
-`linalg.certified_kernel` that returned False, one per refuted candidate,
-each sending the next prime to an elimination of the whole block), the
+float64 product of grids per proof prime per candidate basis, as one
+`in_kernel` proves every vector of a candidate at once), the candidates
+its checks refuted (`refuted`: the calls of the exact check given to
+`linalg.certified_kernel` that returned False, one per refuted candidate
+basis, each sending the next prime to an elimination of the whole
+block), the
 rows of the exact call's blocks (`rows_built`: every row that
 `WordOperator.reduced_mod` returned; `rows_reduced`: the rows that
 `linalg.certified_kernel` asks for and eliminates at the primes after
@@ -77,8 +79,8 @@ def count_work() -> dict[str, int]:
             counts["reduced"] += out.shape[0]
             return out
 
-        def check(u):
-            passed = annihilates(u)
+        def check(basis):
+            passed = annihilates(basis)
             counts["refuted"] += not passed
             return passed
 

@@ -23,20 +23,25 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   56, 2013).  `kernel_mod_from_span` turns vectors that span a kernel
   into its Gauss-Jordan basis, one vector per free column.
   `matmul_mod` multiplies such matrices mod p, batched, splitting one
-  factor into 15-bit limbs so that the sums stay in int64.  The word
-  operators of `polyspace` use it for all their arithmetic mod p: each
-  element's factor from its values at 0..k, the blocks of the reduced
-  matrix, and the word action on a vector that proves M v = 0 for the
-  kernels and for `membership`.
+  factor into 15-bit limbs so that the sums stay in int64; the word
+  operators of `polyspace` use it on the elimination side: each element's
+  factor from its values at 0..k, the blocks of the reduced matrix, and
+  the check of a candidate basis against the rows kept at the first
+  prime.  `matmul_mod_float` is the same product on float64 BLAS, with
+  the same 15-bit limbs, exact while every partial sum stays below 2^53
+  (inner dimension up to 255 at the ~2^30 split primes), each result
+  reduced as c - p * floor(c / p) (`float_mod`, exact below 2^53 with no
+  correction): the word action that proves M v = 0 for every vector of a
+  kernel basis at once, and for `membership`, runs on it from k = 7 on.
 
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
-  only by its reductions mod split primes, an exact test of M v = 0, and
-  what one elimination at the first split prime p1 gives (`FirstPrime`,
-  made by `first_prime` from one `left_kernel_mod` of M^T): rows R that
-  span M's row space mod p1, M[R] mod p1, and K, a basis of ker(M mod
-  p1).  If M mod p has full column rank, the kernel is empty: the rank
-  over K is at least the rank mod p.  Each prime is worked under its first
-  root w1 alone, and its kernel basis is the Gauss-Jordan form
+  only by its reductions mod split primes, an exact test of M v = 0 for
+  every vector of a candidate basis at once, and what one elimination at
+  the first split prime p1 gives (`FirstPrime`, made by `first_prime` from
+  one `left_kernel_mod` of M^T): rows R that span M's row space mod p1,
+  M[R] mod p1, and K, a basis of ker(M mod p1).  If M mod p has full
+  column rank, the kernel is empty: the rank over K is at least the rank
+  mod p.  Each prime is worked under its first root w1 alone, and its kernel basis is the Gauss-Jordan form
   (`kernel_mod_from_span`) of the kernel of one such elimination: K at
   p1, where no row of M is reduced again, and at each later prime the
   kernel of the rows R of the last prime not skipped, eliminated there
@@ -50,8 +55,10 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   x and y mod p of every entry x + y*omega; the primes are combined by
   CRT and rational reconstruction, and the first reconstruction whose
   common denominator is within Wang's bound isqrt(modulus // 2) is
-  checked exactly at once (for the word operators, by their reductions at
-  the `primes_exceeding` twice a proven height bound), so a kernel of
+  checked exactly at once, the whole basis in one call that is true only
+  if every vector passes (for the word operators, by their reductions at
+  the `primes_exceeding` twice a height bound proven for the largest
+  entry, one product per prime for all the vectors), so a kernel of
   small height is proven at its first prime.  After a refuted candidate
   the next prime eliminates all of M.  c - rank_p independent vectors of
   ker M make a basis, since dim ker M <= c - rank_p; each is supported on
@@ -260,6 +267,42 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("inner dimension above 2^16 may overflow int64")
     hi, lo = np.divmod(b, 1 << 15)
     return ((a @ hi) % p * (1 << 15) + a @ lo) % p
+
+
+def float_mod(c: np.ndarray, p: int) -> np.ndarray:
+    """c mod p, in [0, p), for a float64 array of integers with |c| < 2^53,
+    as c - p * floor(c / p), a new array.  The quotient needs no
+    correction: a float x is within half its spacing, at most |x| 2^-53, of
+    its rounding, and c / p is at least 1/p from every integer it is not,
+    where |c / p| 2^-53 < 1/p; so the correctly rounded c / p is an integer
+    only when c / p is, and has the same floor.  Every product and
+    difference is then an exact integer of at most |c| + p."""
+    q = float(p)
+    return c - np.floor(c / q) * q
+
+
+def matmul_mod_float(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p on float64 BLAS (numpy's batched `matmul`), for float64
+    arrays of integers in [0, p), as a new float64 array.  The inner
+    dimension n must have (p - 1) max(n h, n l + 2^15) + p <= 2^53, h = (p -
+    1) >> 15 and l = min(p - 1, 2^15 - 1) the largest limbs below: n up to
+    255 at the split primes just above 2^30.  A larger n raises ValueError.
+
+    b is split into 15-bit limbs, b = hi * 2^15 + lo, both exact in
+    float64, and one product takes them side by side: every product with
+    hi is at most (p - 1) h and every one with lo at most (p - 1) l, so
+    every partial sum, in any order, is an exact integer (the technique of
+    FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  a @ hi
+    is reduced (`float_mod`), and (a @ hi mod p) * 2^15 + a @ lo, at most
+    2^53 - p, once more."""
+    hi_max, lo_max = (p - 1) >> 15, min(p - 1, (1 << 15) - 1)
+    n = a.shape[-1]
+    if (p - 1) * max(n * hi_max, n * lo_max + (1 << 15)) + p > 1 << 53:
+        raise ValueError("inner dimension too large for exact float64 sums mod p")
+    hi = np.floor(b * 2.0**-15)
+    both = a @ np.concatenate([hi, b - hi * 2.0**15], axis=-1)
+    half = b.shape[-1]
+    return float_mod(float_mod(both[..., :half], p) * 2.0**15 + both[..., half:], p)
 
 
 @lru_cache(maxsize=None)
@@ -549,17 +592,19 @@ def certified_kernel(
     f: FieldSpec,
     mod: Reductions,
     second: SecondRoot,
-    annihilates: Callable[[list[Pair]], bool],
+    annihilates: Callable[[list[list[Pair]]], bool],
     first: FirstPrime,
 ) -> list[list[Pair]]:
     """Basis of the kernel of a matrix M over O_d known through
     `mod(p, rows)`, the rows `rows` (all by default) of M mod the split
     prime p with omega -> w1, the first root of omega, `second`, the map
     from a kernel basis under w1 to one under the second root w2,
-    `annihilates(v)`, an exact test of M v = 0 on a vector of integer pairs
+    `annihilates(basis)`, an exact test of M v = 0 for every vector v of
+    a candidate basis of integer pairs, true only if every vector passes
     (`polyspace.WordOperator` gives a signed column permutation and proves
-    M v = 0 from reductions; the tests' oracles row-reduce under w2 and
-    compute M v), and `first`, M at the first split prime p1 (`FirstPrime`,
+    M v = 0 for the whole basis from reductions, one product per prime;
+    the tests' oracles row-reduce under w2 and compute M v for each
+    vector), and `first`, M at the first split prime p1 (`FirstPrime`,
     possibly restricted to M's columns from a larger matrix's).
 
     Each split prime p is worked under w1 only, from one elimination there
@@ -581,8 +626,9 @@ def certified_kernel(
     with its free column set to 1, are x + y*w1 and x + y*w2, so each prime
     gives x and y mod p.  They are combined by CRT and rational
     reconstruction; as soon as a reconstruction has a common denominator
-    within the bound of Wang's reconstruction, isqrt(modulus // 2), every
-    vector, made integral and content-free, must pass `annihilates`.
+    within the bound of Wang's reconstruction, isqrt(modulus // 2), the
+    basis, each vector made integral and content-free, goes to
+    `annihilates` in one call, one exact check per candidate basis.
     Neither the bound, `second` nor `first` decides what is returned, only
     when a proof is worth trying: whatever is returned has passed.  A
     refuted candidate comes from too few primes, from a first kernel
@@ -623,7 +669,7 @@ def certified_kernel(
             ncols = basis1.shape[1]
             free = sorted(set(range(ncols)) - set(pivots))
             basis = _kernel_vectors(ncols, pivots, free, *candidate)
-            if all(map(annihilates, basis)):
+            if annihilates(basis):
                 return basis
             # the next prime eliminates all of M
             keep = None

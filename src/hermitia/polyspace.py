@@ -54,9 +54,10 @@ word's rows.  The operator row-reduces that block once, on every column,
 at the first split prime, on first need (`linalg.first_prime`), and every
 `kernel` and `kernel_dim` reads its first prime from that one
 elimination, with no row reduction of its own block.  A kernel's proofs
-take their first prime from it too: each candidate is checked mod p1
-against the rows it keeps, and `in_kernel` proves it only at the later
-primes.
+take their first prime from it too: each candidate basis is checked mod
+p1 against the rows it keeps, in one product, and one `in_kernel` proves
+all of it at the later primes, one product of grids per prime, on
+float64 BLAS from k = 7 on (`linalg.matmul_mod_float`).
 
 Every split prime is worked under its first root w1 of omega alone.
 Under the second root w2 the z and zbar factors of each element trade
@@ -73,6 +74,7 @@ The kernel words do not depend on k, and are built once per ring
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -262,6 +264,19 @@ def kernel_words(f: FieldSpec) -> tuple[Word, ...]:
     return tuple(map(tuple, words))
 
 
+@lru_cache(maxsize=None)
+def distinct_elements(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of the kernel words, listed word after word, once
+    each (the identity is in most words): the place in that list of each
+    distinct element, first occurrences in order, and for each element of
+    the list the index of its own among them."""
+    index: dict[GroupElement, int] = {}
+    same_as = np.array([index.setdefault(g, len(index)) for word in kernel_words(f) for _, g in word])
+    distinct = np.unique(same_as, return_index=True)[1]
+    distinct.flags.writeable = same_as.flags.writeable = False
+    return distinct, same_as
+
+
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
     """sum sign * (P|g) over the word, on the grid V of den * P (`support`).
     Each g acts separably, z factor A along z (`factors`) and its
@@ -365,6 +380,12 @@ def height_factor(f: FieldSpec) -> int:
     return -(-(one + root) * (one + root_n) // (one * one))
 
 
+# `WordOperator._word_sums` multiplies on float64 BLAS from this many nodes
+# k + 1 on, and in int64 below: under it the float route's extra numpy calls
+# (limbs and reductions) cost more than BLAS saves on products this small
+FLOAT_NODES = 8
+
+
 class WordOperator:
     """The stacked word matrix of W_{k,k}, kept as the group elements of
     its words and never built exactly as a whole.
@@ -424,6 +445,7 @@ class WordOperator:
         words = kernel_words(f)
         self.elements = [g for word in words for _, g in word]
         self.signs = np.array([sign for word in words for sign, _ in word])
+        self.distinct, self.same_as = distinct_elements(f)
         self.starts = np.cumsum([0] + [len(word) for word in words[:-1]])
         # each word's elements, as a slice of `elements`
         self.words = [slice(start, start + len(word)) for start, word in zip(self.starts, words)]
@@ -611,67 +633,90 @@ class WordOperator:
             self._row_bound = max((rho[g].T @ rho[g]).max() for g in self.words)
         return height_factor(self.field) * self._row_bound * norm
 
-    def _word_sums(self, p: int, cols: Sequence[int], vec: list[Pair]) -> np.ndarray:
+    def _word_sums(self, p: int, cols: Sequence[int], vecs: Sequence[list[Pair]]) -> np.ndarray:
         """Each word's sum_g sign * A_g V B_g^T mod p on the factors' values
         at the nodes under the first root w1 (`_at_nodes`), for V the grid
-        of v mod (p, w1) and for V the transpose of the grid of v mod
-        (p, w2): shape (2, #words, k+1, k+1).  Under w2 the z and zbar
-        values are the zbar and z values under w1, so the word's sum under
-        w2 is sum_g sign * B_g V A_g^T = (sum_g sign * A_g V^T B_g^T)^T: the
-        transpose of [1].  One batched product serves both roots."""
+        of each v mod (p, w1) and for V the transpose of the grid of each v
+        mod (p, w2): shape (2, #vecs, #words, k+1, k+1).  Under w2 the z and
+        zbar values are the zbar and z values under w1, so the word's sum
+        under w2 is sum_g sign * B_g V A_g^T = (sum_g sign * A_g V^T
+        B_g^T)^T: the transpose of [1].
+
+        Two products serve every grid and both roots, each distinct element
+        once (the identity is in most words): the A_g stacked, times every
+        grid side by side, then each A_g V, stacked over the grids, times
+        B_g^T.  The terms are gathered back to word order and summed with
+        their signs.  The products run on float64 BLAS
+        (`linalg.matmul_mod_float`) from FLOAT_NODES nodes on, and below it
+        in int64 (`linalg.matmul_mod`), which makes fewer numpy calls."""
         n = self.k + 1
+        if n < FLOAT_NODES:
+            dtype, product, reduce = np.int64, linalg.matmul_mod, np.remainder
+        else:
+            dtype, product, reduce = np.float64, linalg.matmul_mod_float, linalg.float_mod
         w1, w2 = linalg.omega_roots(self.field, p)
         ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
-        grids = np.zeros((2, n, n), dtype=np.int64)
-        grids[0, ci, cj] = [(x + y * w1) % p for x, y in vec]
-        grids[1, cj, ci] = [(x + y * w2) % p for x, y in vec]
-        a, b = self._at_nodes(p)
-        terms = linalg.matmul_mod(linalg.matmul_mod(a, grids[:, None], p), b.transpose(0, 2, 1), p)
-        return np.add.reduceat(self.signs[:, None, None] * terms, self.starts, axis=1) % p
+        # the grids side by side: [i, root, vector, j]
+        grids = np.zeros((n, 2, len(vecs), n), dtype=dtype)
+        for v, vec in enumerate(vecs):
+            grids[ci, 0, v, cj] = [(x + y * w1) % p for x, y in vec]
+            grids[cj, 1, v, ci] = [(x + y * w2) % p for x, y in vec]
+        a, b = self._at_nodes(p)[:, self.distinct].astype(dtype, copy=False)
+        # [g, s, (root, vector, j)]: the rows of A_g V, for every grid
+        left = product(a.reshape(-1, n), grids.reshape(n, -1), p)
+        terms = product(left.reshape(len(a), -1, n), b.transpose(0, 2, 1), p)
+        signed = self.signs[:, None, None] * terms[self.same_as]
+        sums = reduce(np.add.reduceat(signed, self.starts, axis=0), p)
+        return sums.reshape(len(self.words), n, 2, len(vecs), n).transpose(2, 3, 0, 1, 4)
 
-    def in_kernel(self, cols: Sequence[int], vec: list[Pair], settled: int | None = None) -> bool:
-        """Whether M[:, cols] v = 0, for the integral vector v of integer
-        pairs on the columns `cols`, proven from the reductions alone.
+    def in_kernel(self, cols: Sequence[int], vecs: Sequence[list[Pair]], settled: int | None = None) -> bool:
+        """Whether M[:, cols] v = 0 for every v of `vecs`, integral vectors
+        of integer pairs on the columns `cols`, proven from the reductions
+        alone.
 
         Each word's sum_g sign * A_g V B_g^T, V the (k+1) x (k+1) grid of
         v, is checked mod the first split primes whose product exceeds 2H
-        (`height_bound`), under both images of omega, in one batched
-        product per prime against the first root's values (`_word_sums`:
-        under the second root the sum is the transpose of the first root's
-        sum on the transposed grid).  It is checked on the factors' values
-        at the nodes (`_at_nodes`), with no interpolation: with W the
-        Vandermonde matrix of s = 0..k, those are W A_g and W B_g, and
-        sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign A_g V B_g^T) W^T is 0
-        mod p exactly when the word's coefficients are, as W is invertible
-        mod p > k.  A nonzero residue refutes v.  If all vanish, every
-        coefficient X + Y*omega has X + Y*w = 0 mod p for both roots w, so
-        X = Y = 0 mod p (the roots differ mod a split prime); as |X|, |Y|
-        <= H, X = Y = 0.
+        (`height_bound`, of the largest entry of any v), under both images
+        of omega, in one `_word_sums` per prime for all the vectors against
+        the first root's values (under the second root the sum is the
+        transpose of the first root's sum on the transposed grid).  It is
+        checked on the factors' values at the nodes (`_at_nodes`), with no
+        interpolation: with W the Vandermonde matrix of s = 0..k, those are
+        W A_g and W B_g, and sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign
+        A_g V B_g^T) W^T is 0 mod p exactly when the word's coefficients
+        are, as W is invertible mod p > k.  A nonzero residue refutes some
+        v, and the answer is False.  If all vanish, every coefficient X +
+        Y*omega has X + Y*w = 0 mod p for both roots w, so X = Y = 0 mod p
+        (the roots differ mod a split prime); as |X|, |Y| <= H, X = Y = 0.
 
         `settled`, if given, is a prime at which the caller has already
-        proven M v = 0 under both roots (`kernel` does so at the first
-        split prime): it is not checked again, and the product of the
+        proven M v = 0 under both roots for every v (`kernel` does so at the
+        first split prime): it is not checked again, and the product of the
         other primes with it still exceeds 2H."""
-        norm = max((max(abs(x), abs(y)) for x, y in vec), default=0)
+        norm = max(map(abs, itertools.chain.from_iterable(itertools.chain.from_iterable(vecs))), default=0)
         primes = linalg.primes_exceeding(self.field, 2 * self.height_bound(norm))
-        return not any(self._word_sums(p, cols, vec).any() for p in primes if p != settled)
+        return not any(self._word_sums(p, cols, vecs).any() for p in primes if p != settled)
 
-    def _first_settles(self, first: linalg.FirstPrime, at: np.ndarray, sign: np.ndarray, u: list[Pair]) -> bool:
+    def _first_settles(
+        self, first: linalg.FirstPrime, at: np.ndarray, sign: np.ndarray, basis: Sequence[list[Pair]]
+    ) -> bool:
         """Whether M_rest L u = 0 mod the first split prime p1 under both
-        roots of omega, for u on the upper coordinates of a block whose
-        first prime is `first` (`_first_slice`) and whose `swap` is (at,
-        sign).  The rows R of `first.mat` span the block's rows mod (p1,
-        w1), so the block kills u's residues under w1 exactly when
-        `first.mat` does; the block under w2 is the block under w1 with its
-        rows permuted and its columns permuted with signs, so it kills u's
-        residues x under w2 exactly when `first.mat` kills y with y[at] =
-        sign * x."""
+        roots of omega for every u of `basis`, vectors on the upper
+        coordinates of a block whose first prime is `first` (`_first_slice`)
+        and whose `swap` is (at, sign), in one product.  The rows R of
+        `first.mat` span the block's rows mod (p1, w1), so the block kills
+        u's residues under w1 exactly when `first.mat` does; the block under
+        w2 is the block under w1 with its rows permuted and its columns
+        permuted with signs, so it kills u's residues x under w2 exactly
+        when `first.mat` kills y with y[at] = sign * x."""
         p = first.p
         w1, w2 = linalg.omega_roots(self.field, p)
-        res = np.empty((len(u), 2), dtype=np.int64)
-        res[:, 0] = [(x + y * w1) % p for x, y in u]
-        res[at, 1] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
-        return not linalg.matmul_mod(first.mat, res, p).any()
+        # one column per vector under w1, then one per vector under w2
+        res = np.empty((len(at), 2, len(basis)), dtype=np.int64)
+        for v, u in enumerate(basis):
+            res[:, 0, v] = [(x + y * w1) % p for x, y in u]
+            res[at, 1, v] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
+        return not linalg.matmul_mod(first.mat, res.reshape(len(at), -1), p).any()
 
     def kernel(self, cols: list[int]) -> list[Support]:
         """Certified basis of the kernel of the ascending columns `cols`,
@@ -690,13 +735,16 @@ class WordOperator:
         (`swap`), as M_rest L mod (p, w2) = P (M_rest L mod (p, w1)) Q for
         a row permutation P and a signed column permutation Q, so its
         kernel is Q^T times the first's.  Each
-        candidate u is first checked mod p1 against the rows M[R] kept
-        there (`_first_settles`), under w1 on its residues and under w2 on
-        them permuted with signs: a nonzero product refutes u at once, and
-        zero settles p1 for both roots, as R spans the block's rows mod p1
-        and the lift L u meets the S word exactly.  `in_kernel` of L u over
-        every word, S included, then proves it at the other primes of its
-        height bound, and the lifts, made content-free, are the basis.  It
+        candidate basis is checked as a whole, one exact check per
+        candidate: first mod p1 against the rows M[R] kept there, in one
+        product over every vector's residues under w1 and under w2, the
+        latter permuted with signs (`_first_settles`): a nonzero product
+        refutes the basis at once, and zero settles p1 for both roots, as R
+        spans the block's rows mod p1 and each lift L u meets the S word
+        exactly.  One `in_kernel` of all the lifts over every word, S
+        included, then proves them at the other primes of the height bound
+        of their largest entry, one `_word_sums` per prime, and the lifts,
+        made content-free, are the basis.  It
         is the Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
         a kernel vector is an upper coordinate, so the free columns, and
         the vectors with 1 at one of them and 0 at the others, are the same
@@ -713,8 +761,8 @@ class WordOperator:
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
-            lambda u: self._first_settles(first, at, sign, u)
-            and self.in_kernel(cols, lift(u), first.p),
+            lambda basis: self._first_settles(first, at, sign, basis)
+            and self.in_kernel(cols, [lift(u) for u in basis], first.p),
             first,
         )
         lifted = (linalg._canonical_integral(lift(u)) for u in block)
@@ -855,11 +903,13 @@ def membership(P: BiPoly, label: str = "1") -> bool:
     diagonal, with eigenvalue u^eigen_exponent on each monomial, so the
     eigenvalue test reads P's support; the words are tested on den * P,
     the integral polynomial of `support`, by `WordOperator.in_kernel` on
-    its columns: M (den * P) = 0 proven from reductions mod split primes
-    under the height bound, at every k."""
+    its columns, the one vector by the route of a kernel basis: M (den *
+    P) = 0 proven from reductions mod split primes under the height bound,
+    one product of grids per prime (`WordOperator._word_sums`), for k up
+    to 254 (a larger k raises ValueError in `linalg.matmul_mod_float`)."""
     f, k = P.field, P.n
     e = eigen_labels(f).index(label)
     if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):
         return False
     _, supp = support(P)
-    return WordOperator(f, k).in_kernel([flat_index(k, i, j) for (i, j), _ in supp], [xy for _, xy in supp])
+    return WordOperator(f, k).in_kernel([flat_index(k, i, j) for (i, j), _ in supp], [[xy for _, xy in supp]])

@@ -948,7 +948,7 @@ def assert_certificate_exit(capsys, *argv):
 
 
 def test_failed_kernel_verification_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(polyspace.WordOperator, "in_kernel", lambda self, cols, vec, settled=None: False)
+    monkeypatch.setattr(polyspace.WordOperator, "in_kernel", lambda self, cols, vecs, settled=None: False)
     assert_certificate_exit(capsys, "dims", "-d", "2", "--kmax", "3")
 
 

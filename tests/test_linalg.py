@@ -17,9 +17,11 @@ from hermitia.linalg import (
     certified_kernel,
     echelon_mod,
     first_prime,
+    float_mod,
     kernel_dim_upper_bound,
     left_kernel_mod,
     matmul_mod,
+    matmul_mod_float,
     matvec_is_zero,
     omega_roots,
     primes_exceeding,
@@ -159,7 +161,7 @@ def certified(f, rows, annihilates=None, among=None, cols=None):
         checks.append(v)
         return annihilates(v) if annihilates else matvec_is_zero(f, rows, elems(f, v))
 
-    basis = certified_kernel(f, mod, second, check, start)
+    basis = certified_kernel(f, mod, second, lambda vs: all(map(check, vs)), start)
     return basis, list(dict.fromkeys(asked)), len(checks)
 
 
@@ -273,7 +275,7 @@ def test_certified_kernel_falls_back_when_the_rank_drops_mod_p():
 
     start = first_prime(f, mod)
     assert start.rows == (0,)
-    basis = certified_kernel(f, mod, second_root(f, rows), check, start)
+    basis = certified_kernel(f, mod, second_root(f, rows), lambda vs: all(map(check, vs)), start)
     assert basis == quad_kernel(f, rows) == [[(0, 0), (0, 0), (1, 0)]]
     assert events == [
         ("mod", p, None), ("mod", q, [0]), ("check", [(big, 0), (-1, 0), (0, 0)]),
@@ -365,7 +367,7 @@ def test_certified_kernel_eliminates_the_kept_rows_again_at_the_next_prime():
         events.append(("check", v))
         return matvec_is_zero(f, block, elems(f, v))
 
-    basis = certified_kernel(f, mod, second, check, start.columns(range(2)))
+    basis = certified_kernel(f, mod, second, lambda vs: all(map(check, vs)), start.columns(range(2)))
     assert basis == quad_kernel(f, block) == []
     assert events == [("second", p, None), ("mod", q, [0, 1])]
 
@@ -481,7 +483,7 @@ def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(mo
     def run(kernel):
         events.clear()
         start = FirstPrime(p, span, explicit(p, span), kernel)
-        return certified_kernel(f, mod, lambda prime, picked, basis: basis, check, start)
+        return certified_kernel(f, mod, lambda prime, picked, basis: basis, lambda vs: all(map(check, vs)), start)
 
     monkeypatch.setattr(linalg, "echelon_mod", recorded)
     # the kernel of rows 0 and 1 alone: 3 vectors, one of them outside ker M
@@ -506,7 +508,7 @@ def test_certified_kernel_raises_when_verification_keeps_failing():
         return explicit(p, picked)
 
     with pytest.raises(CertificateError):
-        certified_kernel(f, mod, second_root(f, rows), lambda v: False, first_prime(f, mod))
+        certified_kernel(f, mod, second_root(f, rows), lambda vs: False, first_prime(f, mod))
     # it gave up after a fixed number of primes
     assert list(dict.fromkeys(asked)) == split_primes(f, linalg.MAX_PRIMES)
 
@@ -880,3 +882,43 @@ def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
             # below the true dimension no prime meets it: all are reduced
             assert kernel_dim_upper_bound(f, mod, exact - 1) == exact
             assert asked == split_primes(f, linalg.RANK_PRIMES)
+
+
+def test_matmul_mod_float_equals_matmul_mod_up_to_the_largest_inner_dimension():
+    """The float64 product mod p equals the int64 one at the largest inner
+    dimension its guard admits at the first split prime of every ring, 255,
+    on entries all p - 1, or all p - 2 (odd, so that a sum past 2^53 would
+    be rounded), against p - 1 and against the largest entry whose low
+    15-bit limb is 2^15 - 1: the largest sums each limb allows for.  So on
+    random entries, batched, from [0, p) and from [p - 2^16, p), where
+    wider limbs would take the sums past 2^53; one more raises ValueError."""
+    rng = seeded("matmul-mod-float")
+    for d in EUCLIDEAN_DS:
+        p = split_primes(field(d), 1)[0]
+        inner = 255
+        for first in (p - 1, p - 2):
+            for last in (p - 1, ((p - 1) >> 15 << 15) - 1):
+                a = np.full((3, inner), first, dtype=np.int64)
+                b = np.full((inner, 2), last, dtype=np.int64)
+                got = matmul_mod_float(a.astype(np.float64), b.astype(np.float64), p)
+                assert np.array_equal(got, matmul_mod(a, b, p)), (d, first, last)
+        for low in (0, p - (1 << 16)):
+            a = np.array([[[rng.randrange(low, p) for _ in range(inner)] for _ in range(4)] for _ in range(2)])
+            b = np.array([[rng.randrange(low, p) for _ in range(5)] for _ in range(inner)])
+            got = matmul_mod_float(a.astype(np.float64), b.astype(np.float64), p)
+            assert np.array_equal(got, matmul_mod(a, b, p)), (d, low)
+        with pytest.raises(ValueError):
+            matmul_mod_float(np.zeros((1, inner + 1)), np.zeros((inner + 1, 1)), p)
+
+
+def test_float_mod_is_exact_below_2_to_the_53():
+    """c - p * floor(c / p) in floats is c mod p for every integer |c| <
+    2^53, with no correction of the quotient: on c within 3 of a multiple
+    of p, the closest a quotient comes to an integer it is not, up to 2^53
+    and down to -2^53, at the first split primes and at small primes."""
+    rng = np.random.default_rng(1)
+    for p in [*split_primes(field(7), 2), 101, 3]:
+        c = rng.integers(0, (1 << 53) // p, 20000, dtype=np.int64) * p + rng.integers(-3, 4, 20000)
+        c = np.concatenate([c, [(1 << 53) // p * p - 1, 1 - (1 << 53) // p * p, p - 1, 1 - p, 0]])
+        c = c[np.abs(c) < 1 << 53]
+        assert np.array_equal(float_mod(c.astype(np.float64), p).astype(np.int64), c % p), p

@@ -333,7 +333,7 @@ def test_annihilates_agrees_with_the_word_action():
                 want = matvec_is_zero(f, rows, poly_to_vector(Q))
                 entries = {flat_index(k, i, j): xy for (i, j), xy in support(Q)[1]}
                 vec = [entries.get(c, ZERO) for c in every]
-                assert annihilates(f, k, support(Q)[1]) == op.in_kernel(every, vec) == want
+                assert annihilates(f, k, support(Q)[1]) == op.in_kernel(every, [vec]) == want
 
 
 def test_annihilates_checks_the_words_after_s():
@@ -355,7 +355,7 @@ def test_annihilates_checks_the_words_after_s():
                 grids = [word_action_loop(f, word, supp, k + 1) for word in words]
                 assert not any(x or y for row in grids[0] for x, y in row)
                 want = not any(x or y for grid in grids for row in grid for x, y in row)
-                assert annihilates(f, k, supp) == op.in_kernel(every, v) == want, (d, k)
+                assert annihilates(f, k, supp) == op.in_kernel(every, [v]) == want, (d, k)
                 rejected += not want
     assert rejected
 
@@ -522,7 +522,7 @@ def test_values_are_kept_only_beside_the_coefficients():
     for d in EUCLIDEAN_DS:
         f = field(d)
         op, cols, v = kernel_vectors(f, 11)[0]
-        assert op.in_kernel(cols, v)
+        assert op.in_kernel(cols, [v])
         assert not op._values and not op._reductions, d
         p = split_primes(f, 2)[1]
         op._reduced(p)
@@ -558,12 +558,12 @@ def test_in_kernel_agrees_with_the_word_action(d):
     f = field(d)
     for k in range(1, 12, 2):
         for op, cols, v in kernel_vectors(f, k):
-            assert op.in_kernel(cols, v) and annihilates(f, k, as_support(k, cols, v))
+            assert op.in_kernel(cols, [v]) and annihilates(f, k, as_support(k, cols, v))
             for _ in range(2):
                 w = list(v)
                 c = rng.randrange(len(cols))
                 w[c] = (w[c][0] + rng.randint(-3, 3), w[c][1] + rng.choice([-1, 1]) * rng.randint(0, 2))
-                assert op.in_kernel(cols, w) == annihilates(f, k, as_support(k, cols, w)), (k, c)
+                assert op.in_kernel(cols, [w]) == annihilates(f, k, as_support(k, cols, w)), (k, c)
 
 
 def test_height_bound_bounds_the_word_action():
@@ -610,7 +610,7 @@ def test_in_kernel_rejects_multiples_of_the_first_primes(d, k, m, pick):
         for second, root in zip((False, True), omega_roots(f, p)):
             image = np.array([(x + y * root) % p for x, y in w], dtype=object)
             assert not (word_operator_mod(op, p, cols, second).astype(object) @ image % p).any()
-    assert not op.in_kernel(cols, w)
+    assert not op.in_kernel(cols, [w])
 
 
 def test_in_kernel_needs_both_roots():
@@ -631,7 +631,71 @@ def test_in_kernel_needs_both_roots():
             norm = max(max(abs(x), abs(y)) for x, y in w)
             assert len(linalg.primes_exceeding(f, 2 * op.height_bound(norm))) <= m
             assert not annihilates(f, k, as_support(k, cols, w))
-            assert not op.in_kernel(cols, w), (d, k)
+            assert not op.in_kernel(cols, [w]), (d, k)
+
+
+def eigen_bases(f, k):
+    """(operator, cols, basis) for each nonempty eigenspace of W_{k,k},
+    the basis vectors on the columns `cols` of the eigenspace."""
+    grouped = {}
+    for op, cols, v in kernel_vectors(f, k):
+        grouped.setdefault(tuple(cols), (op, cols, []))[2].append(v)
+    return list(grouped.values())
+
+
+def test_in_kernel_refutes_a_basis_whose_last_vector_alone_is_wrong():
+    """`in_kernel` proves an eigenspace's basis in one call, and refutes it
+    once its last vector alone is changed at one entry, by 1 or by pi, an
+    element of the prime ideals above the first m split primes that belong
+    to their first roots (omega - w1 for one prime): the second change
+    vanishes under the first root at every prime the check uses, so only
+    the second root's grid of the last vector refutes it."""
+    m = 6
+    tried = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        pi = generator_of_first_ideals(f, m)
+        for k in (3, 5, 7):
+            for op, cols, basis in eigen_bases(f, k):
+                assert op.in_kernel(cols, basis), (d, k)
+                if len(basis) < 2:
+                    continue
+                for step in ((1, 0), pi):
+                    w = list(basis[-1])
+                    w[0] = (w[0][0] + step[0], w[0][1] + step[1])
+                    norm = max(max(abs(x), abs(y)) for v in [*basis, w] for x, y in v)
+                    assert len(linalg.primes_exceeding(f, 2 * op.height_bound(norm))) <= m
+                    assert not annihilates(f, k, as_support(k, cols, w))
+                    assert not op.in_kernel(cols, [*basis[:-1], w]), (d, k, step)
+                    tried += 1
+    assert tried > 0
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_DS)
+def test_in_kernel_of_a_list_is_all_of_in_kernel_of_each(d):
+    """`in_kernel` of a list of vectors, with one height bound from their
+    largest entry, answers as `all` of `in_kernel` of each: an eigenspace
+    basis with any one vector changed at a random entry, by a small step
+    or by the product of the first two split primes (which only a bound
+    asking for a third prime refutes), and the basis itself."""
+    rng = seeded(f"in-kernel-list-{d}")
+    f = field(d)
+    big = math.prod(split_primes(f, 2))
+    verdicts = set()
+    for k in (3, 7):
+        for op, cols, basis in eigen_bases(f, k):
+            cases = [basis]
+            for i in range(len(basis)):
+                for step in ((rng.randint(-2, 2), rng.randint(-1, 1)), (big, 0)):
+                    vecs = [list(v) for v in basis]
+                    c = rng.randrange(len(cols))
+                    vecs[i][c] = (vecs[i][c][0] + step[0], vecs[i][c][1] + step[1])
+                    cases.append(vecs)
+            for vecs in cases:
+                want = all(op.in_kernel(cols, [v]) for v in vecs)
+                assert op.in_kernel(cols, vecs) == want, (k, len(vecs))
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
@@ -642,9 +706,9 @@ def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
     primes = []
     word_sums = WordOperator._word_sums
 
-    def recorded(self, p, cols, vec):
+    def recorded(self, p, cols, vecs):
         primes.append(p)
-        return word_sums(self, p, cols, vec)
+        return word_sums(self, p, cols, vecs)
 
     monkeypatch.setattr(WordOperator, "_word_sums", recorded)
     for d in EUCLIDEAN_DS:
@@ -720,7 +784,7 @@ def test_first_prime_refutes_a_changed_vector_before_in_kernel(monkeypatch):
             seen.clear()
             op.kernel(cols)
             ((annihilates, p, block),) = seen
-            assert all(map(annihilates, block)), (d, k)
+            assert annihilates(block), (d, k)
             w1 = omega_roots(f, p)[0]
             nonzero = op.reduced_mod(p, cols).any(axis=0)
             at, _ = op.swap(cols)
@@ -732,8 +796,46 @@ def test_first_prime_refutes_a_changed_vector_before_in_kernel(monkeypatch):
                             if live:
                                 v = list(u)
                                 v[c] = (v[c][0] + step[0], v[c][1] + step[1])
-                                assert not annihilates(v), (d, k, c, step)
+                                assert not annihilates([v]), (d, k, c, step)
                                 refuted += 1
+    assert refuted > 0
+
+
+def test_first_prime_refutes_a_basis_with_one_changed_vector_before_in_kernel(monkeypatch):
+    """The exact check that `WordOperator.kernel` gives `certified_kernel`
+    takes the whole candidate basis, and checks all of it mod the first
+    split prime p1 in one product (`_first_settles`) before `in_kernel`:
+    with any one vector changed by 1 at a column that is nonzero mod p1,
+    the basis is refuted there and `in_kernel` is not called."""
+    seen = []
+    certified = linalg.certified_kernel
+
+    def recorded(f, mod, second, annihilates, first):
+        out = certified(f, mod, second, annihilates, first)
+        seen.append((annihilates, first.p, out))
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("in_kernel ran on a basis refuted at p1")
+
+    monkeypatch.setattr(linalg, "certified_kernel", recorded)
+    refuted = 0
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (5, 9, 11):
+            op = WordOperator(f, k)
+            cols = eigen_columns(f, k, 0)
+            seen.clear()
+            op.kernel(cols)
+            ((annihilates, p, block),) = seen
+            c = int(op.reduced_mod(p, cols).any(axis=0).argmax())
+            with monkeypatch.context() as patched:
+                patched.setattr(WordOperator, "in_kernel", forbidden)
+                for i in range(len(block)):
+                    changed = [list(u) for u in block]
+                    changed[i][c] = (changed[i][c][0] + 1, changed[i][c][1])
+                    assert not annihilates(changed), (d, k, i)
+                    refuted += i > 0
     assert refuted > 0
 
 
@@ -853,7 +955,7 @@ def test_in_kernel_checks_the_s_word(d, k):
         supp = as_support(k, every, v)
         assert all(x == y == 0 for word in factored_words(f, k)[1:] for row in word_action_loop(f, word, supp, k + 1)
                    for x, y in row)
-        assert not op.in_kernel(every, v)
+        assert not op.in_kernel(every, [v])
     for op, cols, v in kernel_vectors(f, k):
         lower = [r for r, c in enumerate(cols) if 2 * c < op.size - 1 and v[r] != ZERO]
         assert lower
@@ -862,7 +964,7 @@ def test_in_kernel_checks_the_s_word(d, k):
             w[r] = (-w[r][0], -w[r][1])
             s_word = word_action_loop(f, factored_words(f, k)[0], as_support(k, cols, w), k + 1)
             assert any(x or y for row in s_word for x, y in row)
-            assert not op.in_kernel(cols, w), r
+            assert not op.in_kernel(cols, [w]), r
 
 
 def test_modular_dimensions_agree_with_exact_to_k11():
@@ -1032,7 +1134,7 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
             cols = sorted(rng.sample(range(op.size), min(op.size, 12)))
             vec = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in cols]
             for p in split_primes(f, 2):
-                sums = op._word_sums(p, cols, vec)
+                sums = op._word_sums(p, cols, [vec])[:, 0]
                 values = op._at_nodes(p)
                 under = zip((sums[0], sums[1].transpose(0, 2, 1)), omega_roots(f, p), (values, values[::-1]))
                 for got, w, (a, b) in under:
