@@ -8,8 +8,11 @@ benchmark's `transfer-lvalues` workload) it expands P_{k,Delta} =
 rings and their three smallest non-norms (the pairs of `expandp --check`
 in that workload), then times `polyspace.membership(P)` alone, REPEATS
 times per pair.  Prints one line per k: the median and the largest, over
-the pairs, of each pair's median milliseconds.  Exits 1 if any P is
-reported outside W_{k,k}.
+the pairs, of each pair's median milliseconds, and the median over the
+pairs of the proof primes of one call (`primes`: the split primes that
+`WordOperator.in_kernel` checks, all of them stacked in one
+`WordOperator._word_sums` while the stack is small enough).  Exits 1 if
+any P is reported outside W_{k,k}.
 """
 
 from __future__ import annotations
@@ -20,11 +23,29 @@ import time
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas
 from hermitia.forms import expand_P
-from hermitia.polyspace import membership
+from hermitia.polyspace import WordOperator, membership
 
 KS = (1, 3, 5, 7, 9, 11)
 REPEATS = 5
 PAIRS = [(d, delta) for d in EUCLIDEAN_DS for delta in nonnorm_deltas(field(d), 3)]
+
+
+def proof_primes(P) -> int:
+    """The split primes of one `membership(P)` call, counted as they are
+    passed to `WordOperator._word_sums`."""
+    seen = []
+    word_sums = WordOperator._word_sums
+
+    def counted(self, primes, *args):
+        seen.extend(primes)
+        return word_sums(self, primes, *args)
+
+    WordOperator._word_sums = counted
+    try:
+        membership(P)
+    finally:
+        WordOperator._word_sums = word_sums
+    return len(seen)
 
 
 def pair_ms(P) -> float:
@@ -40,10 +61,12 @@ def pair_ms(P) -> float:
 
 def main(argv: list[str]) -> int:
     ks = [int(a) for a in argv] or KS
-    print(f"{'k':>3} {'median_ms':>10} {'max_ms':>8}  ({len(PAIRS)} pairs x {REPEATS} calls)")
+    print(f"{'k':>3} {'median_ms':>10} {'max_ms':>8} {'primes':>6}  ({len(PAIRS)} pairs x {REPEATS} calls)")
     for k in ks:
-        per_pair = [pair_ms(expand_P(field(d), k, delta)) for d, delta in PAIRS]
-        print(f"{k:>3} {statistics.median(per_pair):>10.2f} {max(per_pair):>8.2f}", flush=True)
+        polys = [expand_P(field(d), k, delta) for d, delta in PAIRS]
+        per_pair = [pair_ms(P) for P in polys]
+        primes = statistics.median(proof_primes(P) for P in polys)
+        print(f"{k:>3} {statistics.median(per_pair):>10.2f} {max(per_pair):>8.2f} {primes:>6g}", flush=True)
     return 0
 
 

@@ -6,9 +6,11 @@ Prints one line per (d, k): the seconds of one exact and one modular
 `polyspace.wkk` call, their ratio, the dimensions, the work of each call
 as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
 of `linalg._row_reduce`, and the pivots they found), the proof products
-of the exact call (`proofs`: the calls of `WordOperator._word_sums`, one
-float64 product of grids per proof prime per candidate basis, as one
-`in_kernel` proves every vector of a candidate at once), the candidates
+of the exact call (`proofs`: the calls of `WordOperator._word_sums`; one
+`in_kernel` proves every vector of a candidate basis at all of its proof
+primes after the first in one stacked product of grids, so there is one
+call per candidate basis that needs such a prime, or one per stack where
+`polyspace.STACKED_ENTRIES` splits its primes), the candidates
 its checks refuted (`refuted`: the calls of the exact check given to
 `linalg.certified_kernel` that returned False, one per refuted candidate
 basis, each sending the next prime to an elimination of the whole
@@ -50,7 +52,7 @@ EXPECTED = {
 def count_work() -> dict[str, int]:
     """Wrap `WordOperator.reduced_mod` to count the rows it returns,
     `linalg._row_reduce` to count the row reductions and their pivot
-    steps, `WordOperator._word_sums` to count the proof products, and the
+    steps, `WordOperator._word_sums` to count the proof stacks, and the
     reductions and the check passed to `linalg.certified_kernel` to count
     the rows it eliminates and the refuted candidates."""
     counts = {"built": 0, "reduced": 0, "reductions": 0, "pivots": 0, "proofs": 0, "refuted": 0}

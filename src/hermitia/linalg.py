@@ -30,9 +30,14 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   prime.  `matmul_mod_float` is the same product on float64 BLAS, with
   the same 15-bit limbs, exact while every partial sum stays below 2^53
   (inner dimension up to 255 at the ~2^30 split primes), each result
-  reduced as c - p * floor(c / p) (`float_mod`, exact below 2^53 with no
-  correction): the word action that proves M v = 0 for every vector of a
-  kernel basis at once, and for `membership`, runs on it from k = 7 on.
+  reduced in place as c - p * floor(c / p) (`float_mod`, exact below 2^53
+  with no correction): the word action that proves M v = 0 for every
+  vector of a kernel basis at once, and for `membership`, runs on it from
+  k = 7 on.  The three take p as one prime or as an array of primes
+  broadcast over the batch axes, one prime per product of a stack, and
+  the exactness guard of `matmul_mod_float` takes the largest: the word
+  action checks a candidate at all of its proof primes in one stacked
+  product.
 
 * `certified_kernel` -- the kernel of a matrix M over O_d that is known
   only by its reductions mod split primes, an exact test of M v = 0 for
@@ -58,13 +63,13 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   checked exactly at once, the whole basis in one call that is true only
   if every vector passes (for the word operators, by their reductions at
   the `primes_exceeding` twice a height bound proven for the largest
-  entry, one product per prime for all the vectors), so a kernel of
-  small height is proven at its first prime.  After a refuted candidate
-  the next prime eliminates all of M.  c - rank_p independent vectors of
-  ker M make a basis, since dim ker M <= c - rank_p; each is supported on
-  its own free column and earlier pivots, so the free columns mod p are
-  those over K and the basis is the one Gauss-Jordan elimination over K
-  gives.
+  entry, one product for all the vectors stacked over the primes), so a
+  kernel of small height is proven at its first prime.  After a refuted
+  candidate the next prime eliminates all of M.  c - rank_p independent
+  vectors of ker M make a basis, since dim ker M <= c - rank_p; each is
+  supported on its own free column and earlier pivots, so the free
+  columns mod p are those over K and the basis is the one Gauss-Jordan
+  elimination over K gives.
 
   `FirstPrime.columns` restricts p1's rows and K to a block E of M's
   columns, with the same rows: R still spans E's row space mod p1, and K
@@ -256,53 +261,79 @@ def primes_exceeding(f: FieldSpec, bound: int) -> list[int]:
     return out
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """a @ b mod p (numpy's batched `matmul`) for int64 arrays with entries
-    in [0, p), p < 2^31, and an inner dimension K of at most 2^16.
+    in [0, p), p < 2^31, and an inner dimension K of at most 2^16.  p is a
+    prime or an int64 array of primes that broadcasts against the product,
+    one per product of a stack (shape (m, 1, 1) for m stacked products).
 
     b is split into 15-bit limbs, b = hi * 2^15 + lo: a product with lo is
     below 2^46 and one with hi below 2^47, so each sum of K products stays
-    below 2^63, as does (a @ hi mod p) * 2^15 + a @ lo."""
+    below 2^63, as does (a @ hi mod p) * 2^15 + a @ lo.  Each step is taken
+    in place on the product with hi."""
     if a.shape[-1] > 1 << 16:
         raise ValueError("inner dimension above 2^16 may overflow int64")
     hi, lo = np.divmod(b, 1 << 15)
-    return ((a @ hi) % p * (1 << 15) + a @ lo) % p
+    out = a @ hi
+    out %= p
+    out <<= 15
+    out += a @ lo
+    out %= p
+    return out
 
 
-def float_mod(c: np.ndarray, p: int) -> np.ndarray:
+def float_mod(c: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
     """c mod p, in [0, p), for a float64 array of integers with |c| < 2^53,
-    as c - p * floor(c / p), a new array.  The quotient needs no
-    correction: a float x is within half its spacing, at most |x| 2^-53, of
-    its rounding, and c / p is at least 1/p from every integer it is not,
-    where |c / p| 2^-53 < 1/p; so the correctly rounded c / p is an integer
-    only when c / p is, and has the same floor.  Every product and
-    difference is then an exact integer of at most |c| + p."""
-    q = float(p)
-    return c - np.floor(c / q) * q
+    as c - p * floor(c / p), written to `out` (not c itself) or to a new
+    array, which is the only one made: the quotient is formed there.  p
+    is a prime or an array of primes that broadcasts against c, as in
+    `matmul_mod`.  The quotient needs no correction: a float x is within
+    half its spacing, at most |x| 2^-53, of its rounding, and c / p is at
+    least 1/p from every integer it is not, where |c / p| 2^-53 < 1/p; so
+    the correctly rounded c / p is an integer only when c / p is, and has
+    the same floor.  Every product and difference is then an exact
+    integer of at most |c| + p."""
+    q = np.divide(c, p, out=out)
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(c, q, out=q)
 
 
-def matmul_mod_float(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_mod_float(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """a @ b mod p on float64 BLAS (numpy's batched `matmul`), for float64
-    arrays of integers in [0, p), as a new float64 array.  The inner
-    dimension n must have (p - 1) max(n h, n l + 2^15) + p <= 2^53, h = (p -
-    1) >> 15 and l = min(p - 1, 2^15 - 1) the largest limbs below: n up to
-    255 at the split primes just above 2^30.  A larger n raises ValueError.
+    arrays of integers in [0, p), as a new float64 array.  p is a prime or
+    an array of primes that broadcasts against the product, as in
+    `matmul_mod`, and the guard takes the largest: the inner dimension n
+    must have (p - 1) max(n h, n l + 2^15) + p <= 2^53, h = (p - 1) >> 15
+    and l = min(p - 1, 2^15 - 1) the largest limbs below, which grows with
+    p: n up to 255 at the split primes just above 2^30.  A larger n raises
+    ValueError.
 
     b is split into 15-bit limbs, b = hi * 2^15 + lo, both exact in
-    float64, and one product takes them side by side: every product with
-    hi is at most (p - 1) h and every one with lo at most (p - 1) l, so
-    every partial sum, in any order, is an exact integer (the technique of
-    FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  a @ hi
-    is reduced (`float_mod`), and (a @ hi mod p) * 2^15 + a @ lo, at most
-    2^53 - p, once more."""
-    hi_max, lo_max = (p - 1) >> 15, min(p - 1, (1 << 15) - 1)
+    float64, and one product takes them stacked on a leading axis: every
+    product with hi is at most (p - 1) h and every one with lo at most (p
+    - 1) l, so every partial sum, in any order, is an exact integer (the
+    technique of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+    2008).  a @ hi is reduced (`float_mod`) into the result, the one array
+    made besides the limbs and the product; (a @ hi mod p) * 2^15 + a @
+    lo, at most 2^53 - p, is summed in place of a @ lo and reduced from
+    there back into the result."""
+    top = int(np.max(p))
+    hi_max, lo_max = (top - 1) >> 15, min(top - 1, (1 << 15) - 1)
     n = a.shape[-1]
-    if (p - 1) * max(n * hi_max, n * lo_max + (1 << 15)) + p > 1 << 53:
+    if (top - 1) * max(n * hi_max, n * lo_max + (1 << 15)) + top > 1 << 53:
         raise ValueError("inner dimension too large for exact float64 sums mod p")
-    hi = np.floor(b * 2.0**-15)
-    both = a @ np.concatenate([hi, b - hi * 2.0**15], axis=-1)
-    half = b.shape[-1]
-    return float_mod(float_mod(both[..., :half], p) * 2.0**15 + both[..., half:], p)
+    p = np.asarray(p, dtype=np.float64)
+    # b's shape, padded to a's rank, so that the limb axis leads the product
+    limbs = np.empty((2, *(1,) * (a.ndim - b.ndim), *b.shape))
+    hi, lo = limbs
+    np.floor(np.multiply(b, 2.0**-15, out=hi), out=hi)
+    np.subtract(b, np.multiply(hi, 2.0**15, out=lo), out=lo)
+    hi, lo = a @ limbs
+    out = float_mod(hi, p)
+    out *= 2.0**15
+    lo += out
+    return float_mod(lo, p, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -602,7 +633,8 @@ def certified_kernel(
     `annihilates(basis)`, an exact test of M v = 0 for every vector v of
     a candidate basis of integer pairs, true only if every vector passes
     (`polyspace.WordOperator` gives a signed column permutation and proves
-    M v = 0 for the whole basis from reductions, one product per prime;
+    M v = 0 for the whole basis from reductions, in one product stacked
+    over the primes;
     the tests' oracles row-reduce under w2 and compute M v for each
     vector), and `first`, M at the first split prime p1 (`FirstPrime`,
     possibly restricted to M's columns from a larger matrix's).

@@ -56,8 +56,9 @@ at the first split prime, on first need (`linalg.first_prime`), and every
 elimination, with no row reduction of its own block.  A kernel's proofs
 take their first prime from it too: each candidate basis is checked mod
 p1 against the rows it keeps, in one product, and one `in_kernel` proves
-all of it at the later primes, one product of grids per prime, on
-float64 BLAS from k = 7 on (`linalg.matmul_mod_float`).
+all of it at the later primes, in one product of grids stacked over
+those primes (or a few stacks, at large k), on float64 BLAS from k = 7
+on (`linalg.matmul_mod_float`).
 
 Every split prime is worked under its first root w1 of omega alone.
 Under the second root w2 the z and zbar factors of each element trade
@@ -265,16 +266,21 @@ def kernel_words(f: FieldSpec) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def distinct_elements(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+def distinct_elements(f: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The elements of the kernel words, listed word after word, once
     each (the identity is in most words): the place in that list of each
-    distinct element, first occurrences in order, and for each element of
-    the list the index of its own among them."""
+    distinct element, first occurrences in order; for each element of the
+    list the index of its own among them; and the entries a, b, c, e of
+    each distinct element g = [[a, b], [c, e]] as integer pairs, an int64
+    array of shape (2, #distinct, 4), [0] the x and [1] the y of x +
+    y*omega."""
     index: dict[GroupElement, int] = {}
     same_as = np.array([index.setdefault(g, len(index)) for word in kernel_words(f) for _, g in word])
     distinct = np.unique(same_as, return_index=True)[1]
-    distinct.flags.writeable = same_as.flags.writeable = False
-    return distinct, same_as
+    entries = np.array([[(q.x, q.y) for q in g.entries()] for g in index], dtype=np.int64).transpose(2, 0, 1)
+    for array in (distinct, same_as, entries):
+        array.flags.writeable = False
+    return distinct, same_as, entries
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
@@ -384,6 +390,15 @@ def height_factor(f: FieldSpec) -> int:
 # k + 1 on, and in int64 below: under it the float route's extra numpy calls
 # (limbs and reductions) cost more than BLAS saves on products this small
 FLOAT_NODES = 8
+# `WordOperator.in_kernel` stacks its proof primes in one `_word_sums` while
+# the stack's first product, 2 * #distinct elements * #vectors * (k+1)^2
+# entries per prime (the node values times the number of vectors), has at
+# most this many: every prime in one stack for `membership` at k <= 21, and
+# one prime per product from k = 40 on in O_11 (k = 45 in O_7, k = 48 in O_1,
+# O_2 and O_3).
+# Stacking saved 10-25% of a `membership` call at k = 11-25 and nothing from
+# k = 33 on, and a bound 8 times larger lost 10-17% at k = 57.
+STACKED_ENTRIES = 1 << 16
 
 
 class WordOperator:
@@ -400,9 +415,11 @@ class WordOperator:
     for each split prime p, every element's z factor is computed mod p from
     its four entries, as values at s = 0..k (`_at_nodes`, which `in_kernel`
     checks on) and as coefficients (`_reduced`, which `reduced_mod` reduces
-    rows of).  The coefficients and their values are kept for the life of
-    the operator, one entry per prime that it reduces rows at; at a prime
-    that only proves, the values are made for each proof and dropped after
+    rows of), each distinct element once (`distinct_elements`) and the
+    coefficients gathered back to word order.  The coefficients and their
+    values are kept for the life of the operator, one entry per prime that
+    it reduces rows at; at a prime that only proves, the values are made
+    for each proof, for all its stacked primes at once, and dropped after
     it.  Of whole matrices mod p, only the rows R and the kernel basis K at
     the first split prime are kept (below).
 
@@ -445,7 +462,7 @@ class WordOperator:
         words = kernel_words(f)
         self.elements = [g for word in words for _, g in word]
         self.signs = np.array([sign for word in words for sign, _ in word])
-        self.distinct, self.same_as = distinct_elements(f)
+        self.distinct, self.same_as, self.entries = distinct_elements(f)
         self.starts = np.cumsum([0] + [len(word) for word in words[:-1]])
         # each word's elements, as a slice of `elements`
         self.words = [slice(start, start + len(word)) for start, word in zip(self.starts, words)]
@@ -459,47 +476,61 @@ class WordOperator:
     def nrows(self) -> int:
         return len(self.words) * self.size
 
-    def _at_nodes(self, p: int) -> np.ndarray:
-        """The z factors and the zbar factors of every element, in word
-        order, mod p, as values at the nodes s = 0..k: an int64 array of
-        shape (2, #elements, k+1, k+1), entries in [0, p), with [0, g, s, j]
-        = (a s + b)^j (c s + e)^(k-j) for g = [[a, b], [c, e]], the value at
-        s of column j of its z factor.  The zbar factor is the conjugate,
-        x + y*(d_K - omega), so [1] is [0] under the second root d_K - w1.
+    def _at_nodes(self, primes) -> np.ndarray:
+        """The z factors and the zbar factors of every distinct element
+        (`distinct_elements`) mod each of `primes`, a split prime or an
+        array of them, as values at the nodes s = 0..k: an int64 array of
+        shape (*primes.shape, 2, #distinct, k+1, k+1), entries in [0, p),
+        with [0, g, s, j] = (a s + b)^j (c s + e)^(k-j) for g = [[a, b],
+        [c, e]], the value at s of column j of its z factor.  The zbar
+        factor is the conjugate, x + y*(d_K - omega), so [1] is [0] under
+        the second root d_K - w1.
 
-        Power tables of a s + b and c s + e give them, for every element
-        under both roots at once.  They are kept only for the primes whose
-        coefficients are kept (`_reduced`): at a prime that only proves,
-        as every prime of `membership` does, each proof computes them and
-        drops them after use."""
-        if p in self._values:
-            return self._values[p]
-        k = self.k
-        roots = linalg.omega_roots(self.field, p)
-        # a, b, c, e of every element under each root: (2, #elements, 4)
-        entries = np.array(
-            [[(q.x + q.y * root) % p for g in self.elements for q in g.entries()] for root in roots],
-            dtype=np.int64,
-        ).reshape(2, len(self.elements), 4)
-        # a s + b and c s + e at every node s: (2, #elements, 2, k+1);
-        # entries stay below p < 2^31, so every product fits in int64
-        nodes = np.arange(k + 1, dtype=np.int64)
-        lin = (entries[..., [0, 2], None] * nodes + entries[..., [1, 3], None]) % p
-        powers = np.empty((k + 1, *lin.shape), dtype=np.int64)
+        a s + b and c s + e at every node, integer pairs made from the
+        integer arrays of the entries, are reduced mod every prime under
+        both roots at once, and power tables of them, doubled in length at
+        each step, give the values.  They are kept only for the primes
+        whose coefficients are kept (`_reduced`), and used for a stack of
+        primes all kept: otherwise, as at every prime of `membership`, each
+        proof computes them and drops them after use."""
+        p = np.asarray(primes, dtype=np.int64)
+        each = p.ravel()
+        kept = [self._values[q] for q in each.tolist() if q in self._values]
+        if kept and len(kept) == len(each):
+            return np.reshape(kept, (*p.shape, *kept[0].shape))
+        n, distinct = self.k + 1, len(self.distinct)
+        # a s + b and c s + e at every node s, as integer pairs:
+        # [(element, line, s), x or y]
+        lines = self.entries[..., 0::2, None] * np.arange(n, dtype=np.int64) + self.entries[..., 1::2, None]
+        # their residues x + y*w mod p, as [x, y] @ [1, w], and the powers
+        # 0..k of those: [j, prime, (element, line, s), root]; residues are
+        # below p < 2^31, so every product fits in int64
+        mod = each[:, None, None]
+        lift = np.array([((1, 1), linalg.omega_roots(self.field, q)) for q in each.tolist()], dtype=np.int64)
+        lin = lines.reshape(2, -1).T @ lift % mod
+        powers = np.empty((n, *lin.shape), dtype=np.int64)
         powers[0] = 1
-        for j in range(1, k + 1):
-            powers[j] = powers[j - 1] * lin % p
-        return (powers[:, :, :, 0] * powers[::-1, :, :, 1] % p).transpose(1, 2, 3, 0)
+        filled = 1
+        while filled < n:
+            more = min(filled, n - filled)
+            top = powers[filled - 1] * lin % mod
+            powers[filled : filled + more] = powers[:more] * top % mod
+            filled += more
+        powers = powers.reshape(n, len(each), distinct, 2, n, 2)
+        # [j, prime, element, s, root]
+        values = powers[:, :, :, 0] * powers[::-1, :, :, 1] % mod[..., None]
+        return values.transpose(1, 4, 2, 3, 0).reshape(*p.shape, 2, distinct, n, n)
 
     def _reduced(self, p: int) -> np.ndarray:
         """The z factors and the zbar factors of every element, in word
         order, mod p: an int64 array of shape (2, #elements, k+1, k+1),
         entries in [0, p).  One product with the inverse Vandermonde matrix
-        of the nodes (`_interpolation`) turns their values (`_at_nodes`)
-        into coefficients."""
+        of the nodes (`_interpolation`) turns the distinct elements' values
+        (`_at_nodes`) into coefficients, gathered to word order."""
         if p not in self._reductions:
             self._values[p] = self._at_nodes(p)
-            self._reductions[p] = linalg.matmul_mod(_interpolation(self.k, p), self._values[p], p)
+            coefficients = linalg.matmul_mod(_interpolation(self.k, p), self._values[p], p)
+            self._reductions[p] = coefficients[:, self.same_as]
         return self._reductions[p]
 
     # The S word is words[0] (see `kernel_words`).  S maps flat index c
@@ -625,49 +656,65 @@ class WordOperator:
         (`row_majorant`), and |v[i, j]| <= (1 + sqrt(n)) * norm.  So
         |X + Y*omega| <= (1 + sqrt(n)) * R * norm, R the largest, over the
         words and (r, s), of sum_g rho_g[r] * rho_g[s], and H =
-        `height_factor` * R * norm."""
+        `height_factor` * R * norm.  By Cauchy-Schwarz that sum is at most
+        the larger of its values at (r, r) and (s, s), so R is the largest
+        sum_g rho_g[r]^2, taken with m and rho once per distinct element."""
         if self._row_bound is None:
-            majorants = [tuple(ceil_abs(q) for q in g.entries()) for g in self.elements]
+            majorants = [tuple(ceil_abs(q) for q in self.elements[i].entries()) for i in self.distinct.tolist()]
             rows = {m: row_majorant(*m, self.k) for m in set(majorants)}
-            rho = np.array([rows[m] for m in majorants], dtype=object)
-            self._row_bound = max((rho[g].T @ rho[g]).max() for g in self.words)
+            squares = np.array([[x * x for x in rows[m]] for m in majorants], dtype=object)[self.same_as]
+            self._row_bound = np.add.reduceat(squares, self.starts).max()
         return height_factor(self.field) * self._row_bound * norm
 
-    def _word_sums(self, p: int, cols: Sequence[int], vecs: Sequence[list[Pair]]) -> np.ndarray:
-        """Each word's sum_g sign * A_g V B_g^T mod p on the factors' values
-        at the nodes under the first root w1 (`_at_nodes`), for V the grid
-        of each v mod (p, w1) and for V the transpose of the grid of each v
-        mod (p, w2): shape (2, #vecs, #words, k+1, k+1).  Under w2 the z and
-        zbar values are the zbar and z values under w1, so the word's sum
-        under w2 is sum_g sign * B_g V A_g^T = (sum_g sign * A_g V^T
-        B_g^T)^T: the transpose of [1].
+    def _word_sums(self, primes: Sequence[int], cols: Sequence[int], vecs: Sequence[list[Pair]]) -> np.ndarray:
+        """Each word's sum_g sign * A_g V B_g^T mod each p of `primes` on
+        the factors' values at the nodes under the first root w1
+        (`_at_nodes`), for V the grid of each v mod (p, w1) and for V the
+        transpose of the grid of each v mod (p, w2): shape (#primes, 2,
+        #vecs, #words, k+1, k+1).  Under w2 the z and zbar values are the
+        zbar and z values under w1, so the word's sum under w2 is sum_g
+        sign * B_g V A_g^T = (sum_g sign * A_g V^T B_g^T)^T: the transpose
+        of [:, 1].
 
-        Two products serve every grid and both roots, each distinct element
-        once (the identity is in most words): the A_g stacked, times every
-        grid side by side, then each A_g V, stacked over the grids, times
-        B_g^T.  The terms are gathered back to word order and summed with
-        their signs.  The products run on float64 BLAS
-        (`linalg.matmul_mod_float`) from FLOAT_NODES nodes on, and below it
-        in int64 (`linalg.matmul_mod`), which makes fewer numpy calls."""
+        The primes are one leading batch axis of the grids, the values and
+        both products, each of which takes the primes as an array
+        broadcast over it.  Two products serve every prime, every grid and
+        both roots, each distinct element once (the identity is in most
+        words): the A_g stacked, times every grid side by side, then each
+        A_g V, stacked over the grids, times B_g^T.  The terms are gathered
+        back to word order and summed with their signs.  The products run
+        on float64 BLAS (`linalg.matmul_mod_float`) from FLOAT_NODES nodes
+        on, and below it in int64 (`linalg.matmul_mod`), which makes fewer
+        numpy calls."""
         n = self.k + 1
         if n < FLOAT_NODES:
             dtype, product, reduce = np.int64, linalg.matmul_mod, np.remainder
         else:
             dtype, product, reduce = np.float64, linalg.matmul_mod_float, linalg.float_mod
-        w1, w2 = linalg.omega_roots(self.field, p)
+        m, nvecs = len(primes), len(vecs)
+        p = np.array(primes, dtype=np.int64)
+        roots = [linalg.omega_roots(self.field, q) for q in primes]
+        # each v mod (p, w) for each p and both roots w: [column, prime,
+        # root, vector]
+        res = np.array(
+            [[[(x + y * w) % q for vec in vecs for x, y in vec] for w in ws] for q, ws in zip(primes, roots)],
+            dtype=dtype,
+        ).reshape(m, 2, nvecs, len(cols)).transpose(3, 0, 1, 2)
+        # the grids side by side: [prime, i, root, vector, j], the second
+        # root's grids transposed
         ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
-        # the grids side by side: [i, root, vector, j]
-        grids = np.zeros((n, 2, len(vecs), n), dtype=dtype)
-        for v, vec in enumerate(vecs):
-            grids[ci, 0, v, cj] = [(x + y * w1) % p for x, y in vec]
-            grids[cj, 1, v, ci] = [(x + y * w2) % p for x, y in vec]
-        a, b = self._at_nodes(p)[:, self.distinct].astype(dtype, copy=False)
-        # [g, s, (root, vector, j)]: the rows of A_g V, for every grid
-        left = product(a.reshape(-1, n), grids.reshape(n, -1), p)
-        terms = product(left.reshape(len(a), -1, n), b.transpose(0, 2, 1), p)
-        signed = self.signs[:, None, None] * terms[self.same_as]
-        sums = reduce(np.add.reduceat(signed, self.starts, axis=0), p)
-        return sums.reshape(len(self.words), n, 2, len(vecs), n).transpose(2, 3, 0, 1, 4)
+        grids = np.zeros((m, n, 2, nvecs, n), dtype=dtype)
+        grids[:, ci, 0, :, cj] = res[:, :, 0]
+        grids[:, cj, 1, :, ci] = res[:, :, 1]
+        values = self._at_nodes(p).astype(dtype, copy=False)
+        a, b = values[:, 0], values[:, 1]
+        # [prime, (g, s), (root, vector, j)]: the rows of A_g V, for every grid
+        left = product(a.reshape(m, -1, n), grids.reshape(m, n, -1), p[:, None, None])
+        terms = product(left.reshape(*a.shape[:2], -1, n), b.transpose(0, 1, 3, 2), p[:, None, None, None])
+        signed = terms.reshape(*a.shape[:2], -1)[:, self.same_as]
+        signed *= self.signs[:, None]
+        sums = reduce(np.add.reduceat(signed, self.starts, axis=1), p[:, None, None])
+        return sums.reshape(m, len(self.words), n, 2, nvecs, n).transpose(0, 3, 4, 1, 2, 5)
 
     def in_kernel(self, cols: Sequence[int], vecs: Sequence[list[Pair]], settled: int | None = None) -> bool:
         """Whether M[:, cols] v = 0 for every v of `vecs`, integral vectors
@@ -677,14 +724,18 @@ class WordOperator:
         Each word's sum_g sign * A_g V B_g^T, V the (k+1) x (k+1) grid of
         v, is checked mod the first split primes whose product exceeds 2H
         (`height_bound`, of the largest entry of any v), under both images
-        of omega, in one `_word_sums` per prime for all the vectors against
-        the first root's values (under the second root the sum is the
-        transpose of the first root's sum on the transposed grid).  It is
-        checked on the factors' values at the nodes (`_at_nodes`), with no
-        interpolation: with W the Vandermonde matrix of s = 0..k, those are
-        W A_g and W B_g, and sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign
-        A_g V B_g^T) W^T is 0 mod p exactly when the word's coefficients
-        are, as W is invertible mod p > k.  A nonzero residue refutes some
+        of omega, for all the vectors against the first root's values
+        (under the second root the sum is the transpose of the first
+        root's sum on the transposed grid), at all those primes in one
+        `_word_sums`: a stack of primes shares its products, as long as
+        the stack's first product has at most STACKED_ENTRIES entries, and
+        otherwise the primes go in as many stacks as that bound needs (one
+        per prime at large k or with many vectors).  It is checked on the
+        factors' values at the nodes (`_at_nodes`), with no interpolation:
+        with W the Vandermonde matrix of s = 0..k, those are W A_g and W
+        B_g, and sum_g sign (W A_g) V (W B_g)^T = W (sum_g sign A_g V
+        B_g^T) W^T is 0 mod p exactly when the word's coefficients are, as
+        W is invertible mod p > k.  A nonzero residue at any prime refutes some
         v, and the answer is False.  If all vanish, every coefficient X +
         Y*omega has X + Y*w = 0 mod p for both roots w, so X = Y = 0 mod p
         (the roots differ mod a split prime); as |X|, |Y| <= H, X = Y = 0.
@@ -694,8 +745,10 @@ class WordOperator:
         first split prime): it is not checked again, and the product of the
         other primes with it still exceeds 2H."""
         norm = max(map(abs, itertools.chain.from_iterable(itertools.chain.from_iterable(vecs))), default=0)
-        primes = linalg.primes_exceeding(self.field, 2 * self.height_bound(norm))
-        return not any(self._word_sums(p, cols, vecs).any() for p in primes if p != settled)
+        primes = [p for p in linalg.primes_exceeding(self.field, 2 * self.height_bound(norm)) if p != settled]
+        size = max(1, STACKED_ENTRIES // (2 * len(self.distinct) * max(1, len(vecs)) * (self.k + 1) ** 2))
+        stacks = (primes[i : i + size] for i in range(0, len(primes), size))
+        return not any(self._word_sums(stack, cols, vecs).any() for stack in stacks)
 
     def _first_settles(
         self, first: linalg.FirstPrime, at: np.ndarray, sign: np.ndarray, basis: Sequence[list[Pair]]
@@ -743,9 +796,9 @@ class WordOperator:
         spans the block's rows mod p1 and each lift L u meets the S word
         exactly.  One `in_kernel` of all the lifts over every word, S
         included, then proves them at the other primes of the height bound
-        of their largest entry, one `_word_sums` per prime, and the lifts,
-        made content-free, are the basis.  It
-        is the Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
+        of their largest entry, in one `_word_sums` stacked over them, and
+        the lifts, made content-free, are the basis.  It is the
+        Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
         a kernel vector is an upper coordinate, so the free columns, and
         the vectors with 1 at one of them and 0 at the others, are the same
         for u and for L u.  `cols` must be closed under the transpose
@@ -905,8 +958,9 @@ def membership(P: BiPoly, label: str = "1") -> bool:
     the integral polynomial of `support`, by `WordOperator.in_kernel` on
     its columns, the one vector by the route of a kernel basis: M (den *
     P) = 0 proven from reductions mod split primes under the height bound,
-    one product of grids per prime (`WordOperator._word_sums`), for k up
-    to 254 (a larger k raises ValueError in `linalg.matmul_mod_float`)."""
+    in one product of grids stacked over the primes
+    (`WordOperator._word_sums`), for k up to 254 (a larger k raises
+    ValueError in `linalg.matmul_mod_float`)."""
     f, k = P.field, P.n
     e = eigen_labels(f).index(label)
     if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):

@@ -507,7 +507,7 @@ def test_values_at_the_nodes_are_the_factors_evaluated():
             op = WordOperator(f, k)
             powers = np.array([[pow(s, i, p) for i in range(k + 1)] for s in range(k + 1)], dtype=object)
             factored = [(az, azb) for word in factored_words(f, k) for _, az, azb in word]
-            a, b = op._at_nodes(p)
+            a, b = op._at_nodes(p)[:, op.same_as]
             assert a.dtype == b.dtype == np.int64
             for g, (az, azb) in enumerate(factored):
                 for got, factor, w in ((a[g], az, None), (b[g], azb, None), (b[g], az, w2)):
@@ -706,9 +706,9 @@ def test_exact_wkk_never_proves_at_the_first_split_prime(monkeypatch):
     primes = []
     word_sums = WordOperator._word_sums
 
-    def recorded(self, p, cols, vecs):
-        primes.append(p)
-        return word_sums(self, p, cols, vecs)
+    def recorded(self, stack, cols, vecs):
+        primes.extend(stack)
+        return word_sums(self, stack, cols, vecs)
 
     monkeypatch.setattr(WordOperator, "_word_sums", recorded)
     for d in EUCLIDEAN_DS:
@@ -1123,8 +1123,9 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
     under the second root on v mod (p, w2), each summed here from the
     values under that root (under the second, the z and zbar values trade
     places: `test_values_at_the_nodes_are_the_factors_evaluated`); five
-    rings, k in {1, 4, 7, 12}, two primes, random vectors on random
-    columns."""
+    rings, k in {1, 4, 7, 12}, random vectors on random columns, at two
+    primes passed as one stack: each prime's slice of the stacked sums is
+    summed here from that prime's own values."""
     rng = seeded("word-sums-transposed")
     for d in EUCLIDEAN_DS:
         f = field(d)
@@ -1133,9 +1134,11 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
             n = k + 1
             cols = sorted(rng.sample(range(op.size), min(op.size, 12)))
             vec = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in cols]
-            for p in split_primes(f, 2):
-                sums = op._word_sums(p, cols, [vec])[:, 0]
-                values = op._at_nodes(p)
+            primes = split_primes(f, 2)
+            stacked = op._word_sums(primes, cols, [vec])
+            assert stacked.shape == (2, 2, 1, len(op.words), n, n)
+            for p, sums in zip(primes, stacked[:, :, 0]):
+                values = op._at_nodes(p)[:, op.same_as]
                 under = zip((sums[0], sums[1].transpose(0, 2, 1)), omega_roots(f, p), (values, values[::-1]))
                 for got, w, (a, b) in under:
                     grid = np.zeros((n, n), dtype=np.int64)
@@ -1469,6 +1472,38 @@ def test_membership_rejects_multiples_of_the_first_primes(d):
                 image = np.array([(x + y * root) % p for x, y in vec], dtype=object)
                 assert not (word_operator_mod(op, p, cols, second).astype(object) @ image % p).any()
         assert not membership(from_support(f, k, supp, 1)), (m, i, j)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_in_kernel_checks_every_stack_of_primes(monkeypatch, size):
+    """With a stacking bound that holds `size` primes per stack (one, as
+    at large k), `in_kernel` passes its proof primes to `_word_sums` in
+    order, in stacks of at most `size`, and checks every stack:
+    P_{k,Delta} at k = 11 in O_11 passes at all of its primes, and P plus
+    (p_1 ... p_4) times a monomial of its eigenspace, which vanishes mod
+    the first four split primes, is refuted only by a later stack."""
+    f, k = field(11), 11
+    op = WordOperator(f, k)
+    monkeypatch.setattr(polyspace, "STACKED_ENTRIES", size * 2 * len(op.distinct) * (k + 1) ** 2)
+    stacks = []
+    word_sums = WordOperator._word_sums
+
+    def recorded(self, stack, cols, vecs):
+        stacks.append(list(stack))
+        return word_sums(self, stack, cols, vecs)
+
+    monkeypatch.setattr(WordOperator, "_word_sums", recorded)
+    P = expand_P(f, k, smallest_nonnorm(11))
+    i, j = divmod(eigen_columns(f, k, 0)[0], k + 1)
+    for Q, member in ((P, True), (P + BiPoly.monomial(f, k, i, j, math.prod(split_primes(f, 4))), False)):
+        stacks.clear()
+        _, supp = support(Q)
+        vec = [xy for _, xy in supp]
+        assert op.in_kernel([flat_index(k, *ij) for ij, _ in supp], [vec]) == member
+        primes = linalg.primes_exceeding(f, 2 * op.height_bound(max(abs(e) for xy in vec for e in xy)))
+        checked = sum(stacks, [])
+        assert checked == (primes if member else primes[: len(checked)]), stacks
+        assert len(checked) > (0 if member else 4) and all(1 <= len(s) <= size for s in stacks), stacks
 
 
 def test_the_trivial_line_is_in_every_ring():
