@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 scripts/time_wkk.py [d,k ...]
 
 Prints one line per (d, k): the seconds of one exact and one modular
-`polyspace.wkk` call, their ratio, the dimensions, the work of each call
+`polyspace.wkk` call (both run the certified kernels; modular only
+leaves the basis out), their ratio, the dimensions, the work of each call
 as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
 of `linalg._row_reduce`, and the pivots they found), the proof products
 of the exact call (`proofs`: the calls of `WordOperator._word_sums`; one

@@ -222,7 +222,9 @@ EXPANDP_COST_MAX = 18 * 10**8
 AVERAGE_WALK_MAX = 4 * 10**7
 AVERAGE_K_BITS_MAX = 960
 # W_{k,k} has (k+1)^2 coordinates per eigenspace: at the cap `dims`
-# (every odd k up to --kmax) took at most 10 s (O_11), `basis` 3.6 s.
+# (every odd k up to --kmax) took 1.8-1.9 s (O_11), 1.5-1.7 s with
+# --method modular (O_2), and `basis` 0.8-1.1 s, on a 2-vCPU VM where
+# `python3 -c pass` takes 0.04-0.05 s.
 WKK_K_MAX = 27
 
 
@@ -465,7 +467,7 @@ def cmd_expandp(args) -> list[dict]:
     forms.check_delta(f, args.delta)
     check = args.k**4 * (args.delta.bit_length() + 5) if args.check else 0
     at_most("the cost at -k and --delta, --check included", EXPANDP_COST_MAX,
-            (args.k + 8) ** 3 * (5 * args.delta + args.k) // len(f.units()) + check)
+            (args.k + 8) ** 3 * (5 * args.delta + args.k) // len(f.unit_labels) + check)
     P = forms.expand_P(f, args.k, args.delta)
     row = {"d": args.d, "k": args.k, "delta": args.delta, "poly": str(P)}
     if args.check:

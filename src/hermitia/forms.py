@@ -494,7 +494,7 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_delta(f, delta)
-    w = len(f.units())
+    w = len(f.unit_labels)
     # each norm class as a count of the distinct values of b^w
     classes: dict[int, Counter] = defaultdict(Counter)
     for x, y, n in lattice_norms_below(f, delta):

@@ -88,15 +88,18 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   dimension from above, and a prime of bad reduction can only raise it.
   It takes the least kernel dimension over the first RANK_PRIMES split
   primes and stops at the first prime that meets a known lower bound
-  (`lower`): 0 by default; for the sandwich of `polyspace.wkk` the number
-  of verified kernel vectors, where meeting it makes the dimension
-  unconditional; and for its modular total the sum of the eigenspace
-  dimensions (`kernel_dim_upper_bound` is that dimension alone).  A
-  caller that already has the dimension mod the first prime, or an upper
-  bound on it that is at least the dimension over K (above), passes it
-  (`first`), and that prime is not reduced again.  Each prime reduces
-  whichever orientation of the matrix has fewer rows (`rank_mod`): the
-  rank is the same, and the work is smaller.
+  (`lower`, 0 by default), such as a count of verified kernel vectors,
+  where meeting it makes the dimension unconditional
+  (`kernel_dim_upper_bound` is that dimension alone).  A caller that
+  already has the dimension mod the first prime, or an upper bound on it
+  that is at least the dimension over K (above), passes it (`first`), and
+  that prime is not reduced again.  Each prime reduces whichever
+  orientation of the matrix has fewer rows (`rank_mod`): the rank is the
+  same, and the work is smaller.  No production route calls it:
+  `polyspace.wkk` proves every dimension with `certified_kernel`, and
+  bounds its total by the full block's kernel dimension at the first
+  prime.  It and `kernel_dim_upper_bound` are library API, and stay in
+  the package while `bench/spans.py` traces them by name.
 
 * `quad_kernel` -- Gauss-Jordan elimination over K on `QuadElem`
   fractions, with a check of every vector against every row

@@ -52,13 +52,13 @@ and every rank and kernel of `wkk` runs on the other words restricted to
 it (`WordOperator.reduced_mod`), about half the columns and without the S
 word's rows.  The operator row-reduces that block once, on every column,
 at the first split prime, on first need (`linalg.first_prime`), and every
-`kernel` and `kernel_dim` reads its first prime from that one
-elimination, with no row reduction of its own block.  A kernel's proofs
-take their first prime from it too: each candidate basis is checked mod
-p1 against the rows it keeps, in one product, and one `in_kernel` proves
-all of it at the later primes, in one product of grids stacked over
-those primes (or a few stacks, at large k), on float64 BLAS from k = 7
-on (`linalg.matmul_mod_float`).
+`kernel`, and the upper bound on the total (`first_nullity`), reads its
+first prime from that one elimination, with no row reduction of its own
+block.  A kernel's proofs take their first prime from it too: each
+candidate basis is checked mod p1 against the rows it keeps, in one
+product, and one `in_kernel` proves all of it at the later primes, in one
+product of grids stacked over those primes (or a few stacks, at large k),
+on float64 BLAS from k = 7 on (`linalg.matmul_mod_float`).
 
 Every split prime is worked under its first root w1 of omega alone.
 Under the second root w2 the z and zbar factors of each element trade
@@ -431,12 +431,12 @@ class WordOperator:
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates
     (`lifting`), whole or only some of its rows.  `kernel` and
-    `kernel_dim` work on it alone (`swap` gives the second root's kernel
-    from the first's), and `in_kernel` still checks every word under both
-    roots.
+    `first_nullity` work on it alone (`swap` gives the second root's
+    kernel from the first's), and `in_kernel` still checks every word
+    under both roots.
 
     At the first split prime p1 the operator reduces M_rest L on every
-    upper coordinate once, when a kernel or a dimension first needs it
+    upper coordinate once, when a kernel or `first_nullity` first needs it
     (`linalg.first_prime`, one row reduction of its transpose): rows R that
     span it mod p1, those rows M[R], and K, a basis of its kernel mod p1,
     c - |R| vectors on the c upper coordinates.  It keeps them, and no
@@ -447,12 +447,13 @@ class WordOperator:
     dim_K ker(E).  d_E equals dim ker(E mod p1) when the eigenspace kernels
     mod p1 add up to the full one, as they do over K, where ker M is their
     direct sum; a first prime where they do not only adds candidate
-    vectors, which `in_kernel` refutes, and raises a dimension, which a
-    later prime of good reduction lowers.  No eigenspace block is
-    row-reduced at p1.  At each later prime a kernel builds and eliminates
-    only the rows R of the last prime that `linalg.certified_kernel` did
-    not skip, p1's R at first: on E's columns they may be dependent mod p1
-    and independent over K, and that prime's elimination finds E's rank.
+    vectors, which `in_kernel` refutes, and raises `first_nullity` above
+    the eigenspace sum, which sends `wkk` to the full kernel.  No
+    eigenspace block is row-reduced at p1.  At each later prime a kernel
+    builds and eliminates only the rows R of the last prime that
+    `linalg.certified_kernel` did not skip, p1's R at first: on E's
+    columns they may be dependent mod p1 and independent over K, and that
+    prime's elimination finds E's rank.
     """
 
     def __init__(self, f: FieldSpec, k: int) -> None:
@@ -821,25 +822,12 @@ class WordOperator:
         lifted = (linalg._canonical_integral(lift(u)) for u in block)
         return [[(divmod(c, n), e) for c, e in zip(cols, v) if e != ZERO] for v in lifted]
 
-    def kernel_dim(self, cols: Sequence[int], lower: int = 0) -> int:
-        """An upper bound on the kernel dimension of the columns `cols`
-        over K, given `lower`, a lower bound on it mod every prime: the
-        least mod the RANK_PRIMES first split primes, stopping at the first
-        that meets `lower` (`linalg.kernel_dim_upper_bound`).  It is 0 with
-        no reduction where `s_forces_zero`.  The dimension at the first
-        split prime is read from K (`_first_slice`): the rank of its
-        restriction to `cols`, at least the dimension there, and on every
-        column the number of its vectors, c - |R|, as they are
-        independent."""
-        if self.s_forces_zero(cols):
-            return 0
-        first = self._first_slice(cols)
-        kernel = first.kernel
-        if kernel.shape[1] < self.size // 2:
-            kernel = linalg.kernel_mod_from_span(kernel, first.p)[0]
-        return linalg.kernel_dim_upper_bound(
-            self.field, lambda p: self.reduced_mod(p, cols), lower, first=len(kernel)
-        )
+    def first_nullity(self) -> int:
+        """dim ker(M_rest L mod p1) on every upper coordinate, read from the
+        first prime (`_first_slice`): len(K), its vectors being independent.
+        It is at least dim ker M over K, as a prime ideal can only lower the
+        rank; `wkk` takes it as the upper bound on the total."""
+        return len(self._first_slice(range(self.size)).kernel)
 
 
 # ------------------------------------------------------------------ subspace
@@ -871,13 +859,12 @@ class SubspaceReport:
 
 
 def eigen_columns(f: FieldSpec, k: int, exponent: int) -> list[int]:
-    """The flat indices of the monomials z^i zbar^j of one eigenspace."""
-    return [
-        flat_index(k, i, j)
-        for i in range(k + 1)
-        for j in range(k + 1)
-        if eigen_exponent(f, i, j) == exponent
-    ]
+    """The flat indices of the monomials z^i zbar^j of one eigenspace, in
+    flat order: those with (i - j) % w = exponent (`eigen_exponent`), w the
+    number of units, are for each i the j from (i - exponent) % w in steps
+    of w."""
+    w = len(f.unit_labels)
+    return [flat_index(k, i, j) for i in range(k + 1) for j in range((i - exponent) % w, k + 1, w)]
 
 
 def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
@@ -894,31 +881,22 @@ def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
 
 def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting, in one pass over the
-    eigenspaces.  exact: each is a certified kernel (`eigen_kernel`), and
-    the basis returned is their union.  modular: each is the least kernel
-    dimension mod a few split primes (`WordOperator.kernel_dim`), an upper
-    bound that is exact unless every prime tried is of bad reduction; no
-    basis is returned.  The operator row-reduces the full block once at the
-    first split prime, on first need, and every kernel and dimension takes
-    its first prime from that one reduction: the first-prime basis and
-    dimension of each eigenspace are read from the full block's kernel
-    there, and no eigenspace block is row-reduced at that prime.
+    eigenspaces, each a certified kernel (`eigen_kernel`).  Both methods
+    compute the same proven dimensions and total; exact returns the union
+    of the eigenspace bases as the basis, and modular leaves the basis out.
+    The operator row-reduces the full block once at the first split prime,
+    on first need, and every kernel takes its first prime from that one
+    reduction: the first-prime basis of each eigenspace is read from the
+    full block's kernel there, and no eigenspace block is row-reduced at
+    that prime.
 
-    The total is then the least kernel dimension of the full block over the
-    same RANK_PRIMES primes, found with the sum of the eigenspace
-    dimensions as its lower bound (`WordOperator.kernel_dim`).  The
-    eigenspace blocks are disjoint sets of columns of the full block, with
-    the same rows, so ker(full mod p) contains the direct sum of their
-    kernels mod p, and the sum bounds it from below mod every prime p
-    where each eigenspace dimension is at most its kernel's mod p.  For
-    the exact method, whose dimensions count verified vectors, that is
-    every prime; for the modular method, whose dimensions are the least
-    over the primes, every prime unless an eigenspace's dimension read at
-    the first prime exceeds its kernel's there and both later primes are
-    of bad reduction for it.  So the first prime that meets the sum gives
-    the least over every prime.  For the exact method this is a sandwich:
-    the verified eigenvectors bound the total from below, so when the two
-    meet it is unconditional, and otherwise the full certified kernel is
+    The total is a sandwich.  The eigenspace blocks are disjoint sets of
+    columns of the full block, with the same rows, so their verified
+    kernel vectors are independent in ker M and their number, the sum of
+    the eigenspace dimensions, bounds dim ker M from below.  The full
+    block's kernel dimension mod the first split prime
+    (`WordOperator.first_nullity`) bounds it from above.  When the two
+    meet the total is proven; otherwise the full certified kernel is
     computed.  Neither method builds the stacked word matrix over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
@@ -935,20 +913,13 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     dims: dict[str, int] = {}
     basis: list[Support] = []
     for e, lab in enumerate(eigen_labels(f)):
-        if method == "exact":
-            supps = eigen_kernel(op, e)
-            basis.extend(supps)
-            dims[lab] = len(supps)
-            continue
-        dims[lab] = op.kernel_dim(eigen_columns(f, k, e))
-    every = list(range(op.size))
-    lower = sum(dims.values())
-    total = op.kernel_dim(every, lower)
-    if method == "modular":
-        return SubspaceReport(f.d, k, dims, total, None)
-    if total != lower:
-        total = len(op.kernel(every))
-    return SubspaceReport(f.d, k, dims, total, tuple(basis))
+        supps = eigen_kernel(op, e)
+        basis.extend(supps)
+        dims[lab] = len(supps)
+    total = sum(dims.values())
+    if total != op.first_nullity():
+        total = len(op.kernel(list(range(op.size))))
+    return SubspaceReport(f.d, k, dims, total, tuple(basis) if method == "exact" else None)
 
 
 def membership(P: BiPoly, label: str = "1") -> bool:

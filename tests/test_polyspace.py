@@ -1207,9 +1207,9 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
     block is ranked there and no rows are chosen (no `rank_mod`, no
     `echelon_mod`), and each reduced row echelon form at p1 (K's
     Gauss-Jordan forms, the second root's re-expression) has at most dim
-    ker(M mod p1) rows.  Only the exact method asks for some rows, at
-    later primes, for a kernel that needs one: they are among R, the rows
-    p1 kept, and are eliminated right after they are built."""
+    ker(M mod p1) rows.  Rows are asked for only at later primes, for a
+    kernel that needs one: they are among R, the rows p1 kept, and are
+    eliminated right after they are built."""
     events = []
 
     def recorded(name, fn):
@@ -1257,11 +1257,24 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
                         assert shape[0] <= nullity, (d, k, method)
                 for i, (name, p, rows) in enumerate(events):
                     if name == "reduced" and rows is not None:
-                        assert method == "exact" and p != p1 and set(rows) <= set(span), (d, k)
+                        assert p != p1 and set(rows) <= set(span), (d, k)
                         assert events[i + 1][:2] == ("left", p), (d, k)
                         later += 1
     # some exact kernels at k <= 11 need a second prime
     assert later > 0
+
+
+def test_eigen_columns_are_the_monomials_of_each_exponent():
+    """`eigen_columns` steps through each row of exponents; it lists the
+    same flat indices, in the same order, as the test of every monomial by
+    `eigen_exponent`, in every ring, at every k <= 27 and every exponent."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 28):
+            monomials = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+            for e in range(len(eigen_labels(f))):
+                want = [flat_index(k, i, j) for i, j in monomials if eigen_exponent(f, i, j) == e]
+                assert eigen_columns(f, k, e) == want, (d, k, e)
 
 
 def test_kernel_words_are_built_once_per_ring():
@@ -1343,13 +1356,27 @@ def test_modular_dimensions_agree_with_exact(d):
 
 
 def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
-    # an upper bound that never meets the lower one forces the full kernel
-    monkeypatch.setattr("hermitia.linalg.kernel_dim_upper_bound", lambda f, rows, lower, first=None: -1)
+    """An upper bound that never meets the eigenspace sum forces the full
+    certified kernel, by both methods, and its dimension is the sum."""
+    monkeypatch.setattr(WordOperator, "first_nullity", lambda self: -1)
+    kernel = WordOperator.kernel
+    whole = []
+
+    def recorded(self, cols):
+        out = kernel(self, cols)
+        if cols == list(range(self.size)):
+            whole.append(len(out))
+        return out
+
+    monkeypatch.setattr(WordOperator, "kernel", recorded)
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3, 5):
-            rep = wkk(f, k)
-            assert rep.total == rep.split_sum, (d, k)
+            for method in ("exact", "modular"):
+                whole.clear()
+                rep = wkk(f, k, method=method)
+                assert whole == [rep.total], (d, k, method)
+                assert rep.total == rep.split_sum, (d, k, method)
 
 
 def test_exact_wkk_never_runs_bareiss(monkeypatch):
