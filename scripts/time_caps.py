@@ -64,6 +64,8 @@ CALLS: dict[str, list] = {
     "expandp-past-cap": ["expandp", "-d", "1", "-k", "81", "--delta", "8003"],
     "theta-s": ["theta", "-d", "1", "--delta", "3", "-s", "250000"],
     "dims": ["dims", "-d", "11", "--kmax", "27"],
+    # the O_2 corner of `dims`: --method modular runs the same certified
+    # route as --method exact, and prints the same table
     "dims-modular": ["dims", "-d", "2", "--kmax", "27", "--method", "modular"],
     "basis": ["basis", "-d", "11", "-k", "27"],
     "rcount-check": ["rcount", "-d", "1", "--delta", "3", "-n", "1000", "--check"],

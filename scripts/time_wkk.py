@@ -1,29 +1,28 @@
-"""Time exact and modular `wkk` at large k, and check the exact basis by hash.
+"""Time `wkk` at large k, and check its basis by hash.
 
     PYTHONPATH=src python3 scripts/time_wkk.py [d,k ...]
 
-Prints one line per (d, k): the seconds of one exact and one modular
-`polyspace.wkk` call (both run the certified kernels; modular only
-leaves the basis out), their ratio, the dimensions, the work of each call
-as row reductions / pivot steps (`exact_work`, `modular_work`: the calls
-of `linalg._row_reduce`, and the pivots they found), the proof products
-of the exact call (`proofs`: the calls of `WordOperator._word_sums`; one
-`in_kernel` proves every vector of a candidate basis at all of its proof
-primes after the first in one stacked product of grids, so there is one
-call per candidate basis that needs such a prime, or one per stack where
-`polyspace.STACKED_ENTRIES` splits its primes), the candidates
-its checks refuted (`refuted`: the calls of the exact check given to
-`linalg.certified_kernel` that returned False, one per refuted candidate
-basis, each sending the next prime to an elimination of the whole
-block), the
-rows of the exact call's blocks (`rows_built`: every row that
-`WordOperator.reduced_mod` returned; `rows_reduced`: the rows that
-`linalg.certified_kernel` asks for and eliminates at the primes after
-the first: at the first split prime each kernel's basis is read from the
-full block's kernel, and no row is asked for), the first 16 hex digits
-of the SHA-256 of the exact basis (one `str` per polynomial, one per
-line), and `ok` or `CHANGED` against the hash recorded in EXPECTED (`-`
-for a case without one).  The same hash means the same basis, so a
+Prints one line per (d, k): the seconds of one `polyspace.wkk` call
+(`wkk_s`), timed after a warm-up `wkk(f, 1)` in its ring, so that it
+leaves out the ring's first-use setup (its split primes, `kernel_words`,
+`distinct_elements`), the dimensions, the work of the call as row
+reductions / pivot steps (`work`: the calls of `linalg._row_reduce`, and
+the pivots they found), its proof products (`proofs`: the calls of
+`WordOperator._word_sums`; one `in_kernel` proves every vector of a
+candidate basis at all of its proof primes after the first in one stacked
+product of grids, so there is one call per candidate basis that needs
+such a prime, or one per stack where `polyspace.STACKED_ENTRIES` splits
+its primes), the candidates its checks refuted (`refuted`: the calls of
+the exact check given to `linalg.certified_kernel` that returned False,
+one per refuted candidate basis, each sending the next prime to an
+elimination of the whole block), the rows of its blocks (`rows_built`:
+every row that `WordOperator.reduced_mod` returned; `rows_reduced`: the
+rows that `linalg.certified_kernel` asks for and eliminates at the
+primes after the first: at the first split prime each kernel's basis is
+read from the full block's kernel, and no row is asked for), the first
+16 hex digits of the SHA-256 of the basis (one `str` per polynomial, one
+per line), and `ok` or `CHANGED` against the hash recorded in EXPECTED
+(`-` for a case without one).  The same hash means the same basis, so a
 change to the kernels is checked at k = 15-27, beyond the golden files.
 Exits 1 if any hash changed.
 Without arguments it runs the six cases of EXPECTED.
@@ -94,40 +93,29 @@ def count_work() -> dict[str, int]:
     return counts
 
 
-def work(counts: dict[str, int]) -> str:
-    """Row reductions / pivot steps since the counts were last cleared."""
-    return f"{counts['reductions']}/{counts['pivots']}"
-
-
-def timed(f, k: int, method: str):
-    start = time.perf_counter()
-    rep = wkk(f, k, method=method)
-    return rep, time.perf_counter() - start
-
-
 def main(argv: list[str]) -> int:
     cases = [tuple(map(int, a.split(","))) for a in argv] or list(EXPECTED)
     changed = False
     counts = count_work()
+    warm = set()
     for d, k in cases:
         f = field(d)
+        if d not in warm:
+            wkk(f, 1)
+            warm.add(d)
         counts.update(built=0, reduced=0, reductions=0, pivots=0, proofs=0, refuted=0)
-        exact, t_exact = timed(f, k, "exact")
-        built, reduced, proofs, exact_work = counts["built"], counts["reduced"], counts["proofs"], work(counts)
-        refuted = counts["refuted"]
-        counts.update(reductions=0, pivots=0)
-        modular, t_mod = timed(f, k, "modular")
-        if (exact.dims, exact.total) != (modular.dims, modular.total):
-            raise SystemExit(f"d={d} k={k}: exact and modular dimensions differ")
-        digest = hashlib.sha256("\n".join(map(str, exact.basis)).encode()).hexdigest()[:16]
+        start = time.perf_counter()
+        rep = wkk(f, k)
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256("\n".join(map(str, rep.basis)).encode()).hexdigest()[:16]
         want = EXPECTED.get((d, k))
         verdict = "-" if want is None else "ok" if digest == want else "CHANGED"
         changed |= verdict == "CHANGED"
         print(
-            f"d={d:<2} k={k:<2} exact_s={t_exact:7.2f} modular_s={t_mod:6.2f} "
-            f"ratio={t_exact / t_mod:5.2f} total={exact.total} dims={exact.dims} "
-            f"exact_work={exact_work} modular_work={work(counts)} proofs={proofs} refuted={refuted} "
-            f"rows_built={built} rows_reduced={reduced} basis={digest} {verdict}",
+            f"d={d:<2} k={k:<2} wkk_s={seconds:6.2f} total={rep.total} dims={rep.dims} "
+            f"work={counts['reductions']}/{counts['pivots']} proofs={counts['proofs']} "
+            f"refuted={counts['refuted']} rows_built={counts['built']} rows_reduced={counts['reduced']} "
+            f"basis={digest} {verdict}",
             flush=True,
         )
     return 1 if changed else 0

@@ -222,9 +222,9 @@ EXPANDP_COST_MAX = 18 * 10**8
 AVERAGE_WALK_MAX = 4 * 10**7
 AVERAGE_K_BITS_MAX = 960
 # W_{k,k} has (k+1)^2 coordinates per eigenspace: at the cap `dims`
-# (every odd k up to --kmax) took 1.8-1.9 s (O_11), 1.5-1.7 s with
-# --method modular (O_2), and `basis` 0.8-1.1 s, on a 2-vCPU VM where
-# `python3 -c pass` takes 0.04-0.05 s.
+# (every odd k up to --kmax, one route for either --method) took 1.8-1.9
+# s (O_11) and 1.5-1.7 s (O_2), and `basis` 0.8-1.1 s, on a 2-vCPU VM
+# where `python3 -c pass` takes 0.04-0.05 s.
 WKK_K_MAX = 27
 
 
@@ -428,7 +428,7 @@ def cmd_dims(args) -> list[dict]:
     f = field(args.d)
     rows = []
     for k in range(1, args.kmax + 1, 2):
-        rep = polyspace.wkk(f, k, method=args.method)
+        rep = polyspace.wkk(f, k)
         row: dict = {"d": args.d, "k": k}
         row.update(rep.dims)
         row["total"] = rep.total
@@ -444,7 +444,7 @@ def cmd_basis(args) -> list[dict]:
             f"--eigen must be an eigenvalue label of O_{args.d}: "
             f"one of {', '.join(labels)}; got {args.eigen!r}"
         )
-    rep = polyspace.wkk(f, args.k, method="exact")
+    rep = polyspace.wkk(f, args.k)
     # the basis lists each eigenspace's vectors in label order
     basis = iter(rep.basis)
     rows = []
@@ -625,7 +625,8 @@ COMMANDS: dict[str, Command] = {
     )),
     "dims": Command("dimensions of the cocycle spaces W_{k,k}", cmd_dims, True, (
         arg("--kmax", type=int_at_least(1, most=WKK_K_MAX), default=11),
-        arg("--method", choices=("exact", "modular"), default="exact"),
+        arg("--method", choices=("exact", "modular"), default="exact",
+            help="both values run the one certified route and print the same table"),
     )),
     "basis": Command("exact basis of W_{k,k}", cmd_basis, True, (
         arg("-k", type=int_at_least(1, most=WKK_K_MAX), required=True),

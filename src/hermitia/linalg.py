@@ -76,30 +76,18 @@ roots w1, w2 of x^2 - t x + n mod p (`omega_roots`).  The pieces:
   on E's columns spans a space that contains ker(E mod p1), as every v
   in it, padded with zeros, is in ker(M mod p1).  So its dimension d
   satisfies d >= dim ker(E mod p1) >= dim_K ker E: d is an upper bound
-  for `quad_rank_modular` (`first`), and c - d a lower bound on the rank.
+  on the kernel dimension over K, and c - d a lower bound on the rank.
   It is equal to dim ker(E mod p1) when the kernel of M mod p1 is the
   direct sum of the kernels of its column blocks.  A larger span only
   adds candidate vectors, which the exact check refutes, and the next
   prime eliminates E itself.
 
-* `quad_rank_modular` -- one rule for every rank mod p.  For a prime ideal
-  P above p, rank(M mod P) <= rank(M) over K, since a minor that is
-  nonzero mod P is nonzero over K.  So every split prime bounds the kernel
-  dimension from above, and a prime of bad reduction can only raise it.
-  It takes the least kernel dimension over the first RANK_PRIMES split
-  primes and stops at the first prime that meets a known lower bound
-  (`lower`, 0 by default), such as a count of verified kernel vectors,
-  where meeting it makes the dimension unconditional
-  (`kernel_dim_upper_bound` is that dimension alone).  A caller that
-  already has the dimension mod the first prime, or an upper bound on it
-  that is at least the dimension over K (above), passes it (`first`), and
-  that prime is not reduced again.  Each prime reduces whichever
-  orientation of the matrix has fewer rows (`rank_mod`): the rank is the
-  same, and the work is smaller.  No production route calls it:
-  `polyspace.wkk` proves every dimension with `certified_kernel`, and
-  bounds its total by the full block's kernel dimension at the first
-  prime.  It and `kernel_dim_upper_bound` are library API, and stay in
-  the package while `bench/spans.py` traces them by name.
+* `quad_rank_modular` -- the least kernel dimension mod the first
+  RANK_PRIMES split primes, each an upper bound over K (a minor that is
+  nonzero mod a prime ideal is nonzero over K), stopping at a prime where
+  it is 0; `kernel_dim_upper_bound` is that dimension alone.  No
+  production route calls either, and both stay in the package only
+  because `bench/spans.py` traces them by name.
 
 * `quad_kernel` -- Gauss-Jordan elimination over K on `QuadElem`
   fractions, with a check of every vector against every row
@@ -491,37 +479,27 @@ def rank_mod(mat: np.ndarray, p: int) -> int:
     return echelon_mod(mat.T if mat.shape[0] > mat.shape[1] else mat, p)[0]
 
 
-def quad_rank_modular(
-    f: FieldSpec, rows: Reductions, lower: int = 0, first: int | None = None
-) -> ModularRankReport:
+def quad_rank_modular(f: FieldSpec, rows: Reductions) -> ModularRankReport:
     """The kernel dimension of the matrix with reductions `rows`: the least
     over the first RANK_PRIMES split primes, each an upper bound over K, so
-    exact unless all of them are of bad reduction.  It stops at the first
-    prime that meets `lower`, a known lower bound on the dimension mod every
-    prime; that prime's dimension is then the least, and no later prime is
-    searched for or reduced.  `first`, if given, is the dimension mod the
-    first split prime, which the caller already has, or an upper bound on
-    it that is at least the dimension over K: that prime is then not
-    reduced again, and a later one corrects a value above the least."""
+    exact unless all of them are of bad reduction.  A prime where it is 0
+    proves the kernel empty, and no later prime is searched for or
+    reduced."""
     dims: list[int] = []
     primes: list[int] = []
     for p in itertools.islice(_split_primes(f), RANK_PRIMES):
-        if first is not None and not primes:
-            dims.append(first)
-        else:
-            mat = rows(p)
-            dims.append(mat.shape[1] - rank_mod(mat, p))
+        mat = rows(p)
+        dims.append(mat.shape[1] - rank_mod(mat, p))
         primes.append(p)
-        if dims[-1] <= lower:
+        if not dims[-1]:
             break
     return ModularRankReport(min(dims), tuple(primes))
 
 
-def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions, lower: int, first: int | None = None) -> int:
+def kernel_dim_upper_bound(f: FieldSpec, rows: Reductions) -> int:
     """An unconditional upper bound on the kernel dimension of the matrix
-    with reductions `rows`, given `lower`, a known lower bound, and
-    optionally `first`, its dimension mod the first split prime."""
-    return quad_rank_modular(f, rows, lower, first).kernel_dim
+    with reductions `rows`: `quad_rank_modular`'s least dimension."""
+    return quad_rank_modular(f, rows).kernel_dim
 
 
 # --------------------------------------------------------- certified kernel

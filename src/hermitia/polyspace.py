@@ -835,21 +835,18 @@ class WordOperator:
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    """What `wkk` found: the eigenspace dimensions, the total and, for the
-    exact method, the basis, kept as its supports (`supports`).  Its
-    `BiPoly`s are made when `basis` is first read, so `dims` never makes
-    them."""
+    """What `wkk` found: the eigenspace dimensions, the total and the
+    basis, kept as its supports (`supports`).  Its `BiPoly`s are made when
+    `basis` is first read, so `dims` never makes them."""
 
     d: int
     k: int
     dims: dict[str, int]
     total: int
-    supports: tuple[Support, ...] | None
+    supports: tuple[Support, ...]
 
     @cached_property
-    def basis(self) -> tuple[BiPoly, ...] | None:
-        if self.supports is None:
-            return None
+    def basis(self) -> tuple[BiPoly, ...]:
         f = field(self.d)
         return tuple(from_support(f, self.k, s, 1) for s in self.supports)
 
@@ -879,16 +876,15 @@ def eigen_kernel(op: WordOperator, exponent: int) -> list[Support]:
     return op.kernel(eigen_columns(op.field, op.k, exponent))
 
 
-def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
+def wkk(f: FieldSpec, k: int) -> SubspaceReport:
     """Compute W_{k,k} with its eigenspace splitting, in one pass over the
-    eigenspaces, each a certified kernel (`eigen_kernel`).  Both methods
-    compute the same proven dimensions and total; exact returns the union
-    of the eigenspace bases as the basis, and modular leaves the basis out.
-    The operator row-reduces the full block once at the first split prime,
-    on first need, and every kernel takes its first prime from that one
-    reduction: the first-prime basis of each eigenspace is read from the
-    full block's kernel there, and no eigenspace block is row-reduced at
-    that prime.
+    eigenspaces, each a certified kernel (`eigen_kernel`): the proven
+    dimensions, the total, and the union of the eigenspace bases as the
+    basis.  The operator row-reduces the full block once at the first
+    split prime, on first need, and every kernel takes its first prime
+    from that one reduction: the first-prime basis of each eigenspace is
+    read from the full block's kernel there, and no eigenspace block is
+    row-reduced at that prime.
 
     The total is a sandwich.  The eigenspace blocks are disjoint sets of
     columns of the full block, with the same rows, so their verified
@@ -897,7 +893,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     block's kernel dimension mod the first split prime
     (`WordOperator.first_nullity`) bounds it from above.  When the two
     meet the total is proven; otherwise the full certified kernel is
-    computed.  Neither method builds the stacked word matrix over O_d.
+    computed.  The stacked word matrix is never built over O_d.
 
     Every rank runs on `WordOperator.reduced_mod`, the words after S on
     half the coordinates, and an eigenspace whose columns are not closed
@@ -907,8 +903,6 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     words, so dim ker M = dim ker(M_rest L) over K, and mod every odd p,
     where the kernel of 1+S mod p is still the image of L.
     """
-    if method not in ("exact", "modular"):
-        raise ValueError("method must be 'exact' or 'modular'")
     op = WordOperator(f, k)
     dims: dict[str, int] = {}
     basis: list[Support] = []
@@ -919,7 +913,7 @@ def wkk(f: FieldSpec, k: int, method: str = "exact") -> SubspaceReport:
     total = sum(dims.values())
     if total != op.first_nullity():
         total = len(op.kernel(list(range(op.size))))
-    return SubspaceReport(f.d, k, dims, total, tuple(basis) if method == "exact" else None)
+    return SubspaceReport(f.d, k, dims, total, tuple(basis))
 
 
 def membership(P: BiPoly, label: str = "1") -> bool:

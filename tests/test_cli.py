@@ -306,6 +306,14 @@ def test_dims_modular(capsys):
     assert [r["total"] for r in rows] == [1, 1, 2]
 
 
+@pytest.mark.parametrize("d", ["1", "2", "3", "7", "11"])
+def test_dims_methods_print_identical_stdout(capsys, d):
+    """Both values of --method run the one certified route: the same
+    table, byte for byte, at the benchmark's --kmax 11."""
+    outs = [run(capsys, "dims", "-d", d, "--kmax", "11", "--method", m) for m in ("modular", "exact")]
+    assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
+
+
 def test_basis(capsys):
     code, out = run(capsys, "basis", "-d", "1", "-k", "3", "--format", "json")
     assert code == EXIT_OK

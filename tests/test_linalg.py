@@ -76,7 +76,7 @@ def test_rank_deficient_stack():
     rep = quad_rank_modular(f, reductions(f, rows))
     # a nonempty kernel at good primes: every one of them is reduced
     assert rep.kernel_dim == 2 and list(rep.primes) == split_primes(f, linalg.RANK_PRIMES)
-    assert kernel_dim_upper_bound(f, reductions(f, rows), 0) == 2
+    assert kernel_dim_upper_bound(f, reductions(f, rows)) == 2
 
 
 def test_full_rank_matrix_has_trivial_kernel():
@@ -121,7 +121,7 @@ def test_upper_bound_is_an_upper_bound():
         for _ in range(10):
             rows = rand_rows(rng, f, 3, 5)
             exact = len(quad_kernel(f, rows))
-            assert kernel_dim_upper_bound(f, reductions(f, rows), 0) >= exact
+            assert kernel_dim_upper_bound(f, reductions(f, rows)) >= exact
 
 
 # ------------------------------------------------------- certified kernel
@@ -428,23 +428,6 @@ def test_modular_rank_skips_a_bad_first_prime():
     # the least dimension discards p, and q ends the search
     rep = quad_rank_modular(f, reductions(f, [[f.quad(p)]]))
     assert rep.kernel_dim == 0 and rep.primes == (p, q)
-    # a first-prime dimension given above the truth, 2, as a basis read
-    # off a larger kernel gives (`FirstPrime.columns`): p is not
-    # reduced, the later primes correct it, and q, which meets a lower
-    # bound of 2, ends the search
-    asked = []
-    explicit = reductions(f, [[f.one, f.quad(0, 1), f.zero], [f.quad(2), f.quad(0, 2), f.zero]])
-
-    def mod(prime):
-        asked.append(prime)
-        return explicit(prime)
-
-    r = split_primes(f, 3)[2]
-    for lower, primes in ((0, (p, q, r)), (2, (p, q))):
-        asked.clear()
-        rep = quad_rank_modular(f, mod, lower, first=3)
-        assert rep.kernel_dim == 2 and rep.primes == primes and asked == list(primes[1:])
-    assert kernel_dim_upper_bound(f, mod, 2, first=3) == 2
 
 
 def test_certified_kernel_corrects_a_first_prime_basis_larger_than_the_kernel(monkeypatch):
@@ -662,8 +645,7 @@ def test_least_kernel_dimension_discards_a_bad_first_prime_property(stack):
     exact = len(quad_kernel(f, rows))
     mod = reductions(f, rows)
     assert quad_rank_modular(f, mod).kernel_dim == exact
-    assert kernel_dim_upper_bound(f, mod, 0) == exact
-    assert kernel_dim_upper_bound(f, mod, exact) == exact
+    assert kernel_dim_upper_bound(f, mod) == exact
     # every prime ideal bounds the kernel dimension from above
     for p in split_primes(f, linalg.RANK_PRIMES):
         for mat in (mod(p), reduced(f, rows, p, omega_roots(f, p)[1])):
@@ -829,59 +811,6 @@ def test_primes_exceeding_searches_only_the_primes_it_returns(monkeypatch):
         primes = primes_exceeding(f, 2**40)
         assert len(primes) == 2 and linalg._SPLIT_PRIMES[f] == primes
         assert primes_exceeding(f, 0) == [] and len(linalg._SPLIT_PRIMES[f]) == 2
-
-
-def test_upper_bound_from_a_label_sum_that_the_first_prime_misses():
-    """The modular total of `polyspace.wkk` on synthetic blocks: each label
-    is a set of columns, its dimension the least over the primes, and the
-    least dimension of the whole matrix is found with their sum as the lower
-    bound; it equals `quad_rank_modular`'s least over every prime."""
-    f = field(2)
-    p, q, r = split_primes(f, 3)
-    labels = ([0], [1])
-    cases = (
-        # dimension 2 mod p, above the sum 0; q meets it and r is not reduced
-        ([[f.quad(p), f.zero], [f.zero, f.quad(p)]], [p, q]),
-        # dimensions 1, 2, 1 mod p, q, r: no prime meets the sum 0, and
-        # every one is reduced
-        ([[f.quad(p * q), f.zero], [f.zero, f.quad(q * r)]], [p, q, r]),
-    )
-    for rows, want in cases:
-        label_sum = sum(
-            quad_rank_modular(f, reductions(f, [[row[c] for c in cols] for row in rows])).kernel_dim
-            for cols in labels
-        )
-        assert label_sum == 0
-        asked = []
-
-        def mod(p):
-            asked.append(p)
-            return reduced(f, rows, p)
-
-        total = kernel_dim_upper_bound(f, mod, label_sum)
-        assert asked == want
-        assert total == quad_rank_modular(f, reductions(f, rows)).kernel_dim
-
-
-def test_upper_bound_stops_at_the_first_prime_that_meets_the_lower_bound():
-    rng = seeded("upper-bound-lower")
-    for d in EUCLIDEAN_DS:
-        f = field(d)
-        for _ in range(5):
-            rows = rand_rows(rng, f, 3, 5)
-            exact = len(quad_kernel(f, rows))
-            asked = []
-
-            def mod(p):
-                asked.append(p)
-                return reduced(f, rows, p)
-
-            assert kernel_dim_upper_bound(f, mod, exact) == exact
-            assert asked == split_primes(f, 1)
-            asked.clear()
-            # below the true dimension no prime meets it: all are reduced
-            assert kernel_dim_upper_bound(f, mod, exact - 1) == exact
-            assert asked == split_primes(f, linalg.RANK_PRIMES)
 
 
 def test_matmul_mod_float_equals_matmul_mod_up_to_the_largest_inner_dimension():

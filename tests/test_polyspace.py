@@ -967,37 +967,28 @@ def test_in_kernel_checks_the_s_word(d, k):
             assert not op.in_kernel(cols, [w]), r
 
 
-def test_modular_dimensions_agree_with_exact_to_k11():
-    for d in EUCLIDEAN_DS:
-        f = field(d)
-        for k in range(1, 12, 2):
-            exact = wkk(f, k, method="exact")
-            modular = wkk(f, k, method="modular")
-            assert (exact.dims, exact.total) == (modular.dims, modular.total), (d, k)
-
-
 def test_modular_total_equals_the_least_over_every_rank_prime():
-    """The modular total, found from the sum of the eigenspace dimensions,
-    is the least kernel dimension of the full block that
-    `quad_rank_modular` finds over the RANK_PRIMES primes."""
+    """The total of `wkk`, proven by the sandwich or the full kernel, is
+    the least kernel dimension of the full block that `quad_rank_modular`
+    finds over the RANK_PRIMES primes, in every ring at every k <= 13."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in range(1, 14):
             op = WordOperator(f, k)
             every = list(range(op.size))
             oracle = linalg.quad_rank_modular(f, lambda p: op.reduced_mod(p, every))
-            assert wkk(f, k, method="modular").total == oracle.kernel_dim, (d, k)
+            assert wkk(f, k).total == oracle.kernel_dim, (d, k)
 
 
 def test_modular_dimensions_equal_the_least_over_each_whole_eigenspace_block():
-    """Each modular eigenspace dimension, whose first prime is read from
+    """Each eigenspace dimension of `wkk`, whose first prime is read from
     the rows that span the full block there, equals `quad_rank_modular`
     on the whole eigenspace block, in every ring at every k <= 15."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in range(1, 16):
             op = WordOperator(f, k)
-            dims = wkk(f, k, method="modular").dims
+            dims = wkk(f, k).dims
             for e, lab in enumerate(eigen_labels(f)):
                 cols = eigen_columns(f, k, e)
                 want = 0 if op.s_forces_zero(cols) else linalg.quad_rank_modular(
@@ -1049,9 +1040,9 @@ def test_the_first_reduction_holds_every_eigenspace_block():
 
 
 def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
-    """`wkk` reduces the block at the first split prime once per call, by
-    both methods, in every ring at k <= 7; `membership`, which needs no
-    kernel, never reduces it."""
+    """`wkk` reduces the block at the first split prime once per call, in
+    every ring at k <= 7; `membership`, which needs no kernel, never
+    reduces it."""
     calls = []
     reduced_mod = WordOperator.reduced_mod
 
@@ -1064,10 +1055,9 @@ def test_wkk_reduces_the_first_split_prime_once(monkeypatch):
         f = field(d)
         first = split_primes(f, 1)[0]
         for k in range(1, 8):
-            for method in ("exact", "modular"):
-                calls.clear()
-                wkk(f, k, method=method)
-                assert calls.count(first) == 1, (d, k, method)
+            calls.clear()
+            wkk(f, k)
+            assert calls.count(first) == 1, (d, k)
             calls.clear()
             if k % 2:
                 assert membership(expand_P(f, k, smallest_nonnorm(d)))
@@ -1152,64 +1142,55 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
 
 
 def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
-    """`wkk`, by both methods, in every ring at every k <= 11: every block
-    reduced is used whole (each is under the first root, the only one
-    `reduced_mod` reduces under).
-    The one full block at the first split prime is the operator's; every
-    later full block is ranked whole (`rank_mod`), and every block of kept
-    rows is the matrix whose transpose `certified_kernel` eliminates next
+    """`wkk`, in every ring at every k <= 11: every block reduced is used
+    whole (each is under the first root, the only one `reduced_mod`
+    reduces under).  The one full block is the operator's, at the first
+    split prime; every other block is of the kept rows it asks for; and
+    each is the matrix whose transpose `certified_kernel` eliminates next
     (`left_kernel_mod`)."""
     events = []
-    reduced_mod, left_kernel_mod, rank_mod = WordOperator.reduced_mod, linalg.left_kernel_mod, linalg.rank_mod
+    reduced_mod, left_kernel_mod = WordOperator.reduced_mod, linalg.left_kernel_mod
 
     def reduced(self, p, cols, rows=None):
         out = reduced_mod(self, p, cols, rows)
         events.append(("reduced", p, rows, out))
         return out
 
-    def recorded(name, fn):
-        def run(mat, p):
-            # the block itself, of which an elimination gets the transpose
-            events.append((name, mat.base if name == "left" else mat))
-            return fn(mat, p)
-
-        return run
+    def left(mat, p):
+        # the block itself, of which an elimination gets the transpose
+        events.append(("left", p, mat.base))
+        return left_kernel_mod(mat, p)
 
     monkeypatch.setattr(WordOperator, "reduced_mod", reduced)
-    monkeypatch.setattr(linalg, "left_kernel_mod", recorded("left", left_kernel_mod))
-    monkeypatch.setattr(linalg, "rank_mod", recorded("rank", rank_mod))
+    monkeypatch.setattr(linalg, "left_kernel_mod", left)
     kept = 0
     for d in EUCLIDEAN_DS:
         f = field(d)
         p1 = split_primes(f, 1)[0]
         for k in range(1, 12):
-            for method in ("exact", "modular"):
-                events.clear()
-                wkk(f, k, method=method)
-                calls = [(i, e) for i, e in enumerate(events) if e[0] == "reduced"]
-                assert [p for _, (_, p, rows, _) in calls if rows is None].count(p1) == 1, (d, k, method)
-                for i, (_, p, rows, out) in calls:
-                    if rows is None and p == p1:
-                        continue
-                    use = "rank" if rows is None else "left"
-                    after = next(e for e in events[i + 1 :] if e[0] in ("left", "rank"))
-                    assert after[0] == use and after[1] is out, (d, k, method, p)
-                    kept += rows is not None
-    # the exact kernels reach later primes, and ask only for their rows
+            events.clear()
+            wkk(f, k)
+            calls = [(i, e) for i, e in enumerate(events) if e[0] == "reduced"]
+            assert [p for _, (_, p, rows, _) in calls if rows is None] == [p1], (d, k)
+            for i, (_, p, rows, out) in calls:
+                after = events[i + 1]
+                assert after[:2] == ("left", p) and after[2] is out, (d, k, p)
+                kept += rows is not None
+    # the kernels reach later primes, and ask only for their rows
     assert kept > 0
 
 
 def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
-    """`wkk`, by both methods, in every ring at every k <= 11, where the
-    first split prime p1 is good (the eigenspaces' first-prime dimensions
-    add up to the full block's): at p1 the one block row-reduced is the
-    full one, once (`left_kernel_mod`, which also gives its kernel); no
-    block is ranked there and no rows are chosen (no `rank_mod`, no
-    `echelon_mod`), and each reduced row echelon form at p1 (K's
-    Gauss-Jordan forms, the second root's re-expression) has at most dim
-    ker(M mod p1) rows.  Rows are asked for only at later primes, for a
-    kernel that needs one: they are among R, the rows p1 kept, and are
-    eliminated right after they are built."""
+    """`wkk`, in every ring at every k <= 11, where the first split prime
+    p1 is good (the eigenspaces' first-prime dimensions add up to the full
+    block's): at p1 the one block row-reduced is the full one, once
+    (`left_kernel_mod`, which also gives its kernel); no block is ranked
+    there and no rows are chosen (no `rank_mod`, no `echelon_mod`), and
+    each reduced row echelon form at p1 (K's Gauss-Jordan forms, the
+    second root's re-expression) has at most dim ker(M mod p1) rows.  Rows
+    are asked for only at later primes, for a kernel that needs one: they
+    are among R, the rows p1 kept, and are eliminated right after they are
+    built."""
     events = []
 
     def recorded(name, fn):
@@ -1245,21 +1226,20 @@ def test_wkk_row_reduces_one_block_at_the_first_split_prime(monkeypatch):
             span, nullity = whole.rows, len(whole.kernel)
             dims = [len(linalg.kernel_mod_from_span(op._first_slice(cols).kernel, p1)[0]) for cols in closed]
             assert sum(dims) == nullity, (d, k)
-            for method in ("exact", "modular"):
-                events.clear()
-                wkk(f, k, method=method)
-                at_p1 = [(i, e) for i, e in enumerate(events) if e[1] == p1]
-                assert [e[0] for _, e in at_p1].count("left") == 1, (d, k, method)
-                assert [e for _, e in at_p1 if e[0] == "reduced"] == [("reduced", p1, None)], (d, k, method)
-                assert not any(e[0] in ("rank", "echelon") for _, e in at_p1), (d, k, method)
-                for _, (name, _, shape) in at_p1:
-                    if name == "rref":
-                        assert shape[0] <= nullity, (d, k, method)
-                for i, (name, p, rows) in enumerate(events):
-                    if name == "reduced" and rows is not None:
-                        assert p != p1 and set(rows) <= set(span), (d, k)
-                        assert events[i + 1][:2] == ("left", p), (d, k)
-                        later += 1
+            events.clear()
+            wkk(f, k)
+            at_p1 = [(i, e) for i, e in enumerate(events) if e[1] == p1]
+            assert [e[0] for _, e in at_p1].count("left") == 1, (d, k)
+            assert [e for _, e in at_p1 if e[0] == "reduced"] == [("reduced", p1, None)], (d, k)
+            assert not any(e[0] in ("rank", "echelon") for _, e in at_p1), (d, k)
+            for _, (name, _, shape) in at_p1:
+                if name == "rref":
+                    assert shape[0] <= nullity, (d, k)
+            for i, (name, p, rows) in enumerate(events):
+                if name == "reduced" and rows is not None:
+                    assert p != p1 and set(rows) <= set(span), (d, k)
+                    assert events[i + 1][:2] == ("left", p), (d, k)
+                    later += 1
     # some exact kernels at k <= 11 need a second prime
     assert later > 0
 
@@ -1297,13 +1277,12 @@ def test_wkk_searches_only_the_split_primes_it_uses(monkeypatch):
         return roots(f, p)
 
     monkeypatch.setattr(linalg, "omega_roots", recorded)
-    for method in ("exact", "modular"):
-        for d in EUCLIDEAN_DS:
-            f = field(d)
-            monkeypatch.setattr(linalg, "_SPLIT_PRIMES", {})
-            used.clear()
-            wkk(f, 3, method=method)
-            assert used and linalg._SPLIT_PRIMES[f] == sorted(used), (method, d)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        monkeypatch.setattr(linalg, "_SPLIT_PRIMES", {})
+        used.clear()
+        wkk(f, 3)
+        assert used and linalg._SPLIT_PRIMES[f] == sorted(used), d
 
 
 def test_support_clears_the_denominators():
@@ -1345,19 +1324,9 @@ def test_dimension_tables_small_k(d):
                 assert rep.dims.get(lab, 0) == series[idx], (d, k, lab)
 
 
-@pytest.mark.parametrize("d", sorted(DIM_TABLES))
-def test_modular_dimensions_agree_with_exact(d):
-    f = field(d)
-    for k in (1, 3, 5):
-        exact = wkk(f, k, method="exact")
-        modular = wkk(f, k, method="modular")
-        assert exact.dims == modular.dims
-        assert exact.total == modular.total
-
-
 def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
     """An upper bound that never meets the eigenspace sum forces the full
-    certified kernel, by both methods, and its dimension is the sum."""
+    certified kernel, and its dimension is the sum."""
     monkeypatch.setattr(WordOperator, "first_nullity", lambda self: -1)
     kernel = WordOperator.kernel
     whole = []
@@ -1372,11 +1341,33 @@ def test_total_without_the_sandwich_is_the_full_certified_kernel(monkeypatch):
     for d in EUCLIDEAN_DS:
         f = field(d)
         for k in (1, 3, 5):
-            for method in ("exact", "modular"):
-                whole.clear()
-                rep = wkk(f, k, method=method)
-                assert whole == [rep.total], (d, k, method)
-                assert rep.total == rep.split_sum, (d, k, method)
+            whole.clear()
+            rep = wkk(f, k)
+            assert whole == [rep.total], (d, k)
+            assert rep.total == rep.split_sum, (d, k)
+
+
+def test_wkk_skips_the_full_kernel_where_the_sandwich_meets(monkeypatch):
+    """In every ring at every odd k <= 11 the eigenspace sum meets the full
+    block's kernel dimension mod the first split prime, and `wkk` then
+    proves the total from the two alone: it never runs the certified
+    kernel on every column."""
+    kernel = WordOperator.kernel
+    calls = []
+
+    def recorded(self, cols):
+        calls.append((self, cols))
+        return kernel(self, cols)
+
+    monkeypatch.setattr(WordOperator, "kernel", recorded)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 12, 2):
+            calls.clear()
+            rep = wkk(f, k)
+            op = calls[0][0]
+            assert rep.split_sum == len(op._first_slice(range(op.size)).kernel), (d, k)
+            assert [cols for _, cols in calls if cols == list(range(op.size))] == [], (d, k)
 
 
 def test_exact_wkk_never_runs_bareiss(monkeypatch):
@@ -1393,7 +1384,7 @@ def test_exact_wkk_never_runs_bareiss(monkeypatch):
 
 
 def test_exact_wkk_never_runs_the_word_action(monkeypatch):
-    """`wkk`, by both methods, and `membership` build no exact factor and
+    """`wkk` and `membership` build no exact factor and
     run no exact word action, at every odd k <= 11 in every ring."""
 
     def refuse(name):
@@ -1407,9 +1398,8 @@ def test_exact_wkk_never_runs_the_word_action(monkeypatch):
     for d in EUCLIDEAN_DS:
         f = field(d)
         for idx, k in enumerate(range(1, 12, 2)):
-            for method in ("exact", "modular"):
-                rep = wkk(f, k, method=method)
-                assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k, method)
+            rep = wkk(f, k)
+            assert rep.total == rep.split_sum == DIM_TABLES[d]["total"][idx], (d, k)
             P = expand_P(f, k, smallest_nonnorm(d))
             assert membership(P) and not membership(P + BiPoly.monomial(f, k, 0, 0)), (d, k)
 
