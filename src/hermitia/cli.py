@@ -206,11 +206,12 @@ HCONST_WALK_MAX = 3 * 10**11
 # theta(Delta, s) has about s * log2(|d_K| * Delta) bits, so `theta` caps
 # s times the bit length of |d_K| * Delta.
 THETA_S_BITS_MAX = 10**6
-# `expandp` sums about k^3 / w terms per norm class (`forms.expand_P`), w
-# the number of units, on integers that grow with k, after a plan of as
-# many terms built once at about k each; --check proves the word operators
-# on (k+1)^2 coordinates mod split primes, as many as the about k (L + 5)
-# bits of the height, L the bit length of Delta.  It caps
+# `expandp` sums about k^3 / w terms per norm class
+# (`forms.transfer_coefficients`), w the number of units, on integers that
+# grow with k, after a plan of as many terms built once at about k each;
+# --check proves the word operators on (k+1)^2 coordinates mod split
+# primes, as many as the about k (L + 5) bits of the height, L the bit
+# length of Delta.  It caps
 # (k+8)^3 (5 Delta + k) / w, plus k^4 (L + 5) with --check, about 5*10^-9 s
 # per unit.
 EXPANDP_COST_MAX = 18 * 10**8
@@ -468,10 +469,12 @@ def cmd_expandp(args) -> list[dict]:
     check = args.k**4 * (args.delta.bit_length() + 5) if args.check else 0
     at_most("the cost at -k and --delta, --check included", EXPANDP_COST_MAX,
             (args.k + 8) ** 3 * (5 * args.delta + args.k) // len(f.unit_labels) + check)
-    P = forms.expand_P(f, args.k, args.delta)
-    row = {"d": args.d, "k": args.k, "delta": args.delta, "poly": str(P)}
+    coeffs = forms.transfer_coefficients(f, args.k, args.delta)
+    row = {"d": args.d, "k": args.k, "delta": args.delta,
+           "poly": forms.format_terms([(i, j, coeffs[i, j]) for i, j in sorted(coeffs)])}
     if args.check:
-        row["in_W1"] = polyspace.membership(P, "1")
+        supp = [(ij, (v, 0)) for ij, v in coeffs.items()]
+        row["in_W1"] = polyspace.support_membership(f, args.k, supp, "1")
         if not row["in_W1"]:
             raise OracleMismatch("expanded sum failed the cocycle membership test")
     return [row]

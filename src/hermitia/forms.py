@@ -31,11 +31,13 @@ Both depend on b only through its norm class N(b) = n: alpha through the
 count r(n) of such b, P through the power sums of b over the class.  So
 `alphas` and `expand_P` sweep the lattice points once, group them by norm,
 and take the divisor sums of Delta - n from one smallest-prime-factor
-sieve up to Delta.  `form_ints` lists the forms with c < 0 < a one by one
-as integers, for H_{k,Delta} (`hsum`), with the divisors of Delta - n
-from the same kind of sieve (`intarith.divisors`), and `delta_forms` as
-`HermitianForm`s, for the oracles (`alpha_direct`).  No integer is
-factored on its own.
+sieve up to Delta.  P's coefficients are rational integers
+(`transfer_coefficients`), which `expand_P` wraps in a `BiPoly` and
+`expandp` prints and proves as they are.  `form_ints` lists the
+forms with c < 0 < a one by one as integers, for H_{k,Delta} (`hsum`),
+with the divisors of Delta - n from the same kind of sieve
+(`intarith.divisors`), and `delta_forms` as `HermitianForm`s, for the
+oracles (`alpha_direct`).  No integer is factored on its own.
 """
 
 from __future__ import annotations
@@ -423,17 +425,24 @@ class BiPoly:
         return [(i, j, self.coeffs[(i, j)]) for (i, j) in sorted(self.coeffs)]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, j, v in self.terms():
-            factors = [f"({v})"]
-            if i:
-                factors.append("z" if i == 1 else f"z^{i}")
-            if j:
-                factors.append("zbar" if j == 1 else f"zbar^{j}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms())
+
+
+def format_terms(terms) -> str:
+    """The polynomial of the sorted (i, j, coeff) triples `terms` as text:
+    "(coeff)*z^i*zbar^j" joined by " + ", or "0".  `BiPoly.__str__`, and
+    `expandp` on P's integer coefficients."""
+    if not terms:
+        return "0"
+    parts = []
+    for i, j, v in terms:
+        factors = [f"({v})"]
+        if i:
+            factors.append("z" if i == 1 else f"z^{i}")
+        if j:
+            factors.append("zbar" if j == 1 else f"zbar^{j}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 def _power_list(z: QuadElem, n: int) -> list[QuadElem]:
@@ -469,7 +478,16 @@ def expansion_plan(k: int, w: int) -> list[tuple[int, int, int, int, list[tuple[
 def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
     """The transfer polynomial P_{k,Delta} as an exact BiPoly of bidegree
     (k, k): the sum of (a z zbar + b z + conj(b) zbar + c)^k over the forms
-    of discriminant delta with c < 0 < a.
+    of discriminant delta with c < 0 < a, made from its integer
+    coefficients (`transfer_coefficients`)."""
+    coeffs = transfer_coefficients(f, k, delta)
+    return BiPoly.make(f, k, {key: QuadElem.from_quadint(f.quad(v)) for key, v in coeffs.items()})
+
+
+def transfer_coefficients(f: FieldSpec, k: int, delta: int) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients of P_{k,Delta} (`expand_P`), rational
+    integers, as (alpha, beta) -> the coefficient of z^alpha zbar^beta, in
+    the order of the term-by-term expansion.
 
     The multinomial expansion is summed by norm class.  The forms with
     N(b) = n are (e, b, -m/e) for the divisors e of m = Delta - n.  Over
@@ -501,7 +519,7 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
         classes[n][pair_powers(f, (x, y), w)[w]] += 1
     plan = expansion_plan(k, w)
     spf = smallest_prime_factor_sieve(delta)
-    # every monomial, in the order of the term-by-term expansion (the BiPoly keeps it)
+    # every monomial, in the order of the term-by-term expansion (the result keeps it)
     acc = dict.fromkeys(
         ((i + j, i + l) for i in range(k + 1) for j in range(k + 1 - i) for l in range(k + 1 - i - j)),
         0,
@@ -519,7 +537,6 @@ def expand_P(f: FieldSpec, k: int, delta: int) -> BiPoly:
             if psum[t]:
                 v = sig[q] * sum(mult * m_pow[em] * n_pow[en] for mult, em, en in terms)
                 acc[al, be] += v * psum[t]
-    for al, be in acc:
-        if al < be:
-            acc[al, be] = acc[be, al]
-    return BiPoly.make(f, k, {key: QuadElem.from_quadint(f.quad(v)) for key, v in acc.items()})
+    # that of z^beta zbar^alpha (alpha < beta) is that of z^alpha zbar^beta
+    both = ((key, acc[max(key), min(key)]) for key in acc)
+    return {key: v for key, v in both if v}

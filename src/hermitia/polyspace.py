@@ -27,10 +27,12 @@ from the operator's reductions mod split primes under a height bound
 makes each basis `BiPoly` from its support only when its `basis` is first
 read, so `dims` makes none; `QuadElem` appears only in those `BiPoly`s.
 `membership` proves M (den * P) = 0 by the same `in_kernel`, on the
-support of den * P.  The path builds no exact factor: `WordOperator`
-computes each element's z factor mod p from the element's four entries,
-as values at s = 0..k for `in_kernel` and as coefficients for the rows of
-`reduced_mod`, and bounds the height from them (`row_majorant`).
+support of den * P (`support_membership`, which `expandp --check` calls
+on P's integer coefficients).  The path builds no exact factor:
+`WordOperator` computes each element's z factor mod p from the element's
+four entries, as values at s = 0..k for `in_kernel` and as coefficients
+for the rows of `reduced_mod`, and bounds the height from them
+(`row_majorant`).
 
 The exact word action is `apply_word`: each element g acts as A_g V
 B_g^T, V the grid of coefficients, A_g the z factor of g (`factors`) and
@@ -66,8 +68,10 @@ places, so the block mod (p, w2) is the block mod (p, w1) with rows
 (word, r, s) and (word, s, r) swapped and its columns permuted with signs
 (`WordOperator.swap`): a kernel's second root comes from its first, and
 `in_kernel` checks both roots on the first root's values, the second on
-the transposed grid.  At later primes a kernel asks `reduced_mod` only
-for the rows it eliminates.
+the transposed grid, or on w1 alone for real vectors with symmetric grids
+(as P_{k,Delta} and the bases of `wkk` at odd k), whose word sums under
+w2 are the transposes of those under w1.  At later primes a kernel asks
+`reduced_mod` only for the rows it eliminates.
 
 The kernel words do not depend on k, and are built once per ring
 (`kernel_words`), so the operators of every k share their elements.
@@ -266,21 +270,22 @@ def kernel_words(f: FieldSpec) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def distinct_elements(f: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def distinct_elements(f: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     """The elements of the kernel words, listed word after word, once
     each (the identity is in most words): the place in that list of each
     distinct element, first occurrences in order; for each element of the
-    list the index of its own among them; and the entries a, b, c, e of
-    each distinct element g = [[a, b], [c, e]] as integer pairs, an int64
-    array of shape (2, #distinct, 4), [0] the x and [1] the y of x +
-    y*omega."""
+    list the index of its own among them; the entries a, b, c, e of each
+    distinct element g = [[a, b], [c, e]] as integer pairs, an int64 array
+    of shape (2, #distinct, 4), [0] the x and [1] the y of x + y*omega; and
+    the majorants m(a), m(b), m(c), m(e) of each distinct element's
+    entries (`ceil_abs`, for `WordOperator.height_bound`)."""
     index: dict[GroupElement, int] = {}
     same_as = np.array([index.setdefault(g, len(index)) for word in kernel_words(f) for _, g in word])
     distinct = np.unique(same_as, return_index=True)[1]
     entries = np.array([[(q.x, q.y) for q in g.entries()] for g in index], dtype=np.int64).transpose(2, 0, 1)
     for array in (distinct, same_as, entries):
         array.flags.writeable = False
-    return distinct, same_as, entries
+    return distinct, same_as, entries, tuple(tuple(map(ceil_abs, g.entries())) for g in index)
 
 
 def apply_word(P: BiPoly, word: Word) -> BiPoly:
@@ -392,10 +397,10 @@ def height_factor(f: FieldSpec) -> int:
 FLOAT_NODES = 8
 # `WordOperator.in_kernel` stacks its proof primes in one `_word_sums` while
 # the stack's first product, 2 * #distinct elements * #vectors * (k+1)^2
-# entries per prime (the node values times the number of vectors), has at
-# most this many: every prime in one stack for `membership` at k <= 21, and
-# one prime per product from k = 40 on in O_11 (k = 45 in O_7, k = 48 in O_1,
-# O_2 and O_3).
+# entries per prime (the node values times the number of vectors, under
+# both roots: half of it under one), has at most this many: every prime in
+# one stack for `membership` at k <= 21, and one prime per product from
+# k = 40 on in O_11 (k = 45 in O_7, k = 48 in O_1, O_2 and O_3).
 # Stacking saved 10-25% of a `membership` call at k = 11-25 and nothing from
 # k = 33 on, and a bound 8 times larger lost 10-17% at k = 57.
 STACKED_ENTRIES = 1 << 16
@@ -425,8 +430,9 @@ class WordOperator:
 
     Every reduction is taken with omega -> w1, the first of
     `linalg.omega_roots`.  Only `_at_nodes`, which gets the zbar factors
-    from the second root, and `_word_sums`, which proves M v = 0 under
-    both roots, name the roots.
+    from the second root, and `_word_sums` and `_first_settles`, which
+    prove M v = 0 under both roots (under w1 alone when every vector is
+    real and symmetric), name the roots.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates
@@ -463,7 +469,7 @@ class WordOperator:
         words = kernel_words(f)
         self.elements = [g for word in words for _, g in word]
         self.signs = np.array([sign for word in words for sign, _ in word])
-        self.distinct, self.same_as, self.entries = distinct_elements(f)
+        self.distinct, self.same_as, self.entries, self.majorants = distinct_elements(f)
         self.starts = np.cumsum([0] + [len(word) for word in words[:-1]])
         # each word's elements, as a slice of `elements`
         self.words = [slice(start, start + len(word)) for start, word in zip(self.starts, words)]
@@ -659,11 +665,11 @@ class WordOperator:
         words and (r, s), of sum_g rho_g[r] * rho_g[s], and H =
         `height_factor` * R * norm.  By Cauchy-Schwarz that sum is at most
         the larger of its values at (r, r) and (s, s), so R is the largest
-        sum_g rho_g[r]^2, taken with m and rho once per distinct element."""
+        sum_g rho_g[r]^2, taken with rho once per distinct majorant, and m
+        once per ring (`distinct_elements`)."""
         if self._row_bound is None:
-            majorants = [tuple(ceil_abs(q) for q in self.elements[i].entries()) for i in self.distinct.tolist()]
-            rows = {m: row_majorant(*m, self.k) for m in set(majorants)}
-            squares = np.array([[x * x for x in rows[m]] for m in majorants], dtype=object)[self.same_as]
+            rows = {m: row_majorant(*m, self.k) for m in set(self.majorants)}
+            squares = np.array([[x * x for x in rows[m]] for m in self.majorants], dtype=object)[self.same_as]
             self._row_bound = np.add.reduceat(squares, self.starts).max()
         return height_factor(self.field) * self._row_bound * norm
 
@@ -671,16 +677,23 @@ class WordOperator:
         """Each word's sum_g sign * A_g V B_g^T mod each p of `primes` on
         the factors' values at the nodes under the first root w1
         (`_at_nodes`), for V the grid of each v mod (p, w1) and for V the
-        transpose of the grid of each v mod (p, w2): shape (#primes, 2,
+        transpose of the grid of each v mod (p, w2): shape (#primes, r,
         #vecs, #words, k+1, k+1).  Under w2 the z and zbar values are the
         zbar and z values under w1, so the word's sum under w2 is sum_g
         sign * B_g V A_g^T = (sum_g sign * A_g V^T B_g^T)^T: the transpose
         of [:, 1].
 
+        The root axis has r = 1, w1 alone, when every v is real (every y
+        is 0) and its grid symmetric, v[i, j] = v[j, i] (`real_symmetric`),
+        and r = 2 otherwise.  For such a v the grid mod (p, w2) is the grid
+        mod (p, w1), V, and V^T = V, so the word's sum under w2 is the
+        transpose of its sum under w1 (above): one vanishes exactly when
+        the other does, and [:, 1] would prove nothing more.
+
         The primes are one leading batch axis of the grids, the values and
         both products, each of which takes the primes as an array
         broadcast over it.  Two products serve every prime, every grid and
-        both roots, each distinct element once (the identity is in most
+        every root, each distinct element once (the identity is in most
         words): the A_g stacked, times every grid side by side, then each
         A_g V, stacked over the grids, times B_g^T.  The terms are gathered
         back to word order and summed with their signs.  The products run
@@ -694,19 +707,20 @@ class WordOperator:
             dtype, product, reduce = np.float64, linalg.matmul_mod_float, linalg.float_mod
         m, nvecs = len(primes), len(vecs)
         p = np.array(primes, dtype=np.int64)
-        roots = [linalg.omega_roots(self.field, q) for q in primes]
-        # each v mod (p, w) for each p and both roots w: [column, prime,
+        r = 1 if self.real_symmetric(cols, vecs) else 2
+        roots = [linalg.omega_roots(self.field, q)[:r] for q in primes]
+        # each v mod (p, w) for each p and the r roots w: [column, prime,
         # root, vector]
         res = np.array(
             [[[(x + y * w) % q for vec in vecs for x, y in vec] for w in ws] for q, ws in zip(primes, roots)],
             dtype=dtype,
-        ).reshape(m, 2, nvecs, len(cols)).transpose(3, 0, 1, 2)
+        ).reshape(m, r, nvecs, len(cols)).transpose(3, 0, 1, 2)
         # the grids side by side: [prime, i, root, vector, j], the second
-        # root's grids transposed
+        # root's grids (if any) transposed
         ci, cj = np.divmod(np.asarray(cols, dtype=np.int64), n)
-        grids = np.zeros((m, n, 2, nvecs, n), dtype=dtype)
+        grids = np.zeros((m, n, r, nvecs, n), dtype=dtype)
         grids[:, ci, 0, :, cj] = res[:, :, 0]
-        grids[:, cj, 1, :, ci] = res[:, :, 1]
+        grids[:, cj, 1:, :, ci] = res[:, :, 1:]
         values = self._at_nodes(p).astype(dtype, copy=False)
         a, b = values[:, 0], values[:, 1]
         # [prime, (g, s), (root, vector, j)]: the rows of A_g V, for every grid
@@ -715,7 +729,17 @@ class WordOperator:
         signed = terms.reshape(*a.shape[:2], -1)[:, self.same_as]
         signed *= self.signs[:, None]
         sums = reduce(np.add.reduceat(signed, self.starts, axis=1), p[:, None, None])
-        return sums.reshape(m, len(self.words), n, 2, nvecs, n).transpose(0, 3, 4, 1, 2, 5)
+        return sums.reshape(m, len(self.words), n, r, nvecs, n).transpose(0, 3, 4, 1, 2, 5)
+
+    def real_symmetric(self, cols: Sequence[int], vecs: Sequence[list[Pair]]) -> bool:
+        """Whether every v of `vecs`, on the columns `cols`, is real and has
+        a symmetric grid: y = 0 in every entry, and v[i, j] = v[j, i], with
+        0 where (j, i) is not among `cols`."""
+        n = self.k + 1
+        pos = {c: u for u, c in enumerate(cols)}
+        mates = [pos.get(c % n * n + c // n, len(cols)) for c in cols]
+        padded = ([*vec, ZERO] for vec in vecs)
+        return all(xy[1] == 0 and vec[u] == xy for vec in padded for xy, u in zip(vec, mates))
 
     def in_kernel(self, cols: Sequence[int], vecs: Sequence[list[Pair]], settled: int | None = None) -> bool:
         """Whether M[:, cols] v = 0 for every v of `vecs`, integral vectors
@@ -727,9 +751,11 @@ class WordOperator:
         (`height_bound`, of the largest entry of any v), under both images
         of omega, for all the vectors against the first root's values
         (under the second root the sum is the transpose of the first
-        root's sum on the transposed grid), at all those primes in one
-        `_word_sums`: a stack of primes shares its products, as long as
-        the stack's first product has at most STACKED_ENTRIES entries, and
+        root's sum on the transposed grid, and for real symmetric vectors
+        that of the first root's sum itself: `_word_sums`), at all those
+        primes in one `_word_sums`: a stack of primes shares its products,
+        as long as the stack's first product has at most STACKED_ENTRIES
+        entries, and
         otherwise the primes go in as many stacks as that bound needs (one
         per prime at large k or with many vectors).  It is checked on the
         factors' values at the nodes (`_at_nodes`), with no interpolation:
@@ -762,14 +788,20 @@ class WordOperator:
         u's residues under w1 exactly when `first.mat` does; the block under
         w2 is the block under w1 with its rows permuted and its columns
         permuted with signs, so it kills u's residues x under w2 exactly
-        when `first.mat` kills y with y[at] = sign * x."""
+        when `first.mat` kills y with y[at] = sign * x.
+
+        When every u is real with u[at] = sign * u (its lift L u real with
+        a symmetric grid), y = x: the w1 columns alone are multiplied."""
         p = first.p
         w1, w2 = linalg.omega_roots(self.field, p)
-        # one column per vector under w1, then one per vector under w2
-        res = np.empty((len(at), 2, len(basis)), dtype=np.int64)
+        pairs = list(zip(at.tolist(), sign.tolist()))
+        twin = all(u[a] == (s * x, y) and not y for u in basis for (a, s), (x, y) in zip(pairs, u))
+        # one column per vector under w1, then (unless twin) one per vector under w2
+        res = np.empty((len(at), 1 if twin else 2, len(basis)), dtype=np.int64)
         for v, u in enumerate(basis):
             res[:, 0, v] = [(x + y * w1) % p for x, y in u]
-            res[at, 1, v] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
+            if not twin:
+                res[at, 1, v] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
         return not linalg.matmul_mod(first.mat, res.reshape(len(at), -1), p).any()
 
     def kernel(self, cols: list[int]) -> list[Support]:
@@ -792,7 +824,8 @@ class WordOperator:
         candidate basis is checked as a whole, one exact check per
         candidate: first mod p1 against the rows M[R] kept there, in one
         product over every vector's residues under w1 and under w2, the
-        latter permuted with signs (`_first_settles`): a nonzero product
+        latter permuted with signs, or under w1 alone where every lift is
+        real and symmetric (`_first_settles`): a nonzero product
         refutes the basis at once, and zero settles p1 for both roots, as R
         spans the block's rows mod p1 and each lift L u meets the S word
         exactly.  One `in_kernel` of all the lifts over every word, S
@@ -917,18 +950,22 @@ def wkk(f: FieldSpec, k: int) -> SubspaceReport:
 
 
 def membership(P: BiPoly, label: str = "1") -> bool:
-    """Whether P lies in W_{k,k} with the given eps eigenvalue.  eps is
-    diagonal, with eigenvalue u^eigen_exponent on each monomial, so the
-    eigenvalue test reads P's support; the words are tested on den * P,
-    the integral polynomial of `support`, by `WordOperator.in_kernel` on
-    its columns, the one vector by the route of a kernel basis: M (den *
-    P) = 0 proven from reductions mod split primes under the height bound,
-    in one product of grids stacked over the primes
+    """Whether P lies in W_{k,k} with the given eps eigenvalue:
+    `support_membership` of den * P (`support`)."""
+    return support_membership(P.field, P.n, support(P)[1], label)
+
+
+def support_membership(f: FieldSpec, k: int, supp: Support, label: str = "1") -> bool:
+    """Whether the integral polynomial of bidegree (k, k) with support
+    `supp` lies in W_{k,k} with the given eps eigenvalue.  eps is diagonal,
+    with eigenvalue u^eigen_exponent on each monomial, so the eigenvalue
+    test reads the support; the words are tested by
+    `WordOperator.in_kernel` on its columns, the one vector by the route of
+    a kernel basis: M v = 0 proven from reductions mod split primes under
+    the height bound, in one product of grids stacked over the primes
     (`WordOperator._word_sums`), for k up to 254 (a larger k raises
     ValueError in `linalg.matmul_mod_float`)."""
-    f, k = P.field, P.n
     e = eigen_labels(f).index(label)
-    if any(eigen_exponent(f, i, j) != e for i, j in P.coeffs):
+    if any(eigen_exponent(f, i, j) != e for (i, j), _ in supp):
         return False
-    _, supp = support(P)
     return WordOperator(f, k).in_kernel([flat_index(k, i, j) for (i, j), _ in supp], [[xy for _, xy in supp]])

@@ -330,6 +330,21 @@ def test_expandp_with_membership_check(capsys):
     assert row["in_W1"] is True
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+def test_expandp_prints_the_polynomial_of_expand_P(capsys, d):
+    """`expandp` prints P_{k,Delta} from its integer coefficients exactly
+    as `str(forms.expand_P(...))`, and proves it in W_{k,k}, at odd k <= 11
+    and the least non-norm."""
+    f = field(d)
+    delta = nonnorm_deltas(f, 1)[0]
+    for k in range(1, 12, 2):
+        code, out = run(capsys, "expandp", "-d", str(d), "-k", str(k), "--delta", str(delta),
+                        "--check", "--format", "json")
+        assert code == EXIT_OK, run.err
+        row = json.loads(out)[0]
+        assert row["poly"] == str(forms.expand_P(f, k, delta)) and row["in_W1"] is True, k
+
+
 def test_bench(capsys):
     code, out = run(capsys, "bench", "-d", "1", "-s", "-2", "--repeats", "2",
                     "--format", "json")
@@ -583,8 +598,8 @@ def test_cost_rules_admit_calls_that_the_old_caps_refused(capsys, monkeypatch, a
     """Calls of 0.7 to 7 s that a cap on -k, or on -k times the deltas,
     refused pass the cost rules (the work stubbed out)."""
     monkeypatch.setattr(forms, "alphas", lambda f, k, deltas: [0] * len(deltas))
-    monkeypatch.setattr(forms, "expand_P", lambda f, k, delta: forms.BiPoly.zero(f, k))
-    monkeypatch.setattr(polyspace, "membership", lambda P, label: True)
+    monkeypatch.setattr(forms, "transfer_coefficients", lambda f, k, delta: {})
+    monkeypatch.setattr(polyspace, "support_membership", lambda f, k, supp, label: True)
     code, out = run(capsys, *argv)
     assert code == EXIT_OK, run.err
 

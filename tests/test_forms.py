@@ -35,6 +35,7 @@ from hermitia.forms import (
     gen_T,
     gen_T_omega,
     identity,
+    transfer_coefficients,
     translation,
 )
 from hermitia.intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
@@ -346,6 +347,22 @@ def test_expand_P_matches_the_form_by_form_oracle():
                 P, want = expand_P(f, k, delta), expand_P_quadint(f, k, delta)
                 assert P.coeffs == want.coeffs, (d, k, delta)
                 assert str(P) == str(want)
+
+
+def test_transfer_coefficients_are_expand_P_on_integers():
+    """`transfer_coefficients` holds P_{k,Delta}'s nonzero coefficients as
+    ints, keyed and ordered as `expand_P` keeps them, and equal at (alpha,
+    beta) and (beta, alpha), for odd k <= 11 and the three least
+    non-norms of every ring."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for delta in nonnorm_deltas(f, 3):
+            for k in range(1, 12, 2):
+                coeffs = transfer_coefficients(f, k, delta)
+                assert list(coeffs) == list(expand_P(f, k, delta).coeffs), (d, k, delta)
+                assert all(type(v) is int and v for v in coeffs.values())
+                assert all(coeffs[b, a] == v for (a, b), v in coeffs.items())
+                assert expand_P(f, k, delta).coeffs == {key: _c(f, v) for key, v in coeffs.items()}
 
 
 def test_expansion_plan_multinomials_equal_the_factorial_formula():

@@ -1141,6 +1141,131 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
                         assert np.array_equal(total % p, want), (d, k, p, w)
 
 
+def symmetric_change(k, cols, v, c, t):
+    """v plus the real step t at column c = (i, j) and at (j, i)."""
+    i, j = divmod(c, k + 1)
+    w = list(v)
+    for u in {cols.index(c), cols.index(flat_index(k, j, i))}:
+        w[u] = (w[u][0] + t, w[u][1])
+    return w
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(EUCLIDEAN_DS), k=st.sampled_from([1, 4, 7, 12]), pick=st.randoms())
+def test_one_root_answers_as_both_roots_and_the_word_action_property(d, k, pick):
+    """A real vector with a symmetric grid, a basis vector of W_{k,k} or
+    the same with a real step at (i, j) and at (j, i) (small, or the
+    product of the first two split primes, which vanishes mod both), gets
+    the same `in_kernel` answer under the first root alone, under both
+    roots (`real_symmetric` patched to False) and from the exact word
+    action (`annihilates`).  (The basis vectors of the eigenvalue -1 at
+    even k have antisymmetric grids, and are left out.)"""
+    f = field(d)
+    op, cols, v = pick.choice([(op, cols, v) for op, cols, v in kernel_vectors(f, k) if op.real_symmetric(cols, [v])])
+    step = pick.choice([pick.randint(1, 3), math.prod(split_primes(f, 2))]) * pick.choice([-1, 1])
+    w = symmetric_change(k, cols, v, pick.choice(cols), step)
+    for vec in (v, w):
+        assert op.real_symmetric(cols, [vec])
+        one = op.in_kernel(cols, [vec])
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(WordOperator, "real_symmetric", lambda self, cols, vecs: False)
+            both = op.in_kernel(cols, [vec])
+        assert one == both == annihilates(f, k, as_support(k, cols, vec)), (k, step)
+
+
+def test_word_sums_take_one_root_exactly_for_real_symmetric_vectors(monkeypatch):
+    """The root axis of `_word_sums` has length 1 exactly when every
+    vector is real with a symmetric grid: a basis vector of W_{k,k} and a
+    real symmetric step of it, but not the same with an imaginary part,
+    with a real step at (i, j) alone (i != j), with a nonzero real entry
+    at (i, j) whose (j, i) is not a column, or beside a real non-symmetric
+    vector.  Every proof of `wkk` and of `membership(P_{k,Delta})` at odd
+    k <= 11 in the five rings takes one root."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        p = split_primes(f, 1)
+        for k in (7, 12):
+            op, cols, v = kernel_vectors(f, k)[0]
+            off = next(c for c in cols if c // (k + 1) != c % (k + 1))
+            u = cols.index(off)
+            real = symmetric_change(k, cols, v, off, 2)
+            imaginary, one_sided = list(real), list(v)
+            imaginary[u] = (imaginary[u][0], 1)
+            one_sided[u] = (one_sided[u][0] + 1, 0)
+            cases = [([v], 1), ([real], 1), ([imaginary], 2), ([one_sided], 2), ([v, one_sided], 2), ([real, v], 1)]
+            for vecs, roots in cases:
+                assert op._word_sums(p, cols, vecs).shape[1] == roots, (d, k, roots)
+            corner, diagonal = flat_index(k, 0, 1), flat_index(k, 1, 1)
+            assert op._word_sums(p, [corner], [[(5, 0)]]).shape[1] == 2
+            assert op._word_sums(p, [corner], [[ZERO]]).shape[1] == 1
+            assert op._word_sums(p, [diagonal], [[(5, 0)]]).shape[1] == 1
+    roots = []
+    word_sums = WordOperator._word_sums
+
+    def recorded(self, stack, cols, vecs):
+        out = word_sums(self, stack, cols, vecs)
+        roots.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(WordOperator, "_word_sums", recorded)
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in range(1, 12, 2):
+            wkk(f, k)
+            assert membership(expand_P(f, k, smallest_nonnorm(d)))
+    assert roots and set(roots) == {1}
+
+
+def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
+    """`_first_settles` multiplies the first root's columns alone when every
+    u is real with u[at] = sign * u (its lift real and symmetric), as for
+    every basis that `wkk` proves, and both roots' columns otherwise; its
+    answer is whether the block mod p1 kills u under both roots, the block
+    under w2 being the swapped one (`swapped_rows`, `swap`): the basis, a
+    real symmetric step of it, a real step at one column alone and a step
+    by omega - w1, at k = 7, 9, 11 in the five rings."""
+    widths = []
+    matmul = linalg.matmul_mod
+
+    def recorded(a, b, p):
+        widths.append(b.shape[1])
+        return matmul(a, b, p)
+
+    verdicts = set()
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (7, 9, 11):
+            op, cols, basis = eigen_bases(f, k)[0]
+            first = op._first_slice(cols)
+            p, at, sign = first.p, *op.swap(cols)
+            w1, w2 = omega_roots(f, p)
+            block = op.reduced_mod(p, cols).astype(object)
+            second = block[swapped_rows(op)][:, at] * sign
+            upper = [r for r, c in enumerate(cols) if 2 * c >= op.size]
+            bases = [[[u[r] for r in upper] for u in basis]]
+            c = next(r for r in range(len(at)) if at[r] != r)
+            changed = [list(u) for u in bases[0]]
+            changed[-1][c] = (changed[-1][c][0] + 1, 0)
+            bases.append([list(u) for u in changed])
+            changed[-1][at[c]] = (changed[-1][at[c]][0] + int(sign[c]), 0)
+            bases.append(changed)
+            last = [(x - w1, y + 1) if r == c else (x, y) for r, (x, y) in enumerate(bases[0][-1])]
+            bases.append([*bases[0][:-1], last])
+            for vecs, twin in zip(bases, (True, False, True, False)):
+                want = all(
+                    not (m @ np.array([(x + y * w) % p for x, y in u], dtype=object) % p).any()
+                    for u in vecs
+                    for m, w in ((block, w1), (second, w2))
+                )
+                widths.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(linalg, "matmul_mod", recorded)
+                    assert op._first_settles(first, at, sign, vecs) == want, (d, k)
+                assert widths == [len(vecs) * (1 if twin else 2)], (d, k, twin)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
     """`wkk`, in every ring at every k <= 11: every block reduced is used
     whole (each is under the first root, the only one `reduced_mod`
