@@ -90,9 +90,12 @@ def kronecker(a: int, b: int) -> int:
     return result * _jacobi(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """Immutable description of one of the five rings."""
+    """Immutable description of one of the five rings.  The five `FIELDS`
+    entries are its only instances, so rings compare and hash by identity,
+    as `as_elem` compares them, and a cache keyed on a ring hashes no
+    field."""
 
     d: int
     disc: int                  # field discriminant d_K

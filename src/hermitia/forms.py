@@ -53,7 +53,6 @@ from .field import (
     FieldSpec,
     QuadElem,
     QuadInt,
-    ZLike,
     as_elem,
     is_norm,
     lattice_norms_below,
@@ -117,14 +116,9 @@ class GroupElement:
             and self.a.is_unit()
         )
 
-    def apply(self, z: ZLike) -> ZLike:
+    def apply(self, z: QuadElem) -> QuadElem:
         """Moebius action z -> (a z + b) / (c z + e)."""
-        if isinstance(z, QuadElem):
-            return (self.a * z + self.b) / (self.c * z + self.e)
-        zc = complex(z)
-        return (complex(self.a) * zc + complex(self.b)) / (
-            complex(self.c) * zc + complex(self.e)
-        )
+        return (self.a * z + self.b) / (self.c * z + self.e)
 
     def entries(self) -> tuple[QuadInt, QuadInt, QuadInt, QuadInt]:
         return (self.a, self.b, self.c, self.e)
@@ -184,16 +178,9 @@ class HermitianForm:
     def delta(self) -> int:
         return self.b.norm() - self.a * self.c
 
-    def eval(self, z: ZLike):
-        """h(z, 1); a Fraction for exact z, a float for complex z."""
-        if isinstance(z, QuadElem):
-            return self.a * z.norm() + (self.b * z).trace() + self.c
-        zc = complex(z)
-        return (
-            self.a * (zc.real * zc.real + zc.imag * zc.imag)
-            + 2 * (complex(self.b) * zc).real
-            + self.c
-        )
+    def eval(self, z: QuadElem):
+        """h(z, 1), a Fraction."""
+        return self.a * z.norm() + (self.b * z).trace() + self.c
 
     def __str__(self) -> str:
         return f"[a={self.a}, b={self.b}, c={self.c}]"
@@ -373,10 +360,6 @@ class BiPoly:
         return BiPoly(f, n, clean)
 
     @staticmethod
-    def zero(f: FieldSpec, n: int) -> "BiPoly":
-        return BiPoly(f, n, {})
-
-    @staticmethod
     def monomial(f: FieldSpec, n: int, i: int, j: int, coeff=1) -> "BiPoly":
         c = as_elem(f, coeff)
         return BiPoly.make(f, n, {(i, j): c})
@@ -410,14 +393,6 @@ class BiPoly:
         total = zero
         for (i, j), v in self.coeffs.items():
             total = total + v * zp[i] * wp[j]
-        return total
-
-    def eval_complex(self, z: complex) -> complex:
-        """P(z, conj(z)) in floating point."""
-        zbar = z.conjugate()
-        total = 0j
-        for (i, j), v in self.coeffs.items():
-            total += complex(v) * z**i * zbar**j
         return total
 
     def terms(self) -> list[tuple[int, int, QuadElem]]:

@@ -22,21 +22,22 @@ O(#forms * log den(z)) per point; `eval_exact` is its one-point case.  The
 definition itself is summed by the window scan `forms.window_scan`, which
 visits every |a| <= Delta*den(z)^2; it is the oracle of the tests and of
 `reduction_identity_check`.  For floating z the series is absolutely
-convergent for k >= 3 and `eval_truncated` returns the partial sum over
-|a| <= a_max together with a rigorous bound on the discarded tail (for
-k = 1 the full sum only converges on K, where it has finite support, so
-truncation is refused).
+convergent for k >= 3, and `tail_bound` bounds the part of it with
+|a| > a_max; the partial sum over |a| <= a_max, the definition summed in
+floating point, is the oracle of the float walk below and lives in
+`tests/oracles.py` (for k = 1 the sum only converges on K, where it has
+finite support).
 
 The sum satisfies the reduction identity
 
     N(z)^k * H_{k,Delta}(-1/z) - H_{k,Delta}(z) = P_{k,Delta}(z, zbar)
 
 with the transfer polynomial of `forms.expand_P`; `reduction_identity_check`
-evaluates the difference of the two sides (exactly on K).  With P replaced
-by the signed sum T of `_walk_values` the identity holds at every complex
-z and for every k, so the walk of `eval_exact` also runs in floating point,
-rounding to the nearest lattice point by the two-row rule of
-`field.nearest_pair` on numpy arrays.  Its step count is set by k, the
+evaluates the difference of the two sides exactly, at points of K.  With P
+replaced by the signed sum T of `_walk_values` the identity holds at every
+complex z and for every k, so the walk of `eval_exact` also runs in
+floating point, rounding to the nearest lattice point by the two-row rule
+of `field.nearest_pair` on numpy arrays.  Its step count is set by k, the
 covering radius and float resolution; a_max enters only once its tail
 bound is below float resolution, and then as log(a_max).  Averaging over
 a fundamental cell of the lattice connects the sum to a Dirichlet series:
@@ -45,10 +46,10 @@ a fundamental cell of the lattice connects the sum to a Dirichlet series:
 
 which `average_quadrature` verifies on a midpoint grid, evaluating every
 midpoint by that float walk.  Its stopping rule bounds what the walk leaves
-out by the tail bound of `eval_truncated`; float rounding is outside that
-bound.  For k >= 3 that tail bound does not depend on z, so H is a uniform
-limit of continuous functions and has no jumps, at points of K included:
-there the float walk agrees with `eval_exact` up to rounding.
+out by `tail_bound`; float rounding is outside that bound.  For k >= 3
+that tail bound does not depend on z, so H is a uniform limit of
+continuous functions and has no jumps, at points of K included: there the
+float walk agrees with `eval_exact` up to rounding.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ import numpy as np
 from .cfrac import remainders
 from .field import FieldSpec, QuadElem
 from .forms import check_delta, expand_P, form_ints, window_scan
-
-# a float `ReductionCheck` holds within its error bound plus this slack
-CHECK_SLACK = 1e-9
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
@@ -127,20 +125,6 @@ def _scan_value(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
     return Fraction(total, z.den ** (2 * k))
 
 
-@dataclass(frozen=True)
-class HEvalReport:
-    """Truncated evaluation with a rigorous tail bound."""
-
-    d: int
-    k: int
-    delta: int
-    z: complex
-    a_max: int
-    value: float
-    tail_bound: float
-    terms: int
-
-
 def tail_bound(f: FieldSpec, k: int, delta: int, a_max: int) -> float:
     """Upper bound on the discarded |a| > a_max part of H_{k,Delta}, k >= 3.
 
@@ -159,100 +143,19 @@ def tail_bound(f: FieldSpec, k: int, delta: int, a_max: int) -> float:
     return count_bound * delta**k * (1 / a_max ** (k - 1)) / (k - 1)
 
 
-def eval_truncated(
-    f: FieldSpec, k: int, delta: int, z: complex, a_max: int = 2000
-) -> HEvalReport:
-    """Partial sum of H_{k,Delta}(z) over 0 < |a| <= a_max, with tail bound.
+def reduction_identity_check(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
+    """N(z)^k H(-1/z) - H(z) - P(z, zbar) at exact z != 0 in K, as an exact
+    rational: the identity holds iff it is 0.
 
-    Requires k >= 3: for k = 1 the defining series diverges off K, so no
-    truncation is meaningful there.
+    Both sums come from the window scan, independently of the
+    continued-fraction walk of `eval_exact` (which assumes the identity).
     """
-    check_delta(f, delta)
-    if k < 3:
-        raise ValueError(
-            "eval_truncated needs k >= 3; for k = 1 use eval_exact on K"
-        )
-    if a_max < 1:
-        raise ValueError("a_max must be positive")
-    zc = complex(z)
-    t, n, m = f.disc, f.norm_coeff, f.abs_disc
-    half_sqm = f.sqrt_abs_disc / 2.0
-    znorm = zc.real * zc.real + zc.imag * zc.imag
-    sqrt_delta = math.sqrt(delta)
-    total = 0.0
-    terms = 0
-    for a in range(-a_max, 0):
-        cx, cy = -a * zc.real, -a * zc.imag  # v must be within sqrt(D) of here
-        ylo = math.floor((cy - sqrt_delta) / half_sqm)
-        yhi = math.ceil((cy + sqrt_delta) / half_sqm)
-        for vy in range(ylo, yhi + 1):
-            imag_off = vy * half_sqm - cy
-            rad2 = delta - imag_off * imag_off
-            if rad2 < 0:
-                continue
-            rad = math.sqrt(rad2)
-            xbase = vy * t / 2.0
-            xlo = math.floor(cx - rad - xbase)
-            xhi = math.ceil(cx + rad - xbase)
-            for vx in range(xlo, xhi + 1):
-                nv = vx * vx + t * vx * vy + n * vy * vy
-                if (nv - delta) % a:
-                    continue
-                c = (nv - delta) // a
-                # b = conj(v); trace of b*z is 2*Re(conj(v)*z)
-                vre, vim = vx + xbase, vy * half_sqm
-                h = a * znorm + 2.0 * (vre * zc.real + vim * zc.imag) + c
-                if h > 0.0:
-                    total += h**k
-                    terms += 1
-    return HEvalReport(
-        f.d, k, delta, zc, a_max, total, tail_bound(f, k, delta, a_max), terms
-    )
-
-
-@dataclass(frozen=True)
-class ReductionCheck:
-    """Difference N(z)^k H(-1/z) - H(z) - P(z, zbar) with its error budget."""
-
-    residual: Fraction | float
-    error_bound: Fraction | float
-    exact: bool
-
-    def holds(self) -> bool:
-        if self.exact:
-            return self.residual == 0
-        return abs(self.residual) <= float(self.error_bound) + CHECK_SLACK
-
-
-def reduction_identity_check(
-    f: FieldSpec, k: int, delta: int, z, a_max: int = 2000
-) -> ReductionCheck:
-    """Evaluate both sides of the reduction identity at z != 0.
-
-    For exact z in K both sums come from the window scan, independently of
-    the continued-fraction walk of `eval_exact` (which assumes the
-    identity); the residual is an exact rational and the identity holds
-    iff it is 0.  For floating z both sums are truncated at a_max and
-    the error bound is the sum of the two tail bounds (k >= 3 only).
-    """
-    P = expand_P(f, k, delta)
-    if isinstance(z, QuadElem):
-        if z.is_zero():
-            raise ValueError("the reduction identity needs z != 0")
-        w = -z.inverse()
-        lhs = z.norm() ** k * _scan_value(f, k, delta, w) - _scan_value(f, k, delta, z)
-        rhs = P.eval_exact(z).as_fraction()
-        return ReductionCheck(lhs - rhs, Fraction(0), True)
-    zc = complex(z)
-    if zc == 0:
+    if not isinstance(z, QuadElem):
+        raise TypeError("the reduction identity is checked at exact field elements")
+    if z.is_zero():
         raise ValueError("the reduction identity needs z != 0")
-    w = -1.0 / zc
-    rep_w = eval_truncated(f, k, delta, w, a_max)
-    rep_z = eval_truncated(f, k, delta, zc, a_max)
-    znorm = abs(zc) ** 2
-    residual = znorm**k * rep_w.value - rep_z.value - P.eval_complex(zc).real
-    bound = znorm**k * rep_w.tail_bound + rep_z.tail_bound
-    return ReductionCheck(residual, bound, False)
+    lhs = z.norm() ** k * _scan_value(f, k, delta, -z.inverse()) - _scan_value(f, k, delta, z)
+    return lhs - expand_P(f, k, delta).eval_exact(z).as_fraction()
 
 
 @dataclass(frozen=True)
@@ -297,7 +200,9 @@ def average_quadrature(
     left of its sum is at most tail_bound(f, k, delta, a_max), the error
     bound of the partial sum over |a| <= a_max, and at most 1e-16 of its
     value, so a_max only matters once its tail bound is below float
-    resolution.  Float rounding is not part of that bound.
+    resolution.  Float rounding is not part of that bound.  That partial
+    sum, the definition summed in floating point, is the oracle of the walk
+    in `tests/oracles.py`.
     """
     check_delta(f, delta)
     if k < 3:
@@ -325,7 +230,9 @@ def _walk_values(
     the count bound of `tail_bound` summed over every a.  A point stops once
     scale * M <= min(tolerance, 1e-16 * |total|), or at r = 0, where
     H(0) = alpha_{k,Delta}.  The value returned is total, a lower bound
-    up to float rounding.
+    up to float rounding.  Its oracle is the definition summed in floating
+    point over |a| <= a_max (`tests/oracles.py`), whose discarded tail is
+    at most `tail_bound`.
     """
     omega = f.omega_complex
     terms = [(a, x + y * omega, c) for a, x, y, c in form_ints(f, delta)]

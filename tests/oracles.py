@@ -46,6 +46,14 @@
   of `hsum.eval_points` (whose oracle for small denominators is the window
   scan).
 
+* `eval_truncated` is the definition of H_{k,Delta} summed in floating
+  point at a complex point, over 0 < |a| <= a_max, with `hsum.tail_bound`
+  on the rest (k >= 3): the oracle of the float walk behind
+  `hsum.average_quadrature`.  `reduction_residual_float` checks the
+  reduction identity at complex z with it, P evaluated in floating point
+  from `forms.transfer_coefficients`; `hsum.reduction_identity_check` is
+  the exact check at points of K.
+
 * `word_operator_mod` is the stacked word matrix of a
   `polyspace.WordOperator` mod a split prime, built as Kronecker products
   of the factors as the operator reduces them, or of the same factors
@@ -72,7 +80,17 @@ import numpy as np
 
 from hermitia.cfrac import CFExpansion
 from hermitia.field import ZERO, FieldSpec, Pair, QuadElem, QuadInt, nearest_int, pair_mul
-from hermitia.forms import BiPoly, GroupElement, HermitianForm, check_delta, delta_forms, form_ints, window_scan
+from hermitia.forms import (
+    BiPoly,
+    GroupElement,
+    HermitianForm,
+    check_delta,
+    delta_forms,
+    form_ints,
+    transfer_coefficients,
+    window_scan,
+)
+from hermitia.hsum import tail_bound
 from hermitia.intarith import smallest_prime_factor_sieve
 from hermitia.lfun import local_count_coeffs
 from hermitia.linalg import Reductions, Rows, SecondRoot, omega_roots
@@ -458,3 +476,66 @@ def eval_points_fractions(f: FieldSpec, k: int, delta: int, points: list[QuadEle
             total -= scale * Fraction(p, dd**k)
             scale *= Fraction(nrm, dd) ** k
     return values
+
+
+def eval_truncated(
+    f: FieldSpec, k: int, delta: int, z: complex, a_max: int = 2000
+) -> tuple[float, float, int]:
+    """The partial sum of H_{k,Delta}(z) over 0 < |a| <= a_max at complex
+    z, k >= 3, with the bound `hsum.tail_bound` on the rest and the number
+    of terms summed: (value, tail bound, terms).  For k = 1 the series
+    diverges off K, so no truncation is meaningful there."""
+    check_delta(f, delta)
+    if k < 3:
+        raise ValueError("eval_truncated needs k >= 3; for k = 1 use eval_exact on K")
+    if a_max < 1:
+        raise ValueError("a_max must be positive")
+    zc = complex(z)
+    t, n = f.disc, f.norm_coeff
+    half_sqm = f.sqrt_abs_disc / 2.0
+    znorm = zc.real * zc.real + zc.imag * zc.imag
+    sqrt_delta = math.sqrt(delta)
+    total = 0.0
+    terms = 0
+    for a in range(-a_max, 0):
+        cx, cy = -a * zc.real, -a * zc.imag  # v must be within sqrt(D) of here
+        ylo = math.floor((cy - sqrt_delta) / half_sqm)
+        yhi = math.ceil((cy + sqrt_delta) / half_sqm)
+        for vy in range(ylo, yhi + 1):
+            imag_off = vy * half_sqm - cy
+            rad2 = delta - imag_off * imag_off
+            if rad2 < 0:
+                continue
+            rad = math.sqrt(rad2)
+            xbase = vy * t / 2.0
+            xlo = math.floor(cx - rad - xbase)
+            xhi = math.ceil(cx + rad - xbase)
+            for vx in range(xlo, xhi + 1):
+                nv = vx * vx + t * vx * vy + n * vy * vy
+                if (nv - delta) % a:
+                    continue
+                c = (nv - delta) // a
+                # b = conj(v); trace of b*z is 2*Re(conj(v)*z)
+                vre, vim = vx + xbase, vy * half_sqm
+                h = a * znorm + 2.0 * (vre * zc.real + vim * zc.imag) + c
+                if h > 0.0:
+                    total += h**k
+                    terms += 1
+    return total, tail_bound(f, k, delta, a_max), terms
+
+
+def reduction_residual_float(
+    f: FieldSpec, k: int, delta: int, z: complex, a_max: int = 2000
+) -> tuple[float, float]:
+    """N(z)^k H(-1/z) - H(z) - P(z, zbar) at complex z != 0, k >= 3, with
+    both sums truncated at a_max (`eval_truncated`) and P evaluated in
+    floating point from its integer coefficients, and the error bound of
+    the truncation, N(z)^k times the tail bound at -1/z plus that at z."""
+    zc = complex(z)
+    if zc == 0:
+        raise ValueError("the reduction identity needs z != 0")
+    at_w, tail_w, _ = eval_truncated(f, k, delta, -1.0 / zc, a_max)
+    at_z, tail_z, _ = eval_truncated(f, k, delta, zc, a_max)
+    zbar, znorm = zc.conjugate(), abs(zc) ** 2
+    p = sum(c * zc**i * zbar**j for (i, j), c in transfer_coefficients(f, k, delta).items())
+    return znorm**k * at_w - at_z - p.real, znorm**k * tail_w + tail_z

@@ -962,12 +962,12 @@ def test_unknown_eigen_label_exits_2_and_lists_the_labels(capsys):
 # ------------------------------------------- internal certificate failures
 
 
-def assert_certificate_exit(capsys, *argv):
+def assert_certificate_exit(capsys, *argv, prefix="certificate failed: "):
     code, out = run(capsys, *argv)
     assert code == EXIT_ORACLE
     assert out == ""
     lines = run.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("certificate failed: ")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
 def test_failed_kernel_verification_exits_3(capsys, monkeypatch):
@@ -984,6 +984,28 @@ def test_non_hermitian_form_action_exits_3(capsys, monkeypatch):
     alpha = cli.COMMANDS["alpha"]._replace(fn=lambda args: [{"form": str(forms.act(g, h))}])
     monkeypatch.setitem(cli.COMMANDS, "alpha", alpha)
     assert_certificate_exit(capsys, "alpha", "-d", "1", "-k", "1")
+
+
+def test_failed_expandp_membership_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(polyspace, "support_membership", lambda f, k, supp, label: False)
+    assert_certificate_exit(capsys, "expandp", "-d", "1", "-k", "3", "--delta", "3", "--check",
+                            prefix="oracle mismatch: ")
+
+
+def test_failed_rcount_check_exits_3(capsys, monkeypatch):
+    naive = lfun.r_count_naive
+    monkeypatch.setattr(lfun, "r_count_naive", lambda f, disc, n: naive(f, disc, n) + 1)
+    assert_certificate_exit(capsys, "rcount", "-d", "2", "--delta", "5", "-n", "3", "--check",
+                            prefix="oracle mismatch: ")
+
+
+def test_failed_selftest_check_exits_3_and_names_it(capsys, monkeypatch):
+    alpha_direct = forms.alpha_direct
+    monkeypatch.setattr(forms, "alpha_direct", lambda f, k, delta: alpha_direct(f, k, delta) + 1)
+    code, out = run(capsys, "selftest", "--format", "json")
+    assert code == EXIT_ORACLE
+    failed = [(r["check"], r["status"][:5]) for r in json.loads(out) if r["status"] != "ok"]
+    assert failed == [("alpha: divisor-sum vs form-sum", "FAIL:")]
 
 
 # ------------------------------------------------------------------ parser

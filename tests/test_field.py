@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermitia
+from hermitia import linalg, polyspace
 from conftest import rand_elem, rand_nonzero_elem, rand_quadint, seeded
 from hermitia.field import (
     EUCLIDEAN_DS,
@@ -209,6 +211,18 @@ def test_unit_groups():
         # units are exactly the norm-one elements of the ring
         norm_one = [w for w in lattice_points_with_norm_below(f, 2) if w.norm() == 1]
         assert set(norm_one) == uset
+
+
+def test_rings_compare_by_identity():
+    """A ring is equal only to itself, so a copy is another ring, and every
+    cache keyed on a ring returns the same object for the same ring."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        assert copy.copy(f) != f == field(d) and hash(f) == hash(field(d))
+        for cached in (polyspace.kernel_words, polyspace.distinct_elements):
+            assert cached(f) is cached(field(d)), (d, cached)
+        p = linalg.split_primes(f, 1)[0]
+        assert linalg.omega_roots(f, p) is linalg.omega_roots(field(d), p)
 
 
 # ------------------------------------------------------------- field element
