@@ -68,11 +68,10 @@ places, so the block mod (p, w2) is the block mod (p, w1) with rows
 (word, r, s) and (word, s, r) swapped and its columns permuted with signs
 (`WordOperator.swap`): a kernel's second root comes from its first, and
 `in_kernel` checks both roots on the first root's values, the second on
-the transposed grid, or on w1 alone for real vectors with symmetric or
-antisymmetric grids (as P_{k,Delta}, the bases of `wkk` at odd k and most
-at even k), whose word sums under w2 are plus or minus the transposes of
-those under w1.  At later primes a kernel asks `reduced_mod` only for the
-rows it eliminates.
+the transposed grid, or on w1 alone for real vectors with symmetric grids
+(as P_{k,Delta} and the bases of `wkk` at odd k), whose word sums under
+w2 are the transposes of those under w1.  At later primes a kernel asks
+`reduced_mod` only for the rows it eliminates.
 
 The kernel words do not depend on k, and are built once per ring
 (`kernel_words`), so the operators of every k share their elements.
@@ -433,7 +432,7 @@ class WordOperator:
     `linalg.omega_roots`.  Only `_at_nodes`, which gets the zbar factors
     from the second root, and `_word_sums` and `_first_settles`, which
     prove M v = 0 under both roots (under w1 alone when every vector is
-    real, with a symmetric or antisymmetric grid), name the roots.
+    real and symmetric), name the roots.
 
     `reduced_mod` is M_rest L mod p: M_rest the words after S, and L the
     lift of the kernel of the S word from its upper coordinates
@@ -685,12 +684,11 @@ class WordOperator:
         of [:, 1].
 
         The root axis has r = 1, w1 alone, when every v is real (every y
-        is 0) and its grid symmetric or antisymmetric, v[j, i] = e v[i, j]
-        with e = 1 or -1 for each v (`one_root`), and r = 2 otherwise.  For
-        such a v the grid mod (p, w2) is the grid mod (p, w1), V, and
-        V^T = e V, so the word's sum under w2 is e times the transpose of
-        its sum under w1 (above): one vanishes exactly when the other does,
-        and [:, 1] would prove nothing more.
+        is 0) and its grid symmetric, v[i, j] = v[j, i] (`real_symmetric`),
+        and r = 2 otherwise.  For such a v the grid mod (p, w2) is the grid
+        mod (p, w1), V, and V^T = V, so the word's sum under w2 is the
+        transpose of its sum under w1 (above): one vanishes exactly when
+        the other does, and [:, 1] would prove nothing more.
 
         The primes are one leading batch axis of the grids, the values and
         both products, each of which takes the primes as an array
@@ -709,7 +707,7 @@ class WordOperator:
             dtype, product, reduce = np.float64, linalg.matmul_mod_float, linalg.float_mod
         m, nvecs = len(primes), len(vecs)
         p = np.array(primes, dtype=np.int64)
-        r = 1 if self.one_root(cols, vecs) else 2
+        r = 1 if self.real_symmetric(cols, vecs) else 2
         roots = [linalg.omega_roots(self.field, q)[:r] for q in primes]
         # each v mod (p, w) for each p and the r roots w: [column, prime,
         # root, vector]
@@ -733,19 +731,15 @@ class WordOperator:
         sums = reduce(np.add.reduceat(signed, self.starts, axis=1), p[:, None, None])
         return sums.reshape(m, len(self.words), n, r, nvecs, n).transpose(0, 3, 4, 1, 2, 5)
 
-    def one_root(self, cols: Sequence[int], vecs: Sequence[list[Pair]]) -> bool:
+    def real_symmetric(self, cols: Sequence[int], vecs: Sequence[list[Pair]]) -> bool:
         """Whether every v of `vecs`, on the columns `cols`, is real and has
-        a symmetric or an antisymmetric grid: y = 0 in every entry, and
-        v[j, i] = e v[i, j] for one e = 1 or -1 per v, with 0 where (j, i)
-        is not among `cols`."""
+        a symmetric grid: y = 0 in every entry, and v[i, j] = v[j, i], with
+        0 where (j, i) is not among `cols`."""
         n = self.k + 1
         pos = {c: u for u, c in enumerate(cols)}
         mates = [pos.get(c % n * n + c // n, len(cols)) for c in cols]
         padded = ([*vec, ZERO] for vec in vecs)
-        return all(
-            any(all(y == 0 and vec[u] == (e * x, 0) for (x, y), u in zip(vec, mates)) for e in (1, -1))
-            for vec in padded
-        )
+        return all(xy[1] == 0 and vec[u] == xy for vec in padded for xy, u in zip(vec, mates))
 
     def in_kernel(self, cols: Sequence[int], vecs: Sequence[list[Pair]], settled: int | None = None) -> bool:
         """Whether M[:, cols] v = 0 for every v of `vecs`, integral vectors
@@ -757,11 +751,11 @@ class WordOperator:
         (`height_bound`, of the largest entry of any v), under both images
         of omega, for all the vectors against the first root's values
         (under the second root the sum is the transpose of the first
-        root's sum on the transposed grid, and for real vectors with
-        symmetric or antisymmetric grids plus or minus that of the first
-        root's sum itself: `_word_sums`), at all those primes in one
-        `_word_sums`: a stack of primes shares its products, as long as the
-        stack's first product has at most STACKED_ENTRIES entries, and
+        root's sum on the transposed grid, and for real symmetric vectors
+        that of the first root's sum itself: `_word_sums`), at all those
+        primes in one `_word_sums`: a stack of primes shares its products,
+        as long as the stack's first product has at most STACKED_ENTRIES
+        entries, and
         otherwise the primes go in as many stacks as that bound needs (one
         per prime at large k or with many vectors).  It is checked on the
         factors' values at the nodes (`_at_nodes`), with no interpolation:
@@ -796,17 +790,12 @@ class WordOperator:
         permuted with signs, so it kills u's residues x under w2 exactly
         when `first.mat` kills y with y[at] = sign * x.
 
-        When every u is real with u[at] = e * sign * u, e = 1 or -1 for
-        each u (its lift L u real with a symmetric or antisymmetric grid),
-        y = e * x, which `first.mat` kills exactly when it kills x: the w1
-        columns alone are multiplied."""
+        When every u is real with u[at] = sign * u (its lift L u real with
+        a symmetric grid), y = x: the w1 columns alone are multiplied."""
         p = first.p
         w1, w2 = linalg.omega_roots(self.field, p)
         pairs = list(zip(at.tolist(), sign.tolist()))
-        twin = all(
-            any(all(not y and u[a] == (e * s * x, 0) for (a, s), (x, y) in zip(pairs, u)) for e in (1, -1))
-            for u in basis
-        )
+        twin = all(u[a] == (s * x, y) and not y for u in basis for (a, s), (x, y) in zip(pairs, u))
         # one column per vector under w1, then (unless twin) one per vector under w2
         res = np.empty((len(at), 1 if twin else 2, len(basis)), dtype=np.int64)
         for v, u in enumerate(basis):
@@ -836,14 +825,14 @@ class WordOperator:
         candidate: first mod p1 against the rows M[R] kept there, in one
         product over every vector's residues under w1 and under w2, the
         latter permuted with signs, or under w1 alone where every lift is
-        real and symmetric or antisymmetric (`_first_settles`): a nonzero
-        product refutes the basis at once, and zero settles p1 for both
-        roots, as R spans the block's rows mod p1 and each lift L u meets
-        the S word exactly.  One `in_kernel` of all the lifts over every
-        word, S included, then proves them at the other primes of the
-        height bound of their largest entry, in one `_word_sums` stacked
-        over them, and the lifts, made content-free, are the basis.  It is
-        the Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
+        real and symmetric (`_first_settles`): a nonzero product
+        refutes the basis at once, and zero settles p1 for both roots, as R
+        spans the block's rows mod p1 and each lift L u meets the S word
+        exactly.  One `in_kernel` of all the lifts over every word, S
+        included, then proves them at the other primes of the height bound
+        of their largest entry, in one `_word_sums` stacked over them, and
+        the lifts, made content-free, are the basis.  It is the
+        Gauss-Jordan basis of M[:, cols]: the last nonzero entry of
         a kernel vector is an upper coordinate, so the free columns, and
         the vectors with 1 at one of them and 0 at the others, are the same
         for u and for L u.  `cols` must be closed under the transpose

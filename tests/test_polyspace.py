@@ -1141,75 +1141,51 @@ def test_in_kernel_sums_the_second_root_as_the_first_root_transposed():
                         assert np.array_equal(total % p, want), (d, k, p, w)
 
 
-def symmetric_change(k, cols, v, c, t, e=1):
-    """v plus the real step t at column c = (i, j) and e * t at (j, i), for
-    e = 1 or -1 (at i = j, t for e = 1 and nothing for e = -1)."""
+def symmetric_change(k, cols, v, c, t):
+    """v plus the real step t at column c = (i, j) and at (j, i)."""
     i, j = divmod(c, k + 1)
-    u, mate = cols.index(c), cols.index(flat_index(k, j, i))
     w = list(v)
-    if u == mate:
-        t = t if e == 1 else 0
-    else:
-        w[mate] = (w[mate][0] + e * t, w[mate][1])
-    w[u] = (w[u][0] + t, w[u][1])
+    for u in {cols.index(c), cols.index(flat_index(k, j, i))}:
+        w[u] = (w[u][0] + t, w[u][1])
     return w
-
-
-def grid_sign(k, cols, v):
-    """e when v is real with v[j, i] = e v[i, j] everywhere, e = 1 or -1
-    (1 for the zero vector), None otherwise; 0 where (j, i) is not a
-    column."""
-    n = k + 1
-    entries = dict(zip(cols, v))
-    for e in (1, -1):
-        if all(y == 0 and entries.get(c % n * n + c // n, ZERO) == (e * x, 0) for c, (x, y) in entries.items()):
-            return e
-    return None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d=st.sampled_from(EUCLIDEAN_DS), k=st.sampled_from([1, 4, 7, 12]), pick=st.randoms())
 def test_one_root_answers_as_both_roots_and_the_word_action_property(d, k, pick):
-    """A real vector with a symmetric or antisymmetric grid (`grid_sign`), a
-    basis vector of W_{k,k} (the eigenvalue -1 at even k has
-    antisymmetric ones) or the same with a real step at (i, j) and the
-    same step times its sign at (j, i) (small, or the product of the first
-    two split primes, which vanishes mod both), gets the same `in_kernel`
-    answer under the first root alone, under both roots (`one_root`
-    patched to False) and from the exact word action (`annihilates`)."""
+    """A real vector with a symmetric grid, a basis vector of W_{k,k} or
+    the same with a real step at (i, j) and at (j, i) (small, or the
+    product of the first two split primes, which vanishes mod both), gets
+    the same `in_kernel` answer under the first root alone, under both
+    roots (`real_symmetric` patched to False) and from the exact word
+    action (`annihilates`).  (The basis vectors of the eigenvalue -1 at
+    even k have antisymmetric grids, and are left out.)"""
     f = field(d)
-    op, cols, v = pick.choice([(op, cols, v) for op, cols, v in kernel_vectors(f, k) if grid_sign(k, cols, v)])
-    e = grid_sign(k, cols, v)
+    op, cols, v = pick.choice([(op, cols, v) for op, cols, v in kernel_vectors(f, k) if op.real_symmetric(cols, [v])])
     step = pick.choice([pick.randint(1, 3), math.prod(split_primes(f, 2))]) * pick.choice([-1, 1])
-    w = symmetric_change(k, cols, v, pick.choice(cols), step, e)
+    w = symmetric_change(k, cols, v, pick.choice(cols), step)
     for vec in (v, w):
-        assert op.one_root(cols, [vec]) and grid_sign(k, cols, vec) == e
+        assert op.real_symmetric(cols, [vec])
         one = op.in_kernel(cols, [vec])
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(WordOperator, "one_root", lambda self, cols, vecs: False)
+            patched.setattr(WordOperator, "real_symmetric", lambda self, cols, vecs: False)
             both = op.in_kernel(cols, [vec])
         assert one == both == annihilates(f, k, as_support(k, cols, vec)), (k, step)
 
 
 def test_word_sums_take_one_root_exactly_for_real_symmetric_vectors(monkeypatch):
     """The root axis of `_word_sums` has length 1 exactly when every
-    vector is real with a symmetric or antisymmetric grid, the sign chosen
-    per vector: a basis vector of W_{k,k}, an antisymmetric one of the
-    eigenvalue -1 at k = 12, a real symmetric step of the first and an
-    antisymmetric step of the second, but not the same with an imaginary
-    part, with a real step at (i, j) alone (i != j), with a symmetric step
-    of the antisymmetric vector, with a nonzero real entry at (i, j) whose
-    (j, i) is not a column, with a symmetric pair beside an antisymmetric
-    one in one vector, or beside a real vector of neither kind.  Every
-    proof of `wkk` and of `membership(P_{k,Delta})` at odd k <= 11 in the
-    five rings takes one root, and so does every proof of `wkk(O_2, 12)`."""
-    antisymmetric = 0
+    vector is real with a symmetric grid: a basis vector of W_{k,k} and a
+    real symmetric step of it, but not the same with an imaginary part,
+    with a real step at (i, j) alone (i != j), with a nonzero real entry
+    at (i, j) whose (j, i) is not a column, or beside a real non-symmetric
+    vector.  Every proof of `wkk` and of `membership(P_{k,Delta})` at odd
+    k <= 11 in the five rings takes one root."""
     for d in EUCLIDEAN_DS:
         f = field(d)
         p = split_primes(f, 1)
         for k in (7, 12):
-            vectors = kernel_vectors(f, k)
-            op, cols, v = vectors[0]
+            op, cols, v = kernel_vectors(f, k)[0]
             off = next(c for c in cols if c // (k + 1) != c % (k + 1))
             u = cols.index(off)
             real = symmetric_change(k, cols, v, off, 2)
@@ -1219,24 +1195,10 @@ def test_word_sums_take_one_root_exactly_for_real_symmetric_vectors(monkeypatch)
             cases = [([v], 1), ([real], 1), ([imaginary], 2), ([one_sided], 2), ([v, one_sided], 2), ([real, v], 1)]
             for vecs, roots in cases:
                 assert op._word_sums(p, cols, vecs).shape[1] == roots, (d, k, roots)
-            for _, c, w in [x for x in vectors if grid_sign(k, x[1], x[2]) == -1][:1]:
-                antisymmetric += 1
-                step = next(q for q in c if q // (k + 1) != q % (k + 1))
-                cases = [([w], 1), ([symmetric_change(k, c, w, step, 2, -1), w], 1),
-                         ([symmetric_change(k, c, w, step, 2)], 2)]
-                for vecs, roots in cases:
-                    assert op._word_sums(p, c, vecs).shape[1] == roots, (d, k, roots)
             corner, diagonal = flat_index(k, 0, 1), flat_index(k, 1, 1)
             assert op._word_sums(p, [corner], [[(5, 0)]]).shape[1] == 2
             assert op._word_sums(p, [corner], [[ZERO]]).shape[1] == 1
             assert op._word_sums(p, [diagonal], [[(5, 0)]]).shape[1] == 1
-            # entries at (0, 1), (0, 2), (1, 0) and (2, 0)
-            pairs = sorted([corner, flat_index(k, 0, 2), flat_index(k, 1, 0), flat_index(k, 2, 0)])
-            sym, antisym = [(5, 0), (3, 0), (5, 0), (3, 0)], [(5, 0), (3, 0), (-5, 0), (-3, 0)]
-            mixed = [(5, 0), (3, 0), (5, 0), (-3, 0)]
-            for vecs, roots in (([sym], 1), ([antisym], 1), ([sym, antisym], 1), ([mixed], 2), ([antisym, mixed], 2)):
-                assert op._word_sums(p, pairs, vecs).shape[1] == roots, (d, k, roots)
-    assert antisymmetric
     roots = []
     word_sums = WordOperator._word_sums
 
@@ -1252,23 +1214,16 @@ def test_word_sums_take_one_root_exactly_for_real_symmetric_vectors(monkeypatch)
             wkk(f, k)
             assert membership(expand_P(f, k, smallest_nonnorm(d)))
     assert roots and set(roots) == {1}
-    roots.clear()
-    wkk(field(2), 12)
-    assert roots and set(roots) == {1}
 
 
 def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
     """`_first_settles` multiplies the first root's columns alone when every
-    u is real with u[at] = e * sign * u, e = 1 or -1 per u (its lift real
-    with a symmetric or antisymmetric grid), as for every basis that `wkk`
-    proves at odd k and the antisymmetric ones at k = 12, and both roots'
-    columns otherwise; its answer is whether the block mod p1 kills u
-    under both roots, the block under w2 being the swapped one
-    (`swapped_rows`, `swap`): the basis, a step of it at one column and
-    that step times e * sign at its image, a real step at one column alone,
-    a step by omega - w1, the basis beside a vector of the other sign e,
-    and beside a vector with pairs of both signs, at k = 7, 9, 11 and 12
-    in the five rings."""
+    u is real with u[at] = sign * u (its lift real and symmetric), as for
+    every basis that `wkk` proves, and both roots' columns otherwise; its
+    answer is whether the block mod p1 kills u under both roots, the block
+    under w2 being the swapped one (`swapped_rows`, `swap`): the basis, a
+    real symmetric step of it, a real step at one column alone and a step
+    by omega - w1, at k = 7, 9, 11 in the five rings."""
     widths = []
     matmul = linalg.matmul_mod
 
@@ -1276,54 +1231,39 @@ def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
         widths.append(b.shape[1])
         return matmul(a, b, p)
 
-    verdicts, signs = set(), set()
+    verdicts = set()
     for d in EUCLIDEAN_DS:
         f = field(d)
-        for k in (7, 9, 11, 12):
-            for op, cols, basis in eigen_bases(f, k):
-                first = op._first_slice(cols)
-                p, at, sign = first.p, *op.swap(cols)
-                upper = [r for r, c in enumerate(cols) if 2 * c >= op.size]
-                bases = [[[u[r] for r in upper] for u in basis]]
-                e = grid_sign(k, cols, basis[-1])
-                if e is None or any(grid_sign(k, cols, u) != e for u in basis):
-                    continue
-                signs.add(e)
-                w1, w2 = omega_roots(f, p)
-                block = op.reduced_mod(p, cols).astype(object)
-                second = block[swapped_rows(op)][:, at] * sign
-                c = next(r for r in range(len(at)) if at[r] != r)
-                c2 = next((r for r in range(len(at)) if at[r] != r and r not in (c, at[c])), None)
-                changed = [list(u) for u in bases[0]]
-                changed[-1][c] = (changed[-1][c][0] + 1, 0)
-                bases.append([list(u) for u in changed])
-                changed[-1][at[c]] = (changed[-1][at[c]][0] + e * int(sign[c]), 0)
-                bases.append(changed)
-                last = [(x - w1, y + 1) if r == c else (x, y) for r, (x, y) in enumerate(bases[0][-1])]
-                bases.append([*bases[0][:-1], last])
-                # a pair of the other sign, and pairs of both signs in one vector
-                other = [ZERO] * len(at)
-                other[c], other[at[c]] = (1, 0), (-e * int(sign[c]), 0)
-                bases.append([*bases[0], other])
-                twins = [True, False, True, False, True]
-                if c2 is not None:
-                    both = list(other)
-                    both[c2], both[at[c2]] = (1, 0), (e * int(sign[c2]), 0)
-                    bases.append([*bases[0], both])
-                    twins.append(False)
-                for vecs, twin in zip(bases, twins, strict=True):
-                    want = all(
-                        not (m @ np.array([(x + y * w) % p for x, y in u], dtype=object) % p).any()
-                        for u in vecs
-                        for m, w in ((block, w1), (second, w2))
-                    )
-                    widths.clear()
-                    with monkeypatch.context() as patched:
-                        patched.setattr(linalg, "matmul_mod", recorded)
-                        assert op._first_settles(first, at, sign, vecs) == want, (d, k)
-                    assert widths == [len(vecs) * (1 if twin else 2)], (d, k, twin)
-                    verdicts.add(want)
-    assert verdicts == {True, False} and signs == {1, -1}
+        for k in (7, 9, 11):
+            op, cols, basis = eigen_bases(f, k)[0]
+            first = op._first_slice(cols)
+            p, at, sign = first.p, *op.swap(cols)
+            w1, w2 = omega_roots(f, p)
+            block = op.reduced_mod(p, cols).astype(object)
+            second = block[swapped_rows(op)][:, at] * sign
+            upper = [r for r, c in enumerate(cols) if 2 * c >= op.size]
+            bases = [[[u[r] for r in upper] for u in basis]]
+            c = next(r for r in range(len(at)) if at[r] != r)
+            changed = [list(u) for u in bases[0]]
+            changed[-1][c] = (changed[-1][c][0] + 1, 0)
+            bases.append([list(u) for u in changed])
+            changed[-1][at[c]] = (changed[-1][at[c]][0] + int(sign[c]), 0)
+            bases.append(changed)
+            last = [(x - w1, y + 1) if r == c else (x, y) for r, (x, y) in enumerate(bases[0][-1])]
+            bases.append([*bases[0][:-1], last])
+            for vecs, twin in zip(bases, (True, False, True, False)):
+                want = all(
+                    not (m @ np.array([(x + y * w) % p for x, y in u], dtype=object) % p).any()
+                    for u in vecs
+                    for m, w in ((block, w1), (second, w2))
+                )
+                widths.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(linalg, "matmul_mod", recorded)
+                    assert op._first_settles(first, at, sign, vecs) == want, (d, k)
+                assert widths == [len(vecs) * (1 if twin else 2)], (d, k, twin)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
