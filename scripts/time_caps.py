@@ -3,8 +3,9 @@
     PYTHONPATH=src python3 scripts/time_caps.py [NAME ...]
 
 Runs each "slowest call at the cap" of the README cap table, the corners
-of the cost rules of `alpha`, `expandp`, `hconst` and `average`, and one
-call past each of those four rules, as `python3 -m hermitia ARGV` in a fresh
+of the cost rules of `alpha`, `expandp`, `hconst`, `average` and `cfrac`,
+and one call past each of those five rules and past the digit cap of -z,
+as `python3 -m hermitia ARGV` in a fresh
 process started by a fresh wrapper process, so that the wrapper's
 `getrusage(RUSAGE_CHILDREN)` covers that one call.  Prints one line per
 call: its name, the exit code, the wall seconds, the peak RSS in MB and the
@@ -24,6 +25,16 @@ def point(a: int, b: int) -> tuple[str, str]:
     """The point (2^a + 1)/3^b + theta/3^b, whose denominator has about
     1.585 b bits, as its -z value and as shown."""
     return f"{2**a + 1}/{3**b},1/{3**b}", f"(2**{a}+1)/3**{b},1/3**{b}"
+
+
+def digits_point(c: int) -> tuple[str, str]:
+    """The point (10^c - 1)/3^a + (10^c - 3)/7^b * theta, 3^a and 7^b the
+    least powers of c digits: both coordinates have numerators and coprime
+    denominators of c digits, as its -z value and as shown."""
+    a = next(a for a in range(4 * c) if 3**a >= 10 ** (c - 1))
+    b = next(b for b in range(4 * c) if 7**b >= 10 ** (c - 1))
+    return (f"{10**c - 1}/{3**a},{10**c - 3}/{7**b}",
+            f"(10**{c}-1)/3**{a},(10**{c}-3)/7**{b}")
 
 
 CALLS: dict[str, list] = {
@@ -88,6 +99,15 @@ CALLS: dict[str, list] = {
     "hconst-k-den77": ["hconst", "-d", "1", "-k", "22527", "--delta", "3", "-z", "1/7,1/11"],
     # one past hconst's cost: 2,508,602 forms, which took 16 s and 462 MB
     "hconst-past-cap": ["hconst", "-d", "1", "-k", "1", "--delta", "79999", "--points", "1"],
+    # cfrac's cost, --max-steps times the bits of the point's denominator,
+    # in O_11 (the most steps per bit): the most steps at a point at the -z
+    # digit cap (Z_DIGITS_MAX), and the largest whole expansion
+    "cfrac-steps": ["cfrac", "-d", "11", "-z", digits_point(1000), "--max-steps", "3013"],
+    "cfrac-whole": ["cfrac", "-d", "11", "-z", digits_point(730), "--max-steps", "4124"],
+    # one step past cfrac's cost: the whole expansion (5593 steps) took
+    # 5.2-9.9 s; and one digit past the -z cap
+    "cfrac-past-cap": ["cfrac", "-d", "11", "-z", digits_point(1000), "--max-steps", "3014"],
+    "cfrac-z-past-cap": ["cfrac", "-d", "11", "-z", digits_point(1001)],
     # average's cost: the most forms at --grid 1 (O_2, 159,320 forms) at the
     # smallest and at the largest k, and the largest grids at the fewest
     # forms (O_11, 4), at the benchmark's Delta (O_2, 22) and at 1014 forms

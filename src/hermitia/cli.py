@@ -40,7 +40,9 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath
+# mpmath is imported in the functions that compute with it, so that the
+# commands that compute no L-value start without loading it
+# (tests/test_cli.py::test_only_the_l_value_commands_import_mpmath).
 
 from .field import (
     EUCLIDEAN_DS,
@@ -114,11 +116,50 @@ def unused_with(flag: str, args: argparse.Namespace, *others: str) -> None:
             raise ValueError(f"{other} cannot be used with {flag}")
 
 
+# The most digits of the numerator and of the denominator of a -z
+# coordinate, its exponent applied (`coordinate_digits`).  Fraction builds
+# a coordinate in time that grows faster than its digits
+# (Fraction("1e-10000000") took 7.5 s).  A point whose two coordinates have
+# coprime denominators at the cap has convergents of up to about 4000
+# digits, under the interpreter's 4300-digit limit on converting an int to
+# decimal.  The `walk-*` corners of `hconst` pass 957 digits.
+Z_DIGITS_MAX = 1000
+
+
+def coordinate_digits(text: str) -> int:
+    """The most decimal digits that the numerator or the denominator of
+    Fraction(text) can have, read from the text without building a number:
+    "p/q" has the digits of p and of q, and a decimal "i.f" with exponent n
+    is the integer "if" times 10^(n - len(f)).  An exponent of more than 19
+    digits counts as its first 19, past any cap either way."""
+    body, _, exponent = text.lower().partition("e")
+    if "/" in body:
+        num, _, den = body.partition("/")
+        return max(_count_decimals(num), _count_decimals(den))
+    whole, _, frac = body.partition(".")
+    exponent = exponent.strip().replace("_", "")
+    magnitude = exponent.lstrip("+-").lstrip("0")[:19]
+    n = int(magnitude) if magnitude.isdecimal() else 0  # none, or malformed: Fraction refuses it
+    shift = (-n if exponent.startswith("-") else n) - _count_decimals(frac)
+    return max(_count_decimals(whole) + _count_decimals(frac) + max(shift, 0), 1 + max(-shift, 0))
+
+
+def _count_decimals(text: str) -> int:
+    return sum(map(str.isdecimal, text))
+
+
 def parse_z(f, text: str) -> QuadElem:
-    """Parse "u,v" (meaning u + v*theta_d, both rational) or a bare "u"."""
+    """Parse "u,v" (meaning u + v*theta_d, both rational) or a bare "u";
+    a coordinate past Z_DIGITS_MAX is refused before it is built."""
     parts = text.split(",")
     if len(parts) > 2:
         raise ValueError(f"-z must be 'u' or 'u,v', got {text!r}")
+    digits = max(map(coordinate_digits, parts))
+    if digits > Z_DIGITS_MAX:
+        raise ValueError(
+            f"-z: a coordinate may have at most {Z_DIGITS_MAX} digits in its numerator "
+            f"and in its denominator, its exponent applied; got {digits}"
+        )
     try:
         u = Fraction(parts[0])
         v = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)
@@ -167,6 +208,8 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 
 def _nstr(value, bits: int) -> str:
+    import mpmath
+
     digits = max(6, int(bits * 0.301) - 2)
     return mpmath.nstr(value, digits)
 
@@ -222,6 +265,15 @@ EXPANDP_COST_MAX = 18 * 10**8
 # k times the bit length of Delta + 2 stays 64 bits below the float range.
 AVERAGE_WALK_MAX = 4 * 10**7
 AVERAGE_K_BITS_MAX = 960
+# `cfrac` prints a row per step, up to --max-steps, each with a convergent
+# of up to about the bits b of the point's denominator, so it caps
+# --max-steps times b.  An exact point's expansion ends after at most about
+# b steps (5593 at b = 6637 in O_11), so a whole expansion costs about b^2.
+# At the cap in O_11, the ring of the most steps per bit, 3013 steps at the
+# -z digit cap (b = 6637) and the whole expansion at b = 4842 (4124 steps)
+# took 3.0-4.7 s and 60-70 MB; the whole expansion at b = 6637, which
+# the rule refuses, took 5.2-9.9 s and printed 90 MB.
+CFRAC_STEPS_BITS_MAX = 2 * 10**7
 # W_{k,k} has (k+1)^2 coordinates per eigenspace: at the cap `dims`
 # (every odd k up to --kmax, one route for either --method) took 1.8-1.9
 # s (O_11) and 1.5-1.7 s (O_2), and `basis` 0.8-1.1 s, on a 2-vCPU VM
@@ -400,6 +452,8 @@ def cmd_average(args) -> list[dict]:
 def cmd_cfrac(args) -> list[dict]:
     f = field(args.d)
     z = parse_z(f, args.z)
+    at_most("--max-steps times the bit length of the denominator of -z", CFRAC_STEPS_BITS_MAX,
+            args.max_steps, z.den.bit_length())
     exp = cfrac.hurwitz_cf(f, z, max_steps=args.max_steps)
     rows = []
     for i, a in enumerate(exp.alphas):

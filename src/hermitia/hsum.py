@@ -58,7 +58,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .cfrac import remainders
@@ -234,6 +233,8 @@ def _walk_values(
     point over |a| <= a_max (`tests/oracles.py`), whose discarded tail is
     at most `tail_bound`.
     """
+    import mpmath  # here, as in `lfun`: only the L-value commands load it
+
     omega = f.omega_complex
     terms = [(a, x + y * omega, c) for a, x, y, c in form_ints(f, delta)]
     t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0

@@ -45,7 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
+# mpmath is imported in the functions that compute with it, so that the
+# commands that compute no L-value start without loading it
+# (tests/test_cli.py::test_only_the_l_value_commands_import_mpmath).
 
 from .field import FieldSpec, field, kronecker, smallest_nonnorm
 from .forms import alpha
@@ -191,6 +193,8 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
 
 def zseries_closed_form(f: FieldSpec, delta: int, s: int, bits: int = 128):
     """Z(-delta, s) = theta(delta, s) zeta(s) / L(chi, s+1), numerically."""
+    import mpmath
+
     exact = theta(f, delta, s)
     with mpmath.workprec(bits + 16):
         th = mpmath.mpf(exact.numerator) / exact.denominator
@@ -241,6 +245,8 @@ def l_negative_exact(f: FieldSpec, s: int) -> Fraction:
 def l_positive_numeric(f: FieldSpec, s, bits: int = 128):
     """L(chi, s) for s > 1 via the Hurwitz-zeta character sum
     L = m^(-s) sum_{a<m} chi(a) zeta(s, a/m), at the requested precision."""
+    import mpmath
+
     m = f.abs_disc
     with mpmath.workprec(bits + 16):
         s_mp = mpmath.mpf(s)
@@ -257,6 +263,8 @@ def l_positive_numeric(f: FieldSpec, s, bits: int = 128):
 def functional_equation_negative(f: FieldSpec, s: int, l_at_s, bits: int = 128):
     """L(chi, 1-s) from L(chi, s) via
     L(1-s) = 2 m^(s-1/2) (2 pi)^(-s) Gamma(s) sin(s pi/2) L(s)."""
+    import mpmath
+
     m = f.abs_disc
     with mpmath.workprec(bits + 16):
         return (
@@ -322,6 +330,8 @@ class LValue:
         return self.pi_power == 0 and not self.inv_sqrt_disc
 
     def numeric(self, bits: int = 128):
+        import mpmath
+
         with mpmath.workprec(bits + 16):
             v = mpmath.mpf(self.coeff.numerator) / self.coeff.denominator
             if self.pi_power:
@@ -397,6 +407,8 @@ def bench_negative(
     """Time the closed-form evaluation of L(chi, s), s < 0, against the
     character-sum baseline pushed through the functional equation at the
     same working precision.  Reports the best of `repeats` runs each."""
+    import mpmath
+
     if s >= 0:
         raise ValueError(f"-s must be negative for the benchmark, got {s}")
     sigma = 1 - s

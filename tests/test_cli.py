@@ -589,6 +589,70 @@ def test_slow_alpha_and_expandp_calls_exit_2_at_once(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # Fraction("1e-10000000") alone took 7.5 s; this call was killed after 20 s
+    ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "1e-100000000"],
+    # ran past 60 s
+    ["cfrac", "-d", "1", "-z", "1e-1000000"],
+    # took 13 s, then exited 2 naming no flag: its convergents passed the
+    # interpreter's 4300-digit limit on converting an int to decimal
+    ["cfrac", "-d", "1", "-z", "1e-400000"],
+    # exited 2 naming no flag, for the same limit
+    ["hconst", "-d", "1", "-k", "1", "--delta", "3", "-z", "1e5000"],
+])
+def test_a_long_point_exits_2_at_once_naming_z(argv):
+    start = time.perf_counter()
+    done = run_module(*argv, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"error: -z: a coordinate may have at most {cli.Z_DIGITS_MAX} digits")
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("3/7", 1), ("-22/7", 2), ("1_000/3", 4), (" 7/10 ", 2), ("12.5", 3), (".5", 2),
+    ("1e999", 1000), ("1e-999", 1000), ("1E+3", 4), ("123.456e-2", 6), ("1.5e-0000000000000000000003", 5),
+])
+def test_coordinate_digits_bound_the_fraction(text, digits):
+    """The count read from the text is at least the digits of the
+    numerator and of the denominator that Fraction builds, and exact for
+    a decimal point moved by its exponent."""
+    value = Fraction(text)
+    assert cli.coordinate_digits(text) == digits
+    assert digits >= max(len(str(abs(value.numerator))), len(str(value.denominator)))
+
+
+def test_z_digit_cap_and_cap_plus_one(capsys):
+    """-z admits coordinates of Z_DIGITS_MAX digits, in either coordinate
+    and either form, and refuses one digit more, or an exponent of any
+    length, before building a number."""
+    cap = cli.Z_DIGITS_MAX
+    f = field(1)
+    admitted = [f"{10**cap - 1}/{10**(cap - 1) + 1}", f"0,{10**(cap - 1)}/3", "1e-999", f"1e{cap - 1}"]
+    for text in admitted:
+        cli.parse_z(f, text)
+    refused = [f"{10**cap}/3", f"0,1/{10**cap}", f"1e-{cap}", f"1e{cap}", "1e" + "9" * 10**5, "1e-" + "9" * 10**5]
+    for text in refused:
+        with pytest.raises(ValueError, match=rf"^-z: a coordinate may have at most {cap} digits"):
+            cli.parse_z(f, text)
+    code, out = run(capsys, "cfrac", "-d", "1", "-z", f"1/{10**cap - 1}")
+    assert code == EXIT_OK and "(terminated)" in out
+
+
+def test_cfrac_caps_max_steps_times_the_bits_of_the_denominator(capsys, monkeypatch):
+    """1/3 + i/5 is (5 + 3i)/15 in O_1, a denominator of 4 bits."""
+    # the default --max-steps passes at every point that -z admits, whose
+    # denominator has at most twice Z_DIGITS_MAX digits
+    assert 40 * (2 * cli.Z_DIGITS_MAX * math.log2(10) + 1) < cli.CFRAC_STEPS_BITS_MAX
+    monkeypatch.setattr(cli, "CFRAC_STEPS_BITS_MAX", 40)
+    code, out = run(capsys, "cfrac", "-d", "1", "-z", "1/3,1/5", "--max-steps", "10")
+    assert code == EXIT_OK, run.err
+    code, out = run(capsys, "cfrac", "-d", "1", "-z", "1/3,1/5", "--max-steps", "11")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert run.err == ("error: --max-steps times the bit length of the denominator of -z "
+                       "must be at most 40; got 11 * 4\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["alpha", "-d", "3", "-k", "251", "--delta", "99998"],
     ["alpha", "-d", "1", "-k", "1001", "--delta", "99999"],
     ["expandp", "-d", "11", "-k", "121", "--delta", "2", "--check"],
@@ -1062,17 +1126,54 @@ def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
 # ------------------------------------------------------------- python -m
 
 
-def run_module(*argv, timeout=60):
-    """`python -m hermitia argv` in a fresh process, stopped after `timeout` s."""
+def run_python(*args, timeout=60):
+    """`python args` in a fresh process that imports hermitia from this
+    checkout, stopped after `timeout` s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "hermitia", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=60):
+    """`python -m hermitia argv` in a fresh process, stopped after `timeout` s."""
+    return run_python("-m", "hermitia", *argv, timeout=timeout)
 
 
 def test_python_dash_m_runs_the_cli():
     done = run_module("alpha", "-d", "1", "-k", "1", "--delta", "3")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[1].split() == ["1", "1", "3", "20"]
+
+
+# makes one call in a fresh interpreter, then reports whether mpmath is loaded
+MPMATH_PROBE = """
+import contextlib, io, sys
+from hermitia import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["alpha", "-d", "1", "-k", "1", "--count", "3"], False),
+    (["theta", "-d", "1", "--delta", "3", "-s", "3"], False),
+    (["rcount", "-d", "1", "--delta", "3", "-n", "5", "12", "--check"], False),
+    (["hconst", "-d", "2", "-k", "3", "--delta", "5", "-z", "1/3,1/2"], False),
+    (["cfrac", "-d", "1", "-z", "7/10,1/3"], False),
+    (["expandp", "-d", "1", "-k", "3", "--delta", "3"], False),
+    (["expandp", "-d", "1", "-k", "3", "--delta", "3", "--check"], False),
+    (["dims", "-d", "2", "--kmax", "5"], False),
+    (["basis", "-d", "1", "-k", "5"], False),
+    (["selftest"], False),
+    (["lvalue", "-d", "1", "-s", "3"], True),
+    (["lvalue", "-d", "2", "-s", "-2"], True),
+    (["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4", "--a-max", "50"], True),
+    (["bench", "-d", "1", "--repeats", "1", "--bits", "16"], True),
+])
+def test_only_the_l_value_commands_import_mpmath(argv, loads):
+    """Only `lvalue`, `bench` and `average` compute with multiprecision
+    floats; every other command, and `import hermitia`, runs without
+    loading mpmath."""
+    done = run_python("-c", MPMATH_PROBE, *argv)
+    assert done.stdout.split() == [str(EXIT_OK), str(loads)], done.stderr

@@ -59,7 +59,7 @@ POOLS: dict[str, dict[str, list]] = {
     "hconst": {
         "-k": [1, 3, math.isqrt(cli.HCONST_WALK_MAX) | 1],
         "--delta": [30, 6, 10, 2, 3, cli.DELTA_MAX + 1],
-        "-z": ["0", "1/3,1/2", "-1/2", "2/7,-3/5", "1/0", "1,2,3"],
+        "-z": ["0", "1/3,1/2", "-1/2", "2/7,-3/5", "1/0", "1,2,3", f"1e-{cli.Z_DIGITS_MAX}"],
         "--points": [1, 2, cli.HCONST_WALK_MAX + 1],
         "--den": [1, 5, 10**1000],
         "--seed": [0, 1],
@@ -70,10 +70,12 @@ POOLS: dict[str, dict[str, list]] = {
         "--grid": [1, 2, 4, math.isqrt(cli.AVERAGE_WALK_MAX) + 1],
         "--a-max": [50, 200],
     },
-    # the last two: exact points whose integers exceed the float range
+    # f"{3**700}/..." and "1e309,1": exact points whose integers exceed the
+    # float range
     "cfrac": {
-        "-z": ["1/3", "7/10,1/3", "-2/7,3/5", "0", "1/0", f"{3**700}/{2**1100},0", "1e309,1"],
-        "--max-steps": [5, 40],
+        "-z": ["1/3", "7/10,1/3", "-2/7,3/5", "0", "1/0", f"{3**700}/{2**1100},0", "1e309,1",
+               f"1e-{cli.Z_DIGITS_MAX}"],
+        "--max-steps": [5, 40, cli.CFRAC_STEPS_BITS_MAX + 1],
     },
     "dims": {"--kmax": [1, 3, 5, cli.WKK_K_MAX + 1], "--method": ["exact", "modular"]},
     "basis": {"-k": [1, 2, 3, 5, cli.WKK_K_MAX + 1], "--eigen": ["1", "-1", "i"]},

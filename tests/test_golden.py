@@ -4,8 +4,9 @@ compares stdout byte for byte with a file under tests/golden/.
 Each golden file starts with the line `$ hermitia <argv>` followed by the
 exact stdout of that call.  The set covers the README sample session
 (without `bench`, which prints timings), exact bases, transfer polynomials
-with their membership check, both dimension methods, exact sums at points
-and one quadrature.  To regenerate the files after an intended output
+with their membership check, both dimension methods, exact sums at points,
+one quadrature, an L-value at negative s, theta, residue counts and the
+self-test.  To regenerate the files after an intended output
 change, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -50,6 +51,11 @@ CASES: list[str] = [
     ),
     # cell-average quadrature
     "average -d 2 -k 3 --delta 5 --grid 16 --a-max 100",
+    # L-values at negative s, theta, residue counts and the self-test
+    "lvalue -d 2 -s -2",
+    "theta -d 1 --delta 3 -s 3",
+    "rcount -d 1 --delta 3 -n 5 12 --check",
+    "selftest",
 ]
 
 
