@@ -116,6 +116,9 @@ CALLS: dict[str, list] = {
     "average-grid": ["average", "-d", "11", "-k", "3", "--delta", "2", "--grid", "1084"],
     "average-grid-22": ["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "876"],
     "average-grid-1014": ["average", "-d", "2", "-k", "3", "--delta", "101", "--grid", "195"],
+    # the exact closed form at the largest odd k at the smallest Delta, in
+    # the ring of the largest |d_K|: the Bernoulli numbers up to B_321
+    "average-k-odd": ["average", "-d", "11", "-k", "319", "--delta", "2", "--grid", "1"],
     # one past average's cost: O_3 at Delta = 4879 (246,740 forms), --grid 4
     # took 10.2 s
     "average-past-cap": ["average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "4"],

@@ -40,9 +40,10 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-# mpmath is imported in the functions that compute with it, so that the
-# commands that compute no L-value start without loading it
-# (tests/test_cli.py::test_only_the_l_value_commands_import_mpmath).
+# mpmath is loaded only by `bench` and by `average` at even k, in the
+# `lfun` functions that compute with it; `lvalue` prints its digits from
+# the exact closed form (tests/test_cli.py::
+# test_only_the_l_value_commands_import_mpmath).
 
 from .field import (
     EUCLIDEAN_DS,
@@ -53,14 +54,15 @@ from .field import (
     smallest_nonnorm,
 )
 from . import cfrac, forms, hsum, lfun, polyspace
-from .intarith import FactorizationError
+from .intarith import FactorizationError, shown
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_ORACLE = 3
 
-# Below this, the printed digits of `lvalue` can be wrong and `bench`'s
-# agreement test (to 2^-(bits-8)) says nothing.
+# Below this, `bench`'s agreement test (to 2^-(bits-8)) says nothing.  The
+# digits of `lvalue` are proven at every precision (`LValue.digits`), at
+# least 6 of them.
 MIN_BITS = 16
 # The character sums of `bench`'s baseline grow fast with the precision: at
 # this many bits its default five repeats take under 10 s in every ring.
@@ -80,21 +82,38 @@ def default_bits() -> int:
         raise ValueError(f"HERMITIA_PRECISION: {exc}") from None
 
 
+def integer(text: str) -> int:
+    """An argparse type: an integer.  Its error, like every error line,
+    echoes the input cut short (`intarith.shown`)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {shown(text)}") from None
+
+
+def ring(text: str) -> int:
+    """An argparse type for -d: one of EUCLIDEAN_DS, refused in argparse's
+    own words but with the input cut short."""
+    d = integer(text)
+    if d not in EUCLIDEAN_DS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {shown(d)} (choose from {', '.join(map(str, EUCLIDEAN_DS))})"
+        )
+    return d
+
+
 def int_at_least(low: int, odd: bool = False, most: int | None = None):
     """An argparse type: an integer >= low, odd if `odd`, and at most
     `most` if given."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = integer(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown(value)}")
         if odd and value % 2 == 0:
-            raise argparse.ArgumentTypeError(f"must be odd, got {value}")
+            raise argparse.ArgumentTypeError(f"must be odd, got {shown(value)}")
         if most is not None and value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {shown(value)}")
         return value
 
     return parse
@@ -104,7 +123,7 @@ def at_most(what: str, cap: int, *factors: int) -> None:
     """Refuse (exit 2) a product of `factors` above `cap`; `what` names
     the flags that the factors come from."""
     if math.prod(factors) > cap:
-        raise ValueError(f"{what} must be at most {cap}; got {' * '.join(map(str, factors))}")
+        raise ValueError(f"{what} must be at most {cap}; got {' * '.join(map(shown, factors))}")
 
 
 def unused_with(flag: str, args: argparse.Namespace, *others: str) -> None:
@@ -153,7 +172,7 @@ def parse_z(f, text: str) -> QuadElem:
     a coordinate past Z_DIGITS_MAX is refused before it is built."""
     parts = text.split(",")
     if len(parts) > 2:
-        raise ValueError(f"-z must be 'u' or 'u,v', got {text!r}")
+        raise ValueError(f"-z must be 'u' or 'u,v', got {shown(text)}")
     digits = max(map(coordinate_digits, parts))
     if digits > Z_DIGITS_MAX:
         raise ValueError(
@@ -163,8 +182,8 @@ def parse_z(f, text: str) -> QuadElem:
     try:
         u = Fraction(parts[0])
         v = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate in -z {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad coordinate in -z {shown(text)}: not a rational number") from None
     return QuadElem.from_display(f, u, v)
 
 
@@ -205,13 +224,6 @@ def _emit(rows: list[dict], fmt: str) -> None:
     stream.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
     for r in cells:
         stream.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-
-
-def _nstr(value, bits: int) -> str:
-    import mpmath
-
-    digits = max(6, int(bits * 0.301) - 2)
-    return mpmath.nstr(value, digits)
 
 
 # ----------------------------------------------------------------- commands
@@ -304,7 +316,7 @@ def cmd_theta(args) -> list[dict]:
     try:
         value = lfun.theta(f, args.delta, args.s)
     except FactorizationError as exc:
-        raise ValueError(f"--delta {args.delta} cannot be factored with proof: {exc}") from None
+        raise ValueError(f"--delta {shown(args.delta)} cannot be factored with proof: {exc}") from None
     return [
         {
             "d": args.d,
@@ -323,7 +335,7 @@ RCOUNT_CHECK_MAX_N = 1000
 def cmd_rcount(args) -> list[dict]:
     f = field(args.d)
     if args.delta <= 0:
-        raise ValueError(f"--delta must be the positive form discriminant, got {args.delta}")
+        raise ValueError(f"--delta must be the positive form discriminant, got {shown(args.delta)}")
     if args.check:
         at_most("-n with --check", RCOUNT_CHECK_MAX_N, max(args.n))
     out = []
@@ -331,7 +343,7 @@ def cmd_rcount(args) -> list[dict]:
         try:
             count = lfun.r_count_multiplicative(f, -args.delta, n)
         except FactorizationError as exc:
-            raise ValueError(f"-n {n} cannot be factored with proof: {exc}") from None
+            raise ValueError(f"-n {shown(n)} cannot be factored with proof: {exc}") from None
         row = {"d": args.d, "delta": args.delta, "n": n, "count": count}
         if args.check:
             naive = lfun.r_count_naive(f, -args.delta, n)
@@ -350,7 +362,6 @@ def cmd_lvalue(args) -> list[dict]:
     if args.delta is not None:
         at_most("--delta", DELTA_MAX, args.delta)
     value = lfun.l_closed_form(f, args.s, args.delta)
-    numeric = value.numeric(bits)
     return [
         {
             "d": args.d,
@@ -358,7 +369,7 @@ def cmd_lvalue(args) -> list[dict]:
             "delta": value.delta,
             "exact": value.exact_str(),
             "pi_power": value.pi_power,
-            "numeric": _nstr(numeric, bits),
+            "numeric": value.digits(bits),
         }
     ]
 
@@ -638,40 +649,40 @@ def arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 COMMANDS: dict[str, Command] = {
     "alpha": Command("the integer constants alpha_{k,Delta}", cmd_alpha, True, (
         arg("-k", type=int_at_least(1, odd=True), required=True),
-        arg("--delta", type=int),
+        arg("--delta", type=integer),
         arg("--count", type=int_at_least(1), help="how many non-norm deltas (not with --delta)"),
     )),
     "theta": Command("exact local correction factor theta(delta, s)", cmd_theta, True, (
-        arg("--delta", type=int, required=True),
+        arg("--delta", type=integer, required=True),
         arg("-s", type=int_at_least(1), required=True),
     )),
     "rcount": Command("residue counts of N(beta) = delta mod n", cmd_rcount, True, (
-        arg("--delta", type=int, required=True),
+        arg("--delta", type=integer, required=True),
         arg("-n", type=int_at_least(1), nargs="+", required=True),
         arg("--check", action="store_true",
             help=f"cross-check by table and naive counts (n <= {RCOUNT_CHECK_MAX_N})"),
     )),
     "lvalue": Command("special values L(chi, s) in closed form", cmd_lvalue, True, (
-        arg("-s", type=int, required=True),
-        arg("--delta", type=int),
+        arg("-s", type=integer, required=True),
+        arg("--delta", type=integer),
         arg("--bits", type=int_at_least(MIN_BITS, most=MAX_BITS)),
     )),
     "bench": Command("closed form vs character-sum baseline", cmd_bench, True, (
-        arg("-s", type=int, default=-2),
+        arg("-s", type=integer, default=-2),
         arg("--bits", type=int_at_least(MIN_BITS, most=MAX_BITS)),
         arg("--repeats", type=int_at_least(1), default=5),
     )),
     "hconst": Command("evaluate the sum H_{k,Delta} at exact points", cmd_hconst, True, (
         arg("-k", type=int_at_least(1, odd=True), required=True),
-        arg("--delta", type=int, required=True),
+        arg("--delta", type=integer, required=True),
         arg("-z", action="append", help="point 'u,v' = u + v*theta (repeatable)"),
         arg("--points", type=int_at_least(1), help="how many points to draw (not with -z)"),
         arg("--den", type=int_at_least(1), help="largest denominator of a drawn point (not with -z)"),
-        arg("--seed", type=int, help="seed of the draw (not with -z)"),
+        arg("--seed", type=integer, help="seed of the draw (not with -z)"),
     )),
     "average": Command("cell average: quadrature vs closed form", cmd_average, True, (
         arg("-k", type=int_at_least(3), required=True),
-        arg("--delta", type=int, required=True),
+        arg("--delta", type=integer, required=True),
         arg("--grid", type=int_at_least(1), default=32),
         arg("--a-max", type=int_at_least(1), default=200),
     )),
@@ -690,7 +701,7 @@ COMMANDS: dict[str, Command] = {
     )),
     "expandp": Command("the transfer polynomial P_{k,Delta}", cmd_expandp, True, (
         arg("-k", type=int_at_least(1, odd=True), required=True),
-        arg("--delta", type=int, required=True),
+        arg("--delta", type=integer, required=True),
         arg("--check", action="store_true", help="verify cocycle membership"),
     )),
     "selftest": Command("run the internal oracle cross-checks", cmd_selftest, False, ()),
@@ -710,7 +721,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd = COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
         if cmd.needs_d:
-            p.add_argument("-d", type=int, required=True, choices=EUCLIDEAN_DS,
+            p.add_argument("-d", type=ring, required=True, choices=EUCLIDEAN_DS,
                            help="ring O_d")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         for flags, kwargs in cmd.arguments:

@@ -58,7 +58,7 @@ from .field import (
     lattice_norms_below,
     pair_powers,
 )
-from .intarith import divisor_moments, divisor_power_sums, divisors, smallest_prime_factor_sieve
+from .intarith import divisor_moments, divisor_power_sums, divisors, shown, smallest_prime_factor_sieve
 
 
 # --------------------------------------------------------------- matrix group
@@ -212,10 +212,10 @@ def act(g: GroupElement, h: HermitianForm) -> HermitianForm:
 
 def check_delta(f: FieldSpec, delta: int) -> None:
     if delta <= 0:
-        raise ValueError(f"--delta must be a positive integer, got {delta}")
+        raise ValueError(f"--delta must be a positive integer, got {shown(delta)}")
     if is_norm(f, delta):
         raise ValueError(
-            f"--delta = {delta} is a norm from O_{f.d}; the sums of powers of "
+            f"--delta = {shown(delta)} is a norm from O_{f.d}; the sums of powers of "
             f"forms are only defined for non-norm discriminants"
         )
 

@@ -63,6 +63,13 @@ import numpy as np
 from .cfrac import remainders
 from .field import FieldSpec, QuadElem
 from .forms import check_delta, expand_P, form_ints, window_scan
+from .lfun import (
+    l_odd_over_pi_power,
+    theta,
+    zeta_even_over_pi_power,
+    zeta_float,
+    zseries_closed_form,
+)
 
 
 def eval_exact(f: FieldSpec, k: int, delta: int, z: QuadElem) -> Fraction:
@@ -174,10 +181,19 @@ class AverageReport:
 
 def formula_average(f: FieldSpec, k: int, delta: int) -> float:
     """Mean of H_{k,Delta} over a fundamental cell, from the closed form
-    (2 pi Delta^(k+1) / ((k+1) sqrt(m))) * Z(-Delta, k+1)."""
-    from . import lfun
+    (2 pi Delta^(k+1) / ((k+1) sqrt(m))) * Z(-Delta, k+1), where
+    Z(-Delta, s) = theta(Delta, s) zeta(s) / L(chi, s+1).
 
-    zval = lfun.zseries_closed_form(f, delta, k + 1)
+    At odd k, zeta(k+1) = z pi^(k+1) and L(chi, k+2) = q pi^(k+2) / sqrt(m)
+    with rationals z (`zeta_even_over_pi_power`) and q
+    (`l_odd_over_pi_power`), so pi and sqrt(m) cancel and the mean is the
+    rational 2 Delta^(k+1) theta(Delta, k+1) z / ((k+1) q), rounded once.
+    At even k, zeta(k+1) has no closed form and Z is evaluated in mpmath
+    (`zseries_closed_form`)."""
+    if k % 2:
+        mean = 2 * Fraction(delta) ** (k + 1) * theta(f, delta, k + 1) * zeta_even_over_pi_power(k + 1)
+        return float(mean / ((k + 1) * l_odd_over_pi_power(f, k + 2)))
+    zval = zseries_closed_form(f, delta, k + 1)
     return float(
         2 * math.pi * delta ** (k + 1) / ((k + 1) * f.sqrt_abs_disc) * float(zval)
     )
@@ -231,15 +247,14 @@ def _walk_values(
     H(0) = alpha_{k,Delta}.  The value returned is total, a lower bound
     up to float rounding.  Its oracle is the definition summed in floating
     point over |a| <= a_max (`tests/oracles.py`), whose discarded tail is
-    at most `tail_bound`.
+    at most `tail_bound`.  zeta(k) is `lfun.zeta_float`, so the walk runs
+    without mpmath.
     """
-    import mpmath  # here, as in `lfun`: only the L-value commands load it
-
     omega = f.omega_complex
     terms = [(a, x + y * omega, c) for a, x, y, c in form_ints(f, delta)]
     t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0
     # tail_bound at a_max = 1 is (count bound) * Delta^k / (k - 1)
-    bound = tail_bound(f, k, delta, 1) * (k - 1) * float(mpmath.zeta(k))
+    bound = tail_bound(f, k, delta, 1) * (k - 1) * zeta_float(k)
     # H(0) = alpha_{k,Delta} is the sum of (-c)^k over the same forms
     h_zero = float(sum((-c) ** k for _, _, c in terms))
     total = np.zeros(z.shape)

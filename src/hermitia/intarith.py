@@ -1,7 +1,8 @@
 """Exact integer helpers: primality, factorization with proof (for `lfun`),
 square roots mod p, and, from one smallest-prime-factor sieve, the divisors
 (`divisors`) and sigma_0..sigma_k (`divisor_moments`) of one integer and
-sigma_k over a range (`divisor_power_sums`)."""
+sigma_k over a range (`divisor_power_sums`); and `shown`, an input as an
+error line echoes it."""
 
 from __future__ import annotations
 
@@ -24,6 +25,29 @@ MILLER_RABIN_PROVEN = 3_317_044_064_679_887_385_961_981
 # end (at most about 4e6 steps on 12 semiprimes measured near that bound).
 # On a larger composite it gives up after this many steps (about 5 s).
 RHO_STEPS = 1 << 23
+
+
+# An error line echoes at most this many characters of an input, then the
+# input's length, so that the line does not grow with the input.
+ECHO_MAX = 40
+
+
+def shown(value: int | str) -> str:
+    """An int, or a text in quotes, whole up to ECHO_MAX characters, else
+    its first ECHO_MAX and its length.  A long int is never converted to
+    decimal whole, so no limit on that conversion is met."""
+    if isinstance(value, str):
+        if len(value) <= ECHO_MAX:
+            return repr(value)
+        return f"{value[:ECHO_MAX]!r}... ({len(value)} characters)"
+    magnitude = abs(value)
+    digits = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))  # at most its digits
+    while magnitude >= 10**digits:
+        digits += 1
+    if digits <= ECHO_MAX:
+        return str(value)
+    head = magnitude // 10 ** (digits - ECHO_MAX)
+    return f"{'-' if value < 0 else ''}{head}... ({digits} digits)"
 
 
 class FactorizationError(ValueError):
@@ -79,7 +103,7 @@ def _split(n: int) -> list[int]:
         return _split(d) + _split(n // d)
     if n >= MILLER_RABIN_PROVEN:
         raise FactorizationError(
-            f"the factor {n} passes Miller-Rabin at or above {MILLER_RABIN_PROVEN}, "
+            f"the factor {shown(n)} passes Miller-Rabin at or above {MILLER_RABIN_PROVEN}, "
             "where that proves nothing"
         )
     return [n]
@@ -97,7 +121,7 @@ def _rho_factor(n: int) -> int:
             # the r steps to x and at most r more from it
             steps += 2 * r
             if steps > limit:
-                raise FactorizationError(f"Pollard rho found no factor of {n} in {RHO_STEPS} steps")
+                raise FactorizationError(f"Pollard rho found no factor of {shown(n)} in {RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -34,7 +34,10 @@ ranges where the sums are constant.  The right-hand sides are independent
 of the chosen non-norm Delta, which is a strong exact self-check.  Negative
 values are independently computable from generalized Bernoulli numbers
 (L(chi, 1-n) = -B_(n,chi)/n) and positive ones from Hurwitz-zeta character
-sums; both serve as oracles here.
+sums; both serve as oracles here.  At odd n the functional equation
+carries the Bernoulli value to the exact rational L(chi, n) sqrt(m) / pi^n
+(`l_odd_over_pi_power`), from which `hsum.formula_average` takes the mean
+of H at odd k.
 """
 
 from __future__ import annotations
@@ -45,13 +48,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# mpmath is imported in the functions that compute with it, so that the
-# commands that compute no L-value start without loading it
+# mpmath is imported in the functions that compute with it: the numeric
+# baselines of `bench`, `LValue.numeric` and `zseries_closed_form`, which
+# the mean of H needs at even k only.  `lvalue` prints its digits from the
+# exact closed form (`LValue.digits`), so every command but `bench` and an
+# even-k `average` starts without loading it
 # (tests/test_cli.py::test_only_the_l_value_commands_import_mpmath).
 
 from .field import FieldSpec, field, kronecker, smallest_nonnorm
 from .forms import alpha
-from .intarith import factorize
+from .intarith import factorize, shown
 
 # ------------------------------------------------------------ residue counts
 
@@ -171,7 +177,7 @@ def theta(f: FieldSpec, delta: int, s: int) -> Fraction:
     """theta(delta, s) for a form discriminant delta > 0: the product of
     R_p(-delta; p^(-1-s)) over p | d_K*delta, as an exact rational."""
     if delta <= 0:
-        raise ValueError(f"--delta must be the positive form discriminant, got {delta}")
+        raise ValueError(f"--delta must be the positive form discriminant, got {shown(delta)}")
     if s < 1:
         raise ValueError(f"-s must be at least 1 for theta, got {s}")
     # R_p at X = 1/q, q = p^(s+1), is (sum c_i q^(T-i)) / q^T, T its
@@ -314,6 +320,113 @@ def zeta_even_over_pi_power(n: int) -> Fraction:
     return Fraction((-1) ** (j + 1)) * bernoulli_number(n) * 2 ** (n - 1) / math.factorial(n)
 
 
+def l_odd_over_pi_power(f: FieldSpec, n: int) -> Fraction:
+    """L(chi, n) sqrt(m) / pi^n for odd n >= 3, exactly.  The functional
+    equation at odd n reads L(chi, 1-n) = (-1)^((n-1)/2) m^(n-1) (n-1)!
+    2^(1-n) q with L(chi, n) = q pi^n / sqrt(m), and L(chi, 1-n) is the
+    generalized Bernoulli value `l_negative_exact`."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("closed form only for odd n >= 3")
+    m = f.abs_disc
+    q = l_negative_exact(f, 1 - n) * 2 ** (n - 1) / (m ** (n - 1) * math.factorial(n - 1))
+    return q if n % 4 == 1 else -q
+
+
+# The Euler-Maclaurin terms of `zeta_float` run over B_2 .. B_(2 ZETA_TERMS);
+# the next one bounds the remainder.
+ZETA_TERMS = 6
+
+
+def zeta_float(k: int) -> float:
+    """zeta(k) for an integer k >= 2, rounded to the nearest float.
+
+    The Euler-Maclaurin sum at N, sum_(n<N) n^-k + N^(1-k)/(k-1) + N^-k/2
+    + sum_(j<=ZETA_TERMS) B_2j/(2j)! k (k+1)...(k+2j-2) N^(1-k-2j), is
+    exact in Fractions, and since every even derivative of x^-k is
+    positive, its remainder lies between 0 and the next term.  N doubles
+    until both ends of that enclosure round to the same float."""
+    if k < 2:
+        raise ValueError("zeta(k) converges for k >= 2")
+    n = 8
+    while True:
+        total = sum(Fraction(1, j**k) for j in range(1, n))
+        total += Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n**k)
+        rising = k  # k (k+1) ... (k+2j-2)
+        for j in range(1, ZETA_TERMS + 2):
+            term = bernoulli_number(2 * j) * rising / (math.factorial(2 * j) * n ** (k + 2 * j - 1))
+            if j <= ZETA_TERMS:
+                total += term
+                rising *= (k + 2 * j - 1) * (k + 2 * j)
+        if float(total) == float(total + term):
+            return float(total)
+        n *= 2
+
+
+# ------------------------------------------------------------ decimal digits
+
+
+@lru_cache(maxsize=16)
+def pi_fixed(p: int) -> int:
+    """An integer within 2 of pi * 2^p, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in fixed point with guard bits: the
+    floored series terms, fewer than p + guard of them, are each off by
+    under 2 units, which the guard bits absorb."""
+    guard = 2 * p.bit_length() + 10
+    one = 1 << (p + guard)
+
+    def atan_inverse(x: int) -> int:
+        power = total = one // x
+        j = 0
+        while power:
+            power //= x * x
+            j += 1
+            term = power // (2 * j + 1)
+            total += -term if j % 2 else term
+        return total
+
+    return (16 * atan_inverse(5) - 4 * atan_inverse(239)) >> guard
+
+
+def floor_digits(x: Fraction, count: int) -> tuple[str, int]:
+    """The first `count` significant decimal digits of x > 0, floored, and
+    the exponent e of the leading one: 10^e <= x < 10^(e+1)."""
+    a, b = x.numerator, x.denominator
+    e = math.floor((a.bit_length() - b.bit_length()) * math.log10(2))  # off by at most 1
+    while True:
+        shift = count - 1 - e
+        n = a * 10**shift // b if shift >= 0 else a // (b * 10**-shift)
+        if n >= 10**count:
+            e += 1
+        elif n < 10 ** (count - 1):
+            e -= 1
+        else:
+            return str(n), e
+
+
+def nstr_layout(sign: str, digits: str, exponent: int, dps: int) -> str:
+    """Floored digits (more than dps of them, the leading one at
+    10^exponent) laid out as mpmath's to_str lays out dps digits: rounded
+    half up at digit dps, in fixed notation if the exponent lies strictly
+    between min(-(dps // 3), -5) and dps, else as d.ddd, with trailing
+    zeros stripped and an exponent e+N or e-N unless it is 0."""
+    kept = digits[:dps]
+    if digits[dps] in "56789":
+        kept = str(int(kept) + 1)
+        if len(kept) > dps:  # the carry ran through a string of 9s
+            kept, exponent = kept[:dps], exponent + 1
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            kept = "0" * -exponent + kept
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = (kept[:split] + "." + kept[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + (f"e{exponent:+d}" if exponent else "")
+
+
 @dataclass(frozen=True)
 class LValue:
     """An exact special value: coeff * pi^pi_power [* 1/sqrt(m)]."""
@@ -339,6 +452,39 @@ class LValue:
             if self.inv_sqrt_disc:
                 v /= mpmath.sqrt(field(self.d).abs_disc)
             return v
+
+    def digits(self, bits: int = 128) -> str:
+        """The value to max(6, int(0.301 bits) - 2) significant digits, as
+        mpmath.nstr prints numeric(bits), from integers alone.
+
+        pi * 2^p comes within 2 from `pi_fixed` and sqrt(m) * 2^p within 1
+        from math.isqrt; the interval they give holds the value, and its two
+        ends, floored to dps + 3 significant digits, agree once p is large
+        enough (a rational value is its own interval).  The guard bits of p
+        double until they do, and `nstr_layout` rounds and lays out the
+        digits.  The two can differ only at an exact tie, a value whose
+        decimal expansion ends in a 5 at digit dps + 1, which this rounds up
+        and mpmath rounds by its binary approximation; no in-scope value is
+        one (`scripts/check_lvalue_digits.py`)."""
+        dps = max(6, int(bits * 0.301) - 2)
+        c = abs(self.coeff)
+        if not c:
+            return "0.0"
+        guard = 32
+        while True:
+            p = 4 * dps + guard
+            pi = pi_fixed(p) if self.pi_power else 0
+            lo = hi = Fraction(c.numerator, c.denominator << (p * self.pi_power))
+            lo *= (pi - 2) ** self.pi_power
+            hi *= (pi + 2) ** self.pi_power
+            if self.inv_sqrt_disc:
+                root = math.isqrt(field(self.d).abs_disc << (2 * p))  # <= sqrt(m) 2^p < root + 1
+                lo *= Fraction(1 << p, root + 1)
+                hi *= Fraction(1 << p, root)
+            low = floor_digits(lo, dps + 3)
+            if low == floor_digits(hi, dps + 3):
+                return nstr_layout("-" if self.coeff < 0 else "", *low, dps)
+            guard *= 2
 
     def exact_str(self) -> str:
         if self.is_rational:
@@ -410,7 +556,7 @@ def bench_negative(
     import mpmath
 
     if s >= 0:
-        raise ValueError(f"-s must be negative for the benchmark, got {s}")
+        raise ValueError(f"-s must be negative for the benchmark, got {shown(s)}")
     sigma = 1 - s
 
     def fast():

@@ -608,6 +608,41 @@ def test_a_long_point_exits_2_at_once_naming_z(argv):
     assert line.startswith(f"error: -z: a coordinate may have at most {cli.Z_DIGITS_MAX} digits")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # echoed its whole text: 100,038 bytes
+    (["cfrac", "-d", "1", "-z", ",".join(["1"] * 50_000)], "-z"),
+    (["cfrac", "-d", "1", "-z", "x" * 100_000], "-z"),
+    (["lvalue", "-d", "1", "-s", "3", "--bits", "x" * 100_000], "--bits"),
+    (["lvalue", "-d", "1", "-s", "3", "--bits", "9" * 4000], "--bits"),
+    (["lvalue", "-d", "9" * 4000, "-s", "3"], "-d"),
+    (["alpha", "-d", "1", "-k", "1", "--delta", "9" * 4000], "--delta"),
+    (["hconst", "-d", "1", "-k", "1", "--delta", "-" + "9" * 4000, "-z", "0"], "--delta"),
+    # its cost passed the interpreter's 4300-digit limit on converting an
+    # int to decimal, and the error line named no flag
+    (["alpha", "-d", "1", "-k", "1" * 4001, "--count", "3"], "-k"),
+])
+def test_error_lines_echo_a_long_input_cut_short(argv, flag):
+    start = time.perf_counter()
+    done = run_module(*argv, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    assert flag in done.stderr.splitlines()[-1] and len(done.stderr.encode()) < 300, done.stderr
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"),
+    (-10**39, "-1" + "0" * 39),
+    (10**40 - 1, "9" * 40),
+    (10**40, "1" + "0" * 39 + "... (41 digits)"),
+    # past the interpreter's limit on converting an int to decimal
+    pytest.param(-(10**5000) - 1, "-1" + "0" * 39 + "... (5001 digits)", id="5001-digits"),
+    ("1,1", "'1,1'"),
+    ("a" * 41, f"'{'a' * 40}'... (41 characters)"),
+])
+def test_shown_cuts_an_input_to_a_fixed_length(value, text):
+    assert intarith.shown(value) == text
+
+
 @pytest.mark.parametrize("text, digits", [
     ("3/7", 1), ("-22/7", 2), ("1_000/3", 4), (" 7/10 ", 2), ("12.5", 3), (".5", 2),
     ("1e999", 1000), ("1e-999", 1000), ("1E+3", 4), ("123.456e-2", 6), ("1.5e-0000000000000000000003", 5),
@@ -1166,14 +1201,16 @@ print(code, "mpmath" in sys.modules)
     (["dims", "-d", "2", "--kmax", "5"], False),
     (["basis", "-d", "1", "-k", "5"], False),
     (["selftest"], False),
-    (["lvalue", "-d", "1", "-s", "3"], True),
-    (["lvalue", "-d", "2", "-s", "-2"], True),
-    (["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4", "--a-max", "50"], True),
+    (["lvalue", "-d", "1", "-s", "3"], False),
+    (["lvalue", "-d", "2", "-s", "-2"], False),
+    (["average", "-d", "2", "-k", "3", "--delta", "5", "--grid", "4", "--a-max", "50"], False),
     (["bench", "-d", "1", "--repeats", "1", "--bits", "16"], True),
+    (["average", "-d", "2", "-k", "4", "--delta", "5", "--grid", "4", "--a-max", "50"], True),
 ])
 def test_only_the_l_value_commands_import_mpmath(argv, loads):
-    """Only `lvalue`, `bench` and `average` compute with multiprecision
-    floats; every other command, and `import hermitia`, runs without
+    """Only `bench` and `average` at even k compute with multiprecision
+    floats; `lvalue` and `average` at odd k compute from exact closed
+    forms, and every other command, and `import hermitia`, runs without
     loading mpmath."""
     done = run_python("-c", MPMATH_PROBE, *argv)
     assert done.stdout.split() == [str(EXIT_OK), str(loads)], done.stderr

@@ -8,8 +8,10 @@ reduction identity, truncation honesty, and the cell average.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from hermitia import cfrac, cli, forms, hsum
 from hermitia.field import EUCLIDEAN_DS, CertificateError, QuadElem, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import expand_P, window_scan
+from hermitia.lfun import zseries_closed_form
 from hermitia.hsum import (
     average_quadrature,
     eval_exact,
@@ -469,6 +472,31 @@ def test_average_quadrature_approaches_formula():
     rep = average_quadrature(f, 3, 2, grid=32, a_max=200)
     assert rep.rel_error < 5e-3
     assert rep.formula == pytest.approx(formula_average(f, 3, 2))
+
+
+@pytest.mark.parametrize("d, k, delta, mean", [
+    (2, 3, 5, Fraction(7098, 19)),  # the golden file's 373.5789474
+    (1, 3, 3, 68),
+    (3, 5, 2, 39),
+    (11, 3, 2, Fraction(671, 85)),
+])
+def test_odd_k_formula_is_an_exact_rational(d, k, delta, mean):
+    assert formula_average(field(d), k, delta) == float(mean)
+
+
+def test_odd_k_formula_equals_the_zseries_oracle():
+    """At odd k the mean is a rational rounded once; the closed form
+    through Z(-Delta, k+1) in mpmath (`zseries_closed_form`) is its oracle,
+    to one float step."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        delta = smallest_nonnorm(d)
+        for k in range(3, 16, 2):
+            got = formula_average(f, k, delta)
+            with mpmath.workprec(160):
+                scale = 2 * mpmath.pi * mpmath.mpf(delta) ** (k + 1) / ((k + 1) * mpmath.sqrt(f.abs_disc))
+                want = float(scale * zseries_closed_form(f, delta, k + 1))
+            assert abs(got - want) <= math.ulp(want), (d, k, got, want)
 
 
 def test_average_for_constant_sum_is_the_constant():

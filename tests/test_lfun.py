@@ -17,24 +17,30 @@ import pytest
 
 from hermitia.field import EUCLIDEAN_DS, field, nonnorm_deltas, smallest_nonnorm
 from hermitia.forms import expand_P
-from hermitia import intarith, lfun
+from hermitia import cli, intarith, lfun
 from hermitia.intarith import FactorizationError, factorize, is_probable_prime
 from hermitia.lfun import (
     CONSTANCY_SCOPE,
     bench_negative,
     bernoulli_number,
     bernoulli_poly,
+    LValue,
     l_closed_form,
+    floor_digits,
     functional_equation_negative,
     generalized_bernoulli,
     l_negative_exact,
+    l_odd_over_pi_power,
     l_positive_numeric,
     local_count_coeffs,
     local_factor,
+    nstr_layout,
     r_count,
     r_count_multiplicative,
     r_count_naive,
+    pi_fixed,
     theta,
+    zeta_float,
     zseries_closed_form,
 )
 
@@ -311,3 +317,111 @@ def test_bench_agreement():
     rep = bench_negative(field(1), -2, bits=96, repeats=2)
     assert rep.agree
     assert rep.value == "-1/2"
+
+
+def test_positive_closed_form_equals_the_functional_equation_exactly():
+    """The alpha route of `l_closed_form` and the Bernoulli route of
+    `l_odd_over_pi_power` give the same rational L(chi, s) sqrt(m) / pi^s."""
+    for s in (3, 5, 7):
+        for d in CONSTANCY_SCOPE[s - 2]:
+            f = field(d)
+            v = l_closed_form(f, s)
+            root = 1 if v.inv_sqrt_disc else math.isqrt(f.abs_disc)
+            assert v.coeff * root == l_odd_over_pi_power(f, s), (d, s)
+
+
+def test_odd_values_over_pi_power_match_character_sums():
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for n in (3, 5, 9, 15):
+            q = l_odd_over_pi_power(f, n)
+            with mpmath.workprec(160):
+                got = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**n / mpmath.sqrt(f.abs_disc)
+                want = l_positive_numeric(f, n, 144)
+                assert abs(got - want) < mpmath.mpf(2) ** -130 * abs(want), (d, n)
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError):
+            l_odd_over_pi_power(field(1), n)
+
+
+def test_zeta_float_equals_mpmath_at_every_admitted_k():
+    """`average` admits k up to AVERAGE_K_BITS_MAX over the bit length of
+    Delta + 2, and Delta >= 2; the walk's bound reads zeta(k) there."""
+    top = cli.AVERAGE_K_BITS_MAX // (2 + 2).bit_length()
+    for k in range(2, top + 1):
+        assert zeta_float(k) == float(mpmath.zeta(k)), k
+    with pytest.raises(ValueError):
+        zeta_float(1)
+
+
+# ------------------------------------------------------------ printed digits
+
+
+IN_SCOPE = [(d, s) for k, ds in CONSTANCY_SCOPE.items() for d in ds for s in (k + 2, -k - 1)]
+
+
+def nstr_at(value: LValue, bits: int) -> str:
+    """What `lvalue` printed before its digits came from integers."""
+    return mpmath.nstr(value.numeric(bits), max(6, int(bits * 0.301) - 2))
+
+
+def test_pi_fixed_is_within_2_units():
+    for p in (1, 2, 10, 64, 200, 1000, 4000):
+        with mpmath.workprec(p + 64):
+            assert abs(pi_fixed(p) - mpmath.pi * 2**p) < 2, p
+
+
+def test_digits_equal_mpmath_on_a_sample():
+    """`LValue.digits` equals mpmath.nstr of `numeric` at both ends of
+    --bits and on a seeded sample between; `scripts/check_lvalue_digits.py`
+    sweeps every --bits."""
+    rng = seeded("test_digits_equal_mpmath_on_a_sample")
+    cases = [(d, s, bits) for d, s in IN_SCOPE for bits in (cli.MIN_BITS, cli.MAX_BITS)]
+    cases += [(*rng.choice(IN_SCOPE), rng.randint(cli.MIN_BITS, cli.MAX_BITS)) for _ in range(40)]
+    for d, s, bits in cases:
+        value = l_closed_form(field(d), s)
+        assert value.digits(bits) == nstr_at(value, bits), (d, s, bits)
+
+
+def test_negative_rational_values_print_exactly():
+    for bits in (cli.MIN_BITS, 128, 1001, cli.MAX_BITS):
+        assert l_closed_form(field(2), -2).digits(bits) == "-3.0"
+        assert l_closed_form(field(1), -2).digits(bits) == "-0.5"
+        value = l_closed_form(field(3), -2)  # -2/9
+        assert value.digits(bits) == nstr_at(value, bits)
+
+
+@pytest.mark.parametrize("digits, exponent, dps, text", [
+    ("999999999", 0, 6, "10.0"),  # the carry makes a new leading digit
+    ("123999999", -3, 6, "0.00124"),  # it runs through a string of 9s
+    ("999999700", 5, 6, "1.0e+6"),  # and moves the number past fixed notation
+    ("999999600", -5, 6, "0.0001"),  # or into it
+    ("123456499", 2, 6, "123.456"),
+    ("100000000", 0, 6, "1.0"),
+])
+def test_layout_rounds_and_places_the_point_as_mpmath(digits, exponent, dps, text):
+    assert nstr_layout("", digits, exponent, dps) == text
+    assert nstr_layout("-", digits, exponent, dps) == "-" + text
+    with mpmath.workprec(200):
+        value = mpmath.mpf(f"{digits[0]}.{digits[1:]}e{exponent}")
+        assert mpmath.nstr(value, dps) == text
+
+
+@pytest.mark.parametrize("bits", [cli.MIN_BITS, 128, 1000])
+def test_layout_switches_notation_where_mpmath_does(bits):
+    """Fixed notation holds strictly between min(-(dps // 3), -5) and dps;
+    just below a power of ten the rounding carries across that border."""
+    dps = max(6, int(bits * 0.301) - 2)
+    low = min(-(dps // 3), -5)
+    for e in (low - 1, low, low + 1, -1, 0, 1, dps - 1, dps, dps + 1):
+        power = Fraction(10) ** e
+        for coeff in (power, power - power / (3 * 10**dps), -power * Fraction(7, 3)):
+            value = LValue(1, -2, 3, coeff, 0, False)
+            assert value.digits(bits) == nstr_at(value, bits), (bits, e, coeff)
+
+
+def test_floor_digits_floors_at_the_exponent_of_the_leading_digit():
+    assert floor_digits(Fraction(1), 4) == ("1000", 0)
+    assert floor_digits(Fraction(999, 1000), 2) == ("99", -1)
+    assert floor_digits(Fraction(2, 3), 3) == ("666", -1)
+    assert floor_digits(Fraction(10**50 - 1), 3) == ("999", 49)
