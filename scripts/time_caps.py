@@ -119,6 +119,9 @@ CALLS: dict[str, list] = {
     # the exact closed form at the largest odd k at the smallest Delta, in
     # the ring of the largest |d_K|: the Bernoulli numbers up to B_321
     "average-k-odd": ["average", "-d", "11", "-k", "319", "--delta", "2", "--grid", "1"],
+    # the even-k route (mpmath's zseries_closed_form and the walk) at the
+    # average-forms corner and the largest even k that the -k cap admits
+    "average-k-even": ["average", "-d", "2", "-k", "72", "--delta", "7581", "--grid", "1"],
     # one past average's cost: O_3 at Delta = 4879 (246,740 forms), --grid 4
     # took 10.2 s
     "average-past-cap": ["average", "-d", "3", "-k", "3", "--delta", "4879", "--grid", "4"],

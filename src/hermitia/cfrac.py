@@ -57,9 +57,6 @@ class CFExpansion:
     norms: list[int | None]
     terminated: bool
 
-    def __len__(self) -> int:
-        return len(self.alphas)
-
     def convergent(self, i: int) -> QuadElem:
         """p_i / q_i as an exact field element."""
         pi, qi = self.p[i], self.q[i]

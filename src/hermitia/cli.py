@@ -54,7 +54,7 @@ from .field import (
     smallest_nonnorm,
 )
 from . import cfrac, forms, hsum, lfun, polyspace
-from .intarith import FactorizationError, shown
+from .intarith import ECHO_MAX, FactorizationError, shown
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -217,8 +217,6 @@ def _emit(rows: list[dict], fmt: str) -> None:
             writer.writerow(["" if row.get(h) is None else str(row.get(h)) for h in header])
         stream.write(buf.getvalue())
         return
-    if fmt != "table":
-        raise ValueError(f"unknown format {fmt!r}")
     cells = [[("" if row.get(h) is None else str(row.get(h))) for h in header] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
     stream.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
@@ -708,9 +706,24 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse's parser, whose own error lines (an unknown command or
+    choice, unrecognized arguments) echo each long word cut short
+    (`intarith.shown`).  Its subparsers are of the same class."""
+
+    def error(self, message: str):
+        def cut(word: str) -> str:
+            if len(word) <= ECHO_MAX:
+                return word
+            # argparse quotes a refused choice with repr
+            return shown(word[1:-1] if word[:1] == word[-1:] == "'" else word)
+
+        super().error(" ".join(map(cut, message.split(" "))))
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand in COMMANDS, or of `command` alone."""
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="hermitia",
         description="Sums of powers of binary Hermitian forms over the five "
         "Euclidean imaginary quadratic rings, and the L-values they compute.",

@@ -46,10 +46,11 @@ a fundamental cell of the lattice connects the sum to a Dirichlet series:
 
 which `average_quadrature` verifies on a midpoint grid, evaluating every
 midpoint by that float walk.  Its stopping rule bounds what the walk leaves
-out by `tail_bound`; float rounding is outside that bound.  For k >= 3
-that tail bound does not depend on z, so H is a uniform limit of
-continuous functions and has no jumps, at points of K included: there the
-float walk agrees with `eval_exact` up to rounding.
+out by k * tail_bound(a_max = 1), which exceeds H everywhere; float
+rounding is outside that bound.  For k >= 3 `tail_bound` does not depend
+on z, so H is a uniform limit of continuous functions and has no jumps, at
+points of K included: there the float walk agrees with `eval_exact` up to
+rounding.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .lfun import (
     l_odd_over_pi_power,
     theta,
     zeta_even_over_pi_power,
-    zeta_float,
     zseries_closed_form,
 )
 
@@ -241,20 +241,20 @@ def _walk_values(
     with c < 0 < a and h < 0.  So with r the remainder of z_n at its
     nearest lattice point, N(r) <= rho^2 < 1 and H(z_n) = H(r) =
     N(r)^k H(1/r) - T(r).  After n steps H(z) = total + scale * H(z_n),
-    and 0 <= H <= M = (pi (sqrt(Delta) + rho)^2 / covolume) Delta^k zeta(k),
-    the count bound of `tail_bound` summed over every a.  A point stops once
+    and 0 <= H <= M = k * tail_bound(a_max = 1): the count bound of
+    `tail_bound` times Delta^k times 1 + 1/(k-1) = k/(k-1), the forms at
+    a = 1 plus the integral bound beyond, which exceeds the sum of a^-k
+    over every a >= 1.  A point stops once
     scale * M <= min(tolerance, 1e-16 * |total|), or at r = 0, where
     H(0) = alpha_{k,Delta}.  The value returned is total, a lower bound
     up to float rounding.  Its oracle is the definition summed in floating
     point over |a| <= a_max (`tests/oracles.py`), whose discarded tail is
-    at most `tail_bound`.  zeta(k) is `lfun.zeta_float`, so the walk runs
-    without mpmath.
+    at most `tail_bound`.
     """
     omega = f.omega_complex
     terms = [(a, x + y * omega, c) for a, x, y, c in form_ints(f, delta)]
     t, half_sqm = f.disc / 2.0, f.sqrt_abs_disc / 2.0
-    # tail_bound at a_max = 1 is (count bound) * Delta^k / (k - 1)
-    bound = tail_bound(f, k, delta, 1) * (k - 1) * zeta_float(k)
+    bound = k * tail_bound(f, k, delta, 1)
     # H(0) = alpha_{k,Delta} is the sum of (-c)^k over the same forms
     h_zero = float(sum((-c) ** k for _, _, c in terms))
     total = np.zeros(z.shape)

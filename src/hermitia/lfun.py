@@ -332,36 +332,6 @@ def l_odd_over_pi_power(f: FieldSpec, n: int) -> Fraction:
     return q if n % 4 == 1 else -q
 
 
-# The Euler-Maclaurin terms of `zeta_float` run over B_2 .. B_(2 ZETA_TERMS);
-# the next one bounds the remainder.
-ZETA_TERMS = 6
-
-
-def zeta_float(k: int) -> float:
-    """zeta(k) for an integer k >= 2, rounded to the nearest float.
-
-    The Euler-Maclaurin sum at N, sum_(n<N) n^-k + N^(1-k)/(k-1) + N^-k/2
-    + sum_(j<=ZETA_TERMS) B_2j/(2j)! k (k+1)...(k+2j-2) N^(1-k-2j), is
-    exact in Fractions, and since every even derivative of x^-k is
-    positive, its remainder lies between 0 and the next term.  N doubles
-    until both ends of that enclosure round to the same float."""
-    if k < 2:
-        raise ValueError("zeta(k) converges for k >= 2")
-    n = 8
-    while True:
-        total = sum(Fraction(1, j**k) for j in range(1, n))
-        total += Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n**k)
-        rising = k  # k (k+1) ... (k+2j-2)
-        for j in range(1, ZETA_TERMS + 2):
-            term = bernoulli_number(2 * j) * rising / (math.factorial(2 * j) * n ** (k + 2 * j - 1))
-            if j <= ZETA_TERMS:
-                total += term
-                rising *= (k + 2 * j - 1) * (k + 2 * j)
-        if float(total) == float(total + term):
-            return float(total)
-        n *= 2
-
-
 # ------------------------------------------------------------ decimal digits
 
 

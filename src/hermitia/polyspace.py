@@ -778,7 +778,12 @@ class WordOperator:
         return not any(self._word_sums(stack, cols, vecs).any() for stack in stacks)
 
     def _first_settles(
-        self, first: linalg.FirstPrime, at: np.ndarray, sign: np.ndarray, basis: Sequence[list[Pair]]
+        self,
+        first: linalg.FirstPrime,
+        at: np.ndarray,
+        sign: np.ndarray,
+        basis: Sequence[list[Pair]],
+        one_root: bool,
     ) -> bool:
         """Whether M_rest L u = 0 mod the first split prime p1 under both
         roots of omega for every u of `basis`, vectors on the upper
@@ -790,17 +795,17 @@ class WordOperator:
         permuted with signs, so it kills u's residues x under w2 exactly
         when `first.mat` kills y with y[at] = sign * x.
 
-        When every u is real with u[at] = sign * u (its lift L u real with
-        a symmetric grid), y = x: the w1 columns alone are multiplied."""
+        `one_root` says that every lift L u is real with a symmetric grid
+        (`real_symmetric`, the rule of `_word_sums`): then every u is real
+        with u[at] = sign * u, so y = x, and the w1 columns alone are
+        multiplied."""
         p = first.p
         w1, w2 = linalg.omega_roots(self.field, p)
-        pairs = list(zip(at.tolist(), sign.tolist()))
-        twin = all(u[a] == (s * x, y) and not y for u in basis for (a, s), (x, y) in zip(pairs, u))
-        # one column per vector under w1, then (unless twin) one per vector under w2
-        res = np.empty((len(at), 1 if twin else 2, len(basis)), dtype=np.int64)
+        # one column per vector under w1, then (unless one_root) one per vector under w2
+        res = np.empty((len(at), 1 if one_root else 2, len(basis)), dtype=np.int64)
         for v, u in enumerate(basis):
             res[:, 0, v] = [(x + y * w1) % p for x, y in u]
-            if not twin:
+            if not one_root:
                 res[at, 1, v] = sign * np.array([(x + y * w2) % p for x, y in u], dtype=np.int64) % p
         return not linalg.matmul_mod(first.mat, res.reshape(len(at), -1), p).any()
 
@@ -825,7 +830,8 @@ class WordOperator:
         candidate: first mod p1 against the rows M[R] kept there, in one
         product over every vector's residues under w1 and under w2, the
         latter permuted with signs, or under w1 alone where every lift is
-        real and symmetric (`_first_settles`): a nonzero product
+        real and symmetric (`real_symmetric`, the one rule that both
+        `_first_settles` and `_word_sums` follow): a nonzero product
         refutes the basis at once, and zero settles p1 for both roots, as R
         spans the block's rows mod p1 and each lift L u meets the S word
         exactly.  One `in_kernel` of all the lifts over every word, S
@@ -844,12 +850,20 @@ class WordOperator:
         at, sign = self.swap(cols)
         lift = self.lifting(cols)
         first = self._first_slice(cols)
+
+        def proven(basis: Sequence[list[Pair]]) -> bool:
+            lifts = [lift(u) for u in basis]
+            one_root = self.real_symmetric(cols, lifts)
+            return (
+                self._first_settles(first, at, sign, basis, one_root)
+                and self.in_kernel(cols, lifts, first.p)
+            )
+
         block = linalg.certified_kernel(
             self.field,
             lambda p, rows=None: self.reduced_mod(p, cols, rows),
             lambda p, rows, basis: basis[:, at] * sign % p,
-            lambda basis: self._first_settles(first, at, sign, basis)
-            and self.in_kernel(cols, [lift(u) for u in basis], first.p),
+            proven,
             first,
         )
         lifted = (linalg._canonical_integral(lift(u)) for u in block)

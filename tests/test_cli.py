@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from hermitia import cli, forms, hsum, intarith, lfun, polyspace
@@ -620,6 +619,10 @@ def test_a_long_point_exits_2_at_once_naming_z(argv):
     # its cost passed the interpreter's 4300-digit limit on converting an
     # int to decimal, and the error line named no flag
     (["alpha", "-d", "1", "-k", "1" * 4001, "--count", "3"], "-k"),
+    # argparse's own lines echoed the whole input: 5.2-5.3 KB
+    (["lvalue", "-d", "1", "-s", "3", "--format", "x" * 5000], "--format"),
+    (["dims", "-d", "1", "--method", "x" * 5000], "--method"),
+    (["lvalue", "-d", "1", "-s", "3", "x" * 5000], "unrecognized arguments"),
 ])
 def test_error_lines_echo_a_long_input_cut_short(argv, flag):
     start = time.perf_counter()
@@ -627,6 +630,41 @@ def test_error_lines_echo_a_long_input_cut_short(argv, flag):
     assert time.perf_counter() - start < 2
     assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
     assert flag in done.stderr.splitlines()[-1] and len(done.stderr.encode()) < 300, done.stderr
+
+
+def test_an_unknown_command_is_echoed_cut_short():
+    # echoed its whole text: 5.3 KB.  argparse's usage and list of commands
+    # take 326 bytes for any unknown command, so the bound is relative.
+    short = run_module("xx")
+    assert short.returncode == EXIT_PRECONDITION
+    assert "argument command: invalid choice: 'xx' (choose from 'alpha'," in short.stderr
+    start = time.perf_counter()
+    done = run_module("x" * 5000, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_PRECONDITION and done.stdout == ""
+    line = done.stderr.splitlines()[-1]
+    assert f"invalid choice: {intarith.shown('x' * 5000)} (choose from" in line, line
+    assert len(done.stderr.encode()) < len(short.stderr.encode()) + 60, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["xx"],
+    ["lvalue", "-d", "1", "-s", "3", "--format", "yy"],
+    ["lvalue", "-d", "1", "-s", "3", "--format", "a b  c"],
+    ["dims", "-d", "1", "--method", "x" * 40],
+    ["lvalue", "-d", "1", "-s", "3", "a", "b"],
+    ["lvalue", "-d", "5", "-s", "3"],
+])
+def test_argparse_error_lines_are_unchanged_for_short_words(argv, capsys, monkeypatch):
+    def stderr_of(parser):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        assert exit_.value.code == EXIT_PRECONDITION
+        return capsys.readouterr().err
+
+    ours = stderr_of(cli.build_parser())
+    monkeypatch.setattr(cli, "Parser", argparse.ArgumentParser)
+    assert ours == stderr_of(cli.build_parser())
 
 
 @pytest.mark.parametrize("value, text", [
@@ -948,7 +986,7 @@ def test_average_k_is_bounded_by_the_float_range(capsys):
         delta = max(x for x in range(cli.DELTA_MAX - 99, cli.DELTA_MAX + 1)
                     if not is_norm(f, x))
         top = cli.AVERAGE_K_BITS_MAX // (delta + 2).bit_length()
-        bound = hsum.tail_bound(f, top, delta, 1) * (top - 1) * float(mpmath.zeta(top))
+        bound = top * hsum.tail_bound(f, top, delta, 1)
         assert math.isfinite(hsum.formula_average(f, top, delta))
         assert math.isfinite(bound * cli.AVERAGE_WALK_MAX / 30)
 

@@ -415,6 +415,20 @@ def test_float_walk_lies_in_the_truncation_enclosure():
                 assert value - slack <= w <= value + tail + slack, (d, k, z)
 
 
+def test_float_walk_values_lie_below_the_stopping_bound():
+    # the walk stops a point by M = k * tail_bound(a_max = 1), an upper
+    # bound on H everywhere; the values it returns lie in [0, M]
+    rng = seeded("float-walk-bound")
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (3, 4, 5, 8, 11):
+            delta = rng.choice(nonnorm_deltas(f, 2))
+            zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)] + [0j])
+            walk = hsum._walk_values(f, k, delta, zs, tail_bound(f, k, delta, 100))
+            bound = k * tail_bound(f, k, delta, 1)
+            assert all(0.0 <= w <= bound for w in walk), (d, k, delta, walk, bound)
+
+
 def test_float_walk_matches_eval_exact_on_K():
     # for k >= 3 the tail bound is uniform in z, so H is continuous and the
     # float walk through a point of K reaches the exact value

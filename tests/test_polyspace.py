@@ -1218,8 +1218,9 @@ def test_word_sums_take_one_root_exactly_for_real_symmetric_vectors(monkeypatch)
 
 def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
     """`_first_settles` multiplies the first root's columns alone when every
-    u is real with u[at] = sign * u (its lift real and symmetric), as for
-    every basis that `wkk` proves, and both roots' columns otherwise; its
+    lift L u is real and symmetric (`real_symmetric`, as `kernel` passes
+    it), as for every basis that `wkk` proves, and both roots' columns
+    otherwise; its
     answer is whether the block mod p1 kills u under both roots, the block
     under w2 being the swapped one (`swapped_rows`, `swap`): the basis, a
     real symmetric step of it, a real step at one column alone and a step
@@ -1251,7 +1252,10 @@ def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
             bases.append(changed)
             last = [(x - w1, y + 1) if r == c else (x, y) for r, (x, y) in enumerate(bases[0][-1])]
             bases.append([*bases[0][:-1], last])
+            lift = op.lifting(cols)
             for vecs, twin in zip(bases, (True, False, True, False)):
+                one_root = op.real_symmetric(cols, [lift(u) for u in vecs])
+                assert one_root == twin, (d, k)
                 want = all(
                     not (m @ np.array([(x + y * w) % p for x, y in u], dtype=object) % p).any()
                     for u in vecs
@@ -1260,10 +1264,69 @@ def test_first_prime_settles_real_symmetric_bases_under_one_root(monkeypatch):
                 widths.clear()
                 with monkeypatch.context() as patched:
                     patched.setattr(linalg, "matmul_mod", recorded)
-                    assert op._first_settles(first, at, sign, vecs) == want, (d, k)
+                    assert op._first_settles(first, at, sign, vecs, one_root) == want, (d, k)
                 assert widths == [len(vecs) * (1 if twin else 2)], (d, k, twin)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_first_prime_and_word_sums_take_one_root_by_one_predicate(monkeypatch):
+    """`kernel` takes the roots of `_first_settles` from `real_symmetric`
+    on the lifts, the rule of `_word_sums`: one root for a real symmetric
+    lift, two for a real non-symmetric lift and for a complex one.  On the
+    upper coordinates that rule reads: every u real with u[at] = sign * u.
+    Checked on the eigenspace bases of W_{k,k} at k = 5, 8 in the five
+    rings, each with its last vector changed at one entry by 1 and by
+    omega; and along `wkk` at k = 8, where the eigenvalue -1 has
+    antisymmetric grids, every `_word_sums` of a kernel's proof takes as
+    many roots as its `_first_settles`."""
+    for d in EUCLIDEAN_DS:
+        f = field(d)
+        for k in (5, 8):
+            for op, cols, basis in eigen_bases(f, k):
+                at, sign = op.swap(cols)
+                lift = op.lifting(cols)
+                upper = [r for r, c in enumerate(cols) if 2 * c >= op.size]
+                vecs = [[u[r] for r in upper] for u in basis]
+                cases = [vecs]
+                for r in range(len(upper)):
+                    for step in ((1, 0), (0, 1)):
+                        changed = [list(u) for u in vecs]
+                        changed[-1][r] = (changed[-1][r][0] + step[0], changed[-1][r][1] + step[1])
+                        cases.append(changed)
+                verdicts = set()
+                for us in cases:
+                    twin = all(
+                        u[a] == (s * x, y) and not y for u in us for a, s, (x, y) in zip(at.tolist(), sign.tolist(), u)
+                    )
+                    verdicts.add(twin)
+                    assert op.real_symmetric(cols, [lift(u) for u in us]) == twin, (d, k)
+                # a real change off the diagonal and every complex change take two roots
+                assert False in verdicts, (d, k)
+
+    log = []
+    first_settles, word_sums = WordOperator._first_settles, WordOperator._word_sums
+
+    def settles(self, first, at, sign, basis, one_root):
+        log.append(("first", 1 if one_root else 2))
+        return first_settles(self, first, at, sign, basis, one_root)
+
+    def sums(self, primes, cols, vecs):
+        out = word_sums(self, primes, cols, vecs)
+        log.append(("sums", out.shape[1]))
+        return out
+
+    monkeypatch.setattr(WordOperator, "_first_settles", settles)
+    monkeypatch.setattr(WordOperator, "_word_sums", sums)
+    for d in EUCLIDEAN_DS:
+        wkk(field(d), 8)
+    assert {roots for kind, roots in log if kind == "first"} == {1, 2}
+    last = None
+    for kind, roots in log:
+        if kind == "first":
+            last = roots
+        else:
+            assert roots == last
 
 
 def test_wkk_reduces_under_one_root_and_only_the_rows_it_uses(monkeypatch):
